@@ -61,17 +61,12 @@ func run() error {
 		deputies  = flag.Int("deputies", 3, "succession roster size: the rendezvous replicates its group charter to this many highest-utility children (0 disables succession)")
 		debugAddr = flag.String("debug-addr", "", "serve the introspection endpoint on this address (enables tracing)")
 		traceFile = flag.String("trace-file", "", "append trace events as NDJSON to this file (enables tracing)")
-		wireVer   = flag.String("wire", "binary", "wire protocol version to speak: binary or gob (legacy; inbound frames of either version are always accepted, see docs/WIRE.md)")
 		discovery = flag.String("discovery", "dht", "group discovery plane: dht (Kademlia lookup with ripple fallback) or ripple (flood-only, see docs/DISCOVERY.md)")
 		stateFile = flag.String("state-file", "", "durable state file for crash-restart recovery: checkpoints identity, charters, reliable high-water marks and the routing snapshot, and resumes from them on restart (see docs/ARCHITECTURE.md)")
 	)
 	flag.Parse()
 
 	deliveryMode, err := wire.ParseDeliveryMode(*mode)
-	if err != nil {
-		return err
-	}
-	version, err := wire.ParseVersion(*wireVer)
 	if err != nil {
 		return err
 	}
@@ -85,9 +80,7 @@ func run() error {
 		effectiveSeed = time.Now().UnixNano()
 	}
 
-	tcpCfg := transport.DefaultTCPConfig()
-	tcpCfg.WireVersion = version
-	tr, err := transport.ListenTCPConfig(*listen, tcpCfg)
+	tr, err := transport.ListenTCP(*listen)
 	if err != nil {
 		return err
 	}

@@ -337,25 +337,26 @@ func TestLookupFindsValueAndSurvivesFailures(t *testing.T) {
 	sort.Slice(order, func(a, b int) bool {
 		return Closer(target, net.ids[order[a]], net.ids[order[b]])
 	})
-	holders := map[string]bool{}
-	for _, i := range order[:k] {
-		holders[net.addrs[i]] = true
+	// The nearer half of the holders are down: the lookup must still find a
+	// live replica.
+	down, holders := map[string]bool{}, map[string]bool{}
+	for rank, i := range order[:k] {
+		if rank < k/2 {
+			down[net.addrs[i]] = true
+		} else {
+			holders[net.addrs[i]] = true
+		}
 	}
 	rec := &Record{GroupID: "the-group", Rendezvous: wire.PeerInfo{Addr: "root"}, Epoch: 3}
-
-	// Half the holders are down: the lookup must still find a live replica.
-	dead := 0
 	query := func(c Contact, tgt ID) ([]Contact, *Record, error) {
+		if down[c.Info.Addr] {
+			return nil, nil, fmt.Errorf("replica down")
+		}
+		cs, _, err := net.query(c, tgt)
 		if holders[c.Info.Addr] {
-			if dead < k/2 {
-				dead++
-				holders[c.Info.Addr] = false // stays dead, deterministic
-				return nil, nil, fmt.Errorf("replica down")
-			}
-			cs, _, err := net.query(c, tgt)
 			return cs, rec, err
 		}
-		return net.query(c, tgt)
+		return cs, nil, err
 	}
 	res := Lookup(target, net.tables[11].Closest(target, k), k, DefaultAlpha, query)
 	if res.Record == nil || res.Record.Epoch != 3 {
@@ -363,6 +364,37 @@ func TestLookupFindsValueAndSurvivesFailures(t *testing.T) {
 	}
 	if res.Failures == 0 {
 		t.Fatal("test never exercised the failure path")
+	}
+}
+
+// TestLookupCallsQuerySerially pins the callback contract: Lookup calls q
+// from the calling goroutine, one query at a time, so a callback may keep
+// plain (unsynchronized) bookkeeping. Under -race a concurrent call fails
+// this test; without it the map writes crash the runtime.
+func TestLookupCallsQuerySerially(t *testing.T) {
+	const n, k = 256, DefaultK
+	net := buildSimNet(n, k, 4)
+	for ti := 0; ti < 20; ti++ {
+		target := KeyID(fmt.Sprintf("serial-%d", ti))
+		served := map[string]int{}
+		var asked []string
+		res := Lookup(target, net.tables[ti].Closest(target, k), k, DefaultAlpha,
+			func(c Contact, tgt ID) ([]Contact, *Record, error) {
+				served[c.Info.Addr]++
+				asked = append(asked, c.Info.Addr)
+				return net.query(c, tgt)
+			})
+		if len(asked) != res.Queries {
+			t.Fatalf("target %d: callback ran %d times for %d counted queries", ti, len(asked), res.Queries)
+		}
+		if res.Hops < 2 {
+			t.Fatalf("target %d: lookup converged in %d wave(s); the test needs multi-query waves", ti, res.Hops)
+		}
+		for addr, times := range served {
+			if times != 1 {
+				t.Fatalf("target %d: %s queried %d times", ti, addr, times)
+			}
+		}
 	}
 }
 

@@ -1,15 +1,25 @@
 package dht
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // QueryFunc issues one FindNode/FindValue RPC against contact c for target:
 // it returns the contacts c offered and, for value lookups, the record when
-// c held it. Implementations may block (the node's version waits on a wire
-// round-trip); Lookup runs up to alpha of them concurrently per wave.
+// c held it. Lookup calls it from the calling goroutine only, one query at a
+// time, so it may touch the caller's state without synchronization.
 type QueryFunc func(c Contact, target ID) (contacts []Contact, rec *Record, err error)
+
+// Reply is one contact's answer within a wave: what a QueryFunc returns.
+type Reply struct {
+	Contacts []Contact
+	Record   *Record
+	Err      error
+}
+
+// WaveFunc issues one wave's queries — up to alpha contacts, nearest first —
+// and returns their replies in the same order. It is called from the calling
+// goroutine only; whether the queries inside a wave overlap is its business
+// (the live node keeps them in flight together to hide RPC latency).
+type WaveFunc func(wave []Contact, target ID) []Reply
 
 // Result summarizes one iterative lookup.
 type Result struct {
@@ -40,10 +50,24 @@ type candidate struct {
 // it repeatedly queries, in waves of up to alpha, the closest candidates not
 // yet asked, folds every reply's contacts into the shortlist, and stops when
 // the k closest known candidates have all been queried (or a value lookup
-// hits). Queries inside a wave run concurrently but their replies merge in
-// slot order, so with a deterministic QueryFunc the whole lookup — including
-// its message count — is deterministic at any scheduling.
+// hits). q is called serially, in slot order within each wave, so with a
+// deterministic QueryFunc the whole lookup — including its message count —
+// is deterministic.
 func Lookup(target ID, seeds []Contact, k, alpha int, q QueryFunc) Result {
+	return LookupWaves(target, seeds, k, alpha, func(wave []Contact, target ID) []Reply {
+		replies := make([]Reply, len(wave))
+		for i, c := range wave {
+			replies[i].Contacts, replies[i].Record, replies[i].Err = q(c, target)
+		}
+		return replies
+	})
+}
+
+// LookupWaves is Lookup with the wave as the unit of querying: every wave is
+// handed to w whole, and its replies merge in slot order, so the candidate
+// list (and therefore every later wave) does not depend on how w schedules
+// the queries inside a wave.
+func LookupWaves(target ID, seeds []Contact, k, alpha int, w WaveFunc) Result {
 	if k <= 0 {
 		k = DefaultK
 	}
@@ -93,42 +117,28 @@ func Lookup(target ID, seeds []Contact, k, alpha int, q QueryFunc) Result {
 		return wave
 	}
 
-	type reply struct {
-		contacts []Contact
-		rec      *Record
-		err      error
-	}
 	for {
 		wave := nextWave()
 		if len(wave) == 0 {
 			break
 		}
 		res.Hops++
-		replies := make([]reply, len(wave))
-		var wg sync.WaitGroup
+		contacts := make([]Contact, len(wave))
 		for i, cand := range wave {
 			cand.state = candQueried
-			wg.Add(1)
-			go func(slot int, c Contact) {
-				defer wg.Done()
-				contacts, rec, err := q(c, target)
-				replies[slot] = reply{contacts: contacts, rec: rec, err: err}
-			}(i, cand.c)
+			contacts[i] = cand.c
 		}
-		wg.Wait()
-		// Merge in slot order so the candidate list (and therefore every
-		// later wave) is independent of goroutine scheduling.
-		for i, r := range replies {
+		for i, r := range w(contacts, target) {
 			res.Queries++
-			if r.err != nil {
+			if r.Err != nil {
 				res.Failures++
 				wave[i].state = candFailed
 				continue
 			}
-			if r.rec != nil && res.Record == nil {
-				res.Record = r.rec
+			if r.Record != nil && res.Record == nil {
+				res.Record = r.Record
 			}
-			for _, c := range r.contacts {
+			for _, c := range r.Contacts {
 				add(c)
 			}
 		}

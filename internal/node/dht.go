@@ -20,8 +20,24 @@ import (
 // periodic republish that rides the heartbeat epochs; the record store's
 // epoch guard keeps a stale root from clobbering its successor's record.
 
+// DHT maintenance parameters.
+const (
+	// dhtRecordTTL is how long a replicated charter record lives without a
+	// refresh; the owning rendezvous republishes well inside it.
+	dhtRecordTTL = 30 * time.Second
+	// dhtRepublishEpochs is how many heartbeat epochs pass between a
+	// rendezvous re-replicating its charter records, and dhtRefreshEpochs
+	// between background self-lookups that keep the routing table's near
+	// buckets fresh — both before churn adaptation (see dhtCadence).
+	dhtRepublishEpochs = 5
+	dhtRefreshEpochs   = 8
+	// dhtQueryTimeout bounds one DHT RPC round trip; a silent contact is
+	// treated as failed and the lookup routes around it.
+	dhtQueryTimeout = 250 * time.Millisecond
+)
+
 // errDhtQueryTimeout reports a DHT RPC whose reply never arrived within
-// DHTQueryTimeout — the lookup treats the contact as failed and routes
+// dhtQueryTimeout — the lookup treats the contact as failed and routes
 // around it.
 var errDhtQueryTimeout = errors.New("node: dht query timed out")
 
@@ -129,7 +145,7 @@ func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string) ([]dht.Con
 			}
 		}
 		return contacts, rec, nil
-	case <-time.After(n.cfg.DHTQueryTimeout):
+	case <-time.After(dhtQueryTimeout):
 		return nil, nil, errDhtQueryTimeout
 	case <-n.stop:
 		return nil, nil, ErrClosed
@@ -138,13 +154,25 @@ func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string) ([]dht.Con
 
 // dhtLookup runs one iterative lookup from this node's routing table:
 // a value lookup for groupID's record when set, a node lookup toward target
-// otherwise. Counts one DhtLookups tick and feeds the latency histogram.
+// otherwise. The queries of one wave are in flight together, so a wave costs
+// one round trip (or one dhtQueryTimeout when a contact is dead), not alpha
+// of them. Counts one DhtLookups tick and feeds the latency histogram.
 func (n *Node) dhtLookup(target dht.ID, groupID string) dht.Result {
 	start := time.Now()
-	seeds := n.dht.table.Closest(target, n.cfg.DHTBucketSize)
-	res := dht.Lookup(target, seeds, n.cfg.DHTBucketSize, n.cfg.DHTAlpha,
-		func(c dht.Contact, t dht.ID) ([]dht.Contact, *dht.Record, error) {
-			return n.dhtQuery(c, t, groupID)
+	seeds := n.dht.table.Closest(target, dht.DefaultK)
+	res := dht.LookupWaves(target, seeds, dht.DefaultK, dht.DefaultAlpha,
+		func(wave []dht.Contact, t dht.ID) []dht.Reply {
+			replies := make([]dht.Reply, len(wave))
+			var wg sync.WaitGroup
+			for i, c := range wave {
+				wg.Add(1)
+				go func(r *dht.Reply, c dht.Contact) {
+					defer wg.Done()
+					r.Contacts, r.Record, r.Err = n.dhtQuery(c, t, groupID)
+				}(&replies[i], c)
+			}
+			wg.Wait()
+			return replies
 		})
 	n.stats.dhtLookups.Add(1)
 	n.metrics.dhtLookup.ObserveDurationMs(float64(time.Since(start)) / float64(time.Millisecond))
@@ -211,10 +239,7 @@ func (n *Node) dhtStoreCharter(groupID string) {
 		Epoch:      rec.Epoch,
 		Charter:    rec.Charter,
 	}
-	for i, c := range res.Closest {
-		if i >= n.cfg.DHTBucketSize {
-			break
-		}
+	for _, c := range res.Closest {
 		m := msg
 		m.ReqID = n.nextMsgID()
 		_ = n.send(c.Info.Addr, m)
@@ -271,30 +296,29 @@ func (n *Node) DhtChurnRate() float64 {
 }
 
 // Adaptive-pacing thresholds, in churn events observed per heartbeat epoch:
-// at or below calm the maintenance cadence relaxes to 2× the configured
-// epochs, at or above storm it tightens to ¼ of them (and rescue-republish
-// reacts to individual evictions in between the periodic rounds).
+// at or below calm the maintenance cadence relaxes to 2× dhtRepublishEpochs
+// and dhtRefreshEpochs, at or above storm it tightens to ¼ of them (and
+// rescue-republish reacts to individual evictions in between the periodic
+// rounds).
 const (
 	DefaultDHTChurnCalm  = 0.01
 	DefaultDHTChurnStorm = 0.2
 )
 
-// dhtCadence returns the current republish and refresh cadences in epochs.
-// Fixed pacing returns the configured values; adaptive pacing (the default)
-// maps the observed churn rate between a relaxed cadence when calm and a
+// dhtCadence returns the current republish and refresh cadences in epochs:
+// the observed churn rate maps between a relaxed cadence when calm and a
 // tight one under storm — bounding record-loss probability under churn
 // without paying storm-level maintenance traffic in a quiet overlay.
 func (n *Node) dhtCadence(now time.Time) (republish, refresh int) {
-	republish, refresh = n.cfg.DHTRepublishEpochs, n.cfg.DHTRefreshEpochs
 	d := n.dht
-	if d == nil || n.cfg.DHTFixedPacing || n.cfg.HeartbeatInterval <= 0 {
-		return republish, refresh
+	if d == nil || n.cfg.HeartbeatInterval <= 0 {
+		return dhtRepublishEpochs, dhtRefreshEpochs
 	}
 	perEpoch := d.churn.Rate(now) * n.cfg.HeartbeatInterval.Seconds()
 	republish = dht.AdaptiveEpochs(perEpoch, DefaultDHTChurnCalm, DefaultDHTChurnStorm,
-		2*republish, republish/4)
+		2*dhtRepublishEpochs, dhtRepublishEpochs/4)
 	refresh = dht.AdaptiveEpochs(perEpoch, DefaultDHTChurnCalm, DefaultDHTChurnStorm,
-		2*refresh, refresh/4)
+		2*dhtRefreshEpochs, dhtRefreshEpochs/4)
 	return republish, refresh
 }
 
@@ -305,17 +329,16 @@ func (n *Node) dhtCadence(now time.Time) (republish, refresh int) {
 // charters go through the full republish (fresh lookup, k stores); records
 // held for remote owners are cheaply re-pushed to the k closest contacts in
 // the local table — the receivers' epoch guards make over-pushing safe.
-// Rescue is part of adaptive maintenance and is disabled by DHTFixedPacing.
 func (n *Node) dhtRescue(lostAddr string) {
 	d := n.dht
-	if d == nil || n.cfg.DHTFixedPacing || lostAddr == "" {
+	if d == nil || lostAddr == "" {
 		return
 	}
 	lost := dht.NodeID(lostAddr)
 	for _, rec := range d.store.Snapshot() {
 		key := dht.KeyID(rec.GroupID)
-		closest := d.table.Closest(key, n.cfg.DHTBucketSize)
-		inSet := len(closest) < n.cfg.DHTBucketSize
+		closest := d.table.Closest(key, dht.DefaultK)
+		inSet := len(closest) < dht.DefaultK
 		if !inSet {
 			inSet = dht.Closer(key, lost, closest[len(closest)-1].ID)
 		}
@@ -370,10 +393,7 @@ func (n *Node) dhtPushRecord(rec dht.Record) {
 		Epoch:      rec.Epoch,
 		Charter:    rec.Charter,
 	}
-	for i, c := range d.table.Closest(key, n.cfg.DHTBucketSize) {
-		if i >= n.cfg.DHTBucketSize {
-			break
-		}
+	for _, c := range d.table.Closest(key, dht.DefaultK) {
 		m := msg
 		m.ReqID = n.nextMsgID()
 		_ = n.send(c.Info.Addr, m)
@@ -384,8 +404,7 @@ func (n *Node) dhtPushRecord(rec dht.Record) {
 // live neighbour set into the routing table (bucket maintenance piggybacks
 // on the beacons the node already runs), expire dead records, republish
 // owned charters and refresh the table with a background self-lookup on the
-// churn-adapted cadence (the configured DHTRepublishEpochs/DHTRefreshEpochs
-// under fixed pacing).
+// churn-adapted cadence (see dhtCadence).
 func (n *Node) dhtEpoch(epochs int) {
 	d := n.dht
 	if d == nil {
@@ -514,7 +533,7 @@ func (n *Node) handleDhtStore(msg wire.Message) {
 // dhtNeighborsFor projects the k closest known contacts to target into
 // wire form, excluding the requester itself.
 func (n *Node) dhtNeighborsFor(target dht.ID, exclude string) []wire.PeerInfo {
-	cs := n.dht.table.Closest(target, n.cfg.DHTBucketSize)
+	cs := n.dht.table.Closest(target, dht.DefaultK)
 	out := make([]wire.PeerInfo, 0, len(cs))
 	for _, c := range cs {
 		if c.Info.Addr == exclude {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"groupcast/internal/coords"
+	"groupcast/internal/dht"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -63,7 +64,7 @@ func (c *dhtCluster) add(t *testing.T, contacts []string, tweak func(cfg *Config
 }
 
 // joinEventually retries Join until the DHT record has replicated far enough
-// to resolve (the owner republishes every DHTRepublishEpochs heartbeats, so
+// to resolve (the owner republishes every dhtRepublishEpochs heartbeats, so
 // the first attempts may race the record's spread).
 func joinEventually(t *testing.T, nd *Node, gid string, within time.Duration) {
 	t.Helper()
@@ -334,4 +335,47 @@ func TestDhtRepublishStopRace(t *testing.T) {
 	buf := make([]byte, 1<<20)
 	t.Fatalf("goroutines leaked past Close: baseline %d, now %d\n%s",
 		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+}
+
+// TestDhtLookupWaveQueriesOverlap pins the live lookup's latency contract:
+// the α queries of one wave are in flight together. Three contacts each hold
+// their reply until all three have received a query; a lookup that sent them
+// one at a time would never fill that barrier and would burn a
+// dhtQueryTimeout per contact instead.
+func TestDhtLookupWaveQueriesOverlap(t *testing.T) {
+	mem := transport.NewMemNetwork()
+	cfg := DefaultConfig(50, coords.Point{0, 0}, 1)
+	cfg.HeartbeatInterval = 0 // no background traffic: only the lookup sends
+	nd := New(mem.NextEndpoint(), cfg)
+	nd.Start()
+	defer nd.Close()
+
+	const contacts = dht.DefaultAlpha
+	var arrived sync.WaitGroup
+	arrived.Add(contacts)
+	for i := 0; i < contacts; i++ {
+		ep := mem.NextEndpoint()
+		defer ep.Close()
+		nd.dhtObserve(wire.PeerInfo{Addr: ep.Addr()})
+		go func() {
+			for msg := range ep.Recv() {
+				if msg.Type != wire.TDhtFindNode {
+					continue
+				}
+				arrived.Done()
+				arrived.Wait()
+				_ = ep.Send(msg.From.Addr, wire.Message{
+					Type: wire.TDhtFindNodeResp, From: wire.PeerInfo{Addr: ep.Addr()}, ReqID: msg.ReqID,
+				})
+			}
+		}()
+	}
+
+	res := nd.dhtLookup(dht.KeyID("overlap"), "")
+	if res.Queries != contacts || res.Hops != 1 {
+		t.Fatalf("lookup ran %d queries in %d waves, want %d in 1", res.Queries, res.Hops, contacts)
+	}
+	if res.Failures != 0 {
+		t.Fatalf("%d of the wave's queries timed out: they were not in flight together", res.Failures)
+	}
 }

@@ -21,6 +21,10 @@ import (
 // repair budget.
 const backupJoinTimeout = 500 * time.Millisecond
 
+// backupFanout is how many backup access points a tree node hands each
+// child on beacons and join acks.
+const backupFanout = 3
+
 // attached reports whether the node currently has a tree attachment for
 // the group (rendezvous, or a parent it has not given up on).
 func (n *Node) attached(gid string) bool {
@@ -32,7 +36,7 @@ func (n *Node) attached(gid string) bool {
 
 // backupsForChildLocked assembles the backup access points a parent hands
 // the given child: candidates outside the child's subtree, ranked nearest
-// to the child, capped at BackupFanout. Callers hold n.mu.
+// to the child, capped at backupFanout. Callers hold n.mu.
 func (n *Node) backupsForChildLocked(gs *groupState, child wire.PeerInfo) []wire.PeerInfo {
 	cands := make([]wire.PeerInfo, 0, len(gs.children)+len(gs.backups)+2)
 	seen := map[string]bool{child.Addr: true, n.self.Addr: true}
@@ -57,8 +61,8 @@ func (n *Node) backupsForChildLocked(gs *groupState, child wire.PeerInfo) []wire
 	sort.SliceStable(cands, func(i, j int) bool {
 		return n.dist(child, cands[i]) < n.dist(child, cands[j])
 	})
-	if len(cands) > n.cfg.BackupFanout {
-		cands = cands[:n.cfg.BackupFanout]
+	if len(cands) > backupFanout {
+		cands = cands[:backupFanout]
 	}
 	// The slices feeding cands are owned by the node; copy before the
 	// result escapes into a message.

@@ -15,6 +15,14 @@ import (
 	"groupcast/internal/wire"
 )
 
+// Protocol TTLs, fixed by the paper.
+const (
+	// advertiseTTL is the SSA announcement flood depth (paper: 7).
+	advertiseTTL = 7
+	// searchTTL is the subscription ripple search depth (paper: 2).
+	searchTTL = 2
+)
+
 // newGroupState allocates the per-group bookkeeping.
 func newGroupState(mode wire.DeliveryMode) *groupState {
 	return &groupState{
@@ -25,9 +33,9 @@ func newGroupState(mode wire.DeliveryMode) *groupState {
 }
 
 // CreateGroup makes this node the rendezvous point (and first member) of a
-// new communication group with the node's configured delivery mode.
+// new best-effort communication group.
 func (n *Node) CreateGroup(groupID string) error {
-	return n.CreateGroupMode(groupID, n.cfg.DeliveryMode)
+	return n.CreateGroupMode(groupID, wire.BestEffort)
 }
 
 // CreateGroupMode makes this node the rendezvous point of a new group with
@@ -83,7 +91,7 @@ func (n *Node) Advertise(groupID string) error {
 		From:       self,
 		GroupID:    groupID,
 		Rendezvous: self,
-		TTL:        n.cfg.AdvertiseTTL,
+		TTL:        advertiseTTL,
 		MsgID:      msgID,
 		Mode:       mode,
 		Epoch:      epoch,
@@ -260,7 +268,7 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 		Type:     wire.TSearch,
 		From:     self,
 		GroupID:  groupID,
-		TTL:      n.cfg.SearchTTL,
+		TTL:      searchTTL,
 		Origin:   self,
 		ReqID:    reqID,
 		MsgID:    msgID,
@@ -287,7 +295,7 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 			return n.joinVia(groupID, hit.From.Addr, hit.Rendezvous, hit.Mode, timeout, asMember)
 		case <-deadline:
 			return fmt.Errorf("%w: %q (no access point within TTL %d)",
-				ErrJoinFailed, groupID, n.cfg.SearchTTL)
+				ErrJoinFailed, groupID, searchTTL)
 		case <-n.stop:
 			return ErrClosed
 		}
@@ -432,16 +440,12 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 	mode = gs.mode
 	n.mu.Unlock()
 
-	attempts := n.cfg.RetryAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	attemptWait := timeout / time.Duration(attempts)
+	attemptWait := timeout / retryAttempts
 	if attemptWait < 10*time.Millisecond {
 		attemptWait = 10 * time.Millisecond
 	}
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			n.stats.retries.Add(1)
 		}

@@ -256,15 +256,13 @@ func (n *Node) heartbeatLoop() {
 			epochs++
 			// Telemetry samples before the heartbeats go out so this epoch's
 			// piggyback carries the fresh digest.
-			n.telemetryEpoch(epochs)
+			n.telemetryEpoch()
 			n.epoch(stalled)
 			n.dhtEpoch(epochs)
 			if n.cfg.AdvertiseRefreshEpochs > 0 && epochs%n.cfg.AdvertiseRefreshEpochs == 0 {
 				n.refreshAdvertisements()
 			}
-			if n.cfg.DigestEveryEpochs > 0 && epochs%n.cfg.DigestEveryEpochs == 0 {
-				n.digestGroups()
-			}
+			n.digestGroups()
 			n.epochNow.Store(int64(epochs))
 			if n.cfg.StatePath != "" && epochs%n.cfg.StateSaveEpochs == 0 {
 				e := epochs
@@ -509,7 +507,7 @@ func (n *Node) repairAttachment(gid string, asMember bool) {
 			return
 		}
 	}
-	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			n.stats.retries.Add(1)
 			if !n.sleepBackoff(attempt) {

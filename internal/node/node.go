@@ -46,11 +46,9 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// MissedHeartbeatsToFail marks a silent neighbour dead (paper: 2).
 	MissedHeartbeatsToFail int
-	// AdvertiseTTL and AdvertiseFraction configure SSA announcements.
-	AdvertiseTTL      int
+	// AdvertiseFraction is the share of neighbours an SSA announcement is
+	// forwarded to at each hop.
 	AdvertiseFraction float64
-	// SearchTTL is the subscription ripple search depth (paper: 2).
-	SearchTTL int
 	// Seed makes the node's random choices reproducible.
 	Seed int64
 	// BeaconGraceEpochs is how many heartbeat epochs a tree node tolerates
@@ -68,20 +66,6 @@ type Config struct {
 	// (Section 3.1 names Vivaldi as one of the coordinate options). When
 	// false the static Coord is advertised unchanged.
 	EnableVivaldi bool
-	// Vivaldi tunes the spring model when enabled; zero value uses defaults.
-	Vivaldi coords.VivaldiConfig
-	// RetryAttempts bounds the attempts of the retried operations —
-	// bootstrap probes, tree joins, and the ripple search — before giving
-	// up (0 uses the default of 3).
-	RetryAttempts int
-	// RetryBaseDelay is the backoff before the second attempt; it doubles
-	// per attempt with jitter, capped at RetryMaxDelay. Zeros use the
-	// defaults (50ms base, 1s cap).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// BackupFanout is how many backup access points a tree node hands each
-	// child on beacons and join acks (0 uses the default of 3).
-	BackupFanout int
 	// Deputies is how many highest-utility children a rendezvous replicates
 	// its group charter to — the succession roster size. When the root dies,
 	// deputy #i promotes itself after SuspectEpochs+i silent beacon epochs.
@@ -107,34 +91,6 @@ type Config struct {
 	// instead of falling back to the ripple search (experiments and tests
 	// that must isolate the structured path).
 	DHTNoFallback bool
-	// DHTBucketSize is the Kademlia k: bucket depth, lookup shortlist
-	// width, and record replication factor (0 uses the default of 8).
-	DHTBucketSize int
-	// DHTAlpha is the lookup's per-wave query parallelism (0 uses 3).
-	DHTAlpha int
-	// DHTRecordTTL is how long a replicated charter record lives without a
-	// refresh; the owning rendezvous republishes well inside it (0 uses 30s).
-	DHTRecordTTL time.Duration
-	// DHTRepublishEpochs is how many heartbeat epochs pass between a
-	// rendezvous re-replicating its charter records (0 uses 5).
-	DHTRepublishEpochs int
-	// DHTRefreshEpochs is how many heartbeat epochs pass between background
-	// self-lookups that keep the routing table's near buckets fresh
-	// (0 uses 8).
-	DHTRefreshEpochs int
-	// DHTQueryTimeout bounds one DHT RPC round trip; a silent contact is
-	// treated as failed and the lookup routes around it (0 uses 250ms).
-	DHTQueryTimeout time.Duration
-	// DHTFixedPacing pins republish/refresh to the configured epoch counts
-	// and disables rescue-republish — the pre-adaptive behaviour, kept as an
-	// ablation knob for the churn experiments. By default the cadence adapts
-	// to the observed churn rate (see dhtCadence) between 2× the configured
-	// epochs when calm and ¼ of them under storm.
-	DHTFixedPacing bool
-	// DHTChurnWindow is the sliding window the churn estimator averages
-	// bucket evictions, neighbour removals, and record expiries over
-	// (0 uses max(25×HeartbeatInterval, 2s)).
-	DHTChurnWindow time.Duration
 
 	// StatePath enables crash–restart recovery: the node periodically
 	// persists a small state file (identity, group charters, reliable
@@ -147,49 +103,18 @@ type Config struct {
 	// saves (0 uses 5; requires StatePath and heartbeats).
 	StateSaveEpochs int
 
-	// DeliveryMode is the data-plane reliability level for groups this node
-	// creates (BestEffort, Reliable, or ReliableOrdered). Members inherit a
-	// group's mode from its rendezvous via advertisements, join acks, and
-	// beacons; this field only seeds CreateGroup.
-	DeliveryMode wire.DeliveryMode
-	// NackInterval paces the gap-recovery sweep that turns detected
-	// sequence gaps into NACKs (0 uses the default of 40ms).
-	NackInterval time.Duration
-	// NackMaxAttempts abandons a gap after this many unanswered NACKs
-	// (0 uses the reliable package default).
-	NackMaxAttempts int
-	// NackTTL bounds the hop-by-hop escalation of a NACK toward the source
-	// when a relay's cache misses (0 uses the default).
-	NackTTL int
 	// ReliableWindow is the per-source receive-window span in sequence
 	// numbers; ReliableCache is the per-source retransmission buffer depth.
 	// Zeros use the reliable package defaults. Together they bound the
 	// memory a group can pin per source.
 	ReliableWindow int
 	ReliableCache  int
-	// DigestEveryEpochs is how many heartbeat epochs pass between
-	// anti-entropy digests on tree links (0 uses the default of 1; requires
-	// heartbeats to be enabled).
-	DigestEveryEpochs int
-	// SeenMax and SeenTTL bound the advertisement/search duplicate filter
-	// (zeros use the reliable package defaults).
+	// SeenMax bounds the advertisement/search duplicate filter (0 uses the
+	// reliable package default).
 	SeenMax int
-	SeenTTL time.Duration
 
-	// OverloadEnterPressure and OverloadExitPressure are the hysteresis
-	// thresholds of the graceful-degradation controller: the node enters the
-	// degraded state after OverloadEnterSamples consecutive pressure samples
-	// at or above the enter threshold, and leaves it after
-	// OverloadExitSamples consecutive samples at or below the exit
-	// threshold. Pressure is max(inbox occupancy fraction, open-breaker
-	// fraction). Zeros use the defaults (0.75 enter / 0.25 exit, 3 enter / 5
-	// exit samples).
-	OverloadEnterPressure float64
-	OverloadExitPressure  float64
-	OverloadEnterSamples  int
-	OverloadExitSamples   int
-	// OverloadSampleInterval paces the pressure sampler (0 uses the default
-	// of 100ms).
+	// OverloadSampleInterval paces the pressure sampler of the
+	// graceful-degradation controller (0 uses the default of 100ms).
 	OverloadSampleInterval time.Duration
 	// DisableOverloadControl turns the degradation controller off entirely:
 	// no admission control, no relay shedding (pressure is still sampled for
@@ -202,23 +127,11 @@ type Config struct {
 	// 0 uses the default of 30s.
 	PendingReqTTL time.Duration
 
-	// TelemetryEveryEpochs is how many heartbeat epochs pass between fleet
-	// telemetry samples: each sample refreshes the node's health digest (the
-	// piggyback on heartbeats and beacons) and appends one time-series
-	// history entry (0 uses 1; requires heartbeats to be enabled).
-	TelemetryEveryEpochs int
-	// TelemetryHistory is the time-series ring capacity in samples — how far
-	// back /debug/history reaches (0 uses 120).
-	TelemetryHistory int
 	// TelemetryGossip is how many OTHER nodes' digests ride each outgoing
 	// heartbeat/ack/beacon besides the node's own, cycled round-robin
 	// through the fleet view (0 uses 2 — sized to keep the piggyback under
 	// the 128-byte/beacon budget).
 	TelemetryGossip int
-	// TelemetryStaleEpochs is how many silent telemetry epochs mark a
-	// fleet-view entry stale and fire the stale SLO rule — the fleet's
-	// crash-stop detector (0 uses 2).
-	TelemetryStaleEpochs int
 	// SLO overrides the fleet alert thresholds and hysteresis dwells; the
 	// zero value uses the telemetry package defaults.
 	SLO telemetry.SLOConfig
@@ -244,9 +157,7 @@ func DefaultConfig(capacity float64, coord coords.Point, seed int64) Config {
 		FallbackAccept:         core.DefaultFallbackAccept,
 		HeartbeatInterval:      2 * time.Second,
 		MissedHeartbeatsToFail: 2,
-		AdvertiseTTL:           7,
 		AdvertiseFraction:      0.4,
-		SearchTTL:              2,
 		Seed:                   seed,
 		// Periodic refresh keeps reverse paths fresh for late joiners and is
 		// what lets conflicting roots discover each other after a partition
@@ -414,14 +325,8 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.QuotaBase < 1 {
 		cfg.QuotaBase = 4
 	}
-	if cfg.AdvertiseTTL < 1 {
-		cfg.AdvertiseTTL = 7
-	}
 	if cfg.AdvertiseFraction <= 0 || cfg.AdvertiseFraction > 1 {
 		cfg.AdvertiseFraction = 0.4
-	}
-	if cfg.SearchTTL < 1 {
-		cfg.SearchTTL = 2
 	}
 	if cfg.MissedHeartbeatsToFail < 1 {
 		cfg.MissedHeartbeatsToFail = 2
@@ -429,35 +334,11 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.BeaconGraceEpochs < 1 {
 		cfg.BeaconGraceEpochs = 6
 	}
-	if cfg.RetryAttempts < 1 {
-		cfg.RetryAttempts = 3
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if cfg.RetryMaxDelay < cfg.RetryBaseDelay {
-		cfg.RetryMaxDelay = time.Second
-		if cfg.RetryMaxDelay < cfg.RetryBaseDelay {
-			cfg.RetryMaxDelay = cfg.RetryBaseDelay
-		}
-	}
-	if cfg.BackupFanout < 1 {
-		cfg.BackupFanout = 3
-	}
 	if cfg.Deputies == 0 {
 		cfg.Deputies = 3
 	}
 	if cfg.SuspectEpochs < 1 {
 		cfg.SuspectEpochs = 3
-	}
-	if cfg.NackInterval <= 0 {
-		cfg.NackInterval = 40 * time.Millisecond
-	}
-	if cfg.NackMaxAttempts < 1 {
-		cfg.NackMaxAttempts = reliable.DefaultNackMaxAttempts
-	}
-	if cfg.NackTTL < 1 {
-		cfg.NackTTL = reliable.DefaultNackTTL
 	}
 	if cfg.ReliableWindow < 2 {
 		cfg.ReliableWindow = reliable.DefaultWindowSpan
@@ -465,26 +346,8 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.ReliableCache < 1 {
 		cfg.ReliableCache = reliable.DefaultCachePayloads
 	}
-	if cfg.DigestEveryEpochs < 1 {
-		cfg.DigestEveryEpochs = 1
-	}
 	if cfg.SeenMax < 1 {
 		cfg.SeenMax = reliable.DefaultSeenMax
-	}
-	if cfg.SeenTTL <= 0 {
-		cfg.SeenTTL = reliable.DefaultSeenTTL
-	}
-	if cfg.OverloadEnterPressure <= 0 || cfg.OverloadEnterPressure > 1 {
-		cfg.OverloadEnterPressure = DefaultOverloadEnterPressure
-	}
-	if cfg.OverloadExitPressure <= 0 || cfg.OverloadExitPressure >= cfg.OverloadEnterPressure {
-		cfg.OverloadExitPressure = DefaultOverloadExitPressure
-	}
-	if cfg.OverloadEnterSamples < 1 {
-		cfg.OverloadEnterSamples = DefaultOverloadEnterSamples
-	}
-	if cfg.OverloadExitSamples < 1 {
-		cfg.OverloadExitSamples = DefaultOverloadExitSamples
 	}
 	if cfg.OverloadSampleInterval <= 0 {
 		cfg.OverloadSampleInterval = DefaultOverloadSampleInterval
@@ -492,44 +355,11 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.PendingReqTTL <= 0 {
 		cfg.PendingReqTTL = DefaultPendingReqTTL
 	}
-	if cfg.DHTBucketSize < 1 {
-		cfg.DHTBucketSize = dht.DefaultK
-	}
-	if cfg.DHTAlpha < 1 {
-		cfg.DHTAlpha = dht.DefaultAlpha
-	}
-	if cfg.DHTRecordTTL <= 0 {
-		cfg.DHTRecordTTL = 30 * time.Second
-	}
-	if cfg.DHTRepublishEpochs < 1 {
-		cfg.DHTRepublishEpochs = 5
-	}
-	if cfg.DHTRefreshEpochs < 1 {
-		cfg.DHTRefreshEpochs = 8
-	}
-	if cfg.DHTQueryTimeout <= 0 {
-		cfg.DHTQueryTimeout = 250 * time.Millisecond
-	}
-	if cfg.DHTChurnWindow <= 0 {
-		cfg.DHTChurnWindow = 25 * cfg.HeartbeatInterval
-		if cfg.DHTChurnWindow < 2*time.Second {
-			cfg.DHTChurnWindow = 2 * time.Second
-		}
-	}
 	if cfg.StateSaveEpochs < 1 {
 		cfg.StateSaveEpochs = 5
 	}
-	if cfg.TelemetryEveryEpochs < 1 {
-		cfg.TelemetryEveryEpochs = DefaultTelemetryEveryEpochs
-	}
-	if cfg.TelemetryHistory < 1 {
-		cfg.TelemetryHistory = DefaultTelemetryHistory
-	}
 	if cfg.TelemetryGossip < 1 {
 		cfg.TelemetryGossip = DefaultTelemetryGossip
-	}
-	if cfg.TelemetryStaleEpochs < 1 {
-		cfg.TelemetryStaleEpochs = DefaultTelemetryStaleEpochs
 	}
 	coord := cfg.Coord
 	if coord == nil {
@@ -537,11 +367,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 	}
 	var vivaldi *coords.VivaldiNode
 	if cfg.EnableVivaldi {
-		vcfg := cfg.Vivaldi
-		if vcfg.Dimensions == 0 {
-			vcfg = coords.DefaultVivaldiConfig()
-		}
-		vivaldi = coords.NewVivaldiNode(vcfg, cfg.Seed)
+		vivaldi = coords.NewVivaldiNode(coords.DefaultVivaldiConfig(), cfg.Seed)
 		coord = vivaldi.Coord()
 	}
 	n := &Node{
@@ -557,7 +383,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		neighbors: make(map[string]*neighborState),
 		groups:    make(map[string]*groupState),
 		adSeen:    make(map[string]adState),
-		seenAds:   reliable.NewDedup(cfg.SeenMax, cfg.SeenTTL),
+		seenAds:   reliable.NewDedup(cfg.SeenMax, reliable.DefaultSeenTTL),
 		pending:   make(map[uint64]pendingReq),
 		tracer:    cfg.Tracer,
 		rejoining: make(map[string]bool),
@@ -569,15 +395,21 @@ func New(tr transport.Transport, cfg Config) *Node {
 	}
 	if !cfg.DisableDHT {
 		id := dht.NodeID(n.self.Addr)
+		// The churn estimator averages bucket evictions, neighbour removals,
+		// and record expiries over a sliding window of 25 epochs (at least 2s).
+		churnWindow := 25 * cfg.HeartbeatInterval
+		if churnWindow < 2*time.Second {
+			churnWindow = 2 * time.Second
+		}
 		n.dht = &dhtState{
 			id:          id,
-			table:       dht.NewTable(id, cfg.DHTBucketSize),
-			store:       dht.NewStore(cfg.DHTRecordTTL),
-			churn:       dht.NewChurnEstimator(cfg.DHTChurnWindow),
+			table:       dht.NewTable(id, dht.DefaultK),
+			store:       dht.NewStore(dhtRecordTTL),
+			churn:       dht.NewChurnEstimator(churnWindow),
 			pinging:     make(map[string]bool),
 			storing:     make(map[string]bool),
-			republishAt: cfg.DHTRepublishEpochs,
-			refreshAt:   cfg.DHTRefreshEpochs,
+			republishAt: dhtRepublishEpochs,
+			refreshAt:   dhtRefreshEpochs,
 		}
 	}
 	n.initObservability()
@@ -814,7 +646,7 @@ func (n *Node) Bootstrap(contacts []string, timeout time.Duration) error {
 	// Probe phase: all contacts in parallel, each with bounded retries.
 	// The per-attempt wait divides the caller's timeout so the phase stays
 	// inside roughly one timeout regardless of how many contacts are dead.
-	attemptWait := timeout / time.Duration(n.cfg.RetryAttempts)
+	attemptWait := timeout / retryAttempts
 	if attemptWait < 10*time.Millisecond {
 		attemptWait = 10 * time.Millisecond
 	}

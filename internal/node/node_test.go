@@ -451,14 +451,11 @@ func TestNewAppliesDefaults(t *testing.T) {
 	nd := New(net.NextEndpoint(), Config{
 		Capacity:          -1,
 		QuotaBase:         0,
-		AdvertiseTTL:      0,
 		AdvertiseFraction: 5,
-		SearchTTL:         0,
 	})
 	defer nd.Close()
-	if nd.cfg.Capacity != 1 || nd.cfg.QuotaBase != 4 || nd.cfg.AdvertiseTTL != 7 ||
-		nd.cfg.AdvertiseFraction != 0.4 || nd.cfg.SearchTTL != 2 ||
-		nd.cfg.MissedHeartbeatsToFail != 2 {
+	if nd.cfg.Capacity != 1 || nd.cfg.QuotaBase != 4 ||
+		nd.cfg.AdvertiseFraction != 0.4 || nd.cfg.MissedHeartbeatsToFail != 2 {
 		t.Fatalf("defaults not applied: %+v", nd.cfg)
 	}
 	if len(nd.Coord()) != 3 {

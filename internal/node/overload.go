@@ -22,21 +22,21 @@ import (
 // protects them inbound, and degrading them would turn an overload into a
 // partition.
 
-// Overload controller defaults.
+// Overload controller constants.
 const (
-	// DefaultOverloadEnterPressure is the pressure at or above which samples
+	// overloadEnterPressure is the pressure at or above which samples
 	// count toward entering the degraded state.
-	DefaultOverloadEnterPressure = 0.75
-	// DefaultOverloadExitPressure is the pressure at or below which samples
+	overloadEnterPressure = 0.75
+	// overloadExitPressure is the pressure at or below which samples
 	// count toward leaving it. The wide gap between the two is the
 	// hysteresis band that keeps the state from flapping at the boundary.
-	DefaultOverloadExitPressure = 0.25
-	// DefaultOverloadEnterSamples / DefaultOverloadExitSamples are how many
+	overloadExitPressure = 0.25
+	// overloadEnterSamples / overloadExitSamples are how many
 	// consecutive qualifying samples flip the state. Exit is slower than
 	// entry: recovering early costs another episode, entering late costs
 	// shed control traffic.
-	DefaultOverloadEnterSamples = 3
-	DefaultOverloadExitSamples  = 5
+	overloadEnterSamples = 3
+	overloadExitSamples  = 5
 	// DefaultOverloadSampleInterval paces the pressure sampler.
 	DefaultOverloadSampleInterval = 100 * time.Millisecond
 	// DefaultPendingReqTTL bounds the pending request-correlation map.
@@ -167,12 +167,12 @@ func (n *Node) overloadTick(pressure float64) {
 	var episodeDur time.Duration
 	entered := false
 	if !o.degraded {
-		if pressure >= n.cfg.OverloadEnterPressure {
+		if pressure >= overloadEnterPressure {
 			o.enterStreak++
 		} else {
 			o.enterStreak = 0
 		}
-		if o.enterStreak >= n.cfg.OverloadEnterSamples && !n.cfg.DisableOverloadControl {
+		if o.enterStreak >= overloadEnterSamples && !n.cfg.DisableOverloadControl {
 			o.degraded = true
 			o.enteredAt = time.Now()
 			o.enterStreak = 0
@@ -180,12 +180,12 @@ func (n *Node) overloadTick(pressure float64) {
 			entered = true
 		}
 	} else {
-		if pressure <= n.cfg.OverloadExitPressure {
+		if pressure <= overloadExitPressure {
 			o.exitStreak++
 		} else {
 			o.exitStreak = 0
 		}
-		if o.exitStreak >= n.cfg.OverloadExitSamples {
+		if o.exitStreak >= overloadExitSamples {
 			o.degraded = false
 			episodeDur = time.Since(o.enteredAt)
 			o.exitStreak = 0

@@ -61,8 +61,8 @@ func (n *Node) restoreState(st *recovery.State) {
 		// the first republish lands one cadence after the restart, not
 		// epochBase epochs in the past.
 		n.dht.mu.Lock()
-		n.dht.republishAt = n.epochBase + n.cfg.DHTRepublishEpochs
-		n.dht.refreshAt = n.epochBase + n.cfg.DHTRefreshEpochs
+		n.dht.republishAt = n.epochBase + dhtRepublishEpochs
+		n.dht.refreshAt = n.epochBase + dhtRefreshEpochs
 		n.dht.mu.Unlock()
 	}
 	if ts := n.telemetry; ts != nil {

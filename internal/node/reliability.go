@@ -253,10 +253,14 @@ func (n *Node) handleDigest(msg wire.Message) {
 	n.deliverMu.Unlock()
 }
 
+// nackInterval paces the gap-recovery sweep that turns detected sequence
+// gaps into NACKs.
+const nackInterval = 40 * time.Millisecond
+
 // reliableLoop paces the gap-recovery sweep.
 func (n *Node) reliableLoop() {
 	defer n.done.Done()
-	ticker := time.NewTicker(n.cfg.NackInterval)
+	ticker := time.NewTicker(nackInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -273,9 +277,9 @@ func (n *Node) reliableLoop() {
 // abandoned here, which in ordered mode may unlock held-back deliveries.
 func (n *Node) nackSweep() {
 	pol := reliable.NackPolicy{
-		BaseDelay:   n.cfg.NackInterval,
+		BaseDelay:   nackInterval,
 		MaxDelay:    time.Second,
-		MaxAttempts: n.cfg.NackMaxAttempts,
+		MaxAttempts: reliable.DefaultNackMaxAttempts,
 		MaxBatch:    reliable.DefaultNackBatch,
 	}
 	type nack struct {
@@ -330,7 +334,7 @@ func (n *Node) nackSweep() {
 				NackSource: srcAddr,
 				NackSeqs:   due,
 				Origin:     self,
-				TTL:        n.cfg.NackTTL,
+				TTL:        reliable.DefaultNackTTL,
 				TraceID:    traceID,
 				OriginAt:   now,
 			}})
@@ -381,7 +385,7 @@ func (n *Node) digestGroups() {
 			continue
 		}
 		for srcAddr, w := range gs.recv {
-			if now.Sub(w.LastActive) > n.cfg.SeenTTL {
+			if now.Sub(w.LastActive) > reliable.DefaultSeenTTL {
 				delete(gs.recv, srcAddr)
 			}
 		}

@@ -6,17 +6,27 @@ import (
 	"groupcast/internal/wire"
 )
 
+const (
+	// retryAttempts bounds the attempts of the retried operations —
+	// bootstrap probes, tree joins, and the ripple search — before giving up.
+	retryAttempts = 3
+	// retryBaseDelay is the backoff before the second attempt; it doubles
+	// per attempt with jitter, capped at retryMaxDelay.
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = time.Second
+)
+
 // backoffDelay returns the pause before retry attempt (1-based: attempt 1
-// is the first retry): exponential growth from RetryBaseDelay capped at
-// RetryMaxDelay, with full jitter (a uniform draw over the upper half of
+// is the first retry): exponential growth from retryBaseDelay capped at
+// retryMaxDelay, with full jitter (a uniform draw over the upper half of
 // the window) so synchronized peers don't retry in lockstep.
 func (n *Node) backoffDelay(attempt int) time.Duration {
-	d := n.cfg.RetryBaseDelay
-	for i := 1; i < attempt && d < n.cfg.RetryMaxDelay; i++ {
+	d := retryBaseDelay
+	for i := 1; i < attempt && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	if d > n.cfg.RetryMaxDelay {
-		d = n.cfg.RetryMaxDelay
+	if d > retryMaxDelay {
+		d = retryMaxDelay
 	}
 	half := int64(d) / 2
 	if half <= 0 {
@@ -40,11 +50,11 @@ func (n *Node) sleepBackoff(attempt int) bool {
 }
 
 // probeWithRetry sends a TProbe to addr and waits up to attemptWait for
-// the response, retrying with backoff up to RetryAttempts times. It
+// the response, retrying with backoff up to retryAttempts times. It
 // returns the probed neighbour list, or ok=false when every attempt
 // failed or the node stopped.
 func (n *Node) probeWithRetry(addr string, attemptWait time.Duration) ([]wire.PeerInfo, bool) {
-	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			n.stats.retries.Add(1)
 			if !n.sleepBackoff(attempt) {

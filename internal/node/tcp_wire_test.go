@@ -10,15 +10,13 @@ import (
 	"groupcast/internal/wire"
 )
 
-// newTCPCluster spins up n live nodes over real TCP, each speaking the wire
-// version chosen by versionFor(i), bootstrapped into one overlay.
-func newTCPCluster(t *testing.T, n int, versionFor func(i int) int) []*Node {
+// newTCPCluster spins up n live nodes over real TCP, bootstrapped into one
+// overlay.
+func newTCPCluster(t *testing.T, n int) []*Node {
 	t.Helper()
 	var nodes []*Node
 	for i := 0; i < n; i++ {
-		cfg := transport.DefaultTCPConfig()
-		cfg.WireVersion = versionFor(i)
-		tr, err := transport.ListenTCPConfig("127.0.0.1:0", cfg)
+		tr, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +77,13 @@ func publishAndAwait(t *testing.T, gid string, members []*Node, recs map[string]
 	}
 }
 
-// TestNodeClusterBinaryWire soaks a reliable-ordered group over real TCP on
-// the binary wire version: the full node stack — joins, beacons, digests
+// TestNodeClusterBinaryWire soaks a reliable-ordered group over real TCP:
+// the full node stack — joins, beacons, digests
 // (coalesced on the wire), sequenced payloads, encode-once relay fan-out —
 // speaking the hand-rolled codec end to end.
 func TestNodeClusterBinaryWire(t *testing.T) {
 	const gid, perSource = "bin", 20
-	nodes := newTCPCluster(t, 6, func(int) int { return wire.VersionBinary })
+	nodes := newTCPCluster(t, 6)
 	rdv := nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -104,39 +102,4 @@ func TestNodeClusterBinaryWire(t *testing.T) {
 		recs[nd.Addr()] = recordPayloads(nd)
 	}
 	publishAndAwait(t, gid, nodes, recs, []*Node{rdv, nodes[3]}, perSource)
-}
-
-// TestNodeClusterMixedWireVersions is the rolling-upgrade scenario: half the
-// cluster still speaks gob, half speaks binary, and one group spans both.
-// Every link between the halves has a gob writer on one side and a binary
-// writer on the other; the sniffing frame reader must keep the overlay,
-// tree, and data plane fully functional in both directions.
-func TestNodeClusterMixedWireVersions(t *testing.T) {
-	const gid, perSource = "mixed", 15
-	nodes := newTCPCluster(t, 6, func(i int) int {
-		if i%2 == 0 {
-			return wire.VersionGob
-		}
-		return wire.VersionBinary
-	})
-	rdv := nodes[0] // gob-speaking rendezvous
-	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
-		t.Fatal(err)
-	}
-	if err := rdv.Advertise(gid); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(150 * time.Millisecond)
-	for i, nd := range nodes[1:] {
-		if err := nd.Join(gid, testTimeout); err != nil {
-			t.Fatalf("join node %d: %v", i+1, err)
-		}
-	}
-	recs := make(map[string]*seqRecorder, len(nodes))
-	for _, nd := range nodes {
-		recs[nd.Addr()] = recordPayloads(nd)
-	}
-	// One publisher per dialect: gob-origin payloads relay through binary
-	// nodes and vice versa.
-	publishAndAwait(t, gid, nodes, recs, []*Node{rdv, nodes[1]}, perSource)
 }

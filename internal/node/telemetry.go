@@ -20,21 +20,22 @@ import (
 // merge epoch-monotonically into the Fleet view and feed the SLO rules,
 // whose transitions land in the trace ring as KindAlert events.
 
-// Telemetry defaults. The gossip fan-in is sized so the piggyback (own
+// Telemetry constants. The gossip fan-in is sized so the piggyback (own
 // digest + TelemetryGossip others, ≤ ~58 bytes each with every field at
 // full width) stays under the 128-byte-per-beacon overhead budget gated by
 // BENCH_pr9.json. Raising TelemetryGossip buys faster fleet convergence in
 // large clusters (see `groupcast-sim -exp telemetry`) at more piggyback
 // bytes.
 const (
-	DefaultTelemetryEveryEpochs = 1
-	DefaultTelemetryHistory     = 120
-	DefaultTelemetryGossip      = 1
-	// DefaultTelemetryStaleEpochs is how many silent telemetry epochs mark a
+	// telemetryHistory is the time-series ring capacity in samples —
+	// how far back /debug/history reaches.
+	telemetryHistory       = 120
+	DefaultTelemetryGossip = 1
+	// telemetryStaleEpochs is how many silent telemetry epochs mark a
 	// fleet-view entry stale (and fire the stale SLO rule) — 2 keeps
 	// crash-stop detection inside the 3-epoch budget while tolerating one
 	// lost piggyback.
-	DefaultTelemetryStaleEpochs = 2
+	telemetryStaleEpochs = 2
 )
 
 // telemetryState is the node's half of the fleet plane: the epoch counter,
@@ -57,7 +58,7 @@ func (n *Node) initTelemetry() {
 		return
 	}
 	ts := &telemetryState{
-		history: telemetry.NewHistory(n.cfg.TelemetryHistory),
+		history: telemetry.NewHistory(telemetryHistory),
 		fleet:   telemetry.NewFleet(n.self.Addr, 0),
 	}
 	// Alert transitions count into Stats and land in the trace ring; the
@@ -91,25 +92,18 @@ func (n *Node) initTelemetry() {
 	ts.fleet.Observe(wire.HealthDigest{Addr: n.self.Addr}, time.Now())
 }
 
-// telemetryInterval is the wall-clock length of one telemetry epoch.
-func (n *Node) telemetryInterval() time.Duration {
-	return n.cfg.HeartbeatInterval * time.Duration(n.cfg.TelemetryEveryEpochs)
-}
-
-// telemetryStaleAfter is the staleness window applied to fleet snapshots.
+// telemetryStaleAfter is the staleness window applied to fleet snapshots
+// (a telemetry epoch is one heartbeat epoch).
 func (n *Node) telemetryStaleAfter() time.Duration {
-	return time.Duration(n.cfg.TelemetryStaleEpochs) * n.telemetryInterval()
+	return telemetryStaleEpochs * n.cfg.HeartbeatInterval
 }
 
 // telemetryEpoch runs once per heartbeat epoch from the heartbeat loop:
 // sample self into a fresh digest + history entry, then sweep the fleet view
-// for staleness. Gated to every TelemetryEveryEpochs epochs.
-func (n *Node) telemetryEpoch(epochs int) {
+// for staleness.
+func (n *Node) telemetryEpoch() {
 	ts := n.telemetry
 	if ts == nil {
-		return
-	}
-	if e := n.cfg.TelemetryEveryEpochs; e > 1 && epochs%e != 0 {
 		return
 	}
 	now := time.Now()
@@ -282,7 +276,7 @@ func (n *Node) ClusterView() ClusterView {
 	ts.mu.Lock()
 	cv.Epoch = ts.epoch
 	ts.mu.Unlock()
-	cv.IntervalMs = float64(n.telemetryInterval()) / float64(time.Millisecond)
+	cv.IntervalMs = float64(n.cfg.HeartbeatInterval) / float64(time.Millisecond)
 	cv.StaleAfterMs = float64(n.telemetryStaleAfter()) / float64(time.Millisecond)
 	cv.SLO = ts.slo.Config()
 	cv.Nodes = n.FleetView()

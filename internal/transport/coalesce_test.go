@@ -174,59 +174,3 @@ func TestSendManyTCP(t *testing.T) {
 		}
 	}
 }
-
-// TestSendManyGobFallback: the gob version cannot share encoded frames and
-// falls back to per-link sends, still delivering everywhere.
-func TestSendManyGobFallback(t *testing.T) {
-	cfg := DefaultTCPConfig()
-	cfg.WireVersion = wire.VersionGob
-	a, b := tcpPairConfig(t, cfg)
-	msg := wire.Message{Type: wire.TPayload, GroupID: "fan", Seq: 2, Data: []byte("gob")}
-	var calls int
-	a.SendMany([]string{b.Addr()}, msg, func(addr string, err error) {
-		calls++
-		if err != nil {
-			t.Fatalf("send to %s: %v", addr, err)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want 1", calls)
-	}
-	if got := recvOne(t, b, 2*time.Second); string(got.Data) != "gob" {
-		t.Fatalf("gob fan-out corrupted: %+v", got)
-	}
-}
-
-// TestMixedWireVersionLink: a gob-speaking endpoint and a binary-speaking
-// endpoint interoperate in both directions on one TCP link pair — the
-// sniffing reader is what makes rolling upgrades safe.
-func TestMixedWireVersionLink(t *testing.T) {
-	gobCfg := DefaultTCPConfig()
-	gobCfg.WireVersion = wire.VersionGob
-	old, err := ListenTCPConfig("127.0.0.1:0", gobCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = old.Close(); _ = neu.Close() })
-
-	fwd := wire.Message{Type: wire.TPayload, GroupID: "mix", Seq: 1,
-		From: wire.PeerInfo{Addr: old.Addr(), Coord: []float64{3, 4}}, Data: []byte("old->new")}
-	if err := old.Send(neu.Addr(), fwd); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvOne(t, neu, 2*time.Second); string(got.Data) != "old->new" || got.From.Coord[1] != 4 {
-		t.Fatalf("gob->binary corrupted: %+v", got)
-	}
-	back := wire.Message{Type: wire.TPayload, GroupID: "mix", Seq: 2, Data: []byte("new->old"),
-		Digest: []wire.DigestEntry{{Source: "s", High: 11}}}
-	if err := neu.Send(old.Addr(), back); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvOne(t, old, 2*time.Second); string(got.Data) != "new->old" || got.Digest[0].High != 11 {
-		t.Fatalf("binary->gob corrupted: %+v", got)
-	}
-}

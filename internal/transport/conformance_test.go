@@ -34,37 +34,6 @@ func conformancePairs() map[string]transportPair {
 		t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
 		return a, b
 	}
-	// The legacy gob wire version must honour the same contract until it is
-	// retired, and a mixed pair (old node talking to upgraded node) must
-	// interoperate through the sniffing frame reader.
-	tcpGobPair := func(t *testing.T) (Transport, Transport) {
-		cfg := DefaultTCPConfig()
-		cfg.WireVersion = wire.VersionGob
-		a, err := ListenTCPConfig("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ListenTCPConfig("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-		return a, b
-	}
-	tcpMixedPair := func(t *testing.T) (Transport, Transport) {
-		cfg := DefaultTCPConfig()
-		cfg.WireVersion = wire.VersionGob
-		a, err := ListenTCPConfig("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-		return a, b
-	}
 	wrap := func(inner transportPair, rule LinkRule) transportPair {
 		return func(t *testing.T) (Transport, Transport) {
 			a, b := inner(t)
@@ -82,8 +51,6 @@ func conformancePairs() map[string]transportPair {
 	return map[string]transportPair{
 		"mem":             memPair,
 		"tcp":             tcpPair,
-		"tcp-gob":         tcpGobPair,
-		"tcp-mixed":       tcpMixedPair,
 		"mem+chaos":       wrap(memPair, LinkRule{}),
 		"tcp+chaos":       wrap(tcpPair, LinkRule{}),
 		"mem+chaos-fault": wrap(memPair, faulty),

@@ -17,24 +17,18 @@ import (
 // few hundred frames of memory before the breaker takes over.
 const DefaultSendQueueLen = 256
 
-// TCPConfig bounds the TCP transport's blocking operations and selects its
-// wire behaviour. A dead or wedged peer must never stall Send (and the
-// heartbeat loop behind it) indefinitely.
+// TCPConfig bounds the TCP transport's blocking operations and queues. A
+// dead or wedged peer must never stall Send (and the heartbeat loop behind
+// it) indefinitely.
 type TCPConfig struct {
 	// DialTimeout bounds connection establishment. Zero uses the default.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each message write (applied as a per-write
 	// deadline on the connection). Zero uses the default.
 	WriteTimeout time.Duration
-	// WireVersion selects the frame encoding this endpoint writes:
-	// wire.VersionBinary (the default) or wire.VersionGob (legacy, kept for
-	// one release of mixed-cluster compatibility). Reads always accept both
-	// — the frame reader sniffs each frame.
-	WireVersion int
 	// CoalesceWindow is how long small control messages (beacons, digests)
 	// may wait per link to share one container frame. Zero uses
-	// DefaultCoalesceWindow; negative disables coalescing. Only the binary
-	// wire version coalesces.
+	// DefaultCoalesceWindow; negative disables coalescing.
 	CoalesceWindow time.Duration
 	// CoalesceLimit is the pending-bytes threshold that flushes a link's
 	// container frame before the window elapses. Zero uses
@@ -43,10 +37,6 @@ type TCPConfig struct {
 	// InboxCapacity bounds the prioritized inbound queue. Zero uses
 	// DefaultInboxCapacity.
 	InboxCapacity int
-	// ClasslessInbox selects the legacy single-FIFO inbound shed policy
-	// (arrivals shed when full regardless of class) instead of the
-	// class-prioritized queue. Kept as the overload ablation baseline.
-	ClasslessInbox bool
 	// SendQueueLen bounds each link's outbound queue (frames waiting for
 	// the link's writer goroutine). Zero uses DefaultSendQueueLen.
 	SendQueueLen int
@@ -55,33 +45,28 @@ type TCPConfig struct {
 	// negative disables breakers.
 	BreakerThreshold int
 	// BreakerBackoff is the initial fail-fast window after a breaker opens
-	// (doubles per failed probe up to BreakerMaxBackoff). Zeros use the
-	// defaults.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
+	// (doubles per failed probe up to DefaultBreakerMaxBackoff). Zero uses
+	// DefaultBreakerBackoff.
+	BreakerBackoff time.Duration
 }
 
-// DefaultTCPConfig returns the timeouts and wire settings used by ListenTCP.
+// DefaultTCPConfig returns the timeouts and queue bounds used by ListenTCP.
 func DefaultTCPConfig() TCPConfig {
 	return TCPConfig{
-		DialTimeout:       5 * time.Second,
-		WriteTimeout:      5 * time.Second,
-		WireVersion:       wire.DefaultVersion,
-		InboxCapacity:     DefaultInboxCapacity,
-		SendQueueLen:      DefaultSendQueueLen,
-		BreakerThreshold:  DefaultBreakerThreshold,
-		BreakerBackoff:    DefaultBreakerBackoff,
-		BreakerMaxBackoff: DefaultBreakerMaxBackoff,
+		DialTimeout:      5 * time.Second,
+		WriteTimeout:     5 * time.Second,
+		InboxCapacity:    DefaultInboxCapacity,
+		SendQueueLen:     DefaultSendQueueLen,
+		BreakerThreshold: DefaultBreakerThreshold,
+		BreakerBackoff:   DefaultBreakerBackoff,
 	}
 }
 
 // TCPTransport is a frame-coded TCP implementation of Transport speaking the
-// dual-version wire codec (see internal/wire: a sniffing FrameReader, so a
-// single cluster can mix binary- and gob-speaking nodes during an upgrade,
-// with a hard frame size cap either way so a hostile or corrupted stream
-// fails fast instead of driving huge allocations). Each endpoint listens on
-// its address; outbound connections are cached per destination and
-// redialled once on failure.
+// binary wire codec (see internal/wire: the frame header and a hard frame
+// size cap are checked before any allocation, so a hostile or corrupted
+// stream fails fast). Each endpoint listens on its address; outbound
+// connections are cached per destination and redialled once on failure.
 //
 // Inbound messages land in a class-prioritized bounded queue (PrioInbox):
 // under overload, control traffic displaces best-effort payloads instead of
@@ -92,12 +77,11 @@ func DefaultTCPConfig() TCPConfig {
 // write errors, full send queues) into fast rejections with a half-open
 // probe after backoff.
 //
-// On the binary wire version the transport additionally coalesces per-link
-// control messages (beacons and digests share one container frame, flushed
-// on a short timer or size threshold) and implements MultiSender: a fan-out
-// message is encoded once into a pooled, reference-counted buffer and the
-// same bytes are queued to every link — the zero-copy half of the relay
-// hot path.
+// The transport additionally coalesces per-link control messages (beacons
+// and digests share one container frame, flushed on a short timer or size
+// threshold) and implements MultiSender: a fan-out message is encoded once
+// into a pooled, reference-counted buffer and the same bytes are queued to
+// every link — the zero-copy half of the relay hot path.
 type TCPTransport struct {
 	ln    net.Listener
 	cfg   TCPConfig
@@ -117,23 +101,17 @@ type TCPTransport struct {
 	wg       sync.WaitGroup
 }
 
-// outItem is one queued outbound unit: either pre-encoded frame bytes
-// (binary wire — possibly shared across a fan-out via refs) or a message
-// value the writer's own FrameWriter encodes (gob wire, whose per-stream
-// encoder state forbids pre-encoding).
+// outItem is one queued outbound unit: pre-encoded frame bytes, possibly
+// shared across a fan-out via refs.
 type outItem struct {
 	frame []byte
 	refs  *atomic.Int32 // nil: exclusive pooled frame
-	msg   *wire.Message // gob wire only
 	msgs  int           // messages carried (coalesced containers carry >1)
 }
 
 // releaseItem returns an item's frame buffer to the encode pool once the
 // last holder lets go.
 func releaseItem(it outItem) {
-	if it.frame == nil {
-		return
-	}
 	if it.refs == nil || it.refs.Add(-1) == 0 {
 		wire.PutEncodeBuffer(it.frame)
 	}
@@ -144,7 +122,6 @@ type tcpConn struct {
 	addr string
 	conn net.Conn
 	brk  *breaker
-	fw   *wire.FrameWriter // gob wire: owned by the writer goroutine
 
 	writeTmo   time.Duration
 	sendq      chan outItem
@@ -164,7 +141,7 @@ var (
 )
 
 // ListenTCP starts an endpoint on addr ("host:port"; ":0" picks a free
-// port) with the default configuration (binary wire version, coalescing on).
+// port) with the default configuration (coalescing on).
 func ListenTCP(addr string) (*TCPTransport, error) {
 	return ListenTCPConfig(addr, DefaultTCPConfig())
 }
@@ -179,9 +156,6 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = def.WriteTimeout
 	}
-	if cfg.WireVersion == 0 {
-		cfg.WireVersion = def.WireVersion
-	}
 	if cfg.InboxCapacity <= 0 {
 		cfg.InboxCapacity = def.InboxCapacity
 	}
@@ -194,12 +168,6 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 	if cfg.BreakerBackoff <= 0 {
 		cfg.BreakerBackoff = def.BreakerBackoff
 	}
-	if cfg.BreakerMaxBackoff <= 0 {
-		cfg.BreakerMaxBackoff = def.BreakerMaxBackoff
-	}
-	if _, err := wire.NewFrameWriterVersion(nil, cfg.WireVersion); err != nil {
-		return nil, err
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
@@ -207,7 +175,7 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 	t := &TCPTransport{
 		ln:       ln,
 		cfg:      cfg,
-		inbox:    NewPrioInbox(cfg.InboxCapacity, cfg.ClasslessInbox),
+		inbox:    NewPrioInbox(cfg.InboxCapacity, false),
 		conns:    make(map[string]*tcpConn),
 		breakers: make(map[string]*breaker),
 		inbound:  make(map[net.Conn]struct{}),
@@ -232,9 +200,6 @@ func (t *TCPTransport) QueueCapacity() int { return t.inbox.Capacity() }
 // InboxQueue exposes the prioritized inbox for tests and experiments that
 // assert on per-class accept/shed accounting.
 func (t *TCPTransport) InboxQueue() *PrioInbox { return t.inbox }
-
-// WireVersion reports the frame encoding this endpoint writes.
-func (t *TCPTransport) WireVersion() int { return t.cfg.WireVersion }
 
 // DropStats reports inbound messages shed on a full inbox (broken down by
 // class), outbound messages lost to dial/write failures, frames dropped on
@@ -280,16 +245,12 @@ func (t *TCPTransport) CoalesceStats() CoalesceStats {
 	}
 }
 
-func (t *TCPTransport) coalescing() bool {
-	return t.cfg.WireVersion == wire.VersionBinary && t.cfg.CoalesceWindow >= 0
-}
-
 // breakerLocked returns addr's breaker, creating it on first use. Caller
 // holds t.mu.
 func (t *TCPTransport) breakerLocked(addr string) *breaker {
 	b := t.breakers[addr]
 	if b == nil {
-		b = newBreaker(t.cfg.BreakerThreshold, t.cfg.BreakerBackoff, t.cfg.BreakerMaxBackoff)
+		b = newBreaker(t.cfg.BreakerThreshold, t.cfg.BreakerBackoff, DefaultBreakerMaxBackoff)
 		t.breakers[addr] = b
 	}
 	return b
@@ -364,15 +325,8 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 		t.breakerRejects.Add(1)
 		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
 	}
-	binary := t.cfg.WireVersion == wire.VersionBinary
-	attempt := func(c *tcpConn) error {
-		if binary {
-			return c.send(&msg)
-		}
-		return c.sendGob(&msg)
-	}
 	if c != nil {
-		err := attempt(c)
+		err := c.send(&msg)
 		if err == nil {
 			return nil
 		}
@@ -390,7 +344,7 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 		brk.onFailure()
 		return err
 	}
-	if err := attempt(c); err != nil {
+	if err := c.send(&msg); err != nil {
 		if errors.Is(err, ErrSendQueueFull) {
 			t.sendQueueDrops.Add(1)
 		} else {
@@ -403,23 +357,12 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 	return nil
 }
 
-// SendMany implements MultiSender: on the binary wire version msg is
-// encoded exactly once into a pooled, reference-counted buffer and the same
-// frame bytes are queued to every address — a stalled link rejects fast
-// (full queue or open breaker) without delaying the others. The gob version
-// falls back to per-link Send — its per-stream encoder state makes frames
-// non-shareable, which is one of the reasons it is being retired. each
-// (optional) observes every link's outcome.
+// SendMany implements MultiSender: msg is encoded exactly once into a
+// pooled, reference-counted buffer and the same frame bytes are queued to
+// every address — a stalled link rejects fast (full queue or open breaker)
+// without delaying the others. each (optional) observes every link's
+// outcome.
 func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
-	if t.cfg.WireVersion != wire.VersionBinary {
-		for _, addr := range addrs {
-			err := t.Send(addr, msg)
-			if each != nil {
-				each(addr, err)
-			}
-		}
-		return
-	}
 	buf := wire.GetEncodeBuffer()
 	frame, err := wire.AppendMessage(buf, &msg)
 	if err != nil {
@@ -503,25 +446,16 @@ func (t *TCPTransport) dial(addr string) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	var fw *wire.FrameWriter
-	if t.cfg.WireVersion != wire.VersionBinary {
-		fw, err = wire.NewFrameWriterVersion(conn, t.cfg.WireVersion)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
 	c := &tcpConn{
 		t:          t,
 		addr:       addr,
 		conn:       conn,
 		brk:        brk,
-		fw:         fw,
 		writeTmo:   t.cfg.WriteTimeout,
 		sendq:      make(chan outItem, t.cfg.SendQueueLen),
 		writerDone: make(chan struct{}),
 	}
-	if t.coalescing() {
+	if t.cfg.CoalesceWindow >= 0 { // negative disables coalescing
 		c.coal = newCoalescer(t.cfg.CoalesceWindow, t.cfg.CoalesceLimit, c.kickFlush)
 	}
 	t.mu.Lock()
@@ -558,7 +492,7 @@ func (t *TCPTransport) dropConn(addr string, c *tcpConn) {
 	c.close()
 }
 
-// send encodes one message (binary wire) and queues it, buffering
+// send encodes one message and queues it, buffering
 // coalescable control messages in the per-link container frame instead.
 func (c *tcpConn) send(msg *wire.Message) error {
 	c.mu.Lock()
@@ -598,15 +532,6 @@ func (c *tcpConn) sendShared(frame []byte, refs *atomic.Int32) error {
 		return err
 	}
 	return c.enqueueLocked(outItem{frame: frame, refs: refs, msgs: 1})
-}
-
-// sendGob queues a message value for the writer goroutine's FrameWriter
-// (gob frames cannot be pre-encoded — the encoder state lives per stream).
-func (c *tcpConn) sendGob(msg *wire.Message) error {
-	cp := *msg
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enqueueLocked(outItem{msg: &cp, msgs: 1})
 }
 
 // enqueueLocked offers an item to the send queue without blocking. Caller
@@ -668,9 +593,9 @@ func (c *tcpConn) kickFlush() {
 }
 
 // writeLoop drains the send queue onto the socket. It is the only goroutine
-// touching the socket's write side (and the gob FrameWriter), so a stalled
-// peer blocks only this loop. The first write failure trips the breaker and
-// drops the connection; the rest of the queue drains as accounted loss.
+// touching the socket's write side, so a stalled peer blocks only this loop.
+// The first write failure trips the breaker and drops the connection; the
+// rest of the queue drains as accounted loss.
 func (c *tcpConn) writeLoop() {
 	defer c.t.wg.Done()
 	defer close(c.writerDone)
@@ -699,11 +624,8 @@ func (c *tcpConn) writeItem(it outItem) error {
 	if err := c.deadline(); err != nil {
 		return err
 	}
-	if it.frame != nil {
-		_, err := c.conn.Write(it.frame)
-		return err
-	}
-	return c.fw.WriteMessage(it.msg)
+	_, err := c.conn.Write(it.frame)
+	return err
 }
 
 func (c *tcpConn) deadline() error {

@@ -1,9 +1,8 @@
 // Package transport provides the message transports of the live GroupCast
 // runtime: a latency-modelled in-memory network for tests and simulations on
 // one machine, and a TCP transport for real deployments, framed with the
-// dual-version wire codec (hand-rolled binary by default, legacy gob for
-// mixed-cluster upgrades) with per-link control-message coalescing and
-// encode-once fan-out on the binary path.
+// binary wire codec, with per-link control-message coalescing and
+// encode-once fan-out.
 package transport
 
 import (

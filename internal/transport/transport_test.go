@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -200,6 +201,58 @@ func TestTCPTransportDialFailure(t *testing.T) {
 	// A port nobody listens on.
 	if err := a.Send("127.0.0.1:1", wire.Message{}); err == nil {
 		t.Fatal("dial to dead port succeeded")
+	}
+}
+
+// TestTCPTransportDropsHostileConnection: a connection whose first frame
+// does not start 'G' 'C' 0x02 — a frame of the retired gob dialect, a wrong
+// magic, a version byte of 1 — is closed by the reader without delivering
+// anything, and the endpoint keeps serving its well-behaved peers.
+func TestTCPTransportDropsHostileConnection(t *testing.T) {
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Send(a.Addr(), wire.Message{Type: wire.TPayload, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, a, 2*time.Second); got.Seq != 1 {
+		t.Fatalf("got %+v", got)
+	}
+	for name, hostile := range map[string][]byte{
+		"former gob frame": {0x00, 0x00, 0x03, 0x7b, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07, 'M', 'e', 's', 's'},
+		"wrong magic":      {'G', 'X', 0x02, byte(wire.TPayload), 0x02, 0x00, 0x00, 0x00, 0x00, 0x00},
+		"version byte 1":   {'G', 'C', 0x01, byte(wire.TPayload), 0x02, 0x00, 0x00, 0x00, 0x00, 0x00},
+	} {
+		conn, err := net.Dial("tcp", a.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(hostile); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		// The drop shows as EOF, or as a reset when the peer closed with
+		// bytes past the header still unread; a timeout means it kept the link.
+		var ne net.Error
+		if _, err := conn.Read(make([]byte, 1)); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Errorf("%s: read on the hostile connection returned %v, want it dropped by the peer", name, err)
+		}
+		conn.Close()
+	}
+	// b's link opened before the hostile connections and still works; the
+	// next message in a's inbox is b's, not anything decoded from them.
+	if err := b.Send(a.Addr(), wire.Message{Type: wire.TPayload, Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, a, 2*time.Second); got.Seq != 2 {
+		t.Fatalf("after hostile connections got %+v, want b's Seq 2", got)
 	}
 }
 

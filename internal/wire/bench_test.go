@@ -2,21 +2,14 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 )
 
-// Gob-vs-binary codec benchmarks. The decode side replays a pre-encoded
-// stream so both codecs are measured steady-state, as on a live connection:
-// the gob stream's type descriptors travel once in a warm-up frame read
-// outside the timer (a real link pays them once per connection), and the
-// binary reader keeps its string-intern table warm the same way a long-lived
-// link would.
+// Codec benchmarks. The decode side replays a pre-encoded stream so the codec
+// is measured steady-state, as on a live connection: the reader keeps its
+// string-intern table warm the same way a long-lived link would.
 
 // benchPeer/benchMessages are the traffic shapes the hot path actually
 // carries: a chat-sized payload relayed down a tree, a beacon with a
@@ -52,8 +45,8 @@ func benchMessages() map[string]*Message {
 // benchStream replays a pre-encoded frame stream for decode benchmarks. The
 // stream holds one warm-up frame plus chunk identical frames; when the chunk
 // is exhausted the stream rewinds and re-reads the warm-up frame with the
-// benchmark timer stopped, so descriptor and interning costs never pollute
-// the per-op numbers.
+// benchmark timer stopped, so interning costs never pollute the per-op
+// numbers.
 type benchStream struct {
 	data  []byte
 	rd    *bytes.Reader
@@ -62,19 +55,16 @@ type benchStream struct {
 	chunk int
 }
 
-func newBenchStream(tb testing.TB, version int, msg *Message, chunk int) *benchStream {
+func newBenchStream(tb testing.TB, msg *Message, chunk int) *benchStream {
 	tb.Helper()
-	var buf bytes.Buffer
-	fw, err := NewFrameWriterVersion(&buf, version)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	var data []byte
 	for i := 0; i < chunk+1; i++ {
-		if err := fw.WriteMessage(msg); err != nil {
+		var err error
+		if data, err = AppendMessage(data, msg); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return &benchStream{data: buf.Bytes(), rd: new(bytes.Reader), chunk: chunk}
+	return &benchStream{data: data, rd: new(bytes.Reader), chunk: chunk}
 }
 
 func (s *benchStream) next(b *testing.B, msg *Message) {
@@ -96,28 +86,27 @@ func (s *benchStream) next(b *testing.B, msg *Message) {
 
 const benchChunk = 4096
 
-func benchEncode(b *testing.B, version int) {
+func BenchmarkEncodeBinary(b *testing.B) {
 	for name, msg := range benchMessages() {
 		b.Run(name, func(b *testing.B) {
-			fw, err := NewFrameWriterVersion(io.Discard, version)
-			if err != nil {
-				b.Fatal(err)
-			}
+			var scratch []byte
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := fw.WriteMessage(msg); err != nil {
+				out, err := AppendMessage(scratch[:0], msg)
+				if err != nil {
 					b.Fatal(err)
 				}
+				scratch = out
 			}
 		})
 	}
 }
 
-func benchDecode(b *testing.B, version int) {
+func BenchmarkDecodeBinary(b *testing.B) {
 	for name, msg := range benchMessages() {
 		b.Run(name, func(b *testing.B) {
-			s := newBenchStream(b, version, msg, benchChunk)
+			s := newBenchStream(b, msg, benchChunk)
 			var got Message
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -127,11 +116,6 @@ func benchDecode(b *testing.B, version int) {
 		})
 	}
 }
-
-func BenchmarkEncodeBinary(b *testing.B) { benchEncode(b, VersionBinary) }
-func BenchmarkEncodeGob(b *testing.B)    { benchEncode(b, VersionGob) }
-func BenchmarkDecodeBinary(b *testing.B) { benchDecode(b, VersionBinary) }
-func BenchmarkDecodeGob(b *testing.B)    { benchDecode(b, VersionGob) }
 
 // relayFanout is the tree fan-out a relay hop pays (parent + children minus
 // the arrival link; 3 is a typical interior node).
@@ -143,7 +127,7 @@ const relayFanout = 3
 // every tree link (the transport's SendMany fast path).
 func BenchmarkRelayHopBinary(b *testing.B) {
 	msg := benchMessages()["payload"]
-	s := newBenchStream(b, VersionBinary, msg, benchChunk)
+	s := newBenchStream(b, msg, benchChunk)
 	var got Message
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -162,40 +146,6 @@ func BenchmarkRelayHopBinary(b *testing.B) {
 			}
 		}
 		PutEncodeBuffer(frame)
-	}
-}
-
-// BenchmarkRelayHopGob is the same relay hop on the legacy gob path: gob
-// streams are stateful, so every tree link owns its encoder and the message
-// is re-encoded per link.
-func BenchmarkRelayHopGob(b *testing.B) {
-	msg := benchMessages()["payload"]
-	s := newBenchStream(b, VersionGob, msg, benchChunk)
-	writers := make([]*FrameWriter, relayFanout)
-	for j := range writers {
-		fw, err := NewFrameWriterVersion(io.Discard, VersionGob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm each link's encoder past its descriptor frame, as a live
-		// connection would be.
-		if err := fw.WriteMessage(msg); err != nil {
-			b.Fatal(err)
-		}
-		writers[j] = fw
-	}
-	var got Message
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.next(b, &got)
-		got.Relay = got.From
-		got.Hops++
-		for _, fw := range writers {
-			if err := fw.WriteMessage(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -226,131 +176,17 @@ func BenchmarkCoalescedEncode(b *testing.B) {
 	}
 }
 
-// --- BENCH_pr6.json harness ----------------------------------------------
-
 // relayAllocBudget is the committed allocation budget for one binary relay
-// hop (decode + pooled re-encode + fan-out). CI fails when the hot path
-// regresses above it. The measured value is ~4 allocs/op (the decoded
-// message's Data and Coord copies plus window bookkeeping); the budget
-// leaves modest headroom, not an order of magnitude.
+// hop (decode + pooled re-encode + fan-out). The measured value is ~4
+// allocs/op (the decoded message's Data and Coord copies plus window
+// bookkeeping); the budget leaves modest headroom, not an order of magnitude.
 const relayAllocBudget = 8
 
-// relayAllocRatioFloor is the minimum gob-to-binary allocs/op improvement
-// the PR's acceptance bar demands on the relay hot path.
-const relayAllocRatioFloor = 5.0
-
-type benchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	N           int     `json:"n"`
-}
-
-type benchReport struct {
-	GeneratedUnix int64         `json:"generated_unix"`
-	GoVersion     string        `json:"go_version"`
-	GOOS          string        `json:"goos"`
-	GOARCH        string        `json:"goarch"`
-	Benchmarks    []benchRecord `json:"benchmarks"`
-	Relay         struct {
-		BinaryAllocsPerOp int64   `json:"binary_allocs_per_op"`
-		GobAllocsPerOp    int64   `json:"gob_allocs_per_op"`
-		AllocRatio        float64 `json:"alloc_ratio"`
-		Budget            int64   `json:"budget"`
-		RatioFloor        float64 `json:"ratio_floor"`
-	} `json:"relay"`
-}
-
-// TestWriteBenchJSON runs the codec benchmark suite, writes the results to
-// the path in $BENCH_JSON (the repo commits them as BENCH_pr6.json — the
-// measured perf trajectory referenced by docs/PERFORMANCE.md), and enforces
-// the relay hot path's allocation budget: binary allocs/op within
-// relayAllocBudget AND at least relayAllocRatioFloor× below gob.
-func TestWriteBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the benchmark harness")
-	}
-	report := benchReport{
-		GeneratedUnix: time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-	}
-	add := func(name string, fn func(*testing.B)) benchRecord {
-		res := testing.Benchmark(fn)
-		rec := benchRecord{
-			Name:        name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			N:           res.N,
-		}
-		report.Benchmarks = append(report.Benchmarks, rec)
-		t.Logf("%-28s %12.0f ns/op %6d B/op %4d allocs/op", name, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp)
-		return rec
-	}
-	for _, shape := range []string{"payload", "beacon", "digest", "heartbeat"} {
-		shape := shape
-		msg := benchMessages()[shape]
-		for _, codec := range []struct {
-			tag     string
-			version int
-		}{{"binary", VersionBinary}, {"gob", VersionGob}} {
-			codec := codec
-			add(fmt.Sprintf("encode/%s/%s", codec.tag, shape), func(b *testing.B) {
-				fw, err := NewFrameWriterVersion(io.Discard, codec.version)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := fw.WriteMessage(msg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			add(fmt.Sprintf("decode/%s/%s", codec.tag, shape), func(b *testing.B) {
-				s := newBenchStream(b, codec.version, msg, benchChunk)
-				var got Message
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s.next(b, &got)
-				}
-			})
-		}
-	}
-	binRelay := add("relay-hop/binary", BenchmarkRelayHopBinary)
-	gobRelay := add("relay-hop/gob", BenchmarkRelayHopGob)
-	add("coalesced-encode/binary", BenchmarkCoalescedEncode)
-
-	report.Relay.BinaryAllocsPerOp = binRelay.AllocsPerOp
-	report.Relay.GobAllocsPerOp = gobRelay.AllocsPerOp
-	report.Relay.Budget = relayAllocBudget
-	report.Relay.RatioFloor = relayAllocRatioFloor
-	if binRelay.AllocsPerOp > 0 {
-		report.Relay.AllocRatio = float64(gobRelay.AllocsPerOp) / float64(binRelay.AllocsPerOp)
-	} else {
-		report.Relay.AllocRatio = float64(gobRelay.AllocsPerOp)
-	}
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (relay: binary %d allocs/op, gob %d allocs/op, ratio %.1fx)",
-		path, binRelay.AllocsPerOp, gobRelay.AllocsPerOp, report.Relay.AllocRatio)
-
-	if binRelay.AllocsPerOp > relayAllocBudget {
-		t.Errorf("binary relay hop allocates %d/op, over the committed budget of %d",
-			binRelay.AllocsPerOp, relayAllocBudget)
-	}
-	if report.Relay.AllocRatio < relayAllocRatioFloor {
-		t.Errorf("binary relay hop is only %.1fx better than gob in allocs/op (floor %.1fx)",
-			report.Relay.AllocRatio, relayAllocRatioFloor)
+// TestRelayAllocBudget fails when the relay hot path regresses above its
+// allocation budget.
+func TestRelayAllocBudget(t *testing.T) {
+	res := testing.Benchmark(BenchmarkRelayHopBinary)
+	if got := res.AllocsPerOp(); got > relayAllocBudget {
+		t.Errorf("binary relay hop allocates %d/op, over the committed budget of %d", got, relayAllocBudget)
 	}
 }

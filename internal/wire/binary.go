@@ -1,6 +1,6 @@
-// Binary wire codec (wire version 2): the hand-rolled hot-path encoding that
-// replaced gob for payload relay, beacons, NACKs, and digests. Every frame
-// starts with an 8-byte header —
+// Binary wire codec (wire version 2): the hand-rolled hot-path encoding for
+// payload relay, beacons, NACKs, and digests. Every frame starts with an
+// 8-byte header —
 //
 //	offset 0: magic 'G' (0x47)
 //	offset 1: magic 'C' (0x43)
@@ -20,10 +20,10 @@
 // caller-supplied (or pooled) byte slice and decoding reads fields straight
 // out of the frame, interning repeated strings (addresses, group IDs) per
 // reader so a steady-state relay hop allocates only the payload slice and
-// coordinate vectors. Unlike gob, frames are stateless — any frame decodes
-// in isolation — which is what lets the TCP transport encode a fan-out
-// message once and write the same bytes to every link (MultiSender), and
-// lets small per-link control messages share one coalesced container frame.
+// coordinate vectors. Frames are stateless — any frame decodes in isolation
+// — which is what lets the TCP transport encode a fan-out message once and
+// write the same bytes to every link (MultiSender), and lets small per-link
+// control messages share one coalesced container frame.
 package wire
 
 import (
@@ -35,18 +35,11 @@ import (
 	"time"
 )
 
-// Wire versions. A FrameReader accepts both on one stream by sniffing each
-// frame's leading bytes; writers speak exactly one.
-const (
-	// VersionGob is the PR 5 codec: a 4-byte big-endian length prefix
-	// followed by one gob-encoded Message. Kept for one release so mixed
-	// clusters can upgrade node by node.
-	VersionGob = 1
-	// VersionBinary is the hand-rolled binary codec described above.
-	VersionBinary = 2
-	// DefaultVersion is what new writers speak.
-	DefaultVersion = VersionBinary
-)
+// VersionBinary is the header version byte of the only wire format. Version
+// 1 was a length-prefixed gob dialect that is no longer spoken: its frames —
+// like anything else that does not start 'G' 'C' 0x02 — fail with
+// ErrBadVersion.
+const VersionBinary = 2
 
 // Binary frame constants.
 const (
@@ -63,8 +56,9 @@ const (
 
 // Binary codec errors.
 var (
-	// ErrBadVersion reports a binary frame whose version byte is not one this
-	// decoder speaks. The stream is poisoned; drop the connection.
+	// ErrBadVersion reports a frame that does not start with the 'G' 'C'
+	// magic and the version byte this decoder speaks. The stream is poisoned;
+	// drop the connection.
 	ErrBadVersion = errors.New("wire: unsupported wire version")
 	// ErrBadMessage reports a binary body that does not parse: truncated
 	// fields, unknown presence bits, counts exceeding the frame, or trailing
@@ -74,17 +68,6 @@ var (
 	// type outside 0-254 or a coordinate vector longer than 255 dims).
 	ErrUnencodable = errors.New("wire: message not encodable in binary layout")
 )
-
-// ParseVersion maps a wire version name (flag value) to its number.
-func ParseVersion(s string) (int, error) {
-	switch s {
-	case "", "binary", "2":
-		return VersionBinary, nil
-	case "gob", "1":
-		return VersionGob, nil
-	}
-	return 0, fmt.Errorf("wire: unknown wire version %q (want \"binary\" or \"gob\")", s)
-}
 
 // Presence bitmap bits, in field order. A set bit means the field follows in
 // the body; a clear bit decodes as the zero value. Bits at or above

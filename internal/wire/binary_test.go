@@ -105,18 +105,8 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 }
 
 func TestBinaryStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fw, err := NewFrameWriterVersion(&buf, VersionBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
 	msgs := testMessages()
-	for i := range msgs {
-		if err := fw.WriteMessage(&msgs[i]); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	fr := NewFrameReader(&buf)
+	fr := NewFrameReader(bytes.NewReader(encodeStream(t, msgs)))
 	for i := range msgs {
 		var got Message
 		if err := fr.ReadMessage(&got); err != nil {
@@ -310,19 +300,6 @@ func TestInternReusesStrings(t *testing.T) {
 	}
 	if unsafeStringData(first.GroupID) != unsafeStringData(second.GroupID) {
 		t.Error("GroupID not interned across frames")
-	}
-}
-
-// TestParseVersion covers the -wire flag mapping.
-func TestParseVersion(t *testing.T) {
-	for in, want := range map[string]int{"": VersionBinary, "binary": VersionBinary, "2": VersionBinary, "gob": VersionGob, "1": VersionGob} {
-		got, err := ParseVersion(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseVersion(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	if _, err := ParseVersion("carrier-pigeon"); err == nil {
-		t.Fatal("unknown version accepted")
 	}
 }
 

@@ -1,31 +1,20 @@
-// Frame codec for wire messages, speaking two negotiated wire versions on
-// one stream:
+// Frame codec for wire messages. There is one wire format: the hand-rolled
+// zero-allocation binary codec of binary.go — 'G' 'C' magic, version and
+// type bytes, and a little-endian length, followed by an explicit per-field
+// binary body. Payload relay, beacons, NACKs, and digests all ride it, and
+// coalesced container frames let one TCP write carry several small control
+// messages.
 //
-//   - Version 2 (binary, the default): the hand-rolled zero-allocation codec
-//     of binary.go — 'G' 'C' magic, version and type bytes, and a little-
-//     endian length, followed by an explicit per-field binary body. This is
-//     the hot path: payload relay, beacons, NACKs, and digests all ride it,
-//     and coalesced container frames let one TCP write carry several small
-//     control messages.
-//
-//   - Version 1 (gob, legacy): a 4-byte big-endian length prefix followed by
-//     the gob encoding of one Message — the PR 5 codec, kept for one release
-//     so mixed-version clusters can upgrade node by node.
-//
-// FrameReader needs no version switch: it sniffs each frame's leading bytes.
-// A binary frame starts with 'G' (0x47); a gob frame starts with its length
-// prefix, whose first byte is always 0x00 because MaxFrameSize (4 MiB) is
-// far below 2^24. Either way the frame length is validated against
-// MaxFrameSize BEFORE any allocation and the body is fully read before the
-// decoder sees it, so a truncated, malformed, or hostile frame errors out
-// cheaply and deterministically (FuzzDecodeMessage holds both codecs to
-// that).
+// The header is validated BEFORE any allocation — magic, version byte, then
+// the frame length against MaxFrameSize — and the body is fully read before
+// the decoder sees it, so a truncated, malformed, or hostile frame (including
+// a frame of the retired gob dialect, whose first byte was 0x00) errors out
+// cheaply and deterministically (FuzzDecodeMessage holds the codec to that).
 package wire
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -35,9 +24,6 @@ import (
 // application-bounded well below this; anything larger is a protocol error,
 // not a bigger buffer.
 const MaxFrameSize = 4 << 20
-
-// gobHeaderLen is the version-1 length prefix size in bytes.
-const gobHeaderLen = 4
 
 // Framing errors.
 var (
@@ -49,94 +35,9 @@ var (
 	ErrFrameEmpty = errors.New("wire: empty frame")
 )
 
-// FrameWriter encodes messages onto a byte stream in one wire version. The
-// binary writer reuses a per-writer scratch buffer, so steady-state writes
-// allocate nothing; the gob writer keeps one persistent encoder (type
-// descriptors are transmitted once per stream, not once per message). Not
-// safe for concurrent use.
-type FrameWriter struct {
-	w       io.Writer
-	version int
-
-	// binary state: reusable frame scratch.
-	scratch []byte
-
-	// gob state: staging buffer + persistent encoder.
-	buf bytes.Buffer
-	enc *gob.Encoder
-	hdr [gobHeaderLen]byte
-}
-
-// NewFrameWriter returns a writer framing messages onto w in the default
-// (binary) wire version.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	fw, _ := NewFrameWriterVersion(w, DefaultVersion)
-	return fw
-}
-
-// NewFrameWriterVersion returns a writer speaking the given wire version.
-func NewFrameWriterVersion(w io.Writer, version int) (*FrameWriter, error) {
-	switch version {
-	case VersionBinary:
-		return &FrameWriter{w: w, version: VersionBinary}, nil
-	case VersionGob:
-		fw := &FrameWriter{w: w, version: VersionGob}
-		fw.enc = gob.NewEncoder(&fw.buf)
-		return fw, nil
-	}
-	return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
-}
-
-// Version reports the wire version this writer speaks.
-func (fw *FrameWriter) Version() int { return fw.version }
-
-// WriteMessage frames and writes one message.
-func (fw *FrameWriter) WriteMessage(msg *Message) error {
-	if fw.version == VersionBinary {
-		out, err := AppendMessage(fw.scratch[:0], msg)
-		if err != nil {
-			return err
-		}
-		fw.scratch = out[:0]
-		_, err = fw.w.Write(out)
-		return err
-	}
-	fw.buf.Reset()
-	if err := fw.enc.Encode(msg); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	if fw.buf.Len() > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(fw.hdr[:], uint32(fw.buf.Len()))
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(fw.buf.Bytes())
-	return err
-}
-
-// WriteCoalesced writes one container frame carrying already-encoded
-// sub-messages (a concatenation built with AppendSubMessage). Coalescing is
-// a binary-version feature; a gob writer rejects it.
-func (fw *FrameWriter) WriteCoalesced(subframes []byte) error {
-	if fw.version != VersionBinary {
-		return fmt.Errorf("%w: coalescing requires the binary wire version", ErrBadVersion)
-	}
-	out, err := AppendCoalesced(fw.scratch[:0], subframes)
-	if err != nil {
-		return err
-	}
-	fw.scratch = out[:0]
-	_, err = fw.w.Write(out)
-	return err
-}
-
-// FrameReader decodes frames from a byte stream, accepting both wire
-// versions by sniffing each frame's leading bytes. Gob frames feed one
-// persistent (lazily created) gob decoder; binary frames decode in place
-// with per-reader string interning. Coalesced container frames are unpacked
-// and their sub-messages returned one ReadMessage at a time. Not safe for
+// FrameReader decodes frames from a byte stream. Frames decode in place with
+// per-reader string interning. Coalesced container frames are unpacked and
+// their sub-messages returned one ReadMessage at a time. Not safe for
 // concurrent use.
 type FrameReader struct {
 	r      io.Reader
@@ -146,33 +47,6 @@ type FrameReader struct {
 
 	// pending holds sub-messages already unpacked from a coalesced frame.
 	pending []Message
-
-	// gob state, created on the first gob frame.
-	gbuf frameBuffer
-	dec  *gob.Decoder
-}
-
-// frameBuffer hands one validated frame at a time to the gob decoder. gob
-// may retain read state between Decode calls only within a frame; Read past
-// the frame end returns EOF-like behaviour via io.ErrUnexpectedEOF guards in
-// ReadMessage.
-type frameBuffer struct {
-	data []byte
-	off  int
-}
-
-func (b *frameBuffer) Read(p []byte) (int, error) {
-	if b.off >= len(b.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[b.off:])
-	b.off += n
-	return n, nil
-}
-
-func (b *frameBuffer) set(data []byte) {
-	b.data = data
-	b.off = 0
 }
 
 // NewFrameReader returns a reader decoding frames from r.
@@ -182,8 +56,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // ReadMessage reads and decodes the next message, unpacking coalesced
 // container frames transparently. It returns io.EOF at a clean stream end,
-// io.ErrUnexpectedEOF on a truncated frame, ErrFrameTooLarge on a hostile
-// length, and a decode error when the frame bytes are not a valid Message.
+// io.ErrUnexpectedEOF on a truncated frame, ErrBadVersion on a header that
+// does not start 'G' 'C' 0x02, ErrFrameTooLarge on a hostile length, and a
+// decode error when the frame bytes are not a valid Message.
 // After any non-EOF error the stream position is undefined; drop the
 // connection.
 func (fr *FrameReader) ReadMessage(msg *Message) error {
@@ -192,29 +67,17 @@ func (fr *FrameReader) ReadMessage(msg *Message) error {
 		fr.pending = fr.pending[1:]
 		return nil
 	}
-	if _, err := io.ReadFull(fr.r, fr.hdr[:gobHeaderLen]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return io.EOF
 		}
 		return io.ErrUnexpectedEOF
 	}
-	if fr.hdr[0] == magic0 && fr.hdr[1] == magic1 {
-		return fr.readBinary(msg)
-	}
-	return fr.readGob(msg)
-}
-
-// readBinary finishes a binary frame whose first four header bytes are in
-// fr.hdr.
-func (fr *FrameReader) readBinary(msg *Message) error {
-	if fr.hdr[2] != VersionBinary {
-		return fmt.Errorf("%w: %d", ErrBadVersion, fr.hdr[2])
+	if fr.hdr[0] != magic0 || fr.hdr[1] != magic1 || fr.hdr[2] != VersionBinary {
+		return fmt.Errorf("%w: frame starts % x", ErrBadVersion, fr.hdr[:3])
 	}
 	typ := fr.hdr[3]
-	if _, err := io.ReadFull(fr.r, fr.hdr[4:binHeaderLen]); err != nil {
-		return io.ErrUnexpectedEOF
-	}
-	size := binary.LittleEndian.Uint32(fr.hdr[4:binHeaderLen])
+	size := binary.LittleEndian.Uint32(fr.hdr[4:])
 	if size == 0 {
 		return ErrFrameEmpty
 	}
@@ -238,29 +101,6 @@ func (fr *FrameReader) readBinary(msg *Message) error {
 	return decodeBody(body, typ, msg, &fr.intern)
 }
 
-// readGob finishes a version-1 frame whose length prefix is in fr.hdr.
-func (fr *FrameReader) readGob(msg *Message) error {
-	size := binary.BigEndian.Uint32(fr.hdr[:gobHeaderLen])
-	if size == 0 {
-		return ErrFrameEmpty
-	}
-	if size > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	body, err := fr.readBody(int(size))
-	if err != nil {
-		return err
-	}
-	fr.gbuf.set(body)
-	if fr.dec == nil {
-		fr.dec = gob.NewDecoder(&fr.gbuf)
-	}
-	if err := fr.dec.Decode(msg); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
-}
-
 // readBody reads a size-validated frame body, reusing the previous frame's
 // backing array when it fits.
 func (fr *FrameReader) readBody(size int) ([]byte, error) {
@@ -274,41 +114,16 @@ func (fr *FrameReader) readBody(size int) ([]byte, error) {
 	return body, nil
 }
 
-// EncodeMessage renders one message as a standalone frame in the default
-// (binary) wire version — the unit FuzzDecodeMessage round-trips and tests
-// build corpora from.
+// EncodeMessage renders one message as a standalone frame — the unit
+// FuzzDecodeMessage round-trips and tests build corpora from.
 func EncodeMessage(msg *Message) ([]byte, error) {
 	return AppendMessage(nil, msg)
 }
 
-// EncodeMessageVersion renders one standalone frame in an explicit wire
-// version. A standalone gob frame re-transmits type descriptors, so it is
-// self-contained exactly like the frames a fresh connection starts with.
-func EncodeMessageVersion(msg *Message, version int) ([]byte, error) {
-	switch version {
-	case VersionBinary:
-		return AppendMessage(nil, msg)
-	case VersionGob:
-		var out bytes.Buffer
-		out.Write(make([]byte, gobHeaderLen))
-		if err := gob.NewEncoder(&out).Encode(msg); err != nil {
-			return nil, fmt.Errorf("wire: encode: %w", err)
-		}
-		body := out.Len() - gobHeaderLen
-		if body > MaxFrameSize {
-			return nil, ErrFrameTooLarge
-		}
-		b := out.Bytes()
-		binary.BigEndian.PutUint32(b[:gobHeaderLen], uint32(body))
-		return b, nil
-	}
-	return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
-}
-
-// DecodeMessage parses one standalone single-message frame (either wire
-// version). Any malformed, truncated, or oversized input returns an error —
-// never a panic, and never an allocation beyond MaxFrameSize. Trailing bytes
-// after the frame, or a multi-message coalesced frame, are a protocol error.
+// DecodeMessage parses one standalone single-message frame. Any malformed,
+// truncated, or oversized input returns an error — never a panic, and never
+// an allocation beyond MaxFrameSize. Trailing bytes after the frame, or a
+// multi-message coalesced frame, are a protocol error.
 func DecodeMessage(data []byte) (Message, error) {
 	msgs, err := DecodeFrames(data)
 	if err != nil {
@@ -320,11 +135,11 @@ func DecodeMessage(data []byte) (Message, error) {
 	return msgs[0], nil
 }
 
-// DecodeFrames parses exactly one standalone frame of either wire version
-// and returns the messages it carries: one for a plain frame, one or more
-// for a coalesced container. Trailing bytes after the frame are a protocol
-// error. Like DecodeMessage it never panics and never allocates beyond the
-// frame cap (the fuzz target's contract).
+// DecodeFrames parses exactly one standalone frame and returns the messages
+// it carries: one for a plain frame, one or more for a coalesced container.
+// Trailing bytes after the frame are a protocol error. Like DecodeMessage it
+// never panics and never allocates beyond the frame cap (the fuzz target's
+// contract).
 func DecodeFrames(data []byte) ([]Message, error) {
 	fr := NewFrameReader(bytes.NewReader(data))
 	var msg Message
@@ -333,11 +148,6 @@ func DecodeFrames(data []byte) ([]Message, error) {
 	}
 	msgs := append([]Message{msg}, fr.pending...)
 	fr.pending = nil
-	// The gob decoder may leave undecoded bytes inside a frame; the binary
-	// decoder consumes bodies exactly. Either way, nothing may follow.
-	if fr.gbuf.off != len(fr.gbuf.data) {
-		return nil, fmt.Errorf("wire: %d undecoded bytes inside frame", len(fr.gbuf.data)-fr.gbuf.off)
-	}
 	if rest, err := io.ReadAll(io.LimitReader(fr.r, 1)); err == nil && len(rest) > 0 {
 		return nil, errors.New("wire: trailing bytes after frame")
 	}

@@ -9,9 +9,20 @@ import (
 	"testing"
 )
 
+// encodeStream concatenates the frames of msgs, as a TCP link carries them.
+func encodeStream(t *testing.T, msgs []Message) []byte {
+	t.Helper()
+	var stream []byte
+	for i := range msgs {
+		var err error
+		if stream, err = AppendMessage(stream, &msgs[i]); err != nil {
+			t.Fatalf("encode %d: %v", i, err)
+		}
+	}
+	return stream
+}
+
 func TestFrameRoundTripStream(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
 	msgs := []Message{
 		{Type: TProbe, From: PeerInfo{Addr: "a:1", Capacity: 3}, ReqID: 1},
 		{Type: TPayload, GroupID: "g", Seq: 9, Data: []byte("hello"),
@@ -21,12 +32,7 @@ func TestFrameRoundTripStream(t *testing.T) {
 			Charter: Charter{GroupID: "g", Epoch: 4,
 				HighWater: []DigestEntry{{Source: "s", High: 7}}}},
 	}
-	for i := range msgs {
-		if err := fw.WriteMessage(&msgs[i]); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	fr := NewFrameReader(&buf)
+	fr := NewFrameReader(bytes.NewReader(encodeStream(t, msgs)))
 	for i := range msgs {
 		var got Message
 		if err := fr.ReadMessage(&got); err != nil {
@@ -43,8 +49,8 @@ func TestFrameRoundTripStream(t *testing.T) {
 }
 
 func TestFrameReaderRejectsOversizedPrefix(t *testing.T) {
-	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, MaxFrameSize+1)
+	hdr := []byte{magic0, magic1, VersionBinary, byte(TPayload), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[4:], MaxFrameSize+1)
 	fr := NewFrameReader(bytes.NewReader(append(hdr, 0)))
 	var msg Message
 	if err := fr.ReadMessage(&msg); !errors.Is(err, ErrFrameTooLarge) {
@@ -80,104 +86,45 @@ func TestDecodeMessageRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestWriterRejectsOversizedMessage(t *testing.T) {
-	fw := NewFrameWriter(io.Discard)
 	msg := Message{Type: TPayload, Data: make([]byte, MaxFrameSize+1)}
-	if err := fw.WriteMessage(&msg); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
-	}
 	if _, err := EncodeMessage(&msg); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("EncodeMessage: got %v, want ErrFrameTooLarge", err)
 	}
 }
 
-// TestMixedVersionStream interleaves gob and binary frames on one byte
-// stream and reads them back with a single sniffing FrameReader — the
-// decoder must keep its per-stream gob state alive across binary frames.
-// This is the rolling-upgrade wire contract from docs/WIRE.md.
-func TestMixedVersionStream(t *testing.T) {
-	var buf bytes.Buffer
-	gw, err := NewFrameWriterVersion(&buf, VersionGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := NewFrameWriter(&buf)
-	msgs := []Message{
-		{Type: TProbe, From: PeerInfo{Addr: "a:1", Coord: []float64{1, 2}, Capacity: 3}, ReqID: 1},
-		{Type: TPayload, GroupID: "g", Seq: 9, Data: []byte("binary"), MsgID: 2},
-		{Type: TDigest, GroupID: "g", Digest: []DigestEntry{{Source: "s", High: 7}}, MsgID: 3},
-		{Type: TBeacon, GroupID: "g", Epoch: 4, MsgID: 4,
-			Charter: Charter{GroupID: "g", Epoch: 4, Deputies: []PeerInfo{{Addr: "d:1"}}}},
-		{Type: TNack, GroupID: "g", NackSource: "s", NackSeqs: []uint64{5, 6}, MsgID: 5},
-	}
-	for i := range msgs {
-		w := gw
-		if i%2 == 1 {
-			w = bw
-		}
-		if err := w.WriteMessage(&msgs[i]); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	for i := range msgs {
-		var got Message
-		if err := fr.ReadMessage(&got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !msgEquivalent(&got, &msgs[i]) {
-			t.Fatalf("message %d mismatch:\n got %+v\nwant %+v", i, got, msgs[i])
-		}
-	}
-	var extra Message
-	if err := fr.ReadMessage(&extra); err != io.EOF {
-		t.Fatalf("stream end: got %v, want io.EOF", err)
-	}
+// hostileHeaders are streams that do not start 'G' 'C' 0x02, each claiming
+// a body just under the 4 MiB cap: the opening bytes of a real frame of the
+// retired gob dialect (big-endian length prefix, first byte 0x00, then the
+// gob type descriptor of Message), a wrong magic, and a binary header whose
+// version byte is 1. FuzzDecodeMessage seeds from the same strings.
+var hostileHeaders = []struct {
+	name string
+	data []byte
+}{
+	{"former gob frame", []byte{0x00, 0x3f, 0xff, 0xff, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07, 'M', 'e', 's', 's'}},
+	{"wrong magic", []byte{magic0, 'X', VersionBinary, byte(TPayload), 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}},
+	{"version byte 1", []byte{magic0, magic1, 1, byte(TPayload), 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}},
 }
 
-// TestEncodeMessageVersionRoundTrips: standalone frames of both wire
-// versions decode through the same version-sniffing entry points.
-func TestEncodeMessageVersionRoundTrips(t *testing.T) {
-	msg := Message{Type: TAdvertise, From: PeerInfo{Addr: "r:1", Capacity: 5},
-		GroupID: "g", TTL: 7, MsgID: 11, Mode: ReliableOrdered, Epoch: 2}
-	for _, version := range []int{VersionGob, VersionBinary} {
-		enc, err := EncodeMessageVersion(&msg, version)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
+// TestHostileHeaderRejectedBeforeBody: a frame that is not this protocol's
+// fails with ErrBadVersion on its header alone — nothing past the 8 header
+// bytes is read and no buffer for the claimed body is allocated.
+func TestHostileHeaderRejectedBeforeBody(t *testing.T) {
+	for _, tc := range hostileHeaders {
+		src := bytes.NewReader(tc.data)
+		fr := NewFrameReader(src)
+		var msg Message
+		if err := fr.ReadMessage(&msg); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("%s: ReadMessage: got %v, want ErrBadVersion", tc.name, err)
 		}
-		got, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("v%d: decode: %v", version, err)
+		if read := len(tc.data) - src.Len(); read > binHeaderLen {
+			t.Errorf("%s: read %d bytes, want at most the %d-byte header", tc.name, read, binHeaderLen)
 		}
-		if !msgEquivalent(&got, &msg) {
-			t.Fatalf("v%d round trip mismatch:\n got %+v\nwant %+v", version, got, msg)
+		if fr.frame != nil {
+			t.Errorf("%s: allocated a %d-byte body buffer", tc.name, cap(fr.frame))
 		}
-		if _, err := EncodeMessageVersion(&msg, 9); err == nil {
-			t.Fatal("unknown version accepted")
+		if _, err := DecodeFrames(tc.data); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("%s: DecodeFrames: got %v, want ErrBadVersion", tc.name, err)
 		}
-	}
-}
-
-// TestGobFrameStillDecodes pins backward compatibility with the legacy gob
-// framing: a pre-upgrade peer's bytes must keep decoding until the gob
-// version is retired.
-func TestGobFrameStillDecodes(t *testing.T) {
-	msg := Message{Type: TPayload, From: PeerInfo{Addr: "old:1"}, GroupID: "g",
-		Seq: 3, Data: []byte("legacy")}
-	enc, err := EncodeMessageVersion(&msg, VersionGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gob length prefixes are 4-byte big-endian under the 4MiB cap, so the
-	// first byte is always 0x00 — that is what the sniffer relies on to
-	// tell the versions apart. Guard the invariant explicitly.
-	if enc[0] != 0 {
-		t.Fatalf("gob frame no longer starts 0x00 (got %#x); version sniffing is broken", enc[0])
-	}
-	msgs, err := DecodeFrames(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || !msgEquivalent(&msgs[0], &msg) {
-		t.Fatalf("gob frame decoded to %+v", msgs)
 	}
 }

@@ -54,55 +54,51 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			Health: []HealthDigest{
 				{Addr: "10.0.0.2:7002", Epoch: 9, Pressure: 1, Degraded: true}}},
 	}
-	// Both wire versions of every shape: the sniffing decoder must hold its
-	// contract against hostile mutations of either layout.
-	out := make([][]byte, 0, 2*len(msgs)+2)
+	// Every shape twice: as a plain frame and as a single-element coalesced
+	// container (what a timer flush of one message emits).
+	out := make([][]byte, 0, 2*len(msgs)+1)
 	for i := range msgs {
-		for _, version := range []int{VersionBinary, VersionGob} {
-			b, err := EncodeMessageVersion(&msgs[i], version)
-			if err != nil {
-				tb.Fatalf("seed %d v%d: %v", i, version, err)
-			}
-			out = append(out, b)
+		plain, err := EncodeMessage(&msgs[i])
+		if err != nil {
+			tb.Fatalf("seed %d: %v", i, err)
 		}
+		out = append(out, plain, coalesce(tb, &msgs[i]))
 	}
-	// Coalesced containers: beacon+digest (the real traffic pattern) and a
-	// single-element container (what a timer flush of one message emits).
+	// The real coalesced traffic pattern: beacon+digest in one container.
+	return append(out, coalesce(tb, &msgs[6], &msgs[8]))
+}
+
+// coalesce wraps msgs in one coalesced container frame.
+func coalesce(tb testing.TB, msgs ...*Message) []byte {
+	tb.Helper()
 	var subs []byte
 	var err error
-	if subs, err = AppendSubMessage(subs, &msgs[6]); err != nil {
-		tb.Fatal(err)
+	for _, msg := range msgs {
+		if subs, err = AppendSubMessage(subs, msg); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	if subs, err = AppendSubMessage(subs, &msgs[8]); err != nil {
-		tb.Fatal(err)
-	}
-	pair, err := AppendCoalesced(nil, subs)
+	frame, err := AppendCoalesced(nil, subs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out = append(out, pair)
-	solo, err := AppendSubMessage(nil, &msgs[8])
-	if err != nil {
-		tb.Fatal(err)
-	}
-	solo, err = AppendCoalesced(nil, solo)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	out = append(out, solo)
-	return out
+	return frame
 }
 
 // FuzzDecodeMessage holds the decoder to its contract: arbitrary input must
 // either decode (and then re-encode/re-decode consistently) or return an
-// error — never panic and never allocate past the frame cap. It covers both
-// wire versions and the coalesced container layout.
+// error — never panic and never allocate past the frame cap. It covers plain
+// frames and the coalesced container layout.
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
-	// Hostile prefixes: huge gob length, zero length, truncated header/body.
+	// Hostile prefixes that do not start with the magic (a retired-dialect
+	// gob frame always began 0x00): huge length, zero length, truncations.
+	for _, h := range hostileHeaders {
+		f.Add(h.data)
+	}
 	huge := make([]byte, 8)
 	binary.BigEndian.PutUint32(huge, 1<<30)
 	f.Add(huge)
@@ -117,7 +113,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{'G', 'C', 2, 0xFF, 3, 0, 0, 0, 1, 200, 0})
 	f.Add([]byte{'G', 'C', 2, 0xFF, 0, 0, 0, 0})
 	// Truncations and oversized tails of a real coalesced frame.
-	coalesced := seeds[len(seeds)-2]
+	coalesced := seeds[len(seeds)-1]
 	for _, cut := range []int{1, 4, 8, 9, len(coalesced) / 2, len(coalesced) - 1} {
 		if cut < len(coalesced) {
 			f.Add(coalesced[:cut])

@@ -2,10 +2,8 @@
 // (internal/node): peer identification, probing, connection setup, epoch
 // heartbeats, group advertisement, subscription, and payload dissemination.
 // Messages are transport-agnostic values; the TCP transport frames them with
-// the dual-version codec in codec.go — a hand-rolled binary layout
-// (binary.go, wire version 2, the default) with a legacy gob encoding (wire
-// version 1) kept for one release of mixed-cluster compatibility. The
-// byte-level format is specified in docs/WIRE.md.
+// the codec in codec.go — a hand-rolled binary layout (binary.go, wire
+// version 2). The byte-level format is specified in docs/WIRE.md.
 package wire
 
 import (

@@ -1,81 +1,14 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
-	"testing"
-	"testing/quick"
-	"time"
-)
-
-func TestGobRoundTrip(t *testing.T) {
-	msg := Message{
-		Type:       TAdvertise,
-		From:       PeerInfo{Addr: "10.0.0.1:7001", Coord: []float64{1.5, -2.25}, Capacity: 100, CoordErr: 0.3},
-		ReqID:      42,
-		Neighbors:  []PeerInfo{{Addr: "n1"}, {Addr: "n2", Capacity: 10}},
-		GroupID:    "room",
-		Rendezvous: PeerInfo{Addr: "rdv"},
-		TTL:        7,
-		Origin:     PeerInfo{Addr: "origin"},
-		Subscriber: PeerInfo{Addr: "sub"},
-		MsgID:      999,
-		Data:       []byte{0, 1, 2, 255},
-		SentAt:     time.Unix(1e9, 12345).UTC(),
-		Path:       []string{"a", "b"},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-		t.Fatal(err)
-	}
-	var got Message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(msg, got) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, msg)
-	}
-}
-
-func TestGobRoundTripProperty(t *testing.T) {
-	f := func(addr string, coordRaw [3]float64, cap float64, ttl uint8, data []byte, gid string) bool {
-		msg := Message{
-			Type:    TPayload,
-			From:    PeerInfo{Addr: addr, Coord: coordRaw[:], Capacity: cap},
-			GroupID: gid,
-			TTL:     int(ttl),
-			Data:    data,
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-			return false
-		}
-		var got Message
-		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-			return false
-		}
-		// gob encodes empty slices as nil; normalize before comparing.
-		if len(msg.Data) == 0 {
-			msg.Data = nil
-		}
-		if len(got.Data) == 0 {
-			got.Data = nil
-		}
-		return reflect.DeepEqual(msg, got)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestZeroMessageEncodes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Message{}); err != nil {
+	enc, err := EncodeMessage(&Message{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got Message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+	got, err := DecodeMessage(enc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Type != 0 || got.TTL != 0 {
