@@ -7,22 +7,16 @@ package groupcast_test
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"groupcast/internal/coords"
 	"groupcast/internal/core"
 	"groupcast/internal/experiments"
 	"groupcast/internal/netsim"
-	"groupcast/internal/node"
 	"groupcast/internal/overlay"
 	"groupcast/internal/peer"
 	"groupcast/internal/protocol"
 	"groupcast/internal/sim"
-	"groupcast/internal/trace"
-	"groupcast/internal/transport"
-	"groupcast/internal/wire"
 )
 
 const benchN = 1000 // overlay population for figure benchmarks
@@ -328,85 +322,6 @@ func BenchmarkAblationHostCacheBootstrap(b *testing.B) {
 			b.Fatal("empty bootstrap")
 		}
 	}
-}
-
-// BenchmarkLiveClusterPublish measures end-to-end payload dissemination on a
-// live 16-node in-memory cluster: one benchmark iteration is one publish
-// delivered to every member. The tracer-less run is the baseline every
-// pre-observability deployment pays (the hot path adds one nil check);
-// BenchmarkLiveClusterPublishTraced is the same cluster with full event
-// capture on every node, bounding the tracing overhead.
-func BenchmarkLiveClusterPublish(b *testing.B) {
-	benchLiveClusterPublish(b, nil)
-}
-
-// BenchmarkLiveClusterPublishTraced repeats BenchmarkLiveClusterPublish with
-// a 4096-event ring tracer on every node.
-func BenchmarkLiveClusterPublishTraced(b *testing.B) {
-	benchLiveClusterPublish(b, func() *trace.Tracer { return trace.New(4096, nil) })
-}
-
-func benchLiveClusterPublish(b *testing.B, tracer func() *trace.Tracer) {
-	net := transport.NewMemNetwork()
-	rng := rand.New(rand.NewSource(1))
-	var nodes []*node.Node
-	for i := 0; i < 16; i++ {
-		cfg := node.DefaultConfig(float64(10*(1+i%3)),
-			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
-		cfg.HeartbeatInterval = 0 // no background noise during measurement
-		if tracer != nil {
-			cfg.Tracer = tracer()
-		}
-		nd := node.New(net.NextEndpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for j := 0; j < len(nodes) && j < 6; j++ {
-			contacts = append(contacts, nodes[len(nodes)-1-j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
-			b.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-	}
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
-	rdv := nodes[0]
-	if err := rdv.CreateGroup("bench"); err != nil {
-		b.Fatal(err)
-	}
-	if err := rdv.Advertise("bench"); err != nil {
-		b.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	members := 0
-	var delivered atomic.Int64
-	for _, nd := range nodes[1:] {
-		if err := nd.Join("bench", 2*time.Second); err != nil {
-			continue
-		}
-		members++
-		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			delivered.Add(1)
-		})
-	}
-	if members < 10 {
-		b.Fatalf("only %d members", members)
-	}
-	payload := []byte("benchmark payload of a realistic chat-message size.")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		want := delivered.Load() + int64(members)
-		if err := rdv.Publish("bench", payload); err != nil {
-			b.Fatal(err)
-		}
-		for delivered.Load() < want {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	b.ReportMetric(float64(members), "members")
 }
 
 // --- Parallel experiment pipeline ----------------------------------------

@@ -5,6 +5,8 @@ package groupcast_test
 
 import (
 	"math/rand"
+	"os"
+	"os/exec"
 	"sync"
 	"testing"
 	"time"
@@ -206,5 +208,23 @@ func TestLiveRuntimeMultipleGroups(t *testing.T) {
 		if c > 1 {
 			t.Fatalf("%s received %d copies in %s", k.node, c, k.group)
 		}
+	}
+}
+
+// TestBenchModuleCompiles keeps tier-1 honest about the nested benchmark
+// module: internal/bench has its own go.mod (replace groupcast => ../..), so
+// `go build ./... && go test ./...` at the root never compiles it and an API
+// break there would otherwise surface only when the benchmark is run. The
+// module has no dependency beyond this one, so vetting it needs no network.
+func TestBenchModuleCompiles(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", "./...")
+	cmd.Dir = "internal/bench"
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local", "GOFLAGS=-buildvcs=false")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in internal/bench: %v\n%s", err, out)
 	}
 }

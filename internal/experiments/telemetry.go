@@ -184,11 +184,10 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 
 	// Phase 2 — crash-stop the root and time each survivor's stale alert,
 	// counted in the survivor's OWN telemetry epochs from the victim's last
-	// accepted digest (the fleet entry's LastSeen — which the victim's final
+	// accepted digest (the fleet entry's SeenEpoch — which the victim's final
 	// in-flight and gossip-echoed digests may still advance shortly after
-	// the crash) to the alert's Since timestamp, both mapped to epoch
-	// numbers through the survivor's history ring. That window is pure
-	// detector latency and load-independent.
+	// the crash) to the epoch of the sweep that raised the alert. That window
+	// is pure detector latency and load-independent.
 	_ = rdv.Close()
 	crash := time.Now()
 
@@ -203,15 +202,15 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 				continue
 			}
 			for _, a := range nd.SLOActive() {
-				if a.Rule == telemetry.RuleStale && a.Node == victim {
-					delete(pending, nd.Addr())
-					lat := detectionEpochs(nd, victim, a)
-					if lat > row.DetectEpochs {
-						row.DetectEpochs = lat
-					}
-					row.DetectTime = time.Since(crash)
-					break
+				if a.Rule != telemetry.RuleStale || a.Node != victim {
+					continue
 				}
+				if lat := detectionEpochs(nd, victim, a); lat > 0 {
+					delete(pending, nd.Addr())
+					row.DetectEpochs = max(row.DetectEpochs, lat)
+					row.DetectTime = time.Since(crash)
+				}
+				break
 			}
 		}
 		if len(pending) > 0 {
@@ -222,33 +221,17 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 	return row, nil
 }
 
-// detectionEpochs converts one survivor's firing stale alert into detection
-// latency in the survivor's own telemetry epochs: the epoch during which the
-// victim's LastSeen last advanced to the epoch whose sweep raised the alert.
-// The alert's Since is stamped with the same clock reading the sweep's
-// history sample records, so both endpoints map exactly onto the ring. A
-// refresh that arrives after an alert clears and re-raises it, keeping the
-// (LastSeen, Since) pair of any *active* alert consistent.
+// detectionEpochs is one survivor's detection latency in its own telemetry
+// epochs: from the epoch in which the victim's digest last advanced in its
+// fleet view to the epoch of the sweep that raised alert a. Both are ticks of
+// the survivor's own counter, so no wall clock enters the number. A refresh
+// that arrives after an alert clears it (a later sweep re-raises), so 0 means
+// a was read just before such a refresh and is no longer the live alert.
 func detectionEpochs(nd *node.Node, victim string, a telemetry.Alert) uint64 {
-	var lastSeen time.Time
 	for _, nh := range nd.FleetView() {
-		if nh.Addr == victim {
-			lastSeen = nh.LastSeen
-			break
+		if nh.Addr == victim && a.Epoch > nh.SeenEpoch {
+			return a.Epoch - nh.SeenEpoch
 		}
 	}
-	epochAt := func(t time.Time) uint64 {
-		var e uint64
-		for _, s := range nd.TelemetryHistory() {
-			if !s.Time.After(t) {
-				e = s.Epoch
-			}
-		}
-		return e
-	}
-	seenEpoch, alertEpoch := epochAt(lastSeen), epochAt(a.Since)
-	if alertEpoch <= seenEpoch {
-		return 0
-	}
-	return alertEpoch - seenEpoch
+	return 0
 }

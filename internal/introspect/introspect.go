@@ -1,13 +1,13 @@
 // Package introspect is the live-debugging surface of a GroupCast node: an
 // opt-in HTTP endpoint (groupcast-node -debug-addr) serving the node's
 // metrics registry, tree and overlay snapshots, recent trace events, and
-// the Go runtime profiler. Everything is read-only and JSON (except pprof),
-// so `curl | jq` is the whole client story.
+// the Go runtime profiler. Everything is read-only and JSON (except pprof
+// and the Prometheus scrape), so `curl | jq` is the whole client story.
 //
 // Endpoint catalog (see docs/OBSERVABILITY.md):
 //
-//	/debug/vars     metrics registry snapshot + node stats (JSON)
-//	/debug/metrics  metrics registry alone; ?format=prom for Prometheus text
+//	/debug/vars     metrics registry snapshot + node stats + overload (JSON)
+//	/debug/metrics  the metrics registry as Prometheus text exposition
 //	/debug/tree     per-group tree attachment with per-link utility/latency
 //	/debug/overlay  neighbour table with liveness and coordinates
 //	/debug/overload overload controller state + per-peer circuit breakers
@@ -17,12 +17,10 @@
 //	/debug/cluster  gossiped fleet view: per-node health digests + SLO alerts
 //	/debug/history  local telemetry time series, oldest sample first
 //	/debug/pprof/   the standard Go profiler index
-//	/debug/expvars  the stdlib expvar dump (Go runtime memstats etc.)
 package introspect
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,16 +46,10 @@ func Handler(n *node.Node) http.Handler {
 		})
 	})
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := n.Metrics().Snapshot()
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			telemetry.WriteProm(w, snap, map[string]string{"node": n.Addr()})
-			return
-		}
-		writeJSON(w, map[string]any{
-			"addr":    n.Addr(),
-			"metrics": snap,
-		})
+		// Prometheus text only (?format=prom is accepted and ignored); the
+		// JSON view of the same snapshot is /debug/vars.
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		telemetry.WriteProm(w, n.Metrics().Snapshot(), map[string]string{"node": n.Addr()})
 	})
 	mux.HandleFunc("/debug/cluster", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, n.ClusterView())
@@ -118,10 +110,6 @@ func Handler(n *node.Node) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// The stdlib expvar dump under a non-conflicting path: /debug/vars is
-	// ours (and self-contained per node); the process-global Go runtime
-	// stats live here.
-	mux.Handle("/debug/expvars", expvar.Handler())
 	return mux
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"groupcast/internal/coords"
+	"groupcast/internal/metrics"
 	"groupcast/internal/node"
 	"groupcast/internal/telemetry"
 	"groupcast/internal/trace"
@@ -33,11 +35,13 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 // TestTelemetryEndpoints drives the three PR 9 endpoints on a live two-node
 // TCP cluster: /debug/cluster must show a converged fleet view,
-// /debug/history a growing local time series, and /debug/metrics both JSON
-// and Prometheus text exposition.
+// /debug/history a growing local time series, and /debug/metrics Prometheus
+// text exposition — and every scalar of node.Stats must surface, under the
+// snake_case of its field name, as a registry counter in all three views.
 func TestTelemetryEndpoints(t *testing.T) {
 	rdv := startTCPNode(t, 1)
 	peer := startTCPNode(t, 2, rdv.Addr())
+	peer.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {})
 
 	if err := rdv.CreateGroupMode("tel", wire.Reliable); err != nil {
 		t.Fatal(err)
@@ -125,12 +129,40 @@ func TestTelemetryEndpoints(t *testing.T) {
 		}
 	}
 
-	md := getJSON("/debug/metrics")
-	if _, ok := md["metrics"].(map[string]any); !ok {
-		t.Fatalf("/debug/metrics has no metrics object: %v", md)
+	// One counter plane: the registry holds every Stats scalar, read from the
+	// same memory Stats() reads.
+	waitUntil(t, 5*time.Second, func() bool { return peer.Stats().Delivered >= 1 },
+		"peer never delivered the publish")
+	statNames := metrics.CounterFields(reflect.TypeOf(node.Stats{}))
+	if len(statNames) < 40 {
+		t.Fatalf("walker found %d Stats counters, want every scalar (>= 40)", len(statNames))
+	}
+	peerCounters := peer.Metrics().Snapshot().Counters
+	if got, want := peerCounters["delivered"], int64(peer.Stats().Delivered); got != want || want < 1 {
+		t.Errorf("registry delivered = %d, Stats().Delivered = %d", got, want)
+	}
+	varsMetrics, _ := getJSON("/debug/vars")["metrics"].(map[string]any)
+	varsCounters, _ := varsMetrics["counters"].(map[string]any)
+	histCounters, _ := s0["counters"].(map[string]any)
+	for _, f := range statNames {
+		if _, ok := peerCounters[f.Name]; !ok {
+			t.Errorf("Metrics().Snapshot().Counters lacks %q", f.Name)
+		}
+		if _, ok := varsCounters[f.Name]; !ok {
+			t.Errorf("/debug/vars counters lack %q", f.Name)
+		}
+		if _, ok := histCounters[f.Name]; !ok {
+			t.Errorf("/debug/history sample lacks counter %q", f.Name)
+		}
+	}
+	for _, name := range []string{"state_saves", "transport_inbox_sheds", "transport_best_effort_sheds",
+		"delivered", "publish_rejects", "relay_sheds", "send_errors", "retransmits", "slo_alerts"} {
+		if _, ok := peerCounters[name]; !ok {
+			t.Errorf("pre-existing metric name %q is gone", name)
+		}
 	}
 
-	resp, err := http.Get(base + "/debug/metrics?format=prom")
+	resp, err := http.Get(base + "/debug/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +184,41 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if !strings.Contains(text, "_bucket{") || !strings.Contains(text, `le="+Inf"`) {
 		t.Errorf("prom output lacks histogram buckets:\n%.400s", text)
 	}
+	for _, f := range statNames {
+		if !strings.Contains(text, "# TYPE groupcast_"+f.Name+" counter\n") {
+			t.Errorf("prom output does not expose %q as a counter", f.Name)
+		}
+	}
+
+	// Every catalogued route answers 200; the retired /debug/expvars 404s,
+	// and /debug/metrics (fetched above without ?format=) has no JSON form.
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range debugPaths {
+		if got := status(path); got != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, got)
+		}
+	}
+	if len(debugPaths) != 11 {
+		t.Errorf("route catalogue has %d entries, want 11", len(debugPaths))
+	}
+	if got := status("/debug/expvars"); got != http.StatusNotFound {
+		t.Errorf("/debug/expvars status %d, want 404", got)
+	}
 }
 
-// debugPaths is every read-only endpoint the hammer test hits concurrently.
+// debugPaths is the route catalogue: every read-only endpoint, one entry
+// each. The hammer test hits them concurrently.
 var debugPaths = []string{
 	"/debug/vars",
 	"/debug/metrics",
-	"/debug/metrics?format=prom",
 	"/debug/tree",
 	"/debug/overlay",
 	"/debug/overload",
@@ -168,7 +228,6 @@ var debugPaths = []string{
 	"/debug/cluster",
 	"/debug/history",
 	"/debug/pprof/",
-	"/debug/expvars",
 }
 
 // TestDebugEndpointsHammer hammers every /debug/* endpoint from many

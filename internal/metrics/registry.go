@@ -19,11 +19,13 @@ import (
 // arrival order or worker count.
 
 // Registry is a named-instrument set. All methods are safe for concurrent
-// use; instrument lookups are get-or-create so independent subsystems can
-// share names without coordination.
+// use. Counters and gauges are callbacks over state their owner already
+// keeps (the node's counters live in node.Stats, not here); histograms are
+// get-or-create so independent subsystems can share names without
+// coordination.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
+	counters map[string]func() uint64
 	gauges   map[string]func() float64
 	hists    map[string]*FixedHistogram
 }
@@ -31,22 +33,18 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string]func() uint64),
 		gauges:   make(map[string]func() float64),
 		hists:    make(map[string]*FixedHistogram),
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// Counter registers a callback reading a monotonically increasing count,
+// sampled at snapshot time under the same rules as Gauge.
+func (r *Registry) Counter(name string, fn func() uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	r.counters[name] = fn
 }
 
 // Gauge registers a callback sampled at snapshot time. Re-registering a
@@ -76,7 +74,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *FixedHistogram {
 // always marshals to valid JSON.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
+	counters := make(map[string]func() uint64, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
 	}
@@ -95,8 +93,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		Gauges:     make(map[string]float64, len(gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(hists)),
 	}
-	for k, c := range counters {
-		snap.Counters[k] = c.Value()
+	for k, fn := range counters {
+		snap.Counters[k] = int64(fn())
 	}
 	for k, fn := range gauges {
 		v := fn()
@@ -118,18 +116,6 @@ type RegistrySnapshot struct {
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments by delta; Inc by one.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-func (c *Counter) Inc()            { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 // DefaultLatencyBuckets are millisecond upper bounds spanning sub-millisecond
 // in-process hops to multi-second recovery paths.

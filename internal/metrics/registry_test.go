@@ -11,18 +11,54 @@ import (
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("sends")
-	c1.Add(3)
-	if c2 := r.Counter("sends"); c2 != c1 {
-		t.Fatal("second Counter lookup returned a different instrument")
-	}
 	h1 := r.Histogram("lat", DefaultLatencyBuckets())
 	if h2 := r.Histogram("lat", nil); h2 != h1 {
 		t.Fatal("second Histogram lookup returned a different instrument")
 	}
-	snap := r.Snapshot()
-	if snap.Counters["sends"] != 3 {
+	// Counters are callbacks over state the owner keeps, sampled at snapshot
+	// time; re-registering a name replaces the callback.
+	var sends uint64
+	r.Counter("sends", func() uint64 { return 99 })
+	r.Counter("sends", func() uint64 { return sends })
+	sends = 3
+	if snap := r.Snapshot(); snap.Counters["sends"] != 3 {
 		t.Fatalf("snapshot counter = %d, want 3", snap.Counters["sends"])
+	}
+}
+
+// TestCounterFields pins the one field walker: names are the snake_case of
+// the Go field names with nested structs as a prefix, every uint64 is listed
+// once in declaration order, and the folds touch every listed field.
+func TestCounterFields(t *testing.T) {
+	type inner struct{ InboxSheds, X uint64 }
+	type outer struct {
+		Sent      map[string]uint64
+		Delivered uint64
+		SLOAlerts uint64
+		DhtStores uint64
+		Label     string
+		Transport inner
+	}
+	fields := CounterFields(reflect.TypeOf(outer{}))
+	var names []string
+	for _, f := range fields {
+		names = append(names, f.Name)
+	}
+	want := []string{"delivered", "slo_alerts", "dht_stores", "transport_inbox_sheds", "transport_x"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("names = %v, want %v", names, want)
+	}
+	a := outer{Delivered: 5, SLOAlerts: 1, Transport: inner{InboxSheds: 2, X: 9}}
+	b := outer{Delivered: 7, DhtStores: 4, Transport: inner{InboxSheds: 3, X: 1}}
+	sum := a
+	FoldCounters(fields, &sum, &b, AddCounter)
+	if sum.Delivered != 12 || sum.SLOAlerts != 1 || sum.DhtStores != 4 || sum.Transport != (inner{5, 10}) {
+		t.Fatalf("AddCounter fold = %+v", sum)
+	}
+	diff := a
+	FoldCounters(fields, &diff, &b, SubCounter)
+	if diff.Delivered != 0 || diff.SLOAlerts != 1 || diff.DhtStores != 0 || diff.Transport != (inner{0, 8}) {
+		t.Fatalf("SubCounter fold = %+v (must saturate at 0)", diff)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestBeaconRefreshesRootPath(t *testing.T) {
 		}
 		// Root path starts at the rendezvous.
 		return len(gs.rootPath) >= 1 && gs.rootPath[0] == a.Addr()
-	}, "beacon never refreshed c's root path")
+	}, static("beacon never refreshed c's root path"))
 }
 
 // TestBeaconCycleDetection hand-builds a parent cycle between two nodes and
@@ -126,7 +126,7 @@ func TestBeaconCycleDetection(t *testing.T) {
 			}
 		}
 		return ok
-	}, "cycle never repaired")
+	}, static("cycle never repaired"))
 
 	// Payloads from the rendezvous now reach both.
 	got := make(chan string, 4)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/dht"
@@ -174,7 +175,7 @@ func (n *Node) dhtLookup(target dht.ID, groupID string) dht.Result {
 			wg.Wait()
 			return replies
 		})
-	n.stats.dhtLookups.Add(1)
+	atomic.AddUint64(&n.stats.DhtLookups, 1)
 	n.metrics.dhtLookup.ObserveDurationMs(float64(time.Since(start)) / float64(time.Millisecond))
 	return res
 }
@@ -244,7 +245,7 @@ func (n *Node) dhtStoreCharter(groupID string) {
 		m.ReqID = n.nextMsgID()
 		_ = n.send(c.Info.Addr, m)
 	}
-	n.stats.dhtStores.Add(1)
+	atomic.AddUint64(&n.stats.DhtStores, 1)
 }
 
 // dhtRepublishAsync replicates the group's charter record in the
@@ -346,7 +347,7 @@ func (n *Node) dhtRescue(lostAddr string) {
 			continue
 		}
 		if rec.Rendezvous.Addr == n.self.Addr {
-			n.stats.dhtRescues.Add(1)
+			atomic.AddUint64(&n.stats.DhtRescues, 1)
 			n.dhtRepublishAsync(rec.GroupID)
 			continue
 		}
@@ -371,7 +372,7 @@ func (n *Node) dhtRescue(lostAddr string) {
 			release()
 			return
 		}
-		n.stats.dhtRescues.Add(1)
+		atomic.AddUint64(&n.stats.DhtRescues, 1)
 	}
 }
 
@@ -581,9 +582,9 @@ func (n *Node) DhtView() DhtView {
 		ID:        d.id.String(),
 		TableSize: d.table.Len(),
 		Buckets:   d.table.BucketSizes(),
-		Lookups:   n.stats.dhtLookups.Load(),
-		Fallbacks: n.stats.dhtFallbacks.Load(),
-		Stores:    n.stats.dhtStores.Load(),
+		Lookups:   atomic.LoadUint64(&n.stats.DhtLookups),
+		Fallbacks: atomic.LoadUint64(&n.stats.DhtFallbacks),
+		Stores:    atomic.LoadUint64(&n.stats.DhtStores),
 	}
 	recs := d.store.Snapshot()
 	v.Records = len(recs)

@@ -171,20 +171,20 @@ func TestDhtSuccessionRepublish(t *testing.T) {
 			}
 		}
 		return false
-	}, "no deputy ever received the charter")
+	}, static("no deputy ever received the charter"))
 
 	if err := rdv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 15*time.Second, func() bool {
 		return singleRoot(survivors, gid) != nil
-	}, "no deputy promoted after the root died")
+	}, static("no deputy promoted after the root died"))
 	newRoot := singleRoot(survivors, gid)
 
 	// The promotion must push the epoch-2 record into the DHT.
 	waitFor(t, 10*time.Second, func() bool {
 		return newRoot.Stats().DhtStores > 0
-	}, "promoted root never republished the charter record")
+	}, static("promoted root never republished the charter record"))
 
 	var seeds []string
 	for _, nd := range survivors[:3] {
@@ -200,7 +200,7 @@ func TestDhtSuccessionRepublish(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool {
 		tv := fresh.Tree(gid)
 		return tv.Attached && tv.Epoch >= 2
-	}, "fresh DHT-only joiner never reached the successor's epoch")
+	}, static("fresh DHT-only joiner never reached the successor's epoch"))
 	if st := fresh.Stats(); st.DhtFallbacks != 0 || st.DhtLookups == 0 {
 		t.Errorf("fresh joiner stats = %d lookups / %d fallbacks, want DHT-only", st.DhtLookups, st.DhtFallbacks)
 	}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -87,7 +88,7 @@ func TestBackupsPropagateDownTree(t *testing.T) {
 			}
 		}
 		return true
-	}, "backup access points never reached every member")
+	}, static("backup access points never reached every member"))
 }
 
 // TestBackupFailoverOnParentCrash crash-stops the busiest tree parent and
@@ -110,16 +111,8 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 		}
 		members = append(members, nd)
 	}
-	// Beacons must distribute the backups before the crash.
-	waitFor(t, 5*time.Second, func() bool {
-		for _, m := range members {
-			if len(m.Tree("g").Backups) == 0 {
-				return false
-			}
-		}
-		return true
-	}, "backups not distributed")
-
+	// The victim is the busiest parent; the tree is settled once every Join
+	// has returned, so pick it first.
 	victim := members[0]
 	kids := -1
 	for _, m := range members {
@@ -127,6 +120,25 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 			victim, kids = m, n
 		}
 	}
+	// Beacons must hand the victim's children their backups before the
+	// crash. Only they need one — and each always can get one, its
+	// grandparent — whereas a rendezvous' only child has no candidate at all,
+	// so requiring backups at every member hangs on such a tree.
+	byAddr := make(map[string]*Node, len(members))
+	for _, m := range members {
+		byAddr[m.Addr()] = m
+	}
+	lacking := func() (out []string) {
+		for _, child := range victim.Tree("g").Children {
+			if m := byAddr[child]; m != nil && len(m.Tree("g").Backups) == 0 {
+				out = append(out, child)
+			}
+		}
+		return out
+	}
+	waitFor(t, 5*time.Second, func() bool { return len(lacking()) == 0 }, func() string {
+		return fmt.Sprintf("backups never reached the victim's children %v", lacking())
+	})
 	c.chaos.Crash(victim.Addr())
 
 	survivors := make([]*Node, 0, len(members)-1)
@@ -143,7 +155,7 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 			}
 		}
 		return true
-	}, "survivors never reattached off the crashed parent")
+	}, static("survivors never reattached off the crashed parent"))
 
 	var viaBackup uint64
 	for _, m := range survivors {
@@ -177,7 +189,7 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 			}
 		}
 		return true
-	}, "repaired tree does not deliver to every survivor")
+	}, static("repaired tree does not deliver to every survivor"))
 }
 
 // TestSearchOnlyRepairStillRecovers pins the fallback path: with backup
@@ -225,7 +237,7 @@ func TestSearchOnlyRepairStillRecovers(t *testing.T) {
 			t.Fatalf("backup failover ran despite being disabled (%d repairs)", viaBackup)
 		}
 		return true
-	}, "search-only repair never recovered")
+	}, static("search-only repair never recovered"))
 }
 
 // TestJoinRetriesThroughLoss pins joinVia's internal retry: the first join
@@ -244,7 +256,7 @@ func TestJoinRetriesThroughLoss(t *testing.T) {
 		_, saw := b.adSeen["g"]
 		b.mu.Unlock()
 		return saw
-	}, "advertisement never arrived")
+	}, static("advertisement never arrived"))
 	c.chaos.SetLinkRule(b.Addr(), a.Addr(), transport.LinkRule{DropFirst: 1})
 	if err := b.Join("g", testTimeout); err != nil {
 		t.Fatalf("join through a lossy link: %v", err)
@@ -295,13 +307,13 @@ func TestSuspectThenDead(t *testing.T) {
 	c := newChaosCluster(t, 2, 6, nil)
 	a, b := c.nodes[0], c.nodes[1]
 	waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 && b.NumNeighbors() == 1 },
-		"nodes never became neighbours")
+		static("nodes never became neighbours"))
 	c.chaos.Crash(b.Addr())
 	waitFor(t, 5*time.Second, func() bool { return a.Stats().Suspected >= 1 },
-		"silent neighbour never turned suspect")
+		static("silent neighbour never turned suspect"))
 	waitFor(t, 5*time.Second, func() bool {
 		return a.Stats().NeighborsDeclaredDead >= 1 && a.NumNeighbors() == 0
-	}, "suspect neighbour never escalated to dead")
+	}, static("suspect neighbour never escalated to dead"))
 }
 
 // TestSuspectRecovers pins the benign half of the state machine: a neighbour
@@ -315,10 +327,10 @@ func TestSuspectRecovers(t *testing.T) {
 	})
 	a, b := c.nodes[0], c.nodes[1]
 	waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 },
-		"nodes never became neighbours")
+		static("nodes never became neighbours"))
 	c.chaos.Crash(b.Addr())
 	waitFor(t, 3*time.Second, func() bool { return a.Stats().Suspected >= 1 },
-		"missed heartbeat never raised a suspicion")
+		static("missed heartbeat never raised a suspicion"))
 	c.chaos.Revive(b.Addr())
 	// The revived neighbour answers the next probe or heartbeat and stays
 	// a neighbour; nothing is declared dead.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
@@ -108,7 +109,7 @@ func (n *Node) Advertise(groupID string) error {
 func (n *Node) handleAdvertise(msg wire.Message) {
 	n.mu.Lock()
 	if n.seenAds.Seen(msg.MsgID, time.Now()) {
-		n.stats.dupes.Add(1)
+		atomic.AddUint64(&n.stats.DuplicatesDropped, 1)
 		n.mu.Unlock()
 		return
 	}
@@ -130,7 +131,7 @@ func (n *Node) handleAdvertise(msg wire.Message) {
 		gs.deputies = nil
 		gs.lastRoot = time.Time{}
 		gs.lastBeacon = time.Now() // grace until the winner's first beacon
-		n.stats.demotions.Add(1)
+		atomic.AddUint64(&n.stats.Demotions, 1)
 	}
 	ad, known := n.adSeen[msg.GroupID]
 	if !known || msg.Epoch > ad.epoch || demoted {
@@ -226,7 +227,15 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 	n.mu.Unlock()
 
 	if sawAd && ad.upstream != "" {
-		return n.joinVia(groupID, ad.upstream, ad.rendezvous, ad.mode, timeout, asMember)
+		err := n.joinVia(groupID, ad.upstream, ad.rendezvous, ad.mode, timeout, asMember)
+		if err == nil || err == ErrClosed {
+			return err
+		}
+		// The advertisement's reverse path is dead — its upstream crashed or
+		// sits across a partition. Fall through to discovery rather than
+		// replaying the same hop on every repair: an orphan whose upstream is
+		// unreachable would otherwise never re-attach, even with the
+		// rendezvous among its own neighbours.
 	}
 	if sawAd && ad.upstream == "" {
 		// We are the rendezvous (handled above) or the ad record is local.
@@ -256,7 +265,7 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 			return fmt.Errorf("%w: %q (no DHT record and fallback disabled)",
 				ErrJoinFailed, groupID)
 		}
-		n.stats.dhtFallbacks.Add(1)
+		atomic.AddUint64(&n.stats.DhtFallbacks, 1)
 	}
 
 	// Ripple search for an access point.
@@ -447,7 +456,7 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 	var lastErr error
 	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			n.stats.retries.Add(1)
+			atomic.AddUint64(&n.stats.Retries, 1)
 		}
 		ack, err := n.joinOnce(groupID, parentAddr, rdv, mode, attemptWait)
 		if err == nil {
@@ -538,7 +547,7 @@ func (n *Node) handleJoin(msg wire.Message) {
 	if _, had := gs.children[msg.From.Addr]; !had && gs.rendezvous && gs.promoted {
 		// A subtree orphaned by the old root's death found us: the heal is
 		// converging.
-		n.stats.orphansAbsorbed.Add(1)
+		atomic.AddUint64(&n.stats.OrphansReabsorbed, 1)
 	}
 	gs.children[msg.From.Addr] = msg.From
 	onTree := gs.rendezvous || gs.parent != ""
@@ -697,7 +706,7 @@ func (n *Node) Publish(groupID string, data []byte) error {
 	// guarantees, and the reliable plane has its own recovery machinery.
 	if mode == wire.BestEffort && n.Overloaded() {
 		n.mu.Unlock()
-		n.stats.publishRejects.Add(1)
+		atomic.AddUint64(&n.stats.PublishRejects, 1)
 		return fmt.Errorf("%w: %q", ErrBackpressure, groupID)
 	}
 	if gs.pub == nil {
@@ -784,7 +793,7 @@ func (n *Node) handlePayload(msg wire.Message) {
 	}, now, &res)
 	n.noteWindowLocked(&res)
 	if !res.Fresh {
-		n.stats.dupes.Add(1)
+		atomic.AddUint64(&n.stats.DuplicatesDropped, 1)
 	}
 	deliver := gs.member
 	h := n.handler
@@ -795,7 +804,7 @@ func (n *Node) handlePayload(msg wire.Message) {
 	}
 	if deliver && h != nil {
 		for _, d := range res.Deliver {
-			n.stats.delivered.Add(1)
+			atomic.AddUint64(&n.stats.Delivered, 1)
 			n.observeDeliver(msg.GroupID, msg.From.Addr, msg.Hops, d)
 			h(msg.GroupID, msg.From, d.Data)
 		}
@@ -816,7 +825,7 @@ func (n *Node) handlePayload(msg wire.Message) {
 	// and never local delivery (which already happened above). Downstream
 	// best-effort subscribers lose what they were promised they might lose.
 	if mode == wire.BestEffort && len(targets) > 0 && n.Overloaded() {
-		n.stats.relaySheds.Add(1)
+		atomic.AddUint64(&n.stats.RelaySheds, 1)
 		return
 	}
 	sendStart := time.Now()

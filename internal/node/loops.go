@@ -1,6 +1,7 @@
 package node
 
 import (
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
@@ -43,7 +44,7 @@ var tracedTypes = map[wire.Type]bool{
 
 func (n *Node) handle(msg wire.Message) {
 	start := time.Now()
-	n.stats.onRecv(msg.Type)
+	tickType(&n.stats.received, msg.Type)
 	if msg.Type == wire.TPayload {
 		// Per-hop relay latency: previous hop's transport hand-off to our
 		// handler start (queue + wire in one number).
@@ -321,7 +322,7 @@ func (n *Node) epoch(stalled bool) {
 
 	var orphaned []string
 	for _, addr := range dead {
-		n.stats.neighborsDead.Add(1)
+		atomic.AddUint64(&n.stats.NeighborsDeclaredDead, 1)
 		orphaned = append(orphaned, n.removeNeighborAndOrphans(addr)...)
 	}
 	health := n.telemetryHealth()
@@ -332,7 +333,7 @@ func (n *Node) epoch(stalled bool) {
 	// Suspects get one extra mid-epoch probe: a lost heartbeat (or ack)
 	// must not cost a whole epoch of detection latency.
 	if len(newlySuspect) > 0 {
-		n.stats.suspects.Add(uint64(len(newlySuspect)))
+		atomic.AddUint64(&n.stats.Suspected, uint64(len(newlySuspect)))
 		reprobe := newlySuspect
 		time.AfterFunc(n.cfg.HeartbeatInterval/2, func() {
 			select {
@@ -449,7 +450,7 @@ func (n *Node) beaconGroups() {
 	}
 	n.mu.Unlock()
 	if charters > 0 {
-		n.stats.charterRepl.Add(uint64(charters))
+		atomic.AddUint64(&n.stats.CharterReplications, uint64(charters))
 	}
 	for _, b := range beacons {
 		_ = n.send(b.to, b.msg)
@@ -503,13 +504,13 @@ func (n *Node) repairAttachment(gid string, asMember bool) {
 	}
 	if !n.cfg.DisableBackupFailover {
 		if err := n.tryBackups(gid, asMember); err == nil {
-			n.stats.repairBackup.Add(1)
+			atomic.AddUint64(&n.stats.RepairsViaBackup, 1)
 			return
 		}
 	}
 	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			n.stats.retries.Add(1)
+			atomic.AddUint64(&n.stats.Retries, 1)
 			if !n.sleepBackoff(attempt) {
 				return
 			}
@@ -518,7 +519,7 @@ func (n *Node) repairAttachment(gid string, asMember bool) {
 			}
 		}
 		if err := n.joinInternal(gid, 2*time.Second, asMember); err == nil {
-			n.stats.repairSearch.Add(1)
+			atomic.AddUint64(&n.stats.RepairsViaSearch, 1)
 			return
 		}
 	}

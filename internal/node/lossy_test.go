@@ -99,7 +99,11 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return count >= want
-	}, fmt.Sprintf("only %d deliveries, want >= %d", count, want))
+	}, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprintf("only %d deliveries, want >= %d", count, want)
+	})
 }
 
 // TestReliableClusterRecoversAllUnderLoss runs the same 5% loss schedule as
@@ -195,5 +199,5 @@ func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return fmt.Sprintf("incomplete reliable delivery: %v (want %d each)", perMember, rounds)
-	}())
+	})
 }

@@ -267,7 +267,7 @@ type Node struct {
 	// forced releases on digests). It is never held while n.mu is taken.
 	deliverMu sync.Mutex
 
-	stats statCounters
+	stats tally
 	// overload is the graceful-degradation controller's state (see
 	// overload.go).
 	overload overloadState
@@ -791,4 +791,43 @@ func (n *Node) removeNeighborAndOrphans(addr string) (orphaned []string) {
 		n.dhtRescue(addr)
 	}
 	return orphaned
+}
+
+// send wraps the transport send with accounting. All node code paths go
+// through it.
+func (n *Node) send(addr string, msg wire.Message) error {
+	tickType(&n.stats.sent, msg.Type)
+	err := n.tr.Send(addr, msg)
+	if err != nil {
+		atomic.AddUint64(&n.stats.SendErrors, 1)
+	}
+	return err
+}
+
+// sendMany fans one message out to every addr, through the transport's
+// encode-once fast path when it offers one (the TCP transport serializes the
+// binary frame a single time and writes the same bytes to every link) and a
+// per-link send loop otherwise. Accounting matches send — one sent tick per
+// link, one SendErrors tick per immediate failure — and each, when non-nil,
+// observes every link's outcome in order.
+func (n *Node) sendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
+	if len(addrs) == 0 {
+		return
+	}
+	cb := func(addr string, err error) {
+		tickType(&n.stats.sent, msg.Type)
+		if err != nil {
+			atomic.AddUint64(&n.stats.SendErrors, 1)
+		}
+		if each != nil {
+			each(addr, err)
+		}
+	}
+	if n.multi != nil {
+		n.multi.SendMany(addrs, msg, cb)
+		return
+	}
+	for _, addr := range addrs {
+		cb(addr, n.tr.Send(addr, msg))
+	}
 }

@@ -16,8 +16,10 @@ import (
 
 const testTimeout = 3 * time.Second
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
+// waitFor polls cond until it holds or the deadline passes. what is
+// evaluated at the timeout, not at the call, so it reports the state the
+// test actually died in.
+func waitFor(t *testing.T, d time.Duration, cond func() bool, what func() string) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
@@ -26,14 +28,47 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("timeout: %s", msg)
+	t.Fatalf("timeout: %s", what())
 }
+
+// static is a waitFor message with nothing to evaluate.
+func static(msg string) func() string { return func() string { return msg } }
 
 // cluster spins up n live nodes on one in-memory fabric, bootstrapping each
 // through a random sample of earlier nodes.
 type cluster struct {
 	net   *transport.MemNetwork
 	nodes []*Node
+}
+
+// treeSettled reports whether every member's path to the rendezvous stands
+// at both ends of every link and stays inside nodes: each hop Attached and
+// listed among its parent's Children (a Join returns when the joiner is
+// attached; the relays above it may still be finishing theirs).
+func treeSettled(nodes []*Node, gid string, members []*Node) bool {
+	byAddr := make(map[string]*Node, len(nodes))
+	for _, nd := range nodes {
+		byAddr[nd.Addr()] = nd
+	}
+	for _, m := range members {
+		nd := m
+		for hops := 0; !nd.Tree(gid).Rendezvous; hops++ {
+			tv := nd.Tree(gid)
+			parent := byAddr[tv.Parent]
+			if !tv.Attached || parent == nil || hops > len(nodes) {
+				return false
+			}
+			listed := false
+			for _, child := range parent.Tree(gid).Children {
+				listed = listed || child == nd.Addr()
+			}
+			if !listed {
+				return false
+			}
+			nd = parent
+		}
+	}
+	return true
 }
 
 func newCluster(t *testing.T, n int, seed int64) *cluster {
@@ -121,7 +156,7 @@ func TestTwoNodeGroup(t *testing.T) {
 	}
 	waitFor(t, testTimeout, func() bool {
 		return a.NumNeighbors() >= 1 && b.NumNeighbors() >= 1
-	}, "nodes did not connect")
+	}, static("nodes did not connect"))
 
 	if err := a.CreateGroup("chat"); err != nil {
 		t.Fatal(err)
@@ -137,7 +172,7 @@ func TestTwoNodeGroup(t *testing.T) {
 	}
 	waitFor(t, testTimeout, func() bool {
 		return b.Join("chat", 200*time.Millisecond) == nil
-	}, "b could not join")
+	}, static("b could not join"))
 
 	var mu sync.Mutex
 	var got []string
@@ -153,7 +188,7 @@ func TestTwoNodeGroup(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == 1
-	}, "payload not delivered")
+	}, static("payload not delivered"))
 	mu.Lock()
 	if got[0] != "chat:hello" {
 		t.Fatalf("got %v", got)
@@ -174,7 +209,7 @@ func TestTwoNodeGroup(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(aGot) == 1
-	}, "reverse payload not delivered")
+	}, static("reverse payload not delivered"))
 	if gs := b.Groups(); len(gs) != 1 || gs[0] != "chat" {
 		t.Fatalf("b groups = %v", gs)
 	}
@@ -228,7 +263,11 @@ func TestClusterGroupCommunication(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(delivered) >= len(members)-1
-	}, fmt.Sprintf("payload reached %d of %d members", len(delivered), len(members)-1))
+	}, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprintf("payload reached %d of %d members", len(delivered), len(members)-1)
+	})
 
 	// No duplicates: spanning tree dissemination delivers exactly once.
 	mu.Lock()
@@ -249,7 +288,8 @@ func TestMemberPublishReachesAll(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	// No settling sleep: a Join that the advertisement has not reached yet
+	// resolves the group through the DHT or the ripple search.
 	var members []*Node
 	for i := 1; i < 10; i++ {
 		if err := c.nodes[i].Join("g", time.Second); err == nil {
@@ -269,6 +309,10 @@ func TestMemberPublishReachesAll(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	// The publish is best-effort and sent once, so it only reaches everyone
+	// if the tree is complete when it leaves: wait for the cause, not a while.
+	waitFor(t, testTimeout, func() bool { return treeSettled(c.nodes, "g", members) },
+		static("a member's path to the rendezvous never settled"))
 	if err := members[0].Publish("g", []byte("from member")); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +321,11 @@ func TestMemberPublishReachesAll(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return count >= want
-	}, fmt.Sprintf("member publish delivered %d of %d", count, want))
+	}, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprintf("member publish delivered %d of %d", count, want)
+	})
 }
 
 func TestLeaveGroup(t *testing.T) {
@@ -343,7 +391,7 @@ func TestCrashDetectionAndTreeRepair(t *testing.T) {
 			}
 		}
 		return true
-	}, "victim still a neighbour somewhere")
+	}, static("victim still a neighbour somewhere"))
 
 	// Payloads still reach surviving members (their trees repaired). Tree
 	// healing is asynchronous, so keep publishing fresh payloads and require
@@ -443,7 +491,7 @@ func TestNodeOverTCP(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return count >= joined
-	}, "TCP payload delivery incomplete")
+	}, static("TCP payload delivery incomplete"))
 }
 
 func TestNewAppliesDefaults(t *testing.T) {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
@@ -71,6 +72,16 @@ func (n *Node) initObservability() {
 		overloadEpisode:  reg.Histogram(MetricOverloadEpisode, metrics.DefaultLatencyBuckets()),
 		dhtLookup:        reg.Histogram(MetricDhtLookup, metrics.DefaultLatencyBuckets()),
 	}
+	// Every scalar of Stats is a registry counter under its snake_case name
+	// ("delivered", "transport_inbox_sheds", …): the node's own ticks plus
+	// what the transport and the tracer counted (externalStats).
+	for _, f := range statFields {
+		live := f.Ptr(&n.stats.Stats)
+		reg.Counter(f.Name, func() uint64 {
+			ext := n.externalStats()
+			return atomic.LoadUint64(live) + *f.Ptr(&ext)
+		})
+	}
 	reg.Gauge("neighbors", func() float64 {
 		return float64(n.NumNeighbors())
 	})
@@ -89,40 +100,9 @@ func (n *Node) initObservability() {
 			return n.DhtChurnRate()
 		})
 	}
-	if n.cfg.StatePath != "" {
-		reg.Gauge("state_saves", func() float64 {
-			return float64(n.stats.stateSaves.Load())
-		})
-	}
 	if qr, ok := n.tr.(transport.QueueReporter); ok {
 		reg.Gauge(MetricRecvQueueDepth, func() float64 {
 			return float64(qr.QueueDepth())
-		})
-	}
-	if dc, ok := n.tr.(transport.DropCounter); ok {
-		reg.Gauge("transport_inbox_sheds", func() float64 {
-			return float64(dc.DropStats().InboxSheds)
-		})
-		reg.Gauge("transport_control_sheds", func() float64 {
-			return float64(dc.DropStats().ControlSheds)
-		})
-		reg.Gauge("transport_reliable_sheds", func() float64 {
-			return float64(dc.DropStats().ReliableSheds)
-		})
-		reg.Gauge("transport_best_effort_sheds", func() float64 {
-			return float64(dc.DropStats().BestEffortSheds)
-		})
-		reg.Gauge("transport_fabric_drops", func() float64 {
-			return float64(dc.DropStats().FabricDrops)
-		})
-		reg.Gauge("transport_send_queue_drops", func() float64 {
-			return float64(dc.DropStats().SendQueueDrops)
-		})
-		reg.Gauge("transport_breaker_rejects", func() float64 {
-			return float64(dc.DropStats().BreakerRejects)
-		})
-		reg.Gauge("transport_duplicates", func() float64 {
-			return float64(dc.DropStats().Duplicates)
 		})
 	}
 	if br, ok := n.tr.(transport.BreakerReporter); ok {

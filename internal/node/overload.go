@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/transport"
@@ -94,9 +95,9 @@ func (n *Node) OverloadSnapshot() OverloadView {
 		ov.DegradedMs = float64(time.Since(n.overload.enteredAt)) / float64(time.Millisecond)
 	}
 	n.overload.mu.Unlock()
-	ov.Episodes = n.stats.overloadEpisodes.Load()
-	ov.PublishRejects = n.stats.publishRejects.Load()
-	ov.RelaySheds = n.stats.relaySheds.Load()
+	ov.Episodes = atomic.LoadUint64(&n.stats.OverloadEpisodes)
+	ov.PublishRejects = atomic.LoadUint64(&n.stats.PublishRejects)
+	ov.RelaySheds = atomic.LoadUint64(&n.stats.RelaySheds)
 	return ov
 }
 
@@ -194,7 +195,7 @@ func (n *Node) overloadTick(pressure float64) {
 	o.mu.Unlock()
 	n.metrics.overloadPressure.Observe(pressure)
 	if entered {
-		n.stats.overloadEpisodes.Add(1)
+		atomic.AddUint64(&n.stats.OverloadEpisodes, 1)
 	}
 	if episodeDur > 0 {
 		n.metrics.overloadEpisode.ObserveDurationMs(float64(episodeDur) / float64(time.Millisecond))

@@ -159,7 +159,7 @@ func TestOverloadSoakTCP(t *testing.T) {
 	// substantially flow — the stalled link is isolated, not amplified.
 	waitFor(t, 15*time.Second, func() bool {
 		return received.Load() >= uint64(published)/2
-	}, "storm delivery collapsed behind a stalled peer")
+	}, static("storm delivery collapsed behind a stalled peer"))
 
 	// The stalled link's damage is visible and bounded: its breaker tripped
 	// or its queue shed, and the accounting shows it.

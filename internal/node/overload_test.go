@@ -251,7 +251,7 @@ func TestPendingReqSweepLoop(t *testing.T) {
 	}
 	waitFor(t, testTimeout, func() bool {
 		return n.PendingRequests() == 0
-	}, "leaked pending requests never swept by the overload loop")
+	}, static("leaked pending requests never swept by the overload loop"))
 }
 
 // TestControlPlaneSurvivesPayloadFlood is the node-level starvation
@@ -288,7 +288,7 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 	}
 	waitFor(t, testTimeout, func() bool {
 		return b.Join("flood", 200*time.Millisecond) == nil
-	}, "b could not join")
+	}, static("b could not join"))
 
 	// The slow consumer: each delivery stalls b's receive loop, so the flood
 	// overruns the 16-slot inbox by an order of magnitude.
@@ -306,7 +306,7 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 	// The flood must shed — and shed only best-effort.
 	waitFor(t, testTimeout, func() bool {
 		return b.Stats().Transport.BestEffortSheds > 0
-	}, "flood at 10x inbox capacity shed nothing")
+	}, static("flood at 10x inbox capacity shed nothing"))
 	ds := b.Stats().Transport
 	if ds.ControlSheds != 0 {
 		t.Fatalf("flood shed %d control messages; priority classes failed", ds.ControlSheds)
@@ -319,7 +319,7 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 	// the overlay link is intact and the group saw no succession.
 	waitFor(t, testTimeout, func() bool {
 		return a.NumNeighbors() >= 1 && b.NumNeighbors() >= 1
-	}, "overlay link lost during the flood")
+	}, static("overlay link lost during the flood"))
 	for _, td := range a.TreeDetails() {
 		if td.Group == "flood" && (td.Epoch != 1 || td.Promoted) {
 			t.Fatalf("flood triggered a succession: epoch=%d promoted=%v", td.Epoch, td.Promoted)

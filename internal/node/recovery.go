@@ -2,6 +2,7 @@ package node
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/dht"
@@ -119,7 +120,7 @@ func (n *Node) restoreState(st *recovery.State) {
 		}
 		n.groups[g.GroupID] = gs
 	}
-	n.stats.stateRestores.Add(1)
+	atomic.AddUint64(&n.stats.StateRestores, 1)
 }
 
 // RecoverGroups rejoins every group reloaded from the state file, after
@@ -218,7 +219,7 @@ func (n *Node) saveState(epochs int) {
 	defer n.saving.Store(false)
 	st := n.captureState(epochs)
 	if err := recovery.Save(n.cfg.StatePath, st); err == nil {
-		n.stats.stateSaves.Add(1)
+		atomic.AddUint64(&n.stats.StateSaves, 1)
 		n.lastSaveAt.Store(st.SavedAt.UnixNano())
 	}
 }
@@ -246,7 +247,7 @@ func (n *Node) RecoveryView() RecoveryView {
 	v := RecoveryView{
 		Enabled:   n.cfg.StatePath != "",
 		Path:      n.cfg.StatePath,
-		Saves:     n.stats.stateSaves.Load(),
+		Saves:     atomic.LoadUint64(&n.stats.StateSaves),
 		ChurnRate: n.DhtChurnRate(),
 	}
 	if at := n.lastSaveAt.Load(); at != 0 {

@@ -141,7 +141,7 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	publishRange(t, rdv, gid, 1, 15)
 	waitFor(t, testTimeout, func() bool {
 		return logs[0].len() >= 15 && logs[1].len() >= 15
-	}, "first half not delivered to both subscribers")
+	}, static("first half not delivered to both subscribers"))
 
 	// Crash the rendezvous. Close persists the final state (PubHigh = 15);
 	// the down-time is long enough for both subscribers to declare the
@@ -156,7 +156,7 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 			}
 		}
 		return true
-	}, "subscribers never noticed the rendezvous crash")
+	}, static("subscribers never noticed the rendezvous crash"))
 
 	// Restart with the same identity and state file.
 	rdvEP2, err := mem.Endpoint(rdvAddr)
@@ -193,12 +193,12 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 			}
 		}
 		return true
-	}, "tree never re-formed under the restarted rendezvous")
+	}, static("tree never re-formed under the restarted rendezvous"))
 
 	publishRange(t, rdv2, gid, 16, 30)
 	waitFor(t, 2*testTimeout, func() bool {
 		return logs[0].len() >= 30 && logs[1].len() >= 30
-	}, "second half not delivered to both subscribers")
+	}, static("second half not delivered to both subscribers"))
 
 	for i, l := range logs {
 		assertFIFO(t, fmt.Sprintf("sub%d", i), l.snapshot(), 1, 30)
@@ -237,7 +237,7 @@ func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 	joinEventually(t, sub, gid, testTimeout)
 
 	publishRange(t, rdv, gid, 1, 15)
-	waitFor(t, testTimeout, func() bool { return l.len() >= 15 }, "first half not delivered")
+	waitFor(t, testTimeout, func() bool { return l.len() >= 15 }, static("first half not delivered"))
 	assertFIFO(t, "sub before restart", l.snapshot(), 1, 15)
 
 	if err := sub.Close(); err != nil {
@@ -262,10 +262,10 @@ func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 	if err := sub2.RecoverGroups(testTimeout); err != nil {
 		t.Fatalf("RecoverGroups: %v", err)
 	}
-	waitFor(t, 2*testTimeout, func() bool { return sub2.Tree(gid).Attached }, "restarted member never re-attached")
+	waitFor(t, 2*testTimeout, func() bool { return sub2.Tree(gid).Attached }, static("restarted member never re-attached"))
 
 	publishRange(t, rdv, gid, 16, 30)
-	waitFor(t, 2*testTimeout, func() bool { return l2.len() >= 15 }, "second half not delivered after restart")
+	waitFor(t, 2*testTimeout, func() bool { return l2.len() >= 15 }, static("second half not delivered after restart"))
 	// Give any wrongly resynced replay a moment to surface before asserting.
 	time.Sleep(200 * time.Millisecond)
 	assertFIFO(t, "sub after restart", l2.snapshot(), 16, 30)
@@ -286,7 +286,7 @@ func TestStateFileLifecycle(t *testing.T) {
 	if err := nd.CreateGroupMode("g", wire.Reliable); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool { return nd.Stats().StateSaves >= 2 }, "periodic saves never ran")
+	waitFor(t, testTimeout, func() bool { return nd.Stats().StateSaves >= 2 }, static("periodic saves never ran"))
 	if err := nd.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/reliable"
@@ -59,16 +60,16 @@ func evictIdlestWindow(gs *groupState) {
 // records the calling convention of the window paths).
 func (n *Node) noteWindowLocked(res *reliable.ObserveResult) {
 	if res.OutOfWindow > 0 {
-		n.stats.outOfWindow.Add(uint64(res.OutOfWindow))
+		atomic.AddUint64(&n.stats.OutOfWindow, uint64(res.OutOfWindow))
 	}
 	if res.GapsOpened > 0 {
-		n.stats.gapsOpen.Add(uint64(res.GapsOpened))
+		atomic.AddUint64(&n.stats.GapsDetected, uint64(res.GapsOpened))
 	}
 	if res.GapsRecovered > 0 {
-		n.stats.gapsRecovered.Add(uint64(res.GapsRecovered))
+		atomic.AddUint64(&n.stats.GapsRecovered, uint64(res.GapsRecovered))
 	}
 	if res.GapsAbandoned > 0 {
-		n.stats.gapsAbandoned.Add(uint64(res.GapsAbandoned))
+		atomic.AddUint64(&n.stats.GapsAbandoned, uint64(res.GapsAbandoned))
 	}
 }
 
@@ -149,7 +150,7 @@ func (n *Node) handleNack(msg wire.Message) {
 	n.mu.Unlock()
 
 	for _, r := range hits {
-		n.stats.retransmits.Add(1)
+		atomic.AddUint64(&n.stats.Retransmits, 1)
 		sendAt := time.Now()
 		err := n.send(msg.Origin.Addr, wire.Message{
 			Type:    wire.TPayload,
@@ -178,7 +179,7 @@ func (n *Node) handleNack(msg wire.Message) {
 		}
 	}
 	if upstream != "" {
-		n.stats.nacksFwd.Add(1)
+		atomic.AddUint64(&n.stats.NacksForwarded, 1)
 		sendAt := time.Now()
 		err := n.send(upstream, wire.Message{
 			Type:       wire.TNack,
@@ -245,7 +246,7 @@ func (n *Node) handleDigest(msg wire.Message) {
 	n.mu.Unlock()
 	if deliver && h != nil {
 		for _, r := range released {
-			n.stats.delivered.Add(1)
+			atomic.AddUint64(&n.stats.Delivered, 1)
 			n.observeDeliver(msg.GroupID, r.src.Addr, 0, r.d)
 			h(msg.GroupID, r.src, r.d.Data)
 		}
@@ -347,14 +348,14 @@ func (n *Node) nackSweep() {
 			if !handlers[r.gid] {
 				continue
 			}
-			n.stats.delivered.Add(1)
+			atomic.AddUint64(&n.stats.Delivered, 1)
 			n.observeDeliver(r.gid, r.src.Addr, 0, r.d)
 			h(r.gid, r.src, r.d.Data)
 		}
 	}
 	n.deliverMu.Unlock()
 	for _, nk := range nacks {
-		n.stats.nacksSent.Add(1)
+		atomic.AddUint64(&n.stats.NacksSent, 1)
 		sendAt := time.Now()
 		nk.msg.RelayedAt = sendAt
 		if n.send(nk.to, nk.msg) == nil && n.tracer != nil {

@@ -79,7 +79,7 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 			}
 		}
 		return true
-	}, "delivery mode did not propagate to all members")
+	}, static("delivery mode did not propagate to all members"))
 
 	type recorder struct {
 		mu   sync.Mutex
@@ -131,7 +131,7 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 	for i, nd := range nodes {
 		i, nd := i, nd
 		waitFor(t, 20*time.Second, func() bool { return complete(recs[i], nd.Addr()) },
-			fmt.Sprintf("node %d did not recover all payloads", i))
+			func() string { return fmt.Sprintf("node %d did not recover all payloads", i) })
 	}
 
 	// FIFO: each member saw each foreign source's indices exactly 0..N-1.
@@ -207,7 +207,11 @@ func TestReliableSoakBoundedState(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			return delivered >= want
-		}, fmt.Sprintf("tail delivered %d of %d", delivered, want))
+		}, func() string {
+			mu.Lock()
+			defer mu.Unlock()
+			return fmt.Sprintf("tail delivered %d of %d", delivered, want)
+		})
 	}
 
 	for i, nd := range nodes {
@@ -289,7 +293,7 @@ func TestPublishIntoPartitionReturnsError(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return heard
-	}, "post-heal publish never reached the rendezvous")
+	}, static("post-heal publish never reached the rendezvous"))
 }
 
 // TestPayloadHandlerEdgeCases covers the handler lifecycle: payloads
@@ -320,7 +324,7 @@ func TestPayloadHandlerEdgeCases(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, func() bool {
 		return member.Stats().Received["payload"] >= 5
-	}, "payloads did not reach the handler-less member")
+	}, static("payloads did not reach the handler-less member"))
 
 	// Install the handler mid-stream: everything published from here on is
 	// delivered (the pre-handler payloads were consumed by the window and
@@ -342,7 +346,7 @@ func TestPayloadHandlerEdgeCases(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) >= late
-	}, "mid-stream handler missed payloads")
+	}, static("mid-stream handler missed payloads"))
 	mu.Lock()
 	defer mu.Unlock()
 	for i := 0; i < late; i++ {

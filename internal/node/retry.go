@@ -1,6 +1,7 @@
 package node
 
 import (
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/wire"
@@ -56,7 +57,7 @@ func (n *Node) sleepBackoff(attempt int) bool {
 func (n *Node) probeWithRetry(addr string, attemptWait time.Duration) ([]wire.PeerInfo, bool) {
 	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			n.stats.retries.Add(1)
+			atomic.AddUint64(&n.stats.Retries, 1)
 			if !n.sleepBackoff(attempt) {
 				return nil, false
 			}

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"reflect"
 	"sync/atomic"
 
+	"groupcast/internal/metrics"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -106,266 +108,83 @@ type Stats struct {
 	Transport transport.DropStats
 }
 
-// statCounters is the node's internal lock-free tally.
-type statCounters struct {
-	sent          [32]atomic.Uint64 // indexed by wire.Type
-	received      [32]atomic.Uint64
-	delivered     atomic.Uint64
-	dupes         atomic.Uint64
-	retries       atomic.Uint64
-	suspects      atomic.Uint64
-	neighborsDead atomic.Uint64
-	repairBackup  atomic.Uint64
-	repairSearch  atomic.Uint64
-	sendErrors    atomic.Uint64
-	nacksSent     atomic.Uint64
-	nacksFwd      atomic.Uint64
-	retransmits   atomic.Uint64
-	gapsOpen      atomic.Uint64
-	gapsRecovered atomic.Uint64
-	gapsAbandoned atomic.Uint64
-	outOfWindow   atomic.Uint64
-
-	promotions      atomic.Uint64
-	demotions       atomic.Uint64
-	charterRepl     atomic.Uint64
-	orphansAbsorbed atomic.Uint64
-
-	overloadEpisodes atomic.Uint64
-	publishRejects   atomic.Uint64
-	relaySheds       atomic.Uint64
-
-	dhtLookups   atomic.Uint64
-	dhtFallbacks atomic.Uint64
-	dhtStores    atomic.Uint64
-	dhtRescues   atomic.Uint64
-
-	stateSaves    atomic.Uint64
-	stateRestores atomic.Uint64
-
-	telemetrySent atomic.Uint64
-	telemetryRecv atomic.Uint64
-	sloAlerts     atomic.Uint64
+// tally is the node's live counter set: the per-wire.Type arrays, then a
+// Stats holding the scalars in place, so the counter list exists once. That
+// Stats is live memory — touch it only through sync/atomic (a tick is one
+// atomic.AddUint64 on a fixed, 8-aligned address). Its maps stay nil and the
+// scalars other layers own stay zero (see externalStats).
+type tally struct {
+	sent, received [32]atomic.Uint64 // indexed by wire.Type
+	Stats
 }
 
-func (s *statCounters) onSend(t wire.Type) {
-	if t > 0 && int(t) < len(s.sent) {
-		s.sent[t].Add(1)
+// statFields is the one walk of the Stats declaration every view loops over.
+var statFields = metrics.CounterFields(reflect.TypeOf(Stats{}))
+
+func tickType(arr *[32]atomic.Uint64, t wire.Type) {
+	if t > 0 && int(t) < len(arr) {
+		arr[t].Add(1)
 	}
 }
 
-func (s *statCounters) onRecv(t wire.Type) {
-	if t > 0 && int(t) < len(s.received) {
-		s.received[t].Add(1)
+func byType(arr *[32]atomic.Uint64) map[string]uint64 {
+	out := make(map[string]uint64)
+	for t := 1; t < len(arr); t++ {
+		if v := arr[t].Load(); v > 0 {
+			out[wire.Type(t).String()] = v
+		}
 	}
+	return out
+}
+
+// externalStats reads the counters the node reports but does not tick: the
+// tracer's sink errors and the transport's drop accounting.
+func (n *Node) externalStats() Stats {
+	out := Stats{TraceWriteErrors: n.tracer.SinkErrors()}
+	if dc, ok := n.tr.(transport.DropCounter); ok {
+		out.Transport = dc.DropStats()
+	}
+	return out
 }
 
 // Stats returns a snapshot of the node's message counters.
 func (n *Node) Stats() Stats {
-	out := Stats{
-		Sent:                     make(map[string]uint64),
-		Received:                 make(map[string]uint64),
-		Delivered:                n.stats.delivered.Load(),
-		DuplicatesDropped:        n.stats.dupes.Load(),
-		Retries:                  n.stats.retries.Load(),
-		Suspected:                n.stats.suspects.Load(),
-		NeighborsDeclaredDead:    n.stats.neighborsDead.Load(),
-		RepairsViaBackup:         n.stats.repairBackup.Load(),
-		RepairsViaSearch:         n.stats.repairSearch.Load(),
-		SendErrors:               n.stats.sendErrors.Load(),
-		NacksSent:                n.stats.nacksSent.Load(),
-		NacksForwarded:           n.stats.nacksFwd.Load(),
-		Retransmits:              n.stats.retransmits.Load(),
-		GapsDetected:             n.stats.gapsOpen.Load(),
-		GapsRecovered:            n.stats.gapsRecovered.Load(),
-		GapsAbandoned:            n.stats.gapsAbandoned.Load(),
-		OutOfWindow:              n.stats.outOfWindow.Load(),
-		Promotions:               n.stats.promotions.Load(),
-		Demotions:                n.stats.demotions.Load(),
-		CharterReplications:      n.stats.charterRepl.Load(),
-		OrphansReabsorbed:        n.stats.orphansAbsorbed.Load(),
-		OverloadEpisodes:         n.stats.overloadEpisodes.Load(),
-		PublishRejects:           n.stats.publishRejects.Load(),
-		RelaySheds:               n.stats.relaySheds.Load(),
-		DhtLookups:               n.stats.dhtLookups.Load(),
-		DhtFallbacks:             n.stats.dhtFallbacks.Load(),
-		DhtStores:                n.stats.dhtStores.Load(),
-		DhtRescues:               n.stats.dhtRescues.Load(),
-		StateSaves:               n.stats.stateSaves.Load(),
-		StateRestores:            n.stats.stateRestores.Load(),
-		TelemetryDigestsSent:     n.stats.telemetrySent.Load(),
-		TelemetryDigestsReceived: n.stats.telemetryRecv.Load(),
-		SLOAlerts:                n.stats.sloAlerts.Load(),
-		TraceWriteErrors:         n.tracer.SinkErrors(),
-	}
-	if dc, ok := n.tr.(transport.DropCounter); ok {
-		out.Transport = dc.DropStats()
-	}
-	for t := 1; t < len(n.stats.sent); t++ {
-		if v := n.stats.sent[t].Load(); v > 0 {
-			out.Sent[wire.Type(t).String()] = v
-		}
-		if v := n.stats.received[t].Load(); v > 0 {
-			out.Received[wire.Type(t).String()] = v
-		}
-	}
+	out := n.externalStats()
+	metrics.FoldCounters(statFields, &out, &n.stats.Stats, metrics.LoadCounter)
+	out.Sent, out.Received = byType(&n.stats.sent), byType(&n.stats.received)
 	return out
 }
 
 // Merge folds other's counters into s (fleet-wide aggregation: sum each
 // node's snapshot into one). Nil maps are allocated on demand.
 func (s *Stats) Merge(other Stats) {
-	if s.Sent == nil {
-		s.Sent = make(map[string]uint64)
+	sum := func(dst, src map[string]uint64) map[string]uint64 {
+		if dst == nil {
+			dst = make(map[string]uint64)
+		}
+		for k, v := range src {
+			dst[k] += v
+		}
+		return dst
 	}
-	if s.Received == nil {
-		s.Received = make(map[string]uint64)
-	}
-	for k, v := range other.Sent {
-		s.Sent[k] += v
-	}
-	for k, v := range other.Received {
-		s.Received[k] += v
-	}
-	s.Delivered += other.Delivered
-	s.DuplicatesDropped += other.DuplicatesDropped
-	s.Retries += other.Retries
-	s.Suspected += other.Suspected
-	s.NeighborsDeclaredDead += other.NeighborsDeclaredDead
-	s.RepairsViaBackup += other.RepairsViaBackup
-	s.RepairsViaSearch += other.RepairsViaSearch
-	s.SendErrors += other.SendErrors
-	s.NacksSent += other.NacksSent
-	s.NacksForwarded += other.NacksForwarded
-	s.Retransmits += other.Retransmits
-	s.GapsDetected += other.GapsDetected
-	s.GapsRecovered += other.GapsRecovered
-	s.GapsAbandoned += other.GapsAbandoned
-	s.OutOfWindow += other.OutOfWindow
-	s.Promotions += other.Promotions
-	s.Demotions += other.Demotions
-	s.CharterReplications += other.CharterReplications
-	s.OrphansReabsorbed += other.OrphansReabsorbed
-	s.OverloadEpisodes += other.OverloadEpisodes
-	s.PublishRejects += other.PublishRejects
-	s.RelaySheds += other.RelaySheds
-	s.DhtLookups += other.DhtLookups
-	s.DhtFallbacks += other.DhtFallbacks
-	s.DhtStores += other.DhtStores
-	s.DhtRescues += other.DhtRescues
-	s.StateSaves += other.StateSaves
-	s.StateRestores += other.StateRestores
-	s.TelemetryDigestsSent += other.TelemetryDigestsSent
-	s.TelemetryDigestsReceived += other.TelemetryDigestsReceived
-	s.SLOAlerts += other.SLOAlerts
-	s.TraceWriteErrors += other.TraceWriteErrors
-	s.Transport.Add(other.Transport)
+	s.Sent, s.Received = sum(s.Sent, other.Sent), sum(s.Received, other.Received)
+	metrics.FoldCounters(statFields, s, &other, metrics.AddCounter)
 }
 
-// Delta returns the counters gained since base (interval measurement
-// between two snapshots of the same node). Counters are monotonic, so each
-// difference saturates at 0 rather than underflowing if base is newer.
+// Delta returns the counters gained since base (the interval between two
+// snapshots of one node). Counters are monotonic, so a difference saturates
+// at 0 if base is newer; per-type entries that did not move are omitted.
 func (s Stats) Delta(base Stats) Stats {
-	sub := func(a, b uint64) uint64 {
-		if a < b {
-			return 0
+	sub := func(now, base map[string]uint64) map[string]uint64 {
+		out := make(map[string]uint64)
+		for k, v := range now {
+			if v > base[k] {
+				out[k] = v - base[k]
+			}
 		}
-		return a - b
+		return out
 	}
-	out := Stats{
-		Sent:                     make(map[string]uint64),
-		Received:                 make(map[string]uint64),
-		Delivered:                sub(s.Delivered, base.Delivered),
-		DuplicatesDropped:        sub(s.DuplicatesDropped, base.DuplicatesDropped),
-		Retries:                  sub(s.Retries, base.Retries),
-		Suspected:                sub(s.Suspected, base.Suspected),
-		NeighborsDeclaredDead:    sub(s.NeighborsDeclaredDead, base.NeighborsDeclaredDead),
-		RepairsViaBackup:         sub(s.RepairsViaBackup, base.RepairsViaBackup),
-		RepairsViaSearch:         sub(s.RepairsViaSearch, base.RepairsViaSearch),
-		SendErrors:               sub(s.SendErrors, base.SendErrors),
-		NacksSent:                sub(s.NacksSent, base.NacksSent),
-		NacksForwarded:           sub(s.NacksForwarded, base.NacksForwarded),
-		Retransmits:              sub(s.Retransmits, base.Retransmits),
-		GapsDetected:             sub(s.GapsDetected, base.GapsDetected),
-		GapsRecovered:            sub(s.GapsRecovered, base.GapsRecovered),
-		GapsAbandoned:            sub(s.GapsAbandoned, base.GapsAbandoned),
-		OutOfWindow:              sub(s.OutOfWindow, base.OutOfWindow),
-		Promotions:               sub(s.Promotions, base.Promotions),
-		Demotions:                sub(s.Demotions, base.Demotions),
-		CharterReplications:      sub(s.CharterReplications, base.CharterReplications),
-		OrphansReabsorbed:        sub(s.OrphansReabsorbed, base.OrphansReabsorbed),
-		OverloadEpisodes:         sub(s.OverloadEpisodes, base.OverloadEpisodes),
-		PublishRejects:           sub(s.PublishRejects, base.PublishRejects),
-		RelaySheds:               sub(s.RelaySheds, base.RelaySheds),
-		DhtLookups:               sub(s.DhtLookups, base.DhtLookups),
-		DhtFallbacks:             sub(s.DhtFallbacks, base.DhtFallbacks),
-		DhtStores:                sub(s.DhtStores, base.DhtStores),
-		DhtRescues:               sub(s.DhtRescues, base.DhtRescues),
-		StateSaves:               sub(s.StateSaves, base.StateSaves),
-		StateRestores:            sub(s.StateRestores, base.StateRestores),
-		TelemetryDigestsSent:     sub(s.TelemetryDigestsSent, base.TelemetryDigestsSent),
-		TelemetryDigestsReceived: sub(s.TelemetryDigestsReceived, base.TelemetryDigestsReceived),
-		SLOAlerts:                sub(s.SLOAlerts, base.SLOAlerts),
-		TraceWriteErrors:         sub(s.TraceWriteErrors, base.TraceWriteErrors),
-		Transport: transport.DropStats{
-			InboxSheds:      sub(s.Transport.InboxSheds, base.Transport.InboxSheds),
-			ControlSheds:    sub(s.Transport.ControlSheds, base.Transport.ControlSheds),
-			ReliableSheds:   sub(s.Transport.ReliableSheds, base.Transport.ReliableSheds),
-			BestEffortSheds: sub(s.Transport.BestEffortSheds, base.Transport.BestEffortSheds),
-			FabricDrops:     sub(s.Transport.FabricDrops, base.Transport.FabricDrops),
-			SendQueueDrops:  sub(s.Transport.SendQueueDrops, base.Transport.SendQueueDrops),
-			BreakerRejects:  sub(s.Transport.BreakerRejects, base.Transport.BreakerRejects),
-			Duplicates:      sub(s.Transport.Duplicates, base.Transport.Duplicates),
-		},
-	}
-	for k, v := range s.Sent {
-		if d := sub(v, base.Sent[k]); d > 0 {
-			out.Sent[k] = d
-		}
-	}
-	for k, v := range s.Received {
-		if d := sub(v, base.Received[k]); d > 0 {
-			out.Received[k] = d
-		}
-	}
-	return out
-}
-
-// send wraps the transport send with accounting. All node code paths go
-// through it.
-func (n *Node) send(addr string, msg wire.Message) error {
-	n.stats.onSend(msg.Type)
-	err := n.tr.Send(addr, msg)
-	if err != nil {
-		n.stats.sendErrors.Add(1)
-	}
-	return err
-}
-
-// sendMany fans one message out to every addr, through the transport's
-// encode-once fast path when it offers one (the TCP transport serializes the
-// binary frame a single time and writes the same bytes to every link) and a
-// per-link send loop otherwise. Accounting matches send — one sent tick per
-// link, one SendErrors tick per immediate failure — and each, when non-nil,
-// observes every link's outcome in order.
-func (n *Node) sendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
-	if len(addrs) == 0 {
-		return
-	}
-	cb := func(addr string, err error) {
-		n.stats.onSend(msg.Type)
-		if err != nil {
-			n.stats.sendErrors.Add(1)
-		}
-		if each != nil {
-			each(addr, err)
-		}
-	}
-	if n.multi != nil {
-		n.multi.SendMany(addrs, msg, cb)
-		return
-	}
-	for _, addr := range addrs {
-		cb(addr, n.tr.Send(addr, msg))
-	}
+	metrics.FoldCounters(statFields, &s, &base, metrics.SubCounter) // s is a copy
+	s.Sent, s.Received = sub(s.Sent, base.Sent), sub(s.Received, base.Received)
+	return s
 }

@@ -2,7 +2,11 @@ package node
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +83,130 @@ func TestStatsDelta(t *testing.T) {
 	// underflowing.
 	if under := base.Delta(now); under.Delivered != 0 || len(under.Sent) != 0 {
 		t.Errorf("reversed delta did not saturate: %+v", under)
+	}
+}
+
+// fillCounters sets every uint64 reachable from v (a struct) to next(), by
+// its own recursion rather than the production walker, and fails on a field
+// kind the counter plane does not know — so a new Stats field is either
+// covered by every derived view or stops this test.
+func fillCounters(t *testing.T, v reflect.Value, next func() uint64) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch {
+		case f.Kind() == reflect.Uint64:
+			f.SetUint(next())
+		case f.Kind() == reflect.Struct:
+			fillCounters(t, f, next)
+		case f.Type() == reflect.TypeOf(map[string]uint64(nil)):
+			// Sent / Received: per-type maps, covered by TestStatsMerge/Delta.
+		default:
+			t.Fatalf("Stats field %s has kind %s: teach the counter plane about it",
+				v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestStatsViewsCoverEveryField pins the one-declaration rule: every uint64
+// reachable from Stats (Transport.* included) is summed by Merge, subtracted
+// with saturation by Delta, round-tripped by Stats() from the live tally, and
+// registered as a counter under a unique name.
+func TestStatsViewsCoverEveryField(t *testing.T) {
+	var a, b Stats
+	var k uint64
+	fillCounters(t, reflect.ValueOf(&a).Elem(), func() uint64 { k++; return 1000 + k })
+	n := k
+	if int(n) != len(statFields) {
+		t.Fatalf("walker lists %d counters, Stats declares %d", len(statFields), n)
+	}
+	k = 0
+	fillCounters(t, reflect.ValueOf(&b).Elem(), func() uint64 { k++; return 3 * k })
+
+	sum := a
+	sum.Sent, sum.Received = nil, nil
+	sum.Merge(b)
+	k = 0
+	var want Stats
+	fillCounters(t, reflect.ValueOf(&want).Elem(), func() uint64 { k++; return 1000 + 4*k })
+	want.Sent, want.Received = map[string]uint64{}, map[string]uint64{}
+	if !reflect.DeepEqual(sum, want) {
+		t.Errorf("Merge missed a field:\n got %+v\nwant %+v", sum, want)
+	}
+
+	k = 0
+	fillCounters(t, reflect.ValueOf(&want).Elem(), func() uint64 { k++; return 1000 - 2*k })
+	if got := a.Delta(b); !reflect.DeepEqual(got, want) {
+		t.Errorf("Delta missed a field:\n got %+v\nwant %+v", got, want)
+	}
+	fillCounters(t, reflect.ValueOf(&want).Elem(), func() uint64 { return 0 })
+	if got := b.Delta(a); !reflect.DeepEqual(got, want) {
+		t.Errorf("reversed Delta did not saturate every field at 0: %+v", got)
+	}
+
+	// Stats() and the registry read the live tally field by field.
+	nd := New(transport.NewMemNetwork().NextEndpoint(), DefaultConfig(10, coords.Point{0, 0}, 1))
+	defer nd.Close()
+	nd.stats.Stats = a
+	got := nd.Stats()
+	want = a
+	want.Sent, want.Received = map[string]uint64{}, map[string]uint64{}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Stats() did not round-trip the tally:\n got %+v\nwant %+v", got, want)
+	}
+	counters := nd.Metrics().Snapshot().Counters
+	if len(counters) != int(n) {
+		t.Errorf("registry holds %d counters, want %d (names must be unique)", len(counters), n)
+	}
+	for _, f := range statFields {
+		if v, ok := counters[f.Name]; !ok || uint64(v) != *f.Ptr(&a) {
+			t.Errorf("registry counter %q = %d (present %v), want %d", f.Name, v, ok, *f.Ptr(&a))
+		}
+	}
+	if counters["slo_alerts"] == 0 || counters["transport_best_effort_sheds"] == 0 || counters["state_saves"] == 0 {
+		t.Errorf("established metric names changed: %v", counters)
+	}
+}
+
+// TestTallyTouchedOnlyAtomically guards the one liberty the single
+// declaration takes: the live tally's scalars are plain uint64s (so they can
+// share Stats' declaration), which the compiler would let someone increment
+// non-atomically. Every mention of a tally scalar in non-test code must sit
+// directly inside atomic.AddUint64(&…) or atomic.LoadUint64(&…).
+func TestTallyTouchedOnlyAtomically(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	use := regexp.MustCompile(`(atomic\.(?:Add|Load)Uint64\(&)?\w+\.stats\.([A-Z]\w*)`)
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range use.FindAllStringSubmatch(string(src), -1) {
+			if atomicCall, field := m[1], m[2]; atomicCall == "" && field != "Stats" {
+				t.Errorf("%s: tally field %s used outside atomic.AddUint64/LoadUint64: %q", name, field, m[0])
+			}
+		}
+	}
+}
+
+// TestObservabilityDocListsEveryCounter keeps docs/OBSERVABILITY.md's counter
+// table in step with the Stats declaration: every registry name must appear
+// there in backticks.
+func TestObservabilityDocListsEveryCounter(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range statFields {
+		if !strings.Contains(string(doc), "`"+f.Name+"`") {
+			t.Errorf("docs/OBSERVABILITY.md does not list counter `%s`", f.Name)
+		}
 	}
 }
 

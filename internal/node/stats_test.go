@@ -29,7 +29,7 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	waitFor(t, testTimeout, func() bool {
 		return b.Join("g", 200*time.Millisecond) == nil
-	}, "join failed")
+	}, static("join failed"))
 
 	delivered := make(chan struct{}, 1)
 	b.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
@@ -177,14 +178,14 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 	n.mu.Unlock()
 	if deliver && h != nil {
 		for _, r := range released {
-			n.stats.delivered.Add(1)
+			atomic.AddUint64(&n.stats.Delivered, 1)
 			n.observeDeliver(gid, r.src.Addr, 0, r.d)
 			h(gid, r.src, r.d.Data)
 		}
 	}
 	n.deliverMu.Unlock()
 
-	n.stats.promotions.Add(1)
+	atomic.AddUint64(&n.stats.Promotions, 1)
 	n.metrics.successionTTR.ObserveDurationMs(float64(silentFor) / float64(time.Millisecond))
 	if oldParent != "" {
 		// Prune our child edge at whoever we hung under (the dead root, or a

@@ -119,7 +119,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 			}
 		}
 		return false
-	}, "no deputy ever received the charter")
+	}, static("no deputy ever received the charter"))
 
 	pub := survivors[0]
 	pubAddr := pub.Addr()
@@ -148,7 +148,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 			}
 		}
 		return false
-	}, "no deputy promoted after the root crash")
+	}, static("no deputy promoted after the root crash"))
 	// The first deputy fires after suspectEpochs silent epochs; the issue's
 	// acceptance bound is suspectEpochs+2 epochs. Wall clocks on a loaded CI
 	// runner skid, so allow a few extra epochs of scheduler slack before
@@ -171,7 +171,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 			}
 		}
 		return true
-	}, "survivors never converged under a single new root")
+	}, static("survivors never converged under a single new root"))
 
 	publish(2*perPhase, 3*perPhase)
 
@@ -183,7 +183,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 		i, nd := i, nd
 		waitFor(t, 30*time.Second, func() bool {
 			return recs[i].count(pubAddr) >= 3*perPhase
-		}, fmt.Sprintf("survivor %s never recovered the full stream", nd.Addr()))
+		}, func() string { return fmt.Sprintf("survivor %s never recovered the full stream", nd.Addr()) })
 		recs[i].assertFIFO(t, nd.Addr(), pubAddr, 3*perPhase)
 	}
 
@@ -220,7 +220,7 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 	survivors := c.nodes[1:]
 	waitFor(t, 5*time.Second, func() bool {
 		return len(rdv.Tree(gid).Deputies) > 0
-	}, "rendezvous never ranked a deputy roster")
+	}, static("rendezvous never ranked a deputy roster"))
 
 	leftAt := time.Now()
 	if err := rdv.Leave(gid); err != nil {
@@ -228,7 +228,7 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		return singleRoot(survivors, gid) != nil
-	}, "no deputy promoted after the graceful leave")
+	}, static("no deputy promoted after the graceful leave"))
 	// The handoff is one message, not a timeout: promotion must beat the
 	// crash path's suspect delay by a wide margin.
 	if took := time.Since(leftAt); took > 2*time.Second {
@@ -250,7 +250,7 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 			}
 		}
 		return true
-	}, "survivors never reattached after the handoff")
+	}, static("survivors never reattached after the handoff"))
 
 	// The inherited group still delivers.
 	recs := make([]*seqRecorder, len(survivors))
@@ -270,7 +270,7 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 			}
 		}
 		return true
-	}, "inherited group does not deliver")
+	}, static("inherited group does not deliver"))
 }
 
 // TestSplitBrainHeal partitions a reliable-ordered group so the side without
@@ -326,7 +326,7 @@ func TestSplitBrainHeal(t *testing.T) {
 			}
 		}
 		return false
-	}, "no deputy ever received the charter")
+	}, static("no deputy ever received the charter"))
 
 	// Island A: the old root plus half the members, excluding the deputy.
 	// Everyone else (the deputy's side) becomes island B.
@@ -347,7 +347,23 @@ func TestSplitBrainHeal(t *testing.T) {
 
 	// Side B elects the deputy (the only charter holder) as its root.
 	waitFor(t, 10*time.Second, func() bool { return singleRoot(sideB, gid) != nil },
-		"the rootless side never elected a successor")
+		static("the rootless side never elected a successor"))
+
+	// Each island first repairs into a whole tree under its own root: a
+	// member whose parent landed across the split is an orphan until it
+	// re-attaches, and a payload published while it still NACKs toward that
+	// unreachable parent can exhaust its recovery attempts for good.
+	waitFor(t, 20*time.Second, func() bool {
+		return treeSettled(sideA, gid, sideA) && treeSettled(sideB, gid, sideB)
+	}, func() string {
+		msg := "an island never repaired into a whole tree under its own root:"
+		for _, nd := range c.nodes {
+			tv := nd.Tree(gid)
+			msg += fmt.Sprintf("\n  %s rdv=%v attached=%v parent=%q children=%v epoch=%d",
+				nd.Addr(), tv.Rendezvous, tv.Attached, tv.Parent, tv.Children, tv.Epoch)
+		}
+		return fmt.Sprintf("%s\n  side A = %v", msg, addrsA)
+	})
 
 	// Both halves publish through the split.
 	pubA, pubB := rdv, deputy
@@ -374,8 +390,8 @@ func TestSplitBrainHeal(t *testing.T) {
 	// Generous deadline: under full-suite parallel load the NACK recovery
 	// rounds that close each side's gaps can take well over the quiet-machine
 	// norm, and this wait is the suite's most load-sensitive.
-	waitFor(t, 45*time.Second, sideDone(sideA, pubA), "side A never converged on its own stream")
-	waitFor(t, 45*time.Second, sideDone(sideB, pubB), "side B never converged on its own stream")
+	waitFor(t, 45*time.Second, sideDone(sideA, pubA), static("side A never converged on its own stream"))
+	waitFor(t, 45*time.Second, sideDone(sideB, pubB), static("side B never converged on its own stream"))
 
 	c.chaos.Heal()
 
@@ -423,7 +439,7 @@ func TestSplitBrainHeal(t *testing.T) {
 			pubAddr := pub.Addr()
 			waitFor(t, 30*time.Second, func() bool {
 				return rec.count(pubAddr) >= perSide
-			}, fmt.Sprintf("%s never reconciled the stream from %s", nd.Addr(), pubAddr))
+			}, func() string { return fmt.Sprintf("%s never reconciled the stream from %s", nd.Addr(), pubAddr) })
 			rec.assertFIFO(t, nd.Addr(), pubAddr, perSide)
 		}
 	}

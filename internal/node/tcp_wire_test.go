@@ -66,7 +66,7 @@ func publishAndAwait(t *testing.T, gid string, members []*Node, recs map[string]
 			}
 		}
 		return true
-	}, "payloads never reached every member")
+	}, static("payloads never reached every member"))
 	for _, nd := range members {
 		for _, pub := range pubs {
 			if nd == pub {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"groupcast/internal/telemetry"
@@ -23,9 +24,9 @@ import (
 // Telemetry constants. The gossip fan-in is sized so the piggyback (own
 // digest + TelemetryGossip others, ≤ ~58 bytes each with every field at
 // full width) stays under the 128-byte-per-beacon overhead budget gated by
-// BENCH_pr9.json. Raising TelemetryGossip buys faster fleet convergence in
-// large clusters (see `groupcast-sim -exp telemetry`) at more piggyback
-// bytes.
+// TestDigestPiggybackWithinBudget. Raising TelemetryGossip buys faster fleet
+// convergence in large clusters (see `groupcast-sim -exp telemetry`) at more
+// piggyback bytes.
 const (
 	// telemetryHistory is the time-series ring capacity in samples —
 	// how far back /debug/history reaches.
@@ -51,6 +52,13 @@ type telemetryState struct {
 	slo     *telemetry.SLO
 }
 
+// currentEpoch is this node's telemetry epoch counter.
+func (ts *telemetryState) currentEpoch() uint64 {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.epoch
+}
+
 // initTelemetry builds the fleet plane. Called once from New, after the
 // metrics registry exists. No-op when DisableTelemetry.
 func (n *Node) initTelemetry() {
@@ -65,7 +73,7 @@ func (n *Node) initTelemetry() {
 	// callback runs under the SLO's lock so it must not call back into it.
 	ts.slo = telemetry.NewSLO(n.cfg.SLO, func(a telemetry.Alert) {
 		if a.Firing {
-			n.stats.sloAlerts.Add(1)
+			atomic.AddUint64(&n.stats.SLOAlerts, 1)
 		}
 		if n.tracer != nil {
 			rule := a.Rule
@@ -89,7 +97,7 @@ func (n *Node) initTelemetry() {
 	// every fleet view until eviction. 3× the staleness window is long past
 	// any delayed relay of its old digests.
 	ts.fleet.SetForgiveAfter(3 * n.telemetryStaleAfter())
-	ts.fleet.Observe(wire.HealthDigest{Addr: n.self.Addr}, time.Now())
+	ts.fleet.Observe(wire.HealthDigest{Addr: n.self.Addr}, time.Now(), 0)
 }
 
 // telemetryStaleAfter is the staleness window applied to fleet snapshots
@@ -114,31 +122,22 @@ func (n *Node) telemetryEpoch() {
 	ts.self = d
 	epoch := ts.epoch
 	ts.mu.Unlock()
-	ts.fleet.Observe(d, now)
+	ts.fleet.Observe(d, now, epoch)
 	ts.slo.Observe(d, now)
 
-	// History sample: the registry snapshot plus the data-plane counters the
-	// registry doesn't hold, so /debug/history shows delivery and shedding
-	// trajectories alongside latency quantiles.
-	snap := n.metrics.reg.Snapshot()
-	if snap.Counters == nil {
-		snap.Counters = make(map[string]int64)
-	}
-	snap.Counters["delivered"] = int64(n.stats.delivered.Load())
-	snap.Counters["publish_rejects"] = int64(n.stats.publishRejects.Load())
-	snap.Counters["relay_sheds"] = int64(n.stats.relaySheds.Load())
-	snap.Counters["send_errors"] = int64(n.stats.sendErrors.Load())
-	snap.Counters["retransmits"] = int64(n.stats.retransmits.Load())
-	snap.Counters["slo_alerts"] = int64(n.stats.sloAlerts.Load())
-	ts.history.Observe(epoch, now, snap)
+	// History sample: the registry snapshot carries every Stats counter, so
+	// /debug/history shows delivery and shedding trajectories alongside
+	// latency quantiles.
+	ts.history.Observe(epoch, now, n.metrics.reg.Snapshot())
 
 	// Staleness sweep: a node whose digest stopped advancing past the window
-	// is the fleet's crash-stop signal — raise (or clear) the stale rule.
-	for _, nh := range ts.fleet.Snapshot(now, n.telemetryStaleAfter()) {
+	// — counted in this node's own epochs, not wall time — is the fleet's
+	// crash-stop signal: raise (or clear) the stale rule.
+	for _, nh := range ts.fleet.Snapshot(epoch, telemetryStaleEpochs) {
 		if nh.Self {
 			continue
 		}
-		ts.slo.MarkStale(nh.Addr, nh.Stale, now.Sub(nh.LastSeen), now)
+		ts.slo.MarkStale(nh.Addr, nh.Stale, now.Sub(nh.LastSeen), now, epoch)
 	}
 }
 
@@ -167,8 +166,8 @@ func (n *Node) buildDigest() wire.HealthDigest {
 	if qr, ok := n.tr.(transport.QueueReporter); ok {
 		d.Inbox = uint64(qr.QueueDepth())
 	}
-	d.Delivered = n.stats.delivered.Load()
-	shed := n.stats.publishRejects.Load() + n.stats.relaySheds.Load()
+	d.Delivered = atomic.LoadUint64(&n.stats.Delivered)
+	shed := atomic.LoadUint64(&n.stats.PublishRejects) + atomic.LoadUint64(&n.stats.RelaySheds)
 	if dc, ok := n.tr.(transport.DropCounter); ok {
 		shed += dc.DropStats().InboxSheds
 	}
@@ -202,13 +201,13 @@ func (n *Node) observeHealth(msg wire.Message) {
 	if ts == nil || len(msg.Health) == 0 {
 		return
 	}
-	now := time.Now()
+	now, epoch := time.Now(), ts.currentEpoch()
 	for _, d := range msg.Health {
 		if d.Addr == n.self.Addr {
 			continue // our own digest gossiped back
 		}
-		n.stats.telemetryRecv.Add(1)
-		if ts.fleet.Observe(d, now) {
+		atomic.AddUint64(&n.stats.TelemetryDigestsReceived, 1)
+		if ts.fleet.Observe(d, now, epoch) {
 			ts.slo.Observe(d, now)
 		}
 	}
@@ -217,7 +216,7 @@ func (n *Node) observeHealth(msg wire.Message) {
 // countHealthSent tallies digests piggybacked out on sends.
 func (n *Node) countHealthSent(digests, links int) {
 	if digests > 0 && links > 0 {
-		n.stats.telemetrySent.Add(uint64(digests * links))
+		atomic.AddUint64(&n.stats.TelemetryDigestsSent, uint64(digests*links))
 	}
 }
 
@@ -228,7 +227,7 @@ func (n *Node) FleetView() []telemetry.NodeHealth {
 	if ts == nil {
 		return nil
 	}
-	return ts.fleet.Snapshot(time.Now(), n.telemetryStaleAfter())
+	return ts.fleet.Snapshot(ts.currentEpoch(), telemetryStaleEpochs)
 }
 
 // TelemetryHistory returns the node's buffered time-series samples, oldest
@@ -273,9 +272,7 @@ func (n *Node) ClusterView() ClusterView {
 	if ts == nil {
 		return cv
 	}
-	ts.mu.Lock()
-	cv.Epoch = ts.epoch
-	ts.mu.Unlock()
+	cv.Epoch = ts.currentEpoch()
 	cv.IntervalMs = float64(n.cfg.HeartbeatInterval) / float64(time.Millisecond)
 	cv.StaleAfterMs = float64(n.telemetryStaleAfter()) / float64(time.Millisecond)
 	cv.SLO = ts.slo.Config()

@@ -104,7 +104,7 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 	// Wait for the doomed copy to actually cross (and die on) the chaos
 	// link before healing it, so the drop is deterministic.
 	waitFor(t, 5*time.Second, func() bool { return chaos.Stats().RuleDrops > 0 },
-		"chaos link never dropped the first payload")
+		static("chaos link never dropped the first payload"))
 	chaos.SetLinkRule(rdv.Addr(), victim, transport.LinkRule{})
 	// The second publish reveals the sequence gap at the victim, whose NACK
 	// machinery then recovers payload one.
@@ -120,7 +120,7 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 			}
 		}
 		return true
-	}, fmt.Sprintf("incomplete delivery: %v", delivered))
+	}, func() string { return fmt.Sprintf("incomplete delivery: %v", delivered) })
 
 	// ---- Reconstruction: everything below uses only the trace events. ----
 	var events []trace.Event

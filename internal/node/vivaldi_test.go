@@ -56,7 +56,7 @@ func TestVivaldiCoordinatesConverge(t *testing.T) {
 		// RTT(1,2) = 40ms, RTT(1,3) = 80ms; accept generous tolerances —
 		// the point is that estimates order correctly and are in range.
 		return d12 > 10 && d13 > d12 && math.Abs(d13-80) < 60
-	}, "Vivaldi coordinates did not converge")
+	}, static("Vivaldi coordinates did not converge"))
 
 	for _, nd := range nodes {
 		info := nd.Info()
@@ -168,7 +168,7 @@ func TestAdvertiseRefreshReachesLateJoiners(t *testing.T) {
 		_, saw := late.adSeen["late"]
 		late.mu.Unlock()
 		return saw
-	}, "refresh never reached the latecomer")
+	}, static("refresh never reached the latecomer"))
 	if err := late.Join("late", 2*time.Second); err != nil {
 		t.Fatalf("latecomer join: %v", err)
 	}

@@ -18,16 +18,21 @@ type NodeHealth struct {
 	// LastSeen is when this view first accepted the digest's epoch (not when
 	// it was last relayed — a circulating stale digest must not look fresh).
 	LastSeen time.Time `json:"last_seen"`
-	// Stale marks entries whose digest stopped advancing for longer than the
-	// staleness window at snapshot time.
+	// SeenEpoch is the viewing node's own telemetry epoch at that moment.
+	// Staleness is counted from it, in the viewer's ticks rather than in
+	// wall time, so a late tick cannot move a detection by an epoch.
+	SeenEpoch uint64 `json:"seen_epoch,omitempty"`
+	// Stale marks entries whose digest has not advanced for more than the
+	// staleness window of viewer epochs at snapshot time.
 	Stale bool `json:"stale,omitempty"`
 	// Self marks the viewing node's own row.
 	Self bool `json:"self,omitempty"`
 }
 
 type fleetEntry struct {
-	d        wire.HealthDigest
-	lastSeen time.Time
+	d         wire.HealthDigest
+	lastSeen  time.Time
+	seenEpoch uint64
 }
 
 // Fleet is one node's eventually consistent view of every node it has heard
@@ -76,13 +81,13 @@ func (f *Fleet) SetForgiveAfter(d time.Duration) {
 }
 
 // Observe merges one digest into the view and reports whether it advanced
-// anything. Only a strictly higher epoch for its node is accepted: replays
-// and stale relays are dropped without refreshing LastSeen, which is what
-// lets staleness detect a crashed node even while its last digest still
-// circulates. The one exception is restart forgiveness (SetForgiveAfter): a
+// anything; epoch is the viewing node's own telemetry epoch. Only a strictly
+// higher digest epoch for its node is accepted: replays and stale relays are
+// dropped without refreshing LastSeen/SeenEpoch, which is what lets staleness
+// detect a crashed node even while its last digest still circulates. The one exception is restart forgiveness (SetForgiveAfter): a
 // regressing epoch for a long-silent entry means the node came back with
 // reset counters, and the restarted lineage is adopted.
-func (f *Fleet) Observe(d wire.HealthDigest, now time.Time) bool {
+func (f *Fleet) Observe(d wire.HealthDigest, now time.Time, epoch uint64) bool {
 	if d.Addr == "" {
 		return false
 	}
@@ -95,14 +100,13 @@ func (f *Fleet) Observe(d wire.HealthDigest, now time.Time) bool {
 				return false
 			}
 		}
-		e.d = d
-		e.lastSeen = now
+		e.d, e.lastSeen, e.seenEpoch = d, now, epoch
 		return true
 	}
 	if len(f.nodes) >= f.maxNodes {
 		f.evictOldestLocked()
 	}
-	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now}
+	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now, seenEpoch: epoch}
 	return true
 }
 
@@ -123,17 +127,17 @@ func (f *Fleet) evictOldestLocked() {
 }
 
 // Snapshot returns the view sorted by node address, marking entries whose
-// digest has not advanced within staleAfter (0 disables stale marking).
-func (f *Fleet) Snapshot(now time.Time, staleAfter time.Duration) []NodeHealth {
+// digest last advanced more than staleEpochs of the viewer's epochs before
+// epochNow (0 disables stale marking).
+func (f *Fleet) Snapshot(epochNow, staleEpochs uint64) []NodeHealth {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]NodeHealth, 0, len(f.nodes))
 	for addr, e := range f.nodes {
-		nh := NodeHealth{HealthDigest: e.d, LastSeen: e.lastSeen, Self: addr == f.self}
-		if staleAfter > 0 && now.Sub(e.lastSeen) > staleAfter {
-			nh.Stale = true
-		}
-		out = append(out, nh)
+		out = append(out, NodeHealth{
+			HealthDigest: e.d, LastSeen: e.lastSeen, SeenEpoch: e.seenEpoch, Self: addr == f.self,
+			Stale: staleEpochs > 0 && epochNow > e.seenEpoch && epochNow-e.seenEpoch > staleEpochs,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out

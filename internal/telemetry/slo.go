@@ -70,12 +70,16 @@ type Alert struct {
 	Threshold float64   `json:"threshold"`
 	Firing    bool      `json:"firing"`
 	Since     time.Time `json:"since,omitempty"`
+	// Epoch is the evaluating node's own telemetry epoch at the staleness
+	// sweep that raised a stale alert (0 for the digest-driven rules).
+	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 type ruleState struct {
 	firing           bool
 	streak           int
 	since            time.Time
+	sinceEpoch       uint64
 	value, threshold float64
 }
 
@@ -125,7 +129,7 @@ func (s *SLO) Observe(d wire.HealthDigest, now time.Time) {
 	prev, hadPrev := s.prev[d.Addr]
 	s.prev[d.Addr] = d
 	// A fresh digest means the node is alive again: clear any stale alert.
-	s.stepLocked(d.Addr, RuleStale, 0, 0, false, now, true)
+	s.stepLocked(d.Addr, RuleStale, 0, 0, false, now, 0, true)
 	if s.cfg.MinDeliveryRatio > 0 && hadPrev {
 		// Interval ratio, not lifetime: detection should track the current
 		// epoch's behaviour, not be damped by a long healthy past. No
@@ -135,31 +139,32 @@ func (s *SLO) Observe(d wire.HealthDigest, now time.Time) {
 		if total := dDel + dShed; total > 0 {
 			ratio := float64(dDel) / float64(total)
 			s.stepLocked(d.Addr, RuleDeliveryRatio, ratio, s.cfg.MinDeliveryRatio,
-				ratio < s.cfg.MinDeliveryRatio, now, false)
+				ratio < s.cfg.MinDeliveryRatio, now, 0, false)
 		}
 	}
 	if s.cfg.MaxP99Ms > 0 && d.P99Ms > 0 {
 		s.stepLocked(d.Addr, RuleP99Latency, d.P99Ms, s.cfg.MaxP99Ms,
-			d.P99Ms > s.cfg.MaxP99Ms, now, false)
+			d.P99Ms > s.cfg.MaxP99Ms, now, 0, false)
 	}
 	if s.cfg.MaxPressure > 0 {
 		s.stepLocked(d.Addr, RulePressure, d.Pressure, s.cfg.MaxPressure,
-			d.Pressure > s.cfg.MaxPressure, now, false)
+			d.Pressure > s.cfg.MaxPressure, now, 0, false)
 	}
 }
 
 // MarkStale drives the staleness rule from the fleet snapshot: call it each
-// epoch for every known node with that node's current stale flag. The
-// staleness window already provides the dwell, so transitions are immediate.
-func (s *SLO) MarkStale(addr string, stale bool, sinceSeen time.Duration, now time.Time) {
+// epoch for every known node with that node's current stale flag and the
+// caller's own epoch. The staleness window already provides the dwell, so
+// transitions are immediate.
+func (s *SLO) MarkStale(addr string, stale bool, sinceSeen time.Duration, now time.Time, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stepLocked(addr, RuleStale, sinceSeen.Seconds(), 0, stale, now, true)
+	s.stepLocked(addr, RuleStale, sinceSeen.Seconds(), 0, stale, now, epoch, true)
 }
 
 // stepLocked advances one (node, rule) hysteresis cell by one sample.
 // immediate skips the dwell counters (the stale rule).
-func (s *SLO) stepLocked(node, rule string, value, threshold float64, violating bool, now time.Time, immediate bool) {
+func (s *SLO) stepLocked(node, rule string, value, threshold float64, violating bool, now time.Time, epoch uint64, immediate bool) {
 	key := node + "\x00" + rule
 	st := s.state[key]
 	if st == nil {
@@ -183,10 +188,10 @@ func (s *SLO) stepLocked(node, rule string, value, threshold float64, violating 
 		if st.streak < enter {
 			return
 		}
-		st.firing, st.streak, st.since = true, 0, now
+		st.firing, st.streak, st.since, st.sinceEpoch = true, 0, now, epoch
 		if s.emit != nil {
 			s.emit(Alert{Rule: rule, Node: node, Value: value,
-				Threshold: threshold, Firing: true, Since: now})
+				Threshold: threshold, Firing: true, Since: now, Epoch: epoch})
 		}
 		return
 	}
@@ -201,7 +206,7 @@ func (s *SLO) stepLocked(node, rule string, value, threshold float64, violating 
 	st.firing, st.streak = false, 0
 	if s.emit != nil {
 		s.emit(Alert{Rule: rule, Node: node, Value: value,
-			Threshold: threshold, Firing: false, Since: st.since})
+			Threshold: threshold, Firing: false, Since: st.since, Epoch: st.sinceEpoch})
 	}
 }
 
@@ -234,7 +239,7 @@ func (s *SLO) Active() []Alert {
 			}
 		}
 		out = append(out, Alert{Rule: rule, Node: node, Value: st.value,
-			Threshold: st.threshold, Firing: true, Since: st.since})
+			Threshold: st.threshold, Firing: true, Since: st.since, Epoch: st.sinceEpoch})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Node != out[j].Node {

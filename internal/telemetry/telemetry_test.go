@@ -16,7 +16,8 @@ import (
 // delta counts, and the ring keeps only the newest `capacity` samples.
 func TestHistoryDeltasAndRing(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := reg.Counter("delivered")
+	var delivered uint64
+	reg.Counter("delivered", func() uint64 { return delivered })
 	depth := 0.0
 	reg.Gauge("inbox_depth", func() float64 { return depth })
 	h := reg.Histogram("lat_ms", []float64{1, 10, 100})
@@ -24,7 +25,7 @@ func TestHistoryDeltasAndRing(t *testing.T) {
 	hist := NewHistory(2)
 	t0 := time.Unix(1700000000, 0)
 
-	c.Add(10)
+	delivered += 10
 	depth = 3
 	h.Observe(5)
 	s1 := hist.Observe(1, t0, reg.Snapshot())
@@ -38,7 +39,7 @@ func TestHistoryDeltasAndRing(t *testing.T) {
 		t.Fatalf("first histogram sample = %+v, want count 1 and p99 in (1,10]", q)
 	}
 
-	c.Add(7)
+	delivered += 7
 	s2 := hist.Observe(2, t0.Add(time.Second), reg.Snapshot())
 	if s2.Counters["delivered"] != 7 {
 		t.Fatalf("second sample counter = %d, want delta 7", s2.Counters["delivered"])
@@ -63,27 +64,30 @@ func TestHistoryDeltasAndRing(t *testing.T) {
 func TestFleetEpochMonotonicAndStale(t *testing.T) {
 	f := NewFleet("a:1", 0)
 	t0 := time.Unix(1700000000, 0)
-	if !f.Observe(wire.HealthDigest{Addr: "a:1", Epoch: 1}, t0) {
+	// The viewer's own epoch (third argument) is 10 at t0 and 11 a second on.
+	if !f.Observe(wire.HealthDigest{Addr: "a:1", Epoch: 1}, t0, 10) {
 		t.Fatal("first self digest rejected")
 	}
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5, Pressure: 0.5}, t0) {
+	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5, Pressure: 0.5}, t0, 10) {
 		t.Fatal("first b digest rejected")
 	}
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5}, t0.Add(time.Second)) {
+	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5}, t0.Add(time.Second), 11) {
 		t.Fatal("equal-epoch replay accepted")
 	}
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 4}, t0.Add(time.Second)) {
+	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 4}, t0.Add(time.Second), 11) {
 		t.Fatal("older epoch accepted")
 	}
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 6, Pressure: 0.9}, t0.Add(time.Second)) {
+	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 6, Pressure: 0.9}, t0.Add(time.Second), 11) {
 		t.Fatal("advancing epoch rejected")
 	}
 	if d, ok := f.Get("b:1"); !ok || d.Epoch != 6 || d.Pressure != 0.9 {
 		t.Fatalf("Get(b:1) = %+v, %v", d, ok)
 	}
 
-	// a:1 last advanced at t0 (5.5s ago), b:1 at t0+1s (4.5s ago).
-	view := f.Snapshot(t0.Add(5500*time.Millisecond), 5*time.Second)
+	// Staleness is counted in the viewer's epochs, never in wall time: at
+	// viewer epoch 13 with a 2-epoch window, a:1 (last advanced in epoch 10,
+	// the replays did not refresh it) is 3 epochs silent, b:1 (epoch 11) is 2.
+	view := f.Snapshot(13, 2)
 	if len(view) != 2 {
 		t.Fatalf("view size = %d, want 2", len(view))
 	}
@@ -91,11 +95,17 @@ func TestFleetEpochMonotonicAndStale(t *testing.T) {
 	if !view[0].Self || view[0].Addr != "a:1" {
 		t.Fatalf("view[0] = %+v, want self a:1", view[0])
 	}
-	if !view[0].Stale {
-		t.Fatal("a:1 last advanced 5.5s ago, want stale past the 5s window")
+	if !view[0].Stale || view[0].SeenEpoch != 10 {
+		t.Fatalf("a:1 = %+v, want stale (3 viewer epochs silent, window 2)", view[0])
 	}
-	if view[1].Stale {
-		t.Fatal("b:1 advanced 1s ago, must not be stale inside 5s window")
+	if view[1].Stale || view[1].SeenEpoch != 11 {
+		t.Fatalf("b:1 = %+v, want fresh (2 viewer epochs silent, window 2)", view[1])
+	}
+	if again := f.Snapshot(14, 2); !again[1].Stale {
+		t.Fatal("b:1 must go stale one viewer epoch later")
+	}
+	if off := f.Snapshot(1000, 0); off[0].Stale || off[1].Stale {
+		t.Fatal("window 0 must disable stale marking")
 	}
 }
 
@@ -105,7 +115,7 @@ func TestFleetGossipPickRoundRobin(t *testing.T) {
 	f := NewFleet("self:1", 0)
 	t0 := time.Unix(1700000000, 0)
 	for _, addr := range []string{"self:1", "n1:1", "n2:1", "n3:1"} {
-		f.Observe(wire.HealthDigest{Addr: addr, Epoch: 1}, t0)
+		f.Observe(wire.HealthDigest{Addr: addr, Epoch: 1}, t0, 0)
 	}
 	seen := make(map[string]int)
 	for i := 0; i < 3; i++ {
@@ -126,10 +136,10 @@ func TestFleetGossipPickRoundRobin(t *testing.T) {
 func TestFleetEviction(t *testing.T) {
 	f := NewFleet("self:1", 3)
 	t0 := time.Unix(1700000000, 0)
-	f.Observe(wire.HealthDigest{Addr: "self:1", Epoch: 1}, t0)
-	f.Observe(wire.HealthDigest{Addr: "old:1", Epoch: 1}, t0.Add(1*time.Second))
-	f.Observe(wire.HealthDigest{Addr: "mid:1", Epoch: 1}, t0.Add(2*time.Second))
-	f.Observe(wire.HealthDigest{Addr: "new:1", Epoch: 1}, t0.Add(3*time.Second))
+	f.Observe(wire.HealthDigest{Addr: "self:1", Epoch: 1}, t0, 0)
+	f.Observe(wire.HealthDigest{Addr: "old:1", Epoch: 1}, t0.Add(1*time.Second), 0)
+	f.Observe(wire.HealthDigest{Addr: "mid:1", Epoch: 1}, t0.Add(2*time.Second), 0)
+	f.Observe(wire.HealthDigest{Addr: "new:1", Epoch: 1}, t0.Add(3*time.Second), 0)
 	if f.Len() != 3 {
 		t.Fatalf("fleet size = %d, want 3", f.Len())
 	}
@@ -213,9 +223,13 @@ func TestSLOStaleRule(t *testing.T) {
 	var alerts []Alert
 	s := NewSLO(DefaultSLOConfig(), func(a Alert) { alerts = append(alerts, a) })
 	t0 := time.Unix(1700000000, 0)
-	s.MarkStale("n:1", true, 6*time.Second, t0)
-	if len(alerts) != 1 || !alerts[0].Firing || alerts[0].Rule != RuleStale {
-		t.Fatalf("alerts = %+v, want an immediate stale alert", alerts)
+	s.MarkStale("n:1", true, 6*time.Second, t0, 42)
+	if len(alerts) != 1 || !alerts[0].Firing || alerts[0].Rule != RuleStale || alerts[0].Epoch != 42 {
+		t.Fatalf("alerts = %+v, want an immediate stale alert stamped with the sweep's epoch 42", alerts)
+	}
+	s.MarkStale("n:1", true, 7*time.Second, t0, 43)
+	if act := s.Active(); len(act) != 1 || act[0].Epoch != 42 {
+		t.Fatalf("Active() = %+v, want the alert to keep the epoch that raised it", act)
 	}
 	s.Observe(wire.HealthDigest{Addr: "n:1", Epoch: 9}, t0.Add(time.Second))
 	if len(alerts) != 2 || alerts[1].Firing {
@@ -414,27 +428,27 @@ func TestFleetRestartForgiveness(t *testing.T) {
 	f := NewFleet("a:1", 0)
 	f.SetForgiveAfter(10 * time.Second)
 	t0 := time.Unix(1700000000, 0)
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 50, Pressure: 0.5}, t0) {
+	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 50, Pressure: 0.5}, t0, 0) {
 		t.Fatal("first b digest rejected")
 	}
 	// 5s later (inside the window): epoch 2 is a stale relay, not a restart.
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2}, t0.Add(5*time.Second)) {
+	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2}, t0.Add(5*time.Second), 0) {
 		t.Fatal("regressing digest accepted inside the forgiveness window")
 	}
 	// 11s of silence: the same regression now reads as an observed restart.
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2, Pressure: 0.1}, t0.Add(11*time.Second)) {
+	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2, Pressure: 0.1}, t0.Add(11*time.Second), 0) {
 		t.Fatal("restart lineage rejected after the forgiveness window")
 	}
 	if d, ok := f.Get("b:1"); !ok || d.Epoch != 2 || d.Pressure != 0.1 {
 		t.Fatalf("Get(b:1) = %+v, %v; want the restarted digest", d, ok)
 	}
 	// The adopted lineage advances normally from its reset counter.
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 3}, t0.Add(12*time.Second)) {
+	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 3}, t0.Add(12*time.Second), 0) {
 		t.Fatal("post-restart advance rejected")
 	}
 	// Forgiveness off: regressions are always stale relays.
 	f.SetForgiveAfter(0)
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 1}, t0.Add(time.Hour)) {
+	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 1}, t0.Add(time.Hour), 0) {
 		t.Fatal("regression accepted with forgiveness disabled")
 	}
 }

@@ -312,6 +312,14 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 // coalesce window; everything else is queued at once (flushing any pending
 // container frame first, so per-link ordering holds).
 func (t *TCPTransport) Send(addr string, msg wire.Message) error {
+	return t.sendVia(addr, func(c *tcpConn) error { return c.send(&msg) })
+}
+
+// sendVia is the one send path: breaker check, enqueue on the cached
+// connection, a single redial when that connection is closing or poisoned,
+// and the drop accounting. enqueue hands the message to a link's queue —
+// c.send for one message, c.sendShared for a fan-out frame.
+func (t *TCPTransport) sendVia(addr string, enqueue func(c *tcpConn) error) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -326,7 +334,7 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
 	}
 	if c != nil {
-		err := c.send(&msg)
+		err := enqueue(c)
 		if err == nil {
 			return nil
 		}
@@ -344,7 +352,7 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 		brk.onFailure()
 		return err
 	}
-	if err := c.send(&msg); err != nil {
+	if err := enqueue(c); err != nil {
 		if errors.Is(err, ErrSendQueueFull) {
 			t.sendQueueDrops.Add(1)
 		} else {
@@ -379,7 +387,7 @@ func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr
 	refs := new(atomic.Int32)
 	refs.Store(int32(len(addrs)) + 1)
 	for _, addr := range addrs {
-		err := t.sendRaw(addr, frame, refs)
+		err := t.sendVia(addr, func(c *tcpConn) error { return c.sendShared(frame, refs) })
 		if err != nil {
 			// The link never took ownership of its reference.
 			releaseItem(outItem{frame: frame, refs: refs})
@@ -389,53 +397,6 @@ func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr
 		}
 	}
 	releaseItem(outItem{frame: frame, refs: refs})
-}
-
-// sendRaw queues one pre-encoded shared frame to addr with the same cached
-// connection + single redial + breaker contract as Send.
-func (t *TCPTransport) sendRaw(addr string, frame []byte, refs *atomic.Int32) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	c := t.conns[addr]
-	brk := t.breakerLocked(addr)
-	t.mu.Unlock()
-
-	if !brk.allow() {
-		t.breakerRejects.Add(1)
-		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
-	}
-	if c != nil {
-		err := c.sendShared(frame, refs)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrSendQueueFull) {
-			t.sendQueueDrops.Add(1)
-			brk.onFailure()
-			return fmt.Errorf("transport: send to %s: %w", addr, err)
-		}
-		t.dropConn(addr, c)
-	}
-	c, err := t.dial(addr)
-	if err != nil {
-		t.fabricDrops.Add(1)
-		brk.onFailure()
-		return err
-	}
-	if err := c.sendShared(frame, refs); err != nil {
-		if errors.Is(err, ErrSendQueueFull) {
-			t.sendQueueDrops.Add(1)
-		} else {
-			t.dropConn(addr, c)
-			t.fabricDrops.Add(1)
-		}
-		brk.onFailure()
-		return fmt.Errorf("transport: send to %s: %w", addr, err)
-	}
-	return nil
 }
 
 func (t *TCPTransport) dial(addr string) (*tcpConn, error) {

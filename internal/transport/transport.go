@@ -7,7 +7,9 @@ package transport
 
 import (
 	"errors"
+	"reflect"
 
+	"groupcast/internal/metrics"
 	"groupcast/internal/wire"
 )
 
@@ -93,16 +95,11 @@ func (d DropStats) Total() uint64 {
 	return d.InboxSheds + d.FabricDrops + d.SendQueueDrops + d.BreakerRejects
 }
 
+var dropFields = metrics.CounterFields(reflect.TypeOf(DropStats{}))
+
 // Add accumulates other into d field by field (fleet-wide aggregation).
 func (d *DropStats) Add(other DropStats) {
-	d.InboxSheds += other.InboxSheds
-	d.ControlSheds += other.ControlSheds
-	d.ReliableSheds += other.ReliableSheds
-	d.BestEffortSheds += other.BestEffortSheds
-	d.FabricDrops += other.FabricDrops
-	d.SendQueueDrops += other.SendQueueDrops
-	d.BreakerRejects += other.BreakerRejects
-	d.Duplicates += other.Duplicates
+	metrics.FoldCounters(dropFields, d, &other, metrics.AddCounter)
 }
 
 // DropCounter is implemented by transports that account for shed and
