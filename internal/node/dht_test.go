@@ -275,16 +275,7 @@ func TestDhtChurnSoak(t *testing.T) {
 	for _, nd := range c.nodes {
 		_ = nd.Close()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+3 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	t.Fatalf("goroutine leak after shutdown: %d -> %d\n%s",
-		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	waitGoroutines(t, baseline+3, 10*time.Second)
 }
 
 // TestDhtRepublishStopRace pins the Leave/Close-vs-republish race: a DHT
@@ -325,16 +316,7 @@ func TestDhtRepublishStopRace(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+3 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	t.Fatalf("goroutines leaked past Close: baseline %d, now %d\n%s",
-		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	waitGoroutines(t, baseline+3, 5*time.Second)
 }
 
 // TestDhtLookupWaveQueriesOverlap pins the live lookup's latency contract:

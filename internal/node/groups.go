@@ -761,20 +761,16 @@ func (n *Node) Publish(groupID string, data []byte) error {
 // handlePayload runs the payload through the per-source receive window
 // (dedup, gap detection, ordering), delivers what the window releases when
 // this node is a member, and forwards fresh payloads over the remaining tree
-// edges. deliverMu is held across the window update and the handler calls so
-// concurrent release paths (recv, NACK sweep, digest) cannot interleave an
-// ordered stream.
+// edges.
 func (n *Node) handlePayload(msg wire.Message) {
 	hop := msg.Relay.Addr
 	if hop == "" {
 		hop = msg.From.Addr
 	}
-	n.deliverMu.Lock()
 	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || msg.From.Addr == n.self.Addr {
 		n.mu.Unlock()
-		n.deliverMu.Unlock()
 		return
 	}
 	w := n.windowForLocked(gs, msg.From)
@@ -809,7 +805,6 @@ func (n *Node) handlePayload(msg wire.Message) {
 			h(msg.GroupID, msg.From, d.Data)
 		}
 	}
-	n.deliverMu.Unlock()
 	if !res.Fresh {
 		return
 	}

@@ -9,9 +9,33 @@ import (
 	"groupcast/internal/wire"
 )
 
-// recvLoop dispatches inbound messages until the transport closes.
-func (n *Node) recvLoop() {
+// run is the node's event loop, the one goroutine Start launches. It
+// dispatches every inbound message and runs every periodic duty — the
+// heartbeat epoch, the NACK sweep, the pressure sample, and the mid-epoch
+// reprobe of suspects — one at a time, off one timer re-armed to the
+// earliest due duty, so every PayloadHandler call happens here in release
+// order. Nothing on the loop may wait for a reply, because replies arrive
+// through this same loop: duties hand their blocking work (DHT lookups and
+// pings, tree repairs, joins, state saves) to spawn.
+func (n *Node) run() {
 	defer n.done.Done()
+	hb := n.cfg.HeartbeatInterval
+	now := time.Now()
+	nextNack := now.Add(nackInterval)
+	nextSample := now.Add(n.cfg.OverloadSampleInterval)
+	// A zero deadline is disarmed: no epochs without heartbeats, no reprobe
+	// without fresh suspects.
+	var nextEpoch, nextReprobe time.Time
+	if hb > 0 {
+		nextEpoch = now.Add(hb)
+	}
+	// Resume above the persisted epoch so restart-side counters (telemetry
+	// digests, DHT maintenance schedule) stay monotonic across the crash.
+	epochs := n.epochBase
+	lastEpoch := now
+	var suspects []string
+	timer := time.NewTimer(0) // the first wake arms the earliest deadline
+	defer timer.Stop()
 	for {
 		select {
 		case msg, ok := <-n.tr.Recv():
@@ -19,12 +43,61 @@ func (n *Node) recvLoop() {
 				return
 			}
 			n.handle(msg)
+			continue
 		case <-n.stop:
 			// Drain until the transport closes its channel.
 			for range n.tr.Recv() {
 			}
 			return
+		case <-timer.C:
 		}
+		// A duty runs when due and re-arms one period later.
+		now = time.Now()
+		if !nextReprobe.IsZero() && !now.Before(nextReprobe) {
+			nextReprobe = time.Time{}
+			n.reprobe(suspects)
+		}
+		if !now.Before(nextNack) {
+			nextNack = now.Add(nackInterval)
+			n.nackSweep()
+		}
+		if !now.Before(nextSample) {
+			nextSample = now.Add(n.cfg.OverloadSampleInterval)
+			n.overloadTick(n.samplePressure())
+		}
+		if !nextEpoch.IsZero() && !now.Before(nextEpoch) {
+			nextEpoch = now.Add(hb)
+			// Stall detection: when this loop was delayed well past the
+			// interval (scheduler pressure, suspended VM, a slow handler),
+			// neighbours never had a fair chance to answer — skip eviction
+			// this round rather than shatter the overlay on a false positive.
+			stalled := now.Sub(lastEpoch) > 2*hb
+			lastEpoch = now
+			epochs++
+			// Telemetry samples before the heartbeats go out so this epoch's
+			// piggyback carries the fresh digest.
+			n.telemetryEpoch()
+			if suspects = n.epoch(stalled); len(suspects) > 0 {
+				nextReprobe = now.Add(hb / 2)
+			}
+			n.dhtEpoch(epochs)
+			if n.cfg.AdvertiseRefreshEpochs > 0 && epochs%n.cfg.AdvertiseRefreshEpochs == 0 {
+				n.refreshAdvertisements()
+			}
+			n.digestGroups()
+			n.epochNow.Store(int64(epochs))
+			if n.cfg.StatePath != "" && epochs%n.cfg.StateSaveEpochs == 0 {
+				e := epochs
+				n.spawn(func() { n.saveState(e) })
+			}
+		}
+		next := nextNack // always armed
+		for _, d := range [...]time.Time{nextSample, nextEpoch, nextReprobe} {
+			if !d.IsZero() && d.Before(next) {
+				next = d
+			}
+		}
+		timer.Reset(time.Until(next))
 	}
 }
 
@@ -159,11 +232,11 @@ func (n *Node) handleProbe(msg wire.Message) {
 
 func (n *Node) routePending(msg wire.Message) {
 	n.mu.Lock()
-	pr := n.pending[msg.ReqID]
+	ch := n.pending[msg.ReqID]
 	n.mu.Unlock()
-	if pr.ch != nil {
+	if ch != nil {
 		select {
-		case pr.ch <- msg:
+		case ch <- msg:
 		default:
 		}
 	}
@@ -233,45 +306,19 @@ func (n *Node) handleLeave(msg wire.Message) {
 	n.rejoinAsync(orphaned)
 }
 
-// heartbeatLoop implements the epoch maintenance: heartbeat every interval,
-// declare neighbours dead after MissedHeartbeatsToFail silent epochs, and
-// re-join any groups orphaned by a dead parent.
-func (n *Node) heartbeatLoop() {
-	defer n.done.Done()
-	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	// Resume above the persisted epoch so restart-side counters (telemetry
-	// digests, DHT maintenance schedule) stay monotonic across the crash.
-	epochs := n.epochBase
-	lastRun := time.Now()
-	for {
-		select {
-		case <-ticker.C:
-			now := time.Now()
-			// Stall detection: when our own loop was delayed well past the
-			// interval (scheduler pressure, suspended VM), neighbours never
-			// had a fair chance to answer — skip eviction this round rather
-			// than shatter the overlay on a false positive.
-			stalled := now.Sub(lastRun) > 2*n.cfg.HeartbeatInterval
-			lastRun = now
-			epochs++
-			// Telemetry samples before the heartbeats go out so this epoch's
-			// piggyback carries the fresh digest.
-			n.telemetryEpoch()
-			n.epoch(stalled)
-			n.dhtEpoch(epochs)
-			if n.cfg.AdvertiseRefreshEpochs > 0 && epochs%n.cfg.AdvertiseRefreshEpochs == 0 {
-				n.refreshAdvertisements()
-			}
-			n.digestGroups()
-			n.epochNow.Store(int64(epochs))
-			if n.cfg.StatePath != "" && epochs%n.cfg.StateSaveEpochs == 0 {
-				e := epochs
-				n.spawn(func() { n.saveState(e) })
-			}
-		case <-n.stop:
-			return
+// reprobe sends one extra heartbeat to each of addrs that is still suspect:
+// a lost heartbeat (or ack) must not cost a whole epoch of detection latency.
+func (n *Node) reprobe(addrs []string) {
+	n.mu.Lock()
+	var targets []string
+	for _, addr := range addrs {
+		if nb, ok := n.neighbors[addr]; ok && nb.suspect {
+			targets = append(targets, addr)
 		}
+	}
+	n.mu.Unlock()
+	for _, addr := range targets {
+		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.selfInfo(), SentAt: time.Now()})
 	}
 }
 
@@ -292,7 +339,11 @@ func (n *Node) refreshAdvertisements() {
 	}
 }
 
-func (n *Node) epoch(stalled bool) {
+// epoch implements the epoch maintenance: heartbeat every neighbour, declare
+// neighbours dead after MissedHeartbeatsToFail silent epochs, and re-join any
+// groups orphaned by a dead parent. It returns the neighbours that just
+// turned suspect, for the loop's mid-epoch reprobe.
+func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 	grace := time.Duration(n.cfg.MissedHeartbeatsToFail+1) * n.cfg.HeartbeatInterval
 	// A neighbour becomes suspect after one silent epoch (plus slack for
 	// ack latency); it is re-probed mid-epoch and recommended to nobody
@@ -303,7 +354,6 @@ func (n *Node) epoch(stalled bool) {
 	n.mu.Lock()
 	var dead []string
 	var live []string
-	var newlySuspect []string
 	for addr, nb := range n.neighbors {
 		switch {
 		case !stalled && now.Sub(nb.lastAck) > grace:
@@ -330,30 +380,8 @@ func (n *Node) epoch(stalled bool) {
 		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.selfInfo(), SentAt: now, Health: health})
 	}
 	n.countHealthSent(len(health), len(live))
-	// Suspects get one extra mid-epoch probe: a lost heartbeat (or ack)
-	// must not cost a whole epoch of detection latency.
-	if len(newlySuspect) > 0 {
-		atomic.AddUint64(&n.stats.Suspected, uint64(len(newlySuspect)))
-		reprobe := newlySuspect
-		time.AfterFunc(n.cfg.HeartbeatInterval/2, func() {
-			select {
-			case <-n.stop:
-				return
-			default:
-			}
-			n.mu.Lock()
-			var targets []string
-			for _, addr := range reprobe {
-				if nb, ok := n.neighbors[addr]; ok && nb.suspect {
-					targets = append(targets, addr)
-				}
-			}
-			n.mu.Unlock()
-			for _, addr := range targets {
-				_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.selfInfo(), SentAt: time.Now()})
-			}
-		})
-	}
+	// Suspects get one extra mid-epoch probe from the loop (see reprobe).
+	atomic.AddUint64(&n.stats.Suspected, uint64(len(newlySuspect)))
 	// Succession duty: promote out of any charter whose root has been
 	// beacon-silent past this deputy's staggered delay. Runs before the
 	// stale-beacon sweep below so a first deputy takes over cleanly rather
@@ -398,6 +426,7 @@ func (n *Node) epoch(stalled bool) {
 	}
 	n.rejoinAsync(orphaned)
 	n.reattachAsync(detachedForwarders)
+	return newlySuspect
 }
 
 // beaconGroups floods a fresh rendezvous beacon down every group this node

@@ -1,11 +1,17 @@
-// Package node implements the live GroupCast middleware runtime: a
-// goroutine-per-node peer that bootstraps into an unstructured overlay with
-// the utility-aware neighbour selection of Section 3.3, exchanges epoch
-// heartbeats, advertises communication groups with the SSA scheme, joins
-// groups along reverse advertisement paths (with ripple search fallback),
-// and disseminates payloads over the resulting spanning trees. It runs over
-// any transport.Transport — the in-memory fabric for single-process
-// deployments and tests, or TCP for real networks.
+// Package node implements the live GroupCast middleware runtime: a peer that
+// bootstraps into an unstructured overlay with the utility-aware neighbour
+// selection of Section 3.3, exchanges epoch heartbeats, advertises
+// communication groups with the SSA scheme, joins groups along reverse
+// advertisement paths (with ripple search fallback), and disseminates
+// payloads over the resulting spanning trees. It runs over any
+// transport.Transport — the in-memory fabric for single-process deployments
+// and tests, or TCP for real networks.
+//
+// What runs where: a started node runs one event loop (run, loops.go), fed
+// by the transport's inbox pump, that handles every inbound message and
+// periodic duty and makes every PayloadHandler call. Work that waits for a
+// reply runs on goroutines from spawn. API calls run on the caller's
+// goroutine and share state with the loop under n.mu.
 package node
 
 import (
@@ -120,12 +126,6 @@ type Config struct {
 	// no admission control, no relay shedding (pressure is still sampled for
 	// the gauges).
 	DisableOverloadControl bool
-	// PendingReqTTL bounds how long an entry may sit in the node's pending
-	// request-correlation map before the sweeper reclaims it. Waiters time
-	// out on their own and normally remove their entries; the TTL is the
-	// leak backstop for paths that die between allocation and cleanup.
-	// 0 uses the default of 30s.
-	PendingReqTTL time.Duration
 
 	// TelemetryGossip is how many OTHER nodes' digests ride each outgoing
 	// heartbeat/ack/beacon besides the node's own, cycled round-robin
@@ -167,6 +167,13 @@ func DefaultConfig(capacity float64, coord coords.Point, seed int64) Config {
 }
 
 // PayloadHandler receives group payloads delivered to a member node.
+//
+// It is called on the node's event loop, one call at a time, in release
+// order — whether the payload was released by a live arrival, a digest, a
+// NACK-sweep abandonment or a promotion. It may call Publish and Leave. It
+// must not call Join or Bootstrap: they wait for a reply that only the loop
+// it is blocking can route. A handler that blocks also stalls the node's
+// heartbeats.
 type PayloadHandler func(groupID string, from wire.PeerInfo, data []byte)
 
 type neighborState struct {
@@ -254,18 +261,12 @@ type Node struct {
 	groups    map[string]*groupState
 	adSeen    map[string]adState
 	seenAds   *reliable.Dedup
-	pending   map[uint64]pendingReq
+	pending   map[uint64]chan wire.Message
 	handler   PayloadHandler
 	reqSeq    uint64
 	msgSeq    uint64
 	started   bool
 	closed    bool
-
-	// deliverMu serializes payload hand-off to the application so ordered
-	// streams stay ordered across the competing release paths (live
-	// arrivals on the receive loop, abandonment skips on the NACK sweep,
-	// forced releases on digests). It is never held while n.mu is taken.
-	deliverMu sync.Mutex
 
 	stats tally
 	// overload is the graceful-degradation controller's state (see
@@ -352,9 +353,6 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.OverloadSampleInterval <= 0 {
 		cfg.OverloadSampleInterval = DefaultOverloadSampleInterval
 	}
-	if cfg.PendingReqTTL <= 0 {
-		cfg.PendingReqTTL = DefaultPendingReqTTL
-	}
 	if cfg.StateSaveEpochs < 1 {
 		cfg.StateSaveEpochs = 5
 	}
@@ -384,7 +382,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		groups:    make(map[string]*groupState),
 		adSeen:    make(map[string]adState),
 		seenAds:   reliable.NewDedup(cfg.SeenMax, reliable.DefaultSeenTTL),
-		pending:   make(map[uint64]pendingReq),
+		pending:   make(map[uint64]chan wire.Message),
 		tracer:    cfg.Tracer,
 		rejoining: make(map[string]bool),
 		stop:      make(chan struct{}),
@@ -472,7 +470,7 @@ func (n *Node) SetPayloadHandler(h PayloadHandler) {
 	n.handler = h
 }
 
-// Start launches the receive and heartbeat loops.
+// Start launches the node's event loop.
 func (n *Node) Start() {
 	n.mu.Lock()
 	if n.started || n.closed {
@@ -483,15 +481,7 @@ func (n *Node) Start() {
 	n.mu.Unlock()
 
 	n.done.Add(1)
-	go n.recvLoop()
-	if n.cfg.HeartbeatInterval > 0 {
-		n.done.Add(1)
-		go n.heartbeatLoop()
-	}
-	n.done.Add(1)
-	go n.reliableLoop()
-	n.done.Add(1)
-	go n.overloadLoop()
+	go n.run()
 }
 
 // spawn launches f on a tracked background goroutine, refusing once the
@@ -585,20 +575,14 @@ func (n *Node) quota() int {
 	return int(q)
 }
 
-// pendingReq is one outstanding request correlation: the waiter's channel
-// plus the creation time the TTL sweeper ages it by.
-type pendingReq struct {
-	ch      chan wire.Message
-	created time.Time
-}
-
-// nextReq allocates a correlation ID with a waiting channel.
+// nextReq allocates a correlation ID with a waiting channel. Every caller
+// pairs it with a dropReq on each return path.
 func (n *Node) nextReq() (uint64, chan wire.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.reqSeq++
 	ch := make(chan wire.Message, 16)
-	n.pending[n.reqSeq] = pendingReq{ch: ch, created: time.Now()}
+	n.pending[n.reqSeq] = ch
 	return n.reqSeq, ch
 }
 

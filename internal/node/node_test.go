@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,21 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what func() string
 
 // static is a waitFor message with nothing to evaluate.
 func static(msg string) func() string { return func() string { return msg } }
+
+// waitGoroutines polls until the process runs at most max goroutines, and
+// fails with a dump of every stack if that does not happen within d.
+func waitGoroutines(t *testing.T, max int, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for runtime.NumGoroutine() > max {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines: %d, want <= %d\n%s",
+				runtime.NumGoroutine(), max, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
 
 // cluster spins up n live nodes on one in-memory fabric, bootstrapping each
 // through a random sample of earlier nodes.

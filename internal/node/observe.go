@@ -121,11 +121,7 @@ func (n *Node) initObservability() {
 			return float64(oq.OutboundQueueDepth())
 		})
 	}
-	reg.Gauge(MetricOverloadPressure, func() float64 {
-		n.overload.mu.Lock()
-		defer n.overload.mu.Unlock()
-		return n.overload.pressure
-	})
+	reg.Gauge(MetricOverloadPressure, n.overload.lastPressure)
 	reg.Gauge("overload_degraded", func() float64 {
 		if n.Overloaded() {
 			return 1

@@ -1,7 +1,7 @@
 package node
 
 import (
-	"sync"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -40,19 +40,22 @@ const (
 	overloadExitSamples  = 5
 	// DefaultOverloadSampleInterval paces the pressure sampler.
 	DefaultOverloadSampleInterval = 100 * time.Millisecond
-	// DefaultPendingReqTTL bounds the pending request-correlation map.
-	DefaultPendingReqTTL = 30 * time.Second
 )
 
-// overloadState is the controller's mutable state, guarded by its own mutex
-// (the sampler and the hot-path degraded() checks never touch n.mu).
+// overloadState is the controller's state. The streaks belong to the node's
+// loop, the only caller of overloadTick; the rest is published through
+// atomics so Publish and every best-effort relay read it without a lock.
 type overloadState struct {
-	mu          sync.Mutex
-	degraded    bool
-	pressure    float64 // last sampled value
 	enterStreak int
 	exitStreak  int
-	enteredAt   time.Time
+	degraded    atomic.Bool
+	pressure    atomic.Uint64 // math.Float64bits of the last sample
+	enteredAt   atomic.Int64  // UnixNano when the current episode began
+}
+
+// lastPressure returns the last sampled pressure.
+func (o *overloadState) lastPressure() float64 {
+	return math.Float64frombits(o.pressure.Load())
 }
 
 // OverloadView is the controller's snapshot for introspection (/debug) and
@@ -74,27 +77,20 @@ type OverloadView struct {
 }
 
 // Overloaded reports whether the node is currently in the degraded state.
-func (n *Node) Overloaded() bool {
-	if n.cfg.DisableOverloadControl {
-		return false
-	}
-	n.overload.mu.Lock()
-	defer n.overload.mu.Unlock()
-	return n.overload.degraded
-}
+// With DisableOverloadControl, overloadTick never enters that state.
+func (n *Node) Overloaded() bool { return n.overload.degraded.Load() }
 
 // OverloadSnapshot renders the controller for /debug and tests.
 func (n *Node) OverloadSnapshot() OverloadView {
-	n.overload.mu.Lock()
+	o := &n.overload
 	ov := OverloadView{
 		Enabled:  !n.cfg.DisableOverloadControl,
-		Degraded: n.overload.degraded,
-		Pressure: n.overload.pressure,
+		Degraded: o.degraded.Load(),
+		Pressure: o.lastPressure(),
 	}
-	if n.overload.degraded {
-		ov.DegradedMs = float64(time.Since(n.overload.enteredAt)) / float64(time.Millisecond)
+	if ov.Degraded {
+		ov.DegradedMs = float64(time.Since(time.Unix(0, o.enteredAt.Load()))) / float64(time.Millisecond)
 	}
-	n.overload.mu.Unlock()
 	ov.Episodes = atomic.LoadUint64(&n.stats.OverloadEpisodes)
 	ov.PublishRejects = atomic.LoadUint64(&n.stats.PublishRejects)
 	ov.RelaySheds = atomic.LoadUint64(&n.stats.RelaySheds)
@@ -133,49 +129,23 @@ func (n *Node) samplePressure() float64 {
 	return pressure
 }
 
-// overloadLoop is the pressure sampler: every interval it folds one sample
-// into the hysteresis state and sweeps the pending-request map. It runs even
-// with the controller disabled — the gauges still want pressure, and the
-// pending sweep is a leak bound, not a policy.
-func (n *Node) overloadLoop() {
-	defer n.done.Done()
-	ticker := time.NewTicker(n.cfg.OverloadSampleInterval)
-	defer ticker.Stop()
-	sweepEvery := int(n.cfg.PendingReqTTL / n.cfg.OverloadSampleInterval / 4)
-	if sweepEvery < 1 {
-		sweepEvery = 1
-	}
-	ticks := 0
-	for {
-		select {
-		case <-ticker.C:
-			n.overloadTick(n.samplePressure())
-			ticks++
-			if ticks%sweepEvery == 0 {
-				n.sweepPendingReqs(time.Now())
-			}
-		case <-n.stop:
-			return
-		}
-	}
-}
-
-// overloadTick folds one pressure sample into the hysteresis state.
+// overloadTick folds one pressure sample into the hysteresis state. The
+// loop calls it every OverloadSampleInterval, even with the controller
+// disabled — the gauges still want pressure.
 func (n *Node) overloadTick(pressure float64) {
 	o := &n.overload
-	o.mu.Lock()
-	o.pressure = pressure
+	o.pressure.Store(math.Float64bits(pressure))
 	var episodeDur time.Duration
 	entered := false
-	if !o.degraded {
+	if !o.degraded.Load() {
 		if pressure >= overloadEnterPressure {
 			o.enterStreak++
 		} else {
 			o.enterStreak = 0
 		}
 		if o.enterStreak >= overloadEnterSamples && !n.cfg.DisableOverloadControl {
-			o.degraded = true
-			o.enteredAt = time.Now()
+			o.enteredAt.Store(time.Now().UnixNano())
+			o.degraded.Store(true)
 			o.enterStreak = 0
 			o.exitStreak = 0
 			entered = true
@@ -187,12 +157,11 @@ func (n *Node) overloadTick(pressure float64) {
 			o.exitStreak = 0
 		}
 		if o.exitStreak >= overloadExitSamples {
-			o.degraded = false
-			episodeDur = time.Since(o.enteredAt)
+			o.degraded.Store(false)
+			episodeDur = time.Since(time.Unix(0, o.enteredAt.Load()))
 			o.exitStreak = 0
 		}
 	}
-	o.mu.Unlock()
 	n.metrics.overloadPressure.Observe(pressure)
 	if entered {
 		atomic.AddUint64(&n.stats.OverloadEpisodes, 1)
@@ -200,19 +169,6 @@ func (n *Node) overloadTick(pressure float64) {
 	if episodeDur > 0 {
 		n.metrics.overloadEpisode.ObserveDurationMs(float64(episodeDur) / float64(time.Millisecond))
 	}
-}
-
-// sweepPendingReqs drops pending request-correlation entries older than the
-// TTL. Waiters remove their own entries on every normal path (and time out
-// independently of the map), so anything this old is leaked, not awaited.
-func (n *Node) sweepPendingReqs(now time.Time) {
-	n.mu.Lock()
-	for id, pr := range n.pending {
-		if now.Sub(pr.created) > n.cfg.PendingReqTTL {
-			delete(n.pending, id)
-		}
-	}
-	n.mu.Unlock()
 }
 
 // PendingRequests reports the pending-correlation map's size (leak tests).

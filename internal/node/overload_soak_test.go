@@ -186,14 +186,5 @@ func TestOverloadSoakTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+3 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	t.Fatalf("goroutine leak after shutdown: %d -> %d\n%s",
-		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	waitGoroutines(t, baseline+3, 10*time.Second)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"groupcast/internal/coords"
+	"groupcast/internal/dht"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -15,10 +16,8 @@ import (
 // directly, bypassing the sampler — tests that exercise the policy (admission
 // control, relay shedding) should not depend on pressure timing.
 func forceDegraded(n *Node, degraded bool) {
-	n.overload.mu.Lock()
-	n.overload.degraded = degraded
-	n.overload.enteredAt = time.Now()
-	n.overload.mu.Unlock()
+	n.overload.enteredAt.Store(time.Now().UnixNano())
+	n.overload.degraded.Store(degraded)
 }
 
 // quietOverloadConfig returns a config whose overload sampler effectively
@@ -206,52 +205,89 @@ func TestOverloadRelayShed(t *testing.T) {
 	_ = relay.Close()
 }
 
-// TestPendingReqSweep is the leak bound on the request-correlation map:
-// entries that no waiter ever cleans up (crashed peers, lost responses) age
-// out at the TTL instead of accumulating forever.
+// TestPendingReqSweep is the leak bound on the request-correlation map. The
+// TTL sweeper it once drove is gone: every waiter pairs nextReq with dropReq
+// on each return path, so requests that fail — a probe of a dead contact
+// timing out, a Join of an unknown group, a DHT query to a dead contact —
+// leave nothing behind.
 func TestPendingReqSweep(t *testing.T) {
 	net := transport.NewMemNetwork()
-	cfg := quietOverloadConfig(10, nil, 1)
-	cfg.PendingReqTTL = 30 * time.Second
-	n := New(net.NextEndpoint(), cfg)
+	n := New(net.NextEndpoint(), DefaultConfig(10, nil, 1))
+	n.Start()
+	defer n.Close()
+	// Reachable but never read: every request to it times out.
+	dead := net.NextEndpoint()
+	defer dead.Close()
 
-	const leaked = 50
-	for i := 0; i < leaked; i++ {
-		n.nextReq() // abandoned: no dropReq, simulating lost responses
+	if err := n.Bootstrap([]string{dead.Addr()}, 60*time.Millisecond); err == nil {
+		t.Fatal("bootstrap through a dead contact succeeded")
 	}
-	if got := n.PendingRequests(); got != leaked {
-		t.Fatalf("pending = %d, want %d", got, leaked)
+	if err := n.Join("nowhere", 50*time.Millisecond); !errors.Is(err, ErrJoinFailed) {
+		t.Fatalf("join of an unknown group err = %v, want ErrJoinFailed", err)
 	}
-
-	// A sweep inside the TTL keeps live waiters.
-	n.sweepPendingReqs(time.Now())
-	if got := n.PendingRequests(); got != leaked {
-		t.Fatalf("young entries swept: pending = %d, want %d", got, leaked)
+	c := dht.Contact{ID: dht.NodeID(dead.Addr()), Info: wire.PeerInfo{Addr: dead.Addr()}}
+	if _, _, err := n.dhtQuery(c, n.dht.id, ""); err == nil {
+		t.Fatal("DHT query to a dead contact succeeded")
 	}
-	// A sweep past the TTL reclaims every abandoned entry.
-	n.sweepPendingReqs(time.Now().Add(cfg.PendingReqTTL + time.Second))
 	if got := n.PendingRequests(); got != 0 {
-		t.Fatalf("pending = %d after TTL sweep, want 0", got)
+		t.Fatalf("pending = %d after failed requests, want 0", got)
 	}
 }
 
-// TestPendingReqSweepLoop verifies the sweep actually runs from the overload
-// loop with a short TTL — the end-to-end leak bound, not just the mechanism.
+// TestPendingReqSweepLoop is the loop half of the same bound: the run loop
+// routes every reply, so a reply that overflows its waiter's channel, or
+// arrives after the waiter gave up, must be dropped without blocking the loop
+// and without re-creating a map entry.
 func TestPendingReqSweepLoop(t *testing.T) {
 	net := transport.NewMemNetwork()
-	cfg := DefaultConfig(10, nil, 1)
-	cfg.OverloadSampleInterval = 10 * time.Millisecond
-	cfg.PendingReqTTL = 80 * time.Millisecond
-	n := New(net.NextEndpoint(), cfg)
+	n := New(net.NextEndpoint(), DefaultConfig(10, nil, 1))
 	n.Start()
 	defer n.Close()
-
-	for i := 0; i < 10; i++ {
-		n.nextReq()
+	peer := net.NextEndpoint()
+	defer peer.Close()
+	reply := func(id uint64) {
+		t.Helper()
+		msg := wire.Message{Type: wire.TProbeResp, From: wire.PeerInfo{Addr: peer.Addr()}, ReqID: id}
+		if err := peer.Send(n.Addr(), msg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, testTimeout, func() bool {
-		return n.PendingRequests() == 0
-	}, static("leaked pending requests never swept by the overload loop"))
+	// The marker is sent last on the same class; once it is routed, every
+	// reply before it has been through the loop too.
+	await := func(ch chan wire.Message) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(testTimeout):
+			t.Fatal("loop stalled: marker reply never routed")
+		}
+	}
+
+	// Overflow a live waiter's channel.
+	full, fullCh := n.nextReq()
+	marker, markerCh := n.nextReq()
+	for i := 0; i < cap(fullCh)+8; i++ {
+		reply(full)
+	}
+	reply(marker)
+	await(markerCh)
+	if got := len(fullCh); got != cap(fullCh) {
+		t.Fatalf("waiter holds %d replies, want its capacity %d", got, cap(fullCh))
+	}
+
+	// Late replies for dropped requests, and one for an ID never issued.
+	n.dropReq(full)
+	n.dropReq(marker)
+	last, lastCh := n.nextReq()
+	reply(full)
+	reply(marker)
+	reply(last + 1000)
+	reply(last)
+	await(lastCh)
+	n.dropReq(last)
+	if got := n.PendingRequests(); got != 0 {
+		t.Fatalf("pending = %d after late replies, want 0", got)
+	}
 }
 
 // TestControlPlaneSurvivesPayloadFlood is the node-level starvation

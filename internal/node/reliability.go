@@ -215,12 +215,10 @@ func (n *Node) handleDigest(msg wire.Message) {
 		d   reliable.Delivery
 	}
 	now := time.Now()
-	n.deliverMu.Lock()
 	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || gs.mode == wire.BestEffort {
 		n.mu.Unlock()
-		n.deliverMu.Unlock()
 		return
 	}
 	var released []release
@@ -251,27 +249,11 @@ func (n *Node) handleDigest(msg wire.Message) {
 			h(msg.GroupID, r.src, r.d.Data)
 		}
 	}
-	n.deliverMu.Unlock()
 }
 
 // nackInterval paces the gap-recovery sweep that turns detected sequence
 // gaps into NACKs.
 const nackInterval = 40 * time.Millisecond
-
-// reliableLoop paces the gap-recovery sweep.
-func (n *Node) reliableLoop() {
-	defer n.done.Done()
-	ticker := time.NewTicker(nackInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			n.nackSweep()
-		case <-n.stop:
-			return
-		}
-	}
-}
 
 // nackSweep turns every due sequence gap into a NACK up the arrival link
 // (tree parent as fallback). Gaps that exhausted their attempts are
@@ -293,7 +275,6 @@ func (n *Node) nackSweep() {
 		d   reliable.Delivery
 	}
 	now := time.Now()
-	n.deliverMu.Lock()
 	n.mu.Lock()
 	self := n.selfInfoLocked()
 	var nacks []nack
@@ -353,7 +334,6 @@ func (n *Node) nackSweep() {
 			h(r.gid, r.src, r.d.Data)
 		}
 	}
-	n.deliverMu.Unlock()
 	for _, nk := range nacks {
 		atomic.AddUint64(&n.stats.NacksSent, 1)
 		sendAt := time.Now()

@@ -122,12 +122,10 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 		d   reliable.Delivery
 	}
 	now := time.Now()
-	n.deliverMu.Lock()
 	n.mu.Lock()
 	gs := n.groups[gid]
 	if gs == nil || gs.rendezvous || gs.charter.Epoch == 0 {
 		n.mu.Unlock()
-		n.deliverMu.Unlock()
 		return
 	}
 	newEpoch := protocol.NextRootEpoch(gs.charter.Epoch)
@@ -139,7 +137,6 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 		gs.lastRoot = now
 		gs.rdvInfo = ad.rendezvous
 		n.mu.Unlock()
-		n.deliverMu.Unlock()
 		return
 	}
 	oldParent := gs.parent
@@ -183,7 +180,6 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 			h(gid, r.src, r.d.Data)
 		}
 	}
-	n.deliverMu.Unlock()
 
 	atomic.AddUint64(&n.stats.Promotions, 1)
 	n.metrics.successionTTR.ObserveDurationMs(float64(silentFor) / float64(time.Millisecond))

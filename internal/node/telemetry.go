@@ -158,9 +158,7 @@ func (n *Node) buildDigest() wire.HealthDigest {
 	if links > 0 {
 		d.Utility = sum / float64(links)
 	}
-	n.overload.mu.Lock()
-	d.Pressure = n.overload.pressure
-	n.overload.mu.Unlock()
+	d.Pressure = n.overload.lastPressure()
 	d.Degraded = n.Overloaded()
 	d.P99Ms = n.metrics.publishDeliver.Snapshot().Quantile(0.99)
 	if qr, ok := n.tr.(transport.QueueReporter); ok {

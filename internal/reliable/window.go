@@ -343,10 +343,12 @@ func (w *SourceWindow) release(res *ObserveResult) {
 }
 
 // DueGaps returns the missing sequences whose next NACK is due, advancing
-// their attempt counters and backoff. Gaps past pol.MaxAttempts are
-// abandoned instead (in ordered mode this may unlock pending deliveries,
-// appended to res.Deliver). The result is ascending and capped at
-// pol.MaxBatch.
+// their attempt counters and backoff. A gap's first NACK waits pol.BaseDelay
+// after detection: a gap revealed by a digest (control traffic that
+// overtakes queued data) or by a reordered arrival is usually data still in
+// flight. Gaps past pol.MaxAttempts are abandoned instead (in ordered mode
+// this may unlock pending deliveries, appended to res.Deliver). The result
+// is ascending and capped at pol.MaxBatch.
 func (w *SourceWindow) DueGaps(now time.Time, pol NackPolicy, res *ObserveResult) []uint64 {
 	if len(w.gaps) == 0 {
 		return nil
@@ -360,7 +362,7 @@ func (w *SourceWindow) DueGaps(now time.Time, pol NackPolicy, res *ObserveResult
 			abandoned = true
 			continue
 		}
-		if now.Before(g.nextDue) {
+		if now.Before(g.nextDue) || now.Sub(g.since) < pol.BaseDelay {
 			continue
 		}
 		due = append(due, s)

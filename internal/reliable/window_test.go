@@ -57,21 +57,24 @@ func TestWindowDedupAndGapLifecycle(t *testing.T) {
 	if !res.Fresh || res.GapsOpened != 2 || w.PendingGaps() != 2 {
 		t.Fatalf("gap open: %+v, pending=%d", res, w.PendingGaps())
 	}
-	// Late arrival of 2 recovers that gap.
-	if res := observe(w, 2, now); !res.Fresh || res.GapsRecovered != 1 {
+	// Arrival of 2 inside the grace recovers that gap without a NACK.
+	var sweep ObserveResult
+	if due := w.DueGaps(now.Add(pol().BaseDelay/2), pol(), &sweep); len(due) != 0 {
+		t.Fatalf("NACKed in-flight data before BaseDelay: %v", due)
+	}
+	if res := observe(w, 2, now); !res.Fresh || res.GapsRecovered != 1 || len(res.RecoveredAfter) != 0 {
 		t.Fatalf("gap recover: %+v", res)
 	}
-	// The remaining gap is due for a NACK immediately.
-	var sweep ObserveResult
-	due := w.DueGaps(now, pol(), &sweep)
+	// The remaining gap's first NACK is due at BaseDelay after detection.
+	due := w.DueGaps(now.Add(pol().BaseDelay), pol(), &sweep)
 	if len(due) != 1 || due[0] != 3 {
 		t.Fatalf("due = %v", due)
 	}
 	// Backoff: not due again until BaseDelay passes.
-	if due := w.DueGaps(now.Add(time.Millisecond), pol(), &sweep); len(due) != 0 {
+	if due := w.DueGaps(now.Add(pol().BaseDelay+time.Millisecond), pol(), &sweep); len(due) != 0 {
 		t.Fatalf("due again too soon: %v", due)
 	}
-	if due := w.DueGaps(now.Add(20*time.Millisecond), pol(), &sweep); len(due) != 1 {
+	if due := w.DueGaps(now.Add(30*time.Millisecond), pol(), &sweep); len(due) != 1 {
 		t.Fatalf("backoff never expired: %v", due)
 	}
 	// Third attempt, then abandonment.
