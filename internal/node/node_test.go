@@ -261,6 +261,10 @@ func TestClusterGroupCommunication(t *testing.T) {
 	if joined < n/2-4 {
 		t.Fatalf("only %d of %d joined", joined, n/2)
 	}
+	// A best-effort publish reaches only the tree as it stands, and a Join
+	// returns before the relays above the joiner finish attaching.
+	waitFor(t, testTimeout, func() bool { return treeSettled(c.nodes, "conf", members) },
+		static("tree never settled"))
 
 	var mu sync.Mutex
 	delivered := make(map[string]int)

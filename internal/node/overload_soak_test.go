@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,4 +188,122 @@ func TestOverloadSoakTCP(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, baseline+3, 10*time.Second)
+}
+
+// controlLoss is a TCP transport that counts the control-class sends it
+// refused (full queue, open breaker, dead link).
+type controlLoss struct {
+	*transport.TCPTransport
+	lost atomic.Uint64
+}
+
+func (c *controlLoss) Send(addr string, msg wire.Message) error {
+	err := c.TCPTransport.Send(addr, msg)
+	c.count(&msg, err)
+	return err
+}
+
+func (c *controlLoss) SendMany(addrs []string, msg wire.Message, each func(string, error)) {
+	c.TCPTransport.SendMany(addrs, msg, func(addr string, err error) {
+		c.count(&msg, err)
+		if each != nil {
+			each(addr, err)
+		}
+	})
+}
+
+func (c *controlLoss) count(msg *wire.Message, err error) {
+	if err != nil && wire.Classify(msg) == wire.ClassControl {
+		c.lost.Add(1)
+	}
+}
+
+// TestControlSurvivesSaturatedLink: a publisher floods its only TCP link
+// with 4 KiB reliable-ordered payloads, as fast as Publish returns, for
+// MissedHeartbeatsToFail + 2 epochs. The link's data queue overflows, but
+// heartbeats, their acks and beacons ride the control queue ahead of the
+// payloads: none is refused, neither node suspects the other, and the tree
+// holds.
+func TestControlSurvivesSaturatedLink(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test")
+	}
+	var (
+		nodes []*Node
+		trs   []*controlLoss
+	)
+	for i := 0; i < 2; i++ {
+		tcfg := transport.DefaultTCPConfig()
+		tcfg.SendQueueLen = 8
+		tcp, err := transport.ListenTCPConfig("127.0.0.1:0", tcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &controlLoss{TCPTransport: tcp}
+		ncfg := DefaultConfig(float64(10*(i+1)), coords.Point{float64(i), 0}, int64(i+1))
+		ncfg.HeartbeatInterval = 100 * time.Millisecond
+		nd := New(tr, ncfg)
+		nd.Start()
+		t.Cleanup(func() { _ = nd.Close() })
+		var contacts []string
+		for _, prev := range nodes {
+			contacts = append(contacts, prev.Addr())
+		}
+		if err := nd.Bootstrap(contacts, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+		trs = append(trs, tr)
+	}
+	pub, sub := nodes[0], nodes[1]
+	const gid = "saturate"
+	if err := pub.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(gid); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	if err := sub.Join(gid, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	// Settled: the subscriber has also heard a beacon (it learns the
+	// root's epoch from one).
+	waitFor(t, 5*time.Second, func() bool {
+		return treeSettled(nodes, gid, nodes) && sub.Tree(gid).Epoch == pub.Tree(gid).Epoch
+	}, static("tree never settled"))
+	pubTree, subTree := pub.Tree(gid), sub.Tree(gid)
+
+	epochs := pub.cfg.MissedHeartbeatsToFail + 2
+	payload := make([]byte, 4<<10)
+	published := 0
+	for end := time.Now().Add(time.Duration(epochs) * pub.cfg.HeartbeatInterval); time.Now().Before(end); {
+		switch err := pub.Publish(gid, payload); {
+		case err == nil:
+			published++
+		case errors.Is(err, ErrPublishFailed):
+			// The link's data queue was full: shed, as designed.
+		default:
+			t.Fatalf("publish: %v", err)
+		}
+	}
+
+	if drops := trs[0].DropStats().SendQueueDrops; drops == 0 {
+		t.Fatalf("the data queue never overflowed (%d publishes); the link was not saturated", published)
+	}
+	for i, nd := range nodes {
+		if lost := trs[i].lost.Load(); lost != 0 {
+			t.Errorf("%s: %d control sends refused under data load, want 0", nd.Addr(), lost)
+		}
+		if st := nd.Stats(); st.Suspected != 0 || st.NeighborsDeclaredDead != 0 {
+			t.Errorf("%s: Suspected=%d NeighborsDeclaredDead=%d under data load, want 0/0",
+				nd.Addr(), st.Suspected, st.NeighborsDeclaredDead)
+		}
+	}
+	if got := pub.Tree(gid); !slices.Equal(got.Children, pubTree.Children) || got.Epoch != pubTree.Epoch {
+		t.Errorf("publisher tree changed: %+v, was %+v", got, pubTree)
+	}
+	if got := sub.Tree(gid); got.Parent != subTree.Parent || got.Epoch != subTree.Epoch {
+		t.Errorf("subscriber tree changed: %+v, was %+v", got, subTree)
+	}
 }

@@ -78,8 +78,8 @@ func publishAndAwait(t *testing.T, gid string, members []*Node, recs map[string]
 }
 
 // TestNodeClusterBinaryWire soaks a reliable-ordered group over real TCP:
-// the full node stack — joins, beacons, digests
-// (coalesced on the wire), sequenced payloads, encode-once relay fan-out —
+// the full node stack — joins, beacons, digests (batched on the wire with
+// whatever else is queued), sequenced payloads, encode-once relay fan-out —
 // speaking the hand-rolled codec end to end.
 func TestNodeClusterBinaryWire(t *testing.T) {
 	const gid, perSource = "bin", 20

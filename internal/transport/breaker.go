@@ -6,7 +6,7 @@ import (
 )
 
 // Slow-peer circuit breaker defaults. The threshold is consecutive
-// failures (write errors, dial failures, full send queues) before the
+// failures (write errors, dial failures, full control queues) before the
 // breaker opens; backoff doubles on every failed half-open probe up to the
 // cap, so a dead peer costs one cheap probe per backoff instead of a
 // deadline-bounded write per message.
@@ -22,10 +22,10 @@ const (
 // whose outcome recloses (success) or reopens with doubled backoff
 // (failure). A threshold < 0 disables the breaker entirely.
 //
-// With the asynchronous send queue, a "failure" is reported from wherever
-// the loss surfaces: a synchronous dial error, a full send queue (the
-// slow-peer signal — the writer cannot drain as fast as the node
-// produces), or the writer goroutine's deadline-bounded write failing.
+// With the asynchronous send queues, a "failure" is reported from wherever
+// the loss surfaces: a synchronous dial error, a full control queue, or the
+// writer goroutine's deadline-bounded write failing (the slow-peer signal).
+// A full data queue is not a failure: a busy peer is not a dead one.
 // The half-open probe's outcome likewise arrives asynchronously from the
 // writer; until it does, every other send to the destination fails fast.
 type breaker struct {

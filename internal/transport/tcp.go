@@ -12,9 +12,9 @@ import (
 	"groupcast/internal/wire"
 )
 
-// DefaultSendQueueLen is the per-link outbound queue bound: deep enough to
-// absorb a relay burst, shallow enough that a stalled peer wastes at most a
-// few hundred frames of memory before the breaker takes over.
+// DefaultSendQueueLen is the per-link, per-class outbound queue bound: deep
+// enough to absorb a relay burst, shallow enough that a stalled peer wastes
+// at most a few hundred frames of memory before the breaker takes over.
 const DefaultSendQueueLen = 256
 
 // TCPConfig bounds the TCP transport's blocking operations and queues. A
@@ -23,22 +23,15 @@ const DefaultSendQueueLen = 256
 type TCPConfig struct {
 	// DialTimeout bounds connection establishment. Zero uses the default.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each message write (applied as a per-write
-	// deadline on the connection). Zero uses the default.
+	// WriteTimeout bounds each batched socket write (applied as one
+	// deadline on the connection per batch). Zero uses the default.
 	WriteTimeout time.Duration
-	// CoalesceWindow is how long small control messages (beacons, digests)
-	// may wait per link to share one container frame. Zero uses
-	// DefaultCoalesceWindow; negative disables coalescing.
-	CoalesceWindow time.Duration
-	// CoalesceLimit is the pending-bytes threshold that flushes a link's
-	// container frame before the window elapses. Zero uses
-	// DefaultCoalesceLimit.
-	CoalesceLimit int
 	// InboxCapacity bounds the prioritized inbound queue. Zero uses
 	// DefaultInboxCapacity.
 	InboxCapacity int
-	// SendQueueLen bounds each link's outbound queue (frames waiting for
-	// the link's writer goroutine). Zero uses DefaultSendQueueLen.
+	// SendQueueLen bounds each of a link's two outbound queues, control and
+	// data (frames waiting for the link's writer goroutine). Zero uses
+	// DefaultSendQueueLen.
 	SendQueueLen int
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// destination's circuit breaker. Zero uses DefaultBreakerThreshold;
@@ -70,16 +63,16 @@ func DefaultTCPConfig() TCPConfig {
 //
 // Inbound messages land in a class-prioritized bounded queue (PrioInbox):
 // under overload, control traffic displaces best-effort payloads instead of
-// being shed behind them. Outbound, every link owns a bounded send queue
-// drained by a writer goroutine, so one stalled peer delays only its own
-// queue — never the caller, never the other links of a SendMany fan-out. A
-// per-destination circuit breaker converts repeated failures (dial errors,
-// write errors, full send queues) into fast rejections with a half-open
-// probe after backoff.
+// being shed behind them. Outbound, every link owns two bounded queues —
+// control ahead of data — drained by one writer goroutine that sends
+// everything queued in one vectored write, so one stalled peer delays only
+// its own queues — never the caller, never the other links of a SendMany
+// fan-out. A per-destination circuit breaker converts repeated failures
+// (dial errors, write errors, a full control queue) into fast rejections
+// with a half-open probe after backoff; a full data queue sheds the frame
+// without counting against the peer.
 //
-// The transport additionally coalesces per-link control messages (beacons
-// and digests share one container frame, flushed on a short timer or size
-// threshold) and implements MultiSender: a fan-out message is encoded once
+// The transport implements MultiSender: a fan-out message is encoded once
 // into a pooled, reference-counted buffer and the same bytes are queued to
 // every link — the zero-copy half of the relay hot path.
 type TCPTransport struct {
@@ -90,8 +83,8 @@ type TCPTransport struct {
 	fabricDrops    atomic.Uint64
 	sendQueueDrops atomic.Uint64
 	breakerRejects atomic.Uint64
-	coalesceMsgs   atomic.Uint64
-	coalesceFlush  atomic.Uint64
+	batchedWrites  atomic.Uint64
+	batchedFrames  atomic.Uint64
 
 	mu       sync.Mutex
 	conns    map[string]*tcpConn
@@ -101,12 +94,11 @@ type TCPTransport struct {
 	wg       sync.WaitGroup
 }
 
-// outItem is one queued outbound unit: pre-encoded frame bytes, possibly
-// shared across a fan-out via refs.
+// outItem is one queued outbound frame: pre-encoded bytes, possibly shared
+// across a fan-out via refs.
 type outItem struct {
 	frame []byte
 	refs  *atomic.Int32 // nil: exclusive pooled frame
-	msgs  int           // messages carried (coalesced containers carry >1)
 }
 
 // releaseItem returns an item's frame buffer to the encode pool once the
@@ -124,12 +116,14 @@ type tcpConn struct {
 	brk  *breaker
 
 	writeTmo   time.Duration
-	sendq      chan outItem
+	queueLen   int           // bound of each class queue
+	wake       chan struct{} // 1-slot: the writer has frames or must exit
 	writerDone chan struct{} // closed when the writer goroutine exits
 
-	mu     sync.Mutex
-	coal   *coalescer // nil when coalescing is disabled
-	closed bool
+	mu      sync.Mutex
+	control []outItem // FIFO, written ahead of data
+	data    []outItem // FIFO: payloads, fan-out frames, retransmits
+	closed  bool
 }
 
 var (
@@ -141,7 +135,7 @@ var (
 )
 
 // ListenTCP starts an endpoint on addr ("host:port"; ":0" picks a free
-// port) with the default configuration (coalescing on).
+// port) with the default configuration.
 func ListenTCP(addr string) (*TCPTransport, error) {
 	return ListenTCPConfig(addr, DefaultTCPConfig())
 }
@@ -224,24 +218,37 @@ func (t *TCPTransport) Breakers() []BreakerInfo {
 	return out
 }
 
-// OutboundQueueDepth sums the frames waiting in every link's send queue —
-// the outbound counterpart of QueueDepth for the overload gauges.
+// OutboundQueueDepth sums the frames waiting in every link's control and
+// data queues — the outbound counterpart of QueueDepth for the overload
+// gauges.
 func (t *TCPTransport) OutboundQueueDepth() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	total := 0
 	for _, c := range t.conns {
-		total += len(c.sendq)
+		c.mu.Lock()
+		total += len(c.control) + len(c.data)
+		c.mu.Unlock()
 	}
 	return total
 }
 
-// CoalesceStats reports how many control messages travelled inside
-// container frames and how many container frames carried them.
+// CoalesceStats counts the link writers' batching: socket writes that
+// carried more than one frame, and the frames those writes carried.
+type CoalesceStats struct {
+	// Msgs is the number of frames carried by multi-frame writes.
+	Msgs uint64
+	// Frames is the number of socket writes that carried more than one
+	// frame.
+	Frames uint64
+}
+
+// CoalesceStats reports how many socket writes carried more than one frame
+// and how many frames they carried.
 func (t *TCPTransport) CoalesceStats() CoalesceStats {
 	return CoalesceStats{
-		Msgs:   t.coalesceMsgs.Load(),
-		Frames: t.coalesceFlush.Load(),
+		Msgs:   t.batchedFrames.Load(),
+		Frames: t.batchedWrites.Load(),
 	}
 }
 
@@ -292,34 +299,37 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			// commonly a clean peer close); drop the connection.
 			return
 		}
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return
-		}
-		// The prioritized inbox sheds (with per-class accounting) when full
-		// rather than stalling the peer.
+		// Close closes this conn and waits for this loop before it closes
+		// the inbox, so the push needs no lock. The prioritized inbox sheds
+		// (with per-class accounting) when full rather than stalling the peer.
 		t.inbox.Push(msg)
 	}
 }
 
-// Send queues msg for addr over a cached connection, dialling on demand and
-// retrying once with a fresh connection when the cached one has died. The
-// actual write happens on the link's writer goroutine, so a slow peer
-// delays only its own queue; a full queue or an open breaker fails the Send
-// immediately. Coalescable control messages may be buffered up to the
-// coalesce window; everything else is queued at once (flushing any pending
-// container frame first, so per-link ordering holds).
+// Send encodes msg and queues it for addr over a cached connection,
+// dialling on demand and retrying once with a fresh connection when the
+// cached one has died. The actual write happens on the link's writer
+// goroutine, so a slow peer delays only its own queues; a full queue or an
+// open breaker fails the Send immediately.
 func (t *TCPTransport) Send(addr string, msg wire.Message) error {
-	return t.sendVia(addr, func(c *tcpConn) error { return c.send(&msg) })
+	frame, err := wire.AppendMessage(wire.GetEncodeBuffer(), &msg)
+	if err != nil {
+		wire.PutEncodeBuffer(frame)
+		return err
+	}
+	it := outItem{frame: frame}
+	if err := t.sendVia(addr, it, wire.Classify(&msg) == wire.ClassControl); err != nil {
+		releaseItem(it)
+		return err
+	}
+	return nil
 }
 
 // sendVia is the one send path: breaker check, enqueue on the cached
 // connection, a single redial when that connection is closing or poisoned,
-// and the drop accounting. enqueue hands the message to a link's queue —
-// c.send for one message, c.sendShared for a fan-out frame.
-func (t *TCPTransport) sendVia(addr string, enqueue func(c *tcpConn) error) error {
+// and the drop accounting. On success the link's queue owns it (or one of
+// its references); on error the caller still does.
+func (t *TCPTransport) sendVia(addr string, it outItem, control bool) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -334,14 +344,12 @@ func (t *TCPTransport) sendVia(addr string, enqueue func(c *tcpConn) error) erro
 		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
 	}
 	if c != nil {
-		err := enqueue(c)
+		err := c.enqueue(it, control)
 		if err == nil {
 			return nil
 		}
 		if errors.Is(err, ErrSendQueueFull) {
-			t.sendQueueDrops.Add(1)
-			brk.onFailure()
-			return fmt.Errorf("transport: send to %s: %w", addr, err)
+			return t.queueFull(addr, brk, control)
 		}
 		// The cached connection is closing or poisoned: redial once.
 		t.dropConn(addr, c)
@@ -352,17 +360,27 @@ func (t *TCPTransport) sendVia(addr string, enqueue func(c *tcpConn) error) erro
 		brk.onFailure()
 		return err
 	}
-	if err := enqueue(c); err != nil {
+	if err := c.enqueue(it, control); err != nil {
 		if errors.Is(err, ErrSendQueueFull) {
-			t.sendQueueDrops.Add(1)
-		} else {
-			t.dropConn(addr, c)
-			t.fabricDrops.Add(1)
+			return t.queueFull(addr, brk, control)
 		}
+		t.dropConn(addr, c)
+		t.fabricDrops.Add(1)
 		brk.onFailure()
 		return fmt.Errorf("transport: send to %s: %w", addr, err)
 	}
 	return nil
+}
+
+// queueFull accounts a frame shed on a full link queue. A full data queue
+// means a busy peer, not a failed one, so only a full control queue counts
+// against the breaker; a stalled peer trips it through its write timeouts.
+func (t *TCPTransport) queueFull(addr string, brk *breaker, control bool) error {
+	t.sendQueueDrops.Add(1)
+	if control {
+		brk.onFailure()
+	}
+	return fmt.Errorf("transport: send to %s: %w", addr, ErrSendQueueFull)
 }
 
 // SendMany implements MultiSender: msg is encoded exactly once into a
@@ -386,54 +404,54 @@ func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr
 	// pooled while links are still being offered it.
 	refs := new(atomic.Int32)
 	refs.Store(int32(len(addrs)) + 1)
+	it := outItem{frame: frame, refs: refs}
+	control := wire.Classify(&msg) == wire.ClassControl
 	for _, addr := range addrs {
-		err := t.sendVia(addr, func(c *tcpConn) error { return c.sendShared(frame, refs) })
+		err := t.sendVia(addr, it, control)
 		if err != nil {
 			// The link never took ownership of its reference.
-			releaseItem(outItem{frame: frame, refs: refs})
+			releaseItem(it)
 		}
 		if each != nil {
 			each(addr, err)
 		}
 	}
-	releaseItem(outItem{frame: frame, refs: refs})
+	releaseItem(it)
 }
 
 func (t *TCPTransport) dial(addr string) (*tcpConn, error) {
-	t.mu.Lock()
-	brk := t.breakerLocked(addr)
-	t.mu.Unlock()
 	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	return t.adopt(addr, conn)
+}
+
+// adopt caches conn as addr's link and starts its writer goroutine. When a
+// concurrent dial already cached a link, that one is kept and conn closed.
+func (t *TCPTransport) adopt(addr string, conn net.Conn) (*tcpConn, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		conn.Close()
+		return nil, ErrClosed
+	}
+	if old, dup := t.conns[addr]; dup {
+		conn.Close()
+		return old, nil
 	}
 	c := &tcpConn{
 		t:          t,
 		addr:       addr,
 		conn:       conn,
-		brk:        brk,
+		brk:        t.breakerLocked(addr),
 		writeTmo:   t.cfg.WriteTimeout,
-		sendq:      make(chan outItem, t.cfg.SendQueueLen),
+		queueLen:   t.cfg.SendQueueLen,
+		wake:       make(chan struct{}, 1),
 		writerDone: make(chan struct{}),
-	}
-	if t.cfg.CoalesceWindow >= 0 { // negative disables coalescing
-		c.coal = newCoalescer(t.cfg.CoalesceWindow, t.cfg.CoalesceLimit, c.kickFlush)
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		conn.Close()
-		return nil, ErrClosed
-	}
-	if old, dup := t.conns[addr]; dup {
-		// A concurrent dial won; keep the existing connection.
-		t.mu.Unlock()
-		conn.Close()
-		return old, nil
 	}
 	t.conns[addr] = c
 	t.wg.Add(1)
-	t.mu.Unlock()
 	go c.writeLoop()
 	return c, nil
 }
@@ -453,153 +471,113 @@ func (t *TCPTransport) dropConn(addr string, c *tcpConn) {
 	c.close()
 }
 
-// send encodes one message and queues it, buffering
-// coalescable control messages in the per-link container frame instead.
-func (c *tcpConn) send(msg *wire.Message) error {
+// enqueue offers a frame to the link's control or data queue without
+// blocking and wakes the writer. On success the queue owns the frame (or,
+// for a fan-out frame, one of its references).
+func (c *tcpConn) enqueue(it outItem, control bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.coal != nil && coalescable(msg.Type) {
-		full, err := c.coal.add(msg)
-		if err != nil {
-			return err
-		}
-		if full {
-			return c.flushLocked()
-		}
-		return nil
-	}
-	if err := c.flushLocked(); err != nil {
-		return err
-	}
-	buf := wire.GetEncodeBuffer()
-	frame, err := wire.AppendMessage(buf, msg)
-	if err != nil {
-		wire.PutEncodeBuffer(buf)
-		return err
-	}
-	if err := c.enqueueLocked(outItem{frame: frame, msgs: 1}); err != nil {
-		wire.PutEncodeBuffer(frame)
-		return err
-	}
-	return nil
-}
-
-// sendShared queues a fan-out frame whose buffer is shared across links.
-// On success the queue owns one of the frame's references.
-func (c *tcpConn) sendShared(frame []byte, refs *atomic.Int32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.flushLocked(); err != nil {
-		return err
-	}
-	return c.enqueueLocked(outItem{frame: frame, refs: refs, msgs: 1})
-}
-
-// enqueueLocked offers an item to the send queue without blocking. Caller
-// holds c.mu (which is what makes flush-then-enqueue sequences atomic and
-// preserves per-link FIFO order across senders).
-func (c *tcpConn) enqueueLocked(it outItem) error {
 	if c.closed {
 		return errConnClosing
 	}
-	select {
-	case c.sendq <- it:
-		return nil
-	default:
+	q := &c.data
+	if control {
+		q = &c.control
+	}
+	if len(*q) >= c.queueLen {
 		return ErrSendQueueFull
 	}
+	*q = append(*q, it)
+	c.signal()
+	return nil
 }
 
 var errConnClosing = errors.New("transport: connection closing")
 
-// flushLocked queues the pending container frame, if any. Coalesced types
-// are loss-tolerant (re-sent every epoch), so a full send queue sheds the
-// container — counted, breaker-notified — without failing the caller.
-func (c *tcpConn) flushLocked() error {
-	if c.coal == nil || c.coal.pendingMsgs() == 0 {
-		return nil
+// signal wakes the writer without blocking; a wake already pending covers
+// this one.
+func (c *tcpConn) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
 	}
-	sub, msgs := c.coal.take()
-	buf := wire.GetEncodeBuffer()
-	frame, err := wire.AppendCoalesced(buf, sub)
-	if err != nil {
-		wire.PutEncodeBuffer(buf)
-		return err
-	}
-	if err := c.enqueueLocked(outItem{frame: frame, msgs: msgs}); err != nil {
-		wire.PutEncodeBuffer(frame)
-		if errors.Is(err, ErrSendQueueFull) {
-			c.t.sendQueueDrops.Add(uint64(msgs))
-			c.brk.onFailure()
-			return nil
-		}
-		return err
-	}
-	c.t.coalesceMsgs.Add(uint64(msgs))
-	c.t.coalesceFlush.Add(1)
-	return nil
 }
 
-// kickFlush is the coalesce timer callback: flush whatever is pending.
-func (c *tcpConn) kickFlush() {
+// take moves every queued frame into batch — control first, then data,
+// FIFO within each — and reports whether the connection is closing.
+func (c *tcpConn) take(batch []outItem) ([]outItem, bool) {
 	c.mu.Lock()
-	err := c.flushLocked()
-	c.mu.Unlock()
-	if err != nil && !errors.Is(err, errConnClosing) {
-		// The pending beacons/digests are lost, exactly like any other
-		// message a dying connection takes with it — the next epoch re-sends
-		// them.
-		c.t.fabricDrops.Add(1)
-	}
+	defer c.mu.Unlock()
+	batch = append(append(batch, c.control...), c.data...)
+	clear(c.control)
+	clear(c.data)
+	c.control, c.data = c.control[:0], c.data[:0]
+	return batch, c.closed
 }
 
-// writeLoop drains the send queue onto the socket. It is the only goroutine
-// touching the socket's write side, so a stalled peer blocks only this loop.
-// The first write failure trips the breaker and drops the connection; the
-// rest of the queue drains as accounted loss.
+// writeLoop is the link's only writer, so a stalled peer blocks only this
+// loop. Each wake it takes everything queued and sends it with one write
+// deadline and one vectored write. The first write failure trips the
+// breaker and drops the connection; whatever is still queued drains as
+// accounted loss.
 func (c *tcpConn) writeLoop() {
 	defer c.t.wg.Done()
 	defer close(c.writerDone)
-	broken := false
-	for it := range c.sendq {
-		if broken {
-			c.t.fabricDrops.Add(uint64(it.msgs))
-			releaseItem(it)
+	var (
+		batch          []outItem
+		iov            net.Buffers // reused across batches
+		closed, broken bool
+	)
+	for {
+		batch, closed = c.take(batch[:0])
+		if len(batch) == 0 {
+			if closed {
+				return
+			}
+			<-c.wake
 			continue
 		}
-		err := c.writeItem(it)
-		releaseItem(it)
-		if err != nil {
+		var err error
+		if broken {
+			c.t.fabricDrops.Add(uint64(len(batch)))
+		} else if iov, err = c.writeBatch(batch, iov[:0]); err != nil {
 			broken = true
-			c.t.fabricDrops.Add(uint64(it.msgs))
+			c.t.fabricDrops.Add(uint64(len(batch)))
 			c.brk.onFailure()
 			c.t.detachConn(c.addr, c)
 			c.closeAbort()
 		} else {
 			c.brk.onSuccess()
+			if len(batch) > 1 {
+				c.t.batchedWrites.Add(1)
+				c.t.batchedFrames.Add(uint64(len(batch)))
+			}
 		}
+		for _, it := range batch {
+			releaseItem(it)
+		}
+		clear(batch)
 	}
 }
 
-func (c *tcpConn) writeItem(it outItem) error {
-	if err := c.deadline(); err != nil {
-		return err
+// writeBatch sends batch's frames with one deadline and one vectored
+// write, returning iov (the reusable slice of frame buffers) extended.
+func (c *tcpConn) writeBatch(batch []outItem, iov net.Buffers) (net.Buffers, error) {
+	for _, it := range batch {
+		iov = append(iov, it.frame)
 	}
-	_, err := c.conn.Write(it.frame)
-	return err
+	if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTmo)); err != nil {
+		return iov, err
+	}
+	vec := iov // WriteTo consumes its receiver; iov keeps the backing array
+	_, err := vec.WriteTo(c.conn)
+	return iov, err
 }
 
-func (c *tcpConn) deadline() error {
-	if c.writeTmo > 0 {
-		return c.conn.SetWriteDeadline(time.Now().Add(c.writeTmo))
-	}
-	return nil
-}
-
-// close queues pending control messages best-effort, closes the send queue,
-// gives the writer a bounded window to drain what was already accepted
-// (matching the old synchronous path's "Send returned nil means the bytes
-// went out" expectation for graceful shutdowns), then closes the socket.
+// close stops the link accepting frames, gives the writer a bounded window
+// to drain what was already accepted (matching the old synchronous path's
+// "Send returned nil means the bytes went out" expectation for graceful
+// shutdowns), then closes the socket.
 func (c *tcpConn) close() {
 	if !c.shut() {
 		return
@@ -621,21 +599,16 @@ func (c *tcpConn) closeAbort() {
 	c.conn.Close()
 }
 
-// shut marks the connection closing and closes the send queue, reporting
-// whether this call did the transition.
+// shut marks the connection closing and wakes the writer to drain and
+// exit, reporting whether this call did the transition.
 func (c *tcpConn) shut() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false
 	}
-	_ = c.flushLocked()
 	c.closed = true
-	if c.coal != nil && c.coal.timer != nil {
-		c.coal.timer.Stop()
-		c.coal.timer = nil
-	}
-	close(c.sendq)
+	c.signal()
 	return true
 }
 

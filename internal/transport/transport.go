@@ -1,8 +1,8 @@
 // Package transport provides the message transports of the live GroupCast
 // runtime: a latency-modelled in-memory network for tests and simulations on
 // one machine, and a TCP transport for real deployments, framed with the
-// binary wire codec, with per-link control-message coalescing and
-// encode-once fan-out.
+// binary wire codec, with encode-once fan-out and one writer per link that
+// sends queued control frames ahead of data in one vectored write.
 package transport
 
 import (

@@ -149,33 +149,6 @@ func BenchmarkRelayHopBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalescedEncode measures packing one beacon+digest pair into a
-// shared container frame — the per-epoch control-plane cost of a tree link.
-func BenchmarkCoalescedEncode(b *testing.B) {
-	msgs := benchMessages()
-	beacon, digest := msgs["beacon"], msgs["digest"]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf := GetEncodeBuffer()
-		subs, err := AppendSubMessage(buf, beacon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if subs, err = AppendSubMessage(subs, digest); err != nil {
-			b.Fatal(err)
-		}
-		frame := GetEncodeBuffer()
-		if frame, err = AppendCoalesced(frame, subs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := io.Discard.Write(frame); err != nil {
-			b.Fatal(err)
-		}
-		PutEncodeBuffer(frame)
-		PutEncodeBuffer(subs)
-	}
-}
-
 // relayAllocBudget is the committed allocation budget for one binary relay
 // hop (decode + pooled re-encode + fan-out). The measured value is ~4
 // allocs/op (the decoded message's Data and Coord copies plus window

@@ -5,7 +5,7 @@
 //	offset 0: magic 'G' (0x47)
 //	offset 1: magic 'C' (0x43)
 //	offset 2: wire version (0x02)
-//	offset 3: message type (0x00-0xFE; 0xFF marks a coalesced container)
+//	offset 3: message type (0x00-0xFE; 0xFF is reserved and rejected)
 //	offset 4: body length, uint32 little-endian (≤ MaxFrameSize)
 //
 // — followed by the body: a presence bitmap (uvarint; one bit per Message
@@ -22,8 +22,8 @@
 // reader so a steady-state relay hop allocates only the payload slice and
 // coordinate vectors. Frames are stateless — any frame decodes in isolation
 // — which is what lets the TCP transport encode a fan-out message once and
-// write the same bytes to every link (MultiSender), and lets small per-link
-// control messages share one coalesced container frame.
+// write the same bytes to every link (MultiSender), and send a link's queued
+// frames back to back in one vectored write.
 package wire
 
 import (
@@ -47,9 +47,9 @@ const (
 	magic1 = 'C'
 	// binHeaderLen is the fixed binary frame header size.
 	binHeaderLen = 8
-	// coalescedType is the header type byte of a coalesced container frame:
-	// a sequence of [type u8][body-length uvarint][body] sub-messages.
-	coalescedType = 0xFF
+	// reservedType is the one header type byte no Message may use: the
+	// encoder refuses it and the reader rejects it before reading the body.
+	reservedType = 0xFF
 	// maxCoordDims bounds a PeerInfo coordinate vector (stored as one byte).
 	maxCoordDims = 255
 )
@@ -400,7 +400,7 @@ func appendBody(dst []byte, msg *Message) ([]byte, error) {
 // to dst and returns the extended slice. dst may be nil or a pooled buffer;
 // the message is not retained.
 func AppendMessage(dst []byte, msg *Message) ([]byte, error) {
-	if msg.Type < 0 || msg.Type >= coalescedType {
+	if msg.Type < 0 || msg.Type >= reservedType {
 		return dst, fmt.Errorf("%w: type %d", ErrUnencodable, int(msg.Type))
 	}
 	start := len(dst)
@@ -415,40 +415,6 @@ func AppendMessage(dst []byte, msg *Message) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(dst[start+4:start+8], uint32(body))
 	return dst, nil
-}
-
-// AppendSubMessage appends msg as a coalesced-container sub-message
-// ([type u8][body-length uvarint][body]) to dst. Sub-messages carry no
-// header of their own; the container frame's header covers them.
-func AppendSubMessage(dst []byte, msg *Message) ([]byte, error) {
-	if msg.Type < 0 || msg.Type >= coalescedType {
-		return dst, fmt.Errorf("%w: type %d", ErrUnencodable, int(msg.Type))
-	}
-	scratch := GetEncodeBuffer()
-	body, err := appendBody(scratch, msg)
-	if err != nil {
-		PutEncodeBuffer(scratch)
-		return dst, err
-	}
-	dst = append(dst, byte(msg.Type))
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	dst = append(dst, body...)
-	PutEncodeBuffer(body)
-	return dst, nil
-}
-
-// AppendCoalesced wraps already-encoded sub-messages (a concatenation built
-// by AppendSubMessage) in one container frame and appends it to dst.
-func AppendCoalesced(dst, subframes []byte) ([]byte, error) {
-	if len(subframes) == 0 {
-		return dst, ErrFrameEmpty
-	}
-	if len(subframes) > MaxFrameSize {
-		return dst, ErrFrameTooLarge
-	}
-	dst = append(dst, magic0, magic1, VersionBinary, coalescedType, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(dst[len(dst)-4:], uint32(len(subframes)))
-	return append(dst, subframes...), nil
 }
 
 // --- decoding ------------------------------------------------------------
@@ -819,31 +785,4 @@ func decodeBody(body []byte, typ byte, msg *Message, intern *internTable) error 
 		return fmt.Errorf("%w: %d trailing bytes in body", ErrBadMessage, len(c.data)-c.off)
 	}
 	return nil
-}
-
-// decodeSubMessages parses a coalesced container body, appending each
-// sub-message to out. Memory is bounded by the (already size-capped) frame.
-func decodeSubMessages(body []byte, out []Message, intern *internTable) ([]Message, error) {
-	for off := 0; off < len(body); {
-		typ := body[off]
-		off++
-		if typ == coalescedType {
-			return nil, fmt.Errorf("%w: nested coalesced frame", ErrBadMessage)
-		}
-		n, w := binary.Uvarint(body[off:])
-		if w <= 0 || n > uint64(len(body)-off-w) {
-			return nil, fmt.Errorf("%w: bad sub-message length", ErrBadMessage)
-		}
-		off += w
-		var msg Message
-		if err := decodeBody(body[off:off+int(n)], typ, &msg, intern); err != nil {
-			return nil, err
-		}
-		off += int(n)
-		out = append(out, msg)
-	}
-	if len(out) == 0 {
-		return nil, ErrFrameEmpty
-	}
-	return out, nil
 }

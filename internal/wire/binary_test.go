@@ -158,91 +158,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCoalescedRoundTrip(t *testing.T) {
-	msgs := []Message{
-		{Type: TBeacon, From: PeerInfo{Addr: "r:1", Capacity: 50}, GroupID: "g",
-			Epoch: 3, Mode: Reliable, Path: []string{"r:1"}},
-		{Type: TDigest, From: PeerInfo{Addr: "r:1", Capacity: 50}, GroupID: "g",
-			Mode: Reliable, Digest: []DigestEntry{{Source: "r:1", High: 17}}},
-		{Type: TNack, From: PeerInfo{Addr: "m:2"}, GroupID: "g",
-			NackSource: "r:1", NackSeqs: []uint64{4, 5}, Origin: PeerInfo{Addr: "m:2"}, TTL: 3},
-	}
-	var sub []byte
-	var err error
-	for i := range msgs {
-		if sub, err = AppendSubMessage(sub, &msgs[i]); err != nil {
-			t.Fatalf("sub %d: %v", i, err)
-		}
-	}
-	frame, err := AppendCoalesced(nil, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFrames(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(msgs) {
-		t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
-	}
-	for i := range msgs {
-		if !msgEquivalent(&got[i], &msgs[i]) {
-			t.Fatalf("sub-message %d mismatch:\n got %+v\nwant %+v", i, got[i], msgs[i])
-		}
-	}
-	// The stream reader unpacks the container one ReadMessage at a time.
-	fr := NewFrameReader(bytes.NewReader(frame))
-	for i := range msgs {
-		var m Message
-		if err := fr.ReadMessage(&m); err != nil {
-			t.Fatalf("stream read %d: %v", i, err)
-		}
-		if m.Type != msgs[i].Type {
-			t.Fatalf("stream read %d: type %s, want %s", i, m.Type, msgs[i].Type)
-		}
-	}
-	// DecodeMessage (single-message contract) must reject the container.
-	if _, err := DecodeMessage(frame); err == nil {
-		t.Fatal("DecodeMessage accepted a multi-message coalesced frame")
-	}
-}
-
-func TestCoalescedMalformed(t *testing.T) {
-	msg := Message{Type: TBeacon, GroupID: "g", Epoch: 1}
-	sub, err := AppendSubMessage(nil, &msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := AppendCoalesced(nil, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truncations anywhere inside the container must error, never panic.
-	for cut := 1; cut < len(frame); cut++ {
-		if _, err := DecodeFrames(frame[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded without error", cut)
-		}
-	}
-	// A nested container is a protocol error.
-	nested, err := AppendCoalesced(nil, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := append([]byte{coalescedType}, appendUvarint(nil, uint64(len(nested)))...)
-	inner = append(inner, nested...)
-	bad, err := AppendCoalesced(nil, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFrames(bad); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("nested container: got %v, want ErrBadMessage", err)
-	}
-	// An empty container is a protocol error at encode time.
-	if _, err := AppendCoalesced(nil, nil); !errors.Is(err, ErrFrameEmpty) {
-		t.Fatalf("empty container: got %v, want ErrFrameEmpty", err)
-	}
-}
-
 func TestBinaryRejectsUnknownFieldBits(t *testing.T) {
 	body := appendUvarint(nil, 1<<fieldCount) // one bit past the known fields
 	frame := []byte{magic0, magic1, VersionBinary, byte(TProbe), 0, 0, 0, 0}
@@ -269,8 +184,8 @@ func TestBinaryRejectsUnencodable(t *testing.T) {
 	if _, err := AppendMessage(nil, &Message{Type: Type(300)}); !errors.Is(err, ErrUnencodable) {
 		t.Fatalf("huge type: got %v, want ErrUnencodable", err)
 	}
-	if _, err := AppendMessage(nil, &Message{Type: Type(coalescedType)}); !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("container type: got %v, want ErrUnencodable", err)
+	if _, err := AppendMessage(nil, &Message{Type: Type(reservedType)}); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("reserved type: got %v, want ErrUnencodable", err)
 	}
 	big := Message{Type: TProbe, From: PeerInfo{Coord: make([]float64, maxCoordDims+1)}}
 	if _, err := AppendMessage(nil, &big); !errors.Is(err, ErrUnencodable) {

@@ -92,30 +92,34 @@ func TestWriterRejectsOversizedMessage(t *testing.T) {
 	}
 }
 
-// hostileHeaders are streams that do not start 'G' 'C' 0x02, each claiming
-// a body just under the 4 MiB cap: the opening bytes of a real frame of the
-// retired gob dialect (big-endian length prefix, first byte 0x00, then the
-// gob type descriptor of Message), a wrong magic, and a binary header whose
-// version byte is 1. FuzzDecodeMessage seeds from the same strings.
+// hostileHeaders are streams this decoder must refuse, each claiming a body
+// just under the 4 MiB cap: three that do not start 'G' 'C' 0x02 — the
+// opening bytes of a real frame of the retired gob dialect (big-endian
+// length prefix, first byte 0x00, then the gob type descriptor of Message),
+// a wrong magic, and a binary header whose version byte is 1 — and a valid
+// header carrying the reserved type byte 0xFF. FuzzDecodeMessage seeds from
+// the same strings.
 var hostileHeaders = []struct {
 	name string
 	data []byte
+	want error
 }{
-	{"former gob frame", []byte{0x00, 0x3f, 0xff, 0xff, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07, 'M', 'e', 's', 's'}},
-	{"wrong magic", []byte{magic0, 'X', VersionBinary, byte(TPayload), 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}},
-	{"version byte 1", []byte{magic0, magic1, 1, byte(TPayload), 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}},
+	{"former gob frame", []byte{0x00, 0x3f, 0xff, 0xff, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07, 'M', 'e', 's', 's'}, ErrBadVersion},
+	{"wrong magic", []byte{magic0, 'X', VersionBinary, byte(TPayload), 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}, ErrBadVersion},
+	{"version byte 1", []byte{magic0, magic1, 1, byte(TPayload), 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}, ErrBadVersion},
+	{"reserved type 0xFF", []byte{magic0, magic1, VersionBinary, reservedType, 0xff, 0xff, 0x3f, 0x00, 0x01, 0x02}, ErrBadMessage},
 }
 
 // TestHostileHeaderRejectedBeforeBody: a frame that is not this protocol's
-// fails with ErrBadVersion on its header alone — nothing past the 8 header
-// bytes is read and no buffer for the claimed body is allocated.
+// fails on its header alone — nothing past the 8 header bytes is read and
+// no buffer for the claimed body is allocated.
 func TestHostileHeaderRejectedBeforeBody(t *testing.T) {
 	for _, tc := range hostileHeaders {
 		src := bytes.NewReader(tc.data)
 		fr := NewFrameReader(src)
 		var msg Message
-		if err := fr.ReadMessage(&msg); !errors.Is(err, ErrBadVersion) {
-			t.Errorf("%s: ReadMessage: got %v, want ErrBadVersion", tc.name, err)
+		if err := fr.ReadMessage(&msg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadMessage: got %v, want %v", tc.name, err, tc.want)
 		}
 		if read := len(tc.data) - src.Len(); read > binHeaderLen {
 			t.Errorf("%s: read %d bytes, want at most the %d-byte header", tc.name, read, binHeaderLen)
@@ -123,8 +127,8 @@ func TestHostileHeaderRejectedBeforeBody(t *testing.T) {
 		if fr.frame != nil {
 			t.Errorf("%s: allocated a %d-byte body buffer", tc.name, cap(fr.frame))
 		}
-		if _, err := DecodeFrames(tc.data); !errors.Is(err, ErrBadVersion) {
-			t.Errorf("%s: DecodeFrames: got %v, want ErrBadVersion", tc.name, err)
+		if _, err := DecodeMessage(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: DecodeMessage: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

@@ -54,45 +54,31 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			Health: []HealthDigest{
 				{Addr: "10.0.0.2:7002", Epoch: 9, Pressure: 1, Degraded: true}}},
 	}
-	// Every shape twice: as a plain frame and as a single-element coalesced
-	// container (what a timer flush of one message emits).
-	out := make([][]byte, 0, 2*len(msgs)+1)
+	out := make([][]byte, 0, len(msgs))
 	for i := range msgs {
-		plain, err := EncodeMessage(&msgs[i])
+		frame, err := EncodeMessage(&msgs[i])
 		if err != nil {
 			tb.Fatalf("seed %d: %v", i, err)
 		}
-		out = append(out, plain, coalesce(tb, &msgs[i]))
+		out = append(out, frame)
 	}
-	// The real coalesced traffic pattern: beacon+digest in one container.
-	return append(out, coalesce(tb, &msgs[6], &msgs[8]))
-}
-
-// coalesce wraps msgs in one coalesced container frame.
-func coalesce(tb testing.TB, msgs ...*Message) []byte {
-	tb.Helper()
-	var subs []byte
-	var err error
-	for _, msg := range msgs {
-		if subs, err = AppendSubMessage(subs, msg); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	frame, err := AppendCoalesced(nil, subs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return frame
+	return out
 }
 
 // FuzzDecodeMessage holds the decoder to its contract: arbitrary input must
 // either decode (and then re-encode/re-decode consistently) or return an
-// error — never panic and never allocate past the frame cap. It covers plain
-// frames and the coalesced container layout.
+// error — never panic and never allocate past the frame cap.
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	for _, seed := range seeds {
 		f.Add(seed)
+	}
+	// Every shape again behind the reserved type byte 0xFF, which must fail
+	// on the header: decoded, it would be a Message the encoder refuses.
+	for _, seed := range seeds {
+		reserved := append([]byte{}, seed...)
+		reserved[3] = reservedType
+		f.Add(reserved)
 	}
 	// Hostile prefixes that do not start with the magic (a retired-dialect
 	// gob frame always began 0x00): huge length, zero length, truncations.
@@ -106,41 +92,36 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0, 0, 0, 5, 1, 2})
 	// Hostile binary headers: bad magic, unknown version, oversized binary
-	// length, coalesced container with a lying sub-length, empty container.
+	// length, the reserved type over a short body and over an empty one.
 	f.Add([]byte{'G', 'X', 2, 1, 1, 0, 0, 0, 0})
 	f.Add([]byte{'G', 'C', 9, 1, 1, 0, 0, 0, 0})
 	f.Add([]byte{'G', 'C', 2, 1, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{'G', 'C', 2, 0xFF, 3, 0, 0, 0, 1, 200, 0})
 	f.Add([]byte{'G', 'C', 2, 0xFF, 0, 0, 0, 0})
-	// Truncations and oversized tails of a real coalesced frame.
-	coalesced := seeds[len(seeds)-1]
-	for _, cut := range []int{1, 4, 8, 9, len(coalesced) / 2, len(coalesced) - 1} {
-		if cut < len(coalesced) {
-			f.Add(coalesced[:cut])
-		}
+	// Truncations and an oversized tail of a real beacon frame.
+	beacon := seeds[6]
+	for _, cut := range []int{1, 4, 8, 9, len(beacon) / 2, len(beacon) - 1} {
+		f.Add(beacon[:cut])
 	}
-	f.Add(append(append([]byte{}, coalesced...), 0xEE))
+	f.Add(append(append([]byte{}, beacon...), 0xEE))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgs, err := DecodeFrames(data)
+		msg, err := DecodeMessage(data)
 		if err != nil {
 			return
 		}
 		// A successful decode must survive a round trip through the binary
-		// encoder, message by message.
-		for i := range msgs {
-			enc, err := EncodeMessage(&msgs[i])
-			if err != nil {
-				t.Fatalf("re-encode of decoded message %d failed: %v", i, err)
-			}
-			back, err := DecodeMessage(enc)
-			if err != nil {
-				t.Fatalf("re-decode of message %d failed: %v", i, err)
-			}
-			if !msgEquivalent(&back, &msgs[i]) {
-				t.Fatalf("round trip of message %d drifted:\n got %+v\nwant %+v",
-					i, back, msgs[i])
-			}
+		// encoder.
+		enc, err := EncodeMessage(&msg)
+		if err != nil {
+			t.Fatalf("re-encode of decoded message failed: %v", err)
+		}
+		back, err := DecodeMessage(enc)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !msgEquivalent(&back, &msg) {
+			t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, msg)
 		}
 	})
 }

@@ -103,9 +103,9 @@ func goldenMessages() []struct {
 	}
 }
 
-// goldenWireDocFrames builds the exact beacon and digest of the worked
-// example in docs/WIRE.md and returns their coalesced container frame.
-func goldenWireDocFrames(tb testing.TB) []byte {
+// goldenWireDocFrame builds the exact beacon of the worked example in
+// docs/WIRE.md and returns its frame.
+func goldenWireDocFrame(tb testing.TB) ([]byte, Message) {
 	tb.Helper()
 	beacon := Message{
 		Type:    TBeacon,
@@ -113,25 +113,11 @@ func goldenWireDocFrames(tb testing.TB) []byte {
 		GroupID: "chat",
 		Epoch:   3,
 	}
-	digest := Message{
-		Type:    TDigest,
-		From:    PeerInfo{Addr: "10.0.0.1:7000", Coord: []float64{1, 2}, Capacity: 50},
-		GroupID: "chat",
-		Digest:  []DigestEntry{{Source: "10.0.0.2:7000", High: 41}},
-	}
-	var subs []byte
-	var err error
-	if subs, err = AppendSubMessage(subs, &beacon); err != nil {
-		tb.Fatal(err)
-	}
-	if subs, err = AppendSubMessage(subs, &digest); err != nil {
-		tb.Fatal(err)
-	}
-	frame, err := AppendCoalesced(nil, subs)
+	frame, err := EncodeMessage(&beacon)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return frame
+	return frame, beacon
 }
 
 const goldenPath = "testdata/golden.txt"
@@ -153,8 +139,6 @@ func TestGoldenVectors(t *testing.T) {
 			}
 			fmt.Fprintf(&out, "%s %s\n", e.name, hex.EncodeToString(enc))
 		}
-		fmt.Fprintf(&out, "coalesced-beacon-digest %s\n",
-			hex.EncodeToString(goldenWireDocFrames(t)))
 		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +178,6 @@ func TestGoldenVectors(t *testing.T) {
 				e.name, dec, e.msg)
 		}
 	}
-	seen["coalesced-beacon-digest"] = true
-	if got := hex.EncodeToString(goldenWireDocFrames(t)); got != want["coalesced-beacon-digest"] {
-		t.Errorf("coalesced frame drifted:\n got %s\nwant %s",
-			got, want["coalesced-beacon-digest"])
-	}
 	for name := range want {
 		if !seen[name] {
 			t.Errorf("stale golden entry %q (run with -update)", name)
@@ -234,8 +213,8 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestWireDocHexDumpMatchesCodec holds docs/WIRE.md to the truth: the worked
-// hex dump of the coalesced beacon+digest frame in the spec must be exactly
-// what the codec emits for the example messages.
+// hex dump of the beacon frame in the spec must be exactly what the codec
+// emits for the example message.
 func TestWireDocHexDumpMatchesCodec(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/WIRE.md")
 	if err != nil {
@@ -278,17 +257,17 @@ func TestWireDocHexDumpMatchesCodec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WIRE.md hex dump is not valid hex: %v", err)
 	}
-	frame := goldenWireDocFrames(t)
+	frame, beacon := goldenWireDocFrame(t)
 	if !bytes.Equal(docFrame, frame) {
 		t.Fatalf("WIRE.md hex dump does not match the codec:\n doc   %x\n codec %x",
 			docFrame, frame)
 	}
-	// And the documented frame must decode to the two example messages.
-	msgs, err := DecodeFrames(frame)
+	// And the documented frame must decode to the example message.
+	got, err := DecodeMessage(docFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 2 || msgs[0].Type != TBeacon || msgs[1].Type != TDigest {
-		t.Fatalf("documented frame decoded to %+v", msgs)
+	if !msgEquivalent(&got, &beacon) {
+		t.Fatalf("documented frame decoded to %+v", got)
 	}
 }
