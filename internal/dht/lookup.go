@@ -15,12 +15,6 @@ type Reply struct {
 	Err      error
 }
 
-// WaveFunc issues one wave's queries — up to alpha contacts, nearest first —
-// and returns their replies in the same order. It is called from the calling
-// goroutine only; whether the queries inside a wave overlap is its business
-// (the live node keeps them in flight together to hide RPC latency).
-type WaveFunc func(wave []Contact, target ID) []Reply
-
 // Result summarizes one iterative lookup.
 type Result struct {
 	// Closest holds the k nearest responsive contacts found, nearest first.
@@ -54,105 +48,130 @@ type candidate struct {
 // deterministic QueryFunc the whole lookup — including its message count —
 // is deterministic.
 func Lookup(target ID, seeds []Contact, k, alpha int, q QueryFunc) Result {
-	return LookupWaves(target, seeds, k, alpha, func(wave []Contact, target ID) []Reply {
+	s := NewStepper(target, seeds, k, alpha)
+	for wave := s.Next(); len(wave) > 0; wave = s.Next() {
 		replies := make([]Reply, len(wave))
 		for i, c := range wave {
 			replies[i].Contacts, replies[i].Record, replies[i].Err = q(c, target)
 		}
-		return replies
-	})
+		s.Merge(replies)
+	}
+	return s.Result()
 }
 
-// LookupWaves is Lookup with the wave as the unit of querying: every wave is
-// handed to w whole, and its replies merge in slot order, so the candidate
-// list (and therefore every later wave) does not depend on how w schedules
-// the queries inside a wave.
-func LookupWaves(target ID, seeds []Contact, k, alpha int, w WaveFunc) Result {
+// Stepper is Lookup as a state machine its caller drives one wave at a time:
+// Next hands out a wave, Merge folds that wave's replies in slot order, and
+// Result summarizes once Next returns nothing. How the caller schedules the
+// queries inside a wave — serially, as Lookup does, or all in flight
+// together, as the live node does — cannot change the candidate list, and
+// therefore cannot change any later wave.
+type Stepper struct {
+	target   ID
+	k, alpha int
+	byAddr   map[string]*candidate
+	order    []*candidate // kept sorted by distance to target
+	wave     []*candidate // the wave Next last handed out
+	res      Result
+}
+
+// NewStepper starts a lookup for target from the seed contacts. k and alpha
+// default to DefaultK and DefaultAlpha when not positive.
+func NewStepper(target ID, seeds []Contact, k, alpha int) *Stepper {
 	if k <= 0 {
 		k = DefaultK
 	}
 	if alpha <= 0 {
 		alpha = DefaultAlpha
 	}
-	var res Result
-	byAddr := make(map[string]*candidate)
-	var order []*candidate // kept sorted by distance to target
-	add := func(c Contact) {
-		if c.Info.Addr == "" {
-			return
-		}
-		if _, ok := byAddr[c.Info.Addr]; ok {
-			return
-		}
-		cand := &candidate{c: c}
-		byAddr[c.Info.Addr] = cand
-		i := sort.Search(len(order), func(i int) bool {
-			return Closer(target, c.ID, order[i].c.ID)
-		})
-		order = append(order, nil)
-		copy(order[i+1:], order[i:])
-		order[i] = cand
+	s := &Stepper{target: target, k: k, alpha: alpha, byAddr: make(map[string]*candidate)}
+	for _, c := range seeds {
+		s.add(c)
 	}
-	for _, s := range seeds {
-		add(s)
-	}
+	return s
+}
 
-	// nextWave picks the closest un-queried candidates among the k nearest
-	// non-failed ones; an empty pick means the lookup has converged.
-	nextWave := func() []*candidate {
-		var wave []*candidate
-		live := 0
-		for _, cand := range order {
-			if cand.state == candFailed {
-				continue
-			}
-			live++
-			if cand.state == candNew && len(wave) < alpha {
-				wave = append(wave, cand)
-			}
-			if live >= k {
-				break
-			}
-		}
-		return wave
+func (s *Stepper) add(c Contact) {
+	if c.Info.Addr == "" {
+		return
 	}
+	if _, ok := s.byAddr[c.Info.Addr]; ok {
+		return
+	}
+	cand := &candidate{c: c}
+	s.byAddr[c.Info.Addr] = cand
+	i := sort.Search(len(s.order), func(i int) bool {
+		return Closer(s.target, c.ID, s.order[i].c.ID)
+	})
+	s.order = append(s.order, nil)
+	copy(s.order[i+1:], s.order[i:])
+	s.order[i] = cand
+}
 
-	for {
-		wave := nextWave()
-		if len(wave) == 0 {
-			break
+// Next returns the next wave — the closest un-queried candidates among the
+// k nearest non-failed ones, at most alpha, nearest first — and marks them
+// queried. An empty wave means the lookup has converged or a value lookup
+// hit.
+func (s *Stepper) Next() []Contact {
+	s.wave = s.wave[:0]
+	if s.res.Record != nil {
+		return nil
+	}
+	live := 0
+	for _, cand := range s.order {
+		if cand.state == candFailed {
+			continue
 		}
-		res.Hops++
-		contacts := make([]Contact, len(wave))
-		for i, cand := range wave {
-			cand.state = candQueried
-			contacts[i] = cand.c
+		live++
+		if cand.state == candNew && len(s.wave) < s.alpha {
+			s.wave = append(s.wave, cand)
 		}
-		for i, r := range w(contacts, target) {
-			res.Queries++
-			if r.Err != nil {
-				res.Failures++
-				wave[i].state = candFailed
-				continue
-			}
-			if r.Record != nil && res.Record == nil {
-				res.Record = r.Record
-			}
-			for _, c := range r.Contacts {
-				add(c)
-			}
-		}
-		if res.Record != nil {
+		if live >= s.k {
 			break
 		}
 	}
+	if len(s.wave) == 0 {
+		return nil
+	}
+	s.res.Hops++
+	contacts := make([]Contact, len(s.wave))
+	for i, cand := range s.wave {
+		cand.state = candQueried
+		contacts[i] = cand.c
+	}
+	return contacts
+}
 
-	for _, cand := range order {
+// Merge folds the replies to the wave Next last returned, one per contact
+// and in the same order: a failed contact leaves the shortlist, the first
+// record found ends the lookup, and every offered contact joins the
+// candidates.
+func (s *Stepper) Merge(replies []Reply) {
+	for i, r := range replies {
+		s.res.Queries++
+		if r.Err != nil {
+			s.res.Failures++
+			s.wave[i].state = candFailed
+			continue
+		}
+		if r.Record != nil && s.res.Record == nil {
+			s.res.Record = r.Record
+		}
+		for _, c := range r.Contacts {
+			s.add(c)
+		}
+	}
+}
+
+// Result summarizes the lookup: the k nearest non-failed candidates, the
+// record on a value hit, and the query, failure and wave counts.
+func (s *Stepper) Result() Result {
+	res := s.res
+	for _, cand := range s.order {
 		if cand.state == candFailed {
 			continue
 		}
 		res.Closest = append(res.Closest, cand.c)
-		if len(res.Closest) >= k {
+		if len(res.Closest) >= s.k {
 			break
 		}
 	}

@@ -3,7 +3,6 @@ package node
 import (
 	"errors"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +51,8 @@ type dhtState struct {
 	// pacing.
 	churn *dht.ChurnEstimator
 
-	mu sync.Mutex
+	// The rest belongs to the node's loop.
+	//
 	// pinging single-flights the ping-before-evict probe per stale contact;
 	// storing single-flights the charter republish per group (a slow lookup
 	// must not stack a second one behind it).
@@ -70,9 +70,8 @@ func (n *Node) dhtEnabled() bool { return n.dht != nil }
 
 // dhtObserve folds one live peer into the routing table. On a full bucket
 // Kademlia prefers the oldest known contact: the newcomer is held off while
-// a background probe pings the stalest entry, which is evicted only if the
-// probe fails (ping-before-evict). At most one probe per stale contact is
-// in flight.
+// a probe pings the stalest entry, which is evicted only if the probe fails
+// (ping-before-evict). At most one probe per stale contact is in flight.
 func (n *Node) dhtObserve(info wire.PeerInfo) {
 	d := n.dht
 	if d == nil || info.Addr == "" || info.Addr == n.self.Addr {
@@ -80,42 +79,27 @@ func (n *Node) dhtObserve(info wire.PeerInfo) {
 	}
 	c := dht.Contact{ID: dht.NodeID(info.Addr), Info: info}
 	cand, full := d.table.Observe(c)
-	if !full {
-		return
-	}
-	d.mu.Lock()
-	if d.pinging[cand.Info.Addr] {
-		d.mu.Unlock()
+	if !full || d.pinging[cand.Info.Addr] {
 		return
 	}
 	d.pinging[cand.Info.Addr] = true
-	d.mu.Unlock()
-	release := func() {
-		d.mu.Lock()
+	n.dhtQuery(cand, d.id, "", func(r dht.Reply) {
 		delete(d.pinging, cand.Info.Addr)
-		d.mu.Unlock()
-	}
-	if !n.spawn(func() {
-		defer release()
-		if _, _, err := n.dhtQuery(cand, d.id, ""); err != nil {
+		if r.Err != nil {
 			d.table.Evict(cand, c)
 			n.dhtNoteChurn(1)
 			n.dhtRescue(cand.Info.Addr)
 		}
-	}) {
-		release()
-	}
+	})
 }
 
-// dhtQuery issues one DHT RPC against contact c and waits for its reply:
+// dhtQuery issues one DHT RPC against contact c and hands done its reply:
 // a FindValue for the group's record when groupID is set, a FindNode toward
-// target otherwise. The reply's contacts (and record, on a value hit) are
-// returned in wire order; a timeout or send failure marks the contact
-// failed for the calling lookup.
-func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string) ([]dht.Contact, *dht.Record, error) {
-	reqID, ch := n.nextReq()
-	defer n.dropReq(reqID)
-	msg := wire.Message{From: n.selfInfo(), ReqID: reqID}
+// target otherwise. The reply's contacts (and record, on a value hit) come
+// in wire order; a timeout or send failure marks the contact failed for
+// the calling lookup.
+func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string, done func(dht.Reply)) {
+	msg := wire.Message{From: n.selfInfo()}
 	if groupID != "" {
 		msg.Type = wire.TDhtFindValue
 		msg.GroupID = groupID
@@ -123,95 +107,96 @@ func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string) ([]dht.Con
 		msg.Type = wire.TDhtFindNode
 		msg.Target = target.Bytes()
 	}
-	if err := n.send(c.Info.Addr, msg); err != nil {
-		return nil, nil, err
-	}
-	select {
-	case resp := <-ch:
-		contacts := make([]dht.Contact, 0, len(resp.Neighbors))
-		for _, info := range resp.Neighbors {
-			if info.Addr == "" || info.Addr == n.self.Addr {
-				continue
+	n.ask([]string{c.Info.Addr}, msg, dhtQueryTimeout,
+		func(resp wire.Message) bool {
+			r := dht.Reply{Contacts: make([]dht.Contact, 0, len(resp.Neighbors))}
+			for _, info := range resp.Neighbors {
+				if info.Addr == "" || info.Addr == n.self.Addr {
+					continue
+				}
+				r.Contacts = append(r.Contacts, dht.Contact{ID: dht.NodeID(info.Addr), Info: info})
 			}
-			contacts = append(contacts, dht.Contact{ID: dht.NodeID(info.Addr), Info: info})
-		}
-		var rec *dht.Record
-		if resp.Type == wire.TDhtFindValueResp && resp.Rendezvous.Addr != "" && resp.Epoch > 0 {
-			rec = &dht.Record{
-				GroupID:    resp.GroupID,
-				Rendezvous: resp.Rendezvous,
-				Mode:       resp.Mode,
-				Epoch:      resp.Epoch,
-				Charter:    resp.Charter,
+			if resp.Type == wire.TDhtFindValueResp && resp.Rendezvous.Addr != "" && resp.Epoch > 0 {
+				r.Record = &dht.Record{
+					GroupID:    resp.GroupID,
+					Rendezvous: resp.Rendezvous,
+					Mode:       resp.Mode,
+					Epoch:      resp.Epoch,
+					Charter:    resp.Charter,
+				}
 			}
-		}
-		return contacts, rec, nil
-	case <-time.After(dhtQueryTimeout):
-		return nil, nil, errDhtQueryTimeout
-	case <-n.stop:
-		return nil, nil, ErrClosed
-	}
+			done(r)
+			return true
+		},
+		func() { done(dht.Reply{Err: errDhtQueryTimeout}) })
 }
 
-// dhtLookup runs one iterative lookup from this node's routing table:
-// a value lookup for groupID's record when set, a node lookup toward target
-// otherwise. The queries of one wave are in flight together, so a wave costs
+// dhtLookup runs one iterative lookup from this node's routing table and
+// hands done the result: a value lookup for groupID's record when set, a
+// node lookup toward target otherwise. The α queries of a wave are in flight
+// together and the wave merges once all of them resolved, so a wave costs
 // one round trip (or one dhtQueryTimeout when a contact is dead), not alpha
 // of them. Counts one DhtLookups tick and feeds the latency histogram.
-func (n *Node) dhtLookup(target dht.ID, groupID string) dht.Result {
+func (n *Node) dhtLookup(target dht.ID, groupID string, done func(dht.Result)) {
 	start := time.Now()
-	seeds := n.dht.table.Closest(target, dht.DefaultK)
-	res := dht.LookupWaves(target, seeds, dht.DefaultK, dht.DefaultAlpha,
-		func(wave []dht.Contact, t dht.ID) []dht.Reply {
-			replies := make([]dht.Reply, len(wave))
-			var wg sync.WaitGroup
-			for i, c := range wave {
-				wg.Add(1)
-				go func(r *dht.Reply, c dht.Contact) {
-					defer wg.Done()
-					r.Contacts, r.Record, r.Err = n.dhtQuery(c, t, groupID)
-				}(&replies[i], c)
-			}
-			wg.Wait()
-			return replies
-		})
-	atomic.AddUint64(&n.stats.DhtLookups, 1)
-	n.metrics.dhtLookup.ObserveDurationMs(float64(time.Since(start)) / float64(time.Millisecond))
-	return res
+	s := dht.NewStepper(target, n.dht.table.Closest(target, dht.DefaultK), dht.DefaultK, dht.DefaultAlpha)
+	var wave func()
+	wave = func() {
+		contacts := s.Next()
+		if len(contacts) == 0 {
+			atomic.AddUint64(&n.stats.DhtLookups, 1)
+			n.metrics.dhtLookup.ObserveDurationMs(float64(time.Since(start)) / float64(time.Millisecond))
+			done(s.Result())
+			return
+		}
+		replies := make([]dht.Reply, len(contacts))
+		left := len(contacts)
+		for i, c := range contacts {
+			n.dhtQuery(c, target, groupID, func(r dht.Reply) {
+				replies[i] = r
+				if left--; left == 0 {
+					s.Merge(replies)
+					wave()
+				}
+			})
+		}
+	}
+	wave()
 }
 
 // dhtResolve finds the group's charter record: the local store first (we
 // may be a replica holder or have cached an earlier lookup), then a value
 // lookup across the DHT. A hit is cached locally so repeated joins of a
 // popular group cost one lookup, not one per join.
-func (n *Node) dhtResolve(groupID string) (dht.Record, bool) {
+func (n *Node) dhtResolve(groupID string, done func(rec dht.Record, ok bool)) {
 	d := n.dht
-	if d == nil {
-		return dht.Record{}, false
-	}
 	key := dht.KeyID(groupID)
-	now := time.Now()
-	if rec, ok := d.store.Get(key, now); ok && rec.Rendezvous.Addr != n.self.Addr {
-		return rec, true
+	if rec, ok := d.store.Get(key, time.Now()); ok && rec.Rendezvous.Addr != n.self.Addr {
+		done(rec, true)
+		return
 	}
-	res := n.dhtLookup(key, groupID)
-	if res.Record == nil || res.Record.Rendezvous.Addr == "" ||
-		res.Record.Rendezvous.Addr == n.self.Addr {
-		return dht.Record{}, false
-	}
-	d.store.Put(key, *res.Record, time.Now())
-	return *res.Record, true
+	n.dhtLookup(key, groupID, func(res dht.Result) {
+		if res.Record == nil || res.Record.Rendezvous.Addr == "" ||
+			res.Record.Rendezvous.Addr == n.self.Addr {
+			done(dht.Record{}, false)
+			return
+		}
+		d.store.Put(key, *res.Record, time.Now())
+		done(*res.Record, true)
+	})
 }
 
-// dhtStoreCharter replicates the group's current charter record to the k
-// nodes closest to the group key (plus the local store). Only the group's
-// rendezvous stores; the record carries the succession epoch so replicas'
-// epoch guards reject a stale root's republish after a takeover. Store
-// RPCs carry a fresh correlation ID but no waiter — the acks matter only
-// as liveness traffic for the receivers' routing tables.
-func (n *Node) dhtStoreCharter(groupID string) {
+// dhtRepublishAsync replicates the group's current charter record to the k
+// nodes closest to the group key (plus the local store), at most one
+// republish per group in flight (the lookup inside can take several query
+// timeouts; stacking republishes behind it would only waste messages). Only
+// the group's rendezvous stores; the record carries the succession epoch so
+// replicas' epoch guards reject a stale root's republish after a takeover.
+// Store RPCs carry a fresh correlation ID but no call — the acks matter
+// only as liveness traffic for the receivers' routing tables.
+func (n *Node) dhtRepublishAsync(groupID string) {
 	d := n.dht
-	if d == nil {
+	if d == nil || d.storing[groupID] {
 		return
 	}
 	n.mu.Lock()
@@ -230,51 +215,12 @@ func (n *Node) dhtStoreCharter(groupID string) {
 	n.mu.Unlock()
 	key := dht.KeyID(groupID)
 	d.store.Put(key, rec, time.Now())
-	res := n.dhtLookup(key, "")
-	msg := wire.Message{
-		Type:       wire.TDhtStore,
-		From:       n.selfInfo(),
-		GroupID:    groupID,
-		Rendezvous: rec.Rendezvous,
-		Mode:       rec.Mode,
-		Epoch:      rec.Epoch,
-		Charter:    rec.Charter,
-	}
-	for _, c := range res.Closest {
-		m := msg
-		m.ReqID = n.nextMsgID()
-		_ = n.send(c.Info.Addr, m)
-	}
-	atomic.AddUint64(&n.stats.DhtStores, 1)
-}
-
-// dhtRepublishAsync replicates the group's charter record in the
-// background, at most one republish per group in flight at a time (the
-// lookup inside can block for several query timeouts; stacking republishes
-// behind it would stall nothing but waste messages).
-func (n *Node) dhtRepublishAsync(groupID string) {
-	d := n.dht
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	if d.storing[groupID] {
-		d.mu.Unlock()
-		return
-	}
 	d.storing[groupID] = true
-	d.mu.Unlock()
-	release := func() {
-		d.mu.Lock()
+	n.dhtLookup(key, "", func(res dht.Result) {
 		delete(d.storing, groupID)
-		d.mu.Unlock()
-	}
-	if !n.spawn(func() {
-		defer release()
-		n.dhtStoreCharter(groupID)
-	}) {
-		release()
-	}
+		n.dhtSendRecord(rec, res.Closest)
+		atomic.AddUint64(&n.stats.DhtStores, 1)
+	})
 }
 
 // dhtNoteChurn feeds observed churn events (bucket evictions, neighbour
@@ -346,45 +292,22 @@ func (n *Node) dhtRescue(lostAddr string) {
 		if !inSet {
 			continue
 		}
-		if rec.Rendezvous.Addr == n.self.Addr {
-			atomic.AddUint64(&n.stats.DhtRescues, 1)
-			n.dhtRepublishAsync(rec.GroupID)
+		if d.storing[rec.GroupID] {
 			continue
-		}
-		gid := rec.GroupID
-		d.mu.Lock()
-		if d.storing[gid] {
-			d.mu.Unlock()
-			continue
-		}
-		d.storing[gid] = true
-		d.mu.Unlock()
-		release := func() {
-			d.mu.Lock()
-			delete(d.storing, gid)
-			d.mu.Unlock()
-		}
-		rec := rec
-		if !n.spawn(func() {
-			defer release()
-			n.dhtPushRecord(rec)
-		}) {
-			release()
-			return
 		}
 		atomic.AddUint64(&n.stats.DhtRescues, 1)
+		if rec.Rendezvous.Addr == n.self.Addr {
+			n.dhtRepublishAsync(rec.GroupID)
+		} else {
+			// No iterative lookup for a remote owner's record: a rescue
+			// costs at most k messages.
+			n.dhtSendRecord(rec, closest)
+		}
 	}
 }
 
-// dhtPushRecord re-pushes one held record to the k contacts closest to its
-// key in the local table — no iterative lookup, so a rescue costs at most k
-// messages. Used when a replica holder drops out of the k-closest set.
-func (n *Node) dhtPushRecord(rec dht.Record) {
-	d := n.dht
-	if d == nil {
-		return
-	}
-	key := dht.KeyID(rec.GroupID)
+// dhtSendRecord pushes one charter record to each of the given contacts.
+func (n *Node) dhtSendRecord(rec dht.Record, to []dht.Contact) {
 	msg := wire.Message{
 		Type:       wire.TDhtStore,
 		From:       n.selfInfo(),
@@ -394,7 +317,7 @@ func (n *Node) dhtPushRecord(rec dht.Record) {
 		Epoch:      rec.Epoch,
 		Charter:    rec.Charter,
 	}
-	for _, c := range d.table.Closest(key, dht.DefaultK) {
+	for _, c := range to {
 		m := msg
 		m.ReqID = n.nextMsgID()
 		_ = n.send(c.Info.Addr, m)
@@ -427,17 +350,8 @@ func (n *Node) dhtEpoch(epochs int) {
 		n.dhtNoteChurn(swept)
 	}
 	republishEvery, refreshEvery := n.dhtCadence(now)
-	d.mu.Lock()
-	republishDue := epochs >= d.republishAt
-	if republishDue {
+	if epochs >= d.republishAt {
 		d.republishAt = epochs + republishEvery
-	}
-	refreshDue := epochs >= d.refreshAt
-	if refreshDue {
-		d.refreshAt = epochs + refreshEvery
-	}
-	d.mu.Unlock()
-	if republishDue {
 		n.mu.Lock()
 		var gids []string
 		for gid, gs := range n.groups {
@@ -450,8 +364,9 @@ func (n *Node) dhtEpoch(epochs int) {
 			n.dhtRepublishAsync(gid)
 		}
 	}
-	if refreshDue {
-		n.spawn(func() { _ = n.dhtLookup(d.id, "") })
+	if epochs >= d.refreshAt {
+		d.refreshAt = epochs + refreshEvery
+		n.dhtLookup(d.id, "", func(dht.Result) {})
 	}
 }
 
@@ -558,10 +473,6 @@ type DhtView struct {
 	Records int `json:"records,omitempty"`
 	// Groups lists the replicated records (group, root, epoch).
 	Groups []DhtRecordView `json:"groups,omitempty"`
-	// Lookups/Fallbacks/Stores mirror the Stats counters.
-	Lookups   uint64 `json:"lookups"`
-	Fallbacks uint64 `json:"fallbacks"`
-	Stores    uint64 `json:"stores"`
 }
 
 // DhtRecordView is one replicated charter record in a DhtView.
@@ -582,9 +493,6 @@ func (n *Node) DhtView() DhtView {
 		ID:        d.id.String(),
 		TableSize: d.table.Len(),
 		Buckets:   d.table.BucketSizes(),
-		Lookups:   atomic.LoadUint64(&n.stats.DhtLookups),
-		Fallbacks: atomic.LoadUint64(&n.stats.DhtFallbacks),
-		Stores:    atomic.LoadUint64(&n.stats.DhtStores),
 	}
 	recs := d.store.Snapshot()
 	v.Records = len(recs)

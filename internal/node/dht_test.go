@@ -278,12 +278,10 @@ func TestDhtChurnSoak(t *testing.T) {
 	waitGoroutines(t, baseline+3, 10*time.Second)
 }
 
-// TestDhtRepublishStopRace pins the Leave/Close-vs-republish race: a DHT
-// republish whose single-flight goroutine is being launched while the node
-// shuts down must never slip past Close's final done.Wait. The old
-// check-stop-then-Add launch pattern had exactly that window; spawn closes
-// it by refusing work under the same lock Close sets closed under. Run with
-// -race.
+// TestDhtRepublishStopRace pins the Leave/Close-vs-republish race: DHT
+// republishes posted to the loop while the node leaves the group and shuts
+// down must neither block the poster nor leave anything running past
+// Close. Run with -race.
 func TestDhtRepublishStopRace(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {
@@ -304,7 +302,7 @@ func TestDhtRepublishStopRace(t *testing.T) {
 					return
 				default:
 				}
-				rdv.dhtRepublishAsync(gid)
+				_ = rdv.post(func() { rdv.dhtRepublishAsync(gid) })
 			}
 		}()
 		// Leave mid-hammer (the republish in flight now targets a group the
@@ -335,10 +333,11 @@ func TestDhtLookupWaveQueriesOverlap(t *testing.T) {
 	const contacts = dht.DefaultAlpha
 	var arrived sync.WaitGroup
 	arrived.Add(contacts)
+	var addrs []string
 	for i := 0; i < contacts; i++ {
 		ep := mem.NextEndpoint()
 		defer ep.Close()
-		nd.dhtObserve(wire.PeerInfo{Addr: ep.Addr()})
+		addrs = append(addrs, ep.Addr())
 		go func() {
 			for msg := range ep.Recv() {
 				if msg.Type != wire.TDhtFindNode {
@@ -353,7 +352,21 @@ func TestDhtLookupWaveQueriesOverlap(t *testing.T) {
 		}()
 	}
 
-	res := nd.dhtLookup(dht.KeyID("overlap"), "")
+	results := make(chan dht.Result, 1)
+	if err := nd.post(func() {
+		for _, addr := range addrs {
+			nd.dhtObserve(wire.PeerInfo{Addr: addr})
+		}
+		nd.dhtLookup(dht.KeyID("overlap"), "", func(r dht.Result) { results <- r })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var res dht.Result
+	select {
+	case res = <-results:
+	case <-time.After(testTimeout):
+		t.Fatal("lookup never finished")
+	}
 	if res.Queries != contacts || res.Hops != 1 {
 		t.Fatalf("lookup ran %d queries in %d waves, want %d in 1", res.Queries, res.Hops, contacts)
 	}

@@ -70,14 +70,15 @@ func (n *Node) backupsForChildLocked(gs *groupState, child wire.PeerInfo) []wire
 }
 
 // tryBackups reattaches a detached group through its precomputed backup
-// access points, nearest first. It returns nil when one of them accepted
-// the join.
-func (n *Node) tryBackups(gid string, asMember bool) error {
+// access points, nearest first, and reports nil through done when one of
+// them accepted the join.
+func (n *Node) tryBackups(gid string, asMember bool, done func(error)) {
 	n.mu.Lock()
 	gs := n.groups[gid]
 	if gs == nil || gs.rendezvous || gs.parent != "" || len(gs.backups) == 0 {
 		n.mu.Unlock()
-		return fmt.Errorf("node: no usable backups for %q", gid)
+		done(fmt.Errorf("node: no usable backups for %q", gid))
+		return
 	}
 	self := n.selfInfoLocked()
 	rdv := gs.rdvInfo
@@ -98,15 +99,19 @@ func (n *Node) tryBackups(gid string, asMember bool) error {
 	sort.SliceStable(cands, func(i, j int) bool {
 		return n.dist(self, cands[i]) < n.dist(self, cands[j])
 	})
-	for _, b := range cands {
-		if err := n.joinVia(gid, b.Addr, rdv, mode, backupJoinTimeout, asMember); err == nil {
-			return nil
+	var try func(i int)
+	try = func(i int) {
+		if i == len(cands) {
+			done(fmt.Errorf("node: all %d backup access points failed for %q", len(cands), gid))
+			return
 		}
-		select {
-		case <-n.stop:
-			return ErrClosed
-		default:
-		}
+		n.joinVia(gid, cands[i].Addr, rdv, mode, backupJoinTimeout, asMember, func(err error) {
+			if err == nil {
+				done(nil)
+				return
+			}
+			try(i + 1)
+		})
 	}
-	return fmt.Errorf("node: all %d backup access points failed for %q", len(cands), gid)
+	try(0)
 }

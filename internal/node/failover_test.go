@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,60 @@ func TestSearchOnlyRepairStillRecovers(t *testing.T) {
 		}
 		return true
 	}, static("search-only repair never recovered"))
+}
+
+// TestRepairCostsNoGoroutine: a tree repair is a chain of calls in the
+// loop's table, not a goroutine. The orphan below has only silent backups
+// and silent search targets, so its repair runs for seconds; throughout it
+// the node adds no goroutine beyond its loop and its inbox pump.
+func TestRepairCostsNoGoroutine(t *testing.T) {
+	net := transport.NewMemNetwork()
+	// Reachable but never read: every join and search sent there times out.
+	var silent []*transport.MemEndpoint
+	for i := 0; i < 5; i++ {
+		ep := net.NextEndpoint()
+		defer ep.Close()
+		silent = append(silent, ep)
+	}
+	parent, backups, nbrs := silent[0], silent[1:3], silent[3:]
+	baseline := settledGoroutines()
+
+	cfg := DefaultConfig(10, nil, 1)
+	cfg.HeartbeatInterval = 0
+	cfg.DisableDHT = true
+	n := New(net.NextEndpoint(), cfg)
+	gs := newGroupState(wire.BestEffort)
+	gs.member = true
+	gs.parent = parent.Addr()
+	for _, ep := range backups {
+		gs.backups = append(gs.backups, wire.PeerInfo{Addr: ep.Addr()})
+	}
+	n.groups["g"] = gs
+	for _, ep := range nbrs {
+		n.neighbors[ep.Addr()] = &neighborState{info: wire.PeerInfo{Addr: ep.Addr()}, lastAck: time.Now()}
+	}
+	n.Start()
+	defer n.Close()
+
+	// The parent leaves the group: the orphan's repair tries both backups
+	// (backupJoinTimeout each), then ripple-searches for 2s.
+	if err := parent.Send(n.Addr(), wire.Message{
+		Type: wire.TLeave, From: wire.PeerInfo{Addr: parent.Addr()}, GroupID: "g",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if g := runtime.NumGoroutine() - baseline; g > peak {
+			peak = g
+		}
+	}
+	if n.PendingRequests() == 0 {
+		t.Fatal("the repair is already over; the test needs it running")
+	}
+	if peak > 2 {
+		t.Fatalf("the node ran up to %d goroutines during a repair, want 2 (loop + inbox pump)", peak)
+	}
 }
 
 // TestJoinRetriesThroughLoss pins joinVia's internal retry: the first join

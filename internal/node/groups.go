@@ -64,7 +64,9 @@ func (n *Node) CreateGroupMode(groupID string, mode wire.DeliveryMode) error {
 	// Seed the discovery plane: the charter record replicates to the k
 	// closest nodes so joiners resolve the group in O(log N) without
 	// waiting for an advertisement flood to reach them.
-	n.dhtRepublishAsync(groupID)
+	if n.dht != nil {
+		_ = n.post(func() { n.dhtRepublishAsync(groupID) })
+	}
 	return nil
 }
 
@@ -168,6 +170,9 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 		n.mu.Unlock()
 		return
 	}
+	// Selection draws from the seeded rng in candidate order, so the order
+	// must not be map order.
+	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].Addr < nbrs[j].Addr })
 	fanout := int(math.Ceil(n.cfg.AdvertiseFraction * float64(len(nbrs))))
 	if fanout < 1 {
 		fanout = 1
@@ -201,16 +206,16 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 // path when the announcement was received, otherwise through a TTL-scoped
 // ripple search for an access point. It blocks up to timeout for the search.
 func (n *Node) Join(groupID string, timeout time.Duration) error {
-	return n.joinInternal(groupID, timeout, true)
-}
-
-// joinInternal attaches this node to the group tree. With asMember it
-// (re)asserts membership; without, it only repairs a dangling forwarder's
-// uplink, leaving membership untouched.
-func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool) error {
 	if err := n.runnable(); err != nil {
 		return err
 	}
+	return n.await(func(done func(error)) { n.joinInternal(groupID, timeout, true, done) })
+}
+
+// joinInternal attaches this node to the group tree and reports through
+// done. With asMember it (re)asserts membership; without, it only repairs a
+// dangling forwarder's uplink, leaving membership untouched.
+func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool, done func(error)) {
 	n.mu.Lock()
 	gs := n.groups[groupID]
 	if gs != nil && (gs.rendezvous || gs.parent != "") {
@@ -221,56 +226,76 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 			gs.member = true
 		}
 		n.mu.Unlock()
-		return nil
+		done(nil)
+		return
 	}
 	ad, sawAd := n.adSeen[groupID]
 	n.mu.Unlock()
 
-	if sawAd && ad.upstream != "" {
-		err := n.joinVia(groupID, ad.upstream, ad.rendezvous, ad.mode, timeout, asMember)
-		if err == nil || err == ErrClosed {
-			return err
-		}
-		// The advertisement's reverse path is dead — its upstream crashed or
-		// sits across a partition. Fall through to discovery rather than
-		// replaying the same hop on every repair: an orphan whose upstream is
-		// unreachable would otherwise never re-attach, even with the
-		// rendezvous among its own neighbours.
-	}
-	if sawAd && ad.upstream == "" {
+	switch {
+	case sawAd && ad.upstream == "":
 		// We are the rendezvous (handled above) or the ad record is local.
-		return nil
+		done(nil)
+	case sawAd:
+		n.joinVia(groupID, ad.upstream, ad.rendezvous, ad.mode, timeout, asMember, func(err error) {
+			if err == nil {
+				done(nil)
+				return
+			}
+			// The advertisement's reverse path is dead — its upstream crashed
+			// or sits across a partition. Fall through to discovery rather
+			// than replaying the same hop on every repair: an orphan whose
+			// upstream is unreachable would otherwise never re-attach, even
+			// with the rendezvous among its own neighbours.
+			n.joinDiscover(groupID, timeout, asMember, done)
+		})
+	default:
+		n.joinDiscover(groupID, timeout, asMember, done)
 	}
+}
 
-	// Structured discovery: resolve the group's charter record through the
-	// DHT and join at its rendezvous — O(log N) messages against the ripple
-	// flood's O(N). A miss (young record not yet replicated, churned
-	// replicas) falls back to the search below unless DHTNoFallback pins
-	// the structured path.
-	if n.dht != nil {
-		if rec, ok := n.dhtResolve(groupID); ok {
-			err := n.joinVia(groupID, rec.Rendezvous.Addr, rec.Rendezvous, rec.Mode, timeout, asMember)
-			if err != nil && err != ErrClosed {
-				// The record's rendezvous would not have us — most often a
-				// corpse cached across a succession. Purge it so the next
-				// attempt resolves through the network (where the new root's
-				// higher-epoch record wins) instead of replaying the cache
-				// until the TTL clears it.
-				n.dht.store.Delete(dht.KeyID(groupID))
-			}
-			if err == nil || err == ErrClosed || n.cfg.DHTNoFallback {
-				return err
-			}
-		} else if n.cfg.DHTNoFallback {
-			return fmt.Errorf("%w: %q (no DHT record and fallback disabled)",
-				ErrJoinFailed, groupID)
+// joinDiscover is the join past the advertisement path. Structured
+// discovery first: resolve the group's charter record through the DHT and
+// join at its rendezvous — O(log N) messages against the ripple flood's
+// O(N). A miss (young record not yet replicated, churned replicas) falls
+// back to the ripple search unless DHTNoFallback pins the structured path.
+func (n *Node) joinDiscover(groupID string, timeout time.Duration, asMember bool, done func(error)) {
+	if n.dht == nil {
+		n.joinSearch(groupID, timeout, asMember, done)
+		return
+	}
+	fallback := func(err error) {
+		if n.cfg.DHTNoFallback {
+			done(err)
+			return
 		}
 		atomic.AddUint64(&n.stats.DhtFallbacks, 1)
+		n.joinSearch(groupID, timeout, asMember, done)
 	}
+	n.dhtResolve(groupID, func(rec dht.Record, ok bool) {
+		if !ok {
+			fallback(fmt.Errorf("%w: %q (no DHT record and fallback disabled)", ErrJoinFailed, groupID))
+			return
+		}
+		n.joinVia(groupID, rec.Rendezvous.Addr, rec.Rendezvous, rec.Mode, timeout, asMember, func(err error) {
+			if err == nil {
+				done(nil)
+				return
+			}
+			// The record's rendezvous would not have us — most often a
+			// corpse cached across a succession. Purge it so the next
+			// attempt resolves through the network (where the new root's
+			// higher-epoch record wins) instead of replaying the cache
+			// until the TTL clears it.
+			n.dht.store.Delete(dht.KeyID(groupID))
+			fallback(err)
+		})
+	})
+}
 
-	// Ripple search for an access point.
-	reqID, ch := n.nextReq()
-	defer n.dropReq(reqID)
+// joinSearch floods a ripple search for an access point to every neighbour
+// and joins through the first hit outside this node's own subtree.
+func (n *Node) joinSearch(groupID string, timeout time.Duration, asMember bool, done func(error)) {
 	msgID := n.nextMsgID()
 	self := n.selfInfo()
 	search := wire.Message{
@@ -279,7 +304,6 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 		GroupID:  groupID,
 		TTL:      searchTTL,
 		Origin:   self,
-		ReqID:    reqID,
 		MsgID:    msgID,
 		TraceID:  msgID,
 		OriginAt: time.Now(),
@@ -288,27 +312,21 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 	n.seenAds.Seen(msgID, time.Now()) // don't answer our own search
 	nbrs := n.neighborAddrsLocked()
 	n.mu.Unlock()
-	for _, addr := range nbrs {
-		_ = n.send(addr, search)
-	}
-	deadline := time.After(timeout)
-	for {
-		select {
-		case hit := <-ch:
+	n.ask(nbrs, search, timeout,
+		func(hit wire.Message) bool {
 			// Refuse access points inside our own subtree: their root path
 			// would run through us and re-attaching would orphan the group
-			// into a cycle.
+			// into a cycle. Keep waiting for another hit.
 			if pathContains(hit.Path, n.self.Addr) {
-				continue
+				return false
 			}
-			return n.joinVia(groupID, hit.From.Addr, hit.Rendezvous, hit.Mode, timeout, asMember)
-		case <-deadline:
-			return fmt.Errorf("%w: %q (no access point within TTL %d)",
-				ErrJoinFailed, groupID, searchTTL)
-		case <-n.stop:
-			return ErrClosed
-		}
-	}
+			n.joinVia(groupID, hit.From.Addr, hit.Rendezvous, hit.Mode, timeout, asMember, done)
+			return true
+		},
+		func() {
+			done(fmt.Errorf("%w: %q (no access point within TTL %d)",
+				ErrJoinFailed, groupID, searchTTL))
+		})
 }
 
 // beaconGrace is how long a node trusts its tree attachment without hearing
@@ -433,7 +451,7 @@ func pathContains(path []string, addr string) bool {
 // budget split evenly across attempts) so a single lost join or ack doesn't
 // fail the attachment. On final failure the tentative parent edge is rolled
 // back so the epoch loop sees the group as detached.
-func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.DeliveryMode, timeout time.Duration, asMember bool) error {
+func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.DeliveryMode, timeout time.Duration, asMember bool, done func(error)) {
 	n.mu.Lock()
 	gs := n.groups[groupID]
 	if gs == nil {
@@ -449,88 +467,63 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 	mode = gs.mode
 	n.mu.Unlock()
 
+	// rollback drops the tentative edge (unless a competing join already
+	// moved the group elsewhere) so this group reads as detached, not wedged
+	// under a dead parent.
+	rollback := func() {
+		n.mu.Lock()
+		if gs.parent == parentAddr {
+			gs.parent = ""
+			gs.parentInfo = wire.PeerInfo{}
+		}
+		n.mu.Unlock()
+	}
 	attemptWait := timeout / retryAttempts
 	if attemptWait < 10*time.Millisecond {
 		attemptWait = 10 * time.Millisecond
 	}
-	var lastErr error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			atomic.AddUint64(&n.stats.Retries, 1)
+	n.retry(false, func(_ int, fail func()) {
+		self := n.selfInfo()
+		var traceID uint64
+		if n.tracer != nil {
+			traceID = n.nextMsgID()
 		}
-		ack, err := n.joinOnce(groupID, parentAddr, rdv, mode, attemptWait)
-		if err == nil {
-			// An ack whose root path runs through us means we picked a
-			// parent inside our own subtree: accepting it would close a
-			// cycle. Roll back and tell the parent to drop the edge.
-			if pathContains(ack.Path, n.self.Addr) {
-				n.mu.Lock()
-				if gs.parent == parentAddr {
-					gs.parent = ""
-					gs.parentInfo = wire.PeerInfo{}
+		join := wire.Message{
+			Type:       wire.TJoin,
+			From:       self,
+			GroupID:    groupID,
+			Subscriber: self,
+			Rendezvous: rdv,
+			Mode:       mode,
+			TraceID:    traceID,
+			OriginAt:   time.Now(),
+			RelayedAt:  time.Now(),
+		}
+		n.ask([]string{parentAddr}, join, attemptWait,
+			func(ack wire.Message) bool {
+				// An ack whose root path runs through us means we picked a
+				// parent inside our own subtree: accepting it would close a
+				// cycle. Roll back and tell the parent to drop the edge.
+				if pathContains(ack.Path, n.self.Addr) {
+					rollback()
+					_ = n.send(parentAddr, wire.Message{
+						Type: wire.TLeave, From: n.selfInfo(), GroupID: groupID,
+					})
+					done(fmt.Errorf("%w: %q (access point %s is inside our subtree)",
+						ErrJoinFailed, groupID, parentAddr))
+					return true
 				}
+				n.mu.Lock()
+				gs.lastBeacon = time.Now() // grace until the first beacon arrives
 				n.mu.Unlock()
-				_ = n.send(parentAddr, wire.Message{
-					Type: wire.TLeave, From: n.selfInfo(), GroupID: groupID,
-				})
-				return fmt.Errorf("%w: %q (access point %s is inside our subtree)",
-					ErrJoinFailed, groupID, parentAddr)
-			}
-			n.mu.Lock()
-			gs.lastBeacon = time.Now() // grace until the first beacon arrives
-			n.mu.Unlock()
-			return nil
-		}
-		if err == ErrClosed {
-			return err
-		}
-		lastErr = err
-	}
-	// Roll back the tentative edge (unless a competing join already moved
-	// the group elsewhere) so this group reads as detached, not wedged
-	// under a dead parent.
-	n.mu.Lock()
-	if gs.parent == parentAddr {
-		gs.parent = ""
-		gs.parentInfo = wire.PeerInfo{}
-	}
-	n.mu.Unlock()
-	return lastErr
-}
-
-// joinOnce performs a single join handshake attempt against parentAddr and
-// returns the parent's ack.
-func (n *Node) joinOnce(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.DeliveryMode, wait time.Duration) (wire.Message, error) {
-	reqID, ch := n.nextReq()
-	defer n.dropReq(reqID)
-	self := n.selfInfo()
-	var traceID uint64
-	if n.tracer != nil {
-		traceID = n.nextMsgID()
-	}
-	if err := n.send(parentAddr, wire.Message{
-		Type:       wire.TJoin,
-		From:       self,
-		GroupID:    groupID,
-		Subscriber: self,
-		Rendezvous: rdv,
-		Mode:       mode,
-		ReqID:      reqID,
-		TraceID:    traceID,
-		OriginAt:   time.Now(),
-		RelayedAt:  time.Now(),
-	}); err != nil {
-		return wire.Message{}, err
-	}
-	select {
-	case ack := <-ch:
-		return ack, nil
-	case <-time.After(wait):
-		return wire.Message{}, fmt.Errorf("%w: %q (parent %s did not acknowledge)",
-			ErrJoinFailed, groupID, parentAddr)
-	case <-n.stop:
-		return wire.Message{}, ErrClosed
-	}
+				done(nil)
+				return true
+			}, fail)
+	}, func() {
+		rollback()
+		done(fmt.Errorf("%w: %q (parent %s did not acknowledge)",
+			ErrJoinFailed, groupID, parentAddr))
+	})
 }
 
 // handleJoin makes the sender a tree child and, if this node is not yet on
@@ -579,8 +572,8 @@ func (n *Node) handleJoin(msg wire.Message) {
 		})
 	}
 	if upstream != "" {
-		// Forwarded joins request an ack too (fresh correlation ID with no
-		// waiter) so this forwarder learns its root path.
+		// Forwarded joins request an ack too (fresh correlation ID that no
+		// call waits on) so this forwarder learns its root path.
 		_ = n.send(upstream, wire.Message{
 			Type:       wire.TJoin,
 			From:       n.selfInfo(),
@@ -606,8 +599,8 @@ func ownPathLocked(gs *groupState, selfAddr string) []string {
 }
 
 // handleJoinAck refreshes the node's root path, parent identity, and backup
-// access points from its parent's ack (the pending waiter, if any, is
-// signalled separately by routePending).
+// access points from its parent's ack (the waiting join, if any, gets the
+// ack separately through the call table).
 func (n *Node) handleJoinAck(msg wire.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

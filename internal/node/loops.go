@@ -10,13 +10,15 @@ import (
 )
 
 // run is the node's event loop, the one goroutine Start launches. It
-// dispatches every inbound message and runs every periodic duty — the
-// heartbeat epoch, the NACK sweep, the pressure sample, and the mid-epoch
-// reprobe of suspects — one at a time, off one timer re-armed to the
-// earliest due duty, so every PayloadHandler call happens here in release
-// order. Nothing on the loop may wait for a reply, because replies arrive
-// through this same loop: duties hand their blocking work (DHT lookups and
-// pings, tree repairs, joins, state saves) to spawn.
+// dispatches every inbound message, runs every flow an API call posts, and
+// runs every periodic duty — the heartbeat epoch, the NACK sweep, the
+// pressure sample, and the mid-epoch reprobe of suspects — one at a time,
+// off one timer re-armed to the earliest due duty or call deadline, so every
+// PayloadHandler call happens here in release order. Nothing on the loop
+// waits: a flow that needs a reply (DHT lookups and pings, tree repairs,
+// joins) registers a call and continues when the loop routes the reply or
+// fires the deadline (calls.go). Only the state save leaves the loop, on a
+// goroutine the loop's own done count keeps Close waiting for.
 func (n *Node) run() {
 	defer n.done.Done()
 	hb := n.cfg.HeartbeatInterval
@@ -34,8 +36,8 @@ func (n *Node) run() {
 	epochs := n.epochBase
 	lastEpoch := now
 	var suspects []string
-	timer := time.NewTimer(0) // the first wake arms the earliest deadline
-	defer timer.Stop()
+	n.timer = time.NewTimer(0) // the first wake arms the earliest deadline
+	defer n.timer.Stop()
 	for {
 		select {
 		case msg, ok := <-n.tr.Recv():
@@ -44,15 +46,19 @@ func (n *Node) run() {
 			}
 			n.handle(msg)
 			continue
+		case f := <-n.posts:
+			f()
+			continue
 		case <-n.stop:
 			// Drain until the transport closes its channel.
 			for range n.tr.Recv() {
 			}
 			return
-		case <-timer.C:
+		case <-n.timer.C:
 		}
-		// A duty runs when due and re-arms one period later.
 		now = time.Now()
+		n.fireDue(now)
+		// A duty runs when due and re-arms one period later.
 		if !nextReprobe.IsZero() && !now.Before(nextReprobe) {
 			nextReprobe = time.Time{}
 			n.reprobe(suspects)
@@ -87,8 +93,11 @@ func (n *Node) run() {
 			n.digestGroups()
 			n.epochNow.Store(int64(epochs))
 			if n.cfg.StatePath != "" && epochs%n.cfg.StateSaveEpochs == 0 {
-				e := epochs
-				n.spawn(func() { n.saveState(e) })
+				n.done.Add(1)
+				go func(e int) {
+					defer n.done.Done()
+					n.saveState(e)
+				}(epochs)
 			}
 		}
 		next := nextNack // always armed
@@ -97,7 +106,13 @@ func (n *Node) run() {
 				next = d
 			}
 		}
-		timer.Reset(time.Until(next))
+		for _, c := range n.calls {
+			if c.deadline.Before(next) {
+				next = c.deadline
+			}
+		}
+		n.armed = next
+		n.timer.Reset(time.Until(next))
 	}
 }
 
@@ -141,16 +156,19 @@ func (n *Node) dispatch(msg wire.Message) {
 	case wire.TProbe:
 		n.handleProbe(msg)
 	case wire.TProbeResp, wire.TSearchHit:
-		n.routePending(msg)
+		n.answer(msg)
 	case wire.TJoinAck:
 		n.handleJoinAck(msg)
-		n.routePending(msg)
+		n.answer(msg)
 	case wire.TConnect:
 		n.addNeighbor(msg.From)
 	case wire.TBackConnect:
 		n.handleBackConnect(msg)
 	case wire.TBackAccept:
+		// Every accept links, a late one too; the waiting bootstrap (if
+		// still there) then learns it has a neighbour.
 		n.addNeighbor(msg.From)
+		n.answer(msg)
 	case wire.THeartbeat:
 		n.touchNeighbor(msg.From)
 		n.dhtObserve(msg.From)
@@ -204,7 +222,7 @@ func (n *Node) dispatch(msg wire.Message) {
 		// Every DHT reply is liveness evidence for the routing table; the
 		// waiting lookup (if still there) gets the message itself.
 		n.dhtObserve(msg.From)
-		n.routePending(msg)
+		n.answer(msg)
 	}
 }
 
@@ -228,18 +246,6 @@ func (n *Node) handleProbe(msg wire.Message) {
 		ReqID:     msg.ReqID,
 		Neighbors: nbrs,
 	})
-}
-
-func (n *Node) routePending(msg wire.Message) {
-	n.mu.Lock()
-	ch := n.pending[msg.ReqID]
-	n.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- msg:
-		default:
-		}
-	}
 }
 
 // handleBackConnect applies the PB_k acceptance rule of Section 3.3 to a
@@ -268,7 +274,7 @@ func (n *Node) handleBackConnect(msg wire.Message) {
 		return
 	}
 	n.addNeighbor(msg.From)
-	_ = n.send(msg.From.Addr, wire.Message{Type: wire.TBackAccept, From: n.selfInfo()})
+	_ = n.send(msg.From.Addr, wire.Message{Type: wire.TBackAccept, From: n.selfInfo(), ReqID: msg.ReqID})
 }
 
 func (n *Node) touchNeighbor(info wire.PeerInfo) {
@@ -495,61 +501,53 @@ func (n *Node) reattachAsync(groupIDs []string) { n.repairAsync(groupIDs, false)
 // most one attempt per group is in flight at a time.
 func (n *Node) rejoinAsync(groupIDs []string) { n.repairAsync(groupIDs, true) }
 
-// repairAsync reattaches the given groups in the background, at most one
-// repair per group in flight at a time. Each repair tries the precomputed
-// backup access points first (live failover), then falls back to
-// search-based joins with exponential backoff; the epoch loop retriggers
-// any group still detached afterwards.
+// repairAsync starts a repair for each given group that has none in flight.
+// Each repair tries the precomputed backup access points first (live
+// failover), then falls back to search-based joins with exponential
+// backoff; the epoch loop retriggers any group still detached afterwards.
 func (n *Node) repairAsync(groupIDs []string, asMember bool) {
 	for _, gid := range groupIDs {
-		gid := gid
-		n.mu.Lock()
 		if n.rejoining[gid] {
-			n.mu.Unlock()
 			continue
 		}
 		n.rejoining[gid] = true
-		n.mu.Unlock()
-		release := func() {
-			n.mu.Lock()
-			delete(n.rejoining, gid)
-			n.mu.Unlock()
-		}
-		if !n.spawn(func() {
-			defer release()
-			n.repairAttachment(gid, asMember)
-		}) {
-			release()
-			return
-		}
+		n.repairAttachment(gid, asMember, func() { delete(n.rejoining, gid) })
 	}
 }
 
-// repairAttachment runs one repair for a detached group: backup failover
-// first, then retried search-based joins.
-func (n *Node) repairAttachment(gid string, asMember bool) {
+// repairAttachment runs one repair for a detached group — backup failover
+// first, then retried search-based joins — and calls done when it ends.
+func (n *Node) repairAttachment(gid string, asMember bool, done func()) {
 	if n.attached(gid) {
+		done()
 		return
 	}
-	if !n.cfg.DisableBackupFailover {
-		if err := n.tryBackups(gid, asMember); err == nil {
+	search := func() {
+		n.retry(true, func(i int, fail func()) {
+			if i > 0 && n.attached(gid) {
+				done()
+				return
+			}
+			n.joinInternal(gid, 2*time.Second, asMember, func(err error) {
+				if err != nil {
+					fail()
+					return
+				}
+				atomic.AddUint64(&n.stats.RepairsViaSearch, 1)
+				done()
+			})
+		}, done)
+	}
+	if n.cfg.DisableBackupFailover {
+		search()
+		return
+	}
+	n.tryBackups(gid, asMember, func(err error) {
+		if err == nil {
 			atomic.AddUint64(&n.stats.RepairsViaBackup, 1)
+			done()
 			return
 		}
-	}
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			atomic.AddUint64(&n.stats.Retries, 1)
-			if !n.sleepBackoff(attempt) {
-				return
-			}
-			if n.attached(gid) {
-				return
-			}
-		}
-		if err := n.joinInternal(gid, 2*time.Second, asMember); err == nil {
-			atomic.AddUint64(&n.stats.RepairsViaSearch, 1)
-			return
-		}
-	}
+		search()
+	})
 }

@@ -17,16 +17,7 @@ import (
 // node with heartbeats on runs its event loop and its transport's inbox pump,
 // nothing else. Every periodic duty shares the loop.
 func TestIdleNodeGoroutines(t *testing.T) {
-	// Let goroutines of earlier tests finish exiting before the baseline.
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		time.Sleep(10 * time.Millisecond)
-		g := runtime.NumGoroutine()
-		if g == baseline {
-			break
-		}
-		baseline = g
-	}
+	baseline := settledGoroutines()
 	net := transport.NewMemNetwork()
 	cfg := DefaultConfig(10, nil, 1)
 	cfg.HeartbeatInterval = 100 * time.Millisecond
@@ -34,7 +25,7 @@ func TestIdleNodeGoroutines(t *testing.T) {
 	n.Start()
 	// Several epochs, and with them NACK sweeps and pressure samples.
 	waitFor(t, testTimeout, func() bool { return n.epochNow.Load() >= 3 }, static("no epochs ran"))
-	// At most 2 once transient spawns (a DHT refresh) finish, and at least 2.
+	// Loop and pump only: no flow the loop starts gets a goroutine.
 	waitGoroutines(t, baseline+2, 2*time.Second)
 	if got := runtime.NumGoroutine() - baseline; got < 2 {
 		t.Fatalf("idle node added %d goroutines, want 2 (loop + inbox pump)", got)

@@ -9,9 +9,12 @@
 //
 // What runs where: a started node runs one event loop (run, loops.go), fed
 // by the transport's inbox pump, that handles every inbound message and
-// periodic duty and makes every PayloadHandler call. Work that waits for a
-// reply runs on goroutines from spawn. API calls run on the caller's
-// goroutine and share state with the loop under n.mu.
+// periodic duty and makes every PayloadHandler call. A flow that waits — for
+// a reply or a retry backoff — is an entry in the loop's call table
+// (calls.go) and continues on the loop when its reply or deadline arrives.
+// API calls run on the caller's goroutine and share state with the loop
+// under n.mu; the blocking ones (Bootstrap, Join, RecoverGroups) post their
+// flow to the loop and wait only for its result.
 package node
 
 import (
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,9 +175,9 @@ func DefaultConfig(capacity float64, coord coords.Point, seed int64) Config {
 // It is called on the node's event loop, one call at a time, in release
 // order — whether the payload was released by a live arrival, a digest, a
 // NACK-sweep abandonment or a promotion. It may call Publish and Leave. It
-// must not call Join or Bootstrap: they wait for a reply that only the loop
-// it is blocking can route. A handler that blocks also stalls the node's
-// heartbeats.
+// must not call Join or Bootstrap: they post their flow to the loop it is
+// blocking and wait for a result only that loop can produce. A handler that
+// blocks also stalls the node's heartbeats.
 type PayloadHandler func(groupID string, from wire.PeerInfo, data []byte)
 
 type neighborState struct {
@@ -261,9 +265,7 @@ type Node struct {
 	groups    map[string]*groupState
 	adSeen    map[string]adState
 	seenAds   *reliable.Dedup
-	pending   map[uint64]chan wire.Message
 	handler   PayloadHandler
-	reqSeq    uint64
 	msgSeq    uint64
 	started   bool
 	closed    bool
@@ -276,8 +278,6 @@ type Node struct {
 	// always-on instrument registry. See observe.go.
 	tracer  *trace.Tracer
 	metrics nodeMetrics
-	// rejoining guards against overlapping re-join attempts per group.
-	rejoining map[string]bool
 	// dht is the structured discovery plane (nil when DisableDHT). See
 	// dht.go.
 	dht *dhtState
@@ -294,6 +294,18 @@ type Node struct {
 	saving     atomic.Bool
 	epochNow   atomic.Int64
 	lastSaveAt atomic.Int64
+
+	// Loop-owned (loops.go, calls.go): the call table, its ReqID counter,
+	// the timer and the deadline it is armed for, and the per-group repair
+	// single-flight. ncalls mirrors len(calls) for PendingRequests.
+	calls     map[uint64]*call
+	reqSeq    uint64
+	timer     *time.Timer
+	armed     time.Time
+	rejoining map[string]bool
+	ncalls    atomic.Int64
+	// posts carries API flows onto the loop (see post).
+	posts chan func()
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -382,9 +394,10 @@ func New(tr transport.Transport, cfg Config) *Node {
 		groups:    make(map[string]*groupState),
 		adSeen:    make(map[string]adState),
 		seenAds:   reliable.NewDedup(cfg.SeenMax, reliable.DefaultSeenTTL),
-		pending:   make(map[uint64]chan wire.Message),
 		tracer:    cfg.Tracer,
+		calls:     make(map[uint64]*call),
 		rejoining: make(map[string]bool),
+		posts:     make(chan func()),
 		stop:      make(chan struct{}),
 	}
 	n.multi, _ = tr.(transport.MultiSender)
@@ -484,29 +497,6 @@ func (n *Node) Start() {
 	go n.run()
 }
 
-// spawn launches f on a tracked background goroutine, refusing once the
-// node has begun closing. The closed check and the WaitGroup increment
-// happen under n.mu — the same lock Close sets closed under before draining
-// the WaitGroup — so a goroutine can never be added after Close started
-// waiting. (The check-stop-then-Add pattern this replaces raced Close: a
-// goroutine admitted between the stop check and done.Add could outlive
-// Close and leak.) Reports whether f was launched; cleanup the caller
-// prepared (e.g. releasing a single-flight slot) must run on false.
-func (n *Node) spawn(f func()) bool {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return false
-	}
-	n.done.Add(1)
-	n.mu.Unlock()
-	go func() {
-		defer n.done.Done()
-		f()
-	}()
-	return true
-}
-
 // Close stops the node: it notifies neighbours, stops its goroutines, and
 // closes the transport.
 func (n *Node) Close() error {
@@ -575,23 +565,6 @@ func (n *Node) quota() int {
 	return int(q)
 }
 
-// nextReq allocates a correlation ID with a waiting channel. Every caller
-// pairs it with a dropReq on each return path.
-func (n *Node) nextReq() (uint64, chan wire.Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.reqSeq++
-	ch := make(chan wire.Message, 16)
-	n.pending[n.reqSeq] = ch
-	return n.reqSeq, ch
-}
-
-func (n *Node) dropReq(id uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.pending, id)
-}
-
 func (n *Node) nextMsgID() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -626,99 +599,103 @@ func (n *Node) Bootstrap(contacts []string, timeout time.Duration) error {
 	if len(contacts) == 0 {
 		return nil // first node in the overlay
 	}
+	return n.await(func(done func(error)) { n.bootstrap(contacts, timeout, done) })
+}
 
-	// Probe phase: all contacts in parallel, each with bounded retries.
-	// The per-attempt wait divides the caller's timeout so the phase stays
-	// inside roughly one timeout regardless of how many contacts are dead.
+// bootstrap is Bootstrap's probe phase on the loop: every contact is probed
+// at once, and the connection phase starts when the last probe resolves.
+// The per-attempt wait divides the caller's timeout so the phase stays
+// inside roughly one timeout regardless of how many contacts are dead.
+func (n *Node) bootstrap(contacts []string, timeout time.Duration, done func(error)) {
 	attemptWait := timeout / retryAttempts
 	if attemptWait < 10*time.Millisecond {
 		attemptWait = 10 * time.Millisecond
 	}
-	var (
-		probeMu sync.Mutex
-		freq    = make(map[string]int)
-		infos   = make(map[string]wire.PeerInfo)
-		wg      sync.WaitGroup
-	)
-	for _, addr := range contacts {
-		if addr == n.self.Addr {
-			continue
-		}
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			resp, ok := n.probeWithRetry(addr, attemptWait)
-			if !ok {
-				return
-			}
-			probeMu.Lock()
-			defer probeMu.Unlock()
-			for _, info := range resp {
-				if info.Addr == n.self.Addr {
-					continue
-				}
+	freq := make(map[string]int)
+	infos := make(map[string]wire.PeerInfo)
+	left := len(contacts)
+	probed := func(resp []wire.PeerInfo) {
+		for _, info := range resp {
+			if info.Addr != n.self.Addr {
 				freq[info.Addr]++
 				infos[info.Addr] = info
 			}
-		}(addr)
+		}
+		if left--; left == 0 {
+			n.connect(freq, infos, timeout, done)
+		}
 	}
-	wg.Wait()
-	select {
-	case <-n.stop:
-		return ErrClosed
-	default:
+	for _, addr := range contacts {
+		if addr == n.self.Addr {
+			probed(nil)
+		} else {
+			n.probe(addr, attemptWait, probed)
+		}
 	}
-	if len(infos) == 0 {
-		return fmt.Errorf("node: no bootstrap contact answered")
-	}
+}
 
-	// Candidate scoring (Eq. 6: frequency substitutes capacity) and resource
-	// level estimation from the sampled capacities.
-	addrs := make([]string, 0, len(infos))
-	sample := make([]peer.Capacity, 0, len(infos))
-	for addr, info := range infos {
-		addrs = append(addrs, addr)
-		sample = append(sample, peer.Capacity(info.Capacity))
+// connect is Bootstrap's connection phase: score the probed candidates,
+// send the PB-gated requests, and finish once the node has a neighbour —
+// checked as the requests go out and again on each accept. At timeout with
+// still no neighbour it connects unconditionally to the best candidate so
+// the node is never stranded.
+func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, timeout time.Duration, done func(error)) {
+	if len(infos) == 0 {
+		done(fmt.Errorf("node: no bootstrap contact answered"))
+		return
 	}
-	ri := peer.EstimateResourceLevel(peer.Capacity(n.cfg.Capacity), sample)
+	// Candidate scoring (Eq. 6: frequency substitutes capacity) and resource
+	// level estimation from the sampled capacities. Selection draws from the
+	// seeded rng in candidate order, so the order must not be map order.
+	addrs := make([]string, 0, len(infos))
+	for addr := range infos {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	sample := make([]peer.Capacity, len(addrs))
 	self := n.selfInfo()
 	cands := make([]core.Candidate, len(addrs))
 	for i, addr := range addrs {
+		sample[i] = peer.Capacity(infos[addr].Capacity)
 		cands[i] = core.Candidate{
 			Capacity: float64(freq[addr]),
 			Distance: n.dist(self, infos[addr]),
 		}
 	}
+	ri := peer.EstimateResourceLevel(peer.Capacity(n.cfg.Capacity), sample)
 	n.mu.Lock()
-	rng := n.rng
-	chosen, err := core.SelectByPreference(ri, cands, n.quota(), rng)
+	chosen, err := core.SelectByPreference(ri, cands, n.quota(), n.rng)
 	n.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("node: neighbour selection: %w", err)
+		done(fmt.Errorf("node: neighbour selection: %w", err))
+		return
 	}
-
-	// Connection phase: PB-gated requests.
-	for _, idx := range chosen {
-		addr := addrs[idx]
-		_ = n.send(addr, wire.Message{Type: wire.TBackConnect, From: n.selfInfo()})
+	targets := make([]string, len(chosen))
+	for i, idx := range chosen {
+		targets[i] = addrs[idx]
 	}
-	// Give the accepts a moment to arrive, then ensure connectivity.
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if n.NumNeighbors() > 0 {
-			return nil
-		}
-		select {
-		case <-time.After(5 * time.Millisecond):
-		case <-n.stop:
-			return ErrClosed
-		}
+	req := wire.Message{Type: wire.TBackConnect, From: self}
+	if n.NumNeighbors() > 0 {
+		n.ask(targets, req, timeout, func(wire.Message) bool { return true }, func() {})
+		done(nil)
+		return
 	}
-	// Every request declined: connect unconditionally to the best candidate
-	// so the node is never stranded.
-	best := addrs[chosen[0]]
-	n.addNeighbor(infos[best])
-	return n.send(best, wire.Message{Type: wire.TConnect, From: n.selfInfo()})
+	// dispatch has already added the accepting peer when onReply runs.
+	n.ask(targets, req, timeout,
+		func(wire.Message) bool {
+			done(nil)
+			return true
+		},
+		func() {
+			if n.NumNeighbors() > 0 {
+				done(nil)
+				return
+			}
+			// Every request declined: connect to the best candidate.
+			best := targets[0]
+			n.addNeighbor(infos[best])
+			done(n.send(best, wire.Message{Type: wire.TConnect, From: n.selfInfo()}))
+		})
 }
 
 func (n *Node) runnable() error {

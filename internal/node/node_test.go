@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +49,21 @@ func waitGoroutines(t *testing.T, max int, d time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// settledGoroutines returns the goroutine count once goroutines of earlier
+// tests have finished exiting (two equal samples 10ms apart, or 500ms).
+func settledGoroutines() int {
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(10 * time.Millisecond)
+		g := runtime.NumGoroutine()
+		if g == baseline {
+			break
+		}
+		baseline = g
+	}
+	return baseline
 }
 
 // cluster spins up n live nodes on one in-memory fabric, bootstrapping each
@@ -442,6 +458,54 @@ func TestCrashDetectionAndTreeRepair(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("post-crash payloads delivered to %d, want >= %d", got, want)
+		}
+	}
+}
+
+// TestBootstrapSameSeedSameNeighbors: neighbour selection draws from the
+// node's seeded rng in candidate order, so that order must not be map
+// order. Identical fabrics with a same-seed bootstrapper and more candidates
+// than its quota must end with the same neighbours, every time.
+func TestBootstrapSameSeedSameNeighbors(t *testing.T) {
+	const candidates = 12
+	cfg := func(i int) Config {
+		cfg := DefaultConfig(10, coords.Point{float64(i), float64(i * i % 7)}, int64(i+1))
+		cfg.HeartbeatInterval = 0
+		cfg.DisableDHT = true
+		cfg.FallbackAccept = 1 // every request accepted: the pick alone decides
+		return cfg
+	}
+	pick := func() string {
+		net := transport.NewMemNetwork()
+		var contacts []string
+		for i := 0; i < candidates; i++ {
+			nd := New(net.NextEndpoint(), cfg(i))
+			nd.Start()
+			defer nd.Close()
+			contacts = append(contacts, nd.Addr())
+		}
+		b := New(net.NextEndpoint(), cfg(candidates))
+		b.Start()
+		defer b.Close()
+		if b.quota() >= candidates {
+			t.Fatalf("quota %d leaves nothing to choose among %d candidates", b.quota(), candidates)
+		}
+		if err := b.Bootstrap(contacts, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, testTimeout, func() bool { return b.NumNeighbors() == b.quota() },
+			static("not every chosen candidate accepted"))
+		var addrs []string
+		for _, nb := range b.Neighbors() {
+			addrs = append(addrs, nb.Addr)
+		}
+		sort.Strings(addrs)
+		return fmt.Sprint(addrs)
+	}
+	want := pick()
+	for rep := 1; rep < 20; rep++ {
+		if got := pick(); got != want {
+			t.Fatalf("repetition %d picked %s, the first picked %s", rep, got, want)
 		}
 	}
 }

@@ -66,14 +66,9 @@ type OverloadView struct {
 	// Degraded reports the controller state; Pressure is the last sample.
 	Degraded bool    `json:"degraded"`
 	Pressure float64 `json:"pressure"`
-	// Episodes counts entries into the degraded state; DegradedMs is how
-	// long the current episode has lasted (0 when healthy).
-	Episodes   uint64  `json:"episodes"`
+	// DegradedMs is how long the current episode has lasted (0 when
+	// healthy).
 	DegradedMs float64 `json:"degraded_ms,omitempty"`
-	// PublishRejects and RelaySheds count the admission-control refusals
-	// and the best-effort relay fan-outs shed while degraded.
-	PublishRejects uint64 `json:"publish_rejects"`
-	RelaySheds     uint64 `json:"relay_sheds"`
 }
 
 // Overloaded reports whether the node is currently in the degraded state.
@@ -91,9 +86,6 @@ func (n *Node) OverloadSnapshot() OverloadView {
 	if ov.Degraded {
 		ov.DegradedMs = float64(time.Since(time.Unix(0, o.enteredAt.Load()))) / float64(time.Millisecond)
 	}
-	ov.Episodes = atomic.LoadUint64(&n.stats.OverloadEpisodes)
-	ov.PublishRejects = atomic.LoadUint64(&n.stats.PublishRejects)
-	ov.RelaySheds = atomic.LoadUint64(&n.stats.RelaySheds)
 	return ov
 }
 
@@ -169,13 +161,6 @@ func (n *Node) overloadTick(pressure float64) {
 	if episodeDur > 0 {
 		n.metrics.overloadEpisode.ObserveDurationMs(float64(episodeDur) / float64(time.Millisecond))
 	}
-}
-
-// PendingRequests reports the pending-correlation map's size (leak tests).
-func (n *Node) PendingRequests() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.pending)
 }
 
 // Breakers reports the transport's per-peer circuit breakers, sorted by

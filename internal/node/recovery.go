@@ -61,10 +61,8 @@ func (n *Node) restoreState(st *recovery.State) {
 		// The maintenance schedule rides the epoch counter; re-anchor it so
 		// the first republish lands one cadence after the restart, not
 		// epochBase epochs in the past.
-		n.dht.mu.Lock()
 		n.dht.republishAt = n.epochBase + dhtRepublishEpochs
 		n.dht.refreshAt = n.epochBase + dhtRefreshEpochs
-		n.dht.mu.Unlock()
 	}
 	if ts := n.telemetry; ts != nil {
 		// Health digests resume above the persisted epoch, so every fleet
@@ -139,7 +137,9 @@ func (n *Node) RecoverGroups(timeout time.Duration) error {
 	for _, g := range st.Groups {
 		switch {
 		case g.Rendezvous:
-			n.dhtRepublishAsync(g.GroupID)
+			if n.dht != nil {
+				_ = n.post(func() { n.dhtRepublishAsync(g.GroupID) })
+			}
 			if err := n.Advertise(g.GroupID); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -234,8 +234,7 @@ type RecoveryView struct {
 	Restored       bool     `json:"restored"`
 	RestoredEpoch  uint64   `json:"restored_epoch,omitempty"`
 	RestoredGroups []string `json:"restored_groups,omitempty"`
-	// Saves counts state-file writes; LastSaveAt is the newest one.
-	Saves      uint64    `json:"saves"`
+	// LastSaveAt is the newest state-file write.
 	LastSaveAt time.Time `json:"last_save_at,omitempty"`
 	// ChurnRate is the DHT's observed churn estimate in events per second —
 	// the signal the adaptive maintenance pacing keys off.
@@ -247,7 +246,6 @@ func (n *Node) RecoveryView() RecoveryView {
 	v := RecoveryView{
 		Enabled:   n.cfg.StatePath != "",
 		Path:      n.cfg.StatePath,
-		Saves:     atomic.LoadUint64(&n.stats.StateSaves),
 		ChurnRate: n.DhtChurnRate(),
 	}
 	if at := n.lastSaveAt.Load(); at != 0 {

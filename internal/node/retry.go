@@ -39,44 +39,38 @@ func (n *Node) backoffDelay(attempt int) time.Duration {
 	return time.Duration(half + jitter)
 }
 
-// sleepBackoff pauses for the attempt's backoff, returning false when the
-// node stopped while sleeping.
-func (n *Node) sleepBackoff(attempt int) bool {
-	select {
-	case <-time.After(n.backoffDelay(attempt)):
-		return true
-	case <-n.stop:
-		return false
+// retry runs attempt up to retryAttempts times. An attempt that fails
+// calls its fail argument, which counts a retry and starts the next attempt
+// — after a backoff when backoff is set — or, once the last attempt failed,
+// runs giveUp.
+func (n *Node) retry(backoff bool, attempt func(i int, fail func()), giveUp func()) {
+	var try func(i int)
+	try = func(i int) {
+		attempt(i, func() {
+			if i+1 == retryAttempts {
+				giveUp()
+				return
+			}
+			atomic.AddUint64(&n.stats.Retries, 1)
+			if backoff {
+				n.after(n.backoffDelay(i+1), func() { try(i + 1) })
+			} else {
+				try(i + 1)
+			}
+		})
 	}
+	try(0)
 }
 
-// probeWithRetry sends a TProbe to addr and waits up to attemptWait for
-// the response, retrying with backoff up to retryAttempts times. It
-// returns the probed neighbour list, or ok=false when every attempt
-// failed or the node stopped.
-func (n *Node) probeWithRetry(addr string, attemptWait time.Duration) ([]wire.PeerInfo, bool) {
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			atomic.AddUint64(&n.stats.Retries, 1)
-			if !n.sleepBackoff(attempt) {
-				return nil, false
-			}
-		}
-		reqID, ch := n.nextReq()
-		if err := n.send(addr, wire.Message{Type: wire.TProbe, From: n.selfInfo(), ReqID: reqID}); err != nil {
-			n.dropReq(reqID)
-			continue
-		}
-		select {
-		case resp := <-ch:
-			n.dropReq(reqID)
-			return resp.Neighbors, true
-		case <-time.After(attemptWait):
-			n.dropReq(reqID)
-		case <-n.stop:
-			n.dropReq(reqID)
-			return nil, false
-		}
-	}
-	return nil, false
+// probe asks addr for its neighbour list, waiting up to attemptWait per
+// attempt and retrying a lost probe with backoff. done gets the list, or
+// nil once every attempt failed.
+func (n *Node) probe(addr string, attemptWait time.Duration, done func(nbrs []wire.PeerInfo)) {
+	n.retry(true, func(_ int, fail func()) {
+		n.ask([]string{addr}, wire.Message{Type: wire.TProbe, From: n.selfInfo()}, attemptWait,
+			func(resp wire.Message) bool {
+				done(resp.Neighbors)
+				return true
+			}, fail)
+	}, func() { done(nil) })
 }
