@@ -10,7 +10,7 @@ import (
 // This file is the loop's call table, the one place a node waits: a flow
 // that needs a reply or a pause registers a call and continues in the
 // callback the loop runs when the reply or the deadline arrives. The table
-// belongs to the loop, so nothing here locks.
+// belongs to the loop, so nothing here locks but the API reader.
 
 // call is one entry of the table. onReply (nil for an after entry) handles
 // one reply and reports whether the call is finished; an unfinished call
@@ -32,7 +32,7 @@ func (n *Node) ask(to []string, msg wire.Message, wait time.Duration, onReply fu
 		sent = n.send(addr, msg) == nil || sent
 	}
 	if !sent {
-		n.forget(msg.ReqID)
+		delete(n.calls, msg.ReqID)
 		onTimeout()
 	}
 }
@@ -42,7 +42,6 @@ func (n *Node) after(d time.Duration, f func()) uint64 {
 	n.reqSeq++
 	c := &call{deadline: time.Now().Add(d), onTimeout: f}
 	n.calls[n.reqSeq] = c
-	n.ncalls.Add(1)
 	if c.deadline.Before(n.armed) {
 		n.armed = c.deadline
 		n.timer.Reset(d)
@@ -58,13 +57,8 @@ func (n *Node) answer(msg wire.Message) {
 		return
 	}
 	if c.onReply(msg) {
-		n.forget(msg.ReqID)
+		delete(n.calls, msg.ReqID)
 	}
-}
-
-func (n *Node) forget(id uint64) {
-	delete(n.calls, id)
-	n.ncalls.Add(-1)
 }
 
 // fireDue times out every call whose deadline has passed, in (deadline,
@@ -83,18 +77,23 @@ func (n *Node) fireDue(now time.Time) {
 	})
 	for _, id := range due {
 		c := n.calls[id]
-		n.forget(id)
+		delete(n.calls, id)
 		c.onTimeout()
 	}
 }
 
 // PendingRequests reports how many calls the table holds (leak tests and
-// the pending_requests gauge, which HTTP goroutines read).
-func (n *Node) PendingRequests() int { return int(n.ncalls.Load()) }
+// the pending_requests gauge).
+func (n *Node) PendingRequests() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.calls)
+}
 
 // post hands f to the loop, returning once the loop has taken it or with
-// ErrClosed once the node stopped. It is for API goroutines only: code on
-// the loop starts its flows directly.
+// ErrClosed once the node stopped. It is for API goroutines only, with n.mu
+// not held — the loop runs f under it: code on the loop starts its flows
+// directly.
 func (n *Node) post(f func()) error {
 	select {
 	case n.posts <- f:

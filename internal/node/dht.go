@@ -65,9 +65,6 @@ type dhtState struct {
 	refreshAt   int
 }
 
-// dhtEnabled reports whether the discovery plane is on.
-func (n *Node) dhtEnabled() bool { return n.dht != nil }
-
 // dhtObserve folds one live peer into the routing table. On a full bucket
 // Kademlia prefers the oldest known contact: the newcomer is held off while
 // a probe pings the stalest entry, which is evicted only if the probe fails
@@ -99,7 +96,7 @@ func (n *Node) dhtObserve(info wire.PeerInfo) {
 // in wire order; a timeout or send failure marks the contact failed for
 // the calling lookup.
 func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string, done func(dht.Reply)) {
-	msg := wire.Message{From: n.selfInfo()}
+	msg := wire.Message{From: n.self}
 	if groupID != "" {
 		msg.Type = wire.TDhtFindValue
 		msg.GroupID = groupID
@@ -199,20 +196,17 @@ func (n *Node) dhtRepublishAsync(groupID string) {
 	if d == nil || d.storing[groupID] {
 		return
 	}
-	n.mu.Lock()
 	gs := n.groups[groupID]
 	if gs == nil || !gs.rendezvous {
-		n.mu.Unlock()
 		return
 	}
 	rec := dht.Record{
 		GroupID:    groupID,
-		Rendezvous: n.selfInfoLocked(),
+		Rendezvous: n.self,
 		Mode:       gs.mode,
 		Epoch:      gs.epoch,
-		Charter:    n.charterForLocked(groupID, gs),
+		Charter:    n.charterFor(groupID, gs),
 	}
-	n.mu.Unlock()
 	key := dht.KeyID(groupID)
 	d.store.Put(key, rec, time.Now())
 	d.storing[groupID] = true
@@ -310,7 +304,7 @@ func (n *Node) dhtRescue(lostAddr string) {
 func (n *Node) dhtSendRecord(rec dht.Record, to []dht.Contact) {
 	msg := wire.Message{
 		Type:       wire.TDhtStore,
-		From:       n.selfInfo(),
+		From:       n.self,
 		GroupID:    rec.GroupID,
 		Rendezvous: rec.Rendezvous,
 		Mode:       rec.Mode,
@@ -334,16 +328,10 @@ func (n *Node) dhtEpoch(epochs int) {
 	if d == nil {
 		return
 	}
-	n.mu.Lock()
-	infos := make([]wire.PeerInfo, 0, len(n.neighbors))
 	for _, nb := range n.neighbors {
 		if !nb.suspect {
-			infos = append(infos, nb.info)
+			n.dhtObserve(nb.info)
 		}
-	}
-	n.mu.Unlock()
-	for _, info := range infos {
-		n.dhtObserve(info)
 	}
 	now := time.Now()
 	if swept := d.store.Sweep(now); swept > 0 {
@@ -352,16 +340,10 @@ func (n *Node) dhtEpoch(epochs int) {
 	republishEvery, refreshEvery := n.dhtCadence(now)
 	if epochs >= d.republishAt {
 		d.republishAt = epochs + republishEvery
-		n.mu.Lock()
-		var gids []string
 		for gid, gs := range n.groups {
 			if gs.rendezvous {
-				gids = append(gids, gid)
+				n.dhtRepublishAsync(gid)
 			}
-		}
-		n.mu.Unlock()
-		for _, gid := range gids {
-			n.dhtRepublishAsync(gid)
 		}
 	}
 	if epochs >= d.refreshAt {
@@ -384,7 +366,7 @@ func (n *Node) handleDhtFindNode(msg wire.Message) {
 	}
 	_ = n.send(msg.From.Addr, wire.Message{
 		Type:      wire.TDhtFindNodeResp,
-		From:      n.selfInfo(),
+		From:      n.self,
 		ReqID:     msg.ReqID,
 		Neighbors: n.dhtNeighborsFor(target, msg.From.Addr),
 	})
@@ -402,7 +384,7 @@ func (n *Node) handleDhtFindValue(msg wire.Message) {
 	key := dht.KeyID(msg.GroupID)
 	resp := wire.Message{
 		Type:    wire.TDhtFindValueResp,
-		From:    n.selfInfo(),
+		From:    n.self,
 		ReqID:   msg.ReqID,
 		GroupID: msg.GroupID,
 	}
@@ -439,7 +421,7 @@ func (n *Node) handleDhtStore(msg wire.Message) {
 	held, _ := d.store.Get(key, now)
 	_ = n.send(msg.From.Addr, wire.Message{
 		Type:    wire.TDhtStoreAck,
-		From:    n.selfInfo(),
+		From:    n.self,
 		ReqID:   msg.ReqID,
 		GroupID: msg.GroupID,
 		Epoch:   held.Epoch,

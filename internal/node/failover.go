@@ -28,16 +28,14 @@ const backupFanout = 3
 // attached reports whether the node currently has a tree attachment for
 // the group (rendezvous, or a parent it has not given up on).
 func (n *Node) attached(gid string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	gs := n.groups[gid]
 	return gs != nil && (gs.rendezvous || gs.parent != "")
 }
 
-// backupsForChildLocked assembles the backup access points a parent hands
-// the given child: candidates outside the child's subtree, ranked nearest
-// to the child, capped at backupFanout. Callers hold n.mu.
-func (n *Node) backupsForChildLocked(gs *groupState, child wire.PeerInfo) []wire.PeerInfo {
+// backupsForChild assembles the backup access points a parent hands the
+// given child: candidates outside the child's subtree, ranked nearest to the
+// child, capped at backupFanout.
+func (n *Node) backupsForChild(gs *groupState, child wire.PeerInfo) []wire.PeerInfo {
 	cands := make([]wire.PeerInfo, 0, len(gs.children)+len(gs.backups)+2)
 	seen := map[string]bool{child.Addr: true, n.self.Addr: true}
 	add := func(info wire.PeerInfo) {
@@ -73,19 +71,16 @@ func (n *Node) backupsForChildLocked(gs *groupState, child wire.PeerInfo) []wire
 // access points, nearest first, and reports nil through done when one of
 // them accepted the join.
 func (n *Node) tryBackups(gid string, asMember bool, done func(error)) {
-	n.mu.Lock()
 	gs := n.groups[gid]
 	if gs == nil || gs.rendezvous || gs.parent != "" || len(gs.backups) == 0 {
-		n.mu.Unlock()
 		done(fmt.Errorf("node: no usable backups for %q", gid))
 		return
 	}
-	self := n.selfInfoLocked()
 	rdv := gs.rdvInfo
 	mode := gs.mode
 	cands := make([]wire.PeerInfo, 0, len(gs.backups))
 	for _, b := range gs.backups {
-		if b.Addr == self.Addr {
+		if b.Addr == n.self.Addr {
 			continue
 		}
 		if _, isChild := gs.children[b.Addr]; isChild {
@@ -95,9 +90,8 @@ func (n *Node) tryBackups(gid string, asMember bool, done func(error)) {
 		}
 		cands = append(cands, b)
 	}
-	n.mu.Unlock()
 	sort.SliceStable(cands, func(i, j int) bool {
-		return n.dist(self, cands[i]) < n.dist(self, cands[j])
+		return n.dist(n.self, cands[i]) < n.dist(n.self, cands[j])
 	})
 	var try func(i int)
 	try = func(i int) {

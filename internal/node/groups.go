@@ -43,61 +43,65 @@ func (n *Node) CreateGroup(groupID string) error {
 // an explicit delivery mode. The mode is a group property: members inherit
 // it from this rendezvous via advertisements, join acks, and beacons.
 func (n *Node) CreateGroupMode(groupID string, mode wire.DeliveryMode) error {
-	if err := n.runnable(); err != nil {
-		return err
-	}
 	n.mu.Lock()
-	if _, dup := n.groups[groupID]; dup {
-		n.mu.Unlock()
-		return fmt.Errorf("node: group %q already exists here", groupID)
-	}
-	self := n.selfInfoLocked()
-	gs := newGroupState(mode)
-	gs.rendezvous = true
-	gs.member = true
-	gs.rdvInfo = self
-	gs.rootPath = []string{}
-	gs.epoch = 1 // succession epoch: the creating root's lineage starts at 1
-	n.groups[groupID] = gs
-	n.adSeen[groupID] = adState{upstream: "", rendezvous: self, mode: mode, epoch: 1}
+	err := n.createGroup(groupID, mode)
 	n.mu.Unlock()
 	// Seed the discovery plane: the charter record replicates to the k
 	// closest nodes so joiners resolve the group in O(log N) without
 	// waiting for an advertisement flood to reach them.
-	if n.dht != nil {
+	if err == nil && n.dht != nil {
 		_ = n.post(func() { n.dhtRepublishAsync(groupID) })
 	}
+	return err
+}
+
+// createGroup is CreateGroupMode's state change, run under n.mu.
+func (n *Node) createGroup(groupID string, mode wire.DeliveryMode) error {
+	if err := n.runnable(); err != nil {
+		return err
+	}
+	if _, dup := n.groups[groupID]; dup {
+		return fmt.Errorf("node: group %q already exists here", groupID)
+	}
+	gs := newGroupState(mode)
+	gs.rendezvous = true
+	gs.member = true
+	gs.rdvInfo = n.self
+	gs.rootPath = []string{}
+	gs.epoch = 1 // succession epoch: the creating root's lineage starts at 1
+	n.groups[groupID] = gs
+	n.adSeen[groupID] = adState{upstream: "", rendezvous: n.self, mode: mode, epoch: 1}
 	return nil
 }
 
 // Advertise floods the group's SSA announcement from this rendezvous point.
 func (n *Node) Advertise(groupID string) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if err := n.runnable(); err != nil {
 		return err
 	}
-	n.mu.Lock()
+	return n.advertise(groupID)
+}
+
+// advertise is Advertise's body, shared with the loop's refresh and
+// promotion paths.
+func (n *Node) advertise(groupID string) error {
 	gs := n.groups[groupID]
 	if gs == nil || !gs.rendezvous {
-		n.mu.Unlock()
 		return fmt.Errorf("%w: %q (only the rendezvous advertises)", ErrNoGroup, groupID)
 	}
-	mode := gs.mode
-	epoch := gs.epoch
-	n.mu.Unlock()
 	msgID := n.nextMsgID()
-	n.mu.Lock()
 	n.seenAds.Seen(msgID, time.Now())
-	n.mu.Unlock()
-	self := n.selfInfo()
 	n.forwardAdvertisement(wire.Message{
 		Type:       wire.TAdvertise,
-		From:       self,
+		From:       n.self,
 		GroupID:    groupID,
-		Rendezvous: self,
+		Rendezvous: n.self,
 		TTL:        advertiseTTL,
 		MsgID:      msgID,
-		Mode:       mode,
-		Epoch:      epoch,
+		Mode:       gs.mode,
+		Epoch:      gs.epoch,
 		// The flood's MsgID doubles as its trace ID: every relayed copy
 		// carries it, so one announcement is one trace.
 		TraceID:  msgID,
@@ -109,10 +113,8 @@ func (n *Node) Advertise(groupID string) error {
 // handleAdvertise records the reverse path and forwards the announcement to
 // a utility-selected fraction of neighbours (SSA).
 func (n *Node) handleAdvertise(msg wire.Message) {
-	n.mu.Lock()
 	if n.seenAds.Seen(msg.MsgID, time.Now()) {
 		atomic.AddUint64(&n.stats.DuplicatesDropped, 1)
-		n.mu.Unlock()
 		return
 	}
 	// Partition-heal reconciliation: if we are this group's rendezvous and a
@@ -142,7 +144,6 @@ func (n *Node) handleAdvertise(msg wire.Message) {
 			mode: msg.Mode, epoch: msg.Epoch,
 		}
 	}
-	n.mu.Unlock()
 	if demoted {
 		n.rejoinAsync([]string{msg.GroupID})
 	}
@@ -150,7 +151,7 @@ func (n *Node) handleAdvertise(msg wire.Message) {
 		return
 	}
 	fwd := msg
-	fwd.From = n.selfInfo()
+	fwd.From = n.self
 	fwd.TTL = msg.TTL - 1
 	fwd.Hops = msg.Hops + 1
 	n.forwardAdvertisement(fwd, msg.From.Addr)
@@ -159,7 +160,6 @@ func (n *Node) handleAdvertise(msg wire.Message) {
 // forwardAdvertisement sends the announcement to ceil(fraction·|neighbours|)
 // neighbours chosen by Selection Preference.
 func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
-	n.mu.Lock()
 	var nbrs []wire.PeerInfo
 	for _, nb := range n.neighbors {
 		if nb.info.Addr != upstream {
@@ -167,7 +167,6 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 		}
 	}
 	if len(nbrs) == 0 {
-		n.mu.Unlock()
 		return
 	}
 	// Selection draws from the seeded rng in candidate order, so the order
@@ -179,12 +178,11 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 	}
 	targets := nbrs
 	if fanout < len(nbrs) {
-		self := n.selfInfoLocked()
 		sample := make([]peer.Capacity, len(nbrs))
 		cands := make([]core.Candidate, len(nbrs))
 		for i, info := range nbrs {
 			sample[i] = peer.Capacity(info.Capacity)
-			cands[i] = core.Candidate{Capacity: info.Capacity, Distance: n.dist(self, info)}
+			cands[i] = core.Candidate{Capacity: info.Capacity, Distance: n.dist(n.self, info)}
 		}
 		ri := peer.EstimateResourceLevel(peer.Capacity(n.cfg.Capacity), sample)
 		idxs, err := core.SelectByPreference(ri, cands, fanout, n.rng)
@@ -195,7 +193,6 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 			}
 		}
 	}
-	n.mu.Unlock()
 	msg.RelayedAt = time.Now()
 	for _, info := range targets {
 		_ = n.send(info.Addr, msg)
@@ -206,7 +203,10 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 // path when the announcement was received, otherwise through a TTL-scoped
 // ripple search for an access point. It blocks up to timeout for the search.
 func (n *Node) Join(groupID string, timeout time.Duration) error {
-	if err := n.runnable(); err != nil {
+	n.mu.Lock()
+	err := n.runnable()
+	n.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	return n.await(func(done func(error)) { n.joinInternal(groupID, timeout, true, done) })
@@ -216,7 +216,6 @@ func (n *Node) Join(groupID string, timeout time.Duration) error {
 // done. With asMember it (re)asserts membership; without, it only repairs a
 // dangling forwarder's uplink, leaving membership untouched.
 func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool, done func(error)) {
-	n.mu.Lock()
 	gs := n.groups[groupID]
 	if gs != nil && (gs.rendezvous || gs.parent != "") {
 		// Already on the tree (member or forwarder): (re)assert membership.
@@ -225,12 +224,10 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 		if asMember {
 			gs.member = true
 		}
-		n.mu.Unlock()
 		done(nil)
 		return
 	}
 	ad, sawAd := n.adSeen[groupID]
-	n.mu.Unlock()
 
 	switch {
 	case sawAd && ad.upstream == "":
@@ -297,21 +294,21 @@ func (n *Node) joinDiscover(groupID string, timeout time.Duration, asMember bool
 // and joins through the first hit outside this node's own subtree.
 func (n *Node) joinSearch(groupID string, timeout time.Duration, asMember bool, done func(error)) {
 	msgID := n.nextMsgID()
-	self := n.selfInfo()
 	search := wire.Message{
 		Type:     wire.TSearch,
-		From:     self,
+		From:     n.self,
 		GroupID:  groupID,
 		TTL:      searchTTL,
-		Origin:   self,
+		Origin:   n.self,
 		MsgID:    msgID,
 		TraceID:  msgID,
 		OriginAt: time.Now(),
 	}
-	n.mu.Lock()
 	n.seenAds.Seen(msgID, time.Now()) // don't answer our own search
-	nbrs := n.neighborAddrsLocked()
-	n.mu.Unlock()
+	nbrs := make([]string, 0, len(n.neighbors))
+	for addr := range n.neighbors {
+		nbrs = append(nbrs, addr)
+	}
 	n.ask(nbrs, search, timeout,
 		func(hit wire.Message) bool {
 			// Refuse access points inside our own subtree: their root path
@@ -338,10 +335,10 @@ func (n *Node) beaconGrace() time.Duration {
 	return time.Duration(n.cfg.BeaconGraceEpochs) * n.cfg.HeartbeatInterval
 }
 
-// onTreeLocked reports whether the node currently considers itself attached
-// to the group tree with a live path to the rendezvous (fresh beacon, or
-// within the post-join grace window). Callers hold n.mu.
-func (n *Node) onTreeLocked(gs *groupState) bool {
+// onTree reports whether the node currently considers itself attached to
+// the group tree with a live path to the rendezvous (fresh beacon, or within
+// the post-join grace window).
+func (n *Node) onTree(gs *groupState) bool {
 	if gs == nil {
 		return false
 	}
@@ -366,13 +363,11 @@ func (n *Node) handleBeacon(msg wire.Message) {
 	// Forwarded beacons re-gossip THIS node's health view, not the parent's
 	// slice, so each tree hop contributes its own round-robin pick.
 	health := n.telemetryHealth()
-	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || gs.rendezvous || gs.parent != msg.From.Addr {
-		n.mu.Unlock()
 		if msg.From.Addr != "" {
 			_ = n.send(msg.From.Addr, wire.Message{
-				Type: wire.TLeave, From: n.selfInfo(), GroupID: msg.GroupID,
+				Type: wire.TLeave, From: n.self, GroupID: msg.GroupID,
 			})
 		}
 		return
@@ -382,7 +377,6 @@ func (n *Node) handleBeacon(msg wire.Message) {
 	if pathContains(msg.Path, n.self.Addr) {
 		gs.parent = ""
 		gs.lastBeacon = time.Time{}
-		n.mu.Unlock()
 		return
 	}
 	gs.rootPath = append([]string(nil), msg.Path...)
@@ -405,35 +399,23 @@ func (n *Node) handleBeacon(msg wire.Message) {
 		gs.charter = wire.Charter{}
 	}
 	downPath := append(append([]string(nil), msg.Path...), n.self.Addr)
-	type beacon struct {
-		to  string
-		msg wire.Message
-	}
-	fwds := make([]beacon, 0, len(gs.children))
 	for addr, info := range gs.children {
-		fwds = append(fwds, beacon{
-			to: addr,
-			msg: wire.Message{
-				Type:    wire.TBeacon,
-				From:    n.selfInfoLocked(),
-				GroupID: msg.GroupID,
-				Path:    downPath,
-				Mode:    gs.mode,
-				Backups: n.backupsForChildLocked(gs, info),
-				// Epoch and roster ride the whole tree so every member can
-				// tell which lineage it follows and who inherits; the charter
-				// itself stays on the root→deputy hop.
-				Epoch:    gs.epoch,
-				Deputies: gs.deputies,
-				Health:   health,
-			},
+		_ = n.send(addr, wire.Message{
+			Type:    wire.TBeacon,
+			From:    n.self,
+			GroupID: msg.GroupID,
+			Path:    downPath,
+			Mode:    gs.mode,
+			Backups: n.backupsForChild(gs, info),
+			// Epoch and roster ride the whole tree so every member can
+			// tell which lineage it follows and who inherits; the charter
+			// itself stays on the root→deputy hop.
+			Epoch:    gs.epoch,
+			Deputies: gs.deputies,
+			Health:   health,
 		})
 	}
-	n.mu.Unlock()
-	for _, f := range fwds {
-		_ = n.send(f.to, f.msg)
-	}
-	n.countHealthSent(len(health), len(fwds))
+	n.countHealthSent(len(health), len(gs.children))
 }
 
 func pathContains(path []string, addr string) bool {
@@ -452,7 +434,6 @@ func pathContains(path []string, addr string) bool {
 // fail the attachment. On final failure the tentative parent edge is rolled
 // back so the epoch loop sees the group as detached.
 func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.DeliveryMode, timeout time.Duration, asMember bool, done func(error)) {
-	n.mu.Lock()
 	gs := n.groups[groupID]
 	if gs == nil {
 		gs = newGroupState(mode)
@@ -465,34 +446,30 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 	gs.parentInfo = wire.PeerInfo{Addr: parentAddr}
 	gs.rdvInfo = rdv
 	mode = gs.mode
-	n.mu.Unlock()
 
 	// rollback drops the tentative edge (unless a competing join already
 	// moved the group elsewhere) so this group reads as detached, not wedged
 	// under a dead parent.
 	rollback := func() {
-		n.mu.Lock()
 		if gs.parent == parentAddr {
 			gs.parent = ""
 			gs.parentInfo = wire.PeerInfo{}
 		}
-		n.mu.Unlock()
 	}
 	attemptWait := timeout / retryAttempts
 	if attemptWait < 10*time.Millisecond {
 		attemptWait = 10 * time.Millisecond
 	}
 	n.retry(false, func(_ int, fail func()) {
-		self := n.selfInfo()
 		var traceID uint64
 		if n.tracer != nil {
 			traceID = n.nextMsgID()
 		}
 		join := wire.Message{
 			Type:       wire.TJoin,
-			From:       self,
+			From:       n.self,
 			GroupID:    groupID,
-			Subscriber: self,
+			Subscriber: n.self,
 			Rendezvous: rdv,
 			Mode:       mode,
 			TraceID:    traceID,
@@ -507,15 +484,13 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 				if pathContains(ack.Path, n.self.Addr) {
 					rollback()
 					_ = n.send(parentAddr, wire.Message{
-						Type: wire.TLeave, From: n.selfInfo(), GroupID: groupID,
+						Type: wire.TLeave, From: n.self, GroupID: groupID,
 					})
 					done(fmt.Errorf("%w: %q (access point %s is inside our subtree)",
 						ErrJoinFailed, groupID, parentAddr))
 					return true
 				}
-				n.mu.Lock()
 				gs.lastBeacon = time.Now() // grace until the first beacon arrives
-				n.mu.Unlock()
 				done(nil)
 				return true
 			}, fail)
@@ -530,7 +505,6 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 // the tree, continues the join along its own reverse advertisement path
 // (becoming a forwarder).
 func (n *Node) handleJoin(msg wire.Message) {
-	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil {
 		gs = newGroupState(msg.Mode)
@@ -552,20 +526,15 @@ func (n *Node) handleJoin(msg wire.Message) {
 			gs.parentInfo = wire.PeerInfo{Addr: upstream}
 		}
 	}
-	n.mu.Unlock()
 	if msg.ReqID != 0 {
-		n.mu.Lock()
-		ackPath := ownPathLocked(gs, n.self.Addr)
-		ackBackups := n.backupsForChildLocked(gs, msg.From)
-		n.mu.Unlock()
 		_ = n.send(msg.From.Addr, wire.Message{
 			Type:    wire.TJoinAck,
-			From:    n.selfInfo(),
+			From:    n.self,
 			GroupID: msg.GroupID,
 			ReqID:   msg.ReqID,
-			Path:    ackPath,
+			Path:    ownPath(gs, n.self.Addr),
 			Mode:    gs.mode,
-			Backups: ackBackups,
+			Backups: n.backupsForChild(gs, msg.From),
 			// Echo the join's trace ID so the ack belongs to the same trace.
 			TraceID:   msg.TraceID,
 			RelayedAt: time.Now(),
@@ -576,7 +545,7 @@ func (n *Node) handleJoin(msg wire.Message) {
 		// call waits on) so this forwarder learns its root path.
 		_ = n.send(upstream, wire.Message{
 			Type:       wire.TJoin,
-			From:       n.selfInfo(),
+			From:       n.self,
 			GroupID:    msg.GroupID,
 			Subscriber: msg.Subscriber,
 			Rendezvous: msg.Rendezvous,
@@ -590,9 +559,9 @@ func (n *Node) handleJoin(msg wire.Message) {
 	}
 }
 
-// ownPathLocked returns the node's path to the rendezvous including itself
-// (self last): rootPath + self.
-func ownPathLocked(gs *groupState, selfAddr string) []string {
+// ownPath returns the node's path to the rendezvous including itself (self
+// last): rootPath + self.
+func ownPath(gs *groupState, selfAddr string) []string {
 	out := make([]string, 0, len(gs.rootPath)+1)
 	out = append(out, gs.rootPath...)
 	return append(out, selfAddr)
@@ -602,8 +571,6 @@ func ownPathLocked(gs *groupState, selfAddr string) []string {
 // access points from its parent's ack (the waiting join, if any, gets the
 // ack separately through the call table).
 func (n *Node) handleJoinAck(msg wire.Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || gs.parent != msg.From.Addr {
 		return
@@ -619,33 +586,27 @@ func (n *Node) handleJoinAck(msg wire.Message) {
 // handleSearch answers when this node can serve as an access point and
 // otherwise floods the query within its TTL.
 func (n *Node) handleSearch(msg wire.Message) {
-	n.mu.Lock()
 	if n.seenAds.Seen(msg.MsgID, time.Now()) {
-		n.mu.Unlock()
 		return
 	}
 	gs := n.groups[msg.GroupID]
 	ad, sawAd := n.adSeen[msg.GroupID]
-	onTree := n.onTreeLocked(gs)
+	onTree := n.onTree(gs)
 	rdv := ad.rendezvous
 	mode := ad.mode
 	if gs != nil {
 		rdv = gs.rdvInfo
 		mode = gs.mode
 	}
-	nbrs := n.neighborAddrsLocked()
-	n.mu.Unlock()
 
 	if onTree || sawAd {
 		var path []string
 		if onTree {
-			n.mu.Lock()
-			path = ownPathLocked(gs, n.self.Addr)
-			n.mu.Unlock()
+			path = ownPath(gs, n.self.Addr)
 		}
 		_ = n.send(msg.Origin.Addr, wire.Message{
 			Type:       wire.TSearchHit,
-			From:       n.selfInfo(),
+			From:       n.self,
 			GroupID:    msg.GroupID,
 			ReqID:      msg.ReqID,
 			Rendezvous: rdv,
@@ -661,11 +622,11 @@ func (n *Node) handleSearch(msg wire.Message) {
 		return
 	}
 	fwd := msg
-	fwd.From = n.selfInfo()
+	fwd.From = n.self
 	fwd.TTL = msg.TTL - 1
 	fwd.Hops = msg.Hops + 1
 	fwd.RelayedAt = time.Now()
-	for _, addr := range nbrs {
+	for addr := range n.neighbors {
 		if addr != msg.From.Addr {
 			_ = n.send(addr, fwd)
 		}
@@ -678,53 +639,20 @@ func (n *Node) handleSearch(msg wire.Message) {
 // every send failed immediately (e.g. all links point at crashed or
 // partitioned peers) — the payload reached no one.
 func (n *Node) Publish(groupID string, data []byte) error {
-	if err := n.runnable(); err != nil {
+	msg := wire.Message{Type: wire.TPayload, GroupID: groupID, Data: data}
+	n.mu.Lock()
+	targets, err := n.stampPublish(&msg)
+	n.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	var traceID uint64
-	if n.tracer != nil {
-		traceID = n.nextMsgID()
-	}
-	origin := time.Now()
-	n.mu.Lock()
-	gs := n.groups[groupID]
-	if gs == nil || !gs.member {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotMember, groupID)
-	}
-	mode := gs.mode
-	// Admission control: while the node is degraded, refuse new best-effort
-	// publishes at the edge instead of feeding them into saturated queues.
-	// Reliable publishes are always admitted — the caller asked for delivery
-	// guarantees, and the reliable plane has its own recovery machinery.
-	if mode == wire.BestEffort && n.Overloaded() {
-		n.mu.Unlock()
-		atomic.AddUint64(&n.stats.PublishRejects, 1)
-		return fmt.Errorf("%w: %q", ErrBackpressure, groupID)
-	}
-	if gs.pub == nil {
-		gs.pub = reliable.NewSendBuffer(n.cfg.ReliableCache)
-	}
-	seq := gs.pub.NextItem(reliable.Item{Data: data, TraceID: traceID, OriginAt: origin})
-	self := n.selfInfoLocked()
-	targets := forwardTargetsLocked(gs, "")
-	n.mu.Unlock()
-	msg := wire.Message{
-		Type:     wire.TPayload,
-		From:     self,
-		GroupID:  groupID,
-		Seq:      seq,
-		Mode:     mode,
-		Relay:    self,
-		Data:     data,
-		TraceID:  traceID,
-		OriginAt: origin,
-	}
+	// The sends run after the unlock: the loop never waits on a publisher's
+	// fan-out.
 	if n.tracer != nil {
 		n.tracer.Record(trace.Event{
-			Time: origin, Node: self.Addr, Kind: trace.KindPublish,
+			Time: msg.OriginAt, Node: msg.From.Addr, Kind: trace.KindPublish,
 			Msg: msg.Type.String(), Group: groupID,
-			TraceID: traceID, Seq: seq, Source: self.Addr, N: len(targets),
+			TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr, N: len(targets),
 		})
 	}
 	sendStart := time.Now()
@@ -737,9 +665,9 @@ func (n *Node) Publish(groupID string, data []byte) error {
 		sent++
 		if n.tracer != nil {
 			n.tracer.Record(trace.Event{
-				Time: time.Now(), Node: self.Addr, Kind: trace.KindSend,
+				Time: time.Now(), Node: msg.From.Addr, Kind: trace.KindSend,
 				Msg: msg.Type.String(), Group: groupID,
-				TraceID: traceID, Seq: seq, Source: self.Addr, Peer: addr,
+				TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr, Peer: addr,
 				SendUS: time.Since(sendStart).Microseconds(),
 			})
 		}
@@ -751,22 +679,51 @@ func (n *Node) Publish(groupID string, data []byte) error {
 	return nil
 }
 
+// stampPublish admits a publish of msg's payload to msg.GroupID, stamps msg
+// with this publisher's identity and next per-group sequence number, and
+// returns the tree links it goes out on.
+func (n *Node) stampPublish(msg *wire.Message) ([]string, error) {
+	if err := n.runnable(); err != nil {
+		return nil, err
+	}
+	gs := n.groups[msg.GroupID]
+	if gs == nil || !gs.member {
+		return nil, fmt.Errorf("%w: %q", ErrNotMember, msg.GroupID)
+	}
+	// Admission control: while the node is degraded, refuse new best-effort
+	// publishes at the edge instead of feeding them into saturated queues.
+	// Reliable publishes are always admitted — the caller asked for delivery
+	// guarantees, and the reliable plane has its own recovery machinery.
+	if gs.mode == wire.BestEffort && n.Overloaded() {
+		atomic.AddUint64(&n.stats.PublishRejects, 1)
+		return nil, fmt.Errorf("%w: %q", ErrBackpressure, msg.GroupID)
+	}
+	if n.tracer != nil {
+		msg.TraceID = n.nextMsgID()
+	}
+	msg.OriginAt = time.Now()
+	if gs.pub == nil {
+		gs.pub = reliable.NewSendBuffer(n.cfg.ReliableCache)
+	}
+	msg.Seq = gs.pub.NextItem(reliable.Item{Data: msg.Data, TraceID: msg.TraceID, OriginAt: msg.OriginAt})
+	msg.From, msg.Relay, msg.Mode = n.self, n.self, gs.mode
+	return forwardTargets(gs, ""), nil
+}
+
 // handlePayload runs the payload through the per-source receive window
-// (dedup, gap detection, ordering), delivers what the window releases when
-// this node is a member, and forwards fresh payloads over the remaining tree
-// edges.
+// (dedup, gap detection, ordering), forwards fresh payloads over the
+// remaining tree edges, and releases what the window lets go to the handler
+// when this node is a member.
 func (n *Node) handlePayload(msg wire.Message) {
 	hop := msg.Relay.Addr
 	if hop == "" {
 		hop = msg.From.Addr
 	}
-	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || msg.From.Addr == n.self.Addr {
-		n.mu.Unlock()
 		return
 	}
-	w := n.windowForLocked(gs, msg.From)
+	w := n.windowFor(gs, msg.From)
 	_, fromChild := gs.children[hop]
 	if w.LastHop == "" || hop == gs.parent || fromChild {
 		// Only a current tree link may (re)aim the NACK direction: a
@@ -780,42 +737,30 @@ func (n *Node) handlePayload(msg wire.Message) {
 	w.ObserveItem(msg.Seq, reliable.Item{
 		Data: msg.Data, TraceID: msg.TraceID, OriginAt: msg.OriginAt,
 	}, now, &res)
-	n.noteWindowLocked(&res)
+	n.noteWindow(&res)
 	if !res.Fresh {
 		atomic.AddUint64(&n.stats.DuplicatesDropped, 1)
 	}
-	deliver := gs.member
-	h := n.handler
-	n.mu.Unlock()
 	// Gap-recovery round trips: detection → recovering arrival.
 	for _, rtt := range res.RecoveredAfter {
 		n.metrics.nackRTT.ObserveDurationMs(float64(rtt) / float64(time.Millisecond))
 	}
-	if deliver && h != nil {
-		for _, d := range res.Deliver {
-			atomic.AddUint64(&n.stats.Delivered, 1)
-			n.observeDeliver(msg.GroupID, msg.From.Addr, msg.Hops, d)
-			h(msg.GroupID, msg.From, d.Data)
-		}
-	}
+	n.release(msg.GroupID, gs, msg.From, msg.Hops, res.Deliver)
 	if !res.Fresh {
 		return
 	}
-	n.mu.Lock()
-	mode := gs.mode
-	fwd := msg
-	fwd.Relay = n.selfInfoLocked()
-	fwd.Hops = msg.Hops + 1
-	targets := forwardTargetsLocked(gs, hop)
-	n.mu.Unlock()
+	targets := forwardTargets(gs, hop)
 	// Graceful degradation: while overloaded, shed best-effort payload relay
 	// — the loss-tolerant fan-out — but never reliable or control traffic,
-	// and never local delivery (which already happened above). Downstream
-	// best-effort subscribers lose what they were promised they might lose.
-	if mode == wire.BestEffort && len(targets) > 0 && n.Overloaded() {
+	// and never local delivery (released above). Downstream best-effort
+	// subscribers lose what they were promised they might lose.
+	if gs.mode == wire.BestEffort && len(targets) > 0 && n.Overloaded() {
 		atomic.AddUint64(&n.stats.RelaySheds, 1)
 		return
 	}
+	fwd := msg
+	fwd.Relay = n.self
+	fwd.Hops = msg.Hops + 1
 	sendStart := time.Now()
 	fwd.RelayedAt = sendStart
 	n.sendMany(targets, fwd, func(addr string, err error) {
@@ -854,9 +799,9 @@ func (n *Node) observeDeliver(groupID, source string, hops int, d reliable.Deliv
 	})
 }
 
-// forwardTargetsLocked lists the tree links a payload should travel on:
-// parent and children except the link it arrived over. Callers hold n.mu.
-func forwardTargetsLocked(gs *groupState, arrivedFrom string) []string {
+// forwardTargets lists the tree links a payload should travel on: parent
+// and children except the link it arrived over.
+func forwardTargets(gs *groupState, arrivedFrom string) []string {
 	targets := make([]string, 0, len(gs.children)+1)
 	if gs.parent != "" && gs.parent != arrivedFrom {
 		targets = append(targets, gs.parent)
@@ -872,50 +817,34 @@ func forwardTargetsLocked(gs *groupState, arrivedFrom string) []string {
 // Leave departs a group gracefully: children are told to re-join and the
 // parent drops this node.
 func (n *Node) Leave(groupID string) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if err := n.runnable(); err != nil {
 		return err
 	}
-	n.mu.Lock()
 	gs := n.groups[groupID]
 	if gs == nil {
-		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNoGroup, groupID)
-	}
-	parent := gs.parent
-	children := make([]string, 0, len(gs.children))
-	for addr := range gs.children {
-		children = append(children, addr)
 	}
 	// A departing rendezvous must not orphan the group: hand the charter to
 	// the first deputy explicitly so it promotes immediately, with no suspect
 	// delay and no lost publishes.
-	var handoffTo string
-	var handoff wire.Message
 	if gs.rendezvous && n.cfg.Deputies > 0 && len(gs.children) > 0 {
-		charter := n.charterForLocked(groupID, gs)
-		if len(charter.Deputies) > 0 {
-			handoffTo = charter.Deputies[0].Addr
-			handoff = wire.Message{
+		if charter := n.charterFor(groupID, gs); len(charter.Deputies) > 0 {
+			_ = n.send(charter.Deputies[0].Addr, wire.Message{
 				Type:    wire.THandoff,
-				From:    n.selfInfoLocked(),
+				From:    n.self,
 				GroupID: groupID,
 				Epoch:   gs.epoch,
 				Charter: charter,
-			}
+			})
 		}
 	}
 	delete(n.groups, groupID)
-	n.mu.Unlock()
-
-	if handoffTo != "" {
-		_ = n.send(handoffTo, handoff)
-	}
-	notice := wire.Message{Type: wire.TLeave, From: n.selfInfo(), GroupID: groupID}
-	if parent != "" {
-		_ = n.send(parent, notice)
-	}
-	for _, c := range children {
-		_ = n.send(c, notice)
+	// Parent and children: every tree link drops this node.
+	notice := wire.Message{Type: wire.TLeave, From: n.self, GroupID: groupID}
+	for _, addr := range forwardTargets(gs, "") {
+		_ = n.send(addr, notice)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"groupcast/internal/core"
+	"groupcast/internal/reliable"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -12,13 +13,17 @@ import (
 // run is the node's event loop, the one goroutine Start launches. It
 // dispatches every inbound message, runs every flow an API call posts, and
 // runs every periodic duty — the heartbeat epoch, the NACK sweep, the
-// pressure sample, and the mid-epoch reprobe of suspects — one at a time,
-// off one timer re-armed to the earliest due duty or call deadline, so every
-// PayloadHandler call happens here in release order. Nothing on the loop
-// waits: a flow that needs a reply (DHT lookups and pings, tree repairs,
-// joins) registers a call and continues when the loop routes the reply or
-// fires the deadline (calls.go). Only the state save leaves the loop, on a
-// goroutine the loop's own done count keeps Close waiting for.
+// pressure sample, and the mid-epoch reprobe of suspects — off one timer
+// re-armed to the earliest due duty or call deadline. Each event is one
+// critical section: the loop takes n.mu once select hands it a message, a
+// posted flow or a timer wake, runs the whole event under it, and drops it
+// in endEvent, which then makes the PayloadHandler calls for what the event
+// released. So code on the loop never locks, and an API call sees every
+// event whole. Nothing on the loop waits: a flow that needs a reply (DHT
+// lookups and pings, tree repairs, joins) registers a call and continues
+// when the loop routes the reply or fires the deadline (calls.go). Only the
+// state save leaves the loop, on a goroutine the loop's own done count keeps
+// Close waiting for.
 func (n *Node) run() {
 	defer n.done.Done()
 	hb := n.cfg.HeartbeatInterval
@@ -39,81 +44,128 @@ func (n *Node) run() {
 	n.timer = time.NewTimer(0) // the first wake arms the earliest deadline
 	defer n.timer.Stop()
 	for {
+		var sample uint64 // the telemetry epoch whose history sample is due
 		select {
 		case msg, ok := <-n.tr.Recv():
 			if !ok {
 				return
 			}
+			n.mu.Lock()
 			n.handle(msg)
-			continue
 		case f := <-n.posts:
+			n.mu.Lock()
 			f()
-			continue
 		case <-n.stop:
 			// Drain until the transport closes its channel.
 			for range n.tr.Recv() {
 			}
 			return
 		case <-n.timer.C:
-		}
-		now = time.Now()
-		n.fireDue(now)
-		// A duty runs when due and re-arms one period later.
-		if !nextReprobe.IsZero() && !now.Before(nextReprobe) {
-			nextReprobe = time.Time{}
-			n.reprobe(suspects)
-		}
-		if !now.Before(nextNack) {
-			nextNack = now.Add(nackInterval)
-			n.nackSweep()
-		}
-		if !now.Before(nextSample) {
-			nextSample = now.Add(n.cfg.OverloadSampleInterval)
-			n.overloadTick(n.samplePressure())
-		}
-		if !nextEpoch.IsZero() && !now.Before(nextEpoch) {
-			nextEpoch = now.Add(hb)
-			// Stall detection: when this loop was delayed well past the
-			// interval (scheduler pressure, suspended VM, a slow handler),
-			// neighbours never had a fair chance to answer — skip eviction
-			// this round rather than shatter the overlay on a false positive.
-			stalled := now.Sub(lastEpoch) > 2*hb
-			lastEpoch = now
-			epochs++
-			// Telemetry samples before the heartbeats go out so this epoch's
-			// piggyback carries the fresh digest.
-			n.telemetryEpoch()
-			if suspects = n.epoch(stalled); len(suspects) > 0 {
-				nextReprobe = now.Add(hb / 2)
+			n.mu.Lock()
+			now = time.Now()
+			n.fireDue(now)
+			// A duty runs when due and re-arms one period later.
+			if !nextReprobe.IsZero() && !now.Before(nextReprobe) {
+				nextReprobe = time.Time{}
+				n.reprobe(suspects)
 			}
-			n.dhtEpoch(epochs)
-			if n.cfg.AdvertiseRefreshEpochs > 0 && epochs%n.cfg.AdvertiseRefreshEpochs == 0 {
-				n.refreshAdvertisements()
+			if !now.Before(nextNack) {
+				nextNack = now.Add(nackInterval)
+				n.nackSweep()
 			}
-			n.digestGroups()
-			n.epochNow.Store(int64(epochs))
-			if n.cfg.StatePath != "" && epochs%n.cfg.StateSaveEpochs == 0 {
-				n.done.Add(1)
-				go func(e int) {
-					defer n.done.Done()
-					n.saveState(e)
-				}(epochs)
+			if !now.Before(nextSample) {
+				nextSample = now.Add(n.cfg.OverloadSampleInterval)
+				n.overloadTick(n.samplePressure())
 			}
+			if !nextEpoch.IsZero() && !now.Before(nextEpoch) {
+				nextEpoch = now.Add(hb)
+				// Stall detection: when this loop was delayed well past the
+				// interval (scheduler pressure, suspended VM, a slow handler),
+				// neighbours never had a fair chance to answer — skip eviction
+				// this round rather than shatter the overlay on a false positive.
+				stalled := now.Sub(lastEpoch) > 2*hb
+				lastEpoch = now
+				epochs++
+				// Telemetry samples before the heartbeats go out so this epoch's
+				// piggyback carries the fresh digest.
+				sample = n.telemetryEpoch(now)
+				if suspects = n.epoch(stalled); len(suspects) > 0 {
+					nextReprobe = now.Add(hb / 2)
+				}
+				n.dhtEpoch(epochs)
+				if n.cfg.AdvertiseRefreshEpochs > 0 && epochs%n.cfg.AdvertiseRefreshEpochs == 0 {
+					n.refreshAdvertisements()
+				}
+				n.digestGroups()
+				n.epochNow.Store(int64(epochs))
+				if n.cfg.StatePath != "" && epochs%n.cfg.StateSaveEpochs == 0 {
+					n.done.Add(1)
+					go func(e int) {
+						defer n.done.Done()
+						n.saveState(e)
+					}(epochs)
+				}
+			}
+			next := nextNack // always armed
+			for _, d := range [...]time.Time{nextSample, nextEpoch, nextReprobe} {
+				if !d.IsZero() && d.Before(next) {
+					next = d
+				}
+			}
+			for _, c := range n.calls {
+				if c.deadline.Before(next) {
+					next = c.deadline
+				}
+			}
+			n.armed = next
+			n.timer.Reset(time.Until(next))
 		}
-		next := nextNack // always armed
-		for _, d := range [...]time.Time{nextSample, nextEpoch, nextReprobe} {
-			if !d.IsZero() && d.Before(next) {
-				next = d
-			}
+		n.endEvent()
+		if sample > 0 {
+			// History sample: the registry snapshot carries every Stats
+			// counter, so /debug/history shows delivery and shedding
+			// trajectories alongside latency quantiles. Its gauges take n.mu
+			// like any reader, so it runs after the unlock.
+			n.telemetry.history.Observe(sample, now, n.metrics.reg.Snapshot())
 		}
-		for _, c := range n.calls {
-			if c.deadline.Before(next) {
-				next = c.deadline
-			}
-		}
-		n.armed = next
-		n.timer.Reset(time.Until(next))
 	}
+}
+
+// delivery is one payload a loop event released to the application.
+type delivery struct {
+	gid  string
+	src  wire.PeerInfo
+	hops int
+	reliable.Delivery
+}
+
+// release queues what a receive window of gs released for the handler when
+// this node is a member. endEvent hands the queue over after the event, so
+// everything the event sends — a relay's forwards included — goes out first.
+func (n *Node) release(gid string, gs *groupState, src wire.PeerInfo, hops int, ds []reliable.Delivery) {
+	if !gs.member {
+		return
+	}
+	for _, d := range ds {
+		n.released = append(n.released, delivery{gid, src, hops, d})
+	}
+}
+
+// endEvent closes a loop event's critical section: it unlocks n.mu and then
+// calls the handler for every payload the event released, in release order,
+// with no node lock held — so the handler may call Publish or Leave.
+func (n *Node) endEvent() {
+	h := n.handler
+	n.mu.Unlock()
+	if h != nil {
+		for _, d := range n.released {
+			atomic.AddUint64(&n.stats.Delivered, 1)
+			n.observeDeliver(d.gid, d.src.Addr, d.hops, d.Delivery)
+			h(d.gid, d.src, d.Data)
+		}
+	}
+	clear(n.released) // drop the payload references
+	n.released = n.released[:0]
 }
 
 // tracedTypes marks the message types worth a recv trace event: the data
@@ -177,7 +229,7 @@ func (n *Node) dispatch(msg wire.Message) {
 		// heartbeat exchange.
 		health := n.telemetryHealth()
 		_ = n.send(msg.From.Addr, wire.Message{
-			Type: wire.THeartbeatAck, From: n.selfInfo(), SentAt: msg.SentAt, Health: health,
+			Type: wire.THeartbeatAck, From: n.self, SentAt: msg.SentAt, Health: health,
 		})
 		n.countHealthSent(len(health), 1)
 	case wire.THeartbeatAck:
@@ -227,22 +279,18 @@ func (n *Node) dispatch(msg wire.Message) {
 }
 
 func (n *Node) handleProbe(msg wire.Message) {
-	n.mu.Lock()
-	self := n.selfInfoLocked()
 	nbrs := make([]wire.PeerInfo, 0, len(n.neighbors)+1)
-	nbrs = append(nbrs, self)
+	nbrs = append(nbrs, n.self)
 	for _, nb := range n.neighbors {
 		// Don't recommend suspect neighbours to bootstrapping peers: they
 		// missed a heartbeat and may already be dead.
-		if nb.suspect {
-			continue
+		if !nb.suspect {
+			nbrs = append(nbrs, nb.info)
 		}
-		nbrs = append(nbrs, nb.info)
 	}
-	n.mu.Unlock()
 	_ = n.send(msg.From.Addr, wire.Message{
 		Type:      wire.TProbeResp,
-		From:      self,
+		From:      n.self,
 		ReqID:     msg.ReqID,
 		Neighbors: nbrs,
 	})
@@ -251,8 +299,6 @@ func (n *Node) handleProbe(msg wire.Message) {
 // handleBackConnect applies the PB_k acceptance rule of Section 3.3 to a
 // connection request, falling back to pb.
 func (n *Node) handleBackConnect(msg wire.Message) {
-	n.mu.Lock()
-	self := n.selfInfoLocked()
 	nbrCands := make([]core.Candidate, 0, len(n.neighbors))
 	for _, nb := range n.neighbors {
 		if nb.info.Addr == msg.From.Addr {
@@ -260,26 +306,23 @@ func (n *Node) handleBackConnect(msg wire.Message) {
 		}
 		nbrCands = append(nbrCands, core.Candidate{
 			Capacity: nb.info.Capacity,
-			Distance: n.dist(self, nb.info),
+			Distance: n.dist(n.self, nb.info),
 		})
 	}
 	pb := core.BackLinkProbability(core.Ranks(
-		n.cfg.Capacity, msg.From.Capacity, n.dist(self, msg.From), nbrCands))
+		n.cfg.Capacity, msg.From.Capacity, n.dist(n.self, msg.From), nbrCands))
 	accept := n.rng.Float64() < pb
 	if !accept {
 		accept = n.rng.Float64() < n.cfg.FallbackAccept
 	}
-	n.mu.Unlock()
 	if !accept {
 		return
 	}
 	n.addNeighbor(msg.From)
-	_ = n.send(msg.From.Addr, wire.Message{Type: wire.TBackAccept, From: n.selfInfo(), ReqID: msg.ReqID})
+	_ = n.send(msg.From.Addr, wire.Message{Type: wire.TBackAccept, From: n.self, ReqID: msg.ReqID})
 }
 
 func (n *Node) touchNeighbor(info wire.PeerInfo) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if nb, ok := n.neighbors[info.Addr]; ok {
 		nb.info = info
 		nb.lastAck = time.Now()
@@ -288,43 +331,33 @@ func (n *Node) touchNeighbor(info wire.PeerInfo) {
 }
 
 func (n *Node) handleLeave(msg wire.Message) {
-	if msg.GroupID != "" {
-		// Group-scoped departure: the sender left one group only.
-		n.mu.Lock()
-		gs := n.groups[msg.GroupID]
-		var orphaned []string
-		if gs != nil {
-			delete(gs.children, msg.From.Addr)
-			if gs.parent == msg.From.Addr {
-				gs.parent = ""
-				if gs.member && !gs.rendezvous {
-					orphaned = append(orphaned, msg.GroupID)
-				}
-			}
-			clearLastHopLocked(gs, msg.From.Addr)
-		}
-		n.mu.Unlock()
-		n.rejoinAsync(orphaned)
+	if msg.GroupID == "" {
+		// Overlay departure: drop the neighbour everywhere.
+		n.rejoinAsync(n.removeNeighborAndOrphans(msg.From.Addr))
 		return
 	}
-	// Overlay departure: drop the neighbour everywhere.
-	orphaned := n.removeNeighborAndOrphans(msg.From.Addr)
-	n.rejoinAsync(orphaned)
+	// Group-scoped departure: the sender left one group only.
+	gs := n.groups[msg.GroupID]
+	if gs == nil {
+		return
+	}
+	delete(gs.children, msg.From.Addr)
+	clearLastHop(gs, msg.From.Addr)
+	if gs.parent == msg.From.Addr {
+		gs.parent = ""
+		if gs.member && !gs.rendezvous {
+			n.rejoinAsync([]string{msg.GroupID})
+		}
+	}
 }
 
 // reprobe sends one extra heartbeat to each of addrs that is still suspect:
 // a lost heartbeat (or ack) must not cost a whole epoch of detection latency.
 func (n *Node) reprobe(addrs []string) {
-	n.mu.Lock()
-	var targets []string
 	for _, addr := range addrs {
 		if nb, ok := n.neighbors[addr]; ok && nb.suspect {
-			targets = append(targets, addr)
+			_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.self, SentAt: time.Now()})
 		}
-	}
-	n.mu.Unlock()
-	for _, addr := range targets {
-		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.selfInfo(), SentAt: time.Now()})
 	}
 }
 
@@ -332,16 +365,10 @@ func (n *Node) reprobe(addrs []string) {
 // of, giving peers that joined the overlay after the original announcement a
 // reverse path.
 func (n *Node) refreshAdvertisements() {
-	n.mu.Lock()
-	var gids []string
 	for gid, gs := range n.groups {
 		if gs.rendezvous {
-			gids = append(gids, gid)
+			_ = n.advertise(gid)
 		}
-	}
-	n.mu.Unlock()
-	for _, gid := range gids {
-		_ = n.Advertise(gid)
 	}
 }
 
@@ -356,36 +383,23 @@ func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 	// until it answers, and declared dead at the full grace.
 	suspectAfter := n.cfg.HeartbeatInterval + n.cfg.HeartbeatInterval/2
 	now := time.Now()
-
-	n.mu.Lock()
-	var dead []string
-	var live []string
+	health := n.telemetryHealth()
+	var orphaned []string
+	live := 0
 	for addr, nb := range n.neighbors {
 		switch {
 		case !stalled && now.Sub(nb.lastAck) > grace:
-			dead = append(dead, addr)
-		case !stalled && now.Sub(nb.lastAck) > suspectAfter:
-			if !nb.suspect {
-				nb.suspect = true
-				newlySuspect = append(newlySuspect, addr)
-			}
-			live = append(live, addr)
-		default:
-			live = append(live, addr)
+			atomic.AddUint64(&n.stats.NeighborsDeclaredDead, 1)
+			orphaned = append(orphaned, n.removeNeighborAndOrphans(addr)...)
+			continue
+		case !stalled && now.Sub(nb.lastAck) > suspectAfter && !nb.suspect:
+			nb.suspect = true
+			newlySuspect = append(newlySuspect, addr)
 		}
+		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.self, SentAt: now, Health: health})
+		live++
 	}
-	n.mu.Unlock()
-
-	var orphaned []string
-	for _, addr := range dead {
-		atomic.AddUint64(&n.stats.NeighborsDeclaredDead, 1)
-		orphaned = append(orphaned, n.removeNeighborAndOrphans(addr)...)
-	}
-	health := n.telemetryHealth()
-	for _, addr := range live {
-		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.selfInfo(), SentAt: now, Health: health})
-	}
-	n.countHealthSent(len(health), len(live))
+	n.countHealthSent(len(health), live)
 	// Suspects get one extra mid-epoch probe from the loop (see reprobe).
 	atomic.AddUint64(&n.stats.Suspected, uint64(len(newlySuspect)))
 	// Succession duty: promote out of any charter whose root has been
@@ -403,16 +417,15 @@ func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 	// forwarders (a lost parent above a subtree we relay for) must reattach
 	// too, or their whole subtree stays severed.
 	bGrace := n.beaconGrace()
-	n.mu.Lock()
 	var detachedForwarders []string
-	var staleParents []string
 	for gid, gs := range n.groups {
 		if gs.rendezvous {
 			continue
 		}
 		if gs.parent != "" && bGrace > 0 && time.Since(gs.lastBeacon) > bGrace {
-			staleParents = append(staleParents, gs.parent)
-			clearLastHopLocked(gs, gs.parent)
+			// Prune our edge at the stale parent so it stops forwarding to us.
+			_ = n.send(gs.parent, wire.Message{Type: wire.TLeave, From: n.self})
+			clearLastHop(gs, gs.parent)
 			gs.parent = ""
 		}
 		if gs.parent != "" {
@@ -424,12 +437,6 @@ func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 			detachedForwarders = append(detachedForwarders, gid)
 		}
 	}
-	self := n.selfInfoLocked()
-	n.mu.Unlock()
-	for _, p := range staleParents {
-		// Prune our edge at the stale parent so it stops forwarding to us.
-		_ = n.send(p, wire.Message{Type: wire.TLeave, From: self})
-	}
 	n.rejoinAsync(orphaned)
 	n.reattachAsync(detachedForwarders)
 	return newlySuspect
@@ -440,13 +447,7 @@ func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 // tree nodes guaranteed outside the child's subtree).
 func (n *Node) beaconGroups() {
 	health := n.telemetryHealth()
-	n.mu.Lock()
-	type beacon struct {
-		to  string
-		msg wire.Message
-	}
-	var beacons []beacon
-	var charters int
+	var beacons, charters int
 	for gid, gs := range n.groups {
 		if !gs.rendezvous || len(gs.children) == 0 {
 			continue
@@ -458,7 +459,7 @@ func (n *Node) beaconGroups() {
 		var charter wire.Charter
 		roster := map[string]bool{}
 		if n.cfg.Deputies > 0 {
-			charter = n.charterForLocked(gid, gs)
+			charter = n.charterFor(gid, gs)
 			gs.deputies = charter.Deputies
 			for _, d := range charter.Deputies {
 				roster[d.Addr] = true
@@ -467,11 +468,11 @@ func (n *Node) beaconGroups() {
 		for addr, info := range gs.children {
 			msg := wire.Message{
 				Type:     wire.TBeacon,
-				From:     n.selfInfoLocked(),
+				From:     n.self,
 				GroupID:  gid,
 				Path:     []string{n.self.Addr},
 				Mode:     gs.mode,
-				Backups:  n.backupsForChildLocked(gs, info),
+				Backups:  n.backupsForChild(gs, info),
 				Epoch:    gs.epoch,
 				Deputies: charter.Deputies,
 				Health:   health,
@@ -480,17 +481,14 @@ func (n *Node) beaconGroups() {
 				msg.Charter = charter
 				charters++
 			}
-			beacons = append(beacons, beacon{to: addr, msg: msg})
+			_ = n.send(addr, msg)
+			beacons++
 		}
 	}
-	n.mu.Unlock()
 	if charters > 0 {
 		atomic.AddUint64(&n.stats.CharterReplications, uint64(charters))
 	}
-	for _, b := range beacons {
-		_ = n.send(b.to, b.msg)
-	}
-	n.countHealthSent(len(health), len(beacons))
+	n.countHealthSent(len(health), beacons)
 }
 
 // reattachAsync repairs dangling forwarder uplinks without asserting

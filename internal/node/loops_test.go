@@ -2,7 +2,14 @@ package node
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,7 +86,7 @@ func TestHandlerContractSerial(t *testing.T) {
 		if gid == "live" {
 			continue
 		}
-		w := n.windowForLocked(gs, src)
+		w := n.windowFor(gs, src)
 		var res reliable.ObserveResult
 		w.ObserveItem(1, reliable.Item{Data: []byte("p1")}, past, &res)
 		w.ObserveItem(3, reliable.Item{Data: []byte("p3")}, past, &res)
@@ -173,6 +180,40 @@ func TestHandlerContractRepublish(t *testing.T) {
 		}
 	})
 	rec := recordPayloads(c)
+
+	// API readers hammer every node while the stream flows and epochs run:
+	// each call waits at most one loop event for n.mu, and the registry
+	// snapshot runs the locking gauges against the loop's history sample.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, nd := range nodes {
+					_ = nd.Tree("in")
+					_ = nd.Neighbors()
+					_ = nd.Reliability("out")
+					_ = nd.TreeDetails()
+					_ = nd.OverlayView()
+					_ = nd.ClusterView()
+					_ = nd.Metrics().Snapshot()
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+	startEpoch := b.epochNow.Load()
+
 	for i := 0; i < count; i++ {
 		if err := a.Publish("in", []byte(fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatal(err)
@@ -194,4 +235,159 @@ func TestHandlerContractRepublish(t *testing.T) {
 		return fmt.Sprintf("c received %d of %d re-published payloads", rec.count(b.Addr()), count)
 	})
 	rec.assertFIFO(t, "c", b.Addr(), count)
+	// Keep the readers racing b's loop for two heartbeat epochs.
+	waitFor(t, testTimeout, func() bool { return b.epochNow.Load() >= startEpoch+2 },
+		static("b's loop ran no epochs under the readers"))
+}
+
+// TestHandlerContractLeave: a handler may Leave. c leaves the group from
+// inside its handler on the k-th payload; Leave returns nil, c's loop keeps
+// running, c forgets the group and its tree parent drops it as a child.
+func TestHandlerContractLeave(t *testing.T) {
+	mem := transport.NewMemNetwork()
+	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint(), mem.NextEndpoint()}
+	nodes := lineCluster(t, eps, nil)
+	a, c := nodes[0], nodes[2]
+	if err := a.CreateGroupMode("g", wire.ReliableOrdered); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Advertise("g"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range nodes[1:] {
+		waitFor(t, testTimeout, func() bool {
+			return m.Join("g", 200*time.Millisecond) == nil
+		}, static("could not join g"))
+	}
+	var parent *Node
+	for _, nd := range nodes {
+		if nd.Addr() == c.Tree("g").Parent {
+			parent = nd
+		}
+	}
+	if parent == nil {
+		t.Fatalf("c's parent %q is not in the cluster", c.Tree("g").Parent)
+	}
+
+	const k = 5
+	var got atomic.Int32
+	left := make(chan error, 1)
+	c.SetPayloadHandler(func(gid string, _ wire.PeerInfo, _ []byte) {
+		if got.Add(1) == k {
+			left <- c.Leave(gid)
+		}
+	})
+	for i := 0; i < 2*k; i++ {
+		if err := a.Publish("g", []byte(fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-left:
+		if err != nil {
+			t.Fatalf("Leave from the handler: %v", err)
+		}
+	case <-time.After(testTimeout):
+		t.Fatalf("c's handler ran %d of %d times: its loop is stuck", got.Load(), k)
+	}
+	if c.Tree("g").Exists {
+		t.Fatal("c still holds the group after Leave")
+	}
+	waitFor(t, testTimeout, func() bool {
+		for _, child := range parent.Tree("g").Children {
+			if child == c.Addr() {
+				return false
+			}
+		}
+		return true
+	}, func() string {
+		return fmt.Sprintf("parent %s still lists c: %v", parent.Addr(), parent.Tree("g").Children)
+	})
+	epoch := c.epochNow.Load()
+	waitFor(t, testTimeout, func() bool { return c.epochNow.Load() > epoch },
+		static("c's loop stopped after the handler's Leave"))
+}
+
+// TestNodeLocksOnlyAtAPIBoundary pins the one locking rule of the package:
+// the loop takes n.mu once per event (run), exported *Node methods take it
+// at the API boundary, and only two readers besides — the registry gauges
+// (closures in initObservability) and the state-save capture — take it too.
+// Everything else runs on the loop under the event's lock and never locks,
+// so no *Locked twin exists and no other mutex guards node state.
+func TestNodeLocksOnlyAtAPIBoundary(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lockedCall := regexp.MustCompile(`\w+Locked\(`)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range lockedCall.FindAllString(string(src), -1) {
+			t.Errorf("%s: %s: locking is the caller's business only at the API boundary", name, m)
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(nd ast.Node) bool {
+			spec, ok := nd.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := spec.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					sel, ok := field.Type.(*ast.SelectorExpr)
+					if ok && strings.HasSuffix(sel.Sel.Name, "Mutex") &&
+						(spec.Name.Name != "Node" || len(field.Names) != 1 || field.Names[0].Name != "mu") {
+						t.Errorf("%s: %s.%s: a second mutex in the node", fset.Position(field.Pos()), spec.Name.Name, sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			api := fn.Recv != nil && fn.Name.IsExported() && isNodeReceiver(fn.Recv)
+			allowed := api || fn.Name.Name == "run" || fn.Name.Name == "captureState"
+			gauges := fn.Name.Name == "initObservability"
+			ast.Inspect(fn.Body, func(nd ast.Node) bool {
+				if _, ok := nd.(*ast.FuncLit); ok && gauges {
+					return false // a gauge closure: a reader like any API call
+				}
+				if call, ok := nd.(*ast.CallExpr); ok && isMuLock(call) && !allowed {
+					t.Errorf("%s: %s locks n.mu off the API boundary", fset.Position(call.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
+func isNodeReceiver(recv *ast.FieldList) bool {
+	star, ok := recv.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	id, ok := star.X.(*ast.Ident)
+	return ok && id.Name == "Node"
+}
+
+// isMuLock matches x.mu.Lock().
+func isMuLock(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Lock" {
+		return false
+	}
+	mu, ok := sel.X.(*ast.SelectorExpr)
+	return ok && mu.Sel.Name == "mu"
 }

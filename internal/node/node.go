@@ -12,9 +12,11 @@
 // periodic duty and makes every PayloadHandler call. A flow that waits — for
 // a reply or a retry backoff — is an entry in the loop's call table
 // (calls.go) and continues on the loop when its reply or deadline arrives.
-// API calls run on the caller's goroutine and share state with the loop
-// under n.mu; the blocking ones (Bootstrap, Join, RecoverGroups) post their
-// flow to the loop and wait only for its result.
+// One rule guards the state: the loop holds n.mu for each whole event and
+// drops it only to wait and to call the handler; API calls run on the
+// caller's goroutine and take n.mu themselves; nothing else locks. The
+// blocking API calls (Bootstrap, Join, RecoverGroups) post their flow to the
+// loop and wait for its result with no lock held.
 package node
 
 import (
@@ -33,7 +35,6 @@ import (
 	"groupcast/internal/peer"
 	"groupcast/internal/recovery"
 	"groupcast/internal/reliable"
-	"groupcast/internal/telemetry"
 	"groupcast/internal/trace"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
@@ -126,19 +127,12 @@ type Config struct {
 	// OverloadSampleInterval paces the pressure sampler of the
 	// graceful-degradation controller (0 uses the default of 100ms).
 	OverloadSampleInterval time.Duration
-	// DisableOverloadControl turns the degradation controller off entirely:
-	// no admission control, no relay shedding (pressure is still sampled for
-	// the gauges).
-	DisableOverloadControl bool
 
 	// TelemetryGossip is how many OTHER nodes' digests ride each outgoing
 	// heartbeat/ack/beacon besides the node's own, cycled round-robin
 	// through the fleet view (0 uses 2 — sized to keep the piggyback under
 	// the 128-byte/beacon budget).
 	TelemetryGossip int
-	// SLO overrides the fleet alert thresholds and hysteresis dwells; the
-	// zero value uses the telemetry package defaults.
-	SLO telemetry.SLOConfig
 	// DisableTelemetry turns the fleet plane off entirely: no history, no
 	// fleet view, no SLO rules, and no Health field on outgoing messages
 	// (the wire encoding is then byte-identical to a pre-telemetry node's).
@@ -174,10 +168,11 @@ func DefaultConfig(capacity float64, coord coords.Point, seed int64) Config {
 //
 // It is called on the node's event loop, one call at a time, in release
 // order — whether the payload was released by a live arrival, a digest, a
-// NACK-sweep abandonment or a promotion. It may call Publish and Leave. It
-// must not call Join or Bootstrap: they post their flow to the loop it is
-// blocking and wait for a result only that loop can produce. A handler that
-// blocks also stalls the node's heartbeats.
+// NACK-sweep abandonment or a promotion — after the loop event that released
+// it, and so after that event's forwards, with no node lock held. It may call
+// Publish and Leave. It must not call Join or Bootstrap: they post their flow
+// to the loop it is blocking and wait for a result only that loop can
+// produce. A handler that blocks also stalls the node's heartbeats.
 type PayloadHandler func(groupID string, from wire.PeerInfo, data []byte)
 
 type neighborState struct {
@@ -195,7 +190,7 @@ type groupState struct {
 	parent     string // "" when root or detached
 	// parentInfo is the parent's last-known full identity (addr-only right
 	// after joinVia, refreshed with coordinates from beacons and join acks).
-	// It is the child's grandparent in backupsForChildLocked.
+	// It is the child's grandparent in backupsForChild.
 	parentInfo wire.PeerInfo
 	children   map[string]wire.PeerInfo
 	// mode is the group's delivery mode (a rendezvous property; members
@@ -256,9 +251,12 @@ type Node struct {
 	// encodes a frame once and writes the same bytes to every tree link);
 	// nil means sendMany falls back to a per-link Send loop.
 	multi transport.MultiSender
-	self  wire.PeerInfo
 
+	// mu guards the node's mutable state, self's coordinate included: the
+	// loop holds it for each whole event (run) and exported methods take it
+	// at the API boundary. No other code locks.
 	mu        sync.Mutex
+	self      wire.PeerInfo
 	rng       *rand.Rand
 	vivaldi   *coords.VivaldiNode
 	neighbors map[string]*neighborState
@@ -296,14 +294,15 @@ type Node struct {
 	lastSaveAt atomic.Int64
 
 	// Loop-owned (loops.go, calls.go): the call table, its ReqID counter,
-	// the timer and the deadline it is armed for, and the per-group repair
-	// single-flight. ncalls mirrors len(calls) for PendingRequests.
+	// the timer and the deadline it is armed for, the per-group repair
+	// single-flight, and the payloads the current event released for the
+	// handler.
 	calls     map[uint64]*call
 	reqSeq    uint64
 	timer     *time.Timer
 	armed     time.Time
 	rejoining map[string]bool
-	ncalls    atomic.Int64
+	released  []delivery
 	// posts carries API flows onto the loop (see post).
 	posts chan func()
 
@@ -434,43 +433,29 @@ func New(tr transport.Transport, cfg Config) *Node {
 // observeRTT feeds one RTT sample into the Vivaldi model and refreshes the
 // node's advertised coordinate. No-op without EnableVivaldi.
 func (n *Node) observeRTT(remote wire.PeerInfo, rttMillis float64) {
-	if rttMillis <= 0 {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.vivaldi == nil {
+	if rttMillis <= 0 || n.vivaldi == nil {
 		return
 	}
 	n.vivaldi.Update(coords.Point(remote.Coord), remote.CoordErr, rttMillis)
+	// A fresh slice, never an in-place write: every message and record that
+	// carries n.self shares its Coord.
 	n.self.Coord = n.vivaldi.Coord()
 	n.self.CoordErr = n.vivaldi.ErrorEstimate()
 }
 
-// selfInfo returns a race-free copy of the node's identifier quadruplet
-// (the coordinate moves under Vivaldi).
-func (n *Node) selfInfo() wire.PeerInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.selfInfoLocked()
-}
-
-func (n *Node) selfInfoLocked() wire.PeerInfo {
-	cp := n.self
-	cp.Coord = append([]float64(nil), n.self.Coord...)
-	return cp
-}
-
 // Coord returns the node's current advertised coordinate (live under
 // Vivaldi, static otherwise).
-func (n *Node) Coord() coords.Point {
+func (n *Node) Coord() coords.Point { return coords.Point(n.Info().Coord) }
+
+// Info returns the node's identifier quadruplet, with a coordinate the
+// caller owns.
+func (n *Node) Info() wire.PeerInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return coords.Point(n.self.Coord).Clone()
+	info := n.self
+	info.Coord = coords.Point(info.Coord).Clone()
+	return info
 }
-
-// Info returns the node's identifier quadruplet.
-func (n *Node) Info() wire.PeerInfo { return n.selfInfo() }
 
 // Addr returns the node's transport address.
 func (n *Node) Addr() string { return n.self.Addr }
@@ -486,13 +471,11 @@ func (n *Node) SetPayloadHandler(h PayloadHandler) {
 // Start launches the node's event loop.
 func (n *Node) Start() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.started || n.closed {
-		n.mu.Unlock()
 		return
 	}
 	n.started = true
-	n.mu.Unlock()
-
 	n.done.Add(1)
 	go n.run()
 }
@@ -506,12 +489,10 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	nbrs := n.neighborAddrsLocked()
-	n.mu.Unlock()
-
-	for _, addr := range nbrs {
-		_ = n.send(addr, wire.Message{Type: wire.TLeave, From: n.selfInfo()})
+	for addr := range n.neighbors {
+		_ = n.send(addr, wire.Message{Type: wire.TLeave, From: n.self})
 	}
+	n.mu.Unlock()
 	close(n.stop)
 	err := n.tr.Close()
 	n.done.Wait()
@@ -544,14 +525,6 @@ func (n *Node) NumNeighbors() int {
 	return len(n.neighbors)
 }
 
-func (n *Node) neighborAddrsLocked() []string {
-	out := make([]string, 0, len(n.neighbors))
-	for addr := range n.neighbors {
-		out = append(out, addr)
-	}
-	return out
-}
-
 func (n *Node) dist(a, b wire.PeerInfo) float64 {
 	return coords.Dist(coords.Point(a.Coord), coords.Point(b.Coord))
 }
@@ -566,12 +539,6 @@ func (n *Node) quota() int {
 }
 
 func (n *Node) nextMsgID() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.nextMsgIDLocked()
-}
-
-func (n *Node) nextMsgIDLocked() uint64 {
 	n.msgSeq++
 	// Addresses are unique, so (addr, seq) is unique; fold the address into
 	// the ID so independent nodes don't collide.
@@ -593,11 +560,11 @@ func (n *Node) nextMsgIDLocked() uint64 {
 // retried with exponential backoff, so dead contacts cost one shared wait
 // instead of a full timeout each.
 func (n *Node) Bootstrap(contacts []string, timeout time.Duration) error {
-	if err := n.runnable(); err != nil {
-		return err
-	}
-	if len(contacts) == 0 {
-		return nil // first node in the overlay
+	n.mu.Lock()
+	err := n.runnable()
+	n.mu.Unlock()
+	if err != nil || len(contacts) == 0 {
+		return err // a nil error with no contacts: first node in the overlay
 	}
 	return n.await(func(done func(error)) { n.bootstrap(contacts, timeout, done) })
 }
@@ -653,19 +620,16 @@ func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, time
 	}
 	sort.Strings(addrs)
 	sample := make([]peer.Capacity, len(addrs))
-	self := n.selfInfo()
 	cands := make([]core.Candidate, len(addrs))
 	for i, addr := range addrs {
 		sample[i] = peer.Capacity(infos[addr].Capacity)
 		cands[i] = core.Candidate{
 			Capacity: float64(freq[addr]),
-			Distance: n.dist(self, infos[addr]),
+			Distance: n.dist(n.self, infos[addr]),
 		}
 	}
 	ri := peer.EstimateResourceLevel(peer.Capacity(n.cfg.Capacity), sample)
-	n.mu.Lock()
 	chosen, err := core.SelectByPreference(ri, cands, n.quota(), n.rng)
-	n.mu.Unlock()
 	if err != nil {
 		done(fmt.Errorf("node: neighbour selection: %w", err))
 		return
@@ -674,8 +638,8 @@ func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, time
 	for i, idx := range chosen {
 		targets[i] = addrs[idx]
 	}
-	req := wire.Message{Type: wire.TBackConnect, From: self}
-	if n.NumNeighbors() > 0 {
+	req := wire.Message{Type: wire.TBackConnect, From: n.self}
+	if len(n.neighbors) > 0 {
 		n.ask(targets, req, timeout, func(wire.Message) bool { return true }, func() {})
 		done(nil)
 		return
@@ -687,20 +651,19 @@ func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, time
 			return true
 		},
 		func() {
-			if n.NumNeighbors() > 0 {
+			if len(n.neighbors) > 0 {
 				done(nil)
 				return
 			}
 			// Every request declined: connect to the best candidate.
 			best := targets[0]
 			n.addNeighbor(infos[best])
-			done(n.send(best, wire.Message{Type: wire.TConnect, From: n.selfInfo()}))
+			done(n.send(best, wire.Message{Type: wire.TConnect, From: n.self}))
 		})
 }
 
+// runnable reports whether the API may act on the node; callers hold n.mu.
 func (n *Node) runnable() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.started {
 		return ErrNotStarted
 	}
@@ -714,8 +677,6 @@ func (n *Node) addNeighbor(info wire.PeerInfo) {
 	if info.Addr == n.self.Addr {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, dup := n.neighbors[info.Addr]; dup {
 		n.neighbors[info.Addr].info = info
 		return
@@ -724,7 +685,6 @@ func (n *Node) addNeighbor(info wire.PeerInfo) {
 }
 
 func (n *Node) removeNeighborAndOrphans(addr string) (orphaned []string) {
-	n.mu.Lock()
 	delete(n.neighbors, addr)
 	for gid, gs := range n.groups {
 		if gs.parent == addr {
@@ -735,7 +695,7 @@ func (n *Node) removeNeighborAndOrphans(addr string) (orphaned []string) {
 		}
 		delete(gs.children, addr)
 		// NACK recovery must not keep aiming at the dead peer.
-		clearLastHopLocked(gs, addr)
+		clearLastHop(gs, addr)
 	}
 	// Reverse advertisement paths through the departed peer are dead.
 	for gid, ad := range n.adSeen {
@@ -743,7 +703,6 @@ func (n *Node) removeNeighborAndOrphans(addr string) (orphaned []string) {
 			delete(n.adSeen, gid)
 		}
 	}
-	n.mu.Unlock()
 	// A peer the failure detector declared dead must not linger in the
 	// routing table waiting for a ping-before-evict round.
 	if n.dht != nil {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"groupcast/internal/coords"
 	"groupcast/internal/core"
 	"groupcast/internal/metrics"
 	"groupcast/internal/trace"
@@ -131,28 +132,35 @@ func (n *Node) initObservability() {
 	reg.Gauge("pending_requests", func() float64 {
 		return float64(n.PendingRequests())
 	})
-	reg.Gauge("reliable_pending_gaps", func() float64 {
+	// The gauges below read loop state, so they take n.mu like any API
+	// reader; the loop samples the registry only after an event's unlock.
+	locked := func(read func() float64) func() float64 {
+		return func() float64 {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return read()
+		}
+	}
+	reg.Gauge("reliable_pending_gaps", locked(func() float64 {
 		gaps, _, _ := n.reliableOccupancy()
 		return float64(gaps)
-	})
-	reg.Gauge("reliable_window_entries", func() float64 {
+	}))
+	reg.Gauge("reliable_window_entries", locked(func() float64 {
 		_, entries, _ := n.reliableOccupancy()
 		return float64(entries)
-	})
-	reg.Gauge("reliable_cached_payloads", func() float64 {
+	}))
+	reg.Gauge("reliable_cached_payloads", locked(func() float64 {
 		_, _, cached := n.reliableOccupancy()
 		return float64(cached)
-	})
-	reg.Gauge("reliable_oldest_gap_age_ms", func() float64 {
+	}))
+	reg.Gauge("reliable_oldest_gap_age_ms", locked(func() float64 {
 		return n.oldestGapAge().Seconds() * 1000
-	})
+	}))
 }
 
 // reliableOccupancy sums the reliable data plane's bounded state across all
 // groups: pending gaps, window entries, and cached payloads.
 func (n *Node) reliableOccupancy() (gaps, entries, cached int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, gs := range n.groups {
 		for _, w := range gs.recv {
 			gaps += w.PendingGaps()
@@ -170,8 +178,6 @@ func (n *Node) reliableOccupancy() (gaps, entries, cached int) {
 // every receive window (0 when recovery is idle).
 func (n *Node) oldestGapAge() time.Duration {
 	now := time.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var oldest time.Duration
 	for _, gs := range n.groups {
 		for _, w := range gs.recv {
@@ -279,7 +285,12 @@ type TreeDetail struct {
 // and latency estimates, sorted by group ID.
 func (n *Node) TreeDetails() []TreeDetail {
 	n.mu.Lock()
-	self := n.selfInfoLocked()
+	defer n.mu.Unlock()
+	return n.treeDetails()
+}
+
+// treeDetails is TreeDetails' body, shared with the loop's health digest.
+func (n *Node) treeDetails() []TreeDetail {
 	type linkPeer struct {
 		info wire.PeerInfo
 		role string
@@ -313,7 +324,7 @@ func (n *Node) TreeDetails() []TreeDetail {
 		for i, p := range peers {
 			cands[i] = core.Candidate{
 				Capacity: p.info.Capacity,
-				Distance: n.dist(self, p.info),
+				Distance: n.dist(n.self, p.info),
 			}
 		}
 		prefs, err := core.SelectionPreferencesFor(resourceLevelFor(n.cfg.Capacity, cands), cands)
@@ -331,7 +342,6 @@ func (n *Node) TreeDetails() []TreeDetail {
 		}
 		out = append(out, td)
 	}
-	n.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
 	return out
 }
@@ -385,12 +395,12 @@ type OverlayDetail struct {
 func (n *Node) OverlayView() OverlayDetail {
 	now := time.Now()
 	n.mu.Lock()
-	self := n.selfInfoLocked()
+	defer n.mu.Unlock()
 	od := OverlayDetail{
-		Addr:     self.Addr,
-		Coord:    self.Coord,
-		CoordErr: self.CoordErr,
-		Capacity: self.Capacity,
+		Addr:     n.self.Addr,
+		Coord:    coords.Point(n.self.Coord).Clone(),
+		CoordErr: n.self.CoordErr,
+		Capacity: n.self.Capacity,
 		Quota:    n.quota(),
 		Vivaldi:  n.vivaldi != nil,
 	}
@@ -398,12 +408,11 @@ func (n *Node) OverlayView() OverlayDetail {
 		od.Peers = append(od.Peers, NeighborDetail{
 			Addr:      nb.info.Addr,
 			Capacity:  nb.info.Capacity,
-			LatencyMs: n.dist(self, nb.info),
+			LatencyMs: n.dist(n.self, nb.info),
 			LastAckMs: float64(now.Sub(nb.lastAck)) / float64(time.Millisecond),
 			Suspect:   nb.suspect,
 		})
 	}
-	n.mu.Unlock()
 	sort.Slice(od.Peers, func(i, j int) bool { return od.Peers[i].Addr < od.Peers[j].Addr })
 	return od
 }

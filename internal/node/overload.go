@@ -61,8 +61,6 @@ func (o *overloadState) lastPressure() float64 {
 // OverloadView is the controller's snapshot for introspection (/debug) and
 // tests.
 type OverloadView struct {
-	// Enabled is false when DisableOverloadControl was set.
-	Enabled bool `json:"enabled"`
 	// Degraded reports the controller state; Pressure is the last sample.
 	Degraded bool    `json:"degraded"`
 	Pressure float64 `json:"pressure"`
@@ -72,14 +70,12 @@ type OverloadView struct {
 }
 
 // Overloaded reports whether the node is currently in the degraded state.
-// With DisableOverloadControl, overloadTick never enters that state.
 func (n *Node) Overloaded() bool { return n.overload.degraded.Load() }
 
 // OverloadSnapshot renders the controller for /debug and tests.
 func (n *Node) OverloadSnapshot() OverloadView {
 	o := &n.overload
 	ov := OverloadView{
-		Enabled:  !n.cfg.DisableOverloadControl,
 		Degraded: o.degraded.Load(),
 		Pressure: o.lastPressure(),
 	}
@@ -122,8 +118,7 @@ func (n *Node) samplePressure() float64 {
 }
 
 // overloadTick folds one pressure sample into the hysteresis state. The
-// loop calls it every OverloadSampleInterval, even with the controller
-// disabled — the gauges still want pressure.
+// loop calls it every OverloadSampleInterval.
 func (n *Node) overloadTick(pressure float64) {
 	o := &n.overload
 	o.pressure.Store(math.Float64bits(pressure))
@@ -135,7 +130,7 @@ func (n *Node) overloadTick(pressure float64) {
 		} else {
 			o.enterStreak = 0
 		}
-		if o.enterStreak >= overloadEnterSamples && !n.cfg.DisableOverloadControl {
+		if o.enterStreak >= overloadEnterSamples {
 			o.enteredAt.Store(time.Now().UnixNano())
 			o.degraded.Store(true)
 			o.enterStreak = 0

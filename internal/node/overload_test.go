@@ -20,6 +20,14 @@ func forceDegraded(n *Node, degraded bool) {
 	n.overload.degraded.Store(degraded)
 }
 
+// step runs msg as one loop event the way run does: dispatch under n.mu,
+// then the handler calls for what it released, after the unlock.
+func step(n *Node, msg wire.Message) {
+	n.mu.Lock()
+	n.handle(msg)
+	n.endEvent()
+}
+
 // quietOverloadConfig returns a config whose overload sampler effectively
 // never ticks, so tests fully own the controller state.
 func quietOverloadConfig(capacity float64, coord coords.Point, seed int64) Config {
@@ -74,27 +82,8 @@ func TestOverloadHysteresis(t *testing.T) {
 		t.Fatal("still degraded after 5 consecutive exit samples")
 	}
 
-	ov := n.OverloadSnapshot()
-	if !ov.Enabled || ov.Degraded {
-		t.Fatalf("snapshot = %+v, want enabled and healthy", ov)
-	}
-}
-
-// TestOverloadDisabled: with DisableOverloadControl the controller never
-// degrades regardless of pressure, and Overloaded always reports false.
-func TestOverloadDisabled(t *testing.T) {
-	net := transport.NewMemNetwork()
-	cfg := quietOverloadConfig(10, nil, 1)
-	cfg.DisableOverloadControl = true
-	n := New(net.NextEndpoint(), cfg)
-	for i := 0; i < 20; i++ {
-		n.overloadTick(1.0)
-	}
-	if n.Overloaded() {
-		t.Fatal("disabled controller entered degraded state")
-	}
-	if ov := n.OverloadSnapshot(); ov.Enabled {
-		t.Fatal("snapshot reports the controller enabled")
+	if ov := n.OverloadSnapshot(); ov.Degraded {
+		t.Fatalf("snapshot = %+v, want healthy", ov)
 	}
 }
 
@@ -159,7 +148,7 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	forceDegraded(relay, true)
 	src := wire.PeerInfo{Addr: "src"}
-	relay.handlePayload(wire.Message{
+	step(relay, wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 1,
 		Mode: wire.BestEffort, Data: []byte("x"),
 	})
@@ -175,7 +164,7 @@ func TestOverloadRelayShed(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	relay.handlePayload(wire.Message{
+	step(relay, wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "rel", Seq: 1,
 		Mode: wire.Reliable, Data: []byte("x"),
 	})
@@ -193,7 +182,7 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	// Recovery restores best-effort fan-out.
 	forceDegraded(relay, false)
-	relay.handlePayload(wire.Message{
+	step(relay, wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 2,
 		Mode: wire.BestEffort, Data: []byte("y"),
 	})

@@ -67,9 +67,7 @@ func (n *Node) restoreState(st *recovery.State) {
 	if ts := n.telemetry; ts != nil {
 		// Health digests resume above the persisted epoch, so every fleet
 		// view accepts the post-restart lineage without forgiveness.
-		ts.mu.Lock()
 		ts.epoch = st.Epoch
-		ts.mu.Unlock()
 	}
 	for _, g := range st.Groups {
 		if g.GroupID == "" || n.groups[g.GroupID] != nil {
@@ -89,7 +87,7 @@ func (n *Node) restoreState(st *recovery.State) {
 		gs.lastBeacon = now
 		gs.lastRoot = now
 		if g.Rendezvous {
-			gs.rdvInfo = n.selfInfoLocked()
+			gs.rdvInfo = n.self
 			gs.rootPath = []string{}
 			n.adSeen[g.GroupID] = adState{
 				rendezvous: gs.rdvInfo, mode: g.Mode, epoch: g.Epoch,

@@ -21,10 +21,10 @@ import (
 // may pin; creating one more evicts the longest-idle window.
 const maxSourcesPerGroup = 256
 
-// windowForLocked returns the receive window tracking src's stream in gs,
-// creating (or rebuilding, when the group's delivery mode changed since the
-// window was built) it on demand. Callers hold n.mu.
-func (n *Node) windowForLocked(gs *groupState, src wire.PeerInfo) *reliable.SourceWindow {
+// windowFor returns the receive window tracking src's stream in gs, creating
+// (or rebuilding, when the group's delivery mode changed since the window was
+// built) it on demand.
+func (n *Node) windowFor(gs *groupState, src wire.PeerInfo) *reliable.SourceWindow {
 	ordered := gs.mode == wire.ReliableOrdered
 	reliableMode := gs.mode != wire.BestEffort
 	w := gs.recv[src.Addr]
@@ -55,10 +55,8 @@ func evictIdlestWindow(gs *groupState) {
 	}
 }
 
-// noteWindowLocked folds one window operation's counters into the node
-// stats. Callers hold n.mu (the counters themselves are atomic; the name
-// records the calling convention of the window paths).
-func (n *Node) noteWindowLocked(res *reliable.ObserveResult) {
+// noteWindow folds one window operation's counters into the node stats.
+func (n *Node) noteWindow(res *reliable.ObserveResult) {
 	if res.OutOfWindow > 0 {
 		atomic.AddUint64(&n.stats.OutOfWindow, uint64(res.OutOfWindow))
 	}
@@ -80,18 +78,14 @@ func (n *Node) handleNack(msg wire.Message) {
 	if msg.Origin.Addr == "" || msg.NackSource == "" {
 		return
 	}
-	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil {
-		n.mu.Unlock()
 		return
 	}
-	self := n.selfInfoLocked()
-	mode := gs.mode
 	srcInfo := wire.PeerInfo{Addr: msg.NackSource}
 	lookup := func(seq uint64) (reliable.Item, bool) { return reliable.Item{}, false }
-	if msg.NackSource == self.Addr {
-		srcInfo = self
+	if msg.NackSource == n.self.Addr {
+		srcInfo = n.self
 		if gs.pub != nil {
 			lookup = gs.pub.GetItem
 		}
@@ -101,17 +95,39 @@ func (n *Node) handleNack(msg wire.Message) {
 		}
 		lookup = w.GetItem
 	}
-	type resend struct {
-		seq  uint64
-		item reliable.Item
-	}
-	var hits []resend
 	var misses []uint64
 	for _, seq := range msg.NackSeqs {
-		if item, ok := lookup(seq); ok {
-			hits = append(hits, resend{seq, item})
-		} else {
+		item, ok := lookup(seq)
+		if !ok {
 			misses = append(misses, seq)
+			continue
+		}
+		atomic.AddUint64(&n.stats.Retransmits, 1)
+		sendAt := time.Now()
+		err := n.send(msg.Origin.Addr, wire.Message{
+			Type:    wire.TPayload,
+			From:    srcInfo,
+			GroupID: msg.GroupID,
+			Seq:     seq,
+			// Mode classifies the retransmission as reliable data on the
+			// wire, exempting it from best-effort shedding end to end.
+			Mode:  gs.mode,
+			Relay: n.self,
+			Data:  item.Data,
+			// The cached item re-carries the payload's original trace
+			// identity, so the recovered hop joins the publisher's trace and
+			// the receiver still measures true publish→deliver latency.
+			TraceID:   item.TraceID,
+			OriginAt:  item.OriginAt,
+			RelayedAt: sendAt,
+		})
+		if err == nil && n.tracer != nil {
+			n.tracer.Record(trace.Event{
+				Time: sendAt, Node: n.self.Addr, Kind: trace.KindRetransmit,
+				Msg: wire.TPayload.String(), Group: msg.GroupID,
+				TraceID: item.TraceID, Seq: seq,
+				Source: srcInfo.Addr, Peer: msg.Origin.Addr,
+			})
 		}
 	}
 	// A miss escalates one hop toward the source: the link the stream
@@ -123,85 +139,53 @@ func (n *Node) handleNack(msg wire.Message) {
 	// source — the request goes to the source itself, whose send buffer
 	// always holds the payload: tree-local caches are the fast path,
 	// source unicast the terminus that makes recovery dead-end-free.
+	if len(misses) == 0 || msg.TTL <= 1 || msg.NackSource == n.self.Addr {
+		return
+	}
+	blocked := func(a string) bool {
+		return a == "" || a == msg.From.Addr || a == msg.Origin.Addr
+	}
 	var upstream string
-	if len(misses) > 0 && msg.TTL > 1 && msg.NackSource != self.Addr {
-		blocked := func(a string) bool {
-			return a == "" || a == msg.From.Addr || a == msg.Origin.Addr
-		}
-		if w := gs.recv[msg.NackSource]; w != nil {
-			upstream = w.LastHop
-		}
-		if blocked(upstream) {
-			upstream = gs.parent
-		}
-		if blocked(upstream) {
-			upstream = ""
-			for _, a := range forwardTargetsLocked(gs, "") {
-				if !blocked(a) {
-					upstream = a
-					break
-				}
+	if w := gs.recv[msg.NackSource]; w != nil {
+		upstream = w.LastHop
+	}
+	if blocked(upstream) {
+		upstream = gs.parent
+	}
+	if blocked(upstream) {
+		upstream = ""
+		for _, a := range forwardTargets(gs, "") {
+			if !blocked(a) {
+				upstream = a
+				break
 			}
 		}
-		if blocked(upstream) {
-			upstream = msg.NackSource
-		}
 	}
-	n.mu.Unlock()
-
-	for _, r := range hits {
-		atomic.AddUint64(&n.stats.Retransmits, 1)
-		sendAt := time.Now()
-		err := n.send(msg.Origin.Addr, wire.Message{
-			Type:    wire.TPayload,
-			From:    srcInfo,
-			GroupID: msg.GroupID,
-			Seq:     r.seq,
-			// Mode classifies the retransmission as reliable data on the
-			// wire, exempting it from best-effort shedding end to end.
-			Mode:  mode,
-			Relay: self,
-			Data:  r.item.Data,
-			// The cached item re-carries the payload's original trace
-			// identity, so the recovered hop joins the publisher's trace and
-			// the receiver still measures true publish→deliver latency.
-			TraceID:   r.item.TraceID,
-			OriginAt:  r.item.OriginAt,
-			RelayedAt: sendAt,
-		})
-		if err == nil && n.tracer != nil {
-			n.tracer.Record(trace.Event{
-				Time: sendAt, Node: self.Addr, Kind: trace.KindRetransmit,
-				Msg: wire.TPayload.String(), Group: msg.GroupID,
-				TraceID: r.item.TraceID, Seq: r.seq,
-				Source: srcInfo.Addr, Peer: msg.Origin.Addr,
-			})
-		}
+	if blocked(upstream) {
+		upstream = msg.NackSource
 	}
-	if upstream != "" {
-		atomic.AddUint64(&n.stats.NacksForwarded, 1)
-		sendAt := time.Now()
-		err := n.send(upstream, wire.Message{
-			Type:       wire.TNack,
-			From:       self,
-			GroupID:    msg.GroupID,
-			NackSource: msg.NackSource,
-			NackSeqs:   misses,
-			Origin:     msg.Origin,
-			TTL:        msg.TTL - 1,
-			TraceID:    msg.TraceID,
-			Hops:       msg.Hops + 1,
-			OriginAt:   msg.OriginAt,
-			RelayedAt:  sendAt,
+	atomic.AddUint64(&n.stats.NacksForwarded, 1)
+	sendAt := time.Now()
+	err := n.send(upstream, wire.Message{
+		Type:       wire.TNack,
+		From:       n.self,
+		GroupID:    msg.GroupID,
+		NackSource: msg.NackSource,
+		NackSeqs:   misses,
+		Origin:     msg.Origin,
+		TTL:        msg.TTL - 1,
+		TraceID:    msg.TraceID,
+		Hops:       msg.Hops + 1,
+		OriginAt:   msg.OriginAt,
+		RelayedAt:  sendAt,
+	})
+	if err == nil && n.tracer != nil {
+		n.tracer.Record(trace.Event{
+			Time: sendAt, Node: n.self.Addr, Kind: trace.KindNackFwd,
+			Msg: wire.TNack.String(), Group: msg.GroupID,
+			TraceID: msg.TraceID, Source: msg.NackSource, Peer: upstream,
+			Hop: msg.Hops + 1, N: len(misses),
 		})
-		if err == nil && n.tracer != nil {
-			n.tracer.Record(trace.Event{
-				Time: sendAt, Node: self.Addr, Kind: trace.KindNackFwd,
-				Msg: wire.TNack.String(), Group: msg.GroupID,
-				TraceID: msg.TraceID, Source: msg.NackSource, Peer: upstream,
-				Hop: msg.Hops + 1, N: len(misses),
-			})
-		}
 	}
 }
 
@@ -210,23 +194,16 @@ func (n *Node) handleNack(msg wire.Message) {
 // sweep. This is the anti-entropy path — it is what recovers a stream's
 // trailing losses and bootstraps rejoined members onto in-flight streams.
 func (n *Node) handleDigest(msg wire.Message) {
-	type release struct {
-		src wire.PeerInfo
-		d   reliable.Delivery
-	}
 	now := time.Now()
-	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || gs.mode == wire.BestEffort {
-		n.mu.Unlock()
 		return
 	}
-	var released []release
 	for _, e := range msg.Digest {
 		if e.Source == "" || e.Source == n.self.Addr || e.High == 0 {
 			continue
 		}
-		w := n.windowForLocked(gs, wire.PeerInfo{Addr: e.Source})
+		w := n.windowFor(gs, wire.PeerInfo{Addr: e.Source})
 		if w.LastHop == "" {
 			// The digest sender knows the stream; NACK it until a payload
 			// reveals the live relay link.
@@ -234,20 +211,8 @@ func (n *Node) handleDigest(msg wire.Message) {
 		}
 		var res reliable.ObserveResult
 		w.NoteAdvertised(e.High, now, &res)
-		n.noteWindowLocked(&res)
-		for _, d := range res.Deliver {
-			released = append(released, release{w.Info, d})
-		}
-	}
-	deliver := gs.member
-	h := n.handler
-	n.mu.Unlock()
-	if deliver && h != nil {
-		for _, r := range released {
-			atomic.AddUint64(&n.stats.Delivered, 1)
-			n.observeDeliver(msg.GroupID, r.src.Addr, 0, r.d)
-			h(msg.GroupID, r.src, r.d.Data)
-		}
+		n.noteWindow(&res)
+		n.release(msg.GroupID, gs, w.Info, 0, res.Deliver)
 	}
 }
 
@@ -265,33 +230,16 @@ func (n *Node) nackSweep() {
 		MaxAttempts: reliable.DefaultNackMaxAttempts,
 		MaxBatch:    reliable.DefaultNackBatch,
 	}
-	type nack struct {
-		to  string
-		msg wire.Message
-	}
-	type release struct {
-		gid string
-		src wire.PeerInfo
-		d   reliable.Delivery
-	}
 	now := time.Now()
-	n.mu.Lock()
-	self := n.selfInfoLocked()
-	var nacks []nack
-	var released []release
-	handlers := make(map[string]bool)
 	for gid, gs := range n.groups {
 		if gs.mode == wire.BestEffort {
 			continue
 		}
-		handlers[gid] = gs.member
 		for srcAddr, w := range gs.recv {
 			var res reliable.ObserveResult
 			due := w.DueGaps(now, pol, &res)
-			n.noteWindowLocked(&res)
-			for _, d := range res.Deliver {
-				released = append(released, release{gid, w.Info, d})
-			}
+			n.noteWindow(&res)
+			n.release(gid, gs, w.Info, 0, res.Deliver)
 			if len(due) == 0 {
 				continue
 			}
@@ -307,44 +255,30 @@ func (n *Node) nackSweep() {
 			var traceID uint64
 			if n.tracer != nil {
 				// A NACK and its escalation chain form their own trace.
-				traceID = n.nextMsgIDLocked()
+				traceID = n.nextMsgID()
 			}
-			nacks = append(nacks, nack{target, wire.Message{
+			atomic.AddUint64(&n.stats.NacksSent, 1)
+			sendAt := time.Now()
+			err := n.send(target, wire.Message{
 				Type:       wire.TNack,
-				From:       self,
+				From:       n.self,
 				GroupID:    gid,
 				NackSource: srcAddr,
 				NackSeqs:   due,
-				Origin:     self,
+				Origin:     n.self,
 				TTL:        reliable.DefaultNackTTL,
 				TraceID:    traceID,
 				OriginAt:   now,
-			}})
-		}
-	}
-	h := n.handler
-	n.mu.Unlock()
-	if h != nil {
-		for _, r := range released {
-			if !handlers[r.gid] {
-				continue
-			}
-			atomic.AddUint64(&n.stats.Delivered, 1)
-			n.observeDeliver(r.gid, r.src.Addr, 0, r.d)
-			h(r.gid, r.src, r.d.Data)
-		}
-	}
-	for _, nk := range nacks {
-		atomic.AddUint64(&n.stats.NacksSent, 1)
-		sendAt := time.Now()
-		nk.msg.RelayedAt = sendAt
-		if n.send(nk.to, nk.msg) == nil && n.tracer != nil {
-			n.tracer.Record(trace.Event{
-				Time: sendAt, Node: self.Addr, Kind: trace.KindNack,
-				Msg: wire.TNack.String(), Group: nk.msg.GroupID,
-				TraceID: nk.msg.TraceID, Source: nk.msg.NackSource,
-				Peer: nk.to, N: len(nk.msg.NackSeqs),
+				RelayedAt:  sendAt,
 			})
+			if err == nil && n.tracer != nil {
+				n.tracer.Record(trace.Event{
+					Time: sendAt, Node: n.self.Addr, Kind: trace.KindNack,
+					Msg: wire.TNack.String(), Group: gid,
+					TraceID: traceID, Source: srcAddr,
+					Peer: target, N: len(due),
+				})
+			}
 		}
 	}
 }
@@ -353,14 +287,7 @@ func (n *Node) nackSweep() {
 // tree link of every reliable-mode group, and evicts receive windows that
 // have been idle past the seen TTL.
 func (n *Node) digestGroups() {
-	type digest struct {
-		to  string
-		msg wire.Message
-	}
 	now := time.Now()
-	n.mu.Lock()
-	self := n.selfInfoLocked()
-	var digests []digest
 	for gid, gs := range n.groups {
 		if gs.mode == wire.BestEffort {
 			continue
@@ -385,18 +312,14 @@ func (n *Node) digestGroups() {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Source < entries[j].Source })
 		msg := wire.Message{
 			Type:    wire.TDigest,
-			From:    self,
+			From:    n.self,
 			GroupID: gid,
 			Mode:    gs.mode,
 			Digest:  entries,
 		}
-		for _, addr := range forwardTargetsLocked(gs, "") {
-			digests = append(digests, digest{addr, msg})
+		for _, addr := range forwardTargets(gs, "") {
+			_ = n.send(addr, msg)
 		}
-	}
-	n.mu.Unlock()
-	for _, d := range digests {
-		_ = n.send(d.to, d.msg)
 	}
 }
 

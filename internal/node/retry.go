@@ -33,9 +33,7 @@ func (n *Node) backoffDelay(attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	n.mu.Lock()
 	jitter := n.rng.Int63n(half + 1)
-	n.mu.Unlock()
 	return time.Duration(half + jitter)
 }
 
@@ -67,7 +65,7 @@ func (n *Node) retry(backoff bool, attempt func(i int, fail func()), giveUp func
 // nil once every attempt failed.
 func (n *Node) probe(addr string, attemptWait time.Duration, done func(nbrs []wire.PeerInfo)) {
 	n.retry(true, func(_ int, fail func()) {
-		n.ask([]string{addr}, wire.Message{Type: wire.TProbe, From: n.selfInfo()}, attemptWait,
+		n.ask([]string{addr}, wire.Message{Type: wire.TProbe, From: n.self}, attemptWait,
 			func(resp wire.Message) bool {
 				done(resp.Neighbors)
 				return true

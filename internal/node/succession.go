@@ -33,14 +33,13 @@ func addrsOf(peers []wire.PeerInfo) []string {
 	return out
 }
 
-// charterForLocked assembles the group's current charter at its rendezvous:
-// the deputy roster is the k highest-utility children (Eq. 6 preference,
-// ties broken by address so every recomputation agrees), and the high-water
-// marks snapshot every known source's sequence frontier. Callers hold n.mu.
-func (n *Node) charterForLocked(gid string, gs *groupState) wire.Charter {
+// charterFor assembles the group's current charter at its rendezvous: the
+// deputy roster is the k highest-utility children (Eq. 6 preference, ties
+// broken by address so every recomputation agrees), and the high-water marks
+// snapshot every known source's sequence frontier.
+func (n *Node) charterFor(gid string, gs *groupState) wire.Charter {
 	ch := wire.Charter{GroupID: gid, Mode: gs.mode, Epoch: gs.epoch}
 	if n.cfg.Deputies > 0 && len(gs.children) > 0 {
-		self := n.selfInfoLocked()
 		kids := make([]wire.PeerInfo, 0, len(gs.children))
 		for _, info := range gs.children {
 			kids = append(kids, info)
@@ -48,7 +47,7 @@ func (n *Node) charterForLocked(gid string, gs *groupState) wire.Charter {
 		sort.Slice(kids, func(i, j int) bool { return kids[i].Addr < kids[j].Addr })
 		cands := make([]core.Candidate, len(kids))
 		for i, k := range kids {
-			cands[i] = core.Candidate{Capacity: k.Capacity, Distance: n.dist(self, k)}
+			cands[i] = core.Candidate{Capacity: k.Capacity, Distance: n.dist(n.self, k)}
 		}
 		prefs, err := core.SelectionPreferencesFor(resourceLevelFor(n.cfg.Capacity, cands), cands)
 		dcs := make([]protocol.DeputyCandidate, len(kids))
@@ -86,12 +85,6 @@ func (n *Node) successionSweep() {
 		return
 	}
 	now := time.Now()
-	type due struct {
-		gid    string
-		silent time.Duration
-	}
-	n.mu.Lock()
-	var promote []due
 	for gid, gs := range n.groups {
 		if gs.rendezvous || gs.charter.Epoch == 0 || gs.lastRoot.IsZero() {
 			continue
@@ -102,12 +95,8 @@ func (n *Node) successionSweep() {
 			continue
 		}
 		if silent := now.Sub(gs.lastRoot); silent > time.Duration(delay)*n.cfg.HeartbeatInterval {
-			promote = append(promote, due{gid, silent})
+			n.promoteSelf(gid, silent)
 		}
-	}
-	n.mu.Unlock()
-	for _, d := range promote {
-		n.promoteSelf(d.gid, d.silent)
 	}
 }
 
@@ -117,15 +106,9 @@ func (n *Node) successionSweep() {
 // silentFor is the observed root outage (zero on a graceful handoff); it
 // feeds the succession time-to-recover histogram.
 func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
-	type release struct {
-		src wire.PeerInfo
-		d   reliable.Delivery
-	}
 	now := time.Now()
-	n.mu.Lock()
 	gs := n.groups[gid]
 	if gs == nil || gs.rendezvous || gs.charter.Epoch == 0 {
-		n.mu.Unlock()
 		return
 	}
 	newEpoch := protocol.NextRootEpoch(gs.charter.Epoch)
@@ -136,19 +119,17 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 		protocol.CompareRoots(ad.epoch, ad.rendezvous.Addr, newEpoch, n.self.Addr) > 0 {
 		gs.lastRoot = now
 		gs.rdvInfo = ad.rendezvous
-		n.mu.Unlock()
 		return
 	}
 	oldParent := gs.parent
 	charter := gs.charter
-	self := n.selfInfoLocked()
 	gs.rendezvous = true
 	gs.member = true
 	gs.promoted = true
 	gs.parent = ""
 	gs.parentInfo = wire.PeerInfo{}
 	gs.epoch = newEpoch
-	gs.rdvInfo = self
+	gs.rdvInfo = n.self
 	gs.rootPath = []string{}
 	gs.charter = wire.Charter{}
 	gs.deputies = nil
@@ -156,42 +137,29 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 	// Seed receive windows from the replicated frontier: any sequence the
 	// dead root had seen that we have not becomes a gap, and the normal
 	// NACK/digest path recovers it from surviving caches or the source.
-	var released []release
 	for _, e := range charter.HighWater {
 		if e.Source == "" || e.Source == n.self.Addr || e.High == 0 {
 			continue
 		}
-		w := n.windowForLocked(gs, wire.PeerInfo{Addr: e.Source})
+		w := n.windowFor(gs, wire.PeerInfo{Addr: e.Source})
 		var res reliable.ObserveResult
 		w.NoteAdvertised(e.High, now, &res)
-		n.noteWindowLocked(&res)
-		for _, d := range res.Deliver {
-			released = append(released, release{w.Info, d})
-		}
+		n.noteWindow(&res)
+		n.release(gid, gs, w.Info, 0, res.Deliver)
 	}
-	n.adSeen[gid] = adState{rendezvous: self, mode: gs.mode, epoch: newEpoch}
-	deliver := gs.member
-	h := n.handler
-	n.mu.Unlock()
-	if deliver && h != nil {
-		for _, r := range released {
-			atomic.AddUint64(&n.stats.Delivered, 1)
-			n.observeDeliver(gid, r.src.Addr, 0, r.d)
-			h(gid, r.src, r.d.Data)
-		}
-	}
+	n.adSeen[gid] = adState{rendezvous: n.self, mode: gs.mode, epoch: newEpoch}
 
 	atomic.AddUint64(&n.stats.Promotions, 1)
 	n.metrics.successionTTR.ObserveDurationMs(float64(silentFor) / float64(time.Millisecond))
 	if oldParent != "" {
 		// Prune our child edge at whoever we hung under (the dead root, or a
 		// sibling a panicked repair reattached us to).
-		_ = n.send(oldParent, wire.Message{Type: wire.TLeave, From: self, GroupID: gid})
+		_ = n.send(oldParent, wire.Message{Type: wire.TLeave, From: n.self, GroupID: gid})
 	}
 	// Re-advertise from the new root: orphaned subtrees learn the fresh
 	// reverse paths, and the epoch on the flood demotes any lower-priority
 	// root after a partition heal.
-	_ = n.Advertise(gid)
+	_ = n.advertise(gid)
 	// Republish the charter record under the bumped epoch so DHT joiners
 	// resolve to this root; the replicas' epoch guards now reject the dead
 	// root's stale record (and any republish it might wake up with).
@@ -204,10 +172,8 @@ func (n *Node) handleHandoff(msg wire.Message) {
 	if msg.GroupID == "" || msg.Charter.Epoch == 0 {
 		return
 	}
-	n.mu.Lock()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || gs.rendezvous {
-		n.mu.Unlock()
 		return
 	}
 	gs.charter = msg.Charter
@@ -216,14 +182,12 @@ func (n *Node) handleHandoff(msg wire.Message) {
 		gs.parent = ""
 		gs.parentInfo = wire.PeerInfo{}
 	}
-	n.mu.Unlock()
 	n.promoteSelf(msg.GroupID, 0)
 }
 
-// clearLastHopLocked forgets NACK aim hints through a departed peer so gap
+// clearLastHop forgets NACK aim hints through a departed peer so gap
 // recovery re-aims at the tree parent or the source instead of a dead relay.
-// Callers hold n.mu.
-func clearLastHopLocked(gs *groupState, addr string) {
+func clearLastHop(gs *groupState, addr string) {
 	for _, w := range gs.recv {
 		if w.LastHop == addr {
 			w.LastHop = ""

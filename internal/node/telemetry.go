@@ -1,7 +1,6 @@
 package node
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,22 +40,14 @@ const (
 
 // telemetryState is the node's half of the fleet plane: the epoch counter,
 // the freshest self digest (what piggybacks out), and the telemetry
-// package's primitives.
+// package's primitives. epoch and self are loop state under n.mu.
 type telemetryState struct {
-	mu    sync.Mutex
 	epoch uint64
 	self  wire.HealthDigest
 
 	history *telemetry.History
 	fleet   *telemetry.Fleet
 	slo     *telemetry.SLO
-}
-
-// currentEpoch is this node's telemetry epoch counter.
-func (ts *telemetryState) currentEpoch() uint64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.epoch
 }
 
 // initTelemetry builds the fleet plane. Called once from New, after the
@@ -71,7 +62,7 @@ func (n *Node) initTelemetry() {
 	}
 	// Alert transitions count into Stats and land in the trace ring; the
 	// callback runs under the SLO's lock so it must not call back into it.
-	ts.slo = telemetry.NewSLO(n.cfg.SLO, func(a telemetry.Alert) {
+	ts.slo = telemetry.NewSLO(telemetry.DefaultSLOConfig(), func(a telemetry.Alert) {
 		if a.Firing {
 			atomic.AddUint64(&n.stats.SLOAlerts, 1)
 		}
@@ -106,50 +97,42 @@ func (n *Node) telemetryStaleAfter() time.Duration {
 	return telemetryStaleEpochs * n.cfg.HeartbeatInterval
 }
 
-// telemetryEpoch runs once per heartbeat epoch from the heartbeat loop:
-// sample self into a fresh digest + history entry, then sweep the fleet view
-// for staleness.
-func (n *Node) telemetryEpoch() {
+// telemetryEpoch runs once per heartbeat epoch on the loop: sample self into
+// a fresh digest, then sweep the fleet view for staleness. It returns the new
+// epoch, whose history sample the loop takes after the event (0 when
+// telemetry is off).
+func (n *Node) telemetryEpoch(now time.Time) uint64 {
 	ts := n.telemetry
 	if ts == nil {
-		return
+		return 0
 	}
-	now := time.Now()
-	d := n.buildDigest()
-	ts.mu.Lock()
 	ts.epoch++
-	d.Epoch = ts.epoch
-	ts.self = d
-	epoch := ts.epoch
-	ts.mu.Unlock()
-	ts.fleet.Observe(d, now, epoch)
-	ts.slo.Observe(d, now)
-
-	// History sample: the registry snapshot carries every Stats counter, so
-	// /debug/history shows delivery and shedding trajectories alongside
-	// latency quantiles.
-	ts.history.Observe(epoch, now, n.metrics.reg.Snapshot())
+	ts.self = n.buildDigest()
+	ts.self.Epoch = ts.epoch
+	ts.fleet.Observe(ts.self, now, ts.epoch)
+	ts.slo.Observe(ts.self, now)
 
 	// Staleness sweep: a node whose digest stopped advancing past the window
 	// — counted in this node's own epochs, not wall time — is the fleet's
 	// crash-stop signal: raise (or clear) the stale rule.
-	for _, nh := range ts.fleet.Snapshot(epoch, telemetryStaleEpochs) {
+	for _, nh := range ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs) {
 		if nh.Self {
 			continue
 		}
-		ts.slo.MarkStale(nh.Addr, nh.Stale, now.Sub(nh.LastSeen), now, epoch)
+		ts.slo.MarkStale(nh.Addr, nh.Stale, now.Sub(nh.LastSeen), now, ts.epoch)
 	}
+	return ts.epoch
 }
 
 // buildDigest samples this node into a health digest (Epoch is filled by the
-// caller). Must be called without n.mu held.
+// caller).
 func (n *Node) buildDigest() wire.HealthDigest {
 	d := wire.HealthDigest{Addr: n.self.Addr}
 	// Utility: mean Eq. 6 selection preference over this node's tree links —
 	// the same per-link numbers /debug/tree reports.
 	var sum float64
 	var links int
-	for _, td := range n.TreeDetails() {
+	for _, td := range n.treeDetails() {
 		for _, l := range td.Links {
 			sum += l.Utility
 			links++
@@ -180,16 +163,10 @@ func (n *Node) buildDigest() wire.HealthDigest {
 // byte-identical to a pre-telemetry node's).
 func (n *Node) telemetryHealth() []wire.HealthDigest {
 	ts := n.telemetry
-	if ts == nil {
+	if ts == nil || ts.self.Epoch == 0 {
 		return nil
 	}
-	ts.mu.Lock()
-	self := ts.self
-	ts.mu.Unlock()
-	if self.Epoch == 0 {
-		return nil
-	}
-	return append([]wire.HealthDigest{self}, ts.fleet.GossipPick(n.cfg.TelemetryGossip)...)
+	return append([]wire.HealthDigest{ts.self}, ts.fleet.GossipPick(n.cfg.TelemetryGossip)...)
 }
 
 // observeHealth merges the digests riding an inbound message into the fleet
@@ -199,13 +176,13 @@ func (n *Node) observeHealth(msg wire.Message) {
 	if ts == nil || len(msg.Health) == 0 {
 		return
 	}
-	now, epoch := time.Now(), ts.currentEpoch()
+	now := time.Now()
 	for _, d := range msg.Health {
 		if d.Addr == n.self.Addr {
 			continue // our own digest gossiped back
 		}
 		atomic.AddUint64(&n.stats.TelemetryDigestsReceived, 1)
-		if ts.fleet.Observe(d, now, epoch) {
+		if ts.fleet.Observe(d, now, ts.epoch) {
 			ts.slo.Observe(d, now)
 		}
 	}
@@ -225,7 +202,9 @@ func (n *Node) FleetView() []telemetry.NodeHealth {
 	if ts == nil {
 		return nil
 	}
-	return ts.fleet.Snapshot(ts.currentEpoch(), telemetryStaleEpochs)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
 }
 
 // TelemetryHistory returns the node's buffered time-series samples, oldest
@@ -270,11 +249,13 @@ func (n *Node) ClusterView() ClusterView {
 	if ts == nil {
 		return cv
 	}
-	cv.Epoch = ts.currentEpoch()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	cv.Epoch = ts.epoch
 	cv.IntervalMs = float64(n.cfg.HeartbeatInterval) / float64(time.Millisecond)
 	cv.StaleAfterMs = float64(n.telemetryStaleAfter()) / float64(time.Millisecond)
 	cv.SLO = ts.slo.Config()
-	cv.Nodes = n.FleetView()
+	cv.Nodes = ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
 	cv.Alerts = ts.slo.Active()
 	return cv
 }
