@@ -61,7 +61,7 @@ type ChurnRow struct {
 // Simulation shape. One epoch is the live heartbeat epoch; the cadences
 // mirror the live defaults (fixed republish every churnRepublish epochs,
 // record TTL slightly longer, adaptive pacing between 2× and ¼ of the fixed
-// cadence exactly as Node.dhtCadence does).
+// cadence exactly as Node.dhtPeriod does).
 const (
 	churnNodes     = 192
 	churnGroups    = 12

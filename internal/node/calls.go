@@ -7,18 +7,21 @@ import (
 	"groupcast/internal/wire"
 )
 
-// This file is the loop's call table, the one place a node waits: a flow
-// that needs a reply or a pause registers a call and continues in the
-// callback the loop runs when the reply or the deadline arrives. The table
-// belongs to the loop, so nothing here locks but the API reader.
+// This file is the loop's call table, the one place a node waits and the
+// one thing that sets its timer: a flow that needs a reply or a pause
+// registers a call and continues in the callback the loop runs when the reply
+// or the deadline arrives, and the periodic duties re-arm themselves. The
+// table belongs to the loop, so nothing here locks but the API reader.
 
 // call is one entry of the table. onReply (nil for an after entry) handles
 // one reply and reports whether the call is finished; an unfinished call
-// takes more replies until its deadline.
+// takes more replies until its deadline. duty marks a periodic duty, which
+// PendingRequests does not count.
 type call struct {
 	deadline  time.Time
 	onReply   func(wire.Message) bool
 	onTimeout func()
+	duty      bool
 }
 
 // ask stamps msg with the next ReqID, sends it to every address in to, and
@@ -40,13 +43,32 @@ func (n *Node) ask(to []string, msg wire.Message, wait time.Duration, onReply fu
 // after runs f on the loop once d has passed and returns the entry's ReqID.
 func (n *Node) after(d time.Duration, f func()) uint64 {
 	n.reqSeq++
-	c := &call{deadline: time.Now().Add(d), onTimeout: f}
+	c := &call{deadline: n.now.Add(d), onTimeout: f}
 	n.calls[n.reqSeq] = c
-	if c.deadline.Before(n.armed) {
-		n.armed = c.deadline
-		n.timer.Reset(d)
-	}
+	n.arm(c.deadline)
 	return n.reqSeq
+}
+
+// duty is after for the node's own upkeep, not a wait some flow is in.
+func (n *Node) duty(d time.Duration, f func()) {
+	n.calls[n.after(d, f)].duty = true
+}
+
+// every runs f on the loop every d, re-arming one period after each run.
+func (n *Node) every(d time.Duration, f func()) {
+	n.duty(d, func() {
+		n.every(d, f)
+		f()
+	})
+}
+
+// arm sets the loop timer for deadline unless it is set for an earlier one;
+// a zero n.armed means the timer is not set.
+func (n *Node) arm(deadline time.Time) {
+	if n.armed.IsZero() || deadline.Before(n.armed) {
+		n.armed = deadline
+		n.timer.Reset(deadline.Sub(n.now))
+	}
 }
 
 // answer hands a reply to the call its ReqID names. A reply no call waits
@@ -61,13 +83,17 @@ func (n *Node) answer(msg wire.Message) {
 	}
 }
 
-// fireDue times out every call whose deadline has passed, in (deadline,
-// ReqID) order, so the firing order follows from the inputs and not from
-// map iteration. Calls registered while firing wait for the next wake.
-func (n *Node) fireDue(now time.Time) {
+// fireDue is a timer wake: it arms the timer for the earliest deadline still
+// ahead and times out every call whose deadline has passed, in (deadline,
+// ReqID) order, so the firing order follows from the inputs and not from map
+// iteration. Calls registered while firing wait for the next wake.
+func (n *Node) fireDue() {
 	var due []uint64
+	n.armed = time.Time{} // the timer fired
 	for id, c := range n.calls {
-		if !c.deadline.After(now) {
+		if c.deadline.After(n.now) {
+			n.arm(c.deadline)
+		} else {
 			due = append(due, id)
 		}
 	}
@@ -82,12 +108,18 @@ func (n *Node) fireDue(now time.Time) {
 	}
 }
 
-// PendingRequests reports how many calls the table holds (leak tests and
-// the pending_requests gauge).
+// PendingRequests reports how many replies and backoffs the table holds —
+// every call but the duties (leak tests and the pending_requests gauge).
 func (n *Node) PendingRequests() int {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
-	return len(n.calls)
+	pending := 0
+	for _, c := range n.calls {
+		if !c.duty {
+			pending++
+		}
+	}
+	return pending
 }
 
 // post hands f to the loop, returning once the loop has taken it or with

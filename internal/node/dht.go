@@ -28,7 +28,7 @@ const (
 	// dhtRepublishEpochs is how many heartbeat epochs pass between a
 	// rendezvous re-replicating its charter records, and dhtRefreshEpochs
 	// between background self-lookups that keep the routing table's near
-	// buckets fresh — both before churn adaptation (see dhtCadence).
+	// buckets fresh — both before churn adaptation (see dhtPeriod).
 	dhtRepublishEpochs = 5
 	dhtRefreshEpochs   = 8
 	// dhtQueryTimeout bounds one DHT RPC round trip; a silent contact is
@@ -58,11 +58,6 @@ type dhtState struct {
 	// must not stack a second one behind it).
 	pinging map[string]bool
 	storing map[string]bool
-	// republishAt / refreshAt are the next heartbeat-epoch counts at which
-	// the periodic republish and self-lookup are due; dhtEpoch advances them
-	// by the current (possibly churn-adapted) cadence after each firing.
-	republishAt int
-	refreshAt   int
 }
 
 // dhtObserve folds one live peer into the routing table. On a full bucket
@@ -135,14 +130,14 @@ func (n *Node) dhtQuery(c dht.Contact, target dht.ID, groupID string, done func(
 // one round trip (or one dhtQueryTimeout when a contact is dead), not alpha
 // of them. Counts one DhtLookups tick and feeds the latency histogram.
 func (n *Node) dhtLookup(target dht.ID, groupID string, done func(dht.Result)) {
-	start := time.Now()
+	start := n.now
 	s := dht.NewStepper(target, n.dht.table.Closest(target, dht.DefaultK), dht.DefaultK, dht.DefaultAlpha)
 	var wave func()
 	wave = func() {
 		contacts := s.Next()
 		if len(contacts) == 0 {
 			atomic.AddUint64(&n.stats.DhtLookups, 1)
-			n.metrics.dhtLookup.ObserveDurationMs(float64(time.Since(start)) / float64(time.Millisecond))
+			n.metrics.dhtLookup.ObserveDurationMs(float64(n.now.Sub(start)) / float64(time.Millisecond))
 			done(s.Result())
 			return
 		}
@@ -168,7 +163,7 @@ func (n *Node) dhtLookup(target dht.ID, groupID string, done func(dht.Result)) {
 func (n *Node) dhtResolve(groupID string, done func(rec dht.Record, ok bool)) {
 	d := n.dht
 	key := dht.KeyID(groupID)
-	if rec, ok := d.store.Get(key, time.Now()); ok && rec.Rendezvous.Addr != n.self.Addr {
+	if rec, ok := d.store.Get(key, n.now); ok && rec.Rendezvous.Addr != n.self.Addr {
 		done(rec, true)
 		return
 	}
@@ -178,7 +173,7 @@ func (n *Node) dhtResolve(groupID string, done func(rec dht.Record, ok bool)) {
 			done(dht.Record{}, false)
 			return
 		}
-		d.store.Put(key, *res.Record, time.Now())
+		d.store.Put(key, *res.Record, n.now)
 		done(*res.Record, true)
 	})
 }
@@ -208,7 +203,7 @@ func (n *Node) dhtRepublishAsync(groupID string) {
 		Charter:    n.charterFor(groupID, gs),
 	}
 	key := dht.KeyID(groupID)
-	d.store.Put(key, rec, time.Now())
+	d.store.Put(key, rec, n.now)
 	d.storing[groupID] = true
 	n.dhtLookup(key, "", func(res dht.Result) {
 		delete(d.storing, groupID)
@@ -222,7 +217,7 @@ func (n *Node) dhtRepublishAsync(groupID string) {
 // adaptive maintenance pacing.
 func (n *Node) dhtNoteChurn(events int) {
 	if d := n.dht; d != nil {
-		d.churn.Note(events, time.Now())
+		d.churn.Note(events, n.now)
 	}
 }
 
@@ -233,7 +228,9 @@ func (n *Node) DhtChurnRate() float64 {
 	if d == nil {
 		return 0
 	}
-	return d.churn.Rate(time.Now())
+	n.lock()
+	defer n.mu.Unlock()
+	return d.churn.Rate(n.now)
 }
 
 // Adaptive-pacing thresholds, in churn events observed per heartbeat epoch:
@@ -246,21 +243,16 @@ const (
 	DefaultDHTChurnStorm = 0.2
 )
 
-// dhtCadence returns the current republish and refresh cadences in epochs:
-// the observed churn rate maps between a relaxed cadence when calm and a
-// tight one under storm — bounding record-loss probability under churn
-// without paying storm-level maintenance traffic in a quiet overlay.
-func (n *Node) dhtCadence(now time.Time) (republish, refresh int) {
-	d := n.dht
-	if d == nil || n.cfg.HeartbeatInterval <= 0 {
-		return dhtRepublishEpochs, dhtRefreshEpochs
-	}
-	perEpoch := d.churn.Rate(now) * n.cfg.HeartbeatInterval.Seconds()
-	republish = dht.AdaptiveEpochs(perEpoch, DefaultDHTChurnCalm, DefaultDHTChurnStorm,
-		2*dhtRepublishEpochs, dhtRepublishEpochs/4)
-	refresh = dht.AdaptiveEpochs(perEpoch, DefaultDHTChurnCalm, DefaultDHTChurnStorm,
-		2*dhtRefreshEpochs, dhtRefreshEpochs/4)
-	return republish, refresh
+// dhtPeriod returns the current period of a maintenance duty whose fixed
+// cadence is base epochs: the observed churn rate maps between a relaxed
+// cadence (2×) when calm and a tight one (¼) under storm — bounding
+// record-loss probability under churn without paying storm-level
+// maintenance traffic in a quiet overlay.
+func (n *Node) dhtPeriod(base int) time.Duration {
+	hb := n.cfg.HeartbeatInterval
+	perEpoch := n.dht.churn.Rate(n.now) * hb.Seconds()
+	epochs := dht.AdaptiveEpochs(perEpoch, DefaultDHTChurnCalm, DefaultDHTChurnStorm, 2*base, base/4)
+	return time.Duration(epochs) * hb
 }
 
 // dhtRescue re-replicates held records whose replica set just lost a member:
@@ -320,10 +312,8 @@ func (n *Node) dhtSendRecord(rec dht.Record, to []dht.Contact) {
 
 // dhtEpoch is the discovery plane's share of one heartbeat epoch: fold the
 // live neighbour set into the routing table (bucket maintenance piggybacks
-// on the beacons the node already runs), expire dead records, republish
-// owned charters and refresh the table with a background self-lookup on the
-// churn-adapted cadence (see dhtCadence).
-func (n *Node) dhtEpoch(epochs int) {
+// on the beacons the node already runs) and expire dead records.
+func (n *Node) dhtEpoch() {
 	d := n.dht
 	if d == nil {
 		return
@@ -333,23 +323,33 @@ func (n *Node) dhtEpoch(epochs int) {
 			n.dhtObserve(nb.info)
 		}
 	}
-	now := time.Now()
-	if swept := d.store.Sweep(now); swept > 0 {
+	if swept := d.store.Sweep(n.now); swept > 0 {
 		n.dhtNoteChurn(swept)
 	}
-	republishEvery, refreshEvery := n.dhtCadence(now)
-	if epochs >= d.republishAt {
-		d.republishAt = epochs + republishEvery
-		for gid, gs := range n.groups {
-			if gs.rendezvous {
-				n.dhtRepublishAsync(gid)
-			}
+}
+
+// dhtDuties arms the discovery plane's periodic upkeep (heartbeats on): a
+// rendezvous republishes the charters it roots, and a self-lookup keeps the
+// routing table's near buckets fresh. The first rounds come
+// dhtRepublishEpochs and dhtRefreshEpochs heartbeats after the start; each
+// round re-arms on the churn-adapted period (see dhtPeriod).
+func (n *Node) dhtDuties() {
+	if n.dht == nil {
+		return
+	}
+	var republish, refresh func()
+	republish = func() {
+		for _, gid := range n.groupIDs() {
+			n.dhtRepublishAsync(gid) // a no-op unless this node roots gid
 		}
+		n.duty(n.dhtPeriod(dhtRepublishEpochs), republish)
 	}
-	if epochs >= d.refreshAt {
-		d.refreshAt = epochs + refreshEvery
-		n.dhtLookup(d.id, "", func(dht.Result) {})
+	refresh = func() {
+		n.dhtLookup(n.dht.id, "", func(dht.Result) {})
+		n.duty(n.dhtPeriod(dhtRefreshEpochs), refresh)
 	}
+	n.duty(dhtRepublishEpochs*n.cfg.HeartbeatInterval, republish)
+	n.duty(dhtRefreshEpochs*n.cfg.HeartbeatInterval, refresh)
 }
 
 // handleDhtFindNode answers with the k known contacts closest to the
@@ -388,7 +388,7 @@ func (n *Node) handleDhtFindValue(msg wire.Message) {
 		ReqID:   msg.ReqID,
 		GroupID: msg.GroupID,
 	}
-	if rec, ok := d.store.Get(key, time.Now()); ok {
+	if rec, ok := d.store.Get(key, n.now); ok {
 		resp.Rendezvous = rec.Rendezvous
 		resp.Mode = rec.Mode
 		resp.Epoch = rec.Epoch
@@ -410,15 +410,14 @@ func (n *Node) handleDhtStore(msg wire.Message) {
 	}
 	n.dhtObserve(msg.From)
 	key := dht.KeyID(msg.GroupID)
-	now := time.Now()
 	d.store.Put(key, dht.Record{
 		GroupID:    msg.GroupID,
 		Rendezvous: msg.Rendezvous,
 		Mode:       msg.Mode,
 		Epoch:      msg.Epoch,
 		Charter:    msg.Charter,
-	}, now)
-	held, _ := d.store.Get(key, now)
+	}, n.now)
+	held, _ := d.store.Get(key, n.now)
 	_ = n.send(msg.From.Addr, wire.Message{
 		Type:    wire.TDhtStoreAck,
 		From:    n.self,

@@ -43,7 +43,7 @@ func (n *Node) CreateGroup(groupID string) error {
 // an explicit delivery mode. The mode is a group property: members inherit
 // it from this rendezvous via advertisements, join acks, and beacons.
 func (n *Node) CreateGroupMode(groupID string, mode wire.DeliveryMode) error {
-	n.mu.Lock()
+	n.lock()
 	err := n.createGroup(groupID, mode)
 	n.mu.Unlock()
 	// Seed the discovery plane: the charter record replicates to the k
@@ -76,7 +76,7 @@ func (n *Node) createGroup(groupID string, mode wire.DeliveryMode) error {
 
 // Advertise floods the group's SSA announcement from this rendezvous point.
 func (n *Node) Advertise(groupID string) error {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	if err := n.runnable(); err != nil {
 		return err
@@ -92,7 +92,7 @@ func (n *Node) advertise(groupID string) error {
 		return fmt.Errorf("%w: %q (only the rendezvous advertises)", ErrNoGroup, groupID)
 	}
 	msgID := n.nextMsgID()
-	n.seenAds.Seen(msgID, time.Now())
+	n.seenAds.Seen(msgID, n.now)
 	n.forwardAdvertisement(wire.Message{
 		Type:       wire.TAdvertise,
 		From:       n.self,
@@ -105,7 +105,7 @@ func (n *Node) advertise(groupID string) error {
 		// The flood's MsgID doubles as its trace ID: every relayed copy
 		// carries it, so one announcement is one trace.
 		TraceID:  msgID,
-		OriginAt: time.Now(),
+		OriginAt: n.now,
 	}, "")
 	return nil
 }
@@ -113,7 +113,7 @@ func (n *Node) advertise(groupID string) error {
 // handleAdvertise records the reverse path and forwards the announcement to
 // a utility-selected fraction of neighbours (SSA).
 func (n *Node) handleAdvertise(msg wire.Message) {
-	if n.seenAds.Seen(msg.MsgID, time.Now()) {
+	if n.seenAds.Seen(msg.MsgID, n.now) {
 		atomic.AddUint64(&n.stats.DuplicatesDropped, 1)
 		return
 	}
@@ -134,7 +134,7 @@ func (n *Node) handleAdvertise(msg wire.Message) {
 		gs.charter = wire.Charter{}
 		gs.deputies = nil
 		gs.lastRoot = time.Time{}
-		gs.lastBeacon = time.Now() // grace until the winner's first beacon
+		gs.lastBeacon = n.now // grace until the winner's first beacon
 		atomic.AddUint64(&n.stats.Demotions, 1)
 	}
 	ad, known := n.adSeen[msg.GroupID]
@@ -193,7 +193,7 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 			}
 		}
 	}
-	msg.RelayedAt = time.Now()
+	msg.RelayedAt = n.now
 	for _, info := range targets {
 		_ = n.send(info.Addr, msg)
 	}
@@ -203,7 +203,7 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 // path when the announcement was received, otherwise through a TTL-scoped
 // ripple search for an access point. It blocks up to timeout for the search.
 func (n *Node) Join(groupID string, timeout time.Duration) error {
-	n.mu.Lock()
+	n.lock()
 	err := n.runnable()
 	n.mu.Unlock()
 	if err != nil {
@@ -298,9 +298,9 @@ func (n *Node) joinSearch(groupID string, timeout time.Duration, asMember bool, 
 		Origin:   n.self,
 		MsgID:    msgID,
 		TraceID:  msgID,
-		OriginAt: time.Now(),
+		OriginAt: n.now,
 	}
-	n.seenAds.Seen(msgID, time.Now()) // don't answer our own search
+	n.seenAds.Seen(msgID, n.now) // don't answer our own search
 	nbrs := make([]string, 0, len(n.neighbors))
 	for addr := range n.neighbors {
 		nbrs = append(nbrs, addr)
@@ -348,7 +348,7 @@ func (n *Node) onTree(gs *groupState) bool {
 	if grace <= 0 {
 		return true
 	}
-	return time.Since(gs.lastBeacon) <= grace
+	return n.now.Sub(gs.lastBeacon) <= grace
 }
 
 // handleBeacon refreshes the node's root path and liveness from its parent's
@@ -376,8 +376,8 @@ func (n *Node) handleBeacon(msg wire.Message) {
 		return
 	}
 	gs.rootPath = append([]string(nil), msg.Path...)
-	gs.lastBeacon = time.Now()
-	gs.lastRoot = time.Now() // the succession clock: a beacon proves the root
+	gs.lastBeacon = n.now
+	gs.lastRoot = n.now // the succession clock: a beacon proves the root
 	gs.parentInfo = msg.From
 	gs.mode = msg.Mode // rendezvous-authoritative, carried down the tree
 	gs.backups = append([]wire.PeerInfo(nil), msg.Backups...)
@@ -469,8 +469,8 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 			Rendezvous: rdv,
 			Mode:       mode,
 			TraceID:    traceID,
-			OriginAt:   time.Now(),
-			RelayedAt:  time.Now(),
+			OriginAt:   n.now,
+			RelayedAt:  n.now,
 		}
 		n.ask([]string{parentAddr}, join, attemptWait,
 			func(ack wire.Message) bool {
@@ -486,7 +486,7 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 						ErrJoinFailed, groupID, parentAddr))
 					return true
 				}
-				gs.lastBeacon = time.Now() // grace until the first beacon arrives
+				gs.lastBeacon = n.now // grace until the first beacon arrives
 				done(nil)
 				return true
 			}, fail)
@@ -533,7 +533,7 @@ func (n *Node) handleJoin(msg wire.Message) {
 			Backups: n.backupsForChild(gs, msg.From),
 			// Echo the join's trace ID so the ack belongs to the same trace.
 			TraceID:   msg.TraceID,
-			RelayedAt: time.Now(),
+			RelayedAt: n.now,
 		})
 	}
 	if upstream != "" {
@@ -550,7 +550,7 @@ func (n *Node) handleJoin(msg wire.Message) {
 			TraceID:    msg.TraceID,
 			Hops:       msg.Hops + 1,
 			OriginAt:   msg.OriginAt,
-			RelayedAt:  time.Now(),
+			RelayedAt:  n.now,
 		})
 	}
 }
@@ -582,7 +582,7 @@ func (n *Node) handleJoinAck(msg wire.Message) {
 // handleSearch answers when this node can serve as an access point and
 // otherwise floods the query within its TTL.
 func (n *Node) handleSearch(msg wire.Message) {
-	if n.seenAds.Seen(msg.MsgID, time.Now()) {
+	if n.seenAds.Seen(msg.MsgID, n.now) {
 		return
 	}
 	gs := n.groups[msg.GroupID]
@@ -610,7 +610,7 @@ func (n *Node) handleSearch(msg wire.Message) {
 			Path:       path,
 			TraceID:    msg.TraceID,
 			Hops:       msg.Hops,
-			RelayedAt:  time.Now(),
+			RelayedAt:  n.now,
 		})
 		return
 	}
@@ -621,7 +621,7 @@ func (n *Node) handleSearch(msg wire.Message) {
 	fwd.From = n.self
 	fwd.TTL = msg.TTL - 1
 	fwd.Hops = msg.Hops + 1
-	fwd.RelayedAt = time.Now()
+	fwd.RelayedAt = n.now
 	for addr := range n.neighbors {
 		if addr != msg.From.Addr {
 			_ = n.send(addr, fwd)
@@ -636,7 +636,7 @@ func (n *Node) handleSearch(msg wire.Message) {
 // partitioned peers) — the payload reached no one.
 func (n *Node) Publish(groupID string, data []byte) error {
 	msg := wire.Message{Type: wire.TPayload, GroupID: groupID, Data: data}
-	n.mu.Lock()
+	n.lock()
 	targets, err := n.stampPublish(&msg)
 	n.mu.Unlock()
 	if err != nil {
@@ -651,24 +651,7 @@ func (n *Node) Publish(groupID string, data []byte) error {
 			TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr, N: len(targets),
 		})
 	}
-	sendStart := time.Now()
-	msg.RelayedAt = sendStart
-	sent := 0
-	n.sendMany(targets, msg, func(addr string, err error) {
-		if err != nil {
-			return
-		}
-		sent++
-		if n.tracer != nil {
-			n.tracer.Record(trace.Event{
-				Time: time.Now(), Node: msg.From.Addr, Kind: trace.KindSend,
-				Msg: msg.Type.String(), Group: groupID,
-				TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr, Peer: addr,
-				SendUS: time.Since(sendStart).Microseconds(),
-			})
-		}
-	})
-	if len(targets) > 0 && sent == 0 {
+	if sent := n.fanOut(targets, msg); len(targets) > 0 && sent == 0 {
 		return fmt.Errorf("%w: %q (%d link(s), 0 reachable)",
 			ErrPublishFailed, groupID, len(targets))
 	}
@@ -697,7 +680,8 @@ func (n *Node) stampPublish(msg *wire.Message) ([]string, error) {
 	if n.tracer != nil {
 		msg.TraceID = n.nextMsgID()
 	}
-	msg.OriginAt = time.Now()
+	msg.OriginAt = n.now
+	msg.RelayedAt = n.now
 	if gs.pub == nil {
 		gs.pub = reliable.NewSendBuffer(reliable.DefaultCachePayloads)
 	}
@@ -728,11 +712,10 @@ func (n *Node) handlePayload(msg wire.Message) {
 		// each other, away from the source.
 		w.LastHop = hop
 	}
-	now := time.Now()
 	var res reliable.ObserveResult
 	w.ObserveItem(msg.Seq, reliable.Item{
 		Data: msg.Data, TraceID: msg.TraceID, OriginAt: msg.OriginAt,
-	}, now, &res)
+	}, n.now, &res)
 	n.noteWindow(&res)
 	if !res.Fresh {
 		atomic.AddUint64(&n.stats.DuplicatesDropped, 1)
@@ -757,26 +740,43 @@ func (n *Node) handlePayload(msg wire.Message) {
 	fwd := msg
 	fwd.Relay = n.self
 	fwd.Hops = msg.Hops + 1
-	sendStart := time.Now()
-	fwd.RelayedAt = sendStart
-	n.sendMany(targets, fwd, func(addr string, err error) {
-		if err == nil && n.tracer != nil {
+	fwd.RelayedAt = n.now
+	n.fanOut(targets, fwd)
+}
+
+// fanOut sends payload msg over every target link and returns how many sends
+// the transport accepted, tracing each at msg.RelayedAt, the event's stamp.
+func (n *Node) fanOut(targets []string, msg wire.Message) (sent int) {
+	var start time.Time
+	if n.tracer != nil {
+		start = traceNow()
+	}
+	n.sendMany(targets, msg, func(addr string, err error) {
+		if err != nil {
+			return
+		}
+		sent++
+		if n.tracer != nil {
 			n.tracer.Record(trace.Event{
-				Time: time.Now(), Node: n.self.Addr, Kind: trace.KindSend,
-				Msg: fwd.Type.String(), Group: fwd.GroupID,
-				TraceID: fwd.TraceID, Seq: fwd.Seq, Source: fwd.From.Addr,
-				Peer: addr, Hop: fwd.Hops,
-				SendUS: time.Since(sendStart).Microseconds(),
+				Time: msg.RelayedAt, Node: msg.Relay.Addr, Kind: trace.KindSend,
+				Msg: msg.Type.String(), Group: msg.GroupID,
+				TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr,
+				Peer: addr, Hop: msg.Hops,
+				SendUS: traceNow().Sub(start).Microseconds(),
 			})
 		}
 	})
+	return sent
 }
 
-// observeDeliver records one payload hand-off to the application: the
-// publish→deliver latency histogram (when the publisher stamped an origin
+// traceNow reads the wall clock for the tracer's durations (SendUS,
+// HandleUS); only code with a tracer set calls it.
+func traceNow() time.Time { return time.Now() }
+
+// observeDeliver records one payload hand-off to the application at now:
+// the publish→deliver latency histogram (when the publisher stamped an origin
 // time) and, when tracing, a deliver event joined to the payload's trace.
-func (n *Node) observeDeliver(groupID, source string, hops int, d reliable.Delivery) {
-	now := time.Now()
+func (n *Node) observeDeliver(now time.Time, d delivery) {
 	var ageUS int64
 	if !d.OriginAt.IsZero() {
 		if age := now.Sub(d.OriginAt); age > 0 {
@@ -789,8 +789,8 @@ func (n *Node) observeDeliver(groupID, source string, hops int, d reliable.Deliv
 	}
 	n.tracer.Record(trace.Event{
 		Time: now, Node: n.self.Addr, Kind: trace.KindDeliver,
-		Msg: wire.TPayload.String(), Group: groupID,
-		TraceID: d.TraceID, Seq: d.Seq, Source: source, Hop: hops,
+		Msg: wire.TPayload.String(), Group: d.gid,
+		TraceID: d.TraceID, Seq: d.Seq, Source: d.src.Addr, Hop: d.hops,
 		AgeUS: ageUS,
 	})
 }
@@ -813,7 +813,7 @@ func forwardTargets(gs *groupState, arrivedFrom string) []string {
 // Leave departs a group gracefully: children are told to re-join and the
 // parent drops this node.
 func (n *Node) Leave(groupID string) error {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	if err := n.runnable(); err != nil {
 		return err
@@ -866,7 +866,7 @@ type TreeView struct {
 
 // Tree snapshots the node's attachment state for a group.
 func (n *Node) Tree(groupID string) TreeView {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	gs := n.groups[groupID]
 	if gs == nil {
@@ -893,7 +893,7 @@ func (n *Node) Tree(groupID string) TreeView {
 
 // Groups lists the groups this node is a member of.
 func (n *Node) Groups() []string {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	out := make([]string, 0, len(n.groups))
 	for gid, gs := range n.groups {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -10,125 +11,130 @@ import (
 	"groupcast/internal/wire"
 )
 
-// run is the node's event loop, the one goroutine Start launches. It
-// dispatches every inbound message, runs every flow an API call posts, and
-// runs every periodic duty — the heartbeat epoch, the NACK sweep, the
-// pressure sample, and the mid-epoch reprobe of suspects — off one timer
-// re-armed to the earliest due duty or call deadline. Each event is one
-// critical section: the loop takes n.mu once select hands it a message, a
-// posted flow or a timer wake, runs the whole event under it, and drops it
-// in endEvent, which then makes the PayloadHandler calls for what the event
-// released. So code on the loop never locks, and an API call sees every
-// event whole. Nothing on the loop waits: a flow that needs a reply (DHT
-// lookups and pings, tree repairs, joins) registers a call and continues
-// when the loop routes the reply or fires the deadline (calls.go). Only the
-// state save leaves the loop, on a goroutine the loop's own done count keeps
-// Close waiting for.
+// run is the node's event loop, the one goroutine Start launches. Each
+// event — an inbound message, a posted flow, a timer wake — is one critical
+// section at one time: lock takes n.mu and stamps n.now, step runs the
+// event, and endEvent unlocks and makes the PayloadHandler calls for what it
+// released. So code on the loop never locks, never reads the clock and
+// never waits: whatever needs a reply, a backoff or its next period is an
+// entry in the call table (calls.go). Only the state save leaves the loop,
+// on a goroutine Close waits for.
 func (n *Node) run() {
 	defer n.done.Done()
-	hb := n.cfg.HeartbeatInterval
-	now := time.Now()
-	nextNack := now.Add(nackInterval)
-	nextSample := now.Add(n.cfg.OverloadSampleInterval)
-	// A zero deadline is disarmed: no epochs without heartbeats, no reprobe
-	// without fresh suspects.
-	var nextEpoch, nextReprobe time.Time
-	if hb > 0 {
-		nextEpoch = now.Add(hb)
-	}
-	// Resume above the persisted epoch so restart-side counters (telemetry
-	// digests, DHT maintenance schedule) stay monotonic across the crash.
-	epochs := n.epochBase
-	lastEpoch := now
-	var suspects []string
-	n.timer = time.NewTimer(0) // the first wake arms the earliest deadline
 	defer n.timer.Stop()
 	for {
-		var sample uint64 // the telemetry epoch whose history sample is due
+		var ev event
 		select {
 		case msg, ok := <-n.tr.Recv():
 			if !ok {
 				return
 			}
-			n.mu.Lock()
-			n.handle(msg)
-		case f := <-n.posts:
-			n.mu.Lock()
-			f()
+			ev.msg = &msg
+		case ev.flow = <-n.posts:
 		case <-n.stop:
 			// Drain until the transport closes its channel.
 			for range n.tr.Recv() {
 			}
 			return
 		case <-n.timer.C:
-			n.mu.Lock()
-			now = time.Now()
-			n.fireDue(now)
-			// A duty runs when due and re-arms one period later.
-			if !nextReprobe.IsZero() && !now.Before(nextReprobe) {
-				nextReprobe = time.Time{}
-				n.reprobe(suspects)
-			}
-			if !now.Before(nextNack) {
-				nextNack = now.Add(nackInterval)
-				n.nackSweep()
-			}
-			if !now.Before(nextSample) {
-				nextSample = now.Add(n.cfg.OverloadSampleInterval)
-				n.overloadTick(n.samplePressure())
-			}
-			if !nextEpoch.IsZero() && !now.Before(nextEpoch) {
-				nextEpoch = now.Add(hb)
-				// Stall detection: when this loop was delayed well past the
-				// interval (scheduler pressure, suspended VM, a slow handler),
-				// neighbours never had a fair chance to answer — skip eviction
-				// this round rather than shatter the overlay on a false positive.
-				stalled := now.Sub(lastEpoch) > 2*hb
-				lastEpoch = now
-				epochs++
-				// Telemetry samples before the heartbeats go out so this epoch's
-				// piggyback carries the fresh digest.
-				sample = n.telemetryEpoch(now)
-				if suspects = n.epoch(stalled); len(suspects) > 0 {
-					nextReprobe = now.Add(hb / 2)
-				}
-				n.dhtEpoch(epochs)
-				if n.cfg.AdvertiseRefreshEpochs > 0 && epochs%n.cfg.AdvertiseRefreshEpochs == 0 {
-					n.refreshAdvertisements()
-				}
-				n.digestGroups()
-				n.epochNow.Store(int64(epochs))
-				if n.cfg.StatePath != "" && epochs%stateSaveEpochs == 0 {
-					n.done.Add(1)
-					go func(e int) {
-						defer n.done.Done()
-						n.saveState(e)
-					}(epochs)
-				}
-			}
-			next := nextNack // always armed
-			for _, d := range [...]time.Time{nextSample, nextEpoch, nextReprobe} {
-				if !d.IsZero() && d.Before(next) {
-					next = d
-				}
-			}
-			for _, c := range n.calls {
-				if c.deadline.Before(next) {
-					next = c.deadline
-				}
-			}
-			n.armed = next
-			n.timer.Reset(time.Until(next))
 		}
+		n.lock()
+		n.step(n.now, ev)
 		n.endEvent()
-		if sample > 0 {
-			// History sample: the registry snapshot carries every Stats
-			// counter, so /debug/history shows delivery and shedding
-			// trajectories alongside latency quantiles. Its gauges take n.mu
-			// like any reader, so it runs after the unlock.
-			n.telemetry.history.Observe(sample, now, n.metrics.reg.Snapshot())
+	}
+}
+
+// event is one loop input: an inbound message, a posted flow, or — with
+// neither set — a wake of the call table's timer.
+type event struct {
+	msg  *wire.Message
+	flow func()
+}
+
+// lock takes n.mu and stamps n.now from the wall clock: the one time every
+// rule of the critical section reads.
+func (n *Node) lock() {
+	n.mu.Lock()
+	n.stamp(time.Now())
+}
+
+// stamp moves n.now to now; the node's clock never runs backwards.
+func (n *Node) stamp(now time.Time) {
+	if now.After(n.now) {
+		n.now = now
+	}
+}
+
+// step runs one loop event at time now with n.mu held. Tests call it with
+// synthetic times on a node they never started.
+func (n *Node) step(now time.Time, ev event) {
+	n.stamp(now)
+	switch {
+	case ev.msg != nil:
+		n.handle(*ev.msg)
+	case ev.flow != nil:
+		ev.flow()
+	default:
+		n.fireDue()
+	}
+}
+
+// begin anchors the node's timed state at its start: a reloaded state's
+// clocks restart (a held charter must re-observe beacon silence before
+// promoting, a seeded window counts idleness from here), the node enters
+// its own fleet view, and the standing duties are armed. Each re-arms one
+// period after it runs: the NACK sweep, the pressure sample and, with
+// heartbeats on, the heartbeat epoch, the advertisement refresh, the state
+// save and the DHT upkeep.
+func (n *Node) begin() {
+	if st := n.recovered; st != nil {
+		for _, g := range st.Groups {
+			if gs := n.groups[g.GroupID]; gs != nil {
+				gs.lastBeacon, gs.lastRoot = n.now, n.now
+				for _, w := range gs.recv {
+					w.LastActive = n.now
+				}
+			}
 		}
 	}
+	if ts := n.telemetry; ts != nil {
+		ts.fleet.Observe(wire.HealthDigest{Addr: n.self.Addr}, n.now, 0)
+	}
+	n.every(nackInterval, n.nackSweep)
+	n.every(n.cfg.OverloadSampleInterval, func() { n.overloadTick(n.samplePressure()) })
+	hb := n.cfg.HeartbeatInterval
+	if hb <= 0 {
+		return
+	}
+	last := n.now
+	n.every(hb, func() {
+		// Stall detection: when this wake came well past the interval
+		// (scheduler pressure, suspended VM, a slow handler), neighbours
+		// never had a fair chance to answer — skip eviction this round
+		// rather than shatter the overlay on a false positive.
+		stalled := n.now.Sub(last) > 2*hb
+		last = n.now
+		n.epochNow.Add(1)
+		// Telemetry samples before the heartbeats go out so this epoch's
+		// piggyback carries the fresh digest.
+		n.historyDue = n.telemetryEpoch()
+		n.epoch(stalled)
+		n.dhtEpoch()
+		n.digestGroups()
+	})
+	if k := n.cfg.AdvertiseRefreshEpochs; k > 0 {
+		n.every(time.Duration(k)*hb, n.refreshAdvertisements)
+	}
+	if n.cfg.StatePath != "" {
+		n.every(stateSaveEpochs*hb, func() {
+			n.done.Add(1)
+			go func() {
+				defer n.done.Done()
+				n.saveState()
+			}()
+		})
+	}
+	n.dhtDuties()
 }
 
 // delivery is one payload a loop event released to the application.
@@ -153,19 +159,25 @@ func (n *Node) release(gid string, gs *groupState, src wire.PeerInfo, hops int, 
 
 // endEvent closes a loop event's critical section: it unlocks n.mu and then
 // calls the handler for every payload the event released, in release order,
-// with no node lock held — so the handler may call Publish or Leave.
+// with no node lock held — so the handler may call Publish or Leave. A
+// delivery reads the clock: its publish→deliver age ends at the hand-off.
+// Last comes a history sample an epoch left due, as its gauges take n.mu.
 func (n *Node) endEvent() {
-	h := n.handler
+	h, sample, at := n.handler, n.historyDue, n.now
+	n.historyDue = 0
 	n.mu.Unlock()
 	if h != nil {
 		for _, d := range n.released {
 			atomic.AddUint64(&n.stats.Delivered, 1)
-			n.observeDeliver(d.gid, d.src.Addr, d.hops, d.Delivery)
+			n.observeDeliver(time.Now(), d)
 			h(d.gid, d.src, d.Data)
 		}
 	}
 	clear(n.released) // drop the payload references
 	n.released = n.released[:0]
+	if sample > 0 {
+		n.telemetry.history.Observe(sample, at, n.metrics.reg.Snapshot())
+	}
 }
 
 // tracedTypes marks the message types worth a recv trace event: the data
@@ -183,13 +195,12 @@ var tracedTypes = map[wire.Type]bool{
 }
 
 func (n *Node) handle(msg wire.Message) {
-	start := time.Now()
 	tickType(&n.stats.received, msg.Type)
 	if msg.Type == wire.TPayload {
-		// Per-hop relay latency: previous hop's transport hand-off to our
-		// handler start (queue + wire in one number).
+		// Per-hop relay latency: the sending event's stamp to this one's
+		// (queue + wire in one number).
 		if !msg.RelayedAt.IsZero() {
-			if d := start.Sub(msg.RelayedAt); d > 0 {
+			if d := n.now.Sub(msg.RelayedAt); d > 0 {
 				n.metrics.relayHop.ObserveDurationMs(float64(d) / float64(time.Millisecond))
 			}
 		}
@@ -199,7 +210,7 @@ func (n *Node) handle(msg wire.Message) {
 	}
 	n.dispatch(msg)
 	if n.tracer != nil && tracedTypes[msg.Type] {
-		n.traceRecv(msg, start, time.Since(start))
+		n.traceRecv(msg, traceNow().Sub(n.now))
 	}
 }
 
@@ -237,7 +248,7 @@ func (n *Node) dispatch(msg wire.Message) {
 		n.dhtObserve(msg.From)
 		n.observeHealth(msg)
 		if !msg.SentAt.IsZero() {
-			rttMs := float64(time.Since(msg.SentAt)) / float64(time.Millisecond)
+			rttMs := float64(n.now.Sub(msg.SentAt)) / float64(time.Millisecond)
 			n.metrics.heartbeatRTT.ObserveDurationMs(rttMs)
 			n.observeRTT(msg.From, rttMs)
 		}
@@ -325,7 +336,7 @@ func (n *Node) handleBackConnect(msg wire.Message) {
 func (n *Node) touchNeighbor(info wire.PeerInfo) {
 	if nb, ok := n.neighbors[info.Addr]; ok {
 		nb.info = info
-		nb.lastAck = time.Now()
+		nb.lastAck = n.now
 		nb.suspect = false
 	}
 }
@@ -356,7 +367,7 @@ func (n *Node) handleLeave(msg wire.Message) {
 func (n *Node) reprobe(addrs []string) {
 	for _, addr := range addrs {
 		if nb, ok := n.neighbors[addr]; ok && nb.suspect {
-			_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.self, SentAt: time.Now()})
+			_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.self, SentAt: n.now})
 		}
 	}
 }
@@ -365,8 +376,8 @@ func (n *Node) reprobe(addrs []string) {
 // of, giving peers that joined the overlay after the original announcement a
 // reverse path.
 func (n *Node) refreshAdvertisements() {
-	for gid, gs := range n.groups {
-		if gs.rendezvous {
+	for _, gid := range n.groupIDs() {
+		if n.groups[gid].rendezvous {
 			_ = n.advertise(gid)
 		}
 	}
@@ -374,34 +385,35 @@ func (n *Node) refreshAdvertisements() {
 
 // epoch implements the epoch maintenance: heartbeat every neighbour, declare
 // neighbours dead after MissedHeartbeatsToFail silent epochs, and re-join any
-// groups orphaned by a dead parent. It returns the neighbours that just
-// turned suspect, for the loop's mid-epoch reprobe.
-func (n *Node) epoch(stalled bool) (newlySuspect []string) {
+// groups orphaned by a dead parent.
+func (n *Node) epoch(stalled bool) {
 	grace := time.Duration(n.cfg.MissedHeartbeatsToFail+1) * n.cfg.HeartbeatInterval
 	// A neighbour becomes suspect after one silent epoch (plus slack for
 	// ack latency); it is re-probed mid-epoch and recommended to nobody
 	// until it answers, and declared dead at the full grace.
 	suspectAfter := n.cfg.HeartbeatInterval + n.cfg.HeartbeatInterval/2
-	now := time.Now()
 	health := n.telemetryHealth()
-	var orphaned []string
+	var orphaned, newlySuspect []string
 	live := 0
 	for addr, nb := range n.neighbors {
 		switch {
-		case !stalled && now.Sub(nb.lastAck) > grace:
+		case !stalled && n.now.Sub(nb.lastAck) > grace:
 			atomic.AddUint64(&n.stats.NeighborsDeclaredDead, 1)
 			orphaned = append(orphaned, n.removeNeighborAndOrphans(addr)...)
 			continue
-		case !stalled && now.Sub(nb.lastAck) > suspectAfter && !nb.suspect:
+		case !stalled && n.now.Sub(nb.lastAck) > suspectAfter && !nb.suspect:
 			nb.suspect = true
 			newlySuspect = append(newlySuspect, addr)
 		}
-		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.self, SentAt: now, Health: health})
+		_ = n.send(addr, wire.Message{Type: wire.THeartbeat, From: n.self, SentAt: n.now, Health: health})
 		live++
 	}
 	n.countHealthSent(len(health), live)
-	// Suspects get one extra mid-epoch probe from the loop (see reprobe).
-	atomic.AddUint64(&n.stats.Suspected, uint64(len(newlySuspect)))
+	if len(newlySuspect) > 0 {
+		// Suspects get one extra probe half an epoch later (see reprobe).
+		atomic.AddUint64(&n.stats.Suspected, uint64(len(newlySuspect)))
+		n.duty(n.cfg.HeartbeatInterval/2, func() { n.reprobe(newlySuspect) })
+	}
 	// Succession duty: promote out of any charter whose root has been
 	// beacon-silent past this deputy's staggered delay. Runs before the
 	// stale-beacon sweep below so a first deputy takes over cleanly rather
@@ -418,11 +430,12 @@ func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 	// too, or their whole subtree stays severed.
 	bGrace := n.beaconGrace()
 	var detachedForwarders []string
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		if gs.rendezvous {
 			continue
 		}
-		if gs.parent != "" && bGrace > 0 && time.Since(gs.lastBeacon) > bGrace {
+		if gs.parent != "" && bGrace > 0 && n.now.Sub(gs.lastBeacon) > bGrace {
 			// Prune our edge at the stale parent so it stops forwarding to us.
 			_ = n.send(gs.parent, wire.Message{Type: wire.TLeave, From: n.self})
 			clearLastHop(gs, gs.parent)
@@ -437,9 +450,11 @@ func (n *Node) epoch(stalled bool) (newlySuspect []string) {
 			detachedForwarders = append(detachedForwarders, gid)
 		}
 	}
+	// Dead neighbours came in map order: sort, as each repair draws its
+	// backoff jitter from the seeded rng in turn.
+	sort.Strings(orphaned)
 	n.rejoinAsync(orphaned)
 	n.reattachAsync(detachedForwarders)
-	return newlySuspect
 }
 
 // beaconGroups floods a fresh rendezvous beacon down every group this node

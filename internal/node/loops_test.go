@@ -309,11 +309,12 @@ func TestHandlerContractLeave(t *testing.T) {
 }
 
 // TestNodeLocksOnlyAtAPIBoundary pins the one locking rule of the package:
-// the loop takes n.mu once per event (run), exported *Node methods take it
-// at the API boundary, and only two readers besides — the registry gauges
-// (closures in initObservability) and the state-save capture — take it too.
-// Everything else runs on the loop under the event's lock and never locks,
-// so no *Locked twin exists and no other mutex guards node state.
+// n.mu is taken only inside lock, which stamps the section's time, and lock
+// is called once per loop event (run), by exported *Node methods at the API
+// boundary, and by two readers besides — the registry gauges (closures in
+// initObservability) and the state-save capture. Everything else runs on
+// the loop under the event's lock and never locks, so no *Locked twin
+// exists and no other mutex guards node state.
 func TestNodeLocksOnlyAtAPIBoundary(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -364,7 +365,12 @@ func TestNodeLocksOnlyAtAPIBoundary(t *testing.T) {
 				if _, ok := nd.(*ast.FuncLit); ok && gauges {
 					return false // a gauge closure: a reader like any API call
 				}
-				if call, ok := nd.(*ast.CallExpr); ok && isMuLock(call) && !allowed {
+				call, ok := nd.(*ast.CallExpr)
+				switch {
+				case !ok:
+				case isMuLock(call) && fn.Name.Name != "lock":
+					t.Errorf("%s: %s takes n.mu without lock's stamp", fset.Position(call.Pos()), fn.Name.Name)
+				case isNodeLock(call) && !allowed:
 					t.Errorf("%s: %s locks n.mu off the API boundary", fset.Position(call.Pos()), fn.Name.Name)
 				}
 				return true
@@ -382,6 +388,12 @@ func isNodeReceiver(recv *ast.FieldList) bool {
 	return ok && id.Name == "Node"
 }
 
+// isNodeLock matches x.lock().
+func isNodeLock(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "lock" && len(call.Args) == 0
+}
+
 // isMuLock matches x.mu.Lock().
 func isMuLock(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -390,4 +402,239 @@ func isMuLock(call *ast.CallExpr) bool {
 	}
 	mu, ok := sel.X.(*ast.SelectorExpr)
 	return ok && mu.Sel.Name == "mu"
+}
+
+// stepAt runs ev on n as one loop event at time now, the way run does with
+// a wall-clock stamp: lock, step, endEvent.
+func stepAt(n *Node, now time.Time, ev event) {
+	n.mu.Lock()
+	n.step(now, ev)
+	n.endEvent()
+}
+
+// sendLog is a transport that records every message the node sends, in
+// order, and delivers none.
+type sendLog struct {
+	transport.Transport
+	sent []sentMsg
+}
+
+type sentMsg struct {
+	to  string
+	msg wire.Message
+}
+
+func (l *sendLog) Send(addr string, msg wire.Message) error {
+	l.sent = append(l.sent, sentMsg{addr, msg})
+	return nil
+}
+
+// count reports how many messages of type typ went to addr.
+func (l *sendLog) count(addr string, typ wire.Type) int {
+	c := 0
+	for _, s := range l.sent {
+		if s.to == addr && s.msg.Type == typ {
+			c++
+		}
+	}
+	return c
+}
+
+// TestNodeReadsClockOncePerEvent pins the node's one clock: a critical
+// section reads the wall clock once, when lock stamps n.now, and every timed
+// rule reads the stamp. Besides lock, only endEvent (a publish→deliver age
+// ends at the hand-off) and traceNow (the tracer's durations) read it. The
+// loop timer is set only by the call table's arm.
+func TestNodeReadsClockOncePerEvent(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"lock": true, "endEvent": true, "traceNow": true}
+	reads := 0
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fname := ""
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				fname = fn.Name.Name
+			}
+			ast.Inspect(decl, func(nd ast.Node) bool {
+				sel, ok := nd.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" &&
+					(sel.Sel.Name == "Now" || sel.Sel.Name == "Since" || sel.Sel.Name == "Until") {
+					reads++
+					if !allowed[fname] {
+						t.Errorf("%s: %s reads the clock (time.%s); use n.now", fset.Position(sel.Pos()), fname, sel.Sel.Name)
+					}
+				}
+				if x, ok := sel.X.(*ast.SelectorExpr); ok && x.Sel.Name == "timer" && sel.Sel.Name == "Reset" && fname != "arm" {
+					t.Errorf("%s: %s sets the loop timer; only the call table arms it", fset.Position(sel.Pos()), fname)
+				}
+				return true
+			})
+		}
+	}
+	if reads > 3 {
+		t.Errorf("%d wall-clock reads in the package, want at most 3", reads)
+	}
+}
+
+// TestRefreshSameSeedSameFrames: a refresh walks the groups in sorted order,
+// so one seed gives one flood. Each advertise takes a MsgID and draws its
+// targets from the seeded rng; in map order, which group got which ID and
+// which neighbours changed from run to run.
+func TestRefreshSameSeedSameFrames(t *testing.T) {
+	build := func() map[string][]string {
+		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		n := New(log, DefaultConfig(10, nil, 7))
+		defer n.Close()
+		stepAt(n, time.Now(), event{flow: func() {
+			for i := 0; i < 6; i++ {
+				n.addNeighbor(wire.PeerInfo{
+					Addr: fmt.Sprintf("nb-%d", i), Capacity: float64(1 + i%3),
+					Coord: []float64{float64(i), float64(i % 2), 0},
+				})
+			}
+			for _, gid := range []string{"g1", "g2", "g3", "g4"} {
+				gs := newGroupState(wire.BestEffort)
+				gs.rendezvous, gs.member = true, true
+				gs.rdvInfo, gs.epoch = n.self, 1
+				n.groups[gid] = gs
+			}
+			n.refreshAdvertisements()
+			n.refreshAdvertisements()
+		}})
+		frames := make(map[string][]string)
+		for _, s := range log.sent {
+			frames[s.to] = append(frames[s.to], fmt.Sprintf("%s#%d", s.msg.GroupID, s.msg.MsgID))
+		}
+		return frames
+	}
+	want := build()
+	if len(want) == 0 {
+		t.Fatal("the refresh sent nothing")
+	}
+	for run := 1; run <= 20; run++ {
+		if got := build(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d sent other frames:\n got %v\nwant %v", run, got, want)
+		}
+	}
+}
+
+// TestEpochDutiesStepped drives the heartbeat epoch through synthetic times
+// on a node it never starts: no sleeps, no real timer. Neighbour a is the
+// parent of group g and falls silent; b is g's backup access point and
+// acks heartbeats until the end. With hb one minute the death grace is
+// (MissedHeartbeatsToFail+1)·hb = 3 hb.
+func TestEpochDutiesStepped(t *testing.T) {
+	const hb = time.Minute
+	log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+	cfg := DefaultConfig(10, nil, 1)
+	cfg.HeartbeatInterval = hb
+	cfg.DisableDHT = true
+	n := New(log, cfg)
+	defer n.Close()
+	a := wire.PeerInfo{Addr: "a", Capacity: 10, Coord: []float64{1, 0, 0}}
+	b := wire.PeerInfo{Addr: "b", Capacity: 10, Coord: []float64{0, 1, 0}}
+	t0 := time.Now()
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	wake := func(d time.Duration) { stepAt(n, at(d), event{}) }
+	ackFromB := func(d time.Duration) {
+		stepAt(n, at(d), event{msg: &wire.Message{Type: wire.THeartbeatAck, From: b}})
+	}
+	stepAt(n, t0, event{flow: func() {
+		n.begin()
+		n.addNeighbor(a)
+		n.addNeighbor(b)
+		gs := newGroupState(wire.BestEffort)
+		gs.member = true
+		gs.parent, gs.parentInfo = a.Addr, a
+		gs.backups = []wire.PeerInfo{b}
+		gs.lastBeacon = n.now
+		n.groups["g"] = gs
+	}})
+	neighbor := func(addr string) *neighborState { return n.neighbors[addr] }
+
+	wake(hb) // epoch 1: both answered within the slack
+	ackFromB(hb)
+	if got := log.count("a", wire.THeartbeat); got != 1 {
+		t.Fatalf("epoch 1 sent %d heartbeats to a, want 1", got)
+	}
+	if neighbor("a").suspect {
+		t.Fatal("a suspect after one epoch of silence")
+	}
+
+	wake(2 * hb) // epoch 2: a silent 2 hb > 1.5 hb
+	ackFromB(2 * hb)
+	if !neighbor("a").suspect || neighbor("b").suspect {
+		t.Fatalf("after 2 hb: a suspect %v, b suspect %v; want true, false",
+			neighbor("a").suspect, neighbor("b").suspect)
+	}
+	if got := n.Stats().Suspected; got != 1 {
+		t.Fatalf("Suspected = %d, want 1", got)
+	}
+
+	// The reprobe is due hb/2 after the epoch that raised the suspicion.
+	wake(2*hb + hb/2 - time.Millisecond)
+	if got := log.count("a", wire.THeartbeat); got != 2 {
+		t.Fatalf("%d heartbeats to a before the reprobe is due, want 2", got)
+	}
+	wake(2*hb + hb/2)
+	if got := log.count("a", wire.THeartbeat); got != 3 {
+		t.Fatalf("%d heartbeats to a after the reprobe, want 3", got)
+	}
+
+	wake(3 * hb) // epoch 3: a silent exactly the grace, not past it
+	ackFromB(3 * hb)
+	if neighbor("a") == nil {
+		t.Fatal("a declared dead at exactly the grace")
+	}
+
+	wake(4 * hb) // epoch 4: a silent 4 hb > 3 hb: dead, g orphaned
+	if neighbor("a") != nil || n.Stats().NeighborsDeclaredDead != 1 {
+		t.Fatalf("after 4 hb: a still a neighbour (%v) or dead count %d, want gone and 1",
+			neighbor("a") != nil, n.Stats().NeighborsDeclaredDead)
+	}
+	var join wire.Message
+	for _, s := range log.sent {
+		if s.to == "b" && s.msg.Type == wire.TJoin && s.msg.GroupID == "g" {
+			join = s.msg
+		}
+	}
+	if join.ReqID == 0 {
+		t.Fatal("orphaned g sent no join to its backup b")
+	}
+	stepAt(n, at(4*hb+10*time.Millisecond), event{msg: &wire.Message{
+		Type: wire.TJoinAck, From: b, GroupID: "g", ReqID: join.ReqID, Path: []string{"r", "b"},
+	}})
+	if tv := n.Tree("g"); tv.Parent != "b" || n.Stats().RepairsViaBackup != 1 {
+		t.Fatalf("g after b's ack: parent %q, repairs via backup %d; want b, 1",
+			tv.Parent, n.Stats().RepairsViaBackup)
+	}
+
+	// b's last ack was at 3 hb. A wake 3 hb after the previous epoch is a
+	// stalled loop: the epoch runs but evicts nobody, though b is past the
+	// grace. The next, regular epoch does.
+	wake(7 * hb)
+	if neighbor("b") == nil || n.Stats().NeighborsDeclaredDead != 1 {
+		t.Fatalf("stalled epoch evicted b (dead count %d)", n.Stats().NeighborsDeclaredDead)
+	}
+	if n.epochNow.Load() != 5 {
+		t.Fatalf("epochs = %d after the stalled wake, want 5", n.epochNow.Load())
+	}
+	wake(8 * hb)
+	if neighbor("b") != nil || n.Stats().NeighborsDeclaredDead != 2 {
+		t.Fatalf("regular epoch after the stall kept b (dead count %d)", n.Stats().NeighborsDeclaredDead)
+	}
 }

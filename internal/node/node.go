@@ -8,15 +8,15 @@
 // and tests, or TCP for real networks.
 //
 // What runs where: a started node runs one event loop (run, loops.go), fed
-// by the transport's inbox pump, that handles every inbound message and
-// periodic duty and makes every PayloadHandler call. A flow that waits — for
-// a reply or a retry backoff — is an entry in the loop's call table
-// (calls.go) and continues on the loop when its reply or deadline arrives.
-// One rule guards the state: the loop holds n.mu for each whole event and
-// drops it only to wait and to call the handler; API calls run on the
-// caller's goroutine and take n.mu themselves; nothing else locks. The
-// blocking API calls (Bootstrap, Join, RecoverGroups) post their flow to the
-// loop and wait for its result with no lock held.
+// by the transport's inbox pump. Each event — an inbound message, a flow an
+// API call posted, a timer wake — is one step(now, event) under n.mu at one
+// stamped time, n.now, which every timed rule reads; tests call step with
+// synthetic times. Everything timed, the periodic duties included, is an
+// entry in the loop's call table (calls.go). The loop makes every
+// PayloadHandler call after the step, unlocked. API calls take n.mu and a
+// stamp (lock) on the caller's goroutine; nothing else locks. The blocking
+// API calls (Bootstrap, Join, RecoverGroups) post their flow to the loop and
+// wait for its result with no lock held.
 package node
 
 import (
@@ -237,8 +237,11 @@ type Node struct {
 
 	// mu guards the node's mutable state, self's coordinate included: the
 	// loop holds it for each whole event (run) and exported methods take it
-	// at the API boundary. No other code locks.
-	mu        sync.Mutex
+	// at the API boundary, both through lock. No other code locks.
+	mu sync.Mutex
+	// now is the current critical section's time, stamped by lock (or a
+	// test's step) and never moved backwards; it is the node's only clock.
+	now       time.Time
 	self      wire.PeerInfo
 	rng       *rand.Rand
 	vivaldi   *coords.VivaldiNode
@@ -267,25 +270,25 @@ type Node struct {
 	telemetry *telemetryState
 
 	// recovered is the state reloaded from StatePath (nil on a fresh start);
-	// epochBase resumes the heartbeat epoch counter above the persisted
-	// value; saving single-flights state writes; epochNow/lastSaveAt feed
-	// the final Close snapshot and /debug/recovery. See recovery.go.
+	// saving single-flights state writes; epochNow counts heartbeat epochs
+	// from the persisted value up, and it and lastSaveAt feed the state
+	// file, the final Close snapshot and /debug/recovery. See recovery.go.
 	recovered  *recovery.State
-	epochBase  int
 	saving     atomic.Bool
 	epochNow   atomic.Int64
 	lastSaveAt atomic.Int64
 
 	// Loop-owned (loops.go, calls.go): the call table, its ReqID counter,
 	// the timer and the deadline it is armed for, the per-group repair
-	// single-flight, and the payloads the current event released for the
-	// handler.
-	calls     map[uint64]*call
-	reqSeq    uint64
-	timer     *time.Timer
-	armed     time.Time
-	rejoining map[string]bool
-	released  []delivery
+	// single-flight, and what the current event left for endEvent — the
+	// payloads it released for the handler and a due history sample.
+	calls      map[uint64]*call
+	reqSeq     uint64
+	timer      *time.Timer
+	armed      time.Time
+	rejoining  map[string]bool
+	released   []delivery
+	historyDue uint64
 	// posts carries API flows onto the loop (see post).
 	posts chan func()
 
@@ -363,6 +366,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		seenAds:   reliable.NewDedup(reliable.DefaultSeenMax, reliable.DefaultSeenTTL),
 		tracer:    cfg.Tracer,
 		calls:     make(map[uint64]*call),
+		timer:     time.NewTimer(time.Hour), // armed by the call table
 		rejoining: make(map[string]bool),
 		posts:     make(chan func()),
 		stop:      make(chan struct{}),
@@ -380,14 +384,12 @@ func New(tr transport.Transport, cfg Config) *Node {
 			churnWindow = 2 * time.Second
 		}
 		n.dht = &dhtState{
-			id:          id,
-			table:       dht.NewTable(id, dht.DefaultK),
-			store:       dht.NewStore(dhtRecordTTL),
-			churn:       dht.NewChurnEstimator(churnWindow),
-			pinging:     make(map[string]bool),
-			storing:     make(map[string]bool),
-			republishAt: dhtRepublishEpochs,
-			refreshAt:   dhtRefreshEpochs,
+			id:      id,
+			table:   dht.NewTable(id, dht.DefaultK),
+			store:   dht.NewStore(dhtRecordTTL),
+			churn:   dht.NewChurnEstimator(churnWindow),
+			pinging: make(map[string]bool),
+			storing: make(map[string]bool),
 		}
 	}
 	n.initObservability()
@@ -418,7 +420,7 @@ func (n *Node) Coord() coords.Point { return coords.Point(n.Info().Coord) }
 // Info returns the node's identifier quadruplet, with a coordinate the
 // caller owns.
 func (n *Node) Info() wire.PeerInfo {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	info := n.self
 	info.Coord = coords.Point(info.Coord).Clone()
@@ -431,19 +433,20 @@ func (n *Node) Addr() string { return n.self.Addr }
 // SetPayloadHandler installs the application callback for delivered
 // payloads. Must be called before payloads arrive; safe to call anytime.
 func (n *Node) SetPayloadHandler(h PayloadHandler) {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	n.handler = h
 }
 
 // Start launches the node's event loop.
 func (n *Node) Start() {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	if n.started || n.closed {
 		return
 	}
 	n.started = true
+	n.begin()
 	n.done.Add(1)
 	go n.run()
 }
@@ -451,7 +454,7 @@ func (n *Node) Start() {
 // Close stops the node: it notifies neighbours, stops its goroutines, and
 // closes the transport.
 func (n *Node) Close() error {
-	n.mu.Lock()
+	n.lock()
 	if n.closed {
 		n.mu.Unlock()
 		return nil
@@ -466,7 +469,7 @@ func (n *Node) Close() error {
 	n.done.Wait()
 	// Final state snapshot after every loop stopped mutating, so a clean
 	// shutdown persists the freshest high-water marks for the next start.
-	n.saveState(int(n.epochNow.Load()))
+	n.saveState()
 	// Flush and close the tracer's file sink only after every loop stopped
 	// recording, so a clean shutdown leaves a complete, fsynced trace file.
 	// The close error is counted into SinkErrors (surfaced via Stats); the
@@ -477,7 +480,7 @@ func (n *Node) Close() error {
 
 // Neighbors returns the current neighbour set.
 func (n *Node) Neighbors() []wire.PeerInfo {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	out := make([]wire.PeerInfo, 0, len(n.neighbors))
 	for _, nb := range n.neighbors {
@@ -488,7 +491,7 @@ func (n *Node) Neighbors() []wire.PeerInfo {
 
 // NumNeighbors returns the neighbour count.
 func (n *Node) NumNeighbors() int {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	return len(n.neighbors)
 }
@@ -508,6 +511,18 @@ func (n *Node) quota() int {
 		q += quotaSlope * math.Log10(n.cfg.Capacity)
 	}
 	return int(q)
+}
+
+// groupIDs lists the node's groups in sorted order. A walk over the groups
+// that takes MsgIDs or draws from the seeded rng goes in this order, not map
+// order, so one seed gives one run.
+func (n *Node) groupIDs() []string {
+	gids := make([]string, 0, len(n.groups))
+	for gid := range n.groups {
+		gids = append(gids, gid)
+	}
+	sort.Strings(gids)
+	return gids
 }
 
 func (n *Node) nextMsgID() uint64 {
@@ -532,7 +547,7 @@ func (n *Node) nextMsgID() uint64 {
 // retried with exponential backoff, so dead contacts cost one shared wait
 // instead of a full timeout each.
 func (n *Node) Bootstrap(contacts []string, timeout time.Duration) error {
-	n.mu.Lock()
+	n.lock()
 	err := n.runnable()
 	n.mu.Unlock()
 	if err != nil || len(contacts) == 0 {
@@ -653,12 +668,13 @@ func (n *Node) addNeighbor(info wire.PeerInfo) {
 		n.neighbors[info.Addr].info = info
 		return
 	}
-	n.neighbors[info.Addr] = &neighborState{info: info, lastAck: time.Now()}
+	n.neighbors[info.Addr] = &neighborState{info: info, lastAck: n.now}
 }
 
 func (n *Node) removeNeighborAndOrphans(addr string) (orphaned []string) {
 	delete(n.neighbors, addr)
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		if gs.parent == addr {
 			gs.parent = ""
 			if gs.member && !gs.rendezvous {

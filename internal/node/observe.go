@@ -136,7 +136,7 @@ func (n *Node) initObservability() {
 	// reader; the loop samples the registry only after an event's unlock.
 	locked := func(read func() float64) func() float64 {
 		return func() float64 {
-			n.mu.Lock()
+			n.lock()
 			defer n.mu.Unlock()
 			return read()
 		}
@@ -177,11 +177,10 @@ func (n *Node) reliableOccupancy() (gaps, entries, cached int) {
 // oldestGapAge is the age of the longest-outstanding sequence gap across
 // every receive window (0 when recovery is idle).
 func (n *Node) oldestGapAge() time.Duration {
-	now := time.Now()
 	var oldest time.Duration
 	for _, gs := range n.groups {
 		for _, w := range gs.recv {
-			if age := w.OldestGapAge(now); age > oldest {
+			if age := w.OldestGapAge(n.now); age > oldest {
 				oldest = age
 			}
 		}
@@ -204,11 +203,11 @@ func (n *Node) TraceEvents(limit int) []trace.Event {
 	return n.tracer.Events(limit)
 }
 
-// traceRecv records the ingestion of one traced message type, folding in the
-// timing the handler measured. No-op without a tracer.
-func (n *Node) traceRecv(msg wire.Message, start time.Time, handleDur time.Duration) {
+// traceRecv records the ingestion of one traced message type at the event's
+// stamp, folding in the handling time. No-op without a tracer.
+func (n *Node) traceRecv(msg wire.Message, handleDur time.Duration) {
 	ev := trace.Event{
-		Time:     start,
+		Time:     n.now,
 		Node:     n.self.Addr,
 		Kind:     trace.KindRecv,
 		Msg:      msg.Type.String(),
@@ -230,12 +229,12 @@ func (n *Node) traceRecv(msg wire.Message, start time.Time, handleDur time.Durat
 		ev.N = len(msg.NackSeqs)
 	}
 	if !msg.RelayedAt.IsZero() {
-		if q := start.Sub(msg.RelayedAt); q > 0 {
+		if q := n.now.Sub(msg.RelayedAt); q > 0 {
 			ev.QueueUS = q.Microseconds()
 		}
 	}
 	if !msg.OriginAt.IsZero() {
-		if age := start.Sub(msg.OriginAt); age > 0 {
+		if age := n.now.Sub(msg.OriginAt); age > 0 {
 			ev.AgeUS = age.Microseconds()
 		}
 	}
@@ -284,7 +283,7 @@ type TreeDetail struct {
 // TreeDetails snapshots every group's tree attachment with per-link utility
 // and latency estimates, sorted by group ID.
 func (n *Node) TreeDetails() []TreeDetail {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	return n.treeDetails()
 }
@@ -393,8 +392,7 @@ type OverlayDetail struct {
 
 // OverlayView snapshots the neighbour table with per-peer liveness state.
 func (n *Node) OverlayView() OverlayDetail {
-	now := time.Now()
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	od := OverlayDetail{
 		Addr:     n.self.Addr,
@@ -409,7 +407,7 @@ func (n *Node) OverlayView() OverlayDetail {
 			Addr:      nb.info.Addr,
 			Capacity:  nb.info.Capacity,
 			LatencyMs: n.dist(n.self, nb.info),
-			LastAckMs: float64(now.Sub(nb.lastAck)) / float64(time.Millisecond),
+			LastAckMs: float64(n.now.Sub(nb.lastAck)) / float64(time.Millisecond),
 			Suspect:   nb.suspect,
 		})
 	}

@@ -42,15 +42,16 @@ const (
 	DefaultOverloadSampleInterval = 100 * time.Millisecond
 )
 
-// overloadState is the controller's state. The streaks belong to the node's
-// loop, the only caller of overloadTick; the rest is published through
-// atomics so Publish and every best-effort relay read it without a lock.
+// overloadState is the controller's state. The streaks and the current
+// episode's start belong to the node's loop, the only caller of
+// overloadTick; the rest is published through atomics so Publish and every
+// best-effort relay read it without a lock.
 type overloadState struct {
 	enterStreak int
 	exitStreak  int
+	enteredAt   time.Time
 	degraded    atomic.Bool
 	pressure    atomic.Uint64 // math.Float64bits of the last sample
-	enteredAt   atomic.Int64  // UnixNano when the current episode began
 }
 
 // lastPressure returns the last sampled pressure.
@@ -75,12 +76,14 @@ func (n *Node) Overloaded() bool { return n.overload.degraded.Load() }
 // OverloadSnapshot renders the controller for /debug and tests.
 func (n *Node) OverloadSnapshot() OverloadView {
 	o := &n.overload
+	n.lock()
+	defer n.mu.Unlock()
 	ov := OverloadView{
 		Degraded: o.degraded.Load(),
 		Pressure: o.lastPressure(),
 	}
 	if ov.Degraded {
-		ov.DegradedMs = float64(time.Since(time.Unix(0, o.enteredAt.Load()))) / float64(time.Millisecond)
+		ov.DegradedMs = float64(n.now.Sub(o.enteredAt)) / float64(time.Millisecond)
 	}
 	return ov
 }
@@ -131,7 +134,7 @@ func (n *Node) overloadTick(pressure float64) {
 			o.enterStreak = 0
 		}
 		if o.enterStreak >= overloadEnterSamples {
-			o.enteredAt.Store(time.Now().UnixNano())
+			o.enteredAt = n.now
 			o.degraded.Store(true)
 			o.enterStreak = 0
 			o.exitStreak = 0
@@ -145,7 +148,7 @@ func (n *Node) overloadTick(pressure float64) {
 		}
 		if o.exitStreak >= overloadExitSamples {
 			o.degraded.Store(false)
-			episodeDur = time.Since(time.Unix(0, o.enteredAt.Load()))
+			episodeDur = n.now.Sub(o.enteredAt)
 			o.exitStreak = 0
 		}
 	}

@@ -16,16 +16,10 @@ import (
 // directly, bypassing the sampler — tests that exercise the policy (admission
 // control, relay shedding) should not depend on pressure timing.
 func forceDegraded(n *Node, degraded bool) {
-	n.overload.enteredAt.Store(time.Now().UnixNano())
+	n.lock()
+	n.overload.enteredAt = n.now
+	n.mu.Unlock()
 	n.overload.degraded.Store(degraded)
-}
-
-// step runs msg as one loop event the way run does: dispatch under n.mu,
-// then the handler calls for what it released, after the unlock.
-func step(n *Node, msg wire.Message) {
-	n.mu.Lock()
-	n.handle(msg)
-	n.endEvent()
 }
 
 // quietOverloadConfig returns a config whose overload sampler effectively
@@ -148,10 +142,10 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	forceDegraded(relay, true)
 	src := wire.PeerInfo{Addr: "src"}
-	step(relay, wire.Message{
+	stepAt(relay, time.Now(), event{msg: &wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 1,
 		Mode: wire.BestEffort, Data: []byte("x"),
-	})
+	}})
 	if got := delivered.Load(); got != 1 {
 		t.Fatalf("local deliveries = %d, want 1 (shedding must not touch local delivery)", got)
 	}
@@ -164,10 +158,10 @@ func TestOverloadRelayShed(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	step(relay, wire.Message{
+	stepAt(relay, time.Now(), event{msg: &wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "rel", Seq: 1,
 		Mode: wire.Reliable, Data: []byte("x"),
-	})
+	}})
 	select {
 	case msg := <-child.Recv():
 		if msg.Type != wire.TPayload || msg.Mode != wire.Reliable {
@@ -182,10 +176,10 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	// Recovery restores best-effort fan-out.
 	forceDegraded(relay, false)
-	step(relay, wire.Message{
+	stepAt(relay, time.Now(), event{msg: &wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 2,
 		Mode: wire.BestEffort, Data: []byte("y"),
-	})
+	}})
 	select {
 	case <-child.Recv():
 	case <-time.After(testTimeout):

@@ -51,9 +51,10 @@ func (n *Node) loadState() {
 const msgSeqRestartSlack = 1 << 16
 
 func (n *Node) restoreState(st *recovery.State) {
-	now := time.Now()
 	n.recovered = st
-	n.epochBase = int(st.Epoch)
+	// The epoch count resumes above the persisted one, so the next save and
+	// the final Close snapshot never persist a smaller epoch.
+	n.epochNow.Store(int64(st.Epoch))
 	n.msgSeq = st.MsgSeq + msgSeqRestartSlack
 	if n.dht != nil {
 		for _, c := range st.Contacts {
@@ -62,11 +63,6 @@ func (n *Node) restoreState(st *recovery.State) {
 			}
 			n.dht.table.Observe(dht.Contact{ID: dht.NodeID(c.Addr), Info: c})
 		}
-		// The maintenance schedule rides the epoch counter; re-anchor it so
-		// the first republish lands one cadence after the restart, not
-		// epochBase epochs in the past.
-		n.dht.republishAt = n.epochBase + dhtRepublishEpochs
-		n.dht.refreshAt = n.epochBase + dhtRefreshEpochs
 	}
 	if ts := n.telemetry; ts != nil {
 		// Health digests resume above the persisted epoch, so every fleet
@@ -85,11 +81,6 @@ func (n *Node) restoreState(st *recovery.State) {
 		gs.rdvInfo = g.RdvInfo
 		gs.deputies = append([]wire.PeerInfo(nil), g.Deputies...)
 		gs.charter = g.Charter
-		// Succession and beacon-grace clocks restart at the reload: a held
-		// charter must re-observe genuine beacon silence before promoting,
-		// and an orphaned membership gets the full grace to re-attach.
-		gs.lastBeacon = now
-		gs.lastRoot = now
 		if g.Rendezvous {
 			gs.rdvInfo = n.self
 			gs.rootPath = []string{}
@@ -115,7 +106,6 @@ func (n *Node) restoreState(st *recovery.State) {
 				ordered, reliableMode)
 			w.Seed(s.High)
 			w.Info = wire.PeerInfo{Addr: s.Source}
-			w.LastActive = now
 			gs.recv[s.Source] = w
 		}
 		n.groups[g.GroupID] = gs
@@ -154,25 +144,19 @@ func (n *Node) RecoverGroups(timeout time.Duration) error {
 	return firstErr
 }
 
-// captureState snapshots the node into a durable recovery state. epochs is
-// the heartbeat loop's current counter (persisted so the restart resumes
-// above it).
-func (n *Node) captureState(epochs int) *recovery.State {
-	n.mu.Lock()
+// captureState snapshots the node into a durable recovery state, with the
+// heartbeat epoch count so a restart resumes above it.
+func (n *Node) captureState() *recovery.State {
+	n.lock()
 	st := &recovery.State{
 		Addr:     n.self.Addr,
 		Coord:    append([]float64(nil), n.self.Coord...),
 		Capacity: n.self.Capacity,
-		Epoch:    uint64(epochs),
+		Epoch:    uint64(n.epochNow.Load()),
 		MsgSeq:   n.msgSeq,
-		SavedAt:  time.Now(),
+		SavedAt:  n.now,
 	}
-	gids := make([]string, 0, len(n.groups))
-	for gid := range n.groups {
-		gids = append(gids, gid)
-	}
-	sort.Strings(gids)
-	for _, gid := range gids {
+	for _, gid := range n.groupIDs() {
 		gs := n.groups[gid]
 		g := recovery.GroupState{
 			GroupID:    gid,
@@ -211,7 +195,7 @@ func (n *Node) captureState(epochs int) *recovery.State {
 // must not stack writers behind the heartbeat loop). Failed saves are
 // dropped — the previous file stays intact thanks to the atomic rename, and
 // the next epoch retries.
-func (n *Node) saveState(epochs int) {
+func (n *Node) saveState() {
 	if n.cfg.StatePath == "" {
 		return
 	}
@@ -219,7 +203,7 @@ func (n *Node) saveState(epochs int) {
 		return
 	}
 	defer n.saving.Store(false)
-	st := n.captureState(epochs)
+	st := n.captureState()
 	if err := recovery.Save(n.cfg.StatePath, st); err == nil {
 		atomic.AddUint64(&n.stats.StateSaves, 1)
 		n.lastSaveAt.Store(st.SavedAt.UnixNano())

@@ -103,7 +103,6 @@ func (n *Node) handleNack(msg wire.Message) {
 			continue
 		}
 		atomic.AddUint64(&n.stats.Retransmits, 1)
-		sendAt := time.Now()
 		err := n.send(msg.Origin.Addr, wire.Message{
 			Type:    wire.TPayload,
 			From:    srcInfo,
@@ -119,11 +118,11 @@ func (n *Node) handleNack(msg wire.Message) {
 			// the receiver still measures true publish→deliver latency.
 			TraceID:   item.TraceID,
 			OriginAt:  item.OriginAt,
-			RelayedAt: sendAt,
+			RelayedAt: n.now,
 		})
 		if err == nil && n.tracer != nil {
 			n.tracer.Record(trace.Event{
-				Time: sendAt, Node: n.self.Addr, Kind: trace.KindRetransmit,
+				Time: n.now, Node: n.self.Addr, Kind: trace.KindRetransmit,
 				Msg: wire.TPayload.String(), Group: msg.GroupID,
 				TraceID: item.TraceID, Seq: seq,
 				Source: srcInfo.Addr, Peer: msg.Origin.Addr,
@@ -165,7 +164,6 @@ func (n *Node) handleNack(msg wire.Message) {
 		upstream = msg.NackSource
 	}
 	atomic.AddUint64(&n.stats.NacksForwarded, 1)
-	sendAt := time.Now()
 	err := n.send(upstream, wire.Message{
 		Type:       wire.TNack,
 		From:       n.self,
@@ -177,11 +175,11 @@ func (n *Node) handleNack(msg wire.Message) {
 		TraceID:    msg.TraceID,
 		Hops:       msg.Hops + 1,
 		OriginAt:   msg.OriginAt,
-		RelayedAt:  sendAt,
+		RelayedAt:  n.now,
 	})
 	if err == nil && n.tracer != nil {
 		n.tracer.Record(trace.Event{
-			Time: sendAt, Node: n.self.Addr, Kind: trace.KindNackFwd,
+			Time: n.now, Node: n.self.Addr, Kind: trace.KindNackFwd,
 			Msg: wire.TNack.String(), Group: msg.GroupID,
 			TraceID: msg.TraceID, Source: msg.NackSource, Peer: upstream,
 			Hop: msg.Hops + 1, N: len(misses),
@@ -194,7 +192,6 @@ func (n *Node) handleNack(msg wire.Message) {
 // sweep. This is the anti-entropy path — it is what recovers a stream's
 // trailing losses and bootstraps rejoined members onto in-flight streams.
 func (n *Node) handleDigest(msg wire.Message) {
-	now := time.Now()
 	gs := n.groups[msg.GroupID]
 	if gs == nil || gs.mode == wire.BestEffort {
 		return
@@ -210,7 +207,7 @@ func (n *Node) handleDigest(msg wire.Message) {
 			w.LastHop = msg.From.Addr
 		}
 		var res reliable.ObserveResult
-		w.NoteAdvertised(e.High, now, &res)
+		w.NoteAdvertised(e.High, n.now, &res)
 		n.noteWindow(&res)
 		n.release(msg.GroupID, gs, w.Info, 0, res.Deliver)
 	}
@@ -230,14 +227,13 @@ func (n *Node) nackSweep() {
 		MaxAttempts: reliable.DefaultNackMaxAttempts,
 		MaxBatch:    reliable.DefaultNackBatch,
 	}
-	now := time.Now()
 	for gid, gs := range n.groups {
 		if gs.mode == wire.BestEffort {
 			continue
 		}
 		for srcAddr, w := range gs.recv {
 			var res reliable.ObserveResult
-			due := w.DueGaps(now, pol, &res)
+			due := w.DueGaps(n.now, pol, &res)
 			n.noteWindow(&res)
 			n.release(gid, gs, w.Info, 0, res.Deliver)
 			if len(due) == 0 {
@@ -258,7 +254,6 @@ func (n *Node) nackSweep() {
 				traceID = n.nextMsgID()
 			}
 			atomic.AddUint64(&n.stats.NacksSent, 1)
-			sendAt := time.Now()
 			err := n.send(target, wire.Message{
 				Type:       wire.TNack,
 				From:       n.self,
@@ -268,12 +263,12 @@ func (n *Node) nackSweep() {
 				Origin:     n.self,
 				TTL:        reliable.DefaultNackTTL,
 				TraceID:    traceID,
-				OriginAt:   now,
-				RelayedAt:  sendAt,
+				OriginAt:   n.now,
+				RelayedAt:  n.now,
 			})
 			if err == nil && n.tracer != nil {
 				n.tracer.Record(trace.Event{
-					Time: sendAt, Node: n.self.Addr, Kind: trace.KindNack,
+					Time: n.now, Node: n.self.Addr, Kind: trace.KindNack,
 					Msg: wire.TNack.String(), Group: gid,
 					TraceID: traceID, Source: srcAddr,
 					Peer: target, N: len(due),
@@ -287,13 +282,12 @@ func (n *Node) nackSweep() {
 // tree link of every reliable-mode group, and evicts receive windows that
 // have been idle past the seen TTL.
 func (n *Node) digestGroups() {
-	now := time.Now()
 	for gid, gs := range n.groups {
 		if gs.mode == wire.BestEffort {
 			continue
 		}
 		for srcAddr, w := range gs.recv {
-			if now.Sub(w.LastActive) > reliable.DefaultSeenTTL {
+			if n.now.Sub(w.LastActive) > reliable.DefaultSeenTTL {
 				delete(gs.recv, srcAddr)
 			}
 		}
@@ -350,7 +344,7 @@ type ReliabilityView struct {
 
 // Reliability snapshots the reliable data-plane state for a group.
 func (n *Node) Reliability(groupID string) ReliabilityView {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	rv := ReliabilityView{SeenAds: n.seenAds.Len()}
 	gs := n.groups[groupID]

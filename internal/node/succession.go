@@ -88,8 +88,8 @@ func (n *Node) successionSweep() {
 	if n.cfg.Deputies <= 0 || n.cfg.HeartbeatInterval <= 0 {
 		return
 	}
-	now := time.Now()
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		if gs.rendezvous || gs.charter.Epoch == 0 || gs.lastRoot.IsZero() {
 			continue
 		}
@@ -98,7 +98,7 @@ func (n *Node) successionSweep() {
 		if delay < 0 {
 			continue
 		}
-		if silent := now.Sub(gs.lastRoot); silent > time.Duration(delay)*n.cfg.HeartbeatInterval {
+		if silent := n.now.Sub(gs.lastRoot); silent > time.Duration(delay)*n.cfg.HeartbeatInterval {
 			n.promoteSelf(gid, silent)
 		}
 	}
@@ -110,7 +110,6 @@ func (n *Node) successionSweep() {
 // silentFor is the observed root outage (zero on a graceful handoff); it
 // feeds the succession time-to-recover histogram.
 func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
-	now := time.Now()
 	gs := n.groups[gid]
 	if gs == nil || gs.rendezvous || gs.charter.Epoch == 0 {
 		return
@@ -121,7 +120,7 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 	// back with a fresher lineage). Stand down and re-arm the clock.
 	if ad, ok := n.adSeen[gid]; ok && ad.rendezvous.Addr != "" && ad.rendezvous.Addr != n.self.Addr &&
 		protocol.CompareRoots(ad.epoch, ad.rendezvous.Addr, newEpoch, n.self.Addr) > 0 {
-		gs.lastRoot = now
+		gs.lastRoot = n.now
 		gs.rdvInfo = ad.rendezvous
 		return
 	}
@@ -147,7 +146,7 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 		}
 		w := n.windowFor(gs, wire.PeerInfo{Addr: e.Source})
 		var res reliable.ObserveResult
-		w.NoteAdvertised(e.High, now, &res)
+		w.NoteAdvertised(e.High, n.now, &res)
 		n.noteWindow(&res)
 		n.release(gid, gs, w.Info, 0, res.Deliver)
 	}

@@ -69,7 +69,7 @@ func (n *Node) initTelemetry() {
 				rule += "-resolved"
 			}
 			n.tracer.Record(trace.Event{
-				Time:      time.Now(),
+				Time:      n.now,
 				Node:      n.self.Addr,
 				Kind:      trace.KindAlert,
 				Msg:       rule,
@@ -85,7 +85,6 @@ func (n *Node) initTelemetry() {
 	// every fleet view until eviction. 3× the staleness window is long past
 	// any delayed relay of its old digests.
 	ts.fleet.SetForgiveAfter(3 * n.telemetryStaleAfter())
-	ts.fleet.Observe(wire.HealthDigest{Addr: n.self.Addr}, time.Now(), 0)
 }
 
 // telemetryStaleAfter is the staleness window applied to fleet snapshots
@@ -96,9 +95,9 @@ func (n *Node) telemetryStaleAfter() time.Duration {
 
 // telemetryEpoch runs once per heartbeat epoch on the loop: sample self into
 // a fresh digest, then sweep the fleet view for staleness. It returns the new
-// epoch, whose history sample the loop takes after the event (0 when
+// epoch, whose history sample endEvent takes after the unlock (0 when
 // telemetry is off).
-func (n *Node) telemetryEpoch(now time.Time) uint64 {
+func (n *Node) telemetryEpoch() uint64 {
 	ts := n.telemetry
 	if ts == nil {
 		return 0
@@ -106,8 +105,8 @@ func (n *Node) telemetryEpoch(now time.Time) uint64 {
 	ts.epoch++
 	ts.self = n.buildDigest()
 	ts.self.Epoch = ts.epoch
-	ts.fleet.Observe(ts.self, now, ts.epoch)
-	ts.slo.Observe(ts.self, now)
+	ts.fleet.Observe(ts.self, n.now, ts.epoch)
+	ts.slo.Observe(ts.self, n.now)
 
 	// Staleness sweep: a node whose digest stopped advancing past the window
 	// — counted in this node's own epochs, not wall time — is the fleet's
@@ -116,7 +115,7 @@ func (n *Node) telemetryEpoch(now time.Time) uint64 {
 		if nh.Self {
 			continue
 		}
-		ts.slo.MarkStale(nh.Addr, nh.Stale, now.Sub(nh.LastSeen), now, ts.epoch)
+		ts.slo.MarkStale(nh.Addr, nh.Stale, n.now.Sub(nh.LastSeen), n.now, ts.epoch)
 	}
 	return ts.epoch
 }
@@ -173,14 +172,13 @@ func (n *Node) observeHealth(msg wire.Message) {
 	if ts == nil || len(msg.Health) == 0 {
 		return
 	}
-	now := time.Now()
 	for _, d := range msg.Health {
 		if d.Addr == n.self.Addr {
 			continue // our own digest gossiped back
 		}
 		atomic.AddUint64(&n.stats.TelemetryDigestsReceived, 1)
-		if ts.fleet.Observe(d, now, ts.epoch) {
-			ts.slo.Observe(d, now)
+		if ts.fleet.Observe(d, n.now, ts.epoch) {
+			ts.slo.Observe(d, n.now)
 		}
 	}
 }
@@ -199,7 +197,7 @@ func (n *Node) FleetView() []telemetry.NodeHealth {
 	if ts == nil {
 		return nil
 	}
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	return ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
 }
@@ -246,7 +244,7 @@ func (n *Node) ClusterView() ClusterView {
 	if ts == nil {
 		return cv
 	}
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	cv.Epoch = ts.epoch
 	cv.IntervalMs = float64(n.cfg.HeartbeatInterval) / float64(time.Millisecond)
