@@ -2,7 +2,6 @@ package dht
 
 import (
 	"math"
-	"sync"
 	"time"
 )
 
@@ -15,9 +14,8 @@ const churnSlots = 16
 // failure-detector removals, stale-record sweeps — as events per second over
 // a sliding window. It is a fixed-size ring of per-slot counters, so memory
 // is bounded regardless of event rate, and a burst decays smoothly as its
-// slots age out of the window.
+// slots age out of the window. Like Table, it belongs to one goroutine.
 type ChurnEstimator struct {
-	mu     sync.Mutex
 	slot   time.Duration
 	slots  [churnSlots]int64 // slot index currently occupying each ring entry
 	counts [churnSlots]int   // events recorded in that slot
@@ -39,13 +37,11 @@ func (e *ChurnEstimator) Note(events int, now time.Time) {
 	}
 	slot := now.UnixNano() / int64(e.slot)
 	idx := int(slot % churnSlots)
-	e.mu.Lock()
 	if e.slots[idx] != slot {
 		e.slots[idx] = slot
 		e.counts[idx] = 0
 	}
 	e.counts[idx] += events
-	e.mu.Unlock()
 }
 
 // Rate returns the observed churn rate in events per second over the
@@ -53,13 +49,11 @@ func (e *ChurnEstimator) Note(events int, now time.Time) {
 func (e *ChurnEstimator) Rate(now time.Time) float64 {
 	slot := now.UnixNano() / int64(e.slot)
 	total := 0
-	e.mu.Lock()
 	for i := range e.slots {
 		if e.slots[i] > slot-churnSlots {
 			total += e.counts[i]
 		}
 	}
-	e.mu.Unlock()
 	return float64(total) / (float64(churnSlots) * e.slot.Seconds())
 }
 

@@ -1,7 +1,7 @@
 package dht
 
 import (
-	"sync"
+	"sort"
 	"time"
 
 	"groupcast/internal/wire"
@@ -24,9 +24,9 @@ type Record struct {
 
 // Store holds the records this node is (one of) the k closest to, expiring
 // them after a TTL so orphaned records die without a tombstone protocol —
-// live owners republish well inside the TTL.
+// live owners republish well inside the TTL. Like Table, it belongs to one
+// goroutine.
 type Store struct {
-	mu  sync.Mutex
 	ttl time.Duration
 	m   map[ID]Record
 }
@@ -49,8 +49,6 @@ func NewStore(ttl time.Duration) *Store {
 // it). Returns whether r was retained.
 func (s *Store) Put(key ID, r Record, now time.Time) bool {
 	r.StoredAt = now
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if old, ok := s.m[key]; ok {
 		switch {
 		case r.Epoch > old.Epoch:
@@ -68,10 +66,8 @@ func (s *Store) Put(key ID, r Record, now time.Time) bool {
 
 // Get returns the live record under key, if any.
 func (s *Store) Get(key ID, now time.Time) (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.m[key]
-	if !ok || s.expiredLocked(r, now) {
+	if !ok || s.expired(r, now) {
 		return Record{}, false
 	}
 	return r, true
@@ -82,18 +78,14 @@ func (s *Store) Get(key ID, now time.Time) (Record, bool) {
 // the next resolve goes back to the network instead of replaying the corpse
 // until the TTL clears it.
 func (s *Store) Delete(key ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.m, key)
 }
 
 // Sweep drops expired records and returns how many died.
 func (s *Store) Sweep(now time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for k, r := range s.m {
-		if s.expiredLocked(r, now) {
+		if s.expired(r, now) {
 			delete(s.m, k)
 			n++
 		}
@@ -103,25 +95,23 @@ func (s *Store) Sweep(now time.Time) int {
 
 // Len is the number of held records (including any not yet swept).
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.m)
 }
 
-// Snapshot returns the held records (introspection; unsorted).
+// Snapshot returns the held records sorted by group ID, so a walk over them
+// (a node's rescue takes a MsgID per record) has one order.
 func (s *Store) Snapshot() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Record, 0, len(s.m))
 	for _, r := range s.m {
 		out = append(out, r)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].GroupID < out[j].GroupID })
 	return out
 }
 
 // TTL returns the store's record lifetime (0 = no expiry).
 func (s *Store) TTL() time.Duration { return s.ttl }
 
-func (s *Store) expiredLocked(r Record, now time.Time) bool {
+func (s *Store) expired(r Record, now time.Time) bool {
 	return s.ttl > 0 && now.Sub(r.StoredAt) > s.ttl
 }

@@ -2,7 +2,6 @@ package dht
 
 import (
 	"sort"
-	"sync"
 
 	"groupcast/internal/wire"
 )
@@ -17,9 +16,9 @@ type Contact struct {
 // each holding up to k contacts ordered least-recently-seen first. Kademlia's
 // insight is that old contacts are the most likely to stay alive, so a full
 // bucket never evicts blindly — Observe hands the caller the stalest contact
-// to liveness-check first (ping-before-evict).
+// to liveness-check first (ping-before-evict). It is not safe for
+// concurrent use: a live node's loop owns its table.
 type Table struct {
-	mu      sync.Mutex
 	self    ID
 	k       int
 	buckets [IDBits][]Contact
@@ -52,8 +51,6 @@ func (t *Table) Observe(c Contact) (candidate Contact, full bool) {
 	if idx < 0 || c.Info.Addr == "" {
 		return Contact{}, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	b := t.buckets[idx]
 	for i := range b {
 		if b[i].Info.Addr == c.Info.Addr {
@@ -75,9 +72,7 @@ func (t *Table) Observe(c Contact) (candidate Contact, full bool) {
 // replacement in its bucket (if the replacement still fits and is not
 // already present).
 func (t *Table) Evict(old, repl Contact) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.removeLocked(old.ID, old.Info.Addr)
+	t.remove(old.ID, old.Info.Addr)
 	idx := BucketIndex(t.self, repl.ID)
 	if idx < 0 || repl.Info.Addr == "" {
 		return
@@ -96,12 +91,10 @@ func (t *Table) Evict(old, repl Contact) {
 
 // Remove drops a contact known to be dead (failed neighbour, closed link).
 func (t *Table) Remove(id ID, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.removeLocked(id, addr)
+	t.remove(id, addr)
 }
 
-func (t *Table) removeLocked(id ID, addr string) {
+func (t *Table) remove(id ID, addr string) {
 	idx := BucketIndex(t.self, id)
 	if idx < 0 {
 		return
@@ -119,12 +112,10 @@ func (t *Table) removeLocked(id ID, addr string) {
 // Closest returns up to n contacts XOR-nearest to target, nearest first.
 // Ties cannot occur: distinct IDs sit at distinct distances from any target.
 func (t *Table) Closest(target ID, n int) []Contact {
-	t.mu.Lock()
 	all := make([]Contact, 0, t.size)
 	for i := range t.buckets {
 		all = append(all, t.buckets[i]...)
 	}
-	t.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {
 		return Closer(target, all[i].ID, all[j].ID)
 	})
@@ -138,7 +129,6 @@ func (t *Table) Closest(target ID, n int) []Contact {
 // address within each bucket — a deterministic snapshot for the recovery
 // state file (a restarting node seeds its bootstrap from it).
 func (t *Table) Contacts() []Contact {
-	t.mu.Lock()
 	all := make([]Contact, 0, t.size)
 	for i := range t.buckets {
 		start := len(all)
@@ -146,21 +136,16 @@ func (t *Table) Contacts() []Contact {
 		b := all[start:]
 		sort.Slice(b, func(x, y int) bool { return b[x].Info.Addr < b[y].Info.Addr })
 	}
-	t.mu.Unlock()
 	return all
 }
 
 // Len is the number of tabled contacts.
 func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.size
 }
 
 // MaxBucketDepth is the occupancy of the fullest bucket (≤ k).
 func (t *Table) MaxBucketDepth() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	max := 0
 	for i := range t.buckets {
 		if len(t.buckets[i]) > max {
@@ -173,8 +158,6 @@ func (t *Table) MaxBucketDepth() int {
 // BucketSizes reports the occupancy of every non-empty bucket, nearest-half
 // buckets last (index order). The map key is the bucket index.
 func (t *Table) BucketSizes() map[int]int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make(map[int]int)
 	for i := range t.buckets {
 		if n := len(t.buckets[i]); n > 0 {

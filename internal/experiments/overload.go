@@ -10,6 +10,7 @@ import (
 	"groupcast/internal/coords"
 	"groupcast/internal/node"
 	"groupcast/internal/peer"
+	"groupcast/internal/trace"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -124,6 +125,9 @@ func runOverloadCell(c overloadCell) (overloadRow, error) {
 			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
 		cfg.HeartbeatInterval = 40 * time.Millisecond
 		cfg.OverloadSampleInterval = 20 * time.Millisecond
+		if i > 0 {
+			cfg.Tracer = trace.New(64, slowSink{}) // the members are the slow consumers
+		}
 		nd := node.New(mem.NextEndpoint(), cfg)
 		nd.Start()
 		var contacts []string
@@ -154,12 +158,7 @@ func runOverloadCell(c overloadCell) (overloadRow, error) {
 		if !joined {
 			return row, fmt.Errorf("overload %s/%dx: member never joined", row.Policy, c.load)
 		}
-		// The slow consumer: every delivery stalls the member's receive loop,
-		// so the storm overruns the inbox and the policy decides what sheds.
-		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			delivered.Add(1)
-			time.Sleep(3 * time.Millisecond)
-		})
+		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered.Add(1) })
 	}
 	// Settle: joins acked, first beacons out, so the storm is the only
 	// stressor.
@@ -225,6 +224,19 @@ func runOverloadCell(c overloadCell) (overloadRow, error) {
 	row.CtrlDelivery = classDelivery(sumInboxAccepted(nodes, wire.ClassControl), row.CtrlSheds)
 	row.BEDelivery = classDelivery(sumInboxAccepted(nodes, wire.ClassBestEffort), row.BESheds)
 	return row, nil
+}
+
+// slowSink is the storm's slow consumer: a trace sink that stalls a
+// member's loop for every payload it takes in, as a synchronous log on a
+// saturated disk would. The storm then overruns the inbox and the policy
+// decides what sheds. (A slow PayloadHandler no longer does: it runs off
+// the loop.)
+type slowSink struct{}
+
+func (slowSink) Record(ev trace.Event) {
+	if ev.Kind == trace.KindRecv && ev.Msg == wire.TPayload.String() {
+		time.Sleep(3 * time.Millisecond)
+	}
 }
 
 // sumInboxAccepted totals one class's accepted count across the cluster's

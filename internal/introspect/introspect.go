@@ -40,7 +40,7 @@ func Handler(n *node.Node) http.Handler {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{
 			"addr":     n.Addr(),
-			"metrics":  n.Metrics().Snapshot(),
+			"metrics":  n.MetricsSnapshot(),
 			"stats":    n.Stats(),
 			"overload": n.OverloadSnapshot(),
 		})
@@ -49,7 +49,7 @@ func Handler(n *node.Node) http.Handler {
 		// Prometheus text only (?format=prom is accepted and ignored); the
 		// JSON view of the same snapshot is /debug/vars.
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WriteProm(w, n.Metrics().Snapshot(), map[string]string{"node": n.Addr()})
+		telemetry.WriteProm(w, n.MetricsSnapshot(), map[string]string{"node": n.Addr()})
 	})
 	mux.HandleFunc("/debug/cluster", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, n.ClusterView())

@@ -137,7 +137,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if len(statNames) < 40 {
 		t.Fatalf("walker found %d Stats counters, want every scalar (>= 40)", len(statNames))
 	}
-	peerCounters := peer.Metrics().Snapshot().Counters
+	peerCounters := peer.MetricsSnapshot().Counters
 	if got, want := peerCounters["delivered"], int64(peer.Stats().Delivered); got != want || want < 1 {
 		t.Errorf("registry delivered = %d, Stats().Delivered = %d", got, want)
 	}
@@ -146,7 +146,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	histCounters, _ := s0["counters"].(map[string]any)
 	for _, f := range statNames {
 		if _, ok := peerCounters[f.Name]; !ok {
-			t.Errorf("Metrics().Snapshot().Counters lacks %q", f.Name)
+			t.Errorf("MetricsSnapshot().Counters lacks %q", f.Name)
 		}
 		if _, ok := varsCounters[f.Name]; !ok {
 			t.Errorf("/debug/vars counters lack %q", f.Name)

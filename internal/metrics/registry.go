@@ -3,12 +3,10 @@ package metrics
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
-// This file is the live half of the metrics package: a concurrency-safe
-// registry of named counters, gauges, and fixed-bucket histograms that the
+// This file is the live half of the metrics package: a registry of named counters, gauges, and fixed-bucket histograms that the
 // runtime (internal/node, internal/transport, internal/reliable) registers
 // its instruments into and the introspection endpoint snapshots as JSON.
 // The offline statistical helpers (Summarize, Percentile, Histogram on raw
@@ -18,13 +16,15 @@ import (
 // same multiset of values report byte-identical quantiles regardless of
 // arrival order or worker count.
 
-// Registry is a named-instrument set. All methods are safe for concurrent
-// use. Counters and gauges are callbacks over state their owner already
-// keeps (the node's counters live in node.Stats, not here); histograms are
-// get-or-create so independent subsystems can share names without
-// coordination.
+// Registry is a named-instrument set. Counters and gauges are callbacks over
+// state their owner already keeps (the node's counters live in node.Stats,
+// not here); histograms are get-or-create so independent subsystems can
+// share names. Register every instrument before the registry is shared:
+// after that its maps are only read, so histograms may be observed from any
+// goroutine, and a snapshot runs the callbacks on the goroutine that takes
+// it (a node takes its snapshots on its loop, which owns what its gauges
+// read).
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]func() uint64
 	gauges   map[string]func() float64
 	hists    map[string]*FixedHistogram
@@ -42,25 +42,18 @@ func NewRegistry() *Registry {
 // Counter registers a callback reading a monotonically increasing count,
 // sampled at snapshot time under the same rules as Gauge.
 func (r *Registry) Counter(name string, fn func() uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.counters[name] = fn
 }
 
 // Gauge registers a callback sampled at snapshot time. Re-registering a
-// name replaces the callback. The callback must be safe to call from any
-// goroutine and must not call back into the registry.
+// name replaces the callback.
 func (r *Registry) Gauge(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.gauges[name] = fn
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it with the
 // given bucket upper bounds on first use (later calls ignore the bounds).
 func (r *Registry) Histogram(name string, bounds []float64) *FixedHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
 		h = NewFixedHistogram(bounds)
@@ -73,37 +66,22 @@ func (r *Registry) Histogram(name string, bounds []float64) *FixedHistogram {
 // inside the call; non-finite gauge values are clamped to 0 so the snapshot
 // always marshals to valid JSON.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	r.mu.Lock()
-	counters := make(map[string]func() uint64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]func() float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*FixedHistogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
 	snap := RegistrySnapshot{
-		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(hists)),
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]float64, len(r.gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
-	for k, fn := range counters {
+	for k, fn := range r.counters {
 		snap.Counters[k] = int64(fn())
 	}
-	for k, fn := range gauges {
+	for k, fn := range r.gauges {
 		v := fn()
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			v = 0
 		}
 		snap.Gauges[k] = v
 	}
-	for k, h := range hists {
+	for k, h := range r.hists {
 		snap.Histograms[k] = h.Snapshot()
 	}
 	return snap

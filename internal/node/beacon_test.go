@@ -45,18 +45,14 @@ func TestBeaconRefreshesRootPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within a few epochs the beacon must reach c with a correct root path.
-	waitFor(t, 3*time.Second, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		gs := c.groups["g"]
-		if gs == nil || gs.parent == "" {
-			return false
-		}
-		if time.Since(gs.lastBeacon) > time.Second {
-			return false
-		}
-		// Root path starts at the rendezvous.
-		return len(gs.rootPath) >= 1 && gs.rootPath[0] == a.Addr()
+	waitFor(t, 3*time.Second, func() (ok bool) {
+		c.post(func() {
+			gs := c.groups["g"]
+			// Root path starts at the rendezvous.
+			ok = gs != nil && gs.parent != "" && time.Since(gs.lastBeacon) <= time.Second &&
+				len(gs.rootPath) >= 1 && gs.rootPath[0] == a.Addr()
+		})
+		return ok
 	}, static("beacon never refreshed c's root path"))
 }
 
@@ -94,17 +90,17 @@ func TestBeaconCycleDetection(t *testing.T) {
 
 	// Force a severed x ↔ y cycle by hand.
 	forceState := func(nd *Node, parent string, child wire.PeerInfo) {
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
-		gs := nd.groups["g"]
-		if gs == nil {
-			gs = newGroupState(wire.BestEffort)
-			nd.groups["g"] = gs
-		}
-		gs.member = true
-		gs.parent = parent
-		gs.children[child.Addr] = child
-		gs.lastBeacon = time.Now().Add(-time.Hour) // already stale
+		nd.post(func() {
+			gs := nd.groups["g"]
+			if gs == nil {
+				gs = newGroupState(wire.BestEffort)
+				nd.groups["g"] = gs
+			}
+			gs.member = true
+			gs.parent = parent
+			gs.children[child.Addr] = child
+			gs.lastBeacon = time.Now().Add(-time.Hour) // already stale
+		})
 	}
 	forceState(x, y.Addr(), y.Info())
 	forceState(y, x.Addr(), x.Info())
@@ -114,13 +110,14 @@ func TestBeaconCycleDetection(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		ok := true
 		for _, nd := range []*Node{x, y} {
-			nd.mu.Lock()
-			gs := nd.groups["g"]
-			fresh := gs != nil && gs.parent != "" && time.Since(gs.lastBeacon) < time.Second
-			cycle := gs != nil && (gs.parent == x.Addr() || gs.parent == y.Addr()) &&
-				gs.parent != "" && nd.Addr() != gs.parent &&
-				((nd == x && gs.parent == y.Addr()) || (nd == y && gs.parent == x.Addr()))
-			nd.mu.Unlock()
+			var fresh, cycle bool
+			nd.post(func() {
+				gs := nd.groups["g"]
+				fresh = gs != nil && gs.parent != "" && time.Since(gs.lastBeacon) < time.Second
+				cycle = gs != nil && (gs.parent == x.Addr() || gs.parent == y.Addr()) &&
+					gs.parent != "" && nd.Addr() != gs.parent &&
+					((nd == x && gs.parent == y.Addr()) || (nd == y && gs.parent == x.Addr()))
+			})
 			if !fresh || cycle {
 				ok = false
 			}

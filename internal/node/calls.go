@@ -11,7 +11,8 @@ import (
 // one thing that sets its timer: a flow that needs a reply or a pause
 // registers a call and continues in the callback the loop runs when the reply
 // or the deadline arrives, and the periodic duties re-arm themselves. The
-// table belongs to the loop, so nothing here locks but the API reader.
+// table belongs to the loop. post and await, at the end, are how API calls
+// reach the loop.
 
 // call is one entry of the table. onReply (nil for an after entry) handles
 // one reply and reports whether the call is finished; an unfinished call
@@ -110,9 +111,12 @@ func (n *Node) fireDue() {
 
 // PendingRequests reports how many replies and backoffs the table holds —
 // every call but the duties (leak tests and the pending_requests gauge).
-func (n *Node) PendingRequests() int {
-	n.lock()
-	defer n.mu.Unlock()
+func (n *Node) PendingRequests() (pending int) {
+	n.post(func() { pending = n.pendingRequests() })
+	return pending
+}
+
+func (n *Node) pendingRequests() int {
 	pending := 0
 	for _, c := range n.calls {
 		if !c.duty {
@@ -122,31 +126,44 @@ func (n *Node) PendingRequests() int {
 	return pending
 }
 
-// post hands f to the loop, returning once the loop has taken it or with
-// ErrClosed once the node stopped. It is for API goroutines only, with n.mu
-// not held — the loop runs f under it: code on the loop starts its flows
-// directly.
-func (n *Node) post(f func()) error {
+// post runs body on the loop as one event and returns once it has run.
+// Every exported method that touches node state goes through post or
+// await; before Start, and once the loop has stopped, there is no loop and
+// body runs on the caller. Code on the loop never posts: it would wait for
+// itself.
+func (n *Node) post(body func()) {
 	select {
-	case n.posts <- f:
-		return nil
-	case <-n.stop:
-		return ErrClosed
+	case <-n.live:
+	default:
+		body()
+		return
+	}
+	ran := make(chan struct{})
+	select {
+	case n.posts <- func() { body(); close(ran) }:
+		<-ran
+	case <-n.exited:
+		body()
 	}
 }
 
-// await runs flow on the loop and blocks the calling API goroutine — the
-// only goroutine that waits — until the flow reports its result through
-// done, which it must call exactly once, or the node stops.
+// await is post for the flows that wait for replies (Bootstrap, Join): it
+// runs flow on the loop and waits until the flow reports its result through
+// done, which it must call exactly once, or until the loop stops
+// (ErrClosed). A flow that cannot run — the node not started, or closed —
+// must call done before it returns.
 func (n *Node) await(flow func(done func(error))) error {
 	res := make(chan error, 1)
-	if err := n.post(func() { flow(func(err error) { res <- err }) }); err != nil {
-		return err
-	}
+	n.post(func() { flow(func(err error) { res <- err }) })
 	select {
 	case err := <-res:
 		return err
-	case <-n.stop:
-		return ErrClosed
+	case <-n.exited:
+		select {
+		case err := <-res:
+			return err
+		default:
+			return ErrClosed
+		}
 	}
 }

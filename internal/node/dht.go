@@ -2,7 +2,6 @@ package node
 
 import (
 	"errors"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -223,14 +222,11 @@ func (n *Node) dhtNoteChurn(events int) {
 
 // DhtChurnRate returns the observed churn rate in events per second over
 // the estimator's sliding window (0 when the DHT is disabled).
-func (n *Node) DhtChurnRate() float64 {
-	d := n.dht
-	if d == nil {
-		return 0
+func (n *Node) DhtChurnRate() (rate float64) {
+	if d := n.dht; d != nil {
+		n.post(func() { rate = d.churn.Rate(n.now) })
 	}
-	n.lock()
-	defer n.mu.Unlock()
-	return d.churn.Rate(n.now)
+	return rate
 }
 
 // Adaptive-pacing thresholds, in churn events observed per heartbeat epoch:
@@ -464,24 +460,24 @@ type DhtRecordView struct {
 }
 
 // DhtView snapshots the discovery plane's state.
-func (n *Node) DhtView() DhtView {
+func (n *Node) DhtView() (v DhtView) {
 	d := n.dht
 	if d == nil {
-		return DhtView{}
+		return v
 	}
-	v := DhtView{
-		Enabled:   true,
-		ID:        d.id.String(),
-		TableSize: d.table.Len(),
-		Buckets:   d.table.BucketSizes(),
-	}
-	recs := d.store.Snapshot()
-	v.Records = len(recs)
-	for _, r := range recs {
-		v.Groups = append(v.Groups, DhtRecordView{
-			Group: r.GroupID, Rendezvous: r.Rendezvous.Addr, Epoch: r.Epoch,
-		})
-	}
-	sort.Slice(v.Groups, func(i, j int) bool { return v.Groups[i].Group < v.Groups[j].Group })
+	n.post(func() {
+		v = DhtView{
+			Enabled:   true,
+			ID:        d.id.String(),
+			TableSize: d.table.Len(),
+			Buckets:   d.table.BucketSizes(),
+		}
+		for _, r := range d.store.Snapshot() {
+			v.Groups = append(v.Groups, DhtRecordView{
+				Group: r.GroupID, Rendezvous: r.Rendezvous.Addr, Epoch: r.Epoch,
+			})
+		}
+		v.Records = len(v.Groups)
+	})
 	return v
 }

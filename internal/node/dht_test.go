@@ -323,7 +323,7 @@ func TestDhtRepublishStopRace(t *testing.T) {
 					return
 				default:
 				}
-				_ = rdv.post(func() { rdv.dhtRepublishAsync(gid) })
+				rdv.post(func() { rdv.dhtRepublishAsync(gid) })
 			}
 		}()
 		// Leave mid-hammer (the republish in flight now targets a group the
@@ -374,14 +374,12 @@ func TestDhtLookupWaveQueriesOverlap(t *testing.T) {
 	}
 
 	results := make(chan dht.Result, 1)
-	if err := nd.post(func() {
+	nd.post(func() {
 		for _, addr := range addrs {
 			nd.dhtObserve(wire.PeerInfo{Addr: addr})
 		}
 		nd.dhtLookup(dht.KeyID("overlap"), "", func(r dht.Result) { results <- r })
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	var res dht.Result
 	select {
 	case res = <-results:

@@ -244,7 +244,7 @@ func TestSearchOnlyRepairStillRecovers(t *testing.T) {
 // TestRepairCostsNoGoroutine: a tree repair is a chain of calls in the
 // loop's table, not a goroutine. The orphan below has only silent backups
 // and silent search targets, so its repair runs for seconds; throughout it
-// the node adds no goroutine beyond its loop and its inbox pump.
+// the node adds no goroutine beyond its loop.
 func TestRepairCostsNoGoroutine(t *testing.T) {
 	net := transport.NewMemNetwork()
 	// Reachable but never read: every join and search sent there times out.
@@ -290,8 +290,8 @@ func TestRepairCostsNoGoroutine(t *testing.T) {
 	if n.PendingRequests() == 0 {
 		t.Fatal("the repair is already over; the test needs it running")
 	}
-	if peak > 2 {
-		t.Fatalf("the node ran up to %d goroutines during a repair, want 2 (loop + inbox pump)", peak)
+	if peak > 1 {
+		t.Fatalf("the node ran up to %d goroutines during a repair, want 1 (the loop)", peak)
 	}
 }
 
@@ -306,10 +306,8 @@ func TestJoinRetriesThroughLoss(t *testing.T) {
 	if err := a.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool {
-		b.mu.Lock()
-		_, saw := b.adSeen["g"]
-		b.mu.Unlock()
+	waitFor(t, 2*time.Second, func() (saw bool) {
+		b.post(func() { _, saw = b.adSeen["g"] })
 		return saw
 	}, static("advertisement never arrived"))
 	c.chaos.SetLinkRule(b.Addr(), a.Addr(), transport.LinkRule{DropFirst: 1})

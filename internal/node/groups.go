@@ -42,46 +42,39 @@ func (n *Node) CreateGroup(groupID string) error {
 // CreateGroupMode makes this node the rendezvous point of a new group with
 // an explicit delivery mode. The mode is a group property: members inherit
 // it from this rendezvous via advertisements, join acks, and beacons.
-func (n *Node) CreateGroupMode(groupID string, mode wire.DeliveryMode) error {
-	n.lock()
-	err := n.createGroup(groupID, mode)
-	n.mu.Unlock()
-	// Seed the discovery plane: the charter record replicates to the k
-	// closest nodes so joiners resolve the group in O(log N) without
-	// waiting for an advertisement flood to reach them.
-	if err == nil && n.dht != nil {
-		_ = n.post(func() { n.dhtRepublishAsync(groupID) })
-	}
+func (n *Node) CreateGroupMode(groupID string, mode wire.DeliveryMode) (err error) {
+	n.post(func() {
+		if err = n.runnable(); err != nil {
+			return
+		}
+		if _, dup := n.groups[groupID]; dup {
+			err = fmt.Errorf("node: group %q already exists here", groupID)
+			return
+		}
+		gs := newGroupState(mode)
+		gs.rendezvous = true
+		gs.member = true
+		gs.rdvInfo = n.self
+		gs.rootPath = []string{}
+		gs.epoch = 1 // succession epoch: the creating root's lineage starts at 1
+		n.groups[groupID] = gs
+		n.adSeen[groupID] = adState{upstream: "", rendezvous: n.self, mode: mode, epoch: 1}
+		// Seed the discovery plane: the charter record replicates to the k
+		// closest nodes so joiners resolve the group in O(log N) without
+		// waiting for an advertisement flood to reach them.
+		n.dhtRepublishAsync(groupID)
+	})
 	return err
 }
 
-// createGroup is CreateGroupMode's state change, run under n.mu.
-func (n *Node) createGroup(groupID string, mode wire.DeliveryMode) error {
-	if err := n.runnable(); err != nil {
-		return err
-	}
-	if _, dup := n.groups[groupID]; dup {
-		return fmt.Errorf("node: group %q already exists here", groupID)
-	}
-	gs := newGroupState(mode)
-	gs.rendezvous = true
-	gs.member = true
-	gs.rdvInfo = n.self
-	gs.rootPath = []string{}
-	gs.epoch = 1 // succession epoch: the creating root's lineage starts at 1
-	n.groups[groupID] = gs
-	n.adSeen[groupID] = adState{upstream: "", rendezvous: n.self, mode: mode, epoch: 1}
-	return nil
-}
-
 // Advertise floods the group's SSA announcement from this rendezvous point.
-func (n *Node) Advertise(groupID string) error {
-	n.lock()
-	defer n.mu.Unlock()
-	if err := n.runnable(); err != nil {
-		return err
-	}
-	return n.advertise(groupID)
+func (n *Node) Advertise(groupID string) (err error) {
+	n.post(func() {
+		if err = n.runnable(); err == nil {
+			err = n.advertise(groupID)
+		}
+	})
+	return err
 }
 
 // advertise is Advertise's body, shared with the loop's refresh and
@@ -203,13 +196,13 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 // path when the announcement was received, otherwise through a TTL-scoped
 // ripple search for an access point. It blocks up to timeout for the search.
 func (n *Node) Join(groupID string, timeout time.Duration) error {
-	n.lock()
-	err := n.runnable()
-	n.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return n.await(func(done func(error)) { n.joinInternal(groupID, timeout, true, done) })
+	return n.await(func(done func(error)) {
+		if err := n.runnable(); err != nil {
+			done(err)
+			return
+		}
+		n.joinInternal(groupID, timeout, true, done)
+	})
 }
 
 // joinInternal attaches this node to the group tree and reports through
@@ -634,60 +627,51 @@ func (n *Node) handleSearch(msg wire.Message) {
 // member. Publish reports ErrPublishFailed when the node has tree links but
 // every send failed immediately (e.g. all links point at crashed or
 // partitioned peers) — the payload reached no one.
-func (n *Node) Publish(groupID string, data []byte) error {
-	msg := wire.Message{Type: wire.TPayload, GroupID: groupID, Data: data}
-	n.lock()
-	targets, err := n.stampPublish(&msg)
-	n.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// The sends run after the unlock: the loop never waits on a publisher's
-	// fan-out.
-	if n.tracer != nil {
-		n.tracer.Record(trace.Event{
-			Time: msg.OriginAt, Node: msg.From.Addr, Kind: trace.KindPublish,
-			Msg: msg.Type.String(), Group: groupID,
-			TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr, N: len(targets),
-		})
-	}
-	if sent := n.fanOut(targets, msg); len(targets) > 0 && sent == 0 {
-		return fmt.Errorf("%w: %q (%d link(s), 0 reachable)",
-			ErrPublishFailed, groupID, len(targets))
-	}
-	return nil
-}
-
-// stampPublish admits a publish of msg's payload to msg.GroupID, stamps msg
-// with this publisher's identity and next per-group sequence number, and
-// returns the tree links it goes out on.
-func (n *Node) stampPublish(msg *wire.Message) ([]string, error) {
-	if err := n.runnable(); err != nil {
-		return nil, err
-	}
-	gs := n.groups[msg.GroupID]
-	if gs == nil || !gs.member {
-		return nil, fmt.Errorf("%w: %q", ErrNotMember, msg.GroupID)
-	}
-	// Admission control: while the node is degraded, refuse new best-effort
-	// publishes at the edge instead of feeding them into saturated queues.
-	// Reliable publishes are always admitted — the caller asked for delivery
-	// guarantees, and the reliable plane has its own recovery machinery.
-	if gs.mode == wire.BestEffort && n.Overloaded() {
-		atomic.AddUint64(&n.stats.PublishRejects, 1)
-		return nil, fmt.Errorf("%w: %q", ErrBackpressure, msg.GroupID)
-	}
-	if n.tracer != nil {
-		msg.TraceID = n.nextMsgID()
-	}
-	msg.OriginAt = n.now
-	msg.RelayedAt = n.now
-	if gs.pub == nil {
-		gs.pub = reliable.NewSendBuffer(reliable.DefaultCachePayloads)
-	}
-	msg.Seq = gs.pub.NextItem(reliable.Item{Data: msg.Data, TraceID: msg.TraceID, OriginAt: msg.OriginAt})
-	msg.From, msg.Relay, msg.Mode = n.self, n.self, gs.mode
-	return forwardTargets(gs, ""), nil
+func (n *Node) Publish(groupID string, data []byte) (err error) {
+	n.post(func() {
+		if err = n.runnable(); err != nil {
+			return
+		}
+		gs := n.groups[groupID]
+		if gs == nil || !gs.member {
+			err = fmt.Errorf("%w: %q", ErrNotMember, groupID)
+			return
+		}
+		// Admission control: while the node is degraded, refuse new
+		// best-effort publishes at the edge instead of feeding them into
+		// saturated queues. Reliable publishes are always admitted — the
+		// caller asked for delivery guarantees, and the reliable plane has
+		// its own recovery machinery.
+		if gs.mode == wire.BestEffort && n.overload.degraded {
+			atomic.AddUint64(&n.stats.PublishRejects, 1)
+			err = fmt.Errorf("%w: %q", ErrBackpressure, groupID)
+			return
+		}
+		msg := wire.Message{
+			Type: wire.TPayload, From: n.self, Relay: n.self, GroupID: groupID,
+			Mode: gs.mode, Data: data, OriginAt: n.now, RelayedAt: n.now,
+		}
+		if n.tracer != nil {
+			msg.TraceID = n.nextMsgID()
+		}
+		if gs.pub == nil {
+			gs.pub = reliable.NewSendBuffer(reliable.DefaultCachePayloads)
+		}
+		msg.Seq = gs.pub.NextItem(reliable.Item{Data: data, TraceID: msg.TraceID, OriginAt: msg.OriginAt})
+		targets := forwardTargets(gs, "")
+		if n.tracer != nil {
+			n.tracer.Record(trace.Event{
+				Time: msg.OriginAt, Node: n.self.Addr, Kind: trace.KindPublish,
+				Msg: msg.Type.String(), Group: groupID,
+				TraceID: msg.TraceID, Seq: msg.Seq, Source: n.self.Addr, N: len(targets),
+			})
+		}
+		if sent := n.fanOut(targets, msg); len(targets) > 0 && sent == 0 {
+			err = fmt.Errorf("%w: %q (%d link(s), 0 reachable)",
+				ErrPublishFailed, groupID, len(targets))
+		}
+	})
+	return err
 }
 
 // handlePayload runs the payload through the per-source receive window
@@ -733,7 +717,7 @@ func (n *Node) handlePayload(msg wire.Message) {
 	// — the loss-tolerant fan-out — but never reliable or control traffic,
 	// and never local delivery (released above). Downstream best-effort
 	// subscribers lose what they were promised they might lose.
-	if gs.mode == wire.BestEffort && len(targets) > 0 && n.Overloaded() {
+	if gs.mode == wire.BestEffort && len(targets) > 0 && n.overload.degraded {
 		atomic.AddUint64(&n.stats.RelaySheds, 1)
 		return
 	}
@@ -776,7 +760,7 @@ func traceNow() time.Time { return time.Now() }
 // observeDeliver records one payload hand-off to the application at now:
 // the publish→deliver latency histogram (when the publisher stamped an origin
 // time) and, when tracing, a deliver event joined to the payload's trace.
-func (n *Node) observeDeliver(now time.Time, d delivery) {
+func (n *Node) observeDeliver(now time.Time, d *delivery) {
 	var ageUS int64
 	if !d.OriginAt.IsZero() {
 		if age := now.Sub(d.OriginAt); age > 0 {
@@ -812,9 +796,12 @@ func forwardTargets(gs *groupState, arrivedFrom string) []string {
 
 // Leave departs a group gracefully: children are told to re-join and the
 // parent drops this node.
-func (n *Node) Leave(groupID string) error {
-	n.lock()
-	defer n.mu.Unlock()
+func (n *Node) Leave(groupID string) (err error) {
+	n.post(func() { err = n.leave(groupID) })
+	return err
+}
+
+func (n *Node) leave(groupID string) error {
 	if err := n.runnable(); err != nil {
 		return err
 	}
@@ -865,41 +852,38 @@ type TreeView struct {
 }
 
 // Tree snapshots the node's attachment state for a group.
-func (n *Node) Tree(groupID string) TreeView {
-	n.lock()
-	defer n.mu.Unlock()
-	gs := n.groups[groupID]
-	if gs == nil {
-		return TreeView{}
-	}
-	tv := TreeView{
-		Exists:     true,
-		Member:     gs.member,
-		Rendezvous: gs.rendezvous,
-		Attached:   gs.rendezvous || gs.parent != "",
-		Parent:     gs.parent,
-		Epoch:      gs.epoch,
-		Deputies:   addrsOf(gs.deputies),
-	}
-	for addr := range gs.children {
-		tv.Children = append(tv.Children, addr)
-	}
-	sort.Strings(tv.Children)
-	for _, b := range gs.backups {
-		tv.Backups = append(tv.Backups, b.Addr)
-	}
+func (n *Node) Tree(groupID string) (tv TreeView) {
+	n.post(func() {
+		gs := n.groups[groupID]
+		if gs == nil {
+			return
+		}
+		tv = TreeView{
+			Exists:     true,
+			Member:     gs.member,
+			Rendezvous: gs.rendezvous,
+			Attached:   gs.rendezvous || gs.parent != "",
+			Parent:     gs.parent,
+			Children:   sortedKeys(gs.children),
+			Epoch:      gs.epoch,
+			Deputies:   addrsOf(gs.deputies),
+		}
+		for _, b := range gs.backups {
+			tv.Backups = append(tv.Backups, b.Addr)
+		}
+	})
 	return tv
 }
 
 // Groups lists the groups this node is a member of.
-func (n *Node) Groups() []string {
-	n.lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.groups))
-	for gid, gs := range n.groups {
-		if gs.member {
-			out = append(out, gid)
+func (n *Node) Groups() (out []string) {
+	n.post(func() {
+		out = make([]string, 0, len(n.groups))
+		for gid, gs := range n.groups {
+			if gs.member {
+				out = append(out, gid)
+			}
 		}
-	}
+	})
 	return out
 }

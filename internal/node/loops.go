@@ -2,60 +2,69 @@ package node
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
 	"groupcast/internal/reliable"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
-// run is the node's event loop, the one goroutine Start launches. Each
-// event — an inbound message, a posted flow, a timer wake — is one critical
-// section at one time: lock takes n.mu and stamps n.now, step runs the
-// event, and endEvent unlocks and makes the PayloadHandler calls for what it
-// released. So code on the loop never locks, never reads the clock and
+// run is the node's event loop, the one goroutine Start launches and the
+// owner of the node's state. Each event — an inbound message, an API call's
+// body, a timer wake — is stamped with one read of the clock, run by step,
+// and closed by endEvent, which hands what it released to the handler
+// goroutine. So code on the loop never locks, never reads the clock and
 // never waits: whatever needs a reply, a backoff or its next period is an
-// entry in the call table (calls.go). Only the state save leaves the loop,
-// on a goroutine Close waits for.
+// entry in the call table (calls.go). The first event is begin.
 func (n *Node) run() {
 	defer n.done.Done()
+	defer close(n.exited)
 	defer n.timer.Stop()
-	for {
-		var ev event
-		select {
-		case msg, ok := <-n.tr.Recv():
-			if !ok {
-				return
-			}
-			ev.msg = &msg
-		case ev.flow = <-n.posts:
-		case <-n.stop:
-			// Drain until the transport closes its channel.
-			for range n.tr.Recv() {
-			}
-			return
-		case <-n.timer.C:
-		}
-		n.lock()
-		n.step(n.now, ev)
+	at := func(ev event) {
+		n.step(time.Now(), ev)
 		n.endEvent()
+	}
+	at(event{flow: n.begin})
+	for {
+		select {
+		case <-n.inbox.Doorbell():
+			// Each message is its own event, but only those queued at the
+			// wake are taken before the next select, and a due timer or a
+			// waiting API call goes between two of them.
+			for k := n.inbox.Depth(); k > 0; k-- {
+				msg, ok := n.inbox.Pop()
+				if !ok {
+					break
+				}
+				at(event{msg: &msg})
+				select {
+				case <-n.timer.C:
+					at(event{})
+				default:
+				}
+				select {
+				case f := <-n.posts:
+					at(event{flow: f})
+				default:
+				}
+			}
+		case f := <-n.posts:
+			at(event{flow: f})
+		case <-n.timer.C:
+			at(event{})
+		case <-n.stop:
+			return
+		}
 	}
 }
 
-// event is one loop input: an inbound message, a posted flow, or — with
+// event is one loop input: an inbound message, a posted body, or — with
 // neither set — a wake of the call table's timer.
 type event struct {
 	msg  *wire.Message
 	flow func()
-}
-
-// lock takes n.mu and stamps n.now from the wall clock: the one time every
-// rule of the critical section reads.
-func (n *Node) lock() {
-	n.mu.Lock()
-	n.stamp(time.Now())
 }
 
 // stamp moves n.now to now; the node's clock never runs backwards.
@@ -65,8 +74,8 @@ func (n *Node) stamp(now time.Time) {
 	}
 }
 
-// step runs one loop event at time now with n.mu held. Tests call it with
-// synthetic times on a node they never started.
+// step runs one loop event at time now. Tests call it with synthetic times
+// on a node they never started.
 func (n *Node) step(now time.Time, ev event) {
 	n.stamp(now)
 	switch {
@@ -117,7 +126,7 @@ func (n *Node) begin() {
 		n.epochNow.Add(1)
 		// Telemetry samples before the heartbeats go out so this epoch's
 		// piggyback carries the fresh digest.
-		n.historyDue = n.telemetryEpoch()
+		n.telemetryEpoch()
 		n.epoch(stalled)
 		n.dhtEpoch()
 		n.digestGroups()
@@ -126,11 +135,18 @@ func (n *Node) begin() {
 		n.every(time.Duration(k)*hb, n.refreshAdvertisements)
 	}
 	if n.cfg.StatePath != "" {
+		// The capture is loop work; the write gets its own goroutine, one at
+		// a time, so a slow disk never holds the loop.
 		n.every(stateSaveEpochs*hb, func() {
+			if !n.saving.CompareAndSwap(false, true) {
+				return
+			}
+			st := n.captureState()
 			n.done.Add(1)
 			go func() {
 				defer n.done.Done()
-				n.saveState()
+				defer n.saving.Store(false)
+				n.writeState(st)
 			}()
 		})
 	}
@@ -157,26 +173,76 @@ func (n *Node) release(gid string, gs *groupState, src wire.PeerInfo, hops int, 
 	}
 }
 
-// endEvent closes a loop event's critical section: it unlocks n.mu and then
-// calls the handler for every payload the event released, in release order,
-// with no node lock held — so the handler may call Publish or Leave. A
-// delivery reads the clock: its publish→deliver age ends at the hand-off.
-// Last comes a history sample an epoch left due, as its gauges take n.mu.
+// endEvent closes a loop event: it hands the payloads the event released to
+// the handler goroutine, in release order, or drops them while no handler
+// is set.
 func (n *Node) endEvent() {
-	h, sample, at := n.handler, n.historyDue, n.now
-	n.historyDue = 0
-	n.mu.Unlock()
-	if h != nil {
-		for _, d := range n.released {
-			atomic.AddUint64(&n.stats.Delivered, 1)
-			n.observeDeliver(time.Now(), d)
-			h(d.gid, d.src, d.Data)
-		}
+	if len(n.released) == 0 {
+		return
+	}
+	if n.out != nil {
+		n.out.push(n.released, n.handler)
 	}
 	clear(n.released) // drop the payload references
 	n.released = n.released[:0]
-	if sample > 0 {
-		n.telemetry.history.Observe(sample, at, n.metrics.reg.Snapshot())
+}
+
+// handoff is the one FIFO between the loop and the handler goroutine, and
+// its mutex the only one in the node. It is unbounded: it grows only while
+// the handler is slower than the stream.
+type handoff struct {
+	mu      sync.Mutex
+	queue   []delivery
+	handler PayloadHandler
+	bell    chan struct{} // capacity 1
+	depth   atomic.Int64  // handed off, not yet handled
+}
+
+// push appends ds, installs h and wakes the goroutine; a nil h ends it.
+func (q *handoff) push(ds []delivery, h PayloadHandler) {
+	q.mu.Lock()
+	q.queue = append(q.queue, ds...)
+	q.handler = h
+	q.mu.Unlock()
+	q.depth.Add(int64(len(ds)))
+	select {
+	case q.bell <- struct{}{}:
+	default:
+	}
+}
+
+// deliver is the handler goroutine: it calls the handler for each delivery
+// handed off through q, one at a time in release order, counts it and ends
+// its publish→deliver age, until the handler is removed or the node closes.
+func (n *Node) deliver(q *handoff) {
+	defer n.done.Done()
+	var batch []delivery
+	for {
+		select {
+		case <-q.bell:
+		case <-n.stop:
+			return
+		}
+		q.mu.Lock()
+		batch, q.queue = q.queue, batch[:0]
+		h := q.handler
+		q.mu.Unlock()
+		if h == nil {
+			return
+		}
+		for i := range batch {
+			select {
+			case <-n.stop:
+				return
+			default:
+			}
+			d := &batch[i]
+			atomic.AddUint64(&n.stats.Delivered, 1)
+			n.observeDeliver(time.Now(), d)
+			h(d.gid, d.src, d.Data)
+			q.depth.Add(-1)
+			*d = delivery{} // drop the payload reference
+		}
 	}
 }
 
@@ -204,9 +270,7 @@ func (n *Node) handle(msg wire.Message) {
 				n.metrics.relayHop.ObserveDurationMs(float64(d) / float64(time.Millisecond))
 			}
 		}
-		if qr, ok := n.tr.(transport.QueueReporter); ok {
-			n.metrics.queueDepth.Observe(float64(qr.QueueDepth()))
-		}
+		n.metrics.queueDepth.Observe(float64(n.inbox.Depth()))
 	}
 	n.dispatch(msg)
 	if n.tracer != nil && tracedTypes[msg.Type] {
@@ -395,7 +459,10 @@ func (n *Node) epoch(stalled bool) {
 	health := n.telemetryHealth()
 	var orphaned, newlySuspect []string
 	live := 0
-	for addr, nb := range n.neighbors {
+	// Address order: a dead neighbour's removal rescues its DHT records,
+	// taking MsgIDs.
+	for _, addr := range sortedKeys(n.neighbors) {
+		nb := n.neighbors[addr]
 		switch {
 		case !stalled && n.now.Sub(nb.lastAck) > grace:
 			atomic.AddUint64(&n.stats.NeighborsDeclaredDead, 1)
@@ -450,8 +517,9 @@ func (n *Node) epoch(stalled bool) {
 			detachedForwarders = append(detachedForwarders, gid)
 		}
 	}
-	// Dead neighbours came in map order: sort, as each repair draws its
-	// backoff jitter from the seeded rng in turn.
+	// Sort the orphans of every dead neighbour and every detached group into
+	// one order, as each repair draws its backoff jitter from the seeded rng
+	// in turn.
 	sort.Strings(orphaned)
 	n.rejoinAsync(orphaned)
 	n.reattachAsync(detachedForwarders)

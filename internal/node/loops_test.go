@@ -15,14 +15,15 @@ import (
 	"testing"
 	"time"
 
+	"groupcast/internal/dht"
 	"groupcast/internal/reliable"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
 // TestIdleNodeGoroutines pins the node's goroutine budget: a started, idle
-// node with heartbeats on runs its event loop and its transport's inbox pump,
-// nothing else. Every periodic duty shares the loop.
+// node with heartbeats on and no handler runs its event loop, nothing else.
+// The loop drains the inbox itself, and every periodic duty shares it.
 func TestIdleNodeGoroutines(t *testing.T) {
 	baseline := settledGoroutines()
 	net := transport.NewMemNetwork()
@@ -32,10 +33,10 @@ func TestIdleNodeGoroutines(t *testing.T) {
 	n.Start()
 	// Several epochs, and with them NACK sweeps and pressure samples.
 	waitFor(t, testTimeout, func() bool { return n.epochNow.Load() >= 3 }, static("no epochs ran"))
-	// Loop and pump only: no flow the loop starts gets a goroutine.
-	waitGoroutines(t, baseline+2, 2*time.Second)
-	if got := runtime.NumGoroutine() - baseline; got < 2 {
-		t.Fatalf("idle node added %d goroutines, want 2 (loop + inbox pump)", got)
+	// The loop only: no flow the loop starts gets a goroutine.
+	waitGoroutines(t, baseline+1, 2*time.Second)
+	if got := runtime.NumGoroutine() - baseline; got < 1 {
+		t.Fatalf("idle node added %d goroutines, want 1 (the loop)", got)
 	}
 	_ = n.Close()
 	waitGoroutines(t, baseline, 2*time.Second)
@@ -78,7 +79,6 @@ func TestHandlerContractSerial(t *testing.T) {
 	// high-water mark of slide moves the window past seq 3.
 	const slide = reliable.DefaultWindowSpan + 3
 	past := time.Now().Add(-time.Minute)
-	n.mu.Lock()
 	for _, gid := range []string{"live", "digest", "sweep", "promo"} {
 		gs := newGroupState(wire.ReliableOrdered)
 		gs.member = true
@@ -107,7 +107,6 @@ func TestHandlerContractSerial(t *testing.T) {
 		Deputies:  []wire.PeerInfo{n.self},
 		HighWater: []wire.DigestEntry{{Source: src.Addr, High: slide}},
 	}
-	n.mu.Unlock()
 
 	n.Start()
 	defer n.Close()
@@ -182,8 +181,8 @@ func TestHandlerContractRepublish(t *testing.T) {
 	rec := recordPayloads(c)
 
 	// API readers hammer every node while the stream flows and epochs run:
-	// each call waits at most one loop event for n.mu, and the registry
-	// snapshot runs the locking gauges against the loop's history sample.
+	// each call is one loop event, and the registry snapshot reads the
+	// gauges on the loop that takes the history sample.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -203,7 +202,7 @@ func TestHandlerContractRepublish(t *testing.T) {
 					_ = nd.TreeDetails()
 					_ = nd.OverlayView()
 					_ = nd.ClusterView()
-					_ = nd.Metrics().Snapshot()
+					_ = nd.MetricsSnapshot()
 				}
 			}
 		}()
@@ -308,20 +307,154 @@ func TestHandlerContractLeave(t *testing.T) {
 		static("c's loop stopped after the handler's Leave"))
 }
 
-// TestNodeLocksOnlyAtAPIBoundary pins the one locking rule of the package:
-// n.mu is taken only inside lock, which stamps the section's time, and lock
-// is called once per loop event (run), by exported *Node methods at the API
-// boundary, and by two readers besides — the registry gauges (closures in
-// initObservability) and the state-save capture. Everything else runs on
-// the loop under the event's lock and never locks, so no *Locked twin
-// exists and no other mutex guards node state.
-func TestNodeLocksOnlyAtAPIBoundary(t *testing.T) {
+// TestJoinFromHandler: a handler may Join. b joins group "second" from
+// inside its handler for "first"; the Join returns nil within its timeout,
+// as the handler does not run on the loop the Join waits for.
+func TestJoinFromHandler(t *testing.T) {
+	mem := transport.NewMemNetwork()
+	nodes := lineCluster(t, []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint()}, nil)
+	a, b := nodes[0], nodes[1]
+	for _, gid := range []string{"first", "second"} {
+		if err := a.CreateGroup(gid); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Advertise(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, testTimeout, func() bool {
+		return b.Join("first", 200*time.Millisecond) == nil
+	}, static("could not join first"))
+
+	joined := make(chan error, 1)
+	var once sync.Once
+	b.SetPayloadHandler(func(gid string, _ wire.PeerInfo, _ []byte) {
+		once.Do(func() { joined <- b.Join("second", time.Second) })
+	})
+	if err := a.Publish("first", []byte("p0")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-joined:
+		if err != nil {
+			t.Fatalf("Join from the handler: %v", err)
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("Join from the handler never returned")
+	}
+	if tv := b.Tree("second"); !tv.Member || !tv.Attached {
+		t.Fatalf("after the handler's Join: %+v", tv)
+	}
+}
+
+// TestSlowConsumerKeepsTree: a handler that blocks holds back only its own
+// deliveries. On a reliable-ordered 3-node line with 50 ms heartbeats the
+// leaf's handler blocks for ten epochs while the root publishes 100
+// payloads. The leaf's loop keeps answering heartbeats and relaying
+// beacons, so no node declares a neighbour dead, promotes or repairs; once
+// the handler returns, the leaf delivers 1..100, each once and in order.
+func TestSlowConsumerKeepsTree(t *testing.T) {
+	const hb = 50 * time.Millisecond
+	mem := transport.NewMemNetwork()
+	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint(), mem.NextEndpoint()}
+	nodes := lineCluster(t, eps, func(_ int, cfg *Config) { cfg.HeartbeatInterval = hb })
+	root, leaf := nodes[0], nodes[2]
+	if err := root.CreateGroupMode("g", wire.ReliableOrdered); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Advertise("g"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range nodes[1:] {
+		waitFor(t, testTimeout, func() bool {
+			return m.Join("g", 200*time.Millisecond) == nil
+		}, static("could not join g"))
+	}
+	waitFor(t, testTimeout, func() bool { return treeSettled(nodes, "g", nodes[1:]) },
+		static("the line's tree never settled"))
+
+	var mu sync.Mutex
+	var got []int
+	leaf.SetPayloadHandler(func(_ string, _ wire.PeerInfo, data []byte) {
+		var idx int
+		if _, err := fmt.Sscanf(string(data), "p%d", &idx); err != nil {
+			return
+		}
+		if idx == 1 {
+			time.Sleep(10 * hb)
+		}
+		mu.Lock()
+		got = append(got, idx)
+		mu.Unlock()
+	})
+	failures := func(nd *Node) [4]uint64 {
+		s := nd.Stats()
+		return [4]uint64{s.NeighborsDeclaredDead, s.Promotions, s.RepairsViaBackup, s.RepairsViaSearch}
+	}
+	var before [][4]uint64
+	for _, nd := range nodes {
+		before = append(before, failures(nd))
+	}
+
+	const count = 100
+	for i := 1; i <= count; i++ {
+		if err := root.Publish("g", []byte(fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitFor(t, testTimeout+10*hb, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) >= count
+	}, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprintf("the leaf delivered %d of %d payloads", len(got), count)
+	})
+	time.Sleep(2 * hb) // room for a duplicate or a late repair to show
+	mu.Lock()
+	defer mu.Unlock()
+	for i, idx := range got {
+		if idx != i+1 {
+			t.Fatalf("delivery %d is payload %d (want each of 1..%d once, in order): %v", i, idx, count, got)
+		}
+	}
+	if len(got) != count {
+		t.Fatalf("the leaf delivered %d payloads, want %d: %v", len(got), count, got)
+	}
+	for i, nd := range nodes {
+		if after := failures(nd); after != before[i] {
+			t.Errorf("node %d's dead/promotions/backup/search repairs moved %v → %v", i, before[i], after)
+		}
+	}
+}
+
+// TestNodeStateOwnedByLoop pins who touches node state: the loop. The one
+// mutex in the package is the handler hand-off's, and no *Locked helper
+// exists. post and await — the way onto the loop — are called only by
+// exported *Node methods; every exported method calls one of them or is
+// listed in offLoop with what it reads instead. No other code calls a
+// posting method: it runs on the loop, which would wait for itself.
+func TestNodeStateOwnedByLoop(t *testing.T) {
+	offLoop := map[string]string{
+		"Addr":         "self.Addr, fixed at New",
+		"Coord":        "Info, which posts",
+		"CreateGroup":  "CreateGroupMode, which posts",
+		"Stats":        "atomic counters and the transport's and tracer's own",
+		"Breakers":     "the transport's snapshot",
+		"InboxQueue":   "the inbox, fixed at New",
+		"Tracer":       "the tracer, fixed at New",
+		"TraceEvents":  "the tracer's ring, which locks itself",
+		"RecoveryView": "config, the restore record and an atomic; DhtChurnRate posts",
+	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lockedCall := regexp.MustCompile(`\w+Locked\(`)
 	fset := token.NewFileSet()
+	var fns []*ast.FuncDecl
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -331,51 +464,81 @@ func TestNodeLocksOnlyAtAPIBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range lockedCall.FindAllString(string(src), -1) {
-			t.Errorf("%s: %s: locking is the caller's business only at the API boundary", name, m)
+			t.Errorf("%s: %s: nothing in the node locks", name, m)
 		}
 		f, err := parser.ParseFile(fset, name, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				fns = append(fns, fn)
+			}
+		}
 		ast.Inspect(f, func(nd ast.Node) bool {
-			spec, ok := nd.(*ast.TypeSpec)
+			if spec, ok := nd.(*ast.TypeSpec); ok && spec.Name.Name == "handoff" {
+				return false // the hand-off's own mutex
+			}
+			sel, ok := nd.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			if st, ok := spec.Type.(*ast.StructType); ok {
-				for _, field := range st.Fields.List {
-					sel, ok := field.Type.(*ast.SelectorExpr)
-					if ok && strings.HasSuffix(sel.Sel.Name, "Mutex") &&
-						(spec.Name.Name != "Node" || len(field.Names) != 1 || field.Names[0].Name != "mu") {
-						t.Errorf("%s: %s.%s: a second mutex in the node", fset.Position(field.Pos()), spec.Name.Name, sel.Sel.Name)
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" &&
+				(sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+				t.Errorf("%s: a sync.%s in the node; its state belongs to the loop", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	api := func(fn *ast.FuncDecl) bool {
+		return fn.Recv != nil && fn.Name.IsExported() && isNodeReceiver(fn.Recv)
+	}
+	// calls reports the n.<name>(…) calls in fn's body.
+	calls := func(fn *ast.FuncDecl, each func(name string, pos token.Pos)) {
+		ast.Inspect(fn.Body, func(nd ast.Node) bool {
+			if call, ok := nd.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "n" {
+						each(sel.Sel.Name, call.Pos())
 					}
 				}
 			}
 			return true
 		})
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	}
+	posting := map[string]bool{}
+	for _, fn := range fns {
+		onLoop := false
+		calls(fn, func(name string, pos token.Pos) {
+			if name != "post" && name != "await" {
+				return
 			}
-			api := fn.Recv != nil && fn.Name.IsExported() && isNodeReceiver(fn.Recv)
-			allowed := api || fn.Name.Name == "run" || fn.Name.Name == "captureState"
-			gauges := fn.Name.Name == "initObservability"
-			ast.Inspect(fn.Body, func(nd ast.Node) bool {
-				if _, ok := nd.(*ast.FuncLit); ok && gauges {
-					return false // a gauge closure: a reader like any API call
-				}
-				call, ok := nd.(*ast.CallExpr)
-				switch {
-				case !ok:
-				case isMuLock(call) && fn.Name.Name != "lock":
-					t.Errorf("%s: %s takes n.mu without lock's stamp", fset.Position(call.Pos()), fn.Name.Name)
-				case isNodeLock(call) && !allowed:
-					t.Errorf("%s: %s locks n.mu off the API boundary", fset.Position(call.Pos()), fn.Name.Name)
-				}
-				return true
-			})
+			onLoop = true
+			if !api(fn) && !(fn.Name.Name == "await" && name == "post") {
+				t.Errorf("%s: %s posts; only exported methods reach the loop", fset.Position(pos), fn.Name.Name)
+			}
+		})
+		if !api(fn) {
+			continue
 		}
+		_, listed := offLoop[fn.Name.Name]
+		switch {
+		case onLoop && listed:
+			t.Errorf("%s posts but is listed as off the loop", fn.Name.Name)
+		case !onLoop && !listed:
+			t.Errorf("%s: exported %s neither posts nor is listed as off the loop", fset.Position(fn.Pos()), fn.Name.Name)
+		}
+		posting[fn.Name.Name] = onLoop
+	}
+	for _, fn := range fns {
+		if api(fn) {
+			continue
+		}
+		calls(fn, func(name string, pos token.Pos) {
+			if posting[name] {
+				t.Errorf("%s: %s calls %s, which posts to the loop it may be running on", fset.Position(pos), fn.Name.Name, name)
+			}
+		})
 	}
 }
 
@@ -388,26 +551,9 @@ func isNodeReceiver(recv *ast.FieldList) bool {
 	return ok && id.Name == "Node"
 }
 
-// isNodeLock matches x.lock().
-func isNodeLock(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "lock" && len(call.Args) == 0
-}
-
-// isMuLock matches x.mu.Lock().
-func isMuLock(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Lock" {
-		return false
-	}
-	mu, ok := sel.X.(*ast.SelectorExpr)
-	return ok && mu.Sel.Name == "mu"
-}
-
 // stepAt runs ev on n as one loop event at time now, the way run does with
-// a wall-clock stamp: lock, step, endEvent.
+// a wall-clock stamp: step, endEvent.
 func stepAt(n *Node, now time.Time, ev event) {
-	n.mu.Lock()
 	n.step(now, ev)
 	n.endEvent()
 }
@@ -440,17 +586,17 @@ func (l *sendLog) count(addr string, typ wire.Type) int {
 	return c
 }
 
-// TestNodeReadsClockOncePerEvent pins the node's one clock: a critical
-// section reads the wall clock once, when lock stamps n.now, and every timed
-// rule reads the stamp. Besides lock, only endEvent (a publish→deliver age
-// ends at the hand-off) and traceNow (the tracer's durations) read it. The
+// TestNodeReadsClockOncePerEvent pins the node's one clock: an event reads
+// the wall clock once, when run stamps n.now, and every timed rule reads the
+// stamp. Besides run, only deliver (a publish→deliver age ends on the
+// handler goroutine) and traceNow (the tracer's durations) read it. The
 // loop timer is set only by the call table's arm.
 func TestNodeReadsClockOncePerEvent(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed := map[string]bool{"lock": true, "endEvent": true, "traceNow": true}
+	allowed := map[string]bool{"run": true, "deliver": true, "traceNow": true}
 	reads := 0
 	fset := token.NewFileSet()
 	for _, name := range files {
@@ -524,6 +670,99 @@ func TestRefreshSameSeedSameFrames(t *testing.T) {
 	want := build()
 	if len(want) == 0 {
 		t.Fatal("the refresh sent nothing")
+	}
+	for run := 1; run <= 20; run++ {
+		if got := build(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d sent other frames:\n got %v\nwant %v", run, got, want)
+		}
+	}
+}
+
+// TestNackSweepSameSeedSameOrder: a NACK sweep walks groups and sources in
+// sorted order, so the payloads it releases reach the handler in one
+// order. An unstarted node has two reliable-ordered groups of four sources
+// each; every window holds seq 3 behind a gap at 2 that has spent all its
+// NACK attempts, so one sweep abandons the eight gaps and releases eight
+// payloads. In map order the release order changed from run to run.
+func TestNackSweepSameSeedSameOrder(t *testing.T) {
+	build := func() []string {
+		n := New(&sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}, DefaultConfig(10, nil, 7))
+		defer n.Close()
+		past := time.Now().Add(-time.Minute)
+		var order []string
+		stepAt(n, time.Now(), event{flow: func() {
+			for _, gid := range []string{"g1", "g2"} {
+				gs := newGroupState(wire.ReliableOrdered)
+				gs.member = true
+				n.groups[gid] = gs
+				for src := 0; src < 4; src++ {
+					w := n.windowFor(gs, wire.PeerInfo{Addr: fmt.Sprintf("src-%d", src)})
+					var res reliable.ObserveResult
+					w.ObserveItem(1, reliable.Item{Data: []byte("p1")}, past, &res)
+					w.ObserveItem(3, reliable.Item{Data: []byte("p3")}, past, &res)
+					for i := 0; i < reliable.DefaultNackMaxAttempts; i++ {
+						w.DueGaps(past.Add(time.Duration(i)*time.Second), reliable.NackPolicy{}, &res)
+					}
+				}
+			}
+			n.nackSweep()
+			for _, d := range n.released {
+				order = append(order, fmt.Sprintf("%s/%s#%d", d.gid, d.src.Addr, d.Seq))
+			}
+		}})
+		return order
+	}
+	want := build()
+	if len(want) != 8 {
+		t.Fatalf("the sweep released %v, want 8 payloads", want)
+	}
+	for run := 1; run <= 20; run++ {
+		if got := build(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d released in another order:\n got %v\nwant %v", run, got, want)
+		}
+	}
+}
+
+// TestDhtRescueSameSeedSameFrames: dead neighbours leave in address order
+// and a rescue walks the record store in group order, so one seed sends one
+// set of rescue frames. An unstarted node holds three records of remote
+// owners; two neighbours in its routing table fall silent past the grace,
+// and the epoch removes them, each removal re-pushing every record (a
+// ReqID each) to the three contacts left. In map order which record got
+// which ReqID changed from run to run.
+func TestDhtRescueSameSeedSameFrames(t *testing.T) {
+	const hb = time.Minute
+	build := func() map[string][]string {
+		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		cfg := DefaultConfig(10, nil, 7)
+		cfg.HeartbeatInterval = hb
+		n := New(log, cfg)
+		defer n.Close()
+		t0 := time.Now()
+		stepAt(n, t0, event{flow: func() {
+			for _, addr := range []string{"holder-a", "holder-b", "c-1", "c-2", "c-3"} {
+				info := wire.PeerInfo{Addr: addr}
+				if strings.HasPrefix(addr, "holder") {
+					n.addNeighbor(info)
+				}
+				n.dhtObserve(info)
+			}
+			for _, gid := range []string{"r1", "r2", "r3"} {
+				n.dht.store.Put(dht.KeyID(gid), dht.Record{
+					GroupID: gid, Rendezvous: wire.PeerInfo{Addr: "owner-" + gid}, Epoch: 1,
+				}, n.now)
+			}
+		}})
+		stepAt(n, t0.Add(4*hb), event{flow: func() { n.epoch(false) }})
+		frames := make(map[string][]string)
+		for _, s := range log.sent {
+			frames[s.to] = append(frames[s.to], fmt.Sprintf("%v %s#%d", s.msg.Type, s.msg.GroupID, s.msg.ReqID))
+		}
+		return frames
+	}
+	want := build()
+	if len(want["c-1"]) != 6 {
+		t.Fatalf("c-1 got rescue frames %v, want 6 (3 records × 2 dead holders)", want["c-1"])
 	}
 	for run := 1; run <= 20; run++ {
 		if got := build(); fmt.Sprint(got) != fmt.Sprint(want) {

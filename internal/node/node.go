@@ -7,16 +7,17 @@
 // transport.Transport — the in-memory fabric for single-process deployments
 // and tests, or TCP for real networks.
 //
-// What runs where: a started node runs one event loop (run, loops.go), fed
-// by the transport's inbox pump. Each event — an inbound message, a flow an
-// API call posted, a timer wake — is one step(now, event) under n.mu at one
-// stamped time, n.now, which every timed rule reads; tests call step with
-// synthetic times. Everything timed, the periodic duties included, is an
-// entry in the loop's call table (calls.go). The loop makes every
-// PayloadHandler call after the step, unlocked. API calls take n.mu and a
-// stamp (lock) on the caller's goroutine; nothing else locks. The blocking
-// API calls (Bootstrap, Join, RecoverGroups) post their flow to the loop and
-// wait for its result with no lock held.
+// What runs where: a started node's state has one owner, its event loop
+// (run, loops.go). The loop pops the transport's inbox itself, on the
+// inbox's doorbell. Each event — an inbound message, the body of an API
+// call, a timer wake — is one step(now, event) at one stamped time, n.now,
+// which every timed rule reads; tests call step with synthetic times.
+// Everything timed, the periodic duties included, is an entry in the loop's
+// call table (calls.go). Every exported method that touches node state runs
+// its body on the loop through post or await (calls.go), so nothing locks.
+// The payloads an event releases go through one FIFO hand-off to the handler
+// goroutine, which runs only while a PayloadHandler is set: the loop never
+// runs application code.
 package node
 
 import (
@@ -149,13 +150,14 @@ func DefaultConfig(capacity float64, coord coords.Point, seed int64) Config {
 
 // PayloadHandler receives group payloads delivered to a member node.
 //
-// It is called on the node's event loop, one call at a time, in release
-// order — whether the payload was released by a live arrival, a digest, a
-// NACK-sweep abandonment or a promotion — after the loop event that released
-// it, and so after that event's forwards, with no node lock held. It may call
-// Publish and Leave. It must not call Join or Bootstrap: they post their flow
-// to the loop it is blocking and wait for a result only that loop can
-// produce. A handler that blocks also stalls the node's heartbeats.
+// It runs on the node's handler goroutine, never on its event loop: one call
+// at a time, in release order — whether the payload was released by a live
+// arrival, a digest, a NACK-sweep abandonment or a promotion — after the
+// loop event that released it, and so after that event's forwards. It may
+// call any API method except Close, which waits for it to return. A handler
+// that blocks holds back only the deliveries behind it: they wait in the
+// hand-off (the handler_queue_depth gauge) while the loop keeps relaying and
+// heartbeating.
 type PayloadHandler func(groupID string, from wire.PeerInfo, data []byte)
 
 type neighborState struct {
@@ -230,17 +232,18 @@ type adState struct {
 type Node struct {
 	cfg Config
 	tr  transport.Transport
+	// inbox is tr's inbound queue, which the loop drains itself.
+	inbox *transport.PrioInbox
 	// multi is tr's fan-out fast path when it offers one (the TCP transport
 	// encodes a frame once and writes the same bytes to every tree link);
 	// nil means sendMany falls back to a per-link Send loop.
 	multi transport.MultiSender
 
-	// mu guards the node's mutable state, self's coordinate included: the
-	// loop holds it for each whole event (run) and exported methods take it
-	// at the API boundary, both through lock. No other code locks.
-	mu sync.Mutex
-	// now is the current critical section's time, stamped by lock (or a
-	// test's step) and never moved backwards; it is the node's only clock.
+	// The rest of the node's state, self's coordinate included, belongs to
+	// the loop (see post).
+	//
+	// now is the current event's time, stamped by run (or a test's step) and
+	// never moved backwards; it is the node's only clock.
 	now       time.Time
 	self      wire.PeerInfo
 	rng       *rand.Rand
@@ -271,8 +274,9 @@ type Node struct {
 
 	// recovered is the state reloaded from StatePath (nil on a fresh start);
 	// saving single-flights state writes; epochNow counts heartbeat epochs
-	// from the persisted value up, and it and lastSaveAt feed the state
-	// file, the final Close snapshot and /debug/recovery. See recovery.go.
+	// from the persisted value up, and it and lastSaveAt (set by the writer)
+	// feed the state file, the final Close snapshot and /debug/recovery. See
+	// recovery.go.
 	recovered  *recovery.State
 	saving     atomic.Bool
 	epochNow   atomic.Int64
@@ -280,17 +284,20 @@ type Node struct {
 
 	// Loop-owned (loops.go, calls.go): the call table, its ReqID counter,
 	// the timer and the deadline it is armed for, the per-group repair
-	// single-flight, and what the current event left for endEvent — the
-	// payloads it released for the handler and a due history sample.
-	calls      map[uint64]*call
-	reqSeq     uint64
-	timer      *time.Timer
-	armed      time.Time
-	rejoining  map[string]bool
-	released   []delivery
-	historyDue uint64
-	// posts carries API flows onto the loop (see post).
-	posts chan func()
+	// single-flight, the payloads the current event released, and the
+	// hand-off to the handler goroutine (nil while no handler is set).
+	calls     map[uint64]*call
+	reqSeq    uint64
+	timer     *time.Timer
+	armed     time.Time
+	rejoining map[string]bool
+	released  []delivery
+	out       *handoff
+	// posts carries API bodies onto the loop (see post); live is closed by
+	// Start and exited when the loop returns.
+	posts  chan func()
+	live   chan struct{}
+	exited chan struct{}
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -365,10 +372,13 @@ func New(tr transport.Transport, cfg Config) *Node {
 		adSeen:    make(map[string]adState),
 		seenAds:   reliable.NewDedup(reliable.DefaultSeenMax, reliable.DefaultSeenTTL),
 		tracer:    cfg.Tracer,
+		inbox:     tr.InboxQueue(),
 		calls:     make(map[uint64]*call),
 		timer:     time.NewTimer(time.Hour), // armed by the call table
 		rejoining: make(map[string]bool),
 		posts:     make(chan func()),
+		live:      make(chan struct{}),
+		exited:    make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
 	n.multi, _ = tr.(transport.MultiSender)
@@ -419,11 +429,11 @@ func (n *Node) Coord() coords.Point { return coords.Point(n.Info().Coord) }
 
 // Info returns the node's identifier quadruplet, with a coordinate the
 // caller owns.
-func (n *Node) Info() wire.PeerInfo {
-	n.lock()
-	defer n.mu.Unlock()
-	info := n.self
-	info.Coord = coords.Point(info.Coord).Clone()
+func (n *Node) Info() (info wire.PeerInfo) {
+	n.post(func() {
+		info = n.self
+		info.Coord = coords.Point(info.Coord).Clone()
+	})
 	return info
 }
 
@@ -431,69 +441,85 @@ func (n *Node) Info() wire.PeerInfo {
 func (n *Node) Addr() string { return n.self.Addr }
 
 // SetPayloadHandler installs the application callback for delivered
-// payloads. Must be called before payloads arrive; safe to call anytime.
+// payloads; nil removes it, and payloads released while none is set are
+// dropped. Safe to call anytime, from the handler too. The handler
+// goroutine runs while a handler is set.
 func (n *Node) SetPayloadHandler(h PayloadHandler) {
-	n.lock()
-	defer n.mu.Unlock()
-	n.handler = h
+	n.post(func() {
+		n.handler = h
+		switch {
+		case n.out != nil:
+			n.out.push(nil, h)
+			if h == nil {
+				n.out = nil // its goroutine ends
+			}
+		case h != nil && !n.closed:
+			n.out = &handoff{handler: h, bell: make(chan struct{}, 1)}
+			n.done.Add(1)
+			go n.deliver(n.out)
+		}
+	})
 }
 
 // Start launches the node's event loop.
 func (n *Node) Start() {
-	n.lock()
-	defer n.mu.Unlock()
-	if n.started || n.closed {
-		return
-	}
-	n.started = true
-	n.begin()
-	n.done.Add(1)
-	go n.run()
+	n.post(func() {
+		if n.started || n.closed {
+			return
+		}
+		n.started = true
+		n.done.Add(1)
+		go n.run()
+		close(n.live)
+	})
 }
 
 // Close stops the node: it notifies neighbours, stops its goroutines, and
-// closes the transport.
+// closes the transport. It must not be called from the PayloadHandler,
+// whose return it waits for.
 func (n *Node) Close() error {
-	n.lock()
-	if n.closed {
-		n.mu.Unlock()
+	closing := false
+	n.post(func() {
+		if n.closed {
+			return
+		}
+		n.closed, closing = true, true
+		for addr := range n.neighbors {
+			_ = n.send(addr, wire.Message{Type: wire.TLeave, From: n.self})
+		}
+	})
+	if !closing {
 		return nil
 	}
-	n.closed = true
-	for addr := range n.neighbors {
-		_ = n.send(addr, wire.Message{Type: wire.TLeave, From: n.self})
-	}
-	n.mu.Unlock()
 	close(n.stop)
 	err := n.tr.Close()
 	n.done.Wait()
-	// Final state snapshot after every loop stopped mutating, so a clean
+	// Final state snapshot once the loop stopped mutating, so a clean
 	// shutdown persists the freshest high-water marks for the next start.
 	n.saveState()
-	// Flush and close the tracer's file sink only after every loop stopped
-	// recording, so a clean shutdown leaves a complete, fsynced trace file.
-	// The close error is counted into SinkErrors (surfaced via Stats); the
-	// transport error is the one callers act on.
+	// Flush and close the tracer's file sink only after every goroutine
+	// stopped recording, so a clean shutdown leaves a complete, fsynced
+	// trace file. The close error is counted into SinkErrors (surfaced via
+	// Stats); the transport error is the one callers act on.
 	_ = n.tracer.Close()
 	return err
 }
 
 // Neighbors returns the current neighbour set.
-func (n *Node) Neighbors() []wire.PeerInfo {
-	n.lock()
-	defer n.mu.Unlock()
-	out := make([]wire.PeerInfo, 0, len(n.neighbors))
-	for _, nb := range n.neighbors {
-		out = append(out, nb.info)
-	}
+func (n *Node) Neighbors() (out []wire.PeerInfo) {
+	n.post(func() {
+		out = make([]wire.PeerInfo, 0, len(n.neighbors))
+		for _, nb := range n.neighbors {
+			out = append(out, nb.info)
+		}
+	})
 	return out
 }
 
 // NumNeighbors returns the neighbour count.
-func (n *Node) NumNeighbors() int {
-	n.lock()
-	defer n.mu.Unlock()
-	return len(n.neighbors)
+func (n *Node) NumNeighbors() (count int) {
+	n.post(func() { count = len(n.neighbors) })
+	return count
 }
 
 func (n *Node) dist(a, b wire.PeerInfo) float64 {
@@ -514,15 +540,21 @@ func (n *Node) quota() int {
 }
 
 // groupIDs lists the node's groups in sorted order. A walk over the groups
-// that takes MsgIDs or draws from the seeded rng goes in this order, not map
-// order, so one seed gives one run.
-func (n *Node) groupIDs() []string {
-	gids := make([]string, 0, len(n.groups))
-	for gid := range n.groups {
-		gids = append(gids, gid)
+// that takes MsgIDs, draws from the seeded rng or releases payloads goes in
+// this order, not map order, so one seed gives one run.
+func (n *Node) groupIDs() []string { return sortedKeys(n.groups) }
+
+// sortedKeys lists a map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
 	}
-	sort.Strings(gids)
-	return gids
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func (n *Node) nextMsgID() uint64 {
@@ -547,13 +579,13 @@ func (n *Node) nextMsgID() uint64 {
 // retried with exponential backoff, so dead contacts cost one shared wait
 // instead of a full timeout each.
 func (n *Node) Bootstrap(contacts []string, timeout time.Duration) error {
-	n.lock()
-	err := n.runnable()
-	n.mu.Unlock()
-	if err != nil || len(contacts) == 0 {
-		return err // a nil error with no contacts: first node in the overlay
-	}
-	return n.await(func(done func(error)) { n.bootstrap(contacts, timeout, done) })
+	return n.await(func(done func(error)) {
+		if err := n.runnable(); err != nil || len(contacts) == 0 {
+			done(err) // a nil error with no contacts: first node in the overlay
+			return
+		}
+		n.bootstrap(contacts, timeout, done)
+	})
 }
 
 // bootstrap is Bootstrap's probe phase on the loop: every contact is probed
@@ -601,11 +633,7 @@ func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, time
 	// Candidate scoring (Eq. 6: frequency substitutes capacity) and resource
 	// level estimation from the sampled capacities. Selection draws from the
 	// seeded rng in candidate order, so the order must not be map order.
-	addrs := make([]string, 0, len(infos))
-	for addr := range infos {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
+	addrs := sortedKeys(infos)
 	sample := make([]peer.Capacity, len(addrs))
 	cands := make([]core.Candidate, len(addrs))
 	for i, addr := range addrs {
@@ -649,7 +677,7 @@ func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, time
 		})
 }
 
-// runnable reports whether the API may act on the node; callers hold n.mu.
+// runnable reports whether the API may act on the node.
 func (n *Node) runnable() error {
 	if !n.started {
 		return ErrNotStarted

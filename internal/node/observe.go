@@ -27,6 +27,7 @@ const (
 	MetricNackRTT               = "nack_rtt_ms"
 	MetricHeartbeatRTT          = "heartbeat_rtt_ms"
 	MetricRecvQueueDepth        = "recv_queue_depth"
+	MetricHandlerQueueDepth     = "handler_queue_depth"
 	MetricSuccessionTTR         = "succession_ttr_ms"
 	MetricOverloadPressure      = "overload_pressure"
 	MetricOverloadEpisode       = "overload_episode_ms"
@@ -58,7 +59,9 @@ type nodeMetrics struct {
 }
 
 // initObservability wires the metrics registry (always on) and registers
-// the node's gauges. Called once from New, before any loop starts.
+// the node's gauges. Called once from New, before any loop starts. The
+// gauges read loop state, so every registry snapshot is taken on the loop
+// (MetricsSnapshot, the history sample).
 func (n *Node) initObservability() {
 	reg := metrics.NewRegistry()
 	n.metrics = nodeMetrics{
@@ -84,28 +87,32 @@ func (n *Node) initObservability() {
 		})
 	}
 	reg.Gauge("neighbors", func() float64 {
-		return float64(n.NumNeighbors())
+		return float64(len(n.neighbors))
 	})
-	if n.dht != nil {
+	if d := n.dht; d != nil {
 		reg.Gauge("dht_routing_table_size", func() float64 {
-			return float64(n.dht.table.Len())
+			return float64(d.table.Len())
 		})
 		reg.Gauge("dht_bucket_depth", func() float64 {
-			return float64(n.dht.table.MaxBucketDepth())
+			return float64(d.table.MaxBucketDepth())
 		})
 		reg.Gauge("dht_records", func() float64 {
-			return float64(n.dht.store.Len())
+			return float64(d.store.Len())
 		})
 		// The adaptive maintenance signal: observed churn events per second.
 		reg.Gauge("dht_churn_rate", func() float64 {
-			return n.DhtChurnRate()
+			return d.churn.Rate(n.now)
 		})
 	}
-	if qr, ok := n.tr.(transport.QueueReporter); ok {
-		reg.Gauge(MetricRecvQueueDepth, func() float64 {
-			return float64(qr.QueueDepth())
-		})
-	}
+	reg.Gauge(MetricRecvQueueDepth, func() float64 {
+		return float64(n.inbox.Depth())
+	})
+	reg.Gauge(MetricHandlerQueueDepth, func() float64 {
+		if n.out == nil {
+			return 0
+		}
+		return float64(n.out.depth.Load())
+	})
 	if br, ok := n.tr.(transport.BreakerReporter); ok {
 		reg.Gauge("transport_breakers_open", func() float64 {
 			open := 0
@@ -122,40 +129,31 @@ func (n *Node) initObservability() {
 			return float64(oq.OutboundQueueDepth())
 		})
 	}
-	reg.Gauge(MetricOverloadPressure, n.overload.lastPressure)
+	reg.Gauge(MetricOverloadPressure, func() float64 { return n.overload.pressure })
 	reg.Gauge("overload_degraded", func() float64 {
-		if n.Overloaded() {
+		if n.overload.degraded {
 			return 1
 		}
 		return 0
 	})
 	reg.Gauge("pending_requests", func() float64 {
-		return float64(n.PendingRequests())
+		return float64(n.pendingRequests())
 	})
-	// The gauges below read loop state, so they take n.mu like any API
-	// reader; the loop samples the registry only after an event's unlock.
-	locked := func(read func() float64) func() float64 {
-		return func() float64 {
-			n.lock()
-			defer n.mu.Unlock()
-			return read()
-		}
-	}
-	reg.Gauge("reliable_pending_gaps", locked(func() float64 {
+	reg.Gauge("reliable_pending_gaps", func() float64 {
 		gaps, _, _ := n.reliableOccupancy()
 		return float64(gaps)
-	}))
-	reg.Gauge("reliable_window_entries", locked(func() float64 {
+	})
+	reg.Gauge("reliable_window_entries", func() float64 {
 		_, entries, _ := n.reliableOccupancy()
 		return float64(entries)
-	}))
-	reg.Gauge("reliable_cached_payloads", locked(func() float64 {
+	})
+	reg.Gauge("reliable_cached_payloads", func() float64 {
 		_, _, cached := n.reliableOccupancy()
 		return float64(cached)
-	}))
-	reg.Gauge("reliable_oldest_gap_age_ms", locked(func() float64 {
+	})
+	reg.Gauge("reliable_oldest_gap_age_ms", func() float64 {
 		return n.oldestGapAge().Seconds() * 1000
-	}))
+	})
 }
 
 // reliableOccupancy sums the reliable data plane's bounded state across all
@@ -188,8 +186,12 @@ func (n *Node) oldestGapAge() time.Duration {
 	return oldest
 }
 
-// Metrics returns the node's instrument registry (always non-nil).
-func (n *Node) Metrics() *metrics.Registry { return n.metrics.reg }
+// MetricsSnapshot reads every instrument of the node's registry at once,
+// on the loop that owns what its gauges read.
+func (n *Node) MetricsSnapshot() (snap metrics.RegistrySnapshot) {
+	n.post(func() { snap = n.metrics.reg.Snapshot() })
+	return snap
+}
 
 // Tracer returns the node's tracer (nil when tracing is disabled).
 func (n *Node) Tracer() *trace.Tracer { return n.tracer }
@@ -282,10 +284,9 @@ type TreeDetail struct {
 
 // TreeDetails snapshots every group's tree attachment with per-link utility
 // and latency estimates, sorted by group ID.
-func (n *Node) TreeDetails() []TreeDetail {
-	n.lock()
-	defer n.mu.Unlock()
-	return n.treeDetails()
+func (n *Node) TreeDetails() (out []TreeDetail) {
+	n.post(func() { out = n.treeDetails() })
+	return out
 }
 
 // treeDetails is TreeDetails' body, shared with the loop's health digest.
@@ -295,7 +296,8 @@ func (n *Node) treeDetails() []TreeDetail {
 		role string
 	}
 	out := make([]TreeDetail, 0, len(n.groups))
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		td := TreeDetail{
 			Group:        gid,
 			Mode:         gs.mode.String(),
@@ -341,7 +343,6 @@ func (n *Node) treeDetails() []TreeDetail {
 		}
 		out = append(out, td)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
 	return out
 }
 
@@ -391,26 +392,26 @@ type OverlayDetail struct {
 }
 
 // OverlayView snapshots the neighbour table with per-peer liveness state.
-func (n *Node) OverlayView() OverlayDetail {
-	n.lock()
-	defer n.mu.Unlock()
-	od := OverlayDetail{
-		Addr:     n.self.Addr,
-		Coord:    coords.Point(n.self.Coord).Clone(),
-		CoordErr: n.self.CoordErr,
-		Capacity: n.self.Capacity,
-		Quota:    n.quota(),
-		Vivaldi:  n.vivaldi != nil,
-	}
-	for _, nb := range n.neighbors {
-		od.Peers = append(od.Peers, NeighborDetail{
-			Addr:      nb.info.Addr,
-			Capacity:  nb.info.Capacity,
-			LatencyMs: n.dist(n.self, nb.info),
-			LastAckMs: float64(n.now.Sub(nb.lastAck)) / float64(time.Millisecond),
-			Suspect:   nb.suspect,
-		})
-	}
-	sort.Slice(od.Peers, func(i, j int) bool { return od.Peers[i].Addr < od.Peers[j].Addr })
+func (n *Node) OverlayView() (od OverlayDetail) {
+	n.post(func() {
+		od = OverlayDetail{
+			Addr:     n.self.Addr,
+			Coord:    coords.Point(n.self.Coord).Clone(),
+			CoordErr: n.self.CoordErr,
+			Capacity: n.self.Capacity,
+			Quota:    n.quota(),
+			Vivaldi:  n.vivaldi != nil,
+		}
+		for _, addr := range sortedKeys(n.neighbors) {
+			nb := n.neighbors[addr]
+			od.Peers = append(od.Peers, NeighborDetail{
+				Addr:      nb.info.Addr,
+				Capacity:  nb.info.Capacity,
+				LatencyMs: n.dist(n.self, nb.info),
+				LastAckMs: float64(n.now.Sub(nb.lastAck)) / float64(time.Millisecond),
+				Suspect:   nb.suspect,
+			})
+		}
+	})
 	return od
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -42,21 +41,14 @@ const (
 	DefaultOverloadSampleInterval = 100 * time.Millisecond
 )
 
-// overloadState is the controller's state. The streaks and the current
-// episode's start belong to the node's loop, the only caller of
-// overloadTick; the rest is published through atomics so Publish and every
-// best-effort relay read it without a lock.
+// overloadState is the controller's state, owned by the node's loop, the
+// only caller of overloadTick. pressure is the last sample.
 type overloadState struct {
 	enterStreak int
 	exitStreak  int
 	enteredAt   time.Time
-	degraded    atomic.Bool
-	pressure    atomic.Uint64 // math.Float64bits of the last sample
-}
-
-// lastPressure returns the last sampled pressure.
-func (o *overloadState) lastPressure() float64 {
-	return math.Float64frombits(o.pressure.Load())
+	degraded    bool
+	pressure    float64
 }
 
 // OverloadView is the controller's snapshot for introspection (/debug) and
@@ -71,20 +63,20 @@ type OverloadView struct {
 }
 
 // Overloaded reports whether the node is currently in the degraded state.
-func (n *Node) Overloaded() bool { return n.overload.degraded.Load() }
+func (n *Node) Overloaded() (degraded bool) {
+	n.post(func() { degraded = n.overload.degraded })
+	return degraded
+}
 
 // OverloadSnapshot renders the controller for /debug and tests.
-func (n *Node) OverloadSnapshot() OverloadView {
+func (n *Node) OverloadSnapshot() (ov OverloadView) {
 	o := &n.overload
-	n.lock()
-	defer n.mu.Unlock()
-	ov := OverloadView{
-		Degraded: o.degraded.Load(),
-		Pressure: o.lastPressure(),
-	}
-	if ov.Degraded {
-		ov.DegradedMs = float64(n.now.Sub(o.enteredAt)) / float64(time.Millisecond)
-	}
+	n.post(func() {
+		ov = OverloadView{Degraded: o.degraded, Pressure: o.pressure}
+		if ov.Degraded {
+			ov.DegradedMs = float64(n.now.Sub(o.enteredAt)) / float64(time.Millisecond)
+		}
+	})
 	return ov
 }
 
@@ -93,14 +85,7 @@ func (n *Node) OverloadSnapshot() OverloadView {
 // links whose circuit breaker is open, whichever is worse. Either one
 // saturating means work is being lost or refused right now.
 func (n *Node) samplePressure() float64 {
-	var pressure float64
-	if qr, ok := n.tr.(transport.QueueReporter); ok {
-		if cap := qr.QueueCapacity(); cap > 0 {
-			if frac := float64(qr.QueueDepth()) / float64(cap); frac > pressure {
-				pressure = frac
-			}
-		}
-	}
+	pressure := float64(n.inbox.Depth()) / float64(n.inbox.Capacity())
 	if br, ok := n.tr.(transport.BreakerReporter); ok {
 		if brks := br.Breakers(); len(brks) > 0 {
 			open := 0
@@ -124,10 +109,10 @@ func (n *Node) samplePressure() float64 {
 // loop calls it every OverloadSampleInterval.
 func (n *Node) overloadTick(pressure float64) {
 	o := &n.overload
-	o.pressure.Store(math.Float64bits(pressure))
+	o.pressure = pressure
 	var episodeDur time.Duration
 	entered := false
-	if !o.degraded.Load() {
+	if !o.degraded {
 		if pressure >= overloadEnterPressure {
 			o.enterStreak++
 		} else {
@@ -135,7 +120,7 @@ func (n *Node) overloadTick(pressure float64) {
 		}
 		if o.enterStreak >= overloadEnterSamples {
 			o.enteredAt = n.now
-			o.degraded.Store(true)
+			o.degraded = true
 			o.enterStreak = 0
 			o.exitStreak = 0
 			entered = true
@@ -147,7 +132,7 @@ func (n *Node) overloadTick(pressure float64) {
 			o.exitStreak = 0
 		}
 		if o.exitStreak >= overloadExitSamples {
-			o.degraded.Store(false)
+			o.degraded = false
 			episodeDur = n.now.Sub(o.enteredAt)
 			o.exitStreak = 0
 		}
@@ -170,12 +155,6 @@ func (n *Node) Breakers() []transport.BreakerInfo {
 	return nil
 }
 
-// InboxQueue exposes the transport's class-prioritized inbound queue (nil
-// when the transport has none), for experiments and tests that read the
-// per-class accepted/shed counters.
-func (n *Node) InboxQueue() *transport.PrioInbox {
-	if iq, ok := n.tr.(interface{ InboxQueue() *transport.PrioInbox }); ok {
-		return iq.InboxQueue()
-	}
-	return nil
-}
+// InboxQueue is the transport's class-prioritized inbound queue, for
+// experiments and tests that read the per-class accepted/shed counters.
+func (n *Node) InboxQueue() *transport.PrioInbox { return n.inbox }

@@ -8,6 +8,7 @@ import (
 
 	"groupcast/internal/coords"
 	"groupcast/internal/dht"
+	"groupcast/internal/trace"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -16,10 +17,7 @@ import (
 // directly, bypassing the sampler — tests that exercise the policy (admission
 // control, relay shedding) should not depend on pressure timing.
 func forceDegraded(n *Node, degraded bool) {
-	n.lock()
-	n.overload.enteredAt = n.now
-	n.mu.Unlock()
-	n.overload.degraded.Store(degraded)
+	n.post(func() { n.overload.enteredAt, n.overload.degraded = n.now, degraded })
 }
 
 // quietOverloadConfig returns a config whose overload sampler effectively
@@ -130,12 +128,10 @@ func TestOverloadRelayShed(t *testing.T) {
 	// Hand-build the tree position: a member with one downstream child, so
 	// the forwarding decision is isolated from topology formation.
 	install := func(gid string, mode wire.DeliveryMode) {
-		relay.mu.Lock()
 		gs := newGroupState(mode)
 		gs.member = true
 		gs.children[child.Addr()] = wire.PeerInfo{Addr: child.Addr()}
 		relay.groups[gid] = gs
-		relay.mu.Unlock()
 	}
 	install("be", wire.BestEffort)
 	install("rel", wire.Reliable)
@@ -146,8 +142,11 @@ func TestOverloadRelayShed(t *testing.T) {
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 1,
 		Mode: wire.BestEffort, Data: []byte("x"),
 	}})
+	// The delivery reaches the handler on its own goroutine.
+	waitFor(t, testTimeout, func() bool { return delivered.Load() > 0 },
+		static("no local delivery (shedding must not touch local delivery)"))
 	if got := delivered.Load(); got != 1 {
-		t.Fatalf("local deliveries = %d, want 1 (shedding must not touch local delivery)", got)
+		t.Fatalf("local deliveries = %d, want 1", got)
 	}
 	if got := relay.Stats().RelaySheds; got != 1 {
 		t.Fatalf("relay sheds = %d, want 1", got)
@@ -244,16 +243,14 @@ func TestPendingReqSweepLoop(t *testing.T) {
 	replies := make(chan uint64, 16)
 	probe := func() uint64 {
 		t.Helper()
-		ids := make(chan uint64, 1)
-		if err := n.post(func() {
+		var id uint64
+		n.post(func() {
 			n.ask([]string{peer.Addr()}, wire.Message{Type: wire.TProbe}, time.Hour,
 				func(m wire.Message) bool { replies <- m.ReqID; return true },
 				func() { t.Error("probe timed out") })
-			ids <- n.reqSeq
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return <-ids
+			id = n.reqSeq
+		})
+		return id
 	}
 	// The marker reply is sent last on the same class; once it is routed,
 	// every reply before it has been through the loop too.
@@ -291,16 +288,14 @@ func TestPendingReqSweepLoop(t *testing.T) {
 	// iteration order of the table.
 	const same = 16
 	fired := make(chan uint64, same)
-	if err := n.post(func() {
+	n.post(func() {
 		at := time.Now().Add(20 * time.Millisecond)
 		for i := 0; i < same; i++ {
 			id := n.reqSeq + 1
 			n.after(time.Hour, func() { fired <- id })
 			n.calls[id].deadline = at
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	var order []uint64
 	for len(order) < same {
 		select {
@@ -335,6 +330,10 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 	a := New(net.NextEndpoint(), DefaultConfig(100, coords.Point{0, 0}, 1))
 	bcfg := DefaultConfig(10, coords.Point{10, 10}, 2)
 	bcfg.HeartbeatInterval = 100 * time.Millisecond
+	// The slow consumer: b's loop stalls on every payload it takes in, so
+	// the flood overruns the 16-slot inbox by an order of magnitude. (A slow
+	// handler no longer does: it runs off the loop.)
+	bcfg.Tracer = trace.New(64, stallingSink(2*time.Millisecond))
 	b := New(net.NextEndpoint(), bcfg)
 	a.Start()
 	b.Start()
@@ -356,11 +355,6 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 		return b.Join("flood", 200*time.Millisecond) == nil
 	}, static("b could not join"))
 
-	// The slow consumer: each delivery stalls b's receive loop, so the flood
-	// overruns the 16-slot inbox by an order of magnitude.
-	b.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-		time.Sleep(2 * time.Millisecond)
-	})
 	const flood = 10 * inboxCap
 	for i := 0; i < flood; i++ {
 		if err := a.Publish("flood", []byte("payload")); err != nil &&
@@ -390,5 +384,16 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 		if td.Group == "flood" && (td.Epoch != 1 || td.Promoted) {
 			t.Fatalf("flood triggered a succession: epoch=%d promoted=%v", td.Epoch, td.Promoted)
 		}
+	}
+}
+
+// stallingSink is a trace sink that stalls the recording loop for the given
+// time on every payload the node takes in, as a synchronous log on a
+// saturated disk would.
+type stallingSink time.Duration
+
+func (d stallingSink) Record(ev trace.Event) {
+	if ev.Kind == trace.KindRecv && ev.Msg == wire.TPayload.String() {
+		time.Sleep(time.Duration(d))
 	}
 }

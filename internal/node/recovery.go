@@ -1,7 +1,6 @@
 package node
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -129,10 +128,14 @@ func (n *Node) RecoverGroups(timeout time.Duration) error {
 	for _, g := range st.Groups {
 		switch {
 		case g.Rendezvous:
-			if n.dht != nil {
-				_ = n.post(func() { n.dhtRepublishAsync(g.GroupID) })
-			}
-			if err := n.Advertise(g.GroupID); err != nil && firstErr == nil {
+			var err error
+			n.post(func() {
+				if err = n.runnable(); err == nil {
+					n.dhtRepublishAsync(g.GroupID)
+					err = n.advertise(g.GroupID)
+				}
+			})
+			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 		case g.Member:
@@ -145,9 +148,9 @@ func (n *Node) RecoverGroups(timeout time.Duration) error {
 }
 
 // captureState snapshots the node into a durable recovery state, with the
-// heartbeat epoch count so a restart resumes above it.
+// heartbeat epoch count so a restart resumes above it. It reads loop state:
+// the loop's save duty calls it, and Close once the loop has stopped.
 func (n *Node) captureState() *recovery.State {
-	n.lock()
 	st := &recovery.State{
 		Addr:     n.self.Addr,
 		Coord:    append([]float64(nil), n.self.Coord...),
@@ -172,17 +175,13 @@ func (n *Node) captureState() *recovery.State {
 		if gs.pub != nil {
 			g.PubHigh = gs.pub.High()
 		}
-		for src, w := range gs.recv {
-			if h := w.High(); h > 0 {
+		for _, src := range sortedKeys(gs.recv) {
+			if h := gs.recv[src].High(); h > 0 {
 				g.Sources = append(g.Sources, wire.DigestEntry{Source: src, High: h})
 			}
 		}
-		sort.Slice(g.Sources, func(i, j int) bool {
-			return g.Sources[i].Source < g.Sources[j].Source
-		})
 		st.Groups = append(st.Groups, g)
 	}
-	n.mu.Unlock()
 	if n.dht != nil {
 		for _, c := range n.dht.table.Contacts() {
 			st.Contacts = append(st.Contacts, c.Info)
@@ -191,19 +190,18 @@ func (n *Node) captureState() *recovery.State {
 	return st
 }
 
-// saveState persists the recovery state file (single-flighted: a slow disk
-// must not stack writers behind the heartbeat loop). Failed saves are
-// dropped — the previous file stays intact thanks to the atomic rename, and
-// the next epoch retries.
+// saveState persists the recovery state file, at Close (with no loop left)
+// once any periodic write is done.
 func (n *Node) saveState() {
-	if n.cfg.StatePath == "" {
-		return
+	if n.cfg.StatePath != "" {
+		n.writeState(n.captureState())
 	}
-	if !n.saving.CompareAndSwap(false, true) {
-		return
-	}
-	defer n.saving.Store(false)
-	st := n.captureState()
+}
+
+// writeState writes one captured state. A failed save is dropped — the
+// previous file stays intact thanks to the atomic rename, and the next
+// epoch retries.
+func (n *Node) writeState(st *recovery.State) {
 	if err := recovery.Save(n.cfg.StatePath, st); err == nil {
 		atomic.AddUint64(&n.stats.StateSaves, 1)
 		n.lastSaveAt.Store(st.SavedAt.UnixNano())

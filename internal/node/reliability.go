@@ -219,7 +219,9 @@ const nackInterval = 40 * time.Millisecond
 
 // nackSweep turns every due sequence gap into a NACK up the arrival link
 // (tree parent as fallback). Gaps that exhausted their attempts are
-// abandoned here, which in ordered mode may unlock held-back deliveries.
+// abandoned here, which in ordered mode may unlock held-back deliveries. It
+// walks groups and sources in sorted order, so one seed releases in one
+// order and traced NACKs draw their IDs in one order.
 func (n *Node) nackSweep() {
 	pol := reliable.NackPolicy{
 		BaseDelay:   nackInterval,
@@ -227,11 +229,13 @@ func (n *Node) nackSweep() {
 		MaxAttempts: reliable.DefaultNackMaxAttempts,
 		MaxBatch:    reliable.DefaultNackBatch,
 	}
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		if gs.mode == wire.BestEffort {
 			continue
 		}
-		for srcAddr, w := range gs.recv {
+		for _, srcAddr := range sortedKeys(gs.recv) {
+			w := gs.recv[srcAddr]
 			var res reliable.ObserveResult
 			due := w.DueGaps(n.now, pol, &res)
 			n.noteWindow(&res)
@@ -343,26 +347,26 @@ type ReliabilityView struct {
 }
 
 // Reliability snapshots the reliable data-plane state for a group.
-func (n *Node) Reliability(groupID string) ReliabilityView {
-	n.lock()
-	defer n.mu.Unlock()
-	rv := ReliabilityView{SeenAds: n.seenAds.Len()}
-	gs := n.groups[groupID]
-	if gs == nil {
-		return rv
-	}
-	rv.Exists = true
-	rv.Mode = gs.mode
-	rv.Sources = len(gs.recv)
-	for _, w := range gs.recv {
-		rv.WindowEntries += w.Tracked()
-		rv.PendingGaps += w.PendingGaps()
-		rv.PendingOrdered += w.PendingOrdered()
-		rv.CachedPayloads += w.Cached()
-	}
-	if gs.pub != nil {
-		rv.SendBufferSeq = gs.pub.High()
-		rv.SendBufferCached = gs.pub.Cached()
-	}
+func (n *Node) Reliability(groupID string) (rv ReliabilityView) {
+	n.post(func() {
+		rv.SeenAds = n.seenAds.Len()
+		gs := n.groups[groupID]
+		if gs == nil {
+			return
+		}
+		rv.Exists = true
+		rv.Mode = gs.mode
+		rv.Sources = len(gs.recv)
+		for _, w := range gs.recv {
+			rv.WindowEntries += w.Tracked()
+			rv.PendingGaps += w.PendingGaps()
+			rv.PendingOrdered += w.PendingOrdered()
+			rv.CachedPayloads += w.Cached()
+		}
+		if gs.pub != nil {
+			rv.SendBufferSeq = gs.pub.High()
+			rv.SendBufferCached = gs.pub.Cached()
+		}
+	})
 	return rv
 }

@@ -174,15 +174,8 @@ func TestSoakChurnAndLoss(t *testing.T) {
 				if delivered[m.Addr()] > before[m.Addr()] {
 					continue
 				}
-				m.mu.Lock()
-				gs := m.groups["soak"]
-				var parent string
-				var kids int
-				if gs != nil {
-					parent = gs.parent
-					kids = len(gs.children)
-				}
-				m.mu.Unlock()
+				tv := m.Tree("soak")
+				parent, kids := tv.Parent, len(tv.Children)
 				chain := []string{m.Addr()}
 				cur := parent
 				for hops := 0; cur != "" && hops < 10; hops++ {
@@ -192,21 +185,17 @@ func TestSoakChurnAndLoss(t *testing.T) {
 						chain = append(chain, "(unknown)")
 						break
 					}
-					nd.mu.Lock()
-					g2 := nd.groups["soak"]
-					if g2 == nil {
+					g2 := nd.Tree("soak")
+					if !g2.Exists {
 						cur = "(no-state)"
-						nd.mu.Unlock()
 						chain = append(chain, cur)
 						break
 					}
-					if g2.rendezvous {
-						nd.mu.Unlock()
+					if g2.Rendezvous {
 						chain = append(chain, "RDV")
 						break
 					}
-					cur = g2.parent
-					nd.mu.Unlock()
+					cur = g2.Parent
 				}
 				t.Logf("unreached %s: parent=%q kids=%d chain=%v", m.Addr(), parent, kids, chain)
 			}

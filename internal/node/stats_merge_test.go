@@ -154,7 +154,7 @@ func TestStatsViewsCoverEveryField(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Stats() did not round-trip the tally:\n got %+v\nwant %+v", got, want)
 	}
-	counters := nd.Metrics().Snapshot().Counters
+	counters := nd.MetricsSnapshot().Counters
 	if len(counters) != int(n) {
 		t.Errorf("registry holds %d counters, want %d (names must be unique)", len(counters), n)
 	}
@@ -284,7 +284,7 @@ func TestSnapshotsRaceSafe(t *testing.T) {
 					acc.Merge(s)
 					_ = s.Delta(last)
 					last = s
-					_ = nd.Metrics().Snapshot()
+					_ = nd.MetricsSnapshot()
 					_ = nd.TreeDetails()
 					_ = nd.OverlayView()
 					_ = nd.TraceEvents(16)

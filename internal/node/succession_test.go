@@ -53,11 +53,12 @@ func (r *seqRecorder) assertFIFO(t *testing.T, who, src string, n int) {
 }
 
 // holdsCharter reports whether the node is an armed deputy for the group.
-func holdsCharter(nd *Node, gid string) bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	gs := nd.groups[gid]
-	return gs != nil && gs.charter.Epoch > 0
+func holdsCharter(nd *Node, gid string) (armed bool) {
+	nd.post(func() {
+		gs := nd.groups[gid]
+		armed = gs != nil && gs.charter.Epoch > 0
+	})
+	return armed
 }
 
 // singleRoot returns the unique rendezvous among nodes, or nil if there is

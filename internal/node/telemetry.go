@@ -37,7 +37,7 @@ const (
 
 // telemetryState is the node's half of the fleet plane: the epoch counter,
 // the freshest self digest (what piggybacks out), and the telemetry
-// package's primitives. epoch and self are loop state under n.mu.
+// package's primitives. epoch and self are loop state.
 type telemetryState struct {
 	epoch uint64
 	self  wire.HealthDigest
@@ -58,7 +58,8 @@ func (n *Node) initTelemetry() {
 		fleet:   telemetry.NewFleet(n.self.Addr),
 	}
 	// Alert transitions count into Stats and land in the trace ring; the
-	// callback runs under the SLO's lock so it must not call back into it.
+	// callback runs inside the SLO's evaluation, so it must not call back
+	// into it.
 	ts.slo = telemetry.NewSLO(func(a telemetry.Alert) {
 		if a.Firing {
 			atomic.AddUint64(&n.stats.SLOAlerts, 1)
@@ -94,19 +95,19 @@ func (n *Node) telemetryStaleAfter() time.Duration {
 }
 
 // telemetryEpoch runs once per heartbeat epoch on the loop: sample self into
-// a fresh digest, then sweep the fleet view for staleness. It returns the new
-// epoch, whose history sample endEvent takes after the unlock (0 when
-// telemetry is off).
-func (n *Node) telemetryEpoch() uint64 {
+// a fresh digest and the registry into the history, then sweep the fleet
+// view for staleness.
+func (n *Node) telemetryEpoch() {
 	ts := n.telemetry
 	if ts == nil {
-		return 0
+		return
 	}
 	ts.epoch++
 	ts.self = n.buildDigest()
 	ts.self.Epoch = ts.epoch
 	ts.fleet.Observe(ts.self, n.now, ts.epoch)
 	ts.slo.Observe(ts.self, n.now)
+	ts.history.Observe(ts.epoch, n.now, n.metrics.reg.Snapshot())
 
 	// Staleness sweep: a node whose digest stopped advancing past the window
 	// — counted in this node's own epochs, not wall time — is the fleet's
@@ -117,7 +118,6 @@ func (n *Node) telemetryEpoch() uint64 {
 		}
 		ts.slo.MarkStale(nh.Addr, nh.Stale, n.now.Sub(nh.LastSeen), n.now, ts.epoch)
 	}
-	return ts.epoch
 }
 
 // buildDigest samples this node into a health digest (Epoch is filled by the
@@ -137,12 +137,10 @@ func (n *Node) buildDigest() wire.HealthDigest {
 	if links > 0 {
 		d.Utility = sum / float64(links)
 	}
-	d.Pressure = n.overload.lastPressure()
-	d.Degraded = n.Overloaded()
+	d.Pressure = n.overload.pressure
+	d.Degraded = n.overload.degraded
 	d.P99Ms = n.metrics.publishDeliver.Snapshot().Quantile(0.99)
-	if qr, ok := n.tr.(transport.QueueReporter); ok {
-		d.Inbox = uint64(qr.QueueDepth())
-	}
+	d.Inbox = uint64(n.inbox.Depth())
 	d.Delivered = atomic.LoadUint64(&n.stats.Delivered)
 	shed := atomic.LoadUint64(&n.stats.PublishRejects) + atomic.LoadUint64(&n.stats.RelaySheds)
 	if dc, ok := n.tr.(transport.DropCounter); ok {
@@ -192,34 +190,31 @@ func (n *Node) countHealthSent(digests, links int) {
 
 // FleetView returns this node's eventually consistent view of the fleet,
 // sorted by address with staleness marked (nil when telemetry is disabled).
-func (n *Node) FleetView() []telemetry.NodeHealth {
-	ts := n.telemetry
-	if ts == nil {
-		return nil
-	}
-	n.lock()
-	defer n.mu.Unlock()
-	return ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
+func (n *Node) FleetView() (out []telemetry.NodeHealth) {
+	n.post(func() {
+		if ts := n.telemetry; ts != nil {
+			out = ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
+		}
+	})
+	return out
 }
 
 // TelemetryHistory returns the node's buffered time-series samples, oldest
 // first (nil when telemetry is disabled).
-func (n *Node) TelemetryHistory() []telemetry.Sample {
-	ts := n.telemetry
-	if ts == nil {
-		return nil
+func (n *Node) TelemetryHistory() (out []telemetry.Sample) {
+	if ts := n.telemetry; ts != nil {
+		n.post(func() { out = ts.history.Snapshot() })
 	}
-	return ts.history.Snapshot()
+	return out
 }
 
 // SLOActive returns the currently firing SLO alerts across the fleet view
 // (nil when telemetry is disabled).
-func (n *Node) SLOActive() []telemetry.Alert {
-	ts := n.telemetry
-	if ts == nil {
-		return nil
+func (n *Node) SLOActive() (out []telemetry.Alert) {
+	if ts := n.telemetry; ts != nil {
+		n.post(func() { out = ts.slo.Active() })
 	}
-	return ts.slo.Active()
+	return out
 }
 
 // ClusterView is the /debug/cluster document: this node's fleet view, the
@@ -238,19 +233,19 @@ type ClusterView struct {
 
 // ClusterView snapshots the fleet plane for /debug/cluster and
 // groupcast-top.
-func (n *Node) ClusterView() ClusterView {
+func (n *Node) ClusterView() (cv ClusterView) {
 	ts := n.telemetry
-	cv := ClusterView{Addr: n.self.Addr, Enabled: ts != nil}
+	cv = ClusterView{Addr: n.self.Addr, Enabled: ts != nil}
 	if ts == nil {
 		return cv
 	}
-	n.lock()
-	defer n.mu.Unlock()
-	cv.Epoch = ts.epoch
 	cv.IntervalMs = float64(n.cfg.HeartbeatInterval) / float64(time.Millisecond)
 	cv.StaleAfterMs = float64(n.telemetryStaleAfter()) / float64(time.Millisecond)
 	cv.SLO = ts.slo.Config()
-	cv.Nodes = ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
-	cv.Alerts = ts.slo.Active()
+	n.post(func() {
+		cv.Epoch = ts.epoch
+		cv.Nodes = ts.fleet.Snapshot(ts.epoch, telemetryStaleEpochs)
+		cv.Alerts = ts.slo.Active()
+	})
 	return cv
 }

@@ -163,10 +163,8 @@ func TestAdvertiseRefreshReachesLateJoiners(t *testing.T) {
 	// Within a few refresh epochs the advertisement must reach it, making a
 	// reverse-path join possible (search fallback exists anyway; check the
 	// adSeen state directly to prove the refresh happened).
-	waitFor(t, 5*time.Second, func() bool {
-		late.mu.Lock()
-		_, saw := late.adSeen["late"]
-		late.mu.Unlock()
+	waitFor(t, 5*time.Second, func() (saw bool) {
+		late.post(func() { _, saw = late.adSeen["late"] })
 		return saw
 	}, static("refresh never reached the latecomer"))
 	if err := late.Join("late", 2*time.Second); err != nil {

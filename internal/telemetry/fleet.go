@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"groupcast/internal/wire"
@@ -42,7 +41,6 @@ type fleetEntry struct {
 // make digest application commutative and idempotent, so any gossip order
 // yields the same view.
 type Fleet struct {
-	mu       sync.Mutex
 	self     string
 	nodes    map[string]*fleetEntry
 	gossipAt int
@@ -70,9 +68,7 @@ func NewFleet(self string) *Fleet {
 // enough that a node that crashed, lost its state file, and rejoined with
 // reset counters is not evicted from fleet views until maxNodes pressure.
 func (f *Fleet) SetForgiveAfter(d time.Duration) {
-	f.mu.Lock()
 	f.forgiveAfter = d
-	f.mu.Unlock()
 }
 
 // Observe merges one digest into the view and reports whether it advanced
@@ -86,8 +82,6 @@ func (f *Fleet) Observe(d wire.HealthDigest, now time.Time, epoch uint64) bool {
 	if d.Addr == "" {
 		return false
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if e, ok := f.nodes[d.Addr]; ok {
 		if d.Epoch <= e.d.Epoch {
 			restarted := f.forgiveAfter > 0 && now.Sub(e.lastSeen) > f.forgiveAfter
@@ -99,13 +93,13 @@ func (f *Fleet) Observe(d wire.HealthDigest, now time.Time, epoch uint64) bool {
 		return true
 	}
 	if len(f.nodes) >= fleetMaxNodes {
-		f.evictOldestLocked()
+		f.evictOldest()
 	}
 	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now, seenEpoch: epoch}
 	return true
 }
 
-func (f *Fleet) evictOldestLocked() {
+func (f *Fleet) evictOldest() {
 	var oldest string
 	var oldestAt time.Time
 	for addr, e := range f.nodes {
@@ -125,8 +119,6 @@ func (f *Fleet) evictOldestLocked() {
 // digest last advanced more than staleEpochs of the viewer's epochs before
 // epochNow (0 disables stale marking).
 func (f *Fleet) Snapshot(epochNow, staleEpochs uint64) []NodeHealth {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]NodeHealth, 0, len(f.nodes))
 	for addr, e := range f.nodes {
 		out = append(out, NodeHealth{
@@ -140,8 +132,6 @@ func (f *Fleet) Snapshot(epochNow, staleEpochs uint64) []NodeHealth {
 
 // Get returns the current entry for one node address.
 func (f *Fleet) Get(addr string) (wire.HealthDigest, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	e, ok := f.nodes[addr]
 	if !ok {
 		return wire.HealthDigest{}, false
@@ -157,8 +147,6 @@ func (f *Fleet) GossipPick(k int) []wire.HealthDigest {
 	if k <= 0 {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	addrs := make([]string, 0, len(f.nodes))
 	for addr := range f.nodes {
 		if addr != f.self {
@@ -183,7 +171,5 @@ func (f *Fleet) GossipPick(k int) []wire.HealthDigest {
 
 // Len counts the nodes in the view.
 func (f *Fleet) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return len(f.nodes)
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sync"
 	"time"
 
 	"groupcast/internal/metrics"
@@ -37,11 +36,11 @@ type Sample struct {
 // reaches (120 epochs ≈ 4 minutes at the default 2 s heartbeat).
 const historySamples = 120
 
-// History is a bounded, concurrency-safe time-series ring over registry
-// snapshots. Observe is called once per beacon epoch with the current
-// snapshot; the newest historySamples samples survive.
+// History is a bounded time-series ring over registry snapshots. Observe is
+// called once per beacon epoch with the current snapshot; the newest
+// historySamples samples survive. Like Fleet and SLO it belongs to one
+// goroutine, a live node's loop.
 type History struct {
-	mu      sync.Mutex
 	samples []Sample
 	next    int
 	prev    metrics.RegistrySnapshot
@@ -56,8 +55,6 @@ func NewHistory() *History {
 // Observe derives one sample from the registry snapshot (deltas against the
 // previous observation), appends it to the ring, and returns it.
 func (h *History) Observe(epoch uint64, now time.Time, snap metrics.RegistrySnapshot) Sample {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := Sample{Epoch: epoch, Time: now}
 	if len(snap.Counters) > 0 {
 		s.Counters = make(map[string]int64, len(snap.Counters))
@@ -107,8 +104,6 @@ func (h *History) Observe(epoch uint64, now time.Time, snap metrics.RegistrySnap
 
 // Snapshot returns the buffered samples, oldest first.
 func (h *History) Snapshot() []Sample {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]Sample, 0, len(h.samples))
 	if len(h.samples) < cap(h.samples) {
 		return append(out, h.samples...)
@@ -119,7 +114,5 @@ func (h *History) Snapshot() []Sample {
 
 // Len counts the buffered samples.
 func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return len(h.samples)
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"groupcast/internal/wire"
@@ -79,7 +78,6 @@ type ruleState struct {
 // each (node, rule) pair in enter/exit hysteresis. Transitions are pushed to
 // the emit callback; Active lists what is currently firing.
 type SLO struct {
-	mu    sync.Mutex
 	cfg   SLOConfig
 	emit  func(Alert)
 	state map[string]*ruleState
@@ -87,8 +85,8 @@ type SLO struct {
 }
 
 // NewSLO returns an evaluator of DefaultSLOConfig. emit may be nil (poll
-// Active instead); it is called synchronously under the evaluator's lock, so
-// it must not call back into the SLO.
+// Active instead); it is called synchronously from inside Observe and
+// MarkStale, so it must not call back into the SLO.
 func NewSLO(emit func(Alert)) *SLO {
 	return &SLO{
 		cfg:   DefaultSLOConfig(),
@@ -105,12 +103,10 @@ func (s *SLO) Config() SLOConfig { return s.cfg }
 // digests the fleet view accepted (strictly advancing epochs), so each call
 // is one fresh sample for the dwell counters.
 func (s *SLO) Observe(d wire.HealthDigest, now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	prev, hadPrev := s.prev[d.Addr]
 	s.prev[d.Addr] = d
 	// A fresh digest means the node is alive again: clear any stale alert.
-	s.stepLocked(d.Addr, RuleStale, 0, 0, false, now, 0, true)
+	s.step(d.Addr, RuleStale, 0, 0, false, now, 0, true)
 	if hadPrev {
 		// Interval ratio, not lifetime: detection should track the current
 		// epoch's behaviour, not be damped by a long healthy past. No
@@ -119,15 +115,15 @@ func (s *SLO) Observe(d wire.HealthDigest, now time.Time) {
 		dShed := d.Shed - prev.Shed
 		if total := dDel + dShed; total > 0 {
 			ratio := float64(dDel) / float64(total)
-			s.stepLocked(d.Addr, RuleDeliveryRatio, ratio, s.cfg.MinDeliveryRatio,
+			s.step(d.Addr, RuleDeliveryRatio, ratio, s.cfg.MinDeliveryRatio,
 				ratio < s.cfg.MinDeliveryRatio, now, 0, false)
 		}
 	}
 	if d.P99Ms > 0 {
-		s.stepLocked(d.Addr, RuleP99Latency, d.P99Ms, s.cfg.MaxP99Ms,
+		s.step(d.Addr, RuleP99Latency, d.P99Ms, s.cfg.MaxP99Ms,
 			d.P99Ms > s.cfg.MaxP99Ms, now, 0, false)
 	}
-	s.stepLocked(d.Addr, RulePressure, d.Pressure, s.cfg.MaxPressure,
+	s.step(d.Addr, RulePressure, d.Pressure, s.cfg.MaxPressure,
 		d.Pressure > s.cfg.MaxPressure, now, 0, false)
 }
 
@@ -136,14 +132,12 @@ func (s *SLO) Observe(d wire.HealthDigest, now time.Time) {
 // caller's own epoch. The staleness window already provides the dwell, so
 // transitions are immediate.
 func (s *SLO) MarkStale(addr string, stale bool, sinceSeen time.Duration, now time.Time, epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stepLocked(addr, RuleStale, sinceSeen.Seconds(), 0, stale, now, epoch, true)
+	s.step(addr, RuleStale, sinceSeen.Seconds(), 0, stale, now, epoch, true)
 }
 
-// stepLocked advances one (node, rule) hysteresis cell by one sample.
+// step advances one (node, rule) hysteresis cell by one sample.
 // immediate skips the dwell counters (the stale rule).
-func (s *SLO) stepLocked(node, rule string, value, threshold float64, violating bool, now time.Time, epoch uint64, immediate bool) {
+func (s *SLO) step(node, rule string, value, threshold float64, violating bool, now time.Time, epoch uint64, immediate bool) {
 	key := node + "\x00" + rule
 	st := s.state[key]
 	if st == nil {
@@ -191,8 +185,6 @@ func (s *SLO) stepLocked(node, rule string, value, threshold float64, violating 
 
 // Forget drops all state for a node (evicted from the fleet view).
 func (s *SLO) Forget(addr string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.prev, addr)
 	for key := range s.state {
 		if len(key) > len(addr) && key[:len(addr)] == addr && key[len(addr)] == '\x00' {
@@ -203,8 +195,6 @@ func (s *SLO) Forget(addr string) {
 
 // Active returns the currently firing alerts, sorted by (node, rule).
 func (s *SLO) Active() []Alert {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Alert, 0, len(s.state))
 	for key, st := range s.state {
 		if !st.firing {

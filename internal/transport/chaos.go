@@ -504,9 +504,8 @@ type ChaosEndpoint struct {
 }
 
 var (
-	_ Transport     = (*ChaosEndpoint)(nil)
-	_ DropCounter   = (*ChaosEndpoint)(nil)
-	_ QueueReporter = (*ChaosEndpoint)(nil)
+	_ Transport   = (*ChaosEndpoint)(nil)
+	_ DropCounter = (*ChaosEndpoint)(nil)
 )
 
 // Addr returns the wrapped endpoint's address.
@@ -515,23 +514,9 @@ func (e *ChaosEndpoint) Addr() string { return e.addr }
 // Recv returns the wrapped endpoint's inbound stream.
 func (e *ChaosEndpoint) Recv() <-chan wire.Message { return e.inner.Recv() }
 
-// QueueDepth samples the wrapped endpoint's inbox occupancy (0 when the
-// wrapped transport does not report one).
-func (e *ChaosEndpoint) QueueDepth() int {
-	if qr, ok := e.inner.(QueueReporter); ok {
-		return qr.QueueDepth()
-	}
-	return 0
-}
-
-// QueueCapacity reports the wrapped endpoint's inbox bound (0 when the
-// wrapped transport does not report one).
-func (e *ChaosEndpoint) QueueCapacity() int {
-	if qr, ok := e.inner.(QueueReporter); ok {
-		return qr.QueueCapacity()
-	}
-	return 0
-}
+// InboxQueue is the wrapped endpoint's inbox: faults are injected on the
+// send side, so inbound messages land there untouched.
+func (e *ChaosEndpoint) InboxQueue() *PrioInbox { return e.inner.InboxQueue() }
 
 // Breakers passes through the wrapped transport's circuit-breaker snapshot
 // (nil when it has none) so breaker state stays observable under fault

@@ -44,33 +44,30 @@ type PrioInbox struct {
 	size   int
 	closed bool
 
-	wake chan struct{} // pump doorbell (capacity 1)
-	done chan struct{} // closed by Close; unblocks a pump stuck on out
-	out  chan wire.Message
+	wake chan struct{} // the doorbell (capacity 1), rung by every accepted Push
+	done chan struct{} // closed by Close; stops the Recv adapter
+
+	recvOnce sync.Once
+	out      chan wire.Message // the Recv adapter's stream
 
 	accepted [wire.NumClasses]atomic.Uint64
 	shed     [wire.NumClasses]atomic.Uint64
 }
 
-// NewPrioInbox returns a running inbox with the given total capacity
+// NewPrioInbox returns an empty inbox with the given total capacity
 // (DefaultInboxCapacity when <= 0). classless selects the legacy
-// single-queue shed policy.
+// single-queue shed policy. It runs no goroutine: its one consumer waits on
+// the Doorbell and Pops.
 func NewPrioInbox(capacity int, classless bool) *PrioInbox {
 	if capacity <= 0 {
 		capacity = DefaultInboxCapacity
 	}
-	in := &PrioInbox{
+	return &PrioInbox{
 		capacity:  capacity,
 		classless: classless,
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
-		// Unbuffered on purpose: a buffered out channel would be a hidden
-		// FIFO segment that priority cannot reach into, letting queued
-		// best-effort traffic delay control messages again.
-		out: make(chan wire.Message),
 	}
-	go in.pump()
-	return in
 }
 
 // Push offers one inbound message, reporting whether it was accepted.
@@ -126,7 +123,7 @@ func (in *PrioInbox) enqueueLocked(cls wire.Class, msg wire.Message) {
 	in.accepted[cls].Add(1)
 }
 
-// ring wakes the pump without blocking.
+// ring leaves a token on the doorbell without blocking.
 func (in *PrioInbox) ring() {
 	select {
 	case in.wake <- struct{}{}:
@@ -134,48 +131,63 @@ func (in *PrioInbox) ring() {
 	}
 }
 
-// pump moves messages from the class queues to the out channel, always
-// serving the highest-priority non-empty class. It owns closing out.
-func (in *PrioInbox) pump() {
-	for {
-		in.mu.Lock()
-		var msg wire.Message
-		found := false
-		for c := 0; c < wire.NumClasses && !found; c++ {
-			if q := in.queues[c]; len(q) > 0 {
-				msg = q[0]
-				q[0] = wire.Message{}
-				in.queues[c] = q[1:]
-				in.size--
-				found = true
-			}
+// Doorbell holds a token once a Push has queued a message since the consumer
+// last took it. The consumer waits on it and then Pops what is queued; a
+// message pushed after the token was taken rings again.
+func (in *PrioInbox) Doorbell() <-chan struct{} { return in.wake }
+
+// Pop dequeues the oldest message of the highest-priority non-empty class,
+// reporting false when nothing is queued. It is the inbox's one dequeue.
+func (in *PrioInbox) Pop() (wire.Message, bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for c, q := range in.queues {
+		if len(q) > 0 {
+			msg := q[0]
+			q[0] = wire.Message{}
+			in.queues[c] = q[1:]
+			in.size--
+			return msg, true
 		}
-		closed := in.closed
-		in.mu.Unlock()
-		if !found {
-			if closed {
-				close(in.out)
-				return
-			}
+	}
+	return wire.Message{}, false
+}
+
+// Recv is the prioritized inbound stream as a channel, closed after Close:
+// an adapter over Pop for a consumer without a loop of its own. Its pump
+// goroutine starts on the first call; never mix it with Pop.
+func (in *PrioInbox) Recv() <-chan wire.Message {
+	in.recvOnce.Do(func() {
+		// Unbuffered on purpose: a buffered out channel would be a hidden
+		// FIFO segment that priority cannot reach into, letting queued
+		// best-effort traffic delay control messages again.
+		in.out = make(chan wire.Message)
+		go in.pump()
+	})
+	return in.out
+}
+
+// pump feeds the Recv channel from Pop. It owns closing out.
+func (in *PrioInbox) pump() {
+	defer close(in.out)
+	for {
+		msg, ok := in.Pop()
+		if !ok {
 			select {
 			case <-in.wake:
+				continue
 			case <-in.done:
+				return
 			}
-			continue
 		}
 		select {
 		case in.out <- msg:
 		case <-in.done:
-			// Closing: the receiver may already be gone. Queued messages are
-			// dropped, exactly like buffered messages in a closed socket.
-			close(in.out)
+			// Closing: the receiver may already be gone.
 			return
 		}
 	}
 }
-
-// Recv is the prioritized inbound stream, closed after Close.
-func (in *PrioInbox) Recv() <-chan wire.Message { return in.out }
 
 // Depth is the number of queued messages not yet handed to the receiver.
 func (in *PrioInbox) Depth() int {
@@ -186,18 +198,6 @@ func (in *PrioInbox) Depth() int {
 
 // Capacity is the fixed queue bound.
 func (in *PrioInbox) Capacity() int { return in.capacity }
-
-// DepthByClass samples per-class occupancy (all in index 0 in classless
-// mode).
-func (in *PrioInbox) DepthByClass() [wire.NumClasses]int {
-	var out [wire.NumClasses]int
-	in.mu.Lock()
-	for c := range in.queues {
-		out[c] = len(in.queues[c])
-	}
-	in.mu.Unlock()
-	return out
-}
 
 // ShedByClass reports cumulative sheds per class of message lost.
 func (in *PrioInbox) ShedByClass() [wire.NumClasses]uint64 {
@@ -238,16 +238,16 @@ func (in *PrioInbox) dropStats() DropStats {
 	}
 }
 
-// Close stops the pump and closes the out stream. Idempotent. Messages
-// still queued are discarded.
+// Close rejects later pushes, discards the messages still queued (like
+// buffered bytes in a closed socket) and ends the Recv stream. Idempotent.
 func (in *PrioInbox) Close() {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	if in.closed {
-		in.mu.Unlock()
 		return
 	}
 	in.closed = true
-	in.mu.Unlock()
+	in.queues = [wire.NumClasses][]wire.Message{}
+	in.size = 0
 	close(in.done)
-	in.ring()
 }

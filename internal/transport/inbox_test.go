@@ -207,10 +207,7 @@ func TestShedAccountingParity(t *testing.T) {
 
 	type shedPair struct {
 		send func(msg wire.Message) error
-		dst  interface {
-			DropCounter
-			QueueReporter
-		}
+		dst  DropCounter
 	}
 	pairs := map[string]func(t *testing.T) shedPair{
 		"mem": func(t *testing.T) shedPair {

@@ -95,13 +95,13 @@ func (n *MemNetwork) deliver(from, to string, msg wire.Message) error {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
 	if delay <= 0 {
-		dst.push(msg)
+		dst.inbox.Push(msg)
 		return nil
 	}
 	// Only the delayed copy lives on the heap; a closure over msg itself
 	// would move every message there, delayed or not.
 	delayed := msg
-	time.AfterFunc(delay, func() { dst.push(delayed) })
+	time.AfterFunc(delay, func() { dst.inbox.Push(delayed) })
 	return nil
 }
 
@@ -157,15 +157,9 @@ func (e *MemEndpoint) QueueDepth() int { return e.inbox.Depth() }
 // QueueCapacity reports the inbox bound.
 func (e *MemEndpoint) QueueCapacity() int { return e.inbox.Capacity() }
 
-// InboxQueue exposes the prioritized inbox for tests and experiments that
-// assert on per-class accept/shed accounting.
+// InboxQueue is the prioritized inbox: a node's loop drains it, and tests
+// and experiments read its per-class accept/shed accounting.
 func (e *MemEndpoint) InboxQueue() *PrioInbox { return e.inbox }
-
-// push enqueues an inbound message; the prioritized inbox sheds (with
-// per-class accounting) when full and discards silently when closed.
-func (e *MemEndpoint) push(msg wire.Message) {
-	e.inbox.Push(msg)
-}
 
 // DropStats reports the endpoint's loss counters: inbound messages shed on
 // a full inbox, broken down by class.

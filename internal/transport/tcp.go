@@ -192,8 +192,8 @@ func (t *TCPTransport) QueueDepth() int { return t.inbox.Depth() }
 // QueueCapacity reports the inbox bound.
 func (t *TCPTransport) QueueCapacity() int { return t.inbox.Capacity() }
 
-// InboxQueue exposes the prioritized inbox for tests and experiments that
-// assert on per-class accept/shed accounting.
+// InboxQueue is the prioritized inbox: a node's loop drains it, and tests
+// and experiments read its per-class accept/shed accounting.
 func (t *TCPTransport) InboxQueue() *PrioInbox { return t.inbox }
 
 // DropStats reports inbound messages shed on a full inbox (broken down by

@@ -14,15 +14,20 @@ import (
 )
 
 // Transport moves wire messages between nodes. Implementations must be safe
-// for concurrent Send calls; Recv returns a single channel owned by the
-// transport, closed by Close.
+// for concurrent Send calls. Inbound messages land in the endpoint's one
+// class-prioritized inbox, which has exactly one consumer: a node's loop
+// waits on its doorbell and pops each message itself, with no goroutine in
+// between; anything else may read the Recv adapter instead.
 type Transport interface {
 	// Addr returns this endpoint's stable address.
 	Addr() string
 	// Send delivers msg to the endpoint at addr (asynchronously; delivery is
 	// best-effort and errors indicate immediate local failure only).
 	Send(addr string, msg wire.Message) error
-	// Recv is the stream of inbound messages.
+	// InboxQueue is the endpoint's inbound queue.
+	InboxQueue() *PrioInbox
+	// Recv is the inbound stream as a channel, closed by Close: the
+	// inbox's Recv adapter. A node never reads it.
 	Recv() <-chan wire.Message
 	// Close releases the endpoint. Subsequent Sends fail.
 	Close() error
@@ -109,11 +114,9 @@ type DropCounter interface {
 	DropStats() DropStats
 }
 
-// QueueReporter is implemented by transports whose inbound queue occupancy
-// can be sampled. The node's metrics registry gauges and histograms feed on
-// it (send-queue depth is a leading indicator of shed-induced loss), and
-// the node's overload controller reads depth/capacity as its local
-// pressure signal.
+// QueueReporter is implemented by the endpoints that own an inbox (Mem and
+// TCP): a shorthand for their InboxQueue's depth and capacity. The node
+// reads its inbox directly.
 type QueueReporter interface {
 	// QueueDepth returns the number of inbound messages buffered and not yet
 	// drained by the receiver.
