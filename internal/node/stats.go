@@ -35,8 +35,10 @@ type Stats struct {
 	// reverse-path / ripple-search join.
 	RepairsViaSearch uint64
 	// SendErrors counts sends the transport failed immediately (closed
-	// endpoint, unknown peer, crashed or partitioned destination). Silent
-	// wire loss is not counted here — the transport cannot see it.
+	// endpoint, unknown peer, crashed or partitioned destination; on TCP a
+	// full queue or an open breaker). Silent wire loss is not counted here
+	// — the transport cannot see it — and neither is a failed TCP dial,
+	// which the link's writer counts as a transport fabric drop.
 	SendErrors uint64
 	// NacksSent counts retransmission requests this node originated for its
 	// own sequence gaps; NacksForwarded counts NACKs escalated upstream on

@@ -41,11 +41,6 @@ func NewPayloadCache(capacity int) *PayloadCache {
 	return &PayloadCache{slots: make([]cacheSlot, capacity)}
 }
 
-// Put retains data under seq with no trace identity.
-func (c *PayloadCache) Put(seq uint64, data []byte) {
-	c.PutItem(seq, Item{Data: data})
-}
-
 // PutItem retains an item under seq. An older sequence never evicts a newer
 // one from its slot (late retransmit arrivals must not regress the buffer).
 func (c *PayloadCache) PutItem(seq uint64, item Item) {
@@ -54,12 +49,6 @@ func (c *PayloadCache) PutItem(seq uint64, item Item) {
 		return
 	}
 	*s = cacheSlot{seq: seq, item: item, full: true}
-}
-
-// Get returns the payload retained for seq, if it is still in the buffer.
-func (c *PayloadCache) Get(seq uint64) ([]byte, bool) {
-	item, ok := c.GetItem(seq)
-	return item.Data, ok
 }
 
 // GetItem returns the item retained for seq, if it is still in the buffer.

@@ -21,11 +21,6 @@ func NewSendBuffer(capacity int) *SendBuffer {
 	return &SendBuffer{cache: NewPayloadCache(capacity)}
 }
 
-// Next allocates the next sequence number and retains data under it.
-func (b *SendBuffer) Next(data []byte) uint64 {
-	return b.NextItem(Item{Data: data})
-}
-
 // NextItem allocates the next sequence number and retains the item —
 // payload plus trace identity — under it, so NACK answers re-carry the
 // original trace ID and origin timestamp.
@@ -48,9 +43,6 @@ func (b *SendBuffer) Seed(high uint64) {
 		b.seq = high
 	}
 }
-
-// Get returns the retained payload for seq, if still buffered.
-func (b *SendBuffer) Get(seq uint64) ([]byte, bool) { return b.cache.Get(seq) }
 
 // GetItem returns the retained item for seq, if still buffered.
 func (b *SendBuffer) GetItem(seq uint64) (Item, bool) { return b.cache.GetItem(seq) }
@@ -192,18 +184,13 @@ func (w *SourceWindow) low() uint64 {
 	return 0
 }
 
-// Observe processes one arrival. It reports whether the payload is fresh,
-// updates gap state, and appends any releasable payloads to res.Deliver (the
-// arrival itself in unordered modes; in ordered mode, every consecutive
-// pending payload the arrival unlocked).
-func (w *SourceWindow) Observe(seq uint64, data []byte, now time.Time, res *ObserveResult) {
-	w.ObserveItem(seq, Item{Data: data}, now, res)
-}
-
-// ObserveItem is Observe with trace identity: the item's trace ID and
-// origin timestamp flow into the retransmission cache and the resulting
-// deliveries, so downstream NACK answers and deliver events keep the
-// original trace.
+// ObserveItem processes one arrival. It reports whether the payload is
+// fresh, updates gap state, and appends any releasable payloads to
+// res.Deliver (the arrival itself in unordered modes; in ordered mode,
+// every consecutive pending payload the arrival unlocked). The item's trace
+// ID and origin timestamp flow into the retransmission cache and the
+// resulting deliveries, so downstream NACK answers and deliver events keep
+// the original trace.
 func (w *SourceWindow) ObserveItem(seq uint64, item Item, now time.Time, res *ObserveResult) {
 	w.LastActive = now
 	if seq == 0 {
@@ -380,14 +367,6 @@ func (w *SourceWindow) DueGaps(now time.Time, pol NackPolicy, res *ObserveResult
 		w.release(res)
 	}
 	return due
-}
-
-// Get returns the cached payload for seq (for answering NACKs).
-func (w *SourceWindow) Get(seq uint64) ([]byte, bool) {
-	if w.cache == nil {
-		return nil, false
-	}
-	return w.cache.Get(seq)
 }
 
 // GetItem returns the cached item for seq — payload plus the trace identity

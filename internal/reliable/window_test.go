@@ -17,25 +17,25 @@ func pol() NackPolicy {
 
 func observe(w *SourceWindow, seq uint64, now time.Time) ObserveResult {
 	var res ObserveResult
-	w.Observe(seq, []byte(fmt.Sprintf("p%d", seq)), now, &res)
+	w.ObserveItem(seq, Item{Data: []byte(fmt.Sprintf("p%d", seq))}, now, &res)
 	return res
 }
 
 func TestSendBufferSequencesAndRetains(t *testing.T) {
 	b := NewSendBuffer(4)
 	for i := 1; i <= 6; i++ {
-		if got := b.Next([]byte{byte(i)}); got != uint64(i) {
-			t.Fatalf("Next = %d, want %d", got, i)
+		if got := b.NextItem(Item{Data: []byte{byte(i)}}); got != uint64(i) {
+			t.Fatalf("NextItem = %d, want %d", got, i)
 		}
 	}
 	if b.High() != 6 {
 		t.Fatalf("High = %d", b.High())
 	}
-	if _, ok := b.Get(1); ok {
+	if _, ok := b.GetItem(1); ok {
 		t.Fatal("seq 1 should have been evicted (capacity 4)")
 	}
-	if data, ok := b.Get(5); !ok || data[0] != 5 {
-		t.Fatalf("Get(5) = %v %v", data, ok)
+	if item, ok := b.GetItem(5); !ok || item.Data[0] != 5 {
+		t.Fatalf("GetItem(5) = %v %v", item, ok)
 	}
 	if b.Cached() > 4 {
 		t.Fatalf("Cached = %d > capacity", b.Cached())
@@ -190,13 +190,13 @@ func TestWindowStateStaysBounded(t *testing.T) {
 	}
 	// Sliding past unrecovered gaps must still release the stream.
 	var res ObserveResult
-	w.Observe(10001, []byte("x"), now, &res)
+	w.ObserveItem(10001, Item{Data: []byte("x")}, now, &res)
 	if len(res.Deliver) == 0 && w.PendingOrdered() > span {
 		t.Fatal("ordered stream wedged")
 	}
 	// An ancient retransmission is dropped as out-of-window.
 	var late ObserveResult
-	w.Observe(3, []byte("late"), now, &late)
+	w.ObserveItem(3, Item{Data: []byte("late")}, now, &late)
 	if late.Fresh || late.OutOfWindow != 1 {
 		t.Fatalf("late retransmission: %+v", late)
 	}
@@ -204,17 +204,17 @@ func TestWindowStateStaysBounded(t *testing.T) {
 
 func TestPayloadCacheRingSemantics(t *testing.T) {
 	c := NewPayloadCache(4)
-	c.Put(1, []byte("a"))
-	c.Put(5, []byte("b")) // same slot as 1: evicts it
-	if _, ok := c.Get(1); ok {
+	c.PutItem(1, Item{Data: []byte("a")})
+	c.PutItem(5, Item{Data: []byte("b")}) // same slot as 1: evicts it
+	if _, ok := c.GetItem(1); ok {
 		t.Fatal("evicted seq still present")
 	}
-	c.Put(1, []byte("stale")) // older than resident 5: refused
-	if _, ok := c.Get(1); ok {
+	c.PutItem(1, Item{Data: []byte("stale")}) // older than resident 5: refused
+	if _, ok := c.GetItem(1); ok {
 		t.Fatal("older seq overwrote newer")
 	}
-	if data, ok := c.Get(5); !ok || string(data) != "b" {
-		t.Fatalf("Get(5) = %q %v", data, ok)
+	if item, ok := c.GetItem(5); !ok || string(item.Data) != "b" {
+		t.Fatalf("GetItem(5) = %q %v", item.Data, ok)
 	}
 	if c.Cap() != 4 || c.Len() != 1 {
 		t.Fatalf("Cap=%d Len=%d", c.Cap(), c.Len())
@@ -227,13 +227,13 @@ func TestSendBufferSeedResumesNumbering(t *testing.T) {
 	if b.High() != 30 {
 		t.Fatalf("High after Seed = %d, want 30", b.High())
 	}
-	if got := b.Next([]byte("x")); got != 31 {
-		t.Fatalf("Next after Seed = %d, want 31", got)
+	if got := b.NextItem(Item{Data: []byte("x")}); got != 31 {
+		t.Fatalf("NextItem after Seed = %d, want 31", got)
 	}
 	// Seeding backwards must never rewind the sequencer.
 	b.Seed(5)
-	if got := b.Next([]byte("y")); got != 32 {
-		t.Fatalf("Next after backward Seed = %d, want 32", got)
+	if got := b.NextItem(Item{Data: []byte("y")}); got != 32 {
+		t.Fatalf("NextItem after backward Seed = %d, want 32", got)
 	}
 }
 

@@ -23,8 +23,9 @@ const (
 // (failure). A threshold < 0 disables the breaker entirely.
 //
 // With the asynchronous send queues, a "failure" is reported from wherever
-// the loss surfaces: a synchronous dial error, a full control queue, or the
-// writer goroutine's deadline-bounded write failing (the slow-peer signal).
+// the loss surfaces: a full control queue at Send, or the link's writer
+// goroutine failing to dial or to finish a deadline-bounded write (the
+// dead- and slow-peer signals).
 // A full data queue is not a failure: a busy peer is not a dead one.
 // The half-open probe's outcome likewise arrives asynchronously from the
 // writer; until it does, every other send to the destination fails fast.

@@ -91,8 +91,8 @@ func TestBreakerBackoffCapped(t *testing.T) {
 	}
 }
 
-// TestTCPBreakerOpensOnDeadPeerAndRecovers: repeated dial failures open the
-// breaker (sends then fail fast with ErrBreakerOpen and count as
+// TestTCPBreakerOpensOnDeadPeerAndRecovers: repeated dial failures (on the
+// links' writers) open the breaker (sends then fail fast with ErrBreakerOpen and count as
 // BreakerRejects); once the peer comes back, the half-open probe recloses
 // it and traffic flows again.
 func TestTCPBreakerOpensOnDeadPeerAndRecovers(t *testing.T) {
@@ -114,16 +114,14 @@ func TestTCPBreakerOpensOnDeadPeerAndRecovers(t *testing.T) {
 	target := dead.Addr()
 	dead.Close()
 
+	// Send only enqueues; each link's writer fails its dial and counts it
+	// against the breaker, so pace the sends until one is rejected.
 	msg := wire.Message{Type: wire.TBeacon, GroupID: "g"}
 	var sawBreakerOpen bool
-	for i := 0; i < 20 && !sawBreakerOpen; i++ {
-		err := a.Send(target, msg)
-		if errors.Is(err, ErrBreakerOpen) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if errors.Is(a.Send(target, msg), ErrBreakerOpen) {
 			sawBreakerOpen = true
 			break
-		}
-		if err == nil {
-			t.Fatal("send to dead port reported success")
 		}
 	}
 	if !sawBreakerOpen {

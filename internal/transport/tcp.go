@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -17,10 +17,10 @@ import (
 // at most a few hundred frames of memory before the breaker takes over.
 const DefaultSendQueueLen = 256
 
-// TCPConfig bounds the TCP transport's blocking operations and queues. A
-// dead or wedged peer must never stall Send (and the heartbeat loop behind
-// it) indefinitely. It stays settable because the overload tests shrink its
-// queues to reach the shed and breaker paths.
+// TCPConfig bounds the TCP transport's link writers and queues. Send never
+// waits on the network; the timeouts bound how long a dead or wedged peer
+// holds its own link's writer. It stays settable because the overload tests
+// shrink its queues to reach the shed and breaker paths.
 type TCPConfig struct {
 	// DialTimeout bounds connection establishment. Zero uses the default.
 	DialTimeout time.Duration
@@ -59,17 +59,21 @@ func DefaultTCPConfig() TCPConfig {
 // TCPTransport is a frame-coded TCP implementation of Transport speaking the
 // binary wire codec (see internal/wire: the frame header and a hard frame
 // size cap are checked before any allocation, so a hostile or corrupted
-// stream fails fast). Each endpoint listens on its address; outbound
-// connections are cached per destination and redialled once on failure.
+// stream fails fast). Each endpoint listens on its address; outbound links
+// are cached per destination.
 //
 // Inbound messages land in a class-prioritized bounded queue (PrioInbox):
 // under overload, control traffic displaces best-effort payloads instead of
-// being shed behind them. Outbound, every link owns two bounded queues —
-// control ahead of data — drained by one writer goroutine that sends
-// everything queued in one vectored write, so one stalled peer delays only
-// its own queues — never the caller, never the other links of a SendMany
-// fan-out. A per-destination circuit breaker converts repeated failures
-// (dial errors, write errors, a full control queue) into fast rejections
+// being shed behind them. Outbound, Send and SendMany only enqueue: every
+// link owns two bounded queues — control ahead of data — and one writer
+// goroutine that dials the destination, then sends everything queued in
+// one vectored write. A silent or stalled peer therefore delays only its
+// own link — never the caller, never the other links of a SendMany
+// fan-out. A dial or write error fails the link on the writer: the
+// per-destination circuit breaker counts it, the link leaves the cache
+// (the next send makes a new one), and its queued frames drain as
+// FabricDrops. Repeated failures (dial errors, write errors, a full
+// control queue) open the breaker, which turns sends into fast rejections
 // with a half-open probe after backoff; a full data queue sheds the frame
 // without counting against the peer.
 //
@@ -80,6 +84,8 @@ type TCPTransport struct {
 	ln    net.Listener
 	cfg   TCPConfig
 	inbox *PrioInbox
+	// dialContext opens a link's connection; only link writers call it.
+	dialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	fabricDrops    atomic.Uint64
 	sendQueueDrops atomic.Uint64
@@ -110,14 +116,14 @@ func releaseItem(it outItem) {
 	}
 }
 
+// tcpConn is one outbound link: two queues and the writer goroutine that
+// dials, writes and fails for them.
 type tcpConn struct {
-	t    *TCPTransport
-	addr string
-	conn net.Conn
-	brk  *breaker
+	t     *TCPTransport
+	addr  string
+	brk   *breaker
+	abort context.CancelFunc // cancels the dial, or closes the socket
 
-	writeTmo   time.Duration
-	queueLen   int           // bound of each class queue
 	wake       chan struct{} // 1-slot: the writer has frames or must exit
 	writerDone chan struct{} // closed when the writer goroutine exits
 
@@ -125,6 +131,7 @@ type tcpConn struct {
 	control []outItem // FIFO, written ahead of data
 	data    []outItem // FIFO: payloads, fan-out frames, retransmits
 	closed  bool
+	dialled bool // the writer holds a connection: close drains it
 }
 
 var (
@@ -175,6 +182,7 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 		breakers: make(map[string]*breaker),
 		inbound:  make(map[net.Conn]struct{}),
 	}
+	t.dialContext = (&net.Dialer{Timeout: cfg.DialTimeout}).DialContext
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -307,11 +315,11 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// Send encodes msg and queues it for addr over a cached connection,
-// dialling on demand and retrying once with a fresh connection when the
-// cached one has died. The actual write happens on the link's writer
-// goroutine, so a slow peer delays only its own queues; a full queue or an
-// open breaker fails the Send immediately.
+// Send encodes msg and queues it on addr's link. It never touches the
+// network: the first send to an address creates the link, whose writer
+// goroutine dials before its first batch, so a dial or write failure
+// shows up later as FabricDrops and a breaker failure, not here. A full
+// queue, an open breaker or a closed transport fails the Send at once.
 func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 	frame, err := wire.AppendMessage(wire.GetEncodeBuffer(), &msg)
 	if err != nil {
@@ -326,49 +334,29 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 	return nil
 }
 
-// sendVia is the one send path: breaker check, enqueue on the cached
-// connection, a single redial when that connection is closing or poisoned,
-// and the drop accounting. On success the link's queue owns it (or one of
-// its references); on error the caller still does.
+// sendVia is the one send path: breaker check, then the frame joins addr's
+// link, created (with its writer) on first use. A link in t.conns is never
+// closing — its writer detaches it before shutting it, and Close empties
+// the cache before shutting any — so the enqueue fails only on a full
+// queue. On success the link's queue owns it (or one
+// of its references); on error the caller still does.
 func (t *TCPTransport) sendVia(addr string, it outItem, control bool) error {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return ErrClosed
 	}
-	c := t.conns[addr]
 	brk := t.breakerLocked(addr)
-	t.mu.Unlock()
-
 	if !brk.allow() {
 		t.breakerRejects.Add(1)
 		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
 	}
-	if c != nil {
-		err := c.enqueue(it, control)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrSendQueueFull) {
-			return t.queueFull(addr, brk, control)
-		}
-		// The cached connection is closing or poisoned: redial once.
-		t.dropConn(addr, c)
+	c := t.conns[addr]
+	if c == nil {
+		c = t.newLinkLocked(addr, brk)
 	}
-	c, err := t.dial(addr)
-	if err != nil {
-		t.fabricDrops.Add(1)
-		brk.onFailure()
-		return err
-	}
-	if err := c.enqueue(it, control); err != nil {
-		if errors.Is(err, ErrSendQueueFull) {
-			return t.queueFull(addr, brk, control)
-		}
-		t.dropConn(addr, c)
-		t.fabricDrops.Add(1)
-		brk.onFailure()
-		return fmt.Errorf("transport: send to %s: %w", addr, err)
+	if !c.enqueue(it, control) {
+		return t.queueFull(addr, brk, control)
 	}
 	return nil
 }
@@ -420,80 +408,42 @@ func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr
 	releaseItem(it)
 }
 
-func (t *TCPTransport) dial(addr string) (*tcpConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return t.adopt(addr, conn)
-}
-
-// adopt caches conn as addr's link and starts its writer goroutine. When a
-// concurrent dial already cached a link, that one is kept and conn closed.
-func (t *TCPTransport) adopt(addr string, conn net.Conn) (*tcpConn, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		conn.Close()
-		return nil, ErrClosed
-	}
-	if old, dup := t.conns[addr]; dup {
-		conn.Close()
-		return old, nil
-	}
+// newLinkLocked caches an empty link to addr and starts its writer, which
+// dials before its first batch. Caller holds t.mu.
+func (t *TCPTransport) newLinkLocked(addr string, brk *breaker) *tcpConn {
+	ctx, abort := context.WithCancel(context.Background())
 	c := &tcpConn{
 		t:          t,
 		addr:       addr,
-		conn:       conn,
-		brk:        t.breakerLocked(addr),
-		writeTmo:   t.cfg.WriteTimeout,
-		queueLen:   t.cfg.SendQueueLen,
+		brk:        brk,
+		abort:      abort,
 		wake:       make(chan struct{}, 1),
 		writerDone: make(chan struct{}),
 	}
 	t.conns[addr] = c
 	t.wg.Add(1)
-	go c.writeLoop()
-	return c, nil
-}
-
-// detachConn removes c from the connection cache (if still current)
-// without closing it.
-func (t *TCPTransport) detachConn(addr string, c *tcpConn) {
-	t.mu.Lock()
-	if t.conns[addr] == c {
-		delete(t.conns, addr)
-	}
-	t.mu.Unlock()
-}
-
-func (t *TCPTransport) dropConn(addr string, c *tcpConn) {
-	t.detachConn(addr, c)
-	c.close()
+	go c.writeLoop(ctx)
+	return c
 }
 
 // enqueue offers a frame to the link's control or data queue without
-// blocking and wakes the writer. On success the queue owns the frame (or,
-// for a fan-out frame, one of its references).
-func (c *tcpConn) enqueue(it outItem, control bool) error {
+// blocking and wakes the writer, reporting false when that queue is full.
+// On success the queue owns the frame (or, for a fan-out frame, one of its
+// references).
+func (c *tcpConn) enqueue(it outItem, control bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return errConnClosing
-	}
 	q := &c.data
 	if control {
 		q = &c.control
 	}
-	if len(*q) >= c.queueLen {
-		return ErrSendQueueFull
+	if len(*q) >= c.t.cfg.SendQueueLen {
+		return false
 	}
 	*q = append(*q, it)
 	c.signal()
-	return nil
+	return true
 }
-
-var errConnClosing = errors.New("transport: connection closing")
 
 // signal wakes the writer without blocking; a wake already pending covers
 // this one.
@@ -505,7 +455,7 @@ func (c *tcpConn) signal() {
 }
 
 // take moves every queued frame into batch — control first, then data,
-// FIFO within each — and reports whether the connection is closing.
+// FIFO within each — and reports whether the link is closing.
 func (c *tcpConn) take(batch []outItem) ([]outItem, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -516,18 +466,31 @@ func (c *tcpConn) take(batch []outItem) ([]outItem, bool) {
 	return batch, c.closed
 }
 
-// writeLoop is the link's only writer, so a stalled peer blocks only this
-// loop. Each wake it takes everything queued and sends it with one write
-// deadline and one vectored write. The first write failure trips the
-// breaker and drops the connection; whatever is still queued drains as
-// accounted loss.
-func (c *tcpConn) writeLoop() {
+// writeLoop is the link's only writer, so a silent or stalled peer blocks
+// only this goroutine. It dials once, then each wake takes everything
+// queued and sends it with one write deadline and one vectored write. The
+// first dial or write error goes to fail, and from then on whatever is
+// queued drains as accounted loss until the link is shut and empty.
+func (c *tcpConn) writeLoop(ctx context.Context) {
 	defer c.t.wg.Done()
 	defer close(c.writerDone)
+	defer c.abort()
+	conn, err := c.t.dialContext(ctx, "tcp", c.addr)
+	if err != nil {
+		c.fail()
+	} else {
+		defer conn.Close()
+		// Close's abort after the drain window fails a stalled write.
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
+		defer stop()
+		c.mu.Lock()
+		c.dialled = true
+		c.mu.Unlock()
+	}
 	var (
-		batch          []outItem
-		iov            net.Buffers // reused across batches
-		closed, broken bool
+		batch  []outItem
+		iov    net.Buffers // reused across batches
+		closed bool
 	)
 	for {
 		batch, closed = c.take(batch[:0])
@@ -538,21 +501,19 @@ func (c *tcpConn) writeLoop() {
 			<-c.wake
 			continue
 		}
-		var err error
-		if broken {
-			c.t.fabricDrops.Add(uint64(len(batch)))
-		} else if iov, err = c.writeBatch(batch, iov[:0]); err != nil {
-			broken = true
-			c.t.fabricDrops.Add(uint64(len(batch)))
-			c.brk.onFailure()
-			c.t.detachConn(c.addr, c)
-			c.closeAbort()
-		} else {
-			c.brk.onSuccess()
-			if len(batch) > 1 {
-				c.t.batchedWrites.Add(1)
-				c.t.batchedFrames.Add(uint64(len(batch)))
+		if err == nil {
+			if iov, err = c.writeBatch(conn, batch, iov[:0]); err != nil {
+				c.fail()
+			} else {
+				c.brk.onSuccess()
+				if len(batch) > 1 {
+					c.t.batchedWrites.Add(1)
+					c.t.batchedFrames.Add(uint64(len(batch)))
+				}
 			}
+		}
+		if err != nil {
+			c.t.fabricDrops.Add(uint64(len(batch)))
 		}
 		for _, it := range batch {
 			releaseItem(it)
@@ -561,24 +522,38 @@ func (c *tcpConn) writeLoop() {
 	}
 }
 
+// fail is the one failure path for dials and writes: the breaker counts a
+// failure, the link leaves the cache (the next send makes a fresh one) and
+// stops accepting frames.
+func (c *tcpConn) fail() {
+	c.brk.onFailure()
+	c.t.mu.Lock()
+	if c.t.conns[c.addr] == c {
+		delete(c.t.conns, c.addr)
+	}
+	c.t.mu.Unlock()
+	c.shut()
+}
+
 // writeBatch sends batch's frames with one deadline and one vectored
 // write, returning iov (the reusable slice of frame buffers) extended.
-func (c *tcpConn) writeBatch(batch []outItem, iov net.Buffers) (net.Buffers, error) {
+func (c *tcpConn) writeBatch(conn net.Conn, batch []outItem, iov net.Buffers) (net.Buffers, error) {
 	for _, it := range batch {
 		iov = append(iov, it.frame)
 	}
-	if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTmo)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(c.t.cfg.WriteTimeout)); err != nil {
 		return iov, err
 	}
 	vec := iov // WriteTo consumes its receiver; iov keeps the backing array
-	_, err := vec.WriteTo(c.conn)
+	_, err := vec.WriteTo(conn)
 	return iov, err
 }
 
-// close stops the link accepting frames, gives the writer a bounded window
-// to drain what was already accepted (matching the old synchronous path's
-// "Send returned nil means the bytes went out" expectation for graceful
-// shutdowns), then closes the socket.
+// close stops the link accepting frames and gives a connected writer a
+// bounded window to drain what was already accepted (so a graceful
+// shutdown still sends what Send accepted); then it aborts the link, which
+// closes the socket under a stalled write. A link still dialling is
+// aborted at once: Close never waits on a dial.
 func (c *tcpConn) close() {
 	if !c.shut() {
 		return
@@ -586,22 +561,14 @@ func (c *tcpConn) close() {
 	select {
 	case <-c.writerDone:
 	case <-time.After(c.drainWindow()):
-		// A stalled peer holds the writer past the window; the socket close
-		// below fails the in-flight write and the rest drains as loss.
+		// The rest drains as loss once the abort fails the write.
 	}
-	c.conn.Close()
+	c.abort()
 }
 
-// closeAbort is the writer goroutine's own shutdown after a failed write:
-// the socket is already broken, so there is nothing to drain and waiting on
-// writerDone from the writer itself would deadlock.
-func (c *tcpConn) closeAbort() {
-	c.shut()
-	c.conn.Close()
-}
-
-// shut marks the connection closing and wakes the writer to drain and
-// exit, reporting whether this call did the transition.
+// shut marks the link closing and wakes the writer to drain and exit,
+// cancelling a dial still in progress, and reports whether this call did
+// the transition.
 func (c *tcpConn) shut() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -609,6 +576,9 @@ func (c *tcpConn) shut() bool {
 		return false
 	}
 	c.closed = true
+	if !c.dialled {
+		c.abort()
+	}
 	c.signal()
 	return true
 }
@@ -616,8 +586,8 @@ func (c *tcpConn) shut() bool {
 // drainWindow bounds how long close waits for the writer to finish the
 // accepted queue.
 func (c *tcpConn) drainWindow() time.Duration {
-	if c.writeTmo > 0 && c.writeTmo < time.Second {
-		return c.writeTmo
+	if tmo := c.t.cfg.WriteTimeout; tmo < time.Second {
+		return tmo
 	}
 	return time.Second
 }

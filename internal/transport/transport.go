@@ -80,7 +80,8 @@ type DropStats struct {
 	ReliableSheds   uint64
 	BestEffortSheds uint64
 	// FabricDrops counts outbound messages the fabric or chaos layer lost
-	// (injected loss, partitions, crash-stopped peers).
+	// (injected loss, partitions, crash-stopped peers) and, on TCP, the
+	// frames a link's failed dial or write discarded.
 	FabricDrops uint64
 	// SendQueueDrops counts outbound frames discarded because a link's
 	// bounded send queue was full — the peer is alive but consuming slower

@@ -177,15 +177,30 @@ func TestTCPTransportSendAfterClose(t *testing.T) {
 	}
 }
 
+// TestTCPTransportDialFailure: Send only enqueues, so a send to a port
+// nobody listens on returns nil at once; the link's writer then fails the
+// dial, which counts the frame as a FabricDrop and the peer's breaker a
+// failure.
 func TestTCPTransportDialFailure(t *testing.T) {
 	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	// A port nobody listens on.
-	if err := a.Send("127.0.0.1:1", wire.Message{}); err == nil {
-		t.Fatal("dial to dead port succeeded")
+	const dead = "127.0.0.1:1"
+	if err := a.Send(dead, wire.Message{}); err != nil {
+		t.Fatalf("Send to a dead port: %v, want nil (the writer dials)", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		brks := a.Breakers()
+		if a.DropStats().FabricDrops >= 1 && len(brks) == 1 && brks[0].Addr == dead && brks[0].Failures >= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("FabricDrops = %d, breakers %+v: want the failed dial counted", a.DropStats().FabricDrops, brks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -287,8 +302,8 @@ func TestTCPTransportReconnectsAfterPeerRestart(t *testing.T) {
 	}
 	defer b2.Close()
 	// Writes to the dead cached connection may "succeed" until the OS
-	// reports the reset, at which point Send drops the connection and
-	// redials. Keep sending until one arrives.
+	// reports the reset, at which point the link's writer fails it and the
+	// next Send makes a new link. Keep sending until one arrives.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_ = a.Send(addrB, wire.Message{Type: wire.TPayload})

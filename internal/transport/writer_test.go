@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"net"
 	"slices"
@@ -46,7 +47,7 @@ func (g *gatedConn) Write(p []byte) (int, error) {
 
 func (g *gatedConn) open() { g.opened.Do(func() { close(g.gate) }) }
 
-// gatedLink caches a gated connection as a's link to a bare listener and
+// gatedLink makes a's link to a bare listener dial a gated connection and
 // returns it with a reader of the frames in the order they crossed the
 // wire (a TCPTransport peer would reorder them by class in its inbox). The
 // gate starts closed; the test's cleanup opens it so Close never waits on
@@ -69,8 +70,12 @@ func gatedLink(t *testing.T, a *TCPTransport) (*gatedConn, *wire.FrameReader) {
 	t.Cleanup(func() { peer.Close() })
 	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 	g := &gatedConn{Conn: raw, entered: make(chan struct{}), gate: make(chan struct{})}
-	if _, err := a.adopt(ln.Addr().String(), g); err != nil {
-		t.Fatal(err)
+	dial := a.dialContext
+	a.dialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if addr == g.addr() {
+			return g, nil
+		}
+		return dial(ctx, network, addr)
 	}
 	t.Cleanup(g.open)
 	return g, wire.NewFrameReader(peer)
@@ -297,7 +302,9 @@ func TestLinkQueueFullShedsDataNotBreaker(t *testing.T) {
 }
 
 // TestSendManyTCP: one encode, many links, every destination receives the
-// identical message over the binary wire version.
+// identical message over the binary wire version. A dead destination's
+// link accepts the frame too (Send never dials); its writer's refused dial
+// counts the frame as a FabricDrop.
 func TestSendManyTCP(t *testing.T) {
 	cfg := DefaultTCPConfig()
 	a, _ := tcpPairConfig(t, cfg)
@@ -324,8 +331,8 @@ func TestSendManyTCP(t *testing.T) {
 	if results[0] != nil || results[1] != nil {
 		t.Fatalf("live links errored: %v %v", results[0], results[1])
 	}
-	if results[2] == nil {
-		t.Fatal("dead link reported success")
+	if results[2] != nil {
+		t.Fatalf("dead link's enqueue errored: %v", results[2])
 	}
 	for _, ep := range []*TCPTransport{c, d} {
 		got := recvOne(t, ep, 2*time.Second)
@@ -333,5 +340,12 @@ func TestSendManyTCP(t *testing.T) {
 			got.From.Capacity != 9 || got.Seq != 4 {
 			t.Fatalf("fan-out corrupted at %s: %+v", ep.Addr(), got)
 		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for a.DropStats().FabricDrops == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := a.DropStats().FabricDrops; got != 1 {
+		t.Fatalf("FabricDrops = %d, want 1 (the dead link's frame)", got)
 	}
 }
