@@ -1,5 +1,7 @@
 package core
 
+import "math/rand"
+
 // BackLinkInputs are the three rankings a peer p_k computes when deciding
 // whether to accept a backward connection request from a joining peer p_i
 // (Section 3.3):
@@ -72,4 +74,13 @@ func Ranks(selfCap, peerCap, peerDist float64, neighbors []Candidate) BackLinkIn
 		PeerCapacityRank: float64(peerGE) / n,
 		PeerDistanceRank: float64(distGE) / n,
 	}
+}
+
+// AcceptBackLink is the back-link rule of Section 3.3 at a peer p_k of
+// capacity self: one draw against PB_k, ranked over p_k's current
+// neighbours (the requester not among them), and on rejection one more
+// against the fallback pb.
+func AcceptBackLink(self float64, requester Candidate, neighbors []Candidate, fallback float64, rng *rand.Rand) bool {
+	pb := BackLinkProbability(Ranks(self, requester.Capacity, requester.Distance, neighbors))
+	return rng.Float64() < pb || rng.Float64() < fallback
 }

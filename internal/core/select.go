@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+
+	"groupcast/internal/peer"
 )
 
 // ErrBadWeights is returned when a weighted selection gets invalid weights.
@@ -113,4 +115,56 @@ func SelectByPreference(r float64, cands []Candidate, k int, rng *rand.Rand) ([]
 		return nil, err
 	}
 	return SampleWithoutReplacement(prefs, k, rng)
+}
+
+// Probed is one entry of a joining peer's candidate list LC_i (Section
+// 3.3): the candidate, with its advertised capacity, and how many probe
+// replies named it.
+type Probed struct {
+	Candidate
+	Freq int
+}
+
+// SelectNeighbors is the neighbour choice of a peer of capacity self
+// joining or repairing the overlay (Section 3.3): r̂ is estimated from the
+// probed capacities, every candidate is scored by Eq. 6 — Selection
+// Preference with occurrence frequency in place of capacity — and up to
+// quota are drawn without replacement. It returns the chosen indices into
+// probed and r̂.
+func SelectNeighbors(self float64, probed []Probed, quota int, rng *rand.Rand) ([]int, float64, error) {
+	sample := make([]peer.Capacity, len(probed))
+	cands := make([]Candidate, len(probed))
+	for i, p := range probed {
+		sample[i] = peer.Capacity(p.Capacity)
+		cands[i] = Candidate{Capacity: float64(p.Freq), Distance: p.Distance}
+	}
+	r := peer.EstimateResourceLevel(peer.Capacity(self), sample)
+	chosen, err := SelectByPreference(r, cands, quota, rng)
+	return chosen, r, err
+}
+
+// Fanout is the Selective Service Announcement fan-out over n neighbours:
+// ⌈fraction·n⌉, and at least one.
+func Fanout(fraction float64, n int) int {
+	k := int(math.Ceil(fraction * float64(n)))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
+// SelectForwarders is the SSA forwarding choice of a peer at resource level
+// r (Section 3.2): all of its neighbours when the fan-out covers them,
+// otherwise Fanout of them drawn by Selection Preference. It returns
+// indices into nbrs.
+func SelectForwarders(r float64, nbrs []Candidate, fraction float64, rng *rand.Rand) ([]int, error) {
+	k := Fanout(fraction, len(nbrs))
+	if k < len(nbrs) {
+		return SelectByPreference(r, nbrs, k, rng)
+	}
+	all := make([]int, len(nbrs))
+	for i := range all {
+		all[i] = i
+	}
+	return all, nil
 }

@@ -15,6 +15,13 @@
 // so weak peers choose by proximity, powerful peers by capacity, and medium
 // peers by both. The same function with neighbour-occurrence frequencies in
 // place of capacities gives the overlay bootstrap preference (Eq. 6).
+//
+// Each Section 3 selection rule is implemented once, here, and both the
+// simulator (internal/overlay, internal/protocol) and the live node
+// (internal/node) call it: ResourceLevel (r̂), SelectNeighbors (the Eq. 6
+// neighbour choice), AcceptBackLink (PB_k, then pb) and SelectForwarders
+// (SSA). The deputy roster is protocol.DeputyRoster, beside the succession
+// rules.
 package core
 
 import (
@@ -187,4 +194,15 @@ func SelectionPreferences(p Params, cands []Candidate) ([]float64, error) {
 // parameters from the evaluating peer's resource level r and score the list.
 func SelectionPreferencesFor(r float64, cands []Candidate) ([]float64, error) {
 	return SelectionPreferences(DeriveParams(r), cands)
+}
+
+// ResourceLevel is the paper's estimate r̂ (Section 3.1) for a peer of
+// capacity self: the fraction of the peers it knows that are weaker than
+// it, clamped to [0.01, 0.99], and 0.5 when it knows none.
+func ResourceLevel(self float64, known []Candidate) float64 {
+	sample := make([]peer.Capacity, len(known))
+	for i, c := range known {
+		sample[i] = peer.Capacity(c.Capacity)
+	}
+	return peer.EstimateResourceLevel(peer.Capacity(self), sample)
 }

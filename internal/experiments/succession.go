@@ -220,39 +220,29 @@ func (p *Pipeline) successionCell(g *overlay.Graph, alive []int, levels protocol
 	}
 	out.membersBefore = tree.NumMembers()
 
-	// Rank the root's children exactly as the live charter builder does:
-	// Eq. 6 preference with ties broken by ID.
+	// The root's children ranked by the live charter builder's roster rule.
 	uni := g.Universe()
 	kids := append([]int(nil), tree.Children[rendezvous]...)
 	sort.Ints(kids)
 	cands := make([]core.Candidate, len(kids))
+	ids := make([]string, len(kids))
 	for i, c := range kids {
 		cands[i] = core.Candidate{
 			Capacity: float64(uni.Caps[c]),
 			Distance: uni.Dist(rendezvous, c),
 		}
+		ids[i] = fmt.Sprintf("%06d", c)
 	}
-	prefs, perr := core.SelectionPreferencesFor(levels(rendezvous), cands)
-	dcs := make([]protocol.DeputyCandidate, len(kids))
-	for i, c := range kids {
-		u := 0.0
-		if perr == nil && i < len(prefs) {
-			u = prefs[i]
-		}
-		dcs[i] = protocol.DeputyCandidate{ID: fmt.Sprintf("%06d", c), Utility: u}
-	}
-	roster := protocol.RankDeputies(dcs, k)
+	roster := protocol.DeputyRoster(levels(rendezvous), cands, ids, k)
 	out.charterMsgsPerEpoch = len(roster)
 
 	// The incident: the root dies; each deputy dies with it independently.
 	deputies := make([]int, len(roster))
 	deadDeputy := make(map[int]bool)
-	for i, d := range roster {
-		var idx int
-		fmt.Sscanf(d.ID, "%d", &idx)
-		deputies[i] = idx
+	for i, idx := range roster {
+		deputies[i] = kids[idx]
 		if rng.Float64() < cfg.DeputyFailureProb {
-			deadDeputy[idx] = true
+			deadDeputy[kids[idx]] = true
 		}
 	}
 	winner := -1

@@ -46,11 +46,12 @@ func (n *Node) backupsForChild(gs *groupState, child wire.PeerInfo) []wire.PeerI
 		cands = append(cands, info)
 	}
 	// The child's grandparent, then siblings (their subtrees are disjoint
-	// from the child's), then our own backups (outside our subtree, hence
-	// outside the child's), then the rendezvous as the last resort.
+	// from the child's) by address, then our own backups (outside our
+	// subtree, hence outside the child's), then the rendezvous as the last
+	// resort. The sort below is stable, so this order breaks distance ties.
 	add(gs.parentInfo)
-	for _, sib := range gs.children {
-		add(sib)
+	for _, addr := range sortedKeys(gs.children) {
+		add(gs.children[addr])
 	}
 	for _, b := range gs.backups {
 		add(b)

@@ -393,3 +393,63 @@ func TestSuspectRecovers(t *testing.T) {
 			a.NumNeighbors(), a.Stats().NeighborsDeclaredDead)
 	}
 }
+
+// TestBeaconSameSeedSameBackups: backup lists and beacon order do not depend
+// on map order. Six children share one coordinate, so every sibling ties on
+// distance; a rendezvous beacons three groups, and a relay forwards a beacon
+// to its own six children. Repeated backup computations on one unchanged
+// group, and two same-seed step-driven nodes, must agree exactly.
+func TestBeaconSameSeedSameBackups(t *testing.T) {
+	kids := func(gs *groupState, prefix string) {
+		for i := 0; i < 6; i++ {
+			addr := fmt.Sprintf("%s-%d", prefix, i)
+			gs.children[addr] = wire.PeerInfo{Addr: addr, Capacity: 10, Coord: []float64{1, 1, 0}}
+		}
+	}
+	build := func() []string {
+		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		cfg := DefaultConfig(10, nil, 7)
+		cfg.Deputies = 2
+		n := New(log, cfg)
+		defer n.Close()
+		var out []string
+		stepAt(n, time.Now(), event{flow: func() {
+			for _, gid := range []string{"g1", "g2", "g3"} {
+				gs := newGroupState(wire.Reliable)
+				gs.rendezvous, gs.member = true, true
+				gs.rdvInfo, gs.epoch = n.self, 1
+				kids(gs, gid)
+				n.groups[gid] = gs
+			}
+			relay := newGroupState(wire.BestEffort)
+			relay.parent = "up"
+			kids(relay, "r")
+			n.groups["r"] = relay
+
+			first := fmt.Sprint(n.backupsForChild(n.groups["g1"], n.groups["g1"].children["g1-0"]))
+			for i := 0; i < 50; i++ {
+				if got := fmt.Sprint(n.backupsForChild(n.groups["g1"], n.groups["g1"].children["g1-0"])); got != first {
+					t.Fatalf("call %d gave backups %s, the first gave %s", i, got, first)
+				}
+			}
+			n.beaconGroups()
+			n.handleBeacon(wire.Message{Type: wire.TBeacon, GroupID: "r",
+				From: wire.PeerInfo{Addr: "up"}, Path: []string{"up"}, Epoch: 1})
+		}})
+		for _, s := range log.sent {
+			if s.msg.Type == wire.TBeacon {
+				out = append(out, fmt.Sprintf("%s>%s %v %v", s.msg.GroupID, s.to, addrsOf(s.msg.Backups), addrsOf(s.msg.Deputies)))
+			}
+		}
+		return out
+	}
+	want := build()
+	if len(want) != 24 {
+		t.Fatalf("sent %d beacons, want 24: %v", len(want), want)
+	}
+	for run := 1; run <= 20; run++ {
+		if got := build(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d beaconed otherwise:\n got %v\nwant %v", run, got, want)
+		}
+	}
+}

@@ -2,14 +2,12 @@ package node
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
 	"groupcast/internal/dht"
-	"groupcast/internal/peer"
 	"groupcast/internal/protocol"
 	"groupcast/internal/reliable"
 	"groupcast/internal/trace"
@@ -150,8 +148,8 @@ func (n *Node) handleAdvertise(msg wire.Message) {
 	n.forwardAdvertisement(fwd, msg.From.Addr)
 }
 
-// forwardAdvertisement sends the announcement to ceil(fraction·|neighbours|)
-// neighbours chosen by Selection Preference.
+// forwardAdvertisement sends the announcement to the neighbours the SSA
+// rule picks (core.SelectForwarders), at the r̂ its neighbours give.
 func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 	var nbrs []wire.PeerInfo
 	for _, nb := range n.neighbors {
@@ -165,25 +163,16 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 	// Selection draws from the seeded rng in candidate order, so the order
 	// must not be map order.
 	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].Addr < nbrs[j].Addr })
-	fanout := int(math.Ceil(n.cfg.AdvertiseFraction * float64(len(nbrs))))
-	if fanout < 1 {
-		fanout = 1
+	cands := make([]core.Candidate, len(nbrs))
+	for i, info := range nbrs {
+		cands[i] = n.candidate(info)
 	}
 	targets := nbrs
-	if fanout < len(nbrs) {
-		sample := make([]peer.Capacity, len(nbrs))
-		cands := make([]core.Candidate, len(nbrs))
-		for i, info := range nbrs {
-			sample[i] = peer.Capacity(info.Capacity)
-			cands[i] = core.Candidate{Capacity: info.Capacity, Distance: n.dist(n.self, info)}
-		}
-		ri := peer.EstimateResourceLevel(peer.Capacity(n.cfg.Capacity), sample)
-		idxs, err := core.SelectByPreference(ri, cands, fanout, n.rng)
-		if err == nil {
-			targets = make([]wire.PeerInfo, len(idxs))
-			for i, idx := range idxs {
-				targets[i] = nbrs[idx]
-			}
+	idxs, err := core.SelectForwarders(core.ResourceLevel(n.cfg.Capacity, cands), cands, n.cfg.AdvertiseFraction, n.rng)
+	if err == nil {
+		targets = make([]wire.PeerInfo, len(idxs))
+		for i, idx := range idxs {
+			targets[i] = nbrs[idx]
 		}
 	}
 	msg.RelayedAt = n.now
@@ -388,7 +377,8 @@ func (n *Node) handleBeacon(msg wire.Message) {
 		gs.charter = wire.Charter{}
 	}
 	downPath := append(append([]string(nil), msg.Path...), n.self.Addr)
-	for addr, info := range gs.children {
+	for _, addr := range sortedKeys(gs.children) {
+		info := gs.children[addr]
 		_ = n.send(addr, wire.Message{
 			Type:    wire.TBeacon,
 			From:    n.self,

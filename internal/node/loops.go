@@ -371,26 +371,17 @@ func (n *Node) handleProbe(msg wire.Message) {
 	})
 }
 
-// handleBackConnect applies the PB_k acceptance rule of Section 3.3 to a
-// connection request, falling back to pb.
+// handleBackConnect applies the back-link rule of Section 3.3
+// (core.AcceptBackLink) to a connection request.
 func (n *Node) handleBackConnect(msg wire.Message) {
 	nbrCands := make([]core.Candidate, 0, len(n.neighbors))
 	for _, nb := range n.neighbors {
 		if nb.info.Addr == msg.From.Addr {
 			continue
 		}
-		nbrCands = append(nbrCands, core.Candidate{
-			Capacity: nb.info.Capacity,
-			Distance: n.dist(n.self, nb.info),
-		})
+		nbrCands = append(nbrCands, n.candidate(nb.info))
 	}
-	pb := core.BackLinkProbability(core.Ranks(
-		n.cfg.Capacity, msg.From.Capacity, n.dist(n.self, msg.From), nbrCands))
-	accept := n.rng.Float64() < pb
-	if !accept {
-		accept = n.rng.Float64() < n.cfg.FallbackAccept
-	}
-	if !accept {
+	if !core.AcceptBackLink(n.cfg.Capacity, n.candidate(msg.From), nbrCands, n.cfg.FallbackAccept, n.rng) {
 		return
 	}
 	n.addNeighbor(msg.From)
@@ -527,11 +518,13 @@ func (n *Node) epoch(stalled bool) {
 
 // beaconGroups floods a fresh rendezvous beacon down every group this node
 // roots. Each child's beacon carries its backup access points (siblings —
-// tree nodes guaranteed outside the child's subtree).
+// tree nodes guaranteed outside the child's subtree). Groups and children go
+// in sorted order, so one seed sends one sequence.
 func (n *Node) beaconGroups() {
 	health := n.telemetryHealth()
 	var beacons, charters int
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		if !gs.rendezvous || len(gs.children) == 0 {
 			continue
 		}
@@ -548,7 +541,8 @@ func (n *Node) beaconGroups() {
 				roster[d.Addr] = true
 			}
 		}
-		for addr, info := range gs.children {
+		for _, addr := range sortedKeys(gs.children) {
+			info := gs.children[addr]
 			msg := wire.Message{
 				Type:     wire.TBeacon,
 				From:     n.self,

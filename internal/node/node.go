@@ -7,6 +7,13 @@
 // transport.Transport — the in-memory fabric for single-process deployments
 // and tests, or TCP for real networks.
 //
+// The selection rules are not written here. Bootstrap's neighbour choice is
+// core.SelectNeighbors, the back-connect verdict core.AcceptBackLink, the
+// advertisement relay's choice core.SelectForwarders, and the charter's
+// deputy roster protocol.DeputyRoster; r̂, where a rule needs it, is
+// core.ResourceLevel over the peers at hand. The simulator calls the same
+// functions.
+//
 // What runs where: a started node's state has one owner, its event loop
 // (run, loops.go). The loop pops the transport's inbox itself, on the
 // inbox's doorbell. Each event — an inbound message, the body of an API
@@ -33,7 +40,6 @@ import (
 	"groupcast/internal/coords"
 	"groupcast/internal/core"
 	"groupcast/internal/dht"
-	"groupcast/internal/peer"
 	"groupcast/internal/recovery"
 	"groupcast/internal/reliable"
 	"groupcast/internal/trace"
@@ -526,6 +532,11 @@ func (n *Node) dist(a, b wire.PeerInfo) float64 {
 	return coords.Dist(coords.Point(a.Coord), coords.Point(b.Coord))
 }
 
+// candidate is peer p as the utility rules see it from this node.
+func (n *Node) candidate(p wire.PeerInfo) core.Candidate {
+	return core.Candidate{Capacity: p.Capacity, Distance: n.dist(n.self, p)}
+}
+
 // quotaSlope scales the neighbour quota with log10(capacity), as the
 // simulator's bootstrap does.
 const quotaSlope = 2
@@ -630,21 +641,14 @@ func (n *Node) connect(freq map[string]int, infos map[string]wire.PeerInfo, time
 		done(fmt.Errorf("node: no bootstrap contact answered"))
 		return
 	}
-	// Candidate scoring (Eq. 6: frequency substitutes capacity) and resource
-	// level estimation from the sampled capacities. Selection draws from the
-	// seeded rng in candidate order, so the order must not be map order.
+	// Selection draws from the seeded rng in candidate order, so the order
+	// must not be map order.
 	addrs := sortedKeys(infos)
-	sample := make([]peer.Capacity, len(addrs))
-	cands := make([]core.Candidate, len(addrs))
+	probed := make([]core.Probed, len(addrs))
 	for i, addr := range addrs {
-		sample[i] = peer.Capacity(infos[addr].Capacity)
-		cands[i] = core.Candidate{
-			Capacity: float64(freq[addr]),
-			Distance: n.dist(n.self, infos[addr]),
-		}
+		probed[i] = core.Probed{Candidate: n.candidate(infos[addr]), Freq: freq[addr]}
 	}
-	ri := peer.EstimateResourceLevel(peer.Capacity(n.cfg.Capacity), sample)
-	chosen, err := core.SelectByPreference(ri, cands, n.quota(), n.rng)
+	chosen, _, err := core.SelectNeighbors(n.cfg.Capacity, probed, n.quota(), n.rng)
 	if err != nil {
 		done(fmt.Errorf("node: neighbour selection: %w", err))
 		return

@@ -323,12 +323,9 @@ func (n *Node) treeDetails() []TreeDetail {
 		sort.Slice(peers, func(i, j int) bool { return peers[i].info.Addr < peers[j].info.Addr })
 		cands := make([]core.Candidate, len(peers))
 		for i, p := range peers {
-			cands[i] = core.Candidate{
-				Capacity: p.info.Capacity,
-				Distance: n.dist(n.self, p.info),
-			}
+			cands[i] = n.candidate(p.info)
 		}
-		prefs, err := core.SelectionPreferencesFor(resourceLevelFor(n.cfg.Capacity, cands), cands)
+		prefs, err := core.SelectionPreferencesFor(core.ResourceLevel(n.cfg.Capacity, cands), cands)
 		for i, p := range peers {
 			ld := LinkDetail{
 				Addr:      p.info.Addr,
@@ -344,25 +341,6 @@ func (n *Node) treeDetails() []TreeDetail {
 		out = append(out, td)
 	}
 	return out
-}
-
-// resourceLevelFor estimates this node's relative resource level among the
-// candidate capacities (the r of Eq. 4/5), clamped to (0, 1).
-func resourceLevelFor(selfCap float64, cands []core.Candidate) float64 {
-	if len(cands) == 0 {
-		return 0.5
-	}
-	below := 0
-	for _, c := range cands {
-		if c.Capacity <= selfCap {
-			below++
-		}
-	}
-	r := float64(below) / float64(len(cands)+1)
-	if r <= 0 {
-		r = 1.0 / float64(len(cands)+2)
-	}
-	return r
 }
 
 // NeighborDetail describes one overlay neighbour for /debug/overlay.

@@ -175,11 +175,7 @@ func (n *Node) captureState() *recovery.State {
 		if gs.pub != nil {
 			g.PubHigh = gs.pub.High()
 		}
-		for _, src := range sortedKeys(gs.recv) {
-			if h := gs.recv[src].High(); h > 0 {
-				g.Sources = append(g.Sources, wire.DigestEntry{Source: src, High: h})
-			}
-		}
+		g.Sources = n.highWater(gs, false)
 		st.Groups = append(st.Groups, g)
 	}
 	if n.dht != nil {

@@ -196,21 +196,45 @@ func (n *Node) handleDigest(msg wire.Message) {
 	if gs == nil || gs.mode == wire.BestEffort {
 		return
 	}
-	for _, e := range msg.Digest {
+	// The digest sender knows the streams; NACK it until a payload reveals
+	// the live relay link.
+	n.noteHighWater(msg.GroupID, gs, msg.Digest, msg.From.Addr)
+}
+
+// noteHighWater notes advertised high-water marks into the group's receive
+// windows, so every sequence not yet received becomes a gap, and releases
+// what they unblock. A window with no NACK aim yet aims at hop, when given.
+func (n *Node) noteHighWater(gid string, gs *groupState, entries []wire.DigestEntry, hop string) {
+	for _, e := range entries {
 		if e.Source == "" || e.Source == n.self.Addr || e.High == 0 {
 			continue
 		}
 		w := n.windowFor(gs, wire.PeerInfo{Addr: e.Source})
 		if w.LastHop == "" {
-			// The digest sender knows the stream; NACK it until a payload
-			// reveals the live relay link.
-			w.LastHop = msg.From.Addr
+			w.LastHop = hop
 		}
 		var res reliable.ObserveResult
 		w.NoteAdvertised(e.High, n.now, &res)
 		n.noteWindow(&res)
-		n.release(msg.GroupID, gs, w.Info, 0, res.Deliver)
+		n.release(gid, gs, w.Info, 0, res.Deliver)
 	}
+}
+
+// highWater lists the group's per-source high-water marks, sorted by
+// source: every receive window past zero and, with withSelf, this node's
+// own publish stream.
+func (n *Node) highWater(gs *groupState, withSelf bool) []wire.DigestEntry {
+	var out []wire.DigestEntry
+	if withSelf && gs.pub != nil && gs.pub.High() > 0 {
+		out = append(out, wire.DigestEntry{Source: n.self.Addr, High: gs.pub.High()})
+	}
+	for src, w := range gs.recv {
+		if w.High() > 0 {
+			out = append(out, wire.DigestEntry{Source: src, High: w.High()})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
+	return out
 }
 
 // nackInterval paces the gap-recovery sweep that turns detected sequence
@@ -295,19 +319,10 @@ func (n *Node) digestGroups() {
 				delete(gs.recv, srcAddr)
 			}
 		}
-		entries := make([]wire.DigestEntry, 0, len(gs.recv)+1)
-		if gs.pub != nil && gs.pub.High() > 0 {
-			entries = append(entries, wire.DigestEntry{Source: n.self.Addr, High: gs.pub.High()})
-		}
-		for srcAddr, w := range gs.recv {
-			if w.High() > 0 {
-				entries = append(entries, wire.DigestEntry{Source: srcAddr, High: w.High()})
-			}
-		}
+		entries := n.highWater(gs, true)
 		if len(entries) == 0 {
 			continue
 		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Source < entries[j].Source })
 		msg := wire.Message{
 			Type:    wire.TDigest,
 			From:    n.self,

@@ -1,13 +1,11 @@
 package node
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"groupcast/internal/core"
 	"groupcast/internal/protocol"
-	"groupcast/internal/reliable"
 	"groupcast/internal/wire"
 )
 
@@ -38,44 +36,23 @@ func addrsOf(peers []wire.PeerInfo) []string {
 }
 
 // charterFor assembles the group's current charter at its rendezvous: the
-// deputy roster is the k highest-utility children (Eq. 6 preference, ties
-// broken by address so every recomputation agrees), and the high-water marks
-// snapshot every known source's sequence frontier.
+// deputy roster is protocol.DeputyRoster over the children, at the r̂ they
+// give, and the high-water marks snapshot every known source's sequence
+// frontier.
 func (n *Node) charterFor(gid string, gs *groupState) wire.Charter {
 	ch := wire.Charter{GroupID: gid, Mode: gs.mode, Epoch: gs.epoch}
 	if n.cfg.Deputies > 0 && len(gs.children) > 0 {
-		kids := make([]wire.PeerInfo, 0, len(gs.children))
-		for _, info := range gs.children {
-			kids = append(kids, info)
+		ids := sortedKeys(gs.children)
+		cands := make([]core.Candidate, len(ids))
+		for i, addr := range ids {
+			cands[i] = n.candidate(gs.children[addr])
 		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i].Addr < kids[j].Addr })
-		cands := make([]core.Candidate, len(kids))
-		for i, k := range kids {
-			cands[i] = core.Candidate{Capacity: k.Capacity, Distance: n.dist(n.self, k)}
-		}
-		prefs, err := core.SelectionPreferencesFor(resourceLevelFor(n.cfg.Capacity, cands), cands)
-		dcs := make([]protocol.DeputyCandidate, len(kids))
-		for i, k := range kids {
-			u := 0.0
-			if err == nil && i < len(prefs) {
-				u = prefs[i]
-			}
-			dcs[i] = protocol.DeputyCandidate{ID: k.Addr, Utility: u}
-		}
-		for _, d := range protocol.RankDeputies(dcs, n.cfg.Deputies) {
-			ch.Deputies = append(ch.Deputies, gs.children[d.ID])
+		for _, idx := range protocol.DeputyRoster(core.ResourceLevel(n.cfg.Capacity, cands), cands, ids, n.cfg.Deputies) {
+			ch.Deputies = append(ch.Deputies, gs.children[ids[idx]])
 		}
 	}
 	if gs.mode != wire.BestEffort {
-		if gs.pub != nil && gs.pub.High() > 0 {
-			ch.HighWater = append(ch.HighWater, wire.DigestEntry{Source: n.self.Addr, High: gs.pub.High()})
-		}
-		for srcAddr, w := range gs.recv {
-			if w.High() > 0 {
-				ch.HighWater = append(ch.HighWater, wire.DigestEntry{Source: srcAddr, High: w.High()})
-			}
-		}
-		sort.Slice(ch.HighWater, func(i, j int) bool { return ch.HighWater[i].Source < ch.HighWater[j].Source })
+		ch.HighWater = n.highWater(gs, true)
 	}
 	return ch
 }
@@ -140,16 +117,7 @@ func (n *Node) promoteSelf(gid string, silentFor time.Duration) {
 	// Seed receive windows from the replicated frontier: any sequence the
 	// dead root had seen that we have not becomes a gap, and the normal
 	// NACK/digest path recovers it from surviving caches or the source.
-	for _, e := range charter.HighWater {
-		if e.Source == "" || e.Source == n.self.Addr || e.High == 0 {
-			continue
-		}
-		w := n.windowFor(gs, wire.PeerInfo{Addr: e.Source})
-		var res reliable.ObserveResult
-		w.NoteAdvertised(e.High, n.now, &res)
-		n.noteWindow(&res)
-		n.release(gid, gs, w.Info, 0, res.Deliver)
-	}
+	n.noteHighWater(gid, gs, charter.HighWater, "")
 	n.adSeen[gid] = adState{rendezvous: n.self, mode: gs.mode, epoch: newEpoch}
 
 	atomic.AddUint64(&n.stats.Promotions, 1)

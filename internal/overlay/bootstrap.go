@@ -146,54 +146,12 @@ func (b *Builder) Join(i int) error {
 		return nil // first peer: nothing to connect to yet
 	}
 
-	// Probe each bootstrap peer; its reply carries its neighbour list with
-	// each neighbour's identifier quadruplet (so capacities and coordinates
-	// of candidates are known to i).
-	uni := b.g.Universe()
-	freq := make(map[int]int)
-	for _, pk := range boots {
-		b.ctr.Inc(CtrProbe)
-		b.ctr.Inc(CtrProbeResp)
-		freq[pk]++ // knowing pk itself counts as one appearance
-		for _, nb := range b.g.Neighbors(pk) {
-			if nb != i {
-				freq[nb]++
-			}
-		}
-	}
-
-	candIDs := make([]int, 0, len(freq))
-	for j := range freq {
-		candIDs = append(candIDs, j)
-	}
-	// Deterministic candidate order: the weighted selection below consumes
-	// the rng per index, so map iteration order would leak into the overlay.
-	sort.Ints(candIDs)
-	// Estimate r_i from the capacities of the sampled peers.
-	sample := make([]peer.Capacity, 0, len(candIDs))
-	for _, j := range candIDs {
-		sample = append(sample, uni.Caps[j])
-	}
-	ri := peer.EstimateResourceLevel(uni.Caps[i], sample)
-	b.rlevels[i] = ri
-
-	// Eq. 6: utility over LC_i with occurrence frequency as the capacity
-	// term.
-	cands := make([]core.Candidate, len(candIDs))
-	for idx, j := range candIDs {
-		cands[idx] = core.Candidate{
-			Capacity: float64(freq[j]),
-			Distance: uni.Dist(i, j),
-		}
-	}
-	quota := b.cfg.Quota(uni.Caps[i])
-	chosen, err := core.SelectByPreference(ri, cands, quota, b.rng)
+	chosen, err := b.choose(i, b.probe(i, boots), nil, b.cfg.Quota(b.g.Universe().Caps[i]), b.rng)
 	if err != nil {
 		return fmt.Errorf("overlay: neighbour selection for %d: %w", i, err)
 	}
 
-	for _, idx := range chosen {
-		k := candIDs[idx]
+	for _, k := range chosen {
 		if !b.g.Alive(k) {
 			continue
 		}
@@ -205,9 +163,59 @@ func (b *Builder) Join(i int) error {
 	return nil
 }
 
+// probe asks each live bootstrap peer for its neighbour list. A reply
+// carries each neighbour's identifier quadruplet, so i learns the
+// candidates' capacities and coordinates; probe returns how often each
+// candidate appeared (knowing pk itself counts as one appearance).
+func (b *Builder) probe(i int, boots []int) map[int]int {
+	freq := make(map[int]int)
+	for _, pk := range boots {
+		if !b.g.Alive(pk) {
+			continue
+		}
+		b.ctr.Inc(CtrProbe)
+		b.ctr.Inc(CtrProbeResp)
+		freq[pk]++
+		for _, nb := range b.g.Neighbors(pk) {
+			if nb != i {
+				freq[nb]++
+			}
+		}
+	}
+	return freq
+}
+
+// choose runs the Section 3.3 neighbour choice for peer i over the probed
+// candidates that keep admits (all when nil) and records i's resource
+// level. The candidates are sorted first: the draw consumes the rng per
+// index, so map order would leak into the overlay. It returns the chosen
+// peers.
+func (b *Builder) choose(i int, freq map[int]int, keep func(j int) bool, quota int, rng *rand.Rand) ([]int, error) {
+	candIDs := make([]int, 0, len(freq))
+	for j := range freq {
+		if keep == nil || keep(j) {
+			candIDs = append(candIDs, j)
+		}
+	}
+	if len(candIDs) == 0 {
+		return nil, core.ErrNoCandidates
+	}
+	sort.Ints(candIDs)
+	uni := b.g.Universe()
+	probed := make([]core.Probed, len(candIDs))
+	for idx, j := range candIDs {
+		probed[idx] = core.Probed{Candidate: core.Candidate{Capacity: float64(uni.Caps[j]), Distance: uni.Dist(i, j)}, Freq: freq[j]}
+	}
+	chosen, r, err := core.SelectNeighbors(float64(uni.Caps[i]), probed, quota, rng)
+	b.rlevels[i] = r
+	for x, idx := range chosen {
+		chosen[x] = candIDs[idx]
+	}
+	return chosen, err
+}
+
 // backLink runs the back-connection protocol: peer k decides whether to add
-// the requester i as its own forwarding neighbour, accepting with the PB_k
-// probability and otherwise with the pb fallback.
+// the requester i as its own forwarding neighbour (core.AcceptBackLink).
 func (b *Builder) backLink(i, k int) {
 	b.ctr.Inc(CtrBackRequest)
 	uni := b.g.Universe()
@@ -222,13 +230,8 @@ func (b *Builder) backLink(i, k int) {
 			Distance: uni.Dist(k, nb),
 		})
 	}
-	pb := core.BackLinkProbability(core.Ranks(
-		float64(uni.Caps[k]), float64(uni.Caps[i]), uni.Dist(k, i), nbrCands))
-	accept := b.rng.Float64() < pb
-	if !accept {
-		accept = b.rng.Float64() < b.cfg.FallbackAccept
-	}
-	if accept {
+	requester := core.Candidate{Capacity: float64(uni.Caps[i]), Distance: uni.Dist(k, i)}
+	if core.AcceptBackLink(float64(uni.Caps[k]), requester, nbrCands, b.cfg.FallbackAccept, b.rng) {
 		if err := b.g.AddEdge(k, i); err == nil {
 			b.ctr.Inc(CtrBackAccepted)
 		}

@@ -3,6 +3,13 @@
 // utility-aware topology construction protocol (Section 3.3), the PLOD
 // centralized power-law baseline, scoped-flood and random-walk service lookup
 // primitives, and epoch-based neighbourhood maintenance.
+//
+// The Builder is the simulator's driver of Section 3.3: it probes, joins and
+// repairs peers on a Graph, but the neighbour choice and back-link
+// acceptance it applies are core.SelectNeighbors and core.AcceptBackLink,
+// the functions the live node calls too. The graph drivers stay as the
+// simulator behind the paper's figures and as a reference to score the live
+// node against.
 package overlay
 
 import (

@@ -1,12 +1,6 @@
 package overlay
 
-import (
-	"math/rand"
-	"sort"
-
-	"groupcast/internal/core"
-	"groupcast/internal/peer"
-)
+import "math/rand"
 
 // Maintenance message counters.
 const (
@@ -132,51 +126,15 @@ func (b *Builder) repair(i, want int, rng *rand.Rand) int {
 		return 0
 	}
 	g := b.g
-	uni := g.Universe()
 	boots := b.hc.Bootstrap(i, b.cfg.HalfSizeMax, rng)
-	freq := make(map[int]int)
-	for _, pk := range boots {
-		if !g.Alive(pk) {
-			continue
-		}
-		b.ctr.Inc(CtrProbe)
-		b.ctr.Inc(CtrProbeResp)
-		freq[pk]++
-		for _, nb := range g.Neighbors(pk) {
-			if nb != i {
-				freq[nb]++
-			}
-		}
-	}
-	candIDs := make([]int, 0, len(freq))
-	for j := range freq {
-		if !g.HasEdge(i, j) && !g.HasEdge(j, i) && g.Alive(j) {
-			candIDs = append(candIDs, j)
-		}
-	}
-	if len(candIDs) == 0 {
-		return 0
-	}
-	// Deterministic candidate order (see Builder.Join): the weighted
-	// selection consumes the rng per index.
-	sort.Ints(candIDs)
-	sample := make([]peer.Capacity, 0, len(candIDs))
-	for _, j := range candIDs {
-		sample = append(sample, uni.Caps[j])
-	}
-	ri := peer.EstimateResourceLevel(uni.Caps[i], sample)
-	b.rlevels[i] = ri
-	cands := make([]core.Candidate, len(candIDs))
-	for idx, j := range candIDs {
-		cands[idx] = core.Candidate{Capacity: float64(freq[j]), Distance: uni.Dist(i, j)}
-	}
-	chosen, err := core.SelectByPreference(ri, cands, want, rng)
+	chosen, err := b.choose(i, b.probe(i, boots), func(j int) bool {
+		return !g.HasEdge(i, j) && !g.HasEdge(j, i) && g.Alive(j)
+	}, want, rng)
 	if err != nil {
 		return 0
 	}
 	added := 0
-	for _, idx := range chosen {
-		k := candIDs[idx]
+	for _, k := range chosen {
 		if err := g.AddEdge(i, k); err == nil {
 			b.ctr.Inc(CtrRepairLink)
 			b.backLink(i, k)

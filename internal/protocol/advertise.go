@@ -4,12 +4,17 @@
 // baseline, Sections 2.2 and 3.2), subscription along reverse announcement
 // paths with TTL-scoped ripple search fallback, spanning tree construction
 // and maintenance, and payload dissemination.
+//
+// The graph drivers here are the simulator behind the paper's figures and
+// a reference to score the live node against; the rules they apply are
+// shared with it. The SSA forwarding choice is core.SelectForwarders, and
+// internal/node calls the pure succession rules (DeputyRoster, the
+// promotion stagger and the root order, succession.go) as they are.
 package protocol
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"groupcast/internal/core"
@@ -188,26 +193,22 @@ func forwardTargets(g *overlay.Graph, uni *overlay.Universe, k, upstream int,
 	if len(nbrs) == 0 {
 		return nil
 	}
-	if cfg.Scheme == NSSA {
+	switch cfg.Scheme {
+	case NSSA:
 		return nbrs
-	}
-	fanout := int(math.Ceil(cfg.Fraction * float64(len(nbrs))))
-	if fanout < 1 {
-		fanout = 1
-	}
-	if fanout >= len(nbrs) {
-		return nbrs
-	}
-	if cfg.Scheme == SSARandom {
+	case SSARandom:
+		fanout := core.Fanout(cfg.Fraction, len(nbrs))
+		if fanout >= len(nbrs) {
+			return nbrs
+		}
 		perm := rng.Perm(len(nbrs))
 		out := make([]int, fanout)
-		for i := 0; i < fanout; i++ {
+		for i := range out {
 			out[i] = nbrs[perm[i]]
 		}
 		return out
 	}
-	// SSA: weighted selection by Selection Preference (Eq. 5), exactly the
-	// mechanism of the utility-aware service announcement algorithm.
+	// SSA: the utility-aware choice of Section 3.2.
 	cands := make([]core.Candidate, len(nbrs))
 	for i, nb := range nbrs {
 		cands[i] = core.Candidate{
@@ -215,7 +216,7 @@ func forwardTargets(g *overlay.Graph, uni *overlay.Universe, k, upstream int,
 			Distance: uni.Dist(k, nb),
 		}
 	}
-	idxs, err := core.SelectByPreference(rlevels(k), cands, fanout, rng)
+	idxs, err := core.SelectForwarders(rlevels(k), cands, cfg.Fraction, rng)
 	if err != nil {
 		return nil
 	}

@@ -1,6 +1,10 @@
 package protocol
 
-import "sort"
+import (
+	"sort"
+
+	"groupcast/internal/core"
+)
 
 // This file holds the pure rules of rendezvous succession: deputy roster
 // ranking, the staggered promotion timer, the epoch-compare total order that
@@ -9,29 +13,31 @@ import "sort"
 // offline succession experiment (internal/experiments) both run on these
 // functions, so one deterministic rule set governs simulation and deployment.
 
-// DeputyCandidate is one child of the rendezvous considered for the
-// succession roster, identified by an opaque ID (a transport address in the
-// live runtime, a peer index rendered to a string in the simulator) and
-// scored by its Eq. 6 selection preference.
-type DeputyCandidate struct {
-	ID      string
-	Utility float64
-}
-
-// RankDeputies orders the candidates into a succession roster: highest
-// utility first, ties broken by ascending ID so every replica of the charter
-// agrees on the order, truncated to k entries. k <= 0 returns nil (succession
-// disabled). The input slice is not modified.
-func RankDeputies(cands []DeputyCandidate, k int) []DeputyCandidate {
-	if k <= 0 || len(cands) == 0 {
+// DeputyRoster is the roster rule: the rendezvous scores its children by
+// Eq. 6 Selection Preference at its resource level r and ranks them highest
+// utility first, ties broken by ascending ID so every replica of the
+// charter agrees on the order. ids name the children (transport addresses
+// in the live runtime, zero-padded peer indices in the simulator). It
+// returns up to k indices into kids, best first; k <= 0 returns none
+// (succession disabled).
+func DeputyRoster(r float64, kids []core.Candidate, ids []string, k int) []int {
+	if k <= 0 || len(kids) == 0 {
 		return nil
 	}
-	out := append([]DeputyCandidate(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Utility != out[j].Utility {
-			return out[i].Utility > out[j].Utility
+	utility, err := core.SelectionPreferencesFor(r, kids)
+	if err != nil {
+		utility = make([]float64, len(kids))
+	}
+	out := make([]int, len(kids))
+	for i := range out {
+		out[i] = i
+	}
+	sort.Slice(out, func(a, b int) bool {
+		i, j := out[a], out[b]
+		if utility[i] != utility[j] {
+			return utility[i] > utility[j]
 		}
-		return out[i].ID < out[j].ID
+		return ids[i] < ids[j]
 	})
 	if len(out) > k {
 		out = out[:k]

@@ -1,35 +1,12 @@
 package protocol
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
-)
 
-func TestRankDeputiesOrdersByUtilityThenID(t *testing.T) {
-	cands := []DeputyCandidate{
-		{ID: "c", Utility: 0.2},
-		{ID: "b", Utility: 0.5},
-		{ID: "a", Utility: 0.2},
-		{ID: "d", Utility: 0.5},
-	}
-	got := RankDeputies(cands, 3)
-	want := []string{"b", "d", "a"}
-	if len(got) != len(want) {
-		t.Fatalf("roster size = %d, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].ID != w {
-			t.Fatalf("roster[%d] = %s, want %s (got %v)", i, got[i].ID, w, got)
-		}
-	}
-	if r := RankDeputies(cands, 0); r != nil {
-		t.Fatalf("k=0 should disable the roster, got %v", r)
-	}
-	// The input must not be reordered.
-	if cands[0].ID != "c" {
-		t.Fatalf("RankDeputies mutated its input: %v", cands)
-	}
-}
+	"groupcast/internal/core"
+)
 
 func TestDeputyIndexAndDelay(t *testing.T) {
 	roster := []string{"x", "y", "z"}
@@ -137,5 +114,30 @@ func TestPromoteDeputyRerootsTree(t *testing.T) {
 	// A non-child deputy must be refused (4 hangs under 2, not the root).
 	if _, ok := PromoteDeputy(tr, 4); ok {
 		t.Fatal("PromoteDeputy accepted a non-child of the rendezvous")
+	}
+}
+
+// TestDeputyRosterOrdersByUtilityThenID: a powerful root ranks its
+// children by capacity, two equal children tie on utility and go by ID, the
+// roster is cut at k, k = 0 disables it, and the inputs are not reordered.
+func TestDeputyRosterOrdersByUtilityThenID(t *testing.T) {
+	kids := []core.Candidate{
+		{Capacity: 10, Distance: 5},
+		{Capacity: 1000, Distance: 50},
+		{Capacity: 10, Distance: 5},
+		{Capacity: 100, Distance: 20},
+	}
+	ids := []string{"d", "a", "b", "c"}
+	if got := DeputyRoster(0.99, kids, ids, 4); fmt.Sprint(got) != "[1 3 2 0]" {
+		t.Fatalf("roster = %v, want [1 3 2 0]", got)
+	}
+	if got := DeputyRoster(0.99, kids, ids, 3); fmt.Sprint(got) != "[1 3 2]" {
+		t.Fatalf("k=3 roster = %v, want [1 3 2]", got)
+	}
+	if got := DeputyRoster(0.5, kids, ids, 0); got != nil {
+		t.Fatalf("k=0 should disable the roster, got %v", got)
+	}
+	if ids[0] != "d" || kids[0].Capacity != 10 {
+		t.Fatalf("DeputyRoster reordered its inputs: %v %v", ids, kids)
 	}
 }
