@@ -37,38 +37,3 @@ func Dist(a, b Point) float64 {
 
 // ErrBadConfig is returned for invalid embedding configurations.
 var ErrBadConfig = errors.New("coords: invalid configuration")
-
-// RelativeError returns |est − actual| / actual, the standard coordinate
-// quality measure. A zero actual distance yields 0 when est is also ~0 and
-// est otherwise.
-func RelativeError(est, actual float64) float64 {
-	if actual <= 0 {
-		return est
-	}
-	return math.Abs(est-actual) / actual
-}
-
-// MeanRelativeError evaluates an embedding against a ground-truth distance
-// function over all host pairs (i < j).
-func MeanRelativeError(points []Point, dist func(i, j int) float64) float64 {
-	n := len(points)
-	if n < 2 {
-		return 0
-	}
-	var sum float64
-	var count int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			actual := dist(i, j)
-			if actual <= 0 {
-				continue
-			}
-			sum += RelativeError(Dist(points[i], points[j]), actual)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}

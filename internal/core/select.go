@@ -12,33 +12,6 @@ import (
 // ErrBadWeights is returned when a weighted selection gets invalid weights.
 var ErrBadWeights = errors.New("core: weights must be non-negative, finite, and match the item count")
 
-// SampleOne draws one index with probability proportional to weights[i].
-// All-zero weights degrade to a uniform draw.
-func SampleOne(weights []float64, rng *rand.Rand) (int, error) {
-	if len(weights) == 0 {
-		return 0, ErrNoCandidates
-	}
-	var sum float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return 0, ErrBadWeights
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return rng.Intn(len(weights)), nil
-	}
-	u := rng.Float64() * sum
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i, nil
-		}
-	}
-	return len(weights) - 1, nil
-}
-
 type esItem struct {
 	index int
 	key   float64

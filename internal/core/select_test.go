@@ -8,56 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestSampleOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	weights := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	const n = 60_000
-	for i := 0; i < n; i++ {
-		idx, err := SampleOne(weights, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	if counts[0] != 0 {
-		t.Fatalf("zero-weight index drawn %d times", counts[0])
-	}
-	frac1 := float64(counts[1]) / n
-	if math.Abs(frac1-0.25) > 0.01 {
-		t.Fatalf("index 1 frequency %v, want ≈0.25", frac1)
-	}
-}
-
-func TestSampleOneUniformFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	counts := make([]int, 4)
-	for i := 0; i < 40_000; i++ {
-		idx, err := SampleOne([]float64{0, 0, 0, 0}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	for i, c := range counts {
-		if frac := float64(c) / 40_000; math.Abs(frac-0.25) > 0.02 {
-			t.Fatalf("uniform fallback index %d frequency %v", i, frac)
-		}
-	}
-}
-
-func TestSampleOneErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if _, err := SampleOne(nil, rng); !errors.Is(err, ErrNoCandidates) {
-		t.Fatalf("empty err = %v", err)
-	}
-	for _, bad := range [][]float64{{-1}, {math.NaN()}, {math.Inf(1)}} {
-		if _, err := SampleOne(bad, rng); !errors.Is(err, ErrBadWeights) {
-			t.Fatalf("weights %v err = %v", bad, err)
-		}
-	}
-}
-
 func TestSampleWithoutReplacementBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	weights := []float64{1, 2, 3, 4, 5}

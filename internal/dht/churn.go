@@ -57,9 +57,6 @@ func (e *ChurnEstimator) Rate(now time.Time) float64 {
 	return float64(total) / (float64(churnSlots) * e.slot.Seconds())
 }
 
-// Window returns the estimator's averaging window.
-func (e *ChurnEstimator) Window() time.Duration { return e.slot * churnSlots }
-
 // AdaptiveEpochs maps an observed churn rate onto a maintenance cadence in
 // epochs: the relaxed cadence at or below calmRate, the tight cadence at or
 // above stormRate, linear interpolation between. Rate units only need to

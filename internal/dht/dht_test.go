@@ -289,7 +289,7 @@ func (s *simNet) query(c Contact, target ID) ([]Contact, *Record, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown contact %q", c.Info.Addr)
 	}
-	return s.tables[i].Closest(target, s.tables[i].K()), nil, nil
+	return s.tables[i].Closest(target, s.tables[i].k), nil, nil
 }
 
 func TestLookupConvergesLogarithmically(t *testing.T) {

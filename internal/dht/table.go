@@ -37,9 +37,6 @@ func NewTable(self ID, k int) *Table {
 // Self returns the table's local identity.
 func (t *Table) Self() ID { return t.self }
 
-// K returns the bucket capacity.
-func (t *Table) K() int { return t.k }
-
 // Observe notes a live contact. A known contact refreshes to most recently
 // seen; a new contact fills its bucket if there is room. When the bucket is
 // full the new contact is NOT inserted — instead the bucket's stalest entry

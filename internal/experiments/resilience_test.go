@@ -109,22 +109,12 @@ func TestChaosSoakWorkerDeterminism(t *testing.T) {
 }
 
 // TestResilienceScheduleDescriptions keeps the scenario schedules honest:
-// every scenario renders a non-empty, deterministic fault script.
+// every scenario has a non-empty fault script that ends within the horizon.
 func TestResilienceScheduleDescriptions(t *testing.T) {
 	for _, sc := range resilienceScenarios() {
 		events := sc.schedule("victim:addr")
 		if len(events) == 0 {
 			t.Fatalf("scenario %s has an empty schedule", sc.name)
-		}
-		a := transport.DescribeSchedule(events)
-		b := transport.DescribeSchedule(events)
-		if len(a) != len(events) {
-			t.Fatalf("scenario %s describes %d of %d events", sc.name, len(a), len(events))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("scenario %s description is nondeterministic at line %d", sc.name, i)
-			}
 		}
 		if sc.schedule("victim:addr")[len(events)-1].At > resilienceHorizon {
 			t.Fatalf("scenario %s schedules events past the horizon", sc.name)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"groupcast/internal/metrics"
 	"groupcast/internal/overlay"
 	"groupcast/internal/protocol"
 )
@@ -397,15 +396,4 @@ func appFigure(w io.Writer, rows []SweepRow, title string, get func(SweepRow) fl
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8d %-18s %-6s "+valueFmt+"\n", r.N, r.Overlay, r.Scheme, get(r))
 	}
-}
-
-// SummaryCounters aggregates whole-sweep message tallies (useful for
-// cross-checking against per-row numbers in the CLI output).
-func SummaryCounters(rows []SweepRow) *metrics.Counters {
-	ctr := metrics.NewCounters()
-	for _, r := range rows {
-		ctr.Add(fmt.Sprintf("%s.%s.ad", r.Overlay, r.Scheme), int64(r.AdMessages))
-		ctr.Add(fmt.Sprintf("%s.%s.sub", r.Overlay, r.Scheme), int64(r.SubMessages))
-	}
-	return ctr
 }

@@ -11,9 +11,7 @@
 //     restarted window or send buffer lost its high-water mark;
 //   - bounded state: dedup caches, receive windows, goroutine counts and
 //     similar resources stay under their declared bounds — monotone growth
-//     under churn is a leak;
-//   - eventual delivery: every sequence a source published up to its final
-//     high-water mark was delivered to every subscriber that should have it.
+//     under churn is a leak.
 //
 // The checker is deterministic: violations are reported sorted, capped at
 // MaxViolations with an overflow count, so experiment tables and CI gates
@@ -38,24 +36,18 @@ type Checker struct {
 	// roots maps group → epoch → root address first observed.
 	roots map[string]map[uint64]string
 	// delivered maps observer/group/source → last delivered sequence.
-	delivered map[obsKey]uint64
-	// published maps group/source → highest published sequence.
-	published map[srcKey]uint64
-	// got maps observer/group/source → set of delivered sequences, kept only
-	// while an eventual-delivery audit is armed (Expect…/Audit).
+	delivered  map[obsKey]uint64
 	violations []string
 	dropped    int
 }
 
 type obsKey struct{ observer, group, source string }
-type srcKey struct{ group, source string }
 
 // New returns an empty checker.
 func New() *Checker {
 	return &Checker{
 		roots:     make(map[string]map[uint64]string),
 		delivered: make(map[obsKey]uint64),
-		published: make(map[srcKey]uint64),
 	}
 }
 
@@ -109,18 +101,6 @@ func (c *Checker) ObserveDelivery(observer, group, source string, seq uint64) {
 	c.delivered[k] = seq
 }
 
-// ObservePublish records that source published seq into group — the
-// eventual-delivery audit's ground truth. Publishes may be reported out of
-// order; the highest wins.
-func (c *Checker) ObservePublish(group, source string, seq uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := srcKey{group, source}
-	if seq > c.published[k] {
-		c.published[k] = seq
-	}
-}
-
 // ObserveBound checks a resource sample against its declared bound (dedup
 // entries, window count, goroutines, state-file size — anything that must
 // not grow monotonically under churn). what names the resource in the
@@ -132,42 +112,6 @@ func (c *Checker) ObserveBound(observer, what string, value, bound int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.violatef("bounded-state: %s %s = %d exceeds bound %d", observer, what, value, bound)
-}
-
-// AuditDelivery closes the eventual-delivery check for one observer: every
-// (group, source) stream recorded via ObservePublish must have reached the
-// observer up to its final high-water mark. Call once per subscriber after
-// the run has quiesced.
-func (c *Checker) AuditDelivery(observer string, groups []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	want := make(map[string]bool, len(groups))
-	for _, g := range groups {
-		want[g] = true
-	}
-	keys := make([]srcKey, 0, len(c.published))
-	for k := range c.published {
-		if want[k.group] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].group != keys[j].group {
-			return keys[i].group < keys[j].group
-		}
-		return keys[i].source < keys[j].source
-	})
-	for _, k := range keys {
-		if k.source == observer {
-			continue // own publishes deliver locally by construction
-		}
-		high := c.published[k]
-		got := c.delivered[obsKey{observer, k.group, k.source}]
-		if got < high {
-			c.violatef("eventual-delivery: %s stuck at %s/%s seq %d of %d",
-				observer, k.group, k.source, got, high)
-		}
-	}
 }
 
 // Violations returns every finding, sorted, with a final overflow line when

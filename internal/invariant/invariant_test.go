@@ -56,36 +56,6 @@ func TestBoundedState(t *testing.T) {
 	}
 }
 
-func TestEventualDelivery(t *testing.T) {
-	c := New()
-	c.ObservePublish("g", "src", 10)
-	c.ObservePublish("g", "src", 7) // out-of-order report; high water stays 10
-	for s := uint64(1); s <= 10; s++ {
-		c.ObserveDelivery("sub1", "g", "src", s)
-	}
-	for s := uint64(1); s <= 8; s++ {
-		c.ObserveDelivery("sub2", "g", "src", s)
-	}
-	c.AuditDelivery("sub1", []string{"g"})
-	c.AuditDelivery("src", []string{"g"}) // own stream exempt
-	if v := c.Violations(); len(v) != 0 {
-		t.Fatalf("unexpected violations: %v", v)
-	}
-	c.AuditDelivery("sub2", []string{"g"})
-	v := c.Violations()
-	if len(v) != 1 || !strings.Contains(v[0], "eventual-delivery") ||
-		!strings.Contains(v[0], "seq 8 of 10") {
-		t.Fatalf("stuck subscriber not flagged: %v", v)
-	}
-	// Groups outside the audit scope are not judged.
-	c2 := New()
-	c2.ObservePublish("other", "src", 5)
-	c2.AuditDelivery("sub", []string{"g"})
-	if c2.Count() != 0 {
-		t.Fatal("out-of-scope group audited")
-	}
-}
-
 func TestViolationOverflow(t *testing.T) {
 	c := New()
 	for i := 0; i < MaxViolations+25; i++ {

@@ -78,28 +78,6 @@ func SortedDegreePoints(h map[int]int) []DegreePoint {
 	return pts
 }
 
-// CCDF returns the complementary cumulative distribution of xs: for each
-// distinct value v (ascending) the fraction of samples >= v.
-func CCDF(xs []float64) (values, fractions []float64) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		values = append(values, sorted[i])
-		fractions = append(fractions, float64(len(sorted)-i)/n)
-		i = j
-	}
-	return values, fractions
-}
-
 // LogLogSlope fits a least-squares line to (log10 x, log10 y) and returns its
 // slope and intercept. Points with non-positive coordinates are skipped.
 // Used to estimate the power-law exponent of degree distributions.

@@ -1,5 +1,5 @@
 // Package metrics provides small statistical helpers used by the GroupCast
-// experiments: summaries, percentiles, histograms, CCDFs and log-log linear
+// experiments: summaries, percentiles, histograms and log-log linear
 // regression for estimating power-law exponents.
 package metrics
 

@@ -181,47 +181,6 @@ func TestDegreeHistogram(t *testing.T) {
 	}
 }
 
-func TestCCDF(t *testing.T) {
-	vals, fracs := CCDF([]float64{1, 1, 2, 4})
-	wantVals := []float64{1, 2, 4}
-	wantFracs := []float64{1, 0.5, 0.25}
-	if len(vals) != len(wantVals) {
-		t.Fatalf("got %v vals", vals)
-	}
-	for i := range wantVals {
-		if vals[i] != wantVals[i] || !almostEqual(fracs[i], wantFracs[i], 1e-12) {
-			t.Fatalf("CCDF = %v %v", vals, fracs)
-		}
-	}
-	if v, f := CCDF(nil); v != nil || f != nil {
-		t.Fatalf("CCDF(nil) = %v %v", v, f)
-	}
-}
-
-func TestCCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		vals, fracs := CCDF(xs)
-		for i := 1; i < len(vals); i++ {
-			if vals[i] <= vals[i-1] || fracs[i] > fracs[i-1] {
-				return false
-			}
-		}
-		if len(fracs) > 0 && fracs[0] != 1 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	// y = 2x + 1 must be recovered exactly.
 	xs := []float64{0, 1, 2, 3}

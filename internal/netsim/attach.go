@@ -48,12 +48,6 @@ func (a *Attachment) NumPeers() int { return len(a.router) }
 // Network returns the underlying router topology.
 func (a *Attachment) Network() *Network { return a.nw }
 
-// Router returns the stub router peer p attaches to.
-func (a *Attachment) Router(p PeerID) RouterID { return a.router[p] }
-
-// AccessLatency returns peer p's last-mile latency in ms.
-func (a *Attachment) AccessLatency(p PeerID) float64 { return a.accessLat[p] }
-
 // Distance returns the end-to-end unicast latency between two peers in ms:
 // both access links plus the shortest router path. The distance from a peer
 // to itself is zero.

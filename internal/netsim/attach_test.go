@@ -21,14 +21,14 @@ func TestAttachBasics(t *testing.T) {
 		t.Fatalf("peers = %d", a.NumPeers())
 	}
 	stubSet := make(map[RouterID]bool)
-	for _, r := range a.Network().StubRouters() {
+	for _, r := range a.nw.stubRouters {
 		stubSet[r] = true
 	}
 	for p := PeerID(0); p < 50; p++ {
-		if !stubSet[a.Router(p)] {
-			t.Fatalf("peer %d attached to non-stub router %d", p, a.Router(p))
+		if !stubSet[a.router[p]] {
+			t.Fatalf("peer %d attached to non-stub router %d", p, a.router[p])
 		}
-		al := a.AccessLatency(p)
+		al := a.accessLat[p]
 		if al < AccessLatencyRange.Lo || al > AccessLatencyRange.Hi {
 			t.Fatalf("access latency %v out of range", al)
 		}
@@ -71,7 +71,7 @@ func TestPeerPathLinks(t *testing.T) {
 	// Find two peers on different routers so the path is non-trivial.
 	var p, q PeerID = 0, 0
 	for i := PeerID(1); i < 20; i++ {
-		if a.Router(i) != a.Router(0) {
+		if a.router[i] != a.router[0] {
 			q = i
 			break
 		}
@@ -98,8 +98,8 @@ func TestPeerPathLinks(t *testing.T) {
 
 func TestAccessLinksDistinctPerPeer(t *testing.T) {
 	a := testAttachment(t, 20, 5)
-	l0 := accessLink(0, a.Router(0))
-	l1 := accessLink(1, a.Router(1))
+	l0 := accessLink(0, a.router[0])
+	l1 := accessLink(1, a.router[1])
 	if l0 == l1 {
 		t.Fatal("distinct peers share an access link key")
 	}

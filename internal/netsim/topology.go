@@ -240,23 +240,6 @@ func (nw *Network) hasLink(a, b RouterID) bool {
 // NumRouters returns the router count.
 func (nw *Network) NumRouters() int { return len(nw.adj) }
 
-// NumLinks returns the undirected link count.
-func (nw *Network) NumLinks() int { return nw.numLinks }
-
-// StubRouters returns the routers to which peers may attach.
-func (nw *Network) StubRouters() []RouterID {
-	out := make([]RouterID, len(nw.stubRouters))
-	copy(out, nw.stubRouters)
-	return out
-}
-
-// TransitRouters returns the backbone routers.
-func (nw *Network) TransitRouters() []RouterID {
-	out := make([]RouterID, len(nw.transit))
-	copy(out, nw.transit)
-	return out
-}
-
 // String summarizes the topology.
 func (nw *Network) String() string {
 	return fmt.Sprintf("transit-stub network: %d routers (%d transit, %d stub), %d links",

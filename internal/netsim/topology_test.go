@@ -32,22 +32,22 @@ func TestGenerateDefault(t *testing.T) {
 	if nw.NumRouters() != wantTransit+wantStub {
 		t.Fatalf("routers = %d, want %d", nw.NumRouters(), wantTransit+wantStub)
 	}
-	if len(nw.TransitRouters()) != wantTransit {
-		t.Fatalf("transit = %d, want %d", len(nw.TransitRouters()), wantTransit)
+	if len(nw.transit) != wantTransit {
+		t.Fatalf("transit = %d, want %d", len(nw.transit), wantTransit)
 	}
-	if len(nw.StubRouters()) != wantStub {
-		t.Fatalf("stub = %d, want %d", len(nw.StubRouters()), wantStub)
+	if len(nw.stubRouters) != wantStub {
+		t.Fatalf("stub = %d, want %d", len(nw.stubRouters), wantStub)
 	}
-	if nw.NumLinks() < nw.NumRouters()-1 {
-		t.Fatalf("too few links for connectivity: %d", nw.NumLinks())
+	if nw.numLinks < nw.NumRouters()-1 {
+		t.Fatalf("too few links for connectivity: %d", nw.numLinks)
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := mustGenerate(t, smallConfig(42))
 	b := mustGenerate(t, smallConfig(42))
-	if a.NumLinks() != b.NumLinks() {
-		t.Fatalf("same seed, different link counts: %d vs %d", a.NumLinks(), b.NumLinks())
+	if a.numLinks != b.numLinks {
+		t.Fatalf("same seed, different link counts: %d vs %d", a.numLinks, b.numLinks)
 	}
 	for u := 0; u < a.NumRouters(); u++ {
 		for v := 0; v < a.NumRouters(); v++ {
@@ -91,9 +91,9 @@ func TestNoStubTopologyUsesTransitAsAttachment(t *testing.T) {
 	cfg.StubDomainsPerTransitNode = 0
 	cfg.StubNodesPerDomain = 0
 	nw := mustGenerate(t, cfg)
-	if len(nw.StubRouters()) != nw.NumRouters() {
+	if len(nw.stubRouters) != nw.NumRouters() {
 		t.Fatalf("stub attachment points = %d, want all %d routers",
-			len(nw.StubRouters()), nw.NumRouters())
+			len(nw.stubRouters), nw.NumRouters())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // call is one entry of the table. onReply (nil for an after entry) handles
 // one reply and reports whether the call is finished; an unfinished call
 // takes more replies until its deadline. duty marks a periodic duty, which
-// PendingRequests does not count.
+// the pending_requests gauge does not count.
 type call struct {
 	deadline  time.Time
 	onReply   func(wire.Message) bool
@@ -109,13 +109,8 @@ func (n *Node) fireDue() {
 	}
 }
 
-// PendingRequests reports how many replies and backoffs the table holds —
-// every call but the duties (leak tests and the pending_requests gauge).
-func (n *Node) PendingRequests() (pending int) {
-	n.post(func() { pending = n.pendingRequests() })
-	return pending
-}
-
+// pendingRequests reports how many replies and backoffs the table holds —
+// every call but the duties (the pending_requests gauge).
 func (n *Node) pendingRequests() int {
 	pending := 0
 	for _, c := range n.calls {

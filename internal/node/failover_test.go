@@ -287,7 +287,7 @@ func TestRepairCostsNoGoroutine(t *testing.T) {
 			peak = g
 		}
 	}
-	if n.PendingRequests() == 0 {
+	if n.MetricsSnapshot().Gauges["pending_requests"] == 0 {
 		t.Fatal("the repair is already over; the test needs it running")
 	}
 	if peak > 1 {
@@ -381,12 +381,12 @@ func TestSuspectRecovers(t *testing.T) {
 	a, b := c.nodes[0], c.nodes[1]
 	waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 },
 		static("nodes never became neighbours"))
-	c.chaos.Crash(b.Addr())
+	c.chaos.Partition(b.Addr())
 	waitFor(t, 3*time.Second, func() bool { return a.Stats().Suspected >= 1 },
 		static("missed heartbeat never raised a suspicion"))
-	c.chaos.Revive(b.Addr())
-	// The revived neighbour answers the next probe or heartbeat and stays
-	// a neighbour; nothing is declared dead.
+	c.chaos.Heal()
+	// The healed neighbour answers the next probe or heartbeat and stays a
+	// neighbour; nothing is declared dead.
 	time.Sleep(500 * time.Millisecond)
 	if a.NumNeighbors() != 1 || a.Stats().NeighborsDeclaredDead != 0 {
 		t.Fatalf("recovered neighbour was dropped (neighbours = %d, dead = %d)",

@@ -212,8 +212,8 @@ func TestPendingReqSweep(t *testing.T) {
 	if err == nil {
 		t.Fatal("DHT query to a dead contact succeeded")
 	}
-	if got := n.PendingRequests(); got != 0 {
-		t.Fatalf("pending = %d after failed requests, want 0", got)
+	if got := n.MetricsSnapshot().Gauges["pending_requests"]; got != 0 {
+		t.Fatalf("pending = %v after failed requests, want 0", got)
 	}
 }
 
@@ -280,8 +280,8 @@ func TestPendingReqSweepLoop(t *testing.T) {
 		t.Fatalf("reply %d routed after its call finished", id)
 	default:
 	}
-	if got := n.PendingRequests(); got != 0 {
-		t.Fatalf("pending = %d after late replies, want 0", got)
+	if got := n.MetricsSnapshot().Gauges["pending_requests"]; got != 0 {
+		t.Fatalf("pending = %v after late replies, want 0", got)
 	}
 
 	// Calls due at the same instant fire in ReqID order, whatever the map
@@ -310,8 +310,8 @@ func TestPendingReqSweepLoop(t *testing.T) {
 			t.Fatalf("same-deadline calls fired out of ReqID order: %v", order)
 		}
 	}
-	if got := n.PendingRequests(); got != 0 {
-		t.Fatalf("pending = %d after every call fired, want 0", got)
+	if got := n.MetricsSnapshot().Gauges["pending_requests"]; got != 0 {
+		t.Fatalf("pending = %v after every call fired, want 0", got)
 	}
 }
 

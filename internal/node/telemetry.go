@@ -164,7 +164,9 @@ func (n *Node) telemetryHealth() []wire.HealthDigest {
 }
 
 // observeHealth merges the digests riding an inbound message into the fleet
-// view. Accepted (epoch-advancing) digests also feed the SLO rules.
+// view. Accepted (epoch-advancing) digests also feed the SLO rules, and a
+// node the view evicts to make room leaves the SLO too: its state and any
+// alert it had firing.
 func (n *Node) observeHealth(msg wire.Message) {
 	ts := n.telemetry
 	if ts == nil || len(msg.Health) == 0 {
@@ -175,7 +177,11 @@ func (n *Node) observeHealth(msg wire.Message) {
 			continue // our own digest gossiped back
 		}
 		atomic.AddUint64(&n.stats.TelemetryDigestsReceived, 1)
-		if ts.fleet.Observe(d, n.now, ts.epoch) {
+		advanced, evicted := ts.fleet.Observe(d, n.now, ts.epoch)
+		if evicted != "" {
+			ts.slo.Forget(evicted)
+		}
+		if advanced {
 			ts.slo.Observe(d, n.now)
 		}
 	}

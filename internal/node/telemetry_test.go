@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -193,5 +194,38 @@ func TestTelemetryDisabled(t *testing.T) {
 	}
 	if cv := nd.ClusterView(); cv.Enabled {
 		t.Fatal("ClusterView claims enabled")
+	}
+}
+
+// TestFleetEvictionForgetsSLO: a node the fleet view evicts to stay within
+// its bound (1024 nodes) leaves the SLO with it. Each of 1025 peers sends
+// three over-pressure digests, so each raises a pressure alert; the first
+// peer is the longest unseen when the last arrives and is evicted. Its
+// alert must go with it, and the SLO must hold no more nodes than the view.
+func TestFleetEvictionForgetsSLO(t *testing.T) {
+	const fleetBound = 1024
+	n := New(transport.NewMemNetwork().NextEndpoint(), DefaultConfig(10, nil, 1))
+	defer n.Close()
+	t0 := time.Unix(1700000000, 0)
+	for i := 0; i <= fleetBound; i++ {
+		addr := fmt.Sprintf("peer-%04d:1", i)
+		var msg wire.Message
+		for epoch := uint64(1); epoch <= 3; epoch++ {
+			msg.Health = append(msg.Health, wire.HealthDigest{Addr: addr, Epoch: epoch, Pressure: 0.95})
+		}
+		stepAt(n, t0.Add(time.Duration(i)*time.Second), event{flow: func() { n.observeHealth(msg) }})
+	}
+	active := n.telemetry.slo.Active()
+	for _, a := range active {
+		if a.Node == "peer-0000:1" {
+			t.Fatalf("the evicted peer's %s alert is still firing", a.Rule)
+		}
+	}
+	if len(active) > fleetBound || n.telemetry.fleet.Len() > fleetBound {
+		t.Fatalf("the SLO holds %d firing nodes and the view %d, want at most %d",
+			len(active), n.telemetry.fleet.Len(), fleetBound)
+	}
+	if len(active) < fleetBound-1 {
+		t.Fatalf("only %d of the view's peers fire; the test needs every one firing", len(active))
 	}
 }

@@ -1,29 +1,6 @@
 package overlay
 
-import (
-	"math/rand"
-	"sort"
-)
-
-// MeanNeighborDistance returns, for every alive peer with at least one
-// neighbour, the average estimated distance to its overlay neighbours — the
-// quantity plotted per peer in Figures 9 and 10.
-func MeanNeighborDistance(g *Graph) []float64 {
-	uni := g.Universe()
-	out := make([]float64, 0, g.NumAlive())
-	for _, i := range g.AlivePeers() {
-		nbrs := g.Neighbors(i)
-		if len(nbrs) == 0 {
-			continue
-		}
-		var sum float64
-		for _, j := range nbrs {
-			sum += uni.Dist(i, j)
-		}
-		out = append(out, sum/float64(len(nbrs)))
-	}
-	return out
-}
+import "math/rand"
 
 // ClusteringCoefficient returns the mean local clustering coefficient over
 // alive peers with degree >= 2 (treating the overlay as undirected). The
@@ -108,34 +85,4 @@ func bfsDepths(g *Graph, src int) map[int]int {
 		}
 	}
 	return depth
-}
-
-// CoreSet returns the top-fraction highest-capacity alive peers — the
-// "core"/supernode extraction hook mentioned as future work in Section 6.
-func CoreSet(g *Graph, fraction float64) []int {
-	if fraction <= 0 {
-		return nil
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	alive := g.AlivePeers()
-	uni := g.Universe()
-	// Sort by capacity descending, index ascending for determinism.
-	sorted := make([]int, len(alive))
-	copy(sorted, alive)
-	sort.Slice(sorted, func(a, b int) bool {
-		if uni.Caps[sorted[a]] != uni.Caps[sorted[b]] {
-			return uni.Caps[sorted[a]] > uni.Caps[sorted[b]]
-		}
-		return sorted[a] < sorted[b]
-	})
-	k := int(float64(len(sorted)) * fraction)
-	if k < 1 {
-		k = 1
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
 }

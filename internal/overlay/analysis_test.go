@@ -7,24 +7,6 @@ import (
 	"groupcast/internal/metrics"
 )
 
-func TestMeanNeighborDistance(t *testing.T) {
-	g := lineGraph(t, 5)
-	ds := MeanNeighborDistance(g)
-	if len(ds) != 5 {
-		t.Fatalf("len = %d", len(ds))
-	}
-	for _, d := range ds {
-		if d <= 0 {
-			t.Fatalf("non-positive mean neighbour distance %v", d)
-		}
-	}
-	// Isolated peers are skipped.
-	g2 := aliveGraph(t, 3, 1)
-	if got := MeanNeighborDistance(g2); len(got) != 0 {
-		t.Fatalf("isolated peers counted: %v", got)
-	}
-}
-
 func TestGroupCastOverlayProximityBeatsPLOD(t *testing.T) {
 	// Figures 9 vs 10: mean neighbour distance must be clearly smaller on
 	// the GroupCast overlay than on the random power-law overlay.
@@ -37,8 +19,8 @@ func TestGroupCastOverlayProximityBeatsPLOD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcMean := metrics.Mean(MeanNeighborDistance(gc))
-	plMean := metrics.Mean(MeanNeighborDistance(pl))
+	gcMean := metrics.Mean(meanNeighborDistance(gc))
+	plMean := metrics.Mean(meanNeighborDistance(pl))
 	if gcMean >= plMean*0.8 {
 		t.Fatalf("GroupCast mean neighbour distance %v not well below PLOD %v", gcMean, plMean)
 	}
@@ -92,37 +74,6 @@ func TestGroupCastOverlayLowDiameter(t *testing.T) {
 	}
 }
 
-func TestCoreSet(t *testing.T) {
-	g, _ := buildTestOverlay(t, 100, 23)
-	uni := g.Universe()
-	core := CoreSet(g, 0.1)
-	if len(core) != 10 {
-		t.Fatalf("core size = %d", len(core))
-	}
-	// Every core member's capacity >= every non-core member's capacity.
-	minCore := uni.Caps[core[0]]
-	for _, i := range core {
-		if uni.Caps[i] < minCore {
-			minCore = uni.Caps[i]
-		}
-	}
-	inCore := make(map[int]bool)
-	for _, i := range core {
-		inCore[i] = true
-	}
-	for _, i := range g.AlivePeers() {
-		if !inCore[i] && uni.Caps[i] > minCore {
-			t.Fatalf("non-core peer %d capacity %v above core min %v", i, uni.Caps[i], minCore)
-		}
-	}
-	if CoreSet(g, 0) != nil {
-		t.Fatal("zero fraction returned a core")
-	}
-	if len(CoreSet(g, 5)) != 100 {
-		t.Fatal("fraction > 1 not clamped")
-	}
-}
-
 func TestRunEpochRepairsUnderConnectedPeers(t *testing.T) {
 	_, b := buildTestOverlay(t, 300, 24)
 	g := b.Graph()
@@ -168,4 +119,23 @@ func TestRunEpochNoRepairWhenHealthy(t *testing.T) {
 	if repaired > 5 {
 		t.Fatalf("healthy overlay repaired %d links", repaired)
 	}
+}
+
+// meanNeighborDistance returns, for every alive peer with at least one
+// neighbour, the average estimated distance to its overlay neighbours — the
+// quantity plotted per peer in Figures 9 and 10.
+func meanNeighborDistance(g *Graph) []float64 {
+	var out []float64
+	for _, i := range g.AlivePeers() {
+		nbrs := g.Neighbors(i)
+		if len(nbrs) == 0 {
+			continue
+		}
+		var sum float64
+		for _, j := range nbrs {
+			sum += g.Universe().Dist(i, j)
+		}
+		out = append(out, sum/float64(len(nbrs)))
+	}
+	return out
 }

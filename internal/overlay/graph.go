@@ -1,8 +1,8 @@
 // Package overlay implements the unstructured P2P overlay layer of
 // GroupCast: the overlay graph, the Gnucleus-style host cache, the paper's
 // utility-aware topology construction protocol (Section 3.3), the PLOD
-// centralized power-law baseline, scoped-flood and random-walk service lookup
-// primitives, and epoch-based neighbourhood maintenance.
+// centralized power-law baseline, the scoped-flood service lookup, and
+// epoch-based neighbourhood maintenance.
 //
 // The Builder is the simulator's driver of Section 3.3: it probes, joins and
 // repairs peers on a Graph, but the neighbour choice and back-link
@@ -128,16 +128,6 @@ func (g *Graph) AddEdge(from, to int) error {
 	return nil
 }
 
-// RemoveEdge deletes the directed edge from→to if present.
-func (g *Graph) RemoveEdge(from, to int) {
-	if _, ok := g.out[from][to]; !ok {
-		return
-	}
-	delete(g.out[from], to)
-	delete(g.in[to], from)
-	g.edges--
-}
-
 // RemovePeer deletes a peer and all its incident edges (crash or departure).
 func (g *Graph) RemovePeer(i int) {
 	if !g.Alive(i) {
@@ -162,22 +152,11 @@ func (g *Graph) HasEdge(from, to int) bool {
 	return ok
 }
 
-// OutNeighbors returns the peers i forwards to, in ascending peer order.
-// The deterministic order keeps every consumer (announcement forwarding,
-// searches, bootstrap probing) reproducible for a fixed seed regardless of
-// Go's randomized map iteration and of how many sweep workers run.
-func (g *Graph) OutNeighbors(i int) []int {
-	out := make([]int, 0, len(g.out[i]))
-	for j := range g.out[i] {
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Neighbors returns the union of i's in- and out-neighbours — the peers it
-// exchanges messages with — in ascending peer order (see OutNeighbors for
-// why the order is fixed).
+// exchanges messages with — in ascending peer order. The deterministic
+// order keeps every consumer (announcement forwarding, searches, bootstrap
+// probing) reproducible for a fixed seed regardless of Go's randomized map
+// iteration and of how many sweep workers run.
 func (g *Graph) Neighbors(i int) []int {
 	seen := make(map[int]struct{}, len(g.out[i])+len(g.in[i]))
 	for j := range g.out[i] {
@@ -204,12 +183,6 @@ func (g *Graph) Degree(i int) int {
 	}
 	return d
 }
-
-// OutDegree returns the number of forwarding connections of i.
-func (g *Graph) OutDegree(i int) int { return len(g.out[i]) }
-
-// InDegree returns the number of back links to i.
-func (g *Graph) InDegree(i int) int { return len(g.in[i]) }
 
 // NumEdges returns the directed edge count.
 func (g *Graph) NumEdges() int { return g.edges }

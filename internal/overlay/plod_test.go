@@ -37,7 +37,7 @@ func TestBuildPLODConnectedAndSymmetric(t *testing.T) {
 	}
 	// The baseline overlay is symmetric.
 	for _, i := range g.AlivePeers() {
-		for _, j := range g.OutNeighbors(i) {
+		for j := range g.out[i] {
 			if !g.HasEdge(j, i) {
 				t.Fatalf("asymmetric edge %d→%d", i, j)
 			}

@@ -1,9 +1,5 @@
 package overlay
 
-import (
-	"math/rand"
-)
-
 // SearchResult reports the outcome of a service lookup over the overlay.
 type SearchResult struct {
 	// Found is the first peer satisfying the predicate, or -1.
@@ -82,52 +78,4 @@ func RippleSearch(g *Graph, origin, ttl int, pred func(p int) bool) SearchResult
 		}
 	}
 	return res
-}
-
-// RandomWalk performs a random walk of at most maxSteps overlay hops looking
-// for a peer satisfying pred — the paper's alternative lookup primitive
-// (used e.g. to locate a capable rendezvous point). The walker avoids
-// immediately backtracking when it has another choice.
-func RandomWalk(g *Graph, origin, maxSteps int, pred func(p int) bool, rng *rand.Rand) SearchResult {
-	if !g.Alive(origin) {
-		return SearchResult{Found: false, Peer: -1}
-	}
-	if pred(origin) {
-		return SearchResult{Found: true, Peer: origin}
-	}
-	uni := g.Universe()
-	cur := origin
-	prev := -1
-	res := SearchResult{Found: false, Peer: -1}
-	for step := 1; step <= maxSteps; step++ {
-		nbrs := g.Neighbors(cur)
-		if len(nbrs) == 0 {
-			return res
-		}
-		next := nbrs[rng.Intn(len(nbrs))]
-		if next == prev && len(nbrs) > 1 {
-			next = nbrs[rng.Intn(len(nbrs))]
-		}
-		res.Messages++
-		res.Latency += uni.Dist(cur, next)
-		res.Hops = step
-		prev, cur = cur, next
-		if pred(cur) {
-			res.Found = true
-			res.Peer = cur
-			return res
-		}
-	}
-	return res
-}
-
-// FindRendezvous random-walks from origin for a peer whose capacity is at
-// least minCapacity — "the first participant can initiate a random walk
-// search to locate a node that has enough access network bandwidth and
-// computational power to act as a rendezvous point" (Section 2.2).
-func FindRendezvous(g *Graph, origin int, minCapacity float64, maxSteps int, rng *rand.Rand) SearchResult {
-	uni := g.Universe()
-	return RandomWalk(g, origin, maxSteps, func(p int) bool {
-		return float64(uni.Caps[p]) >= minCapacity
-	}, rng)
 }

@@ -1,9 +1,6 @@
 package overlay
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // lineGraph builds 0-1-2-...-n-1 bidirectionally.
 func lineGraph(t *testing.T, n int) *Graph {
@@ -75,63 +72,6 @@ func TestRippleSearchNearestMatchWins(t *testing.T) {
 	res := RippleSearch(g, 0, 3, func(p int) bool { return p == 1 || p == 6 })
 	if !res.Found || res.Peer != 1 || res.Hops != 1 {
 		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestRandomWalkFinds(t *testing.T) {
-	g := lineGraph(t, 8)
-	rng := rand.New(rand.NewSource(3))
-	res := RandomWalk(g, 0, 500, func(p int) bool { return p == 7 }, rng)
-	if !res.Found || res.Peer != 7 {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Messages != res.Hops {
-		t.Fatalf("messages %d != hops %d for a walk", res.Messages, res.Hops)
-	}
-}
-
-func TestRandomWalkGivesUp(t *testing.T) {
-	g := lineGraph(t, 50)
-	rng := rand.New(rand.NewSource(4))
-	res := RandomWalk(g, 0, 3, func(p int) bool { return p == 49 }, rng)
-	if res.Found {
-		t.Fatal("found beyond step limit")
-	}
-}
-
-func TestRandomWalkOriginMatchAndDeadOrigin(t *testing.T) {
-	g := lineGraph(t, 5)
-	rng := rand.New(rand.NewSource(5))
-	res := RandomWalk(g, 2, 10, func(p int) bool { return p == 2 }, rng)
-	if !res.Found || res.Hops != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-	g.RemovePeer(3)
-	res = RandomWalk(g, 3, 10, func(p int) bool { return true }, rng)
-	if res.Found {
-		t.Fatal("dead origin walked")
-	}
-}
-
-func TestRandomWalkIsolatedPeer(t *testing.T) {
-	g := aliveGraph(t, 3, 6)
-	rng := rand.New(rand.NewSource(6))
-	res := RandomWalk(g, 0, 10, func(p int) bool { return p == 1 }, rng)
-	if res.Found {
-		t.Fatal("isolated peer found a match")
-	}
-}
-
-func TestFindRendezvous(t *testing.T) {
-	g, _ := buildTestOverlay(t, 200, 7)
-	uni := g.Universe()
-	rng := rand.New(rand.NewSource(8))
-	res := FindRendezvous(g, 0, 100, 5000, rng)
-	if !res.Found {
-		t.Skip("no capable peer reachable in walk budget")
-	}
-	if float64(uni.Caps[res.Peer]) < 100 {
-		t.Fatalf("rendezvous capacity %v < 100", uni.Caps[res.Peer])
 	}
 }
 

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -30,9 +31,12 @@ func TestBuildTwoLayerStructure(t *testing.T) {
 	if !IsConnected(g) {
 		t.Fatal("two-layer overlay disconnected")
 	}
-	// Core = top 5% by capacity = 20 peers; their mean degree must exceed
-	// the leaves' (they carry the mesh plus leaf attachments).
-	coreMembers := CoreSet(g, 0.05)
+	// Core = top 5% by capacity (ties by index) = 20 peers; their mean
+	// degree must exceed the leaves' (they carry the mesh plus leaf
+	// attachments).
+	ranked := g.AlivePeers()
+	sort.SliceStable(ranked, func(a, b int) bool { return uni.Caps[ranked[a]] > uni.Caps[ranked[b]] })
+	coreMembers := ranked[:20]
 	inCore := make(map[int]bool)
 	var coreDeg, leafDeg float64
 	for _, c := range coreMembers {

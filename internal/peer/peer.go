@@ -96,13 +96,6 @@ func (s *CapacitySampler) SampleN(n int, rng *rand.Rand) []Capacity {
 	return out
 }
 
-// Classes returns a copy of the sampler's distribution.
-func (s *CapacitySampler) Classes() []CapacityClass {
-	cp := make([]CapacityClass, len(s.classes))
-	copy(cp, s.classes)
-	return cp
-}
-
 // ResourceLevels computes each peer's exact resource level r_i: the fraction
 // of peers with strictly less capacity (Section 3.1). The paper estimates
 // this by sampling; the exact version is used by the simulator and as the

@@ -73,15 +73,6 @@ func TestSampleN(t *testing.T) {
 	}
 }
 
-func TestClassesIsCopy(t *testing.T) {
-	s := MustTable1Sampler()
-	cl := s.Classes()
-	cl[0].Level = 99999
-	if s.Classes()[0].Level == 99999 {
-		t.Fatal("Classes aliases internal state")
-	}
-}
-
 func TestResourceLevels(t *testing.T) {
 	caps := []Capacity{1, 10, 10, 100}
 	r := ResourceLevels(caps)

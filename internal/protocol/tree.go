@@ -118,17 +118,6 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// PathToRoot returns the node sequence from p up to the rendezvous,
-// inclusive. p must be on the tree.
-func (t *Tree) PathToRoot(p int) []int {
-	path := []int{p}
-	for p != t.Rendezvous {
-		p = t.Parent[p]
-		path = append(path, p)
-	}
-	return path
-}
-
 // SubscribeConfig parameterizes the subscription step.
 type SubscribeConfig struct {
 	// SearchTTL is the ripple search depth used when the subscriber never

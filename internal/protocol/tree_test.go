@@ -31,9 +31,8 @@ func TestTreeBasics(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	path := tr.PathToRoot(2)
-	if len(path) != 3 || path[0] != 2 || path[2] != 0 {
-		t.Fatalf("path = %v", path)
+	if tr.Parent[2] != 1 || tr.Parent[1] != 0 {
+		t.Fatalf("parents = %v", tr.Parent)
 	}
 	if got := tr.Edges(); len(got) != 2 {
 		t.Fatalf("edges = %v", got)
@@ -260,9 +259,12 @@ func TestBuildGroupProducesValidSpanningTree(t *testing.T) {
 	// Every member's path to root exists and is acyclic (Validate covers
 	// structure; spot-check path endpoints).
 	for m := range tr.Members {
-		path := tr.PathToRoot(m)
-		if path[len(path)-1] != 0 {
-			t.Fatalf("member %d path does not reach rendezvous", m)
+		p := m
+		for hops := 0; p != tr.Rendezvous; hops++ {
+			if hops == tr.Size() {
+				t.Fatalf("member %d path does not reach rendezvous", m)
+			}
+			p = tr.Parent[p]
 		}
 	}
 }

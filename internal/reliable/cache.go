@@ -70,6 +70,3 @@ func (c *PayloadCache) Len() int {
 	}
 	return n
 }
-
-// Cap returns the slot count (the hard bound on held payloads).
-func (c *PayloadCache) Cap() int { return len(c.slots) }

@@ -216,8 +216,8 @@ func TestPayloadCacheRingSemantics(t *testing.T) {
 	if item, ok := c.GetItem(5); !ok || string(item.Data) != "b" {
 		t.Fatalf("GetItem(5) = %q %v", item.Data, ok)
 	}
-	if c.Cap() != 4 || c.Len() != 1 {
-		t.Fatalf("Cap=%d Len=%d", c.Cap(), c.Len())
+	if len(c.slots) != 4 || c.Len() != 1 {
+		t.Fatalf("slots=%d Len=%d", len(c.slots), c.Len())
 	}
 }
 

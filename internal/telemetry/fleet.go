@@ -77,29 +77,31 @@ func (f *Fleet) SetForgiveAfter(d time.Duration) {
 // dropped without refreshing LastSeen/SeenEpoch, which is what lets staleness
 // detect a crashed node even while its last digest still circulates. The one exception is restart forgiveness (SetForgiveAfter): a
 // regressing epoch for a long-silent entry means the node came back with
-// reset counters, and the restarted lineage is adopted.
-func (f *Fleet) Observe(d wire.HealthDigest, now time.Time, epoch uint64) bool {
+// reset counters, and the restarted lineage is adopted. evicted names the
+// node dropped to make room for a new one ("" when none was), so state kept
+// per node elsewhere (the SLO's) can go with it.
+func (f *Fleet) Observe(d wire.HealthDigest, now time.Time, epoch uint64) (advanced bool, evicted string) {
 	if d.Addr == "" {
-		return false
+		return false, ""
 	}
 	if e, ok := f.nodes[d.Addr]; ok {
 		if d.Epoch <= e.d.Epoch {
 			restarted := f.forgiveAfter > 0 && now.Sub(e.lastSeen) > f.forgiveAfter
 			if !restarted {
-				return false
+				return false, ""
 			}
 		}
 		e.d, e.lastSeen, e.seenEpoch = d, now, epoch
-		return true
+		return true, ""
 	}
 	if len(f.nodes) >= fleetMaxNodes {
-		f.evictOldest()
+		evicted = f.evictOldest()
 	}
 	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now, seenEpoch: epoch}
-	return true
+	return true, evicted
 }
 
-func (f *Fleet) evictOldest() {
+func (f *Fleet) evictOldest() string {
 	var oldest string
 	var oldestAt time.Time
 	for addr, e := range f.nodes {
@@ -110,9 +112,8 @@ func (f *Fleet) evictOldest() {
 			oldest, oldestAt = addr, e.lastSeen
 		}
 	}
-	if oldest != "" {
-		delete(f.nodes, oldest)
-	}
+	delete(f.nodes, oldest)
+	return oldest
 }
 
 // Snapshot returns the view sorted by node address, marking entries whose

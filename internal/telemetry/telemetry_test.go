@@ -72,19 +72,19 @@ func TestFleetEpochMonotonicAndStale(t *testing.T) {
 	f := NewFleet("a:1")
 	t0 := time.Unix(1700000000, 0)
 	// The viewer's own epoch (third argument) is 10 at t0 and 11 a second on.
-	if !f.Observe(wire.HealthDigest{Addr: "a:1", Epoch: 1}, t0, 10) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "a:1", Epoch: 1}, t0, 10); !ok {
 		t.Fatal("first self digest rejected")
 	}
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5, Pressure: 0.5}, t0, 10) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5, Pressure: 0.5}, t0, 10); !ok {
 		t.Fatal("first b digest rejected")
 	}
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5}, t0.Add(time.Second), 11) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 5}, t0.Add(time.Second), 11); ok {
 		t.Fatal("equal-epoch replay accepted")
 	}
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 4}, t0.Add(time.Second), 11) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 4}, t0.Add(time.Second), 11); ok {
 		t.Fatal("older epoch accepted")
 	}
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 6, Pressure: 0.9}, t0.Add(time.Second), 11) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 6, Pressure: 0.9}, t0.Add(time.Second), 11); !ok {
 		t.Fatal("advancing epoch rejected")
 	}
 	if d, ok := f.Get("b:1"); !ok || d.Epoch != 6 || d.Pressure != 0.9 {
@@ -148,7 +148,9 @@ func TestFleetEviction(t *testing.T) {
 	for i := 2; i < fleetMaxNodes; i++ {
 		f.Observe(wire.HealthDigest{Addr: fmt.Sprintf("mid%d:1", i), Epoch: 1}, t0.Add(2*time.Second), 0)
 	}
-	f.Observe(wire.HealthDigest{Addr: "new:1", Epoch: 1}, t0.Add(3*time.Second), 0)
+	if _, evicted := f.Observe(wire.HealthDigest{Addr: "new:1", Epoch: 1}, t0.Add(3*time.Second), 0); evicted != "old:1" {
+		t.Fatalf("Observe reported %q evicted, want old:1", evicted)
+	}
 	if f.Len() != fleetMaxNodes {
 		t.Fatalf("fleet size = %d, want %d", f.Len(), fleetMaxNodes)
 	}
@@ -439,27 +441,27 @@ func TestFleetRestartForgiveness(t *testing.T) {
 	f := NewFleet("a:1")
 	f.SetForgiveAfter(10 * time.Second)
 	t0 := time.Unix(1700000000, 0)
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 50, Pressure: 0.5}, t0, 0) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 50, Pressure: 0.5}, t0, 0); !ok {
 		t.Fatal("first b digest rejected")
 	}
 	// 5s later (inside the window): epoch 2 is a stale relay, not a restart.
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2}, t0.Add(5*time.Second), 0) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2}, t0.Add(5*time.Second), 0); ok {
 		t.Fatal("regressing digest accepted inside the forgiveness window")
 	}
 	// 11s of silence: the same regression now reads as an observed restart.
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2, Pressure: 0.1}, t0.Add(11*time.Second), 0) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 2, Pressure: 0.1}, t0.Add(11*time.Second), 0); !ok {
 		t.Fatal("restart lineage rejected after the forgiveness window")
 	}
 	if d, ok := f.Get("b:1"); !ok || d.Epoch != 2 || d.Pressure != 0.1 {
 		t.Fatalf("Get(b:1) = %+v, %v; want the restarted digest", d, ok)
 	}
 	// The adopted lineage advances normally from its reset counter.
-	if !f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 3}, t0.Add(12*time.Second), 0) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 3}, t0.Add(12*time.Second), 0); !ok {
 		t.Fatal("post-restart advance rejected")
 	}
 	// Forgiveness off: regressions are always stale relays.
 	f.SetForgiveAfter(0)
-	if f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 1}, t0.Add(time.Hour), 0) {
+	if ok, _ := f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 1}, t0.Add(time.Hour), 0); ok {
 		t.Fatal("regression accepted with forgiveness disabled")
 	}
 }

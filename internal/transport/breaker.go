@@ -148,10 +148,3 @@ func (b *breaker) snapshot(addr string) BreakerInfo {
 		BackoffMs: b.backoff.Milliseconds(),
 	}
 }
-
-// state returns the current position (for pressure sampling).
-func (b *breaker) currentState() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

@@ -16,11 +16,11 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("fresh breaker refused a send")
 	}
 	b.onFailure()
-	if b.currentState() != BreakerClosed {
+	if stateOf(b) != BreakerClosed {
 		t.Fatal("one failure below threshold tripped the breaker")
 	}
 	b.onFailure()
-	if b.currentState() != BreakerOpen {
+	if stateOf(b) != BreakerOpen {
 		t.Fatal("threshold failures did not open the breaker")
 	}
 	if b.allow() {
@@ -31,8 +31,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.allow() {
 		t.Fatal("backoff elapsed but no probe admitted")
 	}
-	if b.currentState() != BreakerHalfOpen {
-		t.Fatalf("state after probe admission = %v, want half-open", b.currentState())
+	if stateOf(b) != BreakerHalfOpen {
+		t.Fatalf("state after probe admission = %v, want half-open", stateOf(b))
 	}
 	if b.allow() {
 		t.Fatal("second send admitted while probe in flight")
@@ -51,7 +51,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("doubled backoff elapsed but no probe admitted")
 	}
 	b.onSuccess()
-	if b.currentState() != BreakerClosed {
+	if stateOf(b) != BreakerClosed {
 		t.Fatal("successful probe did not reclose the breaker")
 	}
 	if !b.allow() {
@@ -68,7 +68,7 @@ func TestBreakerDisabled(t *testing.T) {
 			t.Fatal("disabled breaker refused a send")
 		}
 	}
-	if b.currentState() != BreakerClosed {
+	if stateOf(b) != BreakerClosed {
 		t.Fatal("disabled breaker changed state")
 	}
 }
@@ -174,4 +174,11 @@ func TestTCPBreakerOpensOnDeadPeerAndRecovers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("revived peer received nothing after breaker reclosed")
 	}
+}
+
+// stateOf reads the breaker's position under its lock.
+func stateOf(b *breaker) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }

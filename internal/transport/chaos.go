@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -70,15 +69,11 @@ type ChaosStats struct {
 	Delivered uint64
 }
 
-// Drops is the total number of messages the chaos layer lost.
-func (s ChaosStats) Drops() uint64 { return s.RuleDrops + s.PartitionDrops + s.CrashDrops }
-
 // FaultEvent is one step of a scripted fault schedule: at offset At from
 // PlaySchedule, apply the fault. Build events with PartitionAt, HealAt,
-// CrashAt, ReviveAt and LinkRuleAt.
+// CrashAt, LinkRuleAt and SlowPeerAt.
 type FaultEvent struct {
 	At    time.Duration
-	Desc  string
 	apply func(n *ChaosNetwork)
 }
 
@@ -88,45 +83,25 @@ type FaultEvent struct {
 // endpoint belongs to at most one island (the most recent wins).
 func PartitionAt(at time.Duration, island ...string) FaultEvent {
 	cp := append([]string(nil), island...)
-	return FaultEvent{
-		At:    at,
-		Desc:  fmt.Sprintf("partition %v from the rest", cp),
-		apply: func(n *ChaosNetwork) { n.Partition(cp...) },
-	}
+	return FaultEvent{At: at, apply: func(n *ChaosNetwork) { n.Partition(cp...) }}
 }
 
 // HealAt dissolves every partition at the given offset.
 func HealAt(at time.Duration) FaultEvent {
-	return FaultEvent{At: at, Desc: "heal all partitions", apply: func(n *ChaosNetwork) { n.Heal() }}
+	return FaultEvent{At: at, apply: func(n *ChaosNetwork) { n.Heal() }}
 }
 
 // CrashAt crash-stops the endpoint at the given offset: all of its inbound
 // and outbound traffic is dropped from then on.
 func CrashAt(at time.Duration, addr string) FaultEvent {
-	return FaultEvent{
-		At:    at,
-		Desc:  fmt.Sprintf("crash-stop %s", addr),
-		apply: func(n *ChaosNetwork) { n.Crash(addr) },
-	}
-}
-
-// ReviveAt undoes a crash-stop at the given offset.
-func ReviveAt(at time.Duration, addr string) FaultEvent {
-	return FaultEvent{
-		At:    at,
-		Desc:  fmt.Sprintf("revive %s", addr),
-		apply: func(n *ChaosNetwork) { n.Revive(addr) },
-	}
+	return FaultEvent{At: at, apply: func(n *ChaosNetwork) { n.Crash(addr) }}
 }
 
 // LinkRuleAt installs a fault rule at the given offset. Empty from/to mean
 // "every link" (the default rule).
 func LinkRuleAt(at time.Duration, from, to string, rule LinkRule) FaultEvent {
-	desc := fmt.Sprintf("link %s→%s: drop=%.2f delay=%v dup=%.2f reorder=%.2f",
-		orAll(from), orAll(to), rule.Drop, rule.Delay, rule.Duplicate, rule.Reorder)
 	return FaultEvent{
-		At:   at,
-		Desc: desc,
+		At: at,
 		apply: func(n *ChaosNetwork) {
 			if from == "" && to == "" {
 				n.SetDefaultRule(rule)
@@ -140,65 +115,7 @@ func LinkRuleAt(at time.Duration, from, to string, rule LinkRule) FaultEvent {
 // SlowPeerAt installs (or, with perMessage == 0, removes) a slow-peer pipe
 // in front of the destination at the given offset.
 func SlowPeerAt(at time.Duration, addr string, perMessage time.Duration) FaultEvent {
-	desc := fmt.Sprintf("slow-peer %s: %v/msg", addr, perMessage)
-	if perMessage <= 0 {
-		desc = fmt.Sprintf("slow-peer %s: restored", addr)
-	}
-	return FaultEvent{
-		At:    at,
-		Desc:  desc,
-		apply: func(n *ChaosNetwork) { n.SlowPeer(addr, perMessage) },
-	}
-}
-
-func orAll(s string) string {
-	if s == "" {
-		return "*"
-	}
-	return s
-}
-
-// ChurnSchedule generates a continuous-churn fault script: a seeded Poisson
-// process of crash–revive pairs over the given addresses. Crashes arrive
-// with exponential inter-arrival times at ratePerSec across the whole fleet;
-// each victim is drawn uniformly from the nodes still up and revives after
-// downtime. The schedule is a pure function of its arguments — the same
-// seed yields the same byte-identical fault sequence regardless of how many
-// workers later replay it — and composes with PlaySchedule like any other
-// script. A non-positive rate, empty address list, or non-positive duration
-// yields an empty schedule.
-func ChurnSchedule(seed int64, addrs []string, ratePerSec float64, downtime, duration time.Duration) []FaultEvent {
-	if ratePerSec <= 0 || len(addrs) == 0 || duration <= 0 || downtime < 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(mixSeed(seed, "churn")))
-	downUntil := make(map[string]time.Duration)
-	var events []FaultEvent
-	for at := time.Duration(0); ; {
-		// Exponential inter-arrival: -ln(U)/λ, U ∈ (0,1].
-		u := rng.Float64()
-		if u == 0 {
-			u = 1
-		}
-		at += time.Duration(-math.Log(u) / ratePerSec * float64(time.Second))
-		if at >= duration {
-			return events
-		}
-		// Draw among the nodes still up at this offset; when the whole fleet
-		// happens to be down, the arrival is skipped (nothing left to kill).
-		up := make([]string, 0, len(addrs))
-		for _, a := range addrs {
-			if downUntil[a] <= at {
-				up = append(up, a)
-			}
-		}
-		if len(up) == 0 {
-			continue
-		}
-		victim := up[rng.Intn(len(up))]
-		downUntil[victim] = at + downtime
-		events = append(events, CrashAt(at, victim), ReviveAt(at+downtime, victim))
-	}
+	return FaultEvent{At: at, apply: func(n *ChaosNetwork) { n.SlowPeer(addr, perMessage) }}
 }
 
 type linkKey struct{ from, to string }
@@ -355,20 +272,6 @@ func (n *ChaosNetwork) Crash(addr string) {
 	n.crashed[addr] = true
 }
 
-// Revive undoes a crash-stop.
-func (n *ChaosNetwork) Revive(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.crashed, addr)
-}
-
-// Crashed reports whether the endpoint is currently crash-stopped.
-func (n *ChaosNetwork) Crashed(addr string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[addr]
-}
-
 // Stats snapshots the chaos layer's counters.
 func (n *ChaosNetwork) Stats() ChaosStats {
 	return ChaosStats{
@@ -401,18 +304,6 @@ func (n *ChaosNetwork) PlaySchedule(events []FaultEvent) (stop func()) {
 		}
 		n.timers = nil
 	}
-}
-
-// DescribeSchedule renders a schedule deterministically, one event per
-// line, for experiment reports.
-func DescribeSchedule(events []FaultEvent) []string {
-	sorted := append([]FaultEvent(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	out := make([]string, len(sorted))
-	for i, ev := range sorted {
-		out[i] = fmt.Sprintf("t=%-6s %s", ev.At, ev.Desc)
-	}
-	return out
 }
 
 // linkStateLocked returns the link's decision stream, creating it with a

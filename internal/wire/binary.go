@@ -128,10 +128,6 @@ func PutEncodeBuffer(b []byte) {
 
 // --- primitive append helpers -------------------------------------------
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
 // appendSvarint zigzag-encodes a signed integer (TTL, hop counts).
 func appendSvarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -159,7 +160,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestBinaryRejectsUnknownFieldBits(t *testing.T) {
-	body := appendUvarint(nil, 1<<fieldCount) // one bit past the known fields
+	body := binary.AppendUvarint(nil, 1<<fieldCount) // one bit past the known fields
 	frame := []byte{magic0, magic1, VersionBinary, byte(TProbe), 0, 0, 0, 0}
 	frame[4] = byte(len(body))
 	frame = append(frame, body...)
