@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -648,7 +649,8 @@ func (n *Node) Publish(groupID string, data []byte) (err error) {
 			gs.pub = reliable.NewSendBuffer(reliable.DefaultCachePayloads)
 		}
 		msg.Seq = gs.pub.NextItem(reliable.Item{Data: data, TraceID: msg.TraceID, OriginAt: msg.OriginAt})
-		targets := forwardTargets(gs, "")
+		n.fwd = forwardTargets(n.fwd[:0], gs, "")
+		targets := n.fwd
 		if n.tracer != nil {
 			n.tracer.Record(trace.Event{
 				Time: msg.OriginAt, Node: n.self.Addr, Kind: trace.KindPublish,
@@ -656,7 +658,7 @@ func (n *Node) Publish(groupID string, data []byte) (err error) {
 				TraceID: msg.TraceID, Seq: msg.Seq, Source: n.self.Addr, N: len(targets),
 			})
 		}
-		if sent := n.fanOut(targets, msg); len(targets) > 0 && sent == 0 {
+		if sent := n.fanOut(targets, &msg); len(targets) > 0 && sent == 0 {
 			err = fmt.Errorf("%w: %q (%d link(s), 0 reachable)",
 				ErrPublishFailed, groupID, len(targets))
 		}
@@ -686,7 +688,7 @@ func (n *Node) handlePayload(msg wire.Message) {
 		// each other, away from the source.
 		w.LastHop = hop
 	}
-	var res reliable.ObserveResult
+	res := reliable.ObserveResult{Deliver: n.delivered[:0]}
 	w.ObserveItem(msg.Seq, reliable.Item{
 		Data: msg.Data, TraceID: msg.TraceID, OriginAt: msg.OriginAt,
 	}, n.now, &res)
@@ -699,10 +701,13 @@ func (n *Node) handlePayload(msg wire.Message) {
 		n.metrics.nackRTT.ObserveDurationMs(float64(rtt) / float64(time.Millisecond))
 	}
 	n.release(msg.GroupID, gs, msg.From, msg.Hops, res.Deliver)
+	clear(res.Deliver) // release copied them; drop the payload references
+	n.delivered = res.Deliver[:0]
 	if !res.Fresh {
 		return
 	}
-	targets := forwardTargets(gs, hop)
+	n.fwd = forwardTargets(n.fwd[:0], gs, hop)
+	targets := n.fwd
 	// Graceful degradation: while overloaded, shed best-effort payload relay
 	// — the loss-tolerant fan-out — but never reliable or control traffic,
 	// and never local delivery (released above). Downstream best-effort
@@ -715,19 +720,21 @@ func (n *Node) handlePayload(msg wire.Message) {
 	fwd.Relay = n.self
 	fwd.Hops = msg.Hops + 1
 	fwd.RelayedAt = n.now
-	n.fanOut(targets, fwd)
+	n.fanOut(targets, &fwd)
 }
 
 // fanOut sends payload msg over every target link and returns how many sends
-// the transport accepted, tracing each at msg.RelayedAt, the event's stamp.
-func (n *Node) fanOut(targets []string, msg wire.Message) (sent int) {
+// the transport accepted, tracing each at msg.RelayedAt, the event's stamp,
+// with the time from the fan-out's start to the transport's report.
+func (n *Node) fanOut(targets []string, msg *wire.Message) (sent int) {
 	var start time.Time
 	if n.tracer != nil {
 		start = traceNow()
 	}
-	n.sendMany(targets, msg, func(addr string, err error) {
-		if err != nil {
-			return
+	n.sendMany(targets, msg)
+	for _, l := range n.links {
+		if l.err != nil {
+			continue
 		}
 		sent++
 		if n.tracer != nil {
@@ -735,11 +742,11 @@ func (n *Node) fanOut(targets []string, msg wire.Message) (sent int) {
 				Time: msg.RelayedAt, Node: msg.Relay.Addr, Kind: trace.KindSend,
 				Msg: msg.Type.String(), Group: msg.GroupID,
 				TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr,
-				Peer: addr, Hop: msg.Hops,
-				SendUS: traceNow().Sub(start).Microseconds(),
+				Peer: l.addr, Hop: msg.Hops,
+				SendUS: l.at.Sub(start).Microseconds(),
 			})
 		}
-	})
+	}
 	return sent
 }
 
@@ -769,19 +776,21 @@ func (n *Node) observeDeliver(now time.Time, d *delivery) {
 	})
 }
 
-// forwardTargets lists the tree links a payload should travel on: parent
-// and children except the link it arrived over.
-func forwardTargets(gs *groupState, arrivedFrom string) []string {
-	targets := make([]string, 0, len(gs.children)+1)
+// forwardTargets appends to dst the tree links a payload should travel on,
+// except the link it arrived over: the parent, then the children in address
+// order, so one seed gives one send order.
+func forwardTargets(dst []string, gs *groupState, arrivedFrom string) []string {
 	if gs.parent != "" && gs.parent != arrivedFrom {
-		targets = append(targets, gs.parent)
+		dst = append(dst, gs.parent)
 	}
+	kids := len(dst)
 	for addr := range gs.children {
 		if addr != arrivedFrom {
-			targets = append(targets, addr)
+			dst = append(dst, addr)
 		}
 	}
-	return targets
+	slices.Sort(dst[kids:])
+	return dst
 }
 
 // Leave departs a group gracefully: children are told to re-join and the
@@ -816,7 +825,7 @@ func (n *Node) leave(groupID string) error {
 	delete(n.groups, groupID)
 	// Parent and children: every tree link drops this node.
 	notice := wire.Message{Type: wire.TLeave, From: n.self, GroupID: groupID}
-	for _, addr := range forwardTargets(gs, "") {
+	for _, addr := range forwardTargets(nil, gs, "") {
 		_ = n.send(addr, notice)
 	}
 	return nil

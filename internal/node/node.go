@@ -299,6 +299,16 @@ type Node struct {
 	rejoining map[string]bool
 	released  []delivery
 	out       *handoff
+
+	// The relay path's buffers, loop-owned and reused by every payload so a
+	// relay event allocates nothing: the tree links a payload goes to
+	// (forwardTargets), what its receive window released (handlePayload),
+	// and each link's outcome of the last sendMany, which onLink — noteLink,
+	// bound once by New — appends to.
+	fwd       []string
+	delivered []reliable.Delivery
+	links     []linkOutcome
+	onLink    func(addr string, err error)
 	// posts carries API bodies onto the loop (see post); live is closed by
 	// Start and exited when the loop returns.
 	posts  chan func()
@@ -388,6 +398,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		stop:      make(chan struct{}),
 	}
 	n.multi, _ = tr.(transport.MultiSender)
+	n.onLink = n.noteLink
 	if vivaldi != nil {
 		n.self.CoordErr = vivaldi.ErrorEstimate()
 	}
@@ -744,30 +755,47 @@ func (n *Node) send(addr string, msg wire.Message) error {
 	return err
 }
 
+// linkOutcome is one link's result in a sendMany: its address, the
+// transport's immediate error, and — only with a tracer set — when the
+// transport reported it.
+type linkOutcome struct {
+	addr string
+	err  error
+	at   time.Time
+}
+
+// noteLink records one link's outcome into n.links. It is n.onLink, the one
+// callback sendMany hands the transport.
+func (n *Node) noteLink(addr string, err error) {
+	l := linkOutcome{addr: addr, err: err}
+	if n.tracer != nil {
+		l.at = traceNow()
+	}
+	n.links = append(n.links, l)
+}
+
 // sendMany fans one message out to every addr, through the transport's
 // encode-once fast path when it offers one (the TCP transport serializes the
 // binary frame a single time and writes the same bytes to every link) and a
 // per-link send loop otherwise. Accounting matches send — one sent tick per
-// link, one SendErrors tick per immediate failure — and each, when non-nil,
-// observes every link's outcome in order.
-func (n *Node) sendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
+// link, one SendErrors tick per immediate failure — and n.links holds every
+// link's outcome, in order, until the next sendMany.
+func (n *Node) sendMany(addrs []string, msg *wire.Message) {
+	n.links = n.links[:0]
 	if len(addrs) == 0 {
 		return
 	}
-	cb := func(addr string, err error) {
+	if n.multi != nil {
+		n.multi.SendMany(addrs, *msg, n.onLink)
+	} else {
+		for _, addr := range addrs {
+			n.noteLink(addr, n.tr.Send(addr, *msg))
+		}
+	}
+	for _, l := range n.links {
 		tickType(&n.stats.sent, msg.Type)
-		if err != nil {
+		if l.err != nil {
 			atomic.AddUint64(&n.stats.SendErrors, 1)
 		}
-		if each != nil {
-			each(addr, err)
-		}
-	}
-	if n.multi != nil {
-		n.multi.SendMany(addrs, msg, cb)
-		return
-	}
-	for _, addr := range addrs {
-		cb(addr, n.tr.Send(addr, msg))
 	}
 }

@@ -153,7 +153,7 @@ func (n *Node) handleNack(msg wire.Message) {
 	}
 	if blocked(upstream) {
 		upstream = ""
-		for _, a := range forwardTargets(gs, "") {
+		for _, a := range forwardTargets(nil, gs, "") {
 			if !blocked(a) {
 				upstream = a
 				break
@@ -330,7 +330,7 @@ func (n *Node) digestGroups() {
 			Mode:    gs.mode,
 			Digest:  entries,
 		}
-		for _, addr := range forwardTargets(gs, "") {
+		for _, addr := range forwardTargets(nil, gs, "") {
 			_ = n.send(addr, msg)
 		}
 	}

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +97,33 @@ func runTransportConformance(t *testing.T, pair transportPair) {
 	}
 	if back := recvOne(t, a, 2*time.Second); back.Type != wire.TProbeResp {
 		t.Fatalf("reverse direction got %+v", back)
+	}
+
+	// SendMany, on the transports that offer it: each runs once per
+	// address, in order, before the call returns, and every address
+	// receives the message.
+	if ms, ok := a.(MultiSender); ok {
+		addrs := []string{b.Addr(), a.Addr()}
+		var called []string
+		var returned atomic.Bool
+		ms.SendMany(addrs, wire.Message{Type: wire.TPayload, MsgID: 4}, func(addr string, err error) {
+			if returned.Load() {
+				t.Errorf("SendMany reported %s after it returned", addr)
+			}
+			if err != nil {
+				t.Errorf("SendMany to %s: %v", addr, err)
+			}
+			called = append(called, addr)
+		})
+		returned.Store(true)
+		if fmt.Sprint(called) != fmt.Sprint(addrs) {
+			t.Fatalf("SendMany reported %v, want %v", called, addrs)
+		}
+		for _, to := range []Transport{b, a} {
+			if got := recvOne(t, to, 2*time.Second); got.MsgID != 4 {
+				t.Fatalf("SendMany: %s received %+v", to.Addr(), got)
+			}
+		}
 	}
 
 	// A large payload (>64KB — past any single-read framing assumption)

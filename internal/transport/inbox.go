@@ -35,12 +35,15 @@ const DefaultInboxCapacity = 1024
 // order preserved across classes, incoming messages shed when full) while
 // still keeping per-class counters — the ablation baseline that shows what
 // priority shedding buys.
+//
+// Each class queue is a ring (see ring), so a steady stream pushes and pops
+// without allocating.
 type PrioInbox struct {
 	capacity  int
 	classless bool
 
 	mu     sync.Mutex
-	queues [wire.NumClasses][]wire.Message
+	queues [wire.NumClasses]ring
 	size   int
 	closed bool
 
@@ -92,12 +95,11 @@ func (in *PrioInbox) Push(msg wire.Message) bool {
 		// class strictly below the arrival. Control never sheds while any
 		// best-effort or reliable-data slot remains occupied.
 		for victim := wire.NumClasses - 1; victim > int(cls); victim-- {
-			q := in.queues[victim]
-			if len(q) == 0 {
+			q := &in.queues[victim]
+			if q.size == 0 {
 				continue
 			}
-			q[0] = wire.Message{}
-			in.queues[victim] = q[1:]
+			q.pop()
 			in.size--
 			in.enqueueLocked(cls, msg)
 			in.mu.Unlock()
@@ -118,7 +120,7 @@ func (in *PrioInbox) enqueueLocked(cls wire.Class, msg wire.Message) {
 	if in.classless {
 		idx = 0
 	}
-	in.queues[idx] = append(in.queues[idx], msg)
+	in.queues[idx].push(&msg)
 	in.size++
 	in.accepted[cls].Add(1)
 }
@@ -141,16 +143,62 @@ func (in *PrioInbox) Doorbell() <-chan struct{} { return in.wake }
 func (in *PrioInbox) Pop() (wire.Message, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for c, q := range in.queues {
-		if len(q) > 0 {
-			msg := q[0]
-			q[0] = wire.Message{}
-			in.queues[c] = q[1:]
+	for c := range in.queues {
+		if q := &in.queues[c]; q.size > 0 {
 			in.size--
-			return msg, true
+			return q.pop(), true
 		}
 	}
 	return wire.Message{}, false
+}
+
+// Ring sizing: a class ring starts at ringMinSlots and doubles when full.
+// One that grew past ringKeepSlots — a flash crowd, not steady traffic — is
+// released when its class drains, so an idle inbox holds no burst's peak.
+const (
+	ringMinSlots  = 16
+	ringKeepSlots = 64
+)
+
+// ring is one class queue: a circular FIFO over buf, holding size messages
+// from buf[head] on.
+type ring struct {
+	buf  []wire.Message
+	head int
+	size int
+}
+
+// push appends *msg, doubling the buffer when it is full.
+func (r *ring) push(msg *wire.Message) {
+	if r.size == len(r.buf) {
+		grown := make([]wire.Message, max(2*len(r.buf), ringMinSlots))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	i := r.head + r.size
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = *msg
+	r.size++
+}
+
+// pop takes the oldest message, zeroing its slot so the ring drops the
+// reference; the ring must not be empty.
+func (r *ring) pop() wire.Message {
+	msg := r.buf[r.head]
+	r.buf[r.head] = wire.Message{}
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	if r.size--; r.size == 0 {
+		r.head = 0
+		if len(r.buf) > ringKeepSlots {
+			r.buf = nil
+		}
+	}
+	return msg
 }
 
 // Recv is the prioritized inbound stream as a channel, closed after Close:
@@ -247,7 +295,7 @@ func (in *PrioInbox) Close() {
 		return
 	}
 	in.closed = true
-	in.queues = [wire.NumClasses][]wire.Message{}
+	in.queues = [wire.NumClasses]ring{}
 	in.size = 0
 	close(in.done)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -287,5 +288,201 @@ func TestShedAccountingParity(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestPrioInboxSteadyStateAllocatesNothing: once a class ring has its slots,
+// a stream that pushes and pops through it allocates nothing.
+func TestPrioInboxSteadyStateAllocatesNothing(t *testing.T) {
+	in := NewPrioInbox(64, false)
+	defer in.Close()
+	msg := bestEffortPayload(1)
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			in.Push(msg)
+		}
+		for i := 0; i < 8; i++ {
+			in.Pop()
+		}
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("8 pushes and 8 pops allocate %.1f times, want 0", a)
+	}
+}
+
+// popIDs pops everything queued and lists the MsgIDs in pop order.
+func popIDs(in *PrioInbox) []uint64 {
+	var ids []uint64
+	for {
+		msg, ok := in.Pop()
+		if !ok {
+			return ids
+		}
+		ids = append(ids, msg.MsgID)
+	}
+}
+
+// TestPrioInboxRingWrapAndGrowKeepFIFO: a class ring keeps arrival order
+// across a wrap and across a growth while wrapped, and the slots it popped
+// hold no message.
+func TestPrioInboxRingWrapAndGrowKeepFIFO(t *testing.T) {
+	in := NewPrioInbox(64, false)
+	defer in.Close()
+	next := uint64(0)
+	push := func(k int) {
+		for ; k > 0; k-- {
+			in.Push(bestEffortPayload(next))
+			next++
+		}
+	}
+	push(10)
+	for i := 0; i < 6; i++ {
+		in.Pop()
+	}
+	push(ringMinSlots - 4) // fills the ring past its end: wrapped and full
+	r := &in.queues[wire.ClassBestEffort]
+	if r.head == 0 || r.size != len(r.buf) {
+		t.Fatalf("ring not wrapped and full: head %d, size %d of %d", r.head, r.size, len(r.buf))
+	}
+	push(5) // grows while wrapped
+	if len(r.buf) != 2*ringMinSlots {
+		t.Fatalf("ring holds %d slots after growing, want %d", len(r.buf), 2*ringMinSlots)
+	}
+	got := popIDs(in)
+	for i, id := range got {
+		if id != uint64(6+i) {
+			t.Fatalf("pop %d gave message %d, want %d (all: %v)", i, id, 6+i, got)
+		}
+	}
+	if len(got) != int(next)-6 {
+		t.Fatalf("popped %d messages, want %d", len(got), int(next)-6)
+	}
+	for i := range r.buf {
+		if r.buf[i].Type != 0 || r.buf[i].MsgID != 0 {
+			t.Fatalf("slot %d still holds message %d after the drain", i, r.buf[i].MsgID)
+		}
+	}
+}
+
+// TestPrioInboxDisplacesOldestOfWrappedRing: when the inbox is full, a
+// control arrival displaces the oldest best-effort message even when that
+// ring has wrapped, so its oldest is not at slot 0.
+func TestPrioInboxDisplacesOldestOfWrappedRing(t *testing.T) {
+	const capacity = ringMinSlots
+	in := NewPrioInbox(capacity, false)
+	defer in.Close()
+	for i := uint64(0); i < 10; i++ {
+		in.Push(bestEffortPayload(i))
+	}
+	for i := 0; i < 6; i++ {
+		in.Pop()
+	}
+	for i := uint64(10); i < 22; i++ {
+		in.Push(bestEffortPayload(i))
+	}
+	if r := &in.queues[wire.ClassBestEffort]; r.head == 0 || in.Depth() != capacity {
+		t.Fatalf("victim ring not wrapped at capacity: head %d, depth %d", r.head, in.Depth())
+	}
+	if !in.Push(wire.Message{Type: wire.TBeacon, MsgID: 100}) {
+		t.Fatal("control arrival rejected with best-effort queued")
+	}
+	got := popIDs(in)
+	want := []uint64{100}
+	for i := uint64(7); i < 22; i++ {
+		want = append(want, i)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after displacement popped %v, want %v", got, want)
+	}
+	if shed := in.ShedByClass(); shed[wire.ClassBestEffort] != 1 || shed[wire.ClassControl] != 0 {
+		t.Fatalf("sheds %v, want one best-effort", shed)
+	}
+}
+
+// TestPrioInboxClasslessKeepsArrivalOrder: the classless inbox is one ring,
+// so messages leave in arrival order whatever their class, across a wrap.
+func TestPrioInboxClasslessKeepsArrivalOrder(t *testing.T) {
+	in := NewPrioInbox(64, true)
+	defer in.Close()
+	msgs := []func(uint64) wire.Message{
+		bestEffortPayload,
+		func(id uint64) wire.Message { return wire.Message{Type: wire.TBeacon, MsgID: id} },
+		reliablePayload,
+	}
+	r := &in.queues[0]
+	var want, got []uint64
+	wrapped := false
+	for id := uint64(0); id < 3*ringMinSlots; id++ {
+		in.Push(msgs[id%3](id))
+		want = append(want, id)
+		wrapped = wrapped || r.head+r.size > len(r.buf)
+		if id%4 == 3 {
+			// Keep one queued, so the ring never empties and its head
+			// travels round instead of resetting.
+			for in.Depth() > 1 {
+				msg, _ := in.Pop()
+				got = append(got, msg.MsgID)
+			}
+		}
+	}
+	got = append(got, popIDs(in)...)
+	if !wrapped {
+		t.Fatal("the classless ring never wrapped")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("classless popped %v, want arrival order %v", got, want)
+	}
+	for c := 1; c < wire.NumClasses; c++ {
+		if in.queues[c].buf != nil {
+			t.Fatalf("classless inbox used ring %d", c)
+		}
+	}
+}
+
+// TestPrioInboxReleasesBurstBuffers: after a burst that fills the inbox is
+// drained, no class ring holds more than ringKeepSlots slots.
+func TestPrioInboxReleasesBurstBuffers(t *testing.T) {
+	in := NewPrioInbox(0, false)
+	defer in.Close()
+	for i := 0; i < in.Capacity(); i++ {
+		switch i % 3 {
+		case 0:
+			in.Push(bestEffortPayload(uint64(i)))
+		case 1:
+			in.Push(reliablePayload(uint64(i)))
+		default:
+			in.Push(wire.Message{Type: wire.TBeacon, MsgID: uint64(i)})
+		}
+	}
+	if in.Depth() != in.Capacity() {
+		t.Fatalf("burst queued %d of %d", in.Depth(), in.Capacity())
+	}
+	if n := len(popIDs(in)); n != in.Capacity() {
+		t.Fatalf("drained %d of %d", n, in.Capacity())
+	}
+	for c := range in.queues {
+		if slots := len(in.queues[c].buf); slots > ringKeepSlots {
+			t.Fatalf("class %d holds %d slots after the drain, want <= %d", c, slots, ringKeepSlots)
+		}
+	}
+}
+
+// TestPrioInboxCloseDropsReferences: Close lets go of every queued message,
+// so a closed inbox pins no payload.
+func TestPrioInboxCloseDropsReferences(t *testing.T) {
+	in := NewPrioInbox(64, false)
+	for i := uint64(0); i < 8; i++ {
+		in.Push(wire.Message{Type: wire.TPayload, MsgID: i, Data: make([]byte, 64)})
+		in.Push(wire.Message{Type: wire.TBeacon, MsgID: 100 + i})
+	}
+	in.Close()
+	for c := range in.queues {
+		if r := in.queues[c]; r.buf != nil || r.size != 0 {
+			t.Fatalf("class %d still holds %d messages in %d slots after Close", c, r.size, len(r.buf))
+		}
+	}
+	if _, ok := in.Pop(); ok {
+		t.Fatal("Pop returned a message after Close")
 	}
 }

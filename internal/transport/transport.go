@@ -57,8 +57,13 @@ var (
 // many destinations more cheaply than repeated Sends — the TCP transport
 // encodes the frame once and writes the same bytes to every link. The node
 // layer uses it for tree fan-out (publish and relay); callers fall back to
-// a Send loop when the transport does not implement it. each, when non-nil,
-// is called synchronously with every link's outcome, in order.
+// a Send loop when the transport does not implement it.
+//
+// each, when non-nil, is called synchronously, before SendMany returns,
+// exactly once per address, in addrs order, with that link's outcome as
+// Send would report it. An implementation must not keep addrs or each once
+// SendMany returns: the node reuses the slice for its next fan-out and binds
+// each once for all of them.
 type MultiSender interface {
 	SendMany(addrs []string, msg wire.Message, each func(addr string, err error))
 }
