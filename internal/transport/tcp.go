@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -16,6 +17,27 @@ import (
 // enough to absorb a relay burst, shallow enough that a stalled peer wastes
 // at most a few hundred frames of memory before the breaker takes over.
 const DefaultSendQueueLen = 256
+
+const (
+	// readBufSize is each inbound connection's read buffer: a batch a peer
+	// sent in one vectored write is read with about one syscall instead of
+	// two per frame. Frames larger than the buffer are read straight into
+	// the decoder's body buffer.
+	readBufSize = 32 << 10
+	// frameBufLen is a new encode buffer's capacity: a 4 KiB payload frame
+	// grows it once and then fits.
+	frameBufLen = 4 << 10
+	// maxPooledFrame caps the encode buffers the free list keeps, so one
+	// large frame does not pin its buffer for the transport's lifetime.
+	maxPooledFrame = 16 << 10
+	// freeFrames bounds the free list of encode buffers: enough for the
+	// frames a busy node has in flight across its links. With
+	// maxPooledFrame it caps what the list holds at 2 MiB. The list is a
+	// channel rather than a sync.Pool so that reuse is exact: a warm hop
+	// allocates the same under the race detector, which makes a Pool drop
+	// items at random.
+	freeFrames = 128
+)
 
 // TCPConfig bounds the TCP transport's link writers and queues. Send never
 // waits on the network; the timeouts bound how long a dead or wedged peer
@@ -78,12 +100,15 @@ func DefaultTCPConfig() TCPConfig {
 // without counting against the peer.
 //
 // The transport implements MultiSender: a fan-out message is encoded once
-// into a pooled, reference-counted buffer and the same bytes are queued to
-// every link — the zero-copy half of the relay hot path.
+// into a pooled, reference-counted frame and the same bytes are queued to
+// every link — the zero-copy half of the relay hot path. Each inbound
+// connection is read through one buffer, so a batch costs about one read
+// syscall.
 type TCPTransport struct {
 	ln    net.Listener
 	cfg   TCPConfig
 	inbox *PrioInbox
+	free  chan *frame // encode buffers ready for reuse
 	// dialContext opens a link's connection; only link writers call it.
 	dialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 
@@ -101,18 +126,49 @@ type TCPTransport struct {
 	wg       sync.WaitGroup
 }
 
-// outItem is one queued outbound frame: pre-encoded bytes, possibly shared
-// across a fan-out via refs.
-type outItem struct {
-	frame []byte
-	refs  *atomic.Int32 // nil: exclusive pooled frame
+// frame is one encoded outbound message, shared by every link a fan-out
+// queues it on: each holder owns one reference, and the last to let go
+// returns the frame to the transport's free list.
+type frame struct {
+	buf  []byte
+	refs atomic.Int32
 }
 
-// releaseItem returns an item's frame buffer to the encode pool once the
-// last holder lets go.
-func releaseItem(it outItem) {
-	if it.refs == nil || it.refs.Add(-1) == 0 {
-		wire.PutEncodeBuffer(it.frame)
+// newFrame encodes msg into a frame from the free list holding refs
+// references. On error the frame is already recycled.
+func (t *TCPTransport) newFrame(msg *wire.Message, refs int32) (*frame, error) {
+	var f *frame
+	select {
+	case f = <-t.free:
+	default:
+		f = &frame{buf: make([]byte, 0, frameBufLen)}
+	}
+	var err error
+	f.buf, err = wire.AppendMessage(f.buf[:0], msg)
+	if err != nil {
+		t.recycle(f)
+		return nil, err
+	}
+	f.refs.Store(refs)
+	return f, nil
+}
+
+// release drops one reference to f and recycles it after the last one.
+func (t *TCPTransport) release(f *frame) {
+	if f.refs.Add(-1) == 0 {
+		t.recycle(f)
+	}
+}
+
+// recycle returns f to the free list unless its buffer grew past
+// maxPooledFrame or the list is full.
+func (t *TCPTransport) recycle(f *frame) {
+	if cap(f.buf) > maxPooledFrame {
+		return
+	}
+	select {
+	case t.free <- f:
+	default:
 	}
 }
 
@@ -128,10 +184,15 @@ type tcpConn struct {
 	writerDone chan struct{} // closed when the writer goroutine exits
 
 	mu      sync.Mutex
-	control []outItem // FIFO, written ahead of data
-	data    []outItem // FIFO: payloads, fan-out frames, retransmits
+	control []*frame // FIFO, written ahead of data
+	data    []*frame // FIFO: payloads, fan-out frames, retransmits
 	closed  bool
 	dialled bool // the writer holds a connection: close drains it
+
+	// iov and vec belong to the writer: iov keeps the batch's buffers, and
+	// vec is the copy WriteTo consumes. Both live here so a batch moves no
+	// slice header to the heap.
+	iov, vec net.Buffers
 }
 
 var (
@@ -178,6 +239,7 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 		ln:       ln,
 		cfg:      cfg,
 		inbox:    NewPrioInbox(cfg.InboxCapacity, false),
+		free:     make(chan *frame, freeFrames),
 		conns:    make(map[string]*tcpConn),
 		breakers: make(map[string]*breaker),
 		inbound:  make(map[net.Conn]struct{}),
@@ -300,7 +362,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	dec := wire.NewFrameReader(conn)
+	dec := wire.NewFrameReader(bufio.NewReaderSize(conn, readBufSize))
 	for {
 		var msg wire.Message
 		if err := dec.ReadMessage(&msg); err != nil {
@@ -321,14 +383,12 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 // shows up later as FabricDrops and a breaker failure, not here. A full
 // queue, an open breaker or a closed transport fails the Send at once.
 func (t *TCPTransport) Send(addr string, msg wire.Message) error {
-	frame, err := wire.AppendMessage(wire.GetEncodeBuffer(), &msg)
+	f, err := t.newFrame(&msg, 1)
 	if err != nil {
-		wire.PutEncodeBuffer(frame)
 		return err
 	}
-	it := outItem{frame: frame}
-	if err := t.sendVia(addr, it, wire.Classify(&msg) == wire.ClassControl); err != nil {
-		releaseItem(it)
+	if err := t.sendVia(addr, f, wire.Classify(&msg) == wire.ClassControl); err != nil {
+		t.release(f)
 		return err
 	}
 	return nil
@@ -340,7 +400,7 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 // the cache before shutting any — so the enqueue fails only on a full
 // queue. On success the link's queue owns it (or one
 // of its references); on error the caller still does.
-func (t *TCPTransport) sendVia(addr string, it outItem, control bool) error {
+func (t *TCPTransport) sendVia(addr string, f *frame, control bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -355,7 +415,7 @@ func (t *TCPTransport) sendVia(addr string, it outItem, control bool) error {
 	if c == nil {
 		c = t.newLinkLocked(addr, brk)
 	}
-	if !c.enqueue(it, control) {
+	if !c.enqueue(f, control) {
 		return t.queueFull(addr, brk, control)
 	}
 	return nil
@@ -373,15 +433,15 @@ func (t *TCPTransport) queueFull(addr string, brk *breaker, control bool) error 
 }
 
 // SendMany implements MultiSender: msg is encoded exactly once into a
-// pooled, reference-counted buffer and the same frame bytes are queued to
-// every address — a stalled link rejects fast (full queue or open breaker)
+// pooled, reference-counted frame and the same bytes are queued to every
+// address — a stalled link rejects fast (full queue or open breaker)
 // without delaying the others. each (optional) observes every link's
 // outcome.
 func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
-	buf := wire.GetEncodeBuffer()
-	frame, err := wire.AppendMessage(buf, &msg)
+	// One reference per link plus one held here, so the frame cannot be
+	// recycled while links are still being offered it.
+	f, err := t.newFrame(&msg, int32(len(addrs))+1)
 	if err != nil {
-		wire.PutEncodeBuffer(buf)
 		for _, addr := range addrs {
 			if each != nil {
 				each(addr, err)
@@ -389,23 +449,18 @@ func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr
 		}
 		return
 	}
-	// One reference per link plus one held here, so the frame cannot be
-	// pooled while links are still being offered it.
-	refs := new(atomic.Int32)
-	refs.Store(int32(len(addrs)) + 1)
-	it := outItem{frame: frame, refs: refs}
 	control := wire.Classify(&msg) == wire.ClassControl
 	for _, addr := range addrs {
-		err := t.sendVia(addr, it, control)
+		err := t.sendVia(addr, f, control)
 		if err != nil {
 			// The link never took ownership of its reference.
-			releaseItem(it)
+			t.release(f)
 		}
 		if each != nil {
 			each(addr, err)
 		}
 	}
-	releaseItem(it)
+	t.release(f)
 }
 
 // newLinkLocked caches an empty link to addr and starts its writer, which
@@ -430,7 +485,7 @@ func (t *TCPTransport) newLinkLocked(addr string, brk *breaker) *tcpConn {
 // blocking and wakes the writer, reporting false when that queue is full.
 // On success the queue owns the frame (or, for a fan-out frame, one of its
 // references).
-func (c *tcpConn) enqueue(it outItem, control bool) bool {
+func (c *tcpConn) enqueue(f *frame, control bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	q := &c.data
@@ -440,7 +495,7 @@ func (c *tcpConn) enqueue(it outItem, control bool) bool {
 	if len(*q) >= c.t.cfg.SendQueueLen {
 		return false
 	}
-	*q = append(*q, it)
+	*q = append(*q, f)
 	c.signal()
 	return true
 }
@@ -456,7 +511,7 @@ func (c *tcpConn) signal() {
 
 // take moves every queued frame into batch — control first, then data,
 // FIFO within each — and reports whether the link is closing.
-func (c *tcpConn) take(batch []outItem) ([]outItem, bool) {
+func (c *tcpConn) take(batch []*frame) ([]*frame, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	batch = append(append(batch, c.control...), c.data...)
@@ -488,8 +543,7 @@ func (c *tcpConn) writeLoop(ctx context.Context) {
 		c.mu.Unlock()
 	}
 	var (
-		batch  []outItem
-		iov    net.Buffers // reused across batches
+		batch  []*frame
 		closed bool
 	)
 	for {
@@ -502,7 +556,7 @@ func (c *tcpConn) writeLoop(ctx context.Context) {
 			continue
 		}
 		if err == nil {
-			if iov, err = c.writeBatch(conn, batch, iov[:0]); err != nil {
+			if err = c.writeBatch(conn, batch); err != nil {
 				c.fail()
 			} else {
 				c.brk.onSuccess()
@@ -515,8 +569,8 @@ func (c *tcpConn) writeLoop(ctx context.Context) {
 		if err != nil {
 			c.t.fabricDrops.Add(uint64(len(batch)))
 		}
-		for _, it := range batch {
-			releaseItem(it)
+		for _, f := range batch {
+			c.t.release(f)
 		}
 		clear(batch)
 	}
@@ -536,17 +590,20 @@ func (c *tcpConn) fail() {
 }
 
 // writeBatch sends batch's frames with one deadline and one vectored
-// write, returning iov (the reusable slice of frame buffers) extended.
-func (c *tcpConn) writeBatch(conn net.Conn, batch []outItem, iov net.Buffers) (net.Buffers, error) {
-	for _, it := range batch {
-		iov = append(iov, it.frame)
+// write.
+func (c *tcpConn) writeBatch(conn net.Conn, batch []*frame) error {
+	c.iov = c.iov[:0]
+	for _, f := range batch {
+		c.iov = append(c.iov, f.buf)
 	}
-	if err := conn.SetWriteDeadline(time.Now().Add(c.t.cfg.WriteTimeout)); err != nil {
-		return iov, err
+	err := conn.SetWriteDeadline(time.Now().Add(c.t.cfg.WriteTimeout))
+	if err == nil {
+		// WriteTo consumes its receiver; iov keeps the backing array.
+		c.vec = c.iov
+		_, err = c.vec.WriteTo(conn)
 	}
-	vec := iov // WriteTo consumes its receiver; iov keeps the backing array
-	_, err := vec.WriteTo(conn)
-	return iov, err
+	clear(c.iov) // pin no buffer the free list dropped
+	return err
 }
 
 // close stops the link accepting frames and gives a connected writer a

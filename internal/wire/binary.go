@@ -17,13 +17,13 @@
 // vector tests in golden_test.go pin the layout of every message type.
 //
 // The codec is allocation-frugal by construction: encoding appends into a
-// caller-supplied (or pooled) byte slice and decoding reads fields straight
-// out of the frame, interning repeated strings (addresses, group IDs) per
-// reader so a steady-state relay hop allocates only the payload slice and
-// coordinate vectors. Frames are stateless — any frame decodes in isolation
-// — which is what lets the TCP transport encode a fan-out message once and
-// write the same bytes to every link (MultiSender), and send a link's queued
-// frames back to back in one vectored write.
+// caller-supplied byte slice and decoding reads fields straight out of the
+// frame, interning repeated strings (addresses, group IDs) and each peer's
+// last coordinate vector per reader, so a steady-state relay hop allocates
+// only the payload slice. Frames are stateless — any frame decodes in
+// isolation — which is what lets the TCP transport encode a fan-out message
+// once and write the same bytes to every link (MultiSender), and send a
+// link's queued frames back to back in one vectored write.
 package wire
 
 import (
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -103,28 +102,6 @@ const (
 	bitHealth
 	fieldCount
 )
-
-// encBufPool recycles encode scratch buffers across standalone encodes and
-// transport fan-outs. Buffers grow to fit and return to the pool at whatever
-// capacity they reached (bounded by MaxFrameSize).
-var encBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// GetEncodeBuffer borrows a zero-length scratch buffer from the codec's
-// pool. Pass the (possibly re-allocated) slice back with PutEncodeBuffer
-// when the encoded bytes have been flushed to the wire.
-func GetEncodeBuffer() []byte { return (*encBufPool.Get().(*[]byte))[:0] }
-
-// PutEncodeBuffer returns a buffer borrowed from GetEncodeBuffer.
-func PutEncodeBuffer(b []byte) {
-	if cap(b) == 0 || cap(b) > MaxFrameSize {
-		return
-	}
-	b = b[:0]
-	encBufPool.Put(&b)
-}
 
 // --- primitive append helpers -------------------------------------------
 
@@ -415,16 +392,21 @@ func AppendMessage(dst []byte, msg *Message) ([]byte, error) {
 
 // --- decoding ------------------------------------------------------------
 
-// internTable deduplicates the short strings a connection repeats endlessly
-// (peer addresses, group IDs) so steady-state decoding stops allocating
-// them. Bounded; overflow simply falls back to fresh allocations.
+// internTable deduplicates what a connection repeats endlessly so
+// steady-state decoding stops allocating it: short strings (peer addresses,
+// group IDs), and per peer address the last coordinate vector decoded for
+// it. A coordinate is replaced when its bits change, so live Vivaldi drift
+// keeps one entry per peer, not one per position. Both maps are bounded in
+// entries and in entry size; overflow simply falls back to fresh
+// allocations.
 type internTable struct {
-	m map[string]string
+	m      map[string]string
+	coords map[string][]float64
 }
 
 const (
-	internMaxLen     = 64   // only short strings are worth interning
-	internMaxEntries = 4096 // per-reader cap on distinct strings
+	internMaxLen     = 64   // only short strings and coordinates (bytes) are worth interning
+	internMaxEntries = 4096 // per-reader cap on distinct strings and coordinates
 )
 
 func (it *internTable) get(b []byte) string {
@@ -445,6 +427,44 @@ func (it *internTable) get(b []byte) string {
 		it.m[s] = s
 	}
 	return s
+}
+
+// coord returns the coordinate encoded in b (8-byte little-endian floats)
+// for the peer at addr: the slice last decoded for addr when the bits are
+// unchanged, otherwise a fresh slice that replaces it. Callers share the
+// returned slice and must not write to it.
+func (it *internTable) coord(addr string, b []byte) []float64 {
+	cached, ok := it.coords[addr]
+	if ok && sameCoord(cached, b) {
+		return cached
+	}
+	v := make([]float64, len(b)/8)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	if len(addr) > internMaxLen || len(b) > internMaxLen {
+		return v
+	}
+	if ok || len(it.coords) < internMaxEntries {
+		if it.coords == nil {
+			it.coords = make(map[string][]float64)
+		}
+		it.coords[addr] = v
+	}
+	return v
+}
+
+// sameCoord reports whether b encodes exactly the bits of v.
+func sameCoord(v []float64, b []byte) bool {
+	if 8*len(v) != len(b) {
+		return false
+	}
+	for i, f := range v {
+		if math.Float64bits(f) != binary.LittleEndian.Uint64(b[8*i:]) {
+			return false
+		}
+	}
+	return true
 }
 
 // bcursor reads primitive values out of one frame body, tracking a sticky
@@ -515,11 +535,7 @@ func (c *bcursor) str() string {
 		c.fail()
 		return ""
 	}
-	b := c.take(int(n))
-	if c.intern != nil {
-		return c.intern.get(b)
-	}
-	return string(b)
+	return c.intern.get(c.take(int(n)))
 }
 
 // byteSlice copies the length-prefixed bytes out of the frame: payload data
@@ -562,14 +578,11 @@ func (c *bcursor) peer(p *PeerInfo) {
 		return
 	}
 	if n > 0 {
-		if 8*n > len(c.data)-c.off {
-			c.fail()
+		b := c.take(8 * n)
+		if c.err != nil {
 			return
 		}
-		p.Coord = make([]float64, n)
-		for i := range p.Coord {
-			p.Coord[i] = c.f64()
-		}
+		p.Coord = c.intern.coord(p.Addr, b)
 	} else {
 		p.Coord = nil
 	}

@@ -233,7 +233,10 @@ type HealthDigest struct {
 // PeerInfo is the identifier quadruplet of Section 3.3:
 // ⟨address, coordinate, capacity⟩ (address subsumes IP + port).
 type PeerInfo struct {
-	Addr     string
+	Addr string
+	// Coord is the peer's network coordinate. In a decoded message it is
+	// read-only: a FrameReader hands every frame from the same peer the same
+	// slice while the coordinate is unchanged, so copy it before writing.
 	Coord    []float64
 	Capacity float64
 	// CoordErr is the sender's Vivaldi error estimate when live coordinate
