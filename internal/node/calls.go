@@ -125,8 +125,12 @@ func (n *Node) pendingRequests() int {
 // Every exported method that touches node state goes through post or
 // await; before Start, and once the loop has stopped, there is no loop and
 // body runs on the caller. Code on the loop never posts: it would wait for
-// itself.
+// itself. On a driven node the cluster runs body as one event at its time.
 func (n *Node) post(body func()) {
+	if n.vt != nil {
+		n.vt.post(body)
+		return
+	}
 	select {
 	case <-n.live:
 	default:
@@ -146,10 +150,14 @@ func (n *Node) post(body func()) {
 // runs flow on the loop and waits until the flow reports its result through
 // done, which it must call exactly once, or until the loop stops
 // (ErrClosed). A flow that cannot run — the node not started, or closed —
-// must call done before it returns.
+// must call done before it returns. On a driven node the wait is the
+// cluster stepping its heap.
 func (n *Node) await(flow func(done func(error))) error {
 	res := make(chan error, 1)
 	n.post(func() { flow(func(err error) { res <- err }) })
+	if n.vt != nil {
+		return n.vt.await(res)
+	}
 	select {
 	case err := <-res:
 		return err

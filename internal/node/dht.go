@@ -314,8 +314,8 @@ func (n *Node) dhtEpoch() {
 	if d == nil {
 		return
 	}
-	for _, nb := range n.neighbors {
-		if !nb.suspect {
+	for _, addr := range sortedKeys(n.neighbors) {
+		if nb := n.neighbors[addr]; !nb.suspect {
 			n.dhtObserve(nb.info)
 		}
 	}

@@ -80,14 +80,16 @@ func joinEventually(t *testing.T, nd *Node, gid string, within time.Duration) {
 }
 
 // joinViaDHT joins gid and fails the test unless the structured path served
-// the join. It first waits until a value lookup from nd finds a charter
-// record of at least minEpoch, then joins in one loop event that also notes
-// whether nd already holds a replica: the join must not fall back to the
-// ripple search, and unless the replica was local it must run a lookup.
-func joinViaDHT(t *testing.T, nd *Node, gid string, minEpoch uint64, within time.Duration) {
+// the join. It first waits, through wait, until a value lookup from nd finds
+// a charter record of at least minEpoch, then joins in one loop event that
+// also notes whether nd already holds a replica: the join must not fall back
+// to the ripple search, and unless the replica was local it must run a
+// lookup.
+func joinViaDHT(t *testing.T, wait func(*testing.T, time.Duration, func() bool, func() string),
+	nd *Node, gid string, minEpoch uint64, within time.Duration) {
 	t.Helper()
 	key := dht.KeyID(gid)
-	waitFor(t, within, func() bool {
+	wait(t, within, func() bool {
 		var epoch uint64
 		err := nd.await(func(done func(error)) {
 			nd.dhtLookup(key, gid, func(res dht.Result) {
@@ -103,7 +105,7 @@ func joinViaDHT(t *testing.T, nd *Node, gid string, minEpoch uint64, within time
 	before := nd.Stats()
 	var local bool
 	err := nd.await(func(done func(error)) {
-		_, local = nd.dht.store.Get(key, time.Now())
+		_, local = nd.dht.store.Get(key, nd.now)
 		nd.joinInternal(gid, time.Second, true, done)
 	})
 	if err != nil {
@@ -133,7 +135,7 @@ func TestDhtJoinResolvesWithoutRipple(t *testing.T) {
 	}
 	// Deliberately no Advertise: the charter record in the DHT is the only
 	// breadcrumb.
-	joinViaDHT(t, c.nodes[len(c.nodes)-1], gid, 1, 10*time.Second)
+	joinViaDHT(t, waitFor, c.nodes[len(c.nodes)-1], gid, 1, 10*time.Second)
 	if rdv.Stats().DhtStores == 0 {
 		t.Error("rendezvous never counted a charter store")
 	}
@@ -166,31 +168,32 @@ func TestDhtFallbackToRipple(t *testing.T) {
 	}
 }
 
-// TestDhtSuccessionRepublish is the PR's acceptance test: after the root of
-// a group dies and a deputy promotes itself, the successor must republish
-// the charter record under its bumped epoch — so a fresh node that joins
-// through the DHT alone (no ripple fallback, no advertisement ever reaches
-// it) lands on the new root's epoch-2 charter.
+// TestDhtSuccessionRepublish: after the root of a group dies and a deputy
+// promotes itself, the successor must republish the charter record under
+// its bumped epoch — so a fresh node that joins through the DHT alone (no
+// ripple fallback, no advertisement ever reaches it) lands on the new
+// root's epoch-2 charter. It runs in virtual time; each wait is a horizon
+// of the length it had on the wall clock.
 func TestDhtSuccessionRepublish(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live succession test")
-	}
 	const gid = "succession"
-	c := newDhtCluster(t, 7, 31, func(i int, cfg *Config) {
+	dhtNode := func(cfg *Config) {
+		cfg.Capacity = 50
+		cfg.BeaconGraceEpochs = 0 // the default
 		// Keep advertisement floods out of the picture: the promotion's one
 		// flood happens before the fresh node exists, and with refresh
 		// effectively off it can never leak the group to it afterwards.
 		cfg.AdvertiseRefreshEpochs = 1 << 20
-	})
+	}
+	c := newDriven(t, 7, 31, dhtNode)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range c.nodes[1:] {
-		joinEventually(t, nd, gid, 10*time.Second)
+		c.joinEventually(t, nd, gid, 10*time.Second)
 	}
 	survivors := c.nodes[1:]
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		for _, nd := range survivors {
 			if holdsCharter(nd, gid) {
 				return true
@@ -202,13 +205,13 @@ func TestDhtSuccessionRepublish(t *testing.T) {
 	if err := rdv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, func() bool {
+	c.waitFor(t, 15*time.Second, func() bool {
 		return singleRoot(survivors, gid) != nil
 	}, static("no deputy promoted after the root died"))
 	newRoot := singleRoot(survivors, gid)
 
 	// The promotion must push the epoch-2 record into the DHT.
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		return newRoot.Stats().DhtStores > 0
 	}, static("promoted root never republished the charter record"))
 
@@ -216,13 +219,14 @@ func TestDhtSuccessionRepublish(t *testing.T) {
 	for _, nd := range survivors[:3] {
 		seeds = append(seeds, nd.Addr())
 	}
-	fresh := c.add(t, seeds, func(cfg *Config) {
-		cfg.AdvertiseRefreshEpochs = 1 << 20
-	})
-	joinViaDHT(t, fresh, gid, 2, 15*time.Second)
+	cfg := DefaultConfig(50, coords.Point{c.rng.Float64() * 100, c.rng.Float64() * 100}, int64(len(c.nodes)+1))
+	cfg.HeartbeatInterval = 100 * time.Millisecond
+	dhtNode(&cfg)
+	fresh := c.add(t, cfg, seeds)
+	joinViaDHT(t, c.waitFor, fresh, gid, 2, 15*time.Second)
 
 	// Beacons from the new root carry the bumped epoch down to the joiner.
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		tv := fresh.Tree(gid)
 		return tv.Attached && tv.Epoch >= 2
 	}, static("fresh DHT-only joiner never reached the successor's epoch"))
@@ -291,7 +295,7 @@ func TestDhtChurnSoak(t *testing.T) {
 	for _, nd := range alive[:3] {
 		seeds = append(seeds, nd.Addr())
 	}
-	joinViaDHT(t, c.add(t, seeds, nil), gid, 1, 15*time.Second)
+	joinViaDHT(t, waitFor, c.add(t, seeds, nil), gid, 1, 15*time.Second)
 
 	for _, nd := range c.nodes {
 		_ = nd.Close()

@@ -284,11 +284,7 @@ func (n *Node) joinSearch(groupID string, timeout time.Duration, asMember bool, 
 		OriginAt: n.now,
 	}
 	n.seenAds.Seen(msgID, n.now) // don't answer our own search
-	nbrs := make([]string, 0, len(n.neighbors))
-	for addr := range n.neighbors {
-		nbrs = append(nbrs, addr)
-	}
-	n.ask(nbrs, search, timeout,
+	n.ask(sortedKeys(n.neighbors), search, timeout,
 		func(hit wire.Message) bool {
 			// Refuse access points inside our own subtree: their root path
 			// would run through us and re-attaching would orphan the group
@@ -606,7 +602,7 @@ func (n *Node) handleSearch(msg wire.Message) {
 	fwd.TTL = msg.TTL - 1
 	fwd.Hops = msg.Hops + 1
 	fwd.RelayedAt = n.now
-	for addr := range n.neighbors {
+	for _, addr := range sortedKeys(n.neighbors) {
 		if addr != msg.From.Addr {
 			_ = n.send(addr, fwd)
 		}
@@ -729,7 +725,7 @@ func (n *Node) handlePayload(msg wire.Message) {
 func (n *Node) fanOut(targets []string, msg *wire.Message) (sent int) {
 	var start time.Time
 	if n.tracer != nil {
-		start = traceNow()
+		start = n.traceNow()
 	}
 	n.sendMany(targets, msg)
 	for _, l := range n.links {
@@ -750,9 +746,15 @@ func (n *Node) fanOut(targets []string, msg *wire.Message) (sent int) {
 	return sent
 }
 
-// traceNow reads the wall clock for the tracer's durations (SendUS,
-// HandleUS); only code with a tracer set calls it.
-func traceNow() time.Time { return time.Now() }
+// traceNow reads the clock for the tracer's durations (SendUS, HandleUS):
+// the wall clock, or a driven node's cluster time. Only code with a tracer
+// set calls it.
+func (n *Node) traceNow() time.Time {
+	if n.vt != nil {
+		return n.vt.c.now
+	}
+	return time.Now()
+}
 
 // observeDeliver records one payload hand-off to the application at now:
 // the publish→deliver latency histogram (when the publisher stamped an origin

@@ -175,9 +175,13 @@ func (n *Node) release(gid string, gs *groupState, src wire.PeerInfo, hops int, 
 
 // endEvent closes a loop event: it hands the payloads the event released to
 // the handler goroutine, in release order, or drops them while no handler
-// is set.
+// is set. On a driven node the cluster runs the handler inline instead.
 func (n *Node) endEvent() {
 	if len(n.released) == 0 {
+		return
+	}
+	if n.vt != nil {
+		n.vt.deliver(n)
 		return
 	}
 	if n.out != nil {
@@ -274,7 +278,7 @@ func (n *Node) handle(msg wire.Message) {
 	}
 	n.dispatch(msg)
 	if n.tracer != nil && tracedTypes[msg.Type] {
-		n.traceRecv(msg, traceNow().Sub(n.now))
+		n.traceRecv(msg, n.traceNow().Sub(n.now))
 	}
 }
 
@@ -356,10 +360,10 @@ func (n *Node) dispatch(msg wire.Message) {
 func (n *Node) handleProbe(msg wire.Message) {
 	nbrs := make([]wire.PeerInfo, 0, len(n.neighbors)+1)
 	nbrs = append(nbrs, n.self)
-	for _, nb := range n.neighbors {
+	for _, addr := range sortedKeys(n.neighbors) {
 		// Don't recommend suspect neighbours to bootstrapping peers: they
 		// missed a heartbeat and may already be dead.
-		if !nb.suspect {
+		if nb := n.neighbors[addr]; !nb.suspect {
 			nbrs = append(nbrs, nb.info)
 		}
 	}

@@ -590,13 +590,17 @@ func (l *sendLog) count(addr string, typ wire.Type) int {
 // the wall clock once, when run stamps n.now, and every timed rule reads the
 // stamp. Besides run, only deliver (a publish→deliver age ends on the
 // handler goroutine) and traceNow (the tracer's durations) read it. The
-// loop timer is set only by the call table's arm.
+// loop timer is set only by the call table's arm. The virtual-time driver
+// (cluster.go) touches the wall clock not at all: no read, no timer, no
+// sleep.
 func TestNodeReadsClockOncePerEvent(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[string]bool{"run": true, "deliver": true, "traceNow": true}
+	wallClock := map[string]bool{"Now": true, "Since": true, "Until": true, "AfterFunc": true, "Sleep": true,
+		"NewTimer": true, "NewTicker": true, "After": true, "Tick": true}
 	reads := 0
 	fset := token.NewFileSet()
 	for _, name := range files {
@@ -616,6 +620,9 @@ func TestNodeReadsClockOncePerEvent(t *testing.T) {
 				sel, ok := nd.(*ast.SelectorExpr)
 				if !ok {
 					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && name == "cluster.go" && wallClock[sel.Sel.Name] {
+					t.Errorf("%s: %s uses the wall clock (time.%s) in the virtual-time driver", fset.Position(sel.Pos()), fname, sel.Sel.Name)
 				}
 				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" &&
 					(sel.Sel.Name == "Now" || sel.Sel.Name == "Since" || sel.Sel.Name == "Until") {

@@ -89,7 +89,7 @@ type Config struct {
 	EnableVivaldi bool
 	// Deputies is how many highest-utility children a rendezvous replicates
 	// its group charter to — the succession roster size. When the root dies,
-	// deputy #i promotes itself after suspectEpochs+i silent beacon epochs.
+	// deputy #i promotes itself after SuspectEpochs+i silent beacon epochs.
 	// 0 uses the default of 3; negative disables succession entirely (a dead
 	// rendezvous then kills its groups, the pre-succession behaviour).
 	Deputies int
@@ -314,6 +314,9 @@ type Node struct {
 	posts  chan func()
 	live   chan struct{}
 	exited chan struct{}
+	// vt is the node's endpoint on the Cluster that drives it in virtual
+	// time (cluster.go); nil for a node that runs its own loop.
+	vt *clusterEndpoint
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -465,6 +468,8 @@ func (n *Node) SetPayloadHandler(h PayloadHandler) {
 	n.post(func() {
 		n.handler = h
 		switch {
+		case n.vt != nil:
+			// The cluster calls the handler inline after each event.
 		case n.out != nil:
 			n.out.push(nil, h)
 			if h == nil {
@@ -501,7 +506,7 @@ func (n *Node) Close() error {
 			return
 		}
 		n.closed, closing = true, true
-		for addr := range n.neighbors {
+		for _, addr := range sortedKeys(n.neighbors) {
 			_ = n.send(addr, wire.Message{Type: wire.TLeave, From: n.self})
 		}
 	})
@@ -769,7 +774,7 @@ type linkOutcome struct {
 func (n *Node) noteLink(addr string, err error) {
 	l := linkOutcome{addr: addr, err: err}
 	if n.tracer != nil {
-		l.at = traceNow()
+		l.at = n.traceNow()
 	}
 	n.links = append(n.links, l)
 }

@@ -41,12 +41,13 @@ func (n *Node) windowFor(gs *groupState, src wire.PeerInfo) *reliable.SourceWind
 	return w
 }
 
-// evictIdlestWindow drops the receive window that has been silent longest.
+// evictIdlestWindow drops the receive window that has been silent longest,
+// the lowest source address among equals.
 func evictIdlestWindow(gs *groupState) {
 	var victim string
 	var oldest time.Time
 	for addr, w := range gs.recv {
-		if victim == "" || w.LastActive.Before(oldest) {
+		if victim == "" || w.LastActive.Before(oldest) || w.LastActive.Equal(oldest) && addr < victim {
 			victim, oldest = addr, w.LastActive
 		}
 	}
@@ -310,7 +311,8 @@ func (n *Node) nackSweep() {
 // tree link of every reliable-mode group, and evicts receive windows that
 // have been idle past the seen TTL.
 func (n *Node) digestGroups() {
-	for gid, gs := range n.groups {
+	for _, gid := range n.groupIDs() {
+		gs := n.groups[gid]
 		if gs.mode == wire.BestEffort {
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 // holds the pure rules): the rendezvous replicates its group charter — mode,
 // succession epoch, ordered deputy roster, per-source high-water marks — to
 // its k highest-utility children on beacons. When beacons stop, deputy #i
-// waits suspectEpochs+i silent epochs (protocol.SuccessionDelayEpochs) and
+// waits SuspectEpochs+i silent epochs (protocol.SuccessionDelayEpochs) and
 // then promotes itself: it adopts epoch+1, seeds its receive windows from
 // the replicated high-water marks (so digest anti-entropy pulls publishes in
 // flight at the crash), re-advertises the group, and absorbs orphaned
@@ -21,9 +21,9 @@ import (
 // after a partition heal are resolved by protocol.CompareRoots on the epoch
 // carried by advertisements: the losing root demotes and re-joins.
 
-// suspectEpochs is the shared suspicion threshold of the succession
-// stagger: deputy #i promotes after suspectEpochs+i beacon-silent epochs.
-const suspectEpochs = 3
+// SuspectEpochs is the shared suspicion threshold of the succession
+// stagger: deputy #i promotes after SuspectEpochs+i beacon-silent epochs.
+const SuspectEpochs = 3
 
 // addrsOf projects a peer list to its addresses (the roster key space of the
 // pure succession rules).
@@ -71,7 +71,7 @@ func (n *Node) successionSweep() {
 			continue
 		}
 		idx := protocol.DeputyIndex(addrsOf(gs.charter.Deputies), n.self.Addr)
-		delay := protocol.SuccessionDelayEpochs(suspectEpochs, idx)
+		delay := protocol.SuccessionDelayEpochs(SuspectEpochs, idx)
 		if delay < 0 {
 			continue
 		}

@@ -87,7 +87,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 		perPhase = 10
 		nNodes   = 7
 	)
-	c := newChaosCluster(t, nNodes, 31, func(cfg *Config) {
+	c := newDriven(t, nNodes, 31, func(cfg *Config) {
 		cfg.AdvertiseRefreshEpochs = 2
 	})
 	rdv := c.nodes[0]
@@ -97,7 +97,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 	if err := rdv.Advertise(gid); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	c.Run(150 * time.Millisecond)
 	for i, nd := range c.nodes[1:] {
 		if err := nd.Join(gid, testTimeout); err != nil {
 			t.Fatalf("join node %d: %v", i+1, err)
@@ -111,7 +111,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 
 	// Beacons must have replicated the charter to at least one deputy before
 	// the crash, or there is nobody to succeed.
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		for _, nd := range survivors {
 			if holdsCharter(nd, gid) {
 				return true
@@ -127,38 +127,37 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 			// Mid-outage sends may fail outright (all links dead) — the
 			// payloads stay in the send buffer and anti-entropy recovers them.
 			_ = pub.Publish(gid, []byte(fmt.Sprintf("p%d", i)))
-			time.Sleep(5 * time.Millisecond)
+			c.Run(5 * time.Millisecond)
 		}
 	}
 
 	publish(0, perPhase)
-	crashAt := time.Now()
+	crashAt := c.Now()
 	c.chaos.Crash(rdv.Addr())
 	publish(perPhase, 2*perPhase)
 
 	var promotedAfter time.Duration
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		for _, nd := range survivors {
 			if nd.Tree(gid).Rendezvous {
 				if promotedAfter == 0 {
-					promotedAfter = time.Since(crashAt)
+					promotedAfter = c.Now().Sub(crashAt)
 				}
 				return true
 			}
 		}
 		return false
 	}, static("no deputy promoted after the root crash"))
-	// The first deputy fires after suspectEpochs silent epochs; the issue's
-	// acceptance bound is suspectEpochs+2 epochs. Wall clocks on a loaded CI
-	// runner skid, so allow a few extra epochs of scheduler slack before
-	// calling the stagger broken.
+	// The first deputy fires after SuspectEpochs silent epochs; the
+	// acceptance bound is SuspectEpochs+2 epochs, plus the slack the bound
+	// kept from its wall-clock days (virtual time does not skid).
 	interval := 100 * time.Millisecond
-	if bound := time.Duration(suspectEpochs+2)*interval + 8*interval; promotedAfter > bound {
-		t.Fatalf("promotion took %v, want <= %v (suspectEpochs+2 epochs plus slack)", promotedAfter, bound)
+	if bound := time.Duration(SuspectEpochs+2)*interval + 8*interval; promotedAfter > bound {
+		t.Fatalf("promotion took %v, want <= %v (SuspectEpochs+2 epochs plus slack)", promotedAfter, bound)
 	}
 
 	// Every survivor reattaches under the one new root.
-	waitFor(t, 15*time.Second, func() bool {
+	c.waitFor(t, 15*time.Second, func() bool {
 		root := singleRoot(survivors, gid)
 		if root == nil {
 			return false
@@ -180,7 +179,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 			continue
 		}
 		i, nd := i, nd
-		waitFor(t, 30*time.Second, func() bool {
+		c.waitFor(t, 30*time.Second, func() bool {
 			return recs[i].count(pubAddr) >= 3*perPhase
 		}, func() string { return fmt.Sprintf("survivor %s never recovered the full stream", nd.Addr()) })
 		recs[i].assertFIFO(t, nd.Addr(), pubAddr, 3*perPhase)
@@ -200,7 +199,7 @@ func TestRootCrashPromotesDeputy(t *testing.T) {
 // suspect delay and keeps the group alive.
 func TestRootLeavePromotesImmediately(t *testing.T) {
 	const gid = "g"
-	c := newChaosCluster(t, 5, 17, func(cfg *Config) {
+	c := newDriven(t, 5, 17, func(cfg *Config) {
 		cfg.AdvertiseRefreshEpochs = 2
 	})
 	rdv := c.nodes[0]
@@ -210,27 +209,27 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 	if err := rdv.Advertise(gid); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	c.Run(150 * time.Millisecond)
 	for i, nd := range c.nodes[1:] {
 		if err := nd.Join(gid, testTimeout); err != nil {
 			t.Fatalf("join node %d: %v", i+1, err)
 		}
 	}
 	survivors := c.nodes[1:]
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		return len(rdv.Tree(gid).Deputies) > 0
 	}, static("rendezvous never ranked a deputy roster"))
 
-	leftAt := time.Now()
+	leftAt := c.Now()
 	if err := rdv.Leave(gid); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		return singleRoot(survivors, gid) != nil
 	}, static("no deputy promoted after the graceful leave"))
 	// The handoff is one message, not a timeout: promotion must beat the
 	// crash path's suspect delay by a wide margin.
-	if took := time.Since(leftAt); took > 2*time.Second {
+	if took := c.Now().Sub(leftAt); took > 2*time.Second {
 		t.Fatalf("graceful handoff took %v, expected immediate promotion", took)
 	}
 
@@ -238,7 +237,7 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 	// is still an overlay node, and joins travel reverse advertisement
 	// paths), so the convergence condition is: one promoted root among the
 	// survivors, everyone attached, and the old root not rendezvous again.
-	waitFor(t, 15*time.Second, func() bool {
+	c.waitFor(t, 15*time.Second, func() bool {
 		root := singleRoot(survivors, gid)
 		if root == nil || rdv.Tree(gid).Rendezvous {
 			return false
@@ -257,9 +256,9 @@ func TestRootLeavePromotesImmediately(t *testing.T) {
 		recs[i] = recordPayloads(nd)
 	}
 	pub := survivors[0]
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		_ = pub.Publish(gid, []byte("p0"))
-		time.Sleep(50 * time.Millisecond)
+		c.Run(50 * time.Millisecond)
 		for i, nd := range survivors {
 			if nd == pub {
 				continue
@@ -284,15 +283,14 @@ func TestSplitBrainHeal(t *testing.T) {
 		nNodes   = 8
 		interval = 100 * time.Millisecond
 	)
-	c := newChaosCluster(t, nNodes, 23, func(cfg *Config) {
+	c := newDriven(t, nNodes, 23, func(cfg *Config) {
 		cfg.AdvertiseRefreshEpochs = 2
 		// The split must outlive the group's suspicion threshold (3 beacon
 		// epochs) but not the overlay's death grace: if cross-partition
 		// neighbours are declared dead there is no link left after Heal for
 		// the two roots to hear each other over. The grace must cover the
-		// whole split — whose wall-clock length is unbounded under CPU
-		// contention (the pre-heal convergence waits allow tens of seconds)
-		// — so it is effectively infinite here. Suspect state still kicks
+		// whole split — up to the pre-heal convergence waits' tens of
+		// seconds — so it is effectively infinite here. Suspect state still kicks
 		// in at 1.5 epochs, so the failure detector is exercised, not
 		// bypassed.
 		cfg.MissedHeartbeatsToFail = 1 << 20
@@ -304,7 +302,7 @@ func TestSplitBrainHeal(t *testing.T) {
 	if err := rdv.Advertise(gid); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	c.Run(150 * time.Millisecond)
 	for i, nd := range c.nodes[1:] {
 		if err := nd.Join(gid, testTimeout); err != nil {
 			t.Fatalf("join node %d: %v", i+1, err)
@@ -317,7 +315,7 @@ func TestSplitBrainHeal(t *testing.T) {
 
 	// The split must leave a charter-holding deputy on the rootless side.
 	var deputy *Node
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		for _, nd := range c.nodes[1:] {
 			if holdsCharter(nd, gid) {
 				deputy = nd
@@ -345,14 +343,14 @@ func TestSplitBrainHeal(t *testing.T) {
 	c.chaos.Partition(addrsA...)
 
 	// Side B elects the deputy (the only charter holder) as its root.
-	waitFor(t, 10*time.Second, func() bool { return singleRoot(sideB, gid) != nil },
+	c.waitFor(t, 10*time.Second, func() bool { return singleRoot(sideB, gid) != nil },
 		static("the rootless side never elected a successor"))
 
 	// Each island first repairs into a whole tree under its own root: a
 	// member whose parent landed across the split is an orphan until it
 	// re-attaches, and a payload published while it still NACKs toward that
 	// unreachable parent can exhaust its recovery attempts for good.
-	waitFor(t, 20*time.Second, func() bool {
+	c.waitFor(t, 20*time.Second, func() bool {
 		return treeSettled(sideA, gid, sideA) && treeSettled(sideB, gid, sideB)
 	}, func() string {
 		msg := "an island never repaired into a whole tree under its own root:"
@@ -369,7 +367,7 @@ func TestSplitBrainHeal(t *testing.T) {
 	for i := 0; i < perSide; i++ {
 		_ = pubA.Publish(gid, []byte(fmt.Sprintf("p%d", i)))
 		_ = pubB.Publish(gid, []byte(fmt.Sprintf("p%d", i)))
-		time.Sleep(5 * time.Millisecond)
+		c.Run(5 * time.Millisecond)
 	}
 	// Each side converges on its own half first, so the heal starts from two
 	// internally consistent trees.
@@ -386,11 +384,10 @@ func TestSplitBrainHeal(t *testing.T) {
 			return true
 		}
 	}
-	// Generous deadline: under full-suite parallel load the NACK recovery
-	// rounds that close each side's gaps can take well over the quiet-machine
-	// norm, and this wait is the suite's most load-sensitive.
-	waitFor(t, 45*time.Second, sideDone(sideA, pubA), static("side A never converged on its own stream"))
-	waitFor(t, 45*time.Second, sideDone(sideB, pubB), static("side B never converged on its own stream"))
+	// The horizon is the one this wait had on the wall clock, where NACK
+	// recovery under full-suite load could take well over the quiet norm.
+	c.waitFor(t, 45*time.Second, sideDone(sideA, pubA), static("side A never converged on its own stream"))
+	c.waitFor(t, 45*time.Second, sideDone(sideB, pubB), static("side B never converged on its own stream"))
 
 	c.chaos.Heal()
 
@@ -408,18 +405,14 @@ func TestSplitBrainHeal(t *testing.T) {
 		}
 		return true
 	}
-	healDeadline := time.Now().Add(20 * time.Second)
-	for !converged() {
-		if time.Now().After(healDeadline) {
-			for _, nd := range c.nodes {
-				tv := nd.Tree(gid)
-				t.Logf("node %s: rdv=%v attached=%v parent=%q epoch=%d deputies=%v",
-					nd.Addr(), tv.Rendezvous, tv.Attached, tv.Parent, tv.Epoch, tv.Deputies)
-			}
-			t.Fatal("timeout: the healed partition never converged on a single root")
+	c.waitFor(t, 20*time.Second, converged, func() string {
+		for _, nd := range c.nodes {
+			tv := nd.Tree(gid)
+			t.Logf("node %s: rdv=%v attached=%v parent=%q epoch=%d deputies=%v",
+				nd.Addr(), tv.Rendezvous, tv.Attached, tv.Parent, tv.Epoch, tv.Deputies)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return "the healed partition never converged on a single root"
+	})
 	if rdv.Tree(gid).Rendezvous {
 		t.Fatal("the lower-epoch root kept the group after the heal")
 	}
@@ -436,7 +429,7 @@ func TestSplitBrainHeal(t *testing.T) {
 				continue
 			}
 			pubAddr := pub.Addr()
-			waitFor(t, 30*time.Second, func() bool {
+			c.waitFor(t, 30*time.Second, func() bool {
 				return rec.count(pubAddr) >= perSide
 			}, func() string { return fmt.Sprintf("%s never reconciled the stream from %s", nd.Addr(), pubAddr) })
 			rec.assertFIFO(t, nd.Addr(), pubAddr, perSide)

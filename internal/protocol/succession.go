@@ -7,11 +7,10 @@ import (
 )
 
 // This file holds the pure rules of rendezvous succession: deputy roster
-// ranking, the staggered promotion timer, the epoch-compare total order that
-// resolves conflicting roots after a partition heals, and the tree-level
-// re-rooting a promotion performs. The live runtime (internal/node) and the
-// offline succession experiment (internal/experiments) both run on these
-// functions, so one deterministic rule set governs simulation and deployment.
+// ranking, the staggered promotion timer, and the epoch-compare total order
+// that resolves conflicting roots after a partition heals. The live runtime
+// (internal/node) runs on them, and the succession experiment
+// (internal/experiments) measures that runtime on a virtual-time cluster.
 
 // DeputyRoster is the roster rule: the rendezvous scores its children by
 // Eq. 6 Selection Preference at its resource level r and ranks them highest
@@ -97,54 +96,3 @@ func CompareRoots(epochA uint64, idA string, epochB uint64, idB string) int {
 // visible to every epoch comparison. Charter epochs start at 1 (a zero
 // charter means "no charter"), but a zero input still promotes safely.
 func NextRootEpoch(charterEpoch uint64) uint64 { return charterEpoch + 1 }
-
-// SuccessionOutcome summarizes re-rooting a tree at a deputy after its
-// rendezvous died.
-type SuccessionOutcome struct {
-	// NewRendezvous is the promoted deputy.
-	NewRendezvous int
-	// OrphanSubtrees counts the dead root's other child subtrees that were
-	// re-absorbed intact under the new root.
-	OrphanSubtrees int
-	// MembersRetained is the member count after the re-rooting (the dead
-	// root's own membership is the only loss).
-	MembersRetained int
-	// JoinMessages counts the re-attachment traffic: one join per orphan
-	// subtree root (each reattaches its whole subtree through the replicated
-	// charter, no search needed).
-	JoinMessages int
-}
-
-// PromoteDeputy re-roots the tree at the given deputy after the rendezvous
-// failed: the dead root is removed, the deputy becomes the rendezvous, and
-// the root's other child subtrees re-attach intact directly under the new
-// root (the live runtime's equivalent: orphans fail over to the promoted
-// deputy through the re-advertised group and their backup access points).
-// The deputy must be a direct child of the current rendezvous — deputies are
-// drawn from the root's children, whose subtrees never contain the root.
-func PromoteDeputy(t *Tree, deputy int) (SuccessionOutcome, bool) {
-	var out SuccessionOutcome
-	old := t.Rendezvous
-	if t.Parent[deputy] != old {
-		return out, false
-	}
-	siblings := append([]int(nil), t.Children[old]...)
-	sort.Ints(siblings) // deterministic re-attachment order
-	delete(t.Parent, deputy)
-	delete(t.Children, old)
-	delete(t.Members, old)
-	t.Rendezvous = deputy
-	t.Members[deputy] = true
-	for _, c := range siblings {
-		if c == deputy {
-			continue
-		}
-		t.Parent[c] = deputy
-		t.Children[deputy] = append(t.Children[deputy], c)
-		out.OrphanSubtrees++
-		out.JoinMessages++
-	}
-	out.NewRendezvous = deputy
-	out.MembersRetained = len(t.Members)
-	return out, true
-}

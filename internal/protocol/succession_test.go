@@ -71,52 +71,6 @@ func TestNextRootEpoch(t *testing.T) {
 	}
 }
 
-func TestPromoteDeputyRerootsTree(t *testing.T) {
-	// root(0) -> {1, 2}; 1 -> {3}; 2 -> {4}
-	tr := NewTree(0)
-	mustAttach := func(c, p int) {
-		t.Helper()
-		if err := tr.attach(c, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAttach(1, 0)
-	mustAttach(2, 0)
-	mustAttach(3, 1)
-	mustAttach(4, 2)
-	for _, m := range []int{1, 2, 3, 4} {
-		tr.Members[m] = true
-	}
-
-	out, ok := PromoteDeputy(tr, 1)
-	if !ok {
-		t.Fatal("PromoteDeputy refused a direct child")
-	}
-	if tr.Rendezvous != 1 {
-		t.Fatalf("rendezvous = %d, want 1", tr.Rendezvous)
-	}
-	if tr.Contains(0) {
-		t.Fatal("dead root still on the tree")
-	}
-	if tr.Parent[2] != 1 {
-		t.Fatalf("orphan subtree root 2 re-attached under %d, want 1", tr.Parent[2])
-	}
-	if tr.Parent[3] != 1 || tr.Parent[4] != 2 {
-		t.Fatal("subtrees did not stay intact across the re-rooting")
-	}
-	if out.OrphanSubtrees != 1 || out.JoinMessages != 1 {
-		t.Fatalf("outcome = %+v, want 1 orphan subtree / 1 join", out)
-	}
-	if out.MembersRetained != 4 {
-		t.Fatalf("MembersRetained = %d, want 4 (only the dead root lost)", out.MembersRetained)
-	}
-
-	// A non-child deputy must be refused (4 hangs under 2, not the root).
-	if _, ok := PromoteDeputy(tr, 4); ok {
-		t.Fatal("PromoteDeputy accepted a non-child of the rendezvous")
-	}
-}
-
 // TestDeputyRosterOrdersByUtilityThenID: a powerful root ranks its
 // children by capacity, two equal children tie on utility and go by ID, the
 // roster is cut at k, k = 0 disables it, and the inputs are not reordered.
