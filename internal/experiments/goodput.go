@@ -3,32 +3,21 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
-	"groupcast/internal/coords"
 	"groupcast/internal/metrics"
 	"groupcast/internal/node"
-	"groupcast/internal/peer"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
-// This file is the data-plane goodput experiment: live clusters publish a
-// fixed payload schedule from two sources while seeded per-link loss runs,
-// and the three delivery modes are compared — best-effort tree flooding
-// against the reliable (NACK + digest anti-entropy) and reliable-ordered
-// (per-source FIFO release) data planes.
-//
-// Outcome columns (members, published, complete, fifo) are deterministic for
-// a fixed seed at any -workers count: membership is established fault-free
-// with retries, the publish schedule is fixed, the reliable modes recover
-// every loss within the horizon, and FIFO is structural (links preserve
-// order; only unordered retransmissions break it). The measured columns
-// (delivery at the horizon, dup-overhead, nacks, retransmits, recovery-ms)
-// are wall-clock observations and vary run to run.
+// This file is the data-plane goodput experiment: clusters of real nodes in
+// virtual time publish a fixed payload schedule from two sources while
+// seeded per-link loss runs, and the three delivery modes are compared —
+// best-effort tree flooding against the reliable (NACK + digest
+// anti-entropy) and reliable-ordered (per-source FIFO release) data planes.
+// Every column is deterministic for a fixed seed at any -workers count.
 
 // goodputScenario is one loss configuration.
 type goodputScenario struct {
@@ -88,28 +77,19 @@ type goodputRow struct {
 	MinMember float64
 	// Dupes, Nacks, Retransmits sum the respective node counters across the
 	// cluster; RecoveryMs is how long after the last publish the cluster
-	// took to become complete (0 when it never did).
+	// took to become complete.
 	Dupes       uint64
 	Nacks       uint64
 	Retransmits uint64
 	RecoveryMs  int64
 }
 
+// goodputHorizon bounds a cell from its last publish; a cell not complete
+// by then is reported as complete=no.
 const (
 	goodputNodes     = 12
 	goodputPerSource = 25
-	// goodputHorizon is deliberately generous: complete cells exit the moment
-	// they finish, so the slack is only ever spent when the machine is
-	// starved (race detector, oversubscribed CI) and recovery is still
-	// making progress.
-	goodputHorizon = 45 * time.Second
-	// goodputQuiet ends a cell early once deliveries stop progressing AND no
-	// gap recovery is pending anywhere (the best-effort cells never complete
-	// under loss; waiting the full horizon for them would be wasted
-	// wall-clock). Quiescence alone is not enough for the reliable modes: a
-	// NACK retry at max backoff under scheduler load can look idle for
-	// seconds while recovery is still live.
-	goodputQuiet = 2 * time.Second
+	goodputHorizon   = 10 * time.Second
 )
 
 // RunGoodput runs the loss × delivery-mode sweep (cells fan out across
@@ -122,9 +102,8 @@ func RunGoodput(w io.Writer, seed int64, workers int) error {
 		return err
 	}
 
-	fmt.Fprintln(w, "# goodput: reliable data plane vs best-effort flooding under seeded link loss")
-	fmt.Fprintln(w, "# (members, published, complete, fifo are deterministic for a fixed seed;")
-	fmt.Fprintln(w, "#  delivery, dupes, nacks, retransmits, recovery-ms are wall-clock measurements)")
+	fmt.Fprintln(w, "# goodput: reliable data plane vs best-effort flooding under seeded link loss,")
+	fmt.Fprintln(w, "# on real nodes in virtual time")
 	ri := 0
 	for _, sc := range scenarios {
 		fmt.Fprintf(w, "\n## scenario %s — %s\n", sc.name, sc.desc)
@@ -134,9 +113,13 @@ func RunGoodput(w io.Writer, seed int64, workers int) error {
 		for range modes {
 			r := rows[ri]
 			ri++
-			fmt.Fprintf(w, "%-17s %-8d %-10d %-9s %-5s %-9.3f %-11.3f %-6d %-6d %-12d %d\n",
+			recovery := "—"
+			if r.Complete {
+				recovery = fmt.Sprint(r.RecoveryMs)
+			}
+			fmt.Fprintf(w, "%-17s %-8d %-10d %-9s %-5s %-9.3f %-11.3f %-6d %-6d %-12d %s\n",
 				r.Mode, r.Members, r.Published, yesNo(r.Complete), yesNo(r.FIFO),
-				r.Delivery, r.MinMember, r.Dupes, r.Nacks, r.Retransmits, r.RecoveryMs)
+				r.Delivery, r.MinMember, r.Dupes, r.Nacks, r.Retransmits, recovery)
 		}
 	}
 	return nil
@@ -170,36 +153,16 @@ func runGoodputRows(seed int64, workers int) ([]goodputRow, error) {
 	})
 }
 
-// runGoodputCell builds one live cluster, arms the loss schedule, runs the
-// fixed publish schedule from two sources, and scores the delivery.
+// runGoodputCell boots one cluster, arms the loss schedule, runs the fixed
+// publish schedule from two sources, and scores the delivery.
 func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goodputRow, error) {
 	row := goodputRow{Scenario: sc.name, Mode: mode}
-	mem := transport.NewMemNetwork()
-	chaos := transport.NewChaosNetwork(seed)
-	rng := rand.New(rand.NewSource(seed))
-	sampler := peer.MustTable1Sampler()
-
-	nodes := make([]*node.Node, 0, goodputNodes)
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
-	for i := 0; i < goodputNodes; i++ {
-		cfg := node.DefaultConfig(float64(sampler.Sample(rng)),
-			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
+	c, chaos, nodes, err := bootCluster(seed, goodputNodes, func(cfg *node.Config) {
 		cfg.HeartbeatInterval = 150 * time.Millisecond
 		cfg.BeaconGraceEpochs = 4
-		nd := node.New(chaos.Wrap(mem.NextEndpoint()), cfg)
-		nd.Start()
-		var contacts []string
-		for j := len(nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, nodes[j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
-			return row, fmt.Errorf("goodput %s/%s: bootstrap node %d: %w", sc.name, mode, i, err)
-		}
-		nodes = append(nodes, nd)
+	})
+	if err != nil {
+		return row, fmt.Errorf("goodput %s/%s: %w", sc.name, mode, err)
 	}
 
 	const gid = "goodput"
@@ -210,27 +173,19 @@ func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goo
 	if err := rdv.Advertise(gid); err != nil {
 		return row, err
 	}
-	time.Sleep(300 * time.Millisecond)
+	c.Run(300 * time.Millisecond)
 
-	// Membership and recording (fault-free phase: retries make the member
-	// count deterministic). Each member records, per source, the payload
-	// indices in arrival order.
-	type record struct {
-		mu   sync.Mutex
-		seqs map[string][]int
-	}
-	recs := make(map[string]*record, goodputNodes)
+	// Membership and recording (the fault-free phase). Each member records,
+	// per source, the payload indices in arrival order.
+	seqs := make(map[string]map[string][]int, goodputNodes)
 	install := func(nd *node.Node) {
-		rec := &record{seqs: make(map[string][]int)}
-		recs[nd.Addr()] = rec
+		rec := make(map[string][]int)
+		seqs[nd.Addr()] = rec
 		nd.SetPayloadHandler(func(_ string, from wire.PeerInfo, data []byte) {
 			var idx int
-			if _, err := fmt.Sscanf(string(data), "p%d", &idx); err != nil {
-				return
+			if _, err := fmt.Sscanf(string(data), "p%d", &idx); err == nil {
+				rec[from.Addr] = append(rec[from.Addr], idx)
 			}
-			rec.mu.Lock()
-			rec.seqs[from.Addr] = append(rec.seqs[from.Addr], idx)
-			rec.mu.Unlock()
 		})
 	}
 	install(rdv)
@@ -249,12 +204,8 @@ func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goo
 	row.Members = len(members)
 	// One beacon round so every member has learned the group's mode before
 	// payloads flow.
-	time.Sleep(400 * time.Millisecond)
-
-	if len(sc.schedule) > 0 {
-		stop := chaos.PlaySchedule(sc.schedule)
-		defer stop()
-	}
+	c.Run(400 * time.Millisecond)
+	chaos.PlaySchedule(sc.schedule)
 
 	// Fixed publish schedule: the rendezvous and one mid-cluster member each
 	// publish goodputPerSource payloads, interleaved.
@@ -263,87 +214,35 @@ func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goo
 		for _, p := range pubs {
 			_ = p.Publish(gid, []byte(fmt.Sprintf("p%d", i)))
 		}
-		time.Sleep(5 * time.Millisecond)
+		c.Run(5 * time.Millisecond)
 	}
-	published := goodputPerSource * len(pubs)
-	row.Published = published
-	publishedAt := time.Now()
+	row.Published = goodputPerSource * len(pubs)
+	publishedAt := c.Now()
 
-	// Expected deliveries: every member hears every foreign source.
-	expected := 0
-	for _, m := range members {
-		for _, p := range pubs {
-			if p.Addr() != m.Addr() {
-				expected += goodputPerSource
-			}
-		}
-	}
-	delivered := func() int {
-		total := 0
+	// Per member, the payloads expected (every foreign source's; the
+	// publishers don't hear their own stream) and delivered.
+	fractions := func() (expected, delivered int, fracs []float64) {
 		for _, m := range members {
-			rec := recs[m.Addr()]
-			rec.mu.Lock()
-			for src, got := range rec.seqs {
-				if src != m.Addr() {
-					total += len(got)
+			want, got := 0, 0
+			for _, p := range pubs {
+				if p != m {
+					want += goodputPerSource
+					got += len(seqs[m.Addr()][p.Addr()])
 				}
 			}
-			rec.mu.Unlock()
+			expected, delivered = expected+want, delivered+got
+			fracs = append(fracs, float64(got)/float64(want))
 		}
-		return total
+		return expected, delivered, fracs
 	}
-
-	// Wait for completion, early-exiting once deliveries stop progressing
-	// and no node still has a gap under recovery or a payload held back for
-	// ordered release.
-	recoveryPending := func() bool {
-		for _, nd := range nodes {
-			rv := nd.Reliability(gid)
-			if rv.PendingGaps > 0 || rv.PendingOrdered > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	deadline := publishedAt.Add(goodputHorizon)
-	last, lastChange := delivered(), time.Now()
-	for time.Now().Before(deadline) {
-		cur := delivered()
-		if cur >= expected {
-			row.Complete = true
-			row.RecoveryMs = time.Since(publishedAt).Milliseconds()
+	for end := publishedAt.Add(goodputHorizon); c.Now().Before(end); c.Run(25 * time.Millisecond) {
+		if expected, delivered, _ := fractions(); delivered >= expected {
+			row.Complete, row.RecoveryMs = true, c.Now().Sub(publishedAt).Milliseconds()
 			break
 		}
-		if cur != last {
-			last, lastChange = cur, time.Now()
-		} else if time.Since(lastChange) > goodputQuiet && !recoveryPending() {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
 	}
-	if expected > 0 {
-		row.Delivery = float64(delivered()) / float64(expected)
-	}
-	// Per-member delivery fractions: the summary's minimum is the worst
-	// member (expected per member is the same everywhere but at the
-	// publishers, which don't hear their own stream).
-	fracs := make([]float64, 0, len(members))
-	for _, m := range members {
-		rec := recs[m.Addr()]
-		memberExpected, memberGot := 0, 0
-		rec.mu.Lock()
-		for _, p := range pubs {
-			if p.Addr() == m.Addr() {
-				continue
-			}
-			memberExpected += goodputPerSource
-			memberGot += len(rec.seqs[p.Addr()])
-		}
-		rec.mu.Unlock()
-		if memberExpected > 0 {
-			fracs = append(fracs, float64(memberGot)/float64(memberExpected))
-		}
-	}
+	expected, delivered, fracs := fractions()
+	row.Delivery = float64(delivered) / float64(expected)
 	if sum, err := metrics.Summarize(fracs); err == nil {
 		row.MinMember = sum.Min
 	}
@@ -352,17 +251,11 @@ func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goo
 	// increasing (complete cells: exactly 0..N-1).
 	row.FIFO = true
 	for _, m := range members {
-		rec := recs[m.Addr()]
-		rec.mu.Lock()
-		for src, got := range rec.seqs {
-			if src == m.Addr() {
-				continue
-			}
-			if !sort.IntsAreSorted(got) {
+		for src, got := range seqs[m.Addr()] {
+			if src != m.Addr() && !sort.IntsAreSorted(got) {
 				row.FIFO = false
 			}
 		}
-		rec.mu.Unlock()
 	}
 	for _, nd := range nodes {
 		st := nd.Stats()

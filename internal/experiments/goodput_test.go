@@ -6,22 +6,6 @@ import (
 	"groupcast/internal/wire"
 )
 
-// goodputOutcome is the deterministic column set of a goodput row —
-// everything except the wall-clock measurements (delivery ratio at the
-// horizon, dupes, nacks, retransmits, recovery-ms).
-type goodputOutcome struct {
-	Scenario  string
-	Mode      wire.DeliveryMode
-	Members   int
-	Published int
-	Complete  bool
-	FIFO      bool
-}
-
-func goodputOutcomeOf(r goodputRow) goodputOutcome {
-	return goodputOutcome{r.Scenario, r.Mode, r.Members, r.Published, r.Complete, r.FIFO}
-}
-
 // TestGoodputReliableModesRecoverLoss is the fixed-seed data-plane
 // regression: under seeded per-link loss, both reliable modes must deliver
 // 100% of the publish schedule (complete=yes) with reliable-ordered also
@@ -79,29 +63,24 @@ func TestGoodputReliableModesRecoverLoss(t *testing.T) {
 }
 
 // TestGoodputWorkerDeterminism pins the -workers contract for the goodput
-// sweep: the outcome columns of a fixed-seed run are identical whether the
-// cells run serially or concurrently. (The wall-clock columns are exempt by
-// design.)
+// sweep: the rows of a fixed-seed run, every column, are identical whether
+// the cells run serially or concurrently.
 func TestGoodputWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live goodput sweep")
 	}
-	run := func(workers int) []goodputOutcome {
+	run := func(workers int) []goodputRow {
 		rows, err := runGoodputRows(7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]goodputOutcome, len(rows))
-		for i, r := range rows {
-			out[i] = goodputOutcomeOf(r)
-		}
-		return out
+		return rows
 	}
 	serial := run(1)
 	parallel := run(3)
 	for i := range serial {
 		if serial[i] != parallel[i] {
-			t.Fatalf("outcome columns diverged across worker counts:\n workers=1: %+v\n workers=3: %+v",
+			t.Fatalf("rows diverged across worker counts:\n workers=1: %+v\n workers=3: %+v",
 				serial[i], parallel[i])
 		}
 	}

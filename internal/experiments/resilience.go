@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"time"
 
 	"groupcast/internal/coords"
@@ -14,17 +13,14 @@ import (
 	"groupcast/internal/wire"
 )
 
-// This file is the chaos-soak resilience experiment: live node clusters run
-// under scripted fault schedules (seeded loss, crash-stops, partitions) and
-// the tree-repair strategies are compared — backup-access-point failover
-// (the dynamic-replication extension) against search-only repair. Reported
-// per scenario and mode: surviving members reattached, delivery ratio,
-// time-to-recover, and the control messages spent on repair.
-//
-// Outcome columns (members, survivors, reattached, delivery, recovered) are
-// deterministic for a fixed seed at any -workers count; the measured
-// columns (ttr-ms, repair-msgs) are wall-clock observations and vary run to
-// run.
+// This file is the chaos-soak resilience experiment: clusters of real nodes
+// in virtual time run under scripted fault schedules (seeded loss,
+// crash-stops, partitions) and the tree-repair strategies are compared —
+// backup-access-point failover (the dynamic-replication extension) against
+// search-only repair. Reported per scenario and mode: surviving members
+// reattached, delivery ratio, time-to-recover, and the control messages
+// spent on repair. Every column is deterministic for a fixed seed at any
+// -workers count.
 
 // resilienceScenario is one chaos-soak configuration.
 type resilienceScenario struct {
@@ -45,7 +41,7 @@ const faultAt = 200 * time.Millisecond
 
 // resilienceHorizon bounds one scenario run; a cluster that has not
 // recovered by then is reported as recovered=no.
-const resilienceHorizon = 25 * time.Second
+const resilienceHorizon = 10 * time.Second
 
 func resilienceScenarios() []resilienceScenario {
 	return []resilienceScenario{
@@ -95,6 +91,7 @@ type resilienceRow struct {
 	Members    int
 	Survivors  int
 	Reattached int
+	Roots      int
 	Delivery   float64
 	Recovered  bool
 	TTR        time.Duration
@@ -128,62 +125,42 @@ func RunResilience(w io.Writer, seed int64, workers int) error {
 		return err
 	}
 
-	fmt.Fprintln(w, "# resilience: live chaos soak, backup-access-point failover vs search-only repair")
-	fmt.Fprintln(w, "# (ttr-ms and repair-msgs are wall-clock measurements; the remaining columns are")
-	fmt.Fprintln(w, "#  deterministic for a fixed seed)")
+	fmt.Fprintln(w, "# resilience: chaos soak on real nodes in virtual time, backup-access-point failover")
+	fmt.Fprintln(w, "# vs search-only repair; roots = rendezvous among the publisher and the survivors")
+	fmt.Fprintln(w, "# (recovered needs one); repair-msgs, via-backup, via-search count from the fault")
 	ri := 0
 	for _, sc := range scenarios {
 		fmt.Fprintf(w, "\n## scenario %s — %s\n", sc.name, sc.desc)
-		fmt.Fprintf(w, "%-8s %-8s %-10s %-11s %-9s %-10s %-7s %-12s %-11s %s\n",
-			"mode", "members", "survivors", "reattached", "delivery", "recovered",
+		fmt.Fprintf(w, "%-8s %-8s %-10s %-11s %-6s %-9s %-10s %-7s %-12s %-11s %s\n",
+			"mode", "members", "survivors", "reattached", "roots", "delivery", "recovered",
 			"ttr-ms", "repair-msgs", "via-backup", "via-search")
 		for range modes {
 			r := rows[ri]
 			ri++
-			rec := "no"
+			ttr := "—"
 			if r.Recovered {
-				rec = "yes"
+				ttr = fmt.Sprint(r.TTR.Milliseconds())
 			}
-			fmt.Fprintf(w, "%-8s %-8d %-10d %-11d %-9.2f %-10s %-7d %-12d %-11d %d\n",
-				r.Mode, r.Members, r.Survivors, r.Reattached, r.Delivery, rec,
-				r.TTR.Milliseconds(), r.RepairMsgs, r.ViaBackup, r.ViaSearch)
+			fmt.Fprintf(w, "%-8s %-8d %-10d %-11d %-6d %-9.2f %-10s %-7s %-12d %-11d %d\n",
+				r.Mode, r.Members, r.Survivors, r.Reattached, r.Roots, r.Delivery, yesNo(r.Recovered),
+				ttr, r.RepairMsgs, r.ViaBackup, r.ViaSearch)
 		}
 	}
 	return nil
 }
 
-// runResilienceCell builds one live cluster, arms the scenario's fault
-// schedule, and measures the repair.
+// runResilienceCell boots one cluster, arms the scenario's fault schedule,
+// and measures the repair.
 func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilienceRow, error) {
 	row := resilienceRow{Scenario: sc.name, Mode: mode}
-	mem := transport.NewMemNetwork()
-	chaos := transport.NewChaosNetwork(seed)
-	rng := rand.New(rand.NewSource(seed))
-	sampler := peer.MustTable1Sampler()
-
-	nodes := make([]*node.Node, 0, sc.nodes)
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
-	for i := 0; i < sc.nodes; i++ {
-		cfg := node.DefaultConfig(float64(sampler.Sample(rng)),
-			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
+	c, chaos, nodes, err := bootCluster(seed, sc.nodes, func(cfg *node.Config) {
 		cfg.HeartbeatInterval = 150 * time.Millisecond
 		cfg.BeaconGraceEpochs = 4
 		cfg.AdvertiseRefreshEpochs = 3
 		cfg.DisableBackupFailover = mode == "search"
-		nd := node.New(chaos.Wrap(mem.NextEndpoint()), cfg)
-		nd.Start()
-		var contacts []string
-		for j := len(nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, nodes[j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
-			return row, fmt.Errorf("resilience %s/%s: bootstrap node %d: %w", sc.name, mode, i, err)
-		}
-		nodes = append(nodes, nd)
+	})
+	if err != nil {
+		return row, fmt.Errorf("resilience %s/%s: %w", sc.name, mode, err)
 	}
 
 	const gid = "resilience"
@@ -194,11 +171,10 @@ func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilien
 	if err := rdv.Advertise(gid); err != nil {
 		return row, err
 	}
-	time.Sleep(300 * time.Millisecond)
+	c.Run(300 * time.Millisecond)
 
-	// Membership: every non-rendezvous node joins (the fault-free phase, so
-	// retries make this deterministic), counting deliveries per member.
-	var mu sync.Mutex
+	// Membership: every non-rendezvous node joins (the fault-free phase),
+	// counting deliveries per member.
 	got := make(map[string]int)
 	var members []*node.Node
 	for _, nd := range nodes[1:] {
@@ -210,20 +186,16 @@ func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilien
 			continue
 		}
 		addr := nd.Addr()
-		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			mu.Lock()
-			got[addr]++
-			mu.Unlock()
-		})
+		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { got[addr]++ })
 		members = append(members, nd)
 	}
 	row.Members = len(members)
 	// Let beacons flow once so backup access points are distributed before
 	// the faults begin.
-	time.Sleep(400 * time.Millisecond)
+	c.Run(400 * time.Millisecond)
 
 	// The victim: the member currently relaying for the most tree children
-	// (ties broken by address for determinism).
+	// (ties broken by address).
 	victim := members[0]
 	victimKids := -1
 	for _, m := range members {
@@ -241,66 +213,110 @@ func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilien
 	}
 	row.Survivors = len(survivors)
 
-	before := make(map[string]uint64, len(survivors))
-	for _, m := range survivors {
-		before[m.Addr()] = repairMsgCount(m.Stats())
-	}
+	msgs, viaBackup, viaSearch := repairTally(survivors)
+	chaos.PlaySchedule(sc.schedule(victim.Addr()))
+	armed := c.Now()
 
-	stopSchedule := chaos.PlaySchedule(sc.schedule(victim.Addr()))
-	defer stopSchedule()
-	armed := time.Now()
-
-	// Publish from the rendezvous until every survivor is reattached and
-	// has heard a post-fault payload, or the horizon passes. Payload loss
-	// is expected (faults are live); the steady publish stream means one
-	// delivered payload per survivor is enough to prove a working tree.
+	// Publish from the rendezvous until the group has one root again, every
+	// survivor is reattached and has heard a post-fault payload, or the
+	// horizon passes. Payload loss is expected (faults are live); the steady
+	// publish stream means one delivered payload per survivor is enough to
+	// prove a working tree.
 	seq := 0
-	deadline := armed.Add(resilienceHorizon)
-	for time.Now().Before(deadline) {
-		if time.Since(armed) > faultAt {
+	for end := armed.Add(resilienceHorizon); c.Now().Before(end); c.Run(40 * time.Millisecond) {
+		if c.Now().Sub(armed) > faultAt {
 			seq++
 			_ = rdv.Publish(gid, []byte(fmt.Sprintf("seq-%d", seq)))
 		}
-		reattached, reached := resilienceProgress(survivors, gid, got, &mu)
-		if seq > 0 && reattached == len(survivors) && reached == len(survivors) {
-			row.Recovered = true
+		if reattached, reached, roots := resilienceProgress(rdv, survivors, gid, got); seq > 0 &&
+			reattached == len(survivors) && reached == len(survivors) && roots == 1 {
+			row.Recovered, row.TTR = true, c.Now().Sub(armed.Add(faultAt))
 			break
 		}
-		time.Sleep(40 * time.Millisecond)
 	}
-	row.TTR = time.Since(armed.Add(faultAt))
-	reattached, reached := resilienceProgress(survivors, gid, got, &mu)
-	row.Reattached = reattached
+	reattached, reached, roots := resilienceProgress(rdv, survivors, gid, got)
+	row.Reattached, row.Roots = reattached, roots
 	if len(survivors) > 0 {
 		row.Delivery = float64(reached) / float64(len(survivors))
 	}
-	for _, m := range survivors {
-		st := m.Stats()
-		row.RepairMsgs += repairMsgCount(st) - before[m.Addr()]
-		row.ViaBackup += st.RepairsViaBackup
-		row.ViaSearch += st.RepairsViaSearch
-	}
+	m, b, s := repairTally(survivors)
+	row.RepairMsgs, row.ViaBackup, row.ViaSearch = m-msgs, b-viaBackup, s-viaSearch
 	return row, nil
 }
 
-// resilienceProgress counts survivors currently attached to the tree and
-// survivors that have heard at least one post-fault payload.
-func resilienceProgress(survivors []*node.Node, gid string, got map[string]int, mu *sync.Mutex) (reattached, reached int) {
-	mu.Lock()
-	defer mu.Unlock()
+// resilienceProgress counts survivors currently attached to the tree,
+// survivors that have heard at least one post-fault payload, and the
+// group's roots among the rendezvous and the survivors. A deputy cut off
+// from the root promotes itself, and the tree stays split until the two
+// roots meet.
+func resilienceProgress(rdv *node.Node, survivors []*node.Node, gid string, got map[string]int) (reattached, reached, roots int) {
+	if rdv.Tree(gid).Rendezvous {
+		roots++
+	}
 	for _, m := range survivors {
-		if m.Tree(gid).Attached {
+		tv := m.Tree(gid)
+		if tv.Attached {
 			reattached++
+		}
+		if tv.Rendezvous {
+			roots++
 		}
 		if got[m.Addr()] > 0 {
 			reached++
 		}
 	}
-	return reattached, reached
+	return reattached, reached, roots
 }
 
-// repairMsgCount sums the control messages a node spent on tree repair:
-// joins, join acks, searches, and search hits.
-func repairMsgCount(st node.Stats) uint64 {
-	return st.Sent["join"] + st.Sent["join-ack"] + st.Sent["search"] + st.Sent["search-hit"]
+// repairTally sums over nodes the control messages spent on tree repair
+// (joins, join acks, searches and search hits) and the repairs done through
+// a backup access point and through a search.
+func repairTally(nodes []*node.Node) (msgs, viaBackup, viaSearch uint64) {
+	for _, nd := range nodes {
+		st := nd.Stats()
+		msgs += st.Sent["join"] + st.Sent["join-ack"] + st.Sent["search"] + st.Sent["search-hit"]
+		viaBackup += st.RepairsViaBackup
+		viaSearch += st.RepairsViaSearch
+	}
+	return msgs, viaBackup, viaSearch
+}
+
+// bootCluster starts size real nodes on a virtual-time cluster behind one
+// chaos layer, everything drawn from seed: Table 1 capacities, coordinates
+// on a 100×100 plane, links that take clusterLink per unit of distance, and
+// each node bootstrapping through the five before it, one per 1/size of a
+// heartbeat so their epochs spread over its phase. tune sets each node's
+// configuration.
+func bootCluster(seed int64, size int, tune func(*node.Config)) (*node.Cluster, *transport.ChaosNetwork, []*node.Node, error) {
+	rng := rand.New(rand.NewSource(seed))
+	sampler := peer.MustTable1Sampler()
+	chaos := transport.NewChaosNetwork(seed)
+	pos := make(map[string]coords.Point, size)
+	c := node.NewCluster(func(from, to string) time.Duration {
+		return time.Duration(coords.Dist(pos[from], pos[to]) * float64(clusterLink))
+	})
+	nodes := make([]*node.Node, 0, size)
+	for i := 0; i < size; i++ {
+		addr := fmt.Sprintf("n%02d", i)
+		capacity := float64(sampler.Sample(rng))
+		pos[addr] = coords.Point{rng.Float64() * 100, rng.Float64() * 100}
+		cfg := node.DefaultConfig(capacity, pos[addr], int64(i+1))
+		tune(&cfg)
+		ep, err := c.Endpoint(addr)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		nd := node.New(chaos.Wrap(ep), cfg)
+		c.Start(nd)
+		var contacts []string
+		for j := len(nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
+			contacts = append(contacts, nodes[j].Addr())
+		}
+		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
+			return nil, nil, nil, fmt.Errorf("bootstrap node %d: %w", i, err)
+		}
+		nodes = append(nodes, nd)
+		c.Run(cfg.HeartbeatInterval / time.Duration(size))
+	}
+	return c, chaos, nodes, nil
 }

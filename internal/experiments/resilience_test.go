@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"testing"
 	"time"
 
@@ -20,18 +23,6 @@ func soakScenario() resilienceScenario {
 			}
 		},
 	}
-}
-
-// outcome is the deterministic column set of a resilience row — everything
-// except the wall-clock measurements (ttr, message counts).
-type outcome struct {
-	Members, Survivors, Reattached int
-	Delivery                       float64
-	Recovered                      bool
-}
-
-func outcomeOf(r resilienceRow) outcome {
-	return outcome{r.Members, r.Survivors, r.Reattached, r.Delivery, r.Recovered}
 }
 
 // TestChaosSoakParentCrashRecovers is the fixed-seed chaos-soak regression:
@@ -76,33 +67,28 @@ func TestChaosSoakParentCrashRecovers(t *testing.T) {
 }
 
 // TestChaosSoakWorkerDeterminism pins the -workers contract for the
-// resilience experiment: the outcome columns of a fixed-seed soak are
-// identical whether the cells run serially or concurrently. (The wall-clock
-// columns — ttr-ms, repair-msgs — are exempt by design.)
+// resilience experiment: the rows of a fixed-seed soak, every column, are
+// identical whether the cells run serially or concurrently.
 func TestChaosSoakWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
 	sc := soakScenario()
 	modes := []string{"backup", "search"}
-	run := func(workers int) []outcome {
+	run := func(workers int) []resilienceRow {
 		rows, err := mapOrdered(workers, len(modes), func(i int) (resilienceRow, error) {
 			return runResilienceCell(sc, modes[i], cellSeed(1, 71, 200, int64(i)))
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]outcome, len(rows))
-		for i, r := range rows {
-			out[i] = outcomeOf(r)
-		}
-		return out
+		return rows
 	}
 	serial := run(1)
 	parallel := run(2)
 	for i := range serial {
 		if serial[i] != parallel[i] {
-			t.Fatalf("outcome columns diverged across worker counts for %s:\n workers=1: %+v\n workers=2: %+v",
+			t.Fatalf("rows diverged across worker counts for %s:\n workers=1: %+v\n workers=2: %+v",
 				modes[i], serial[i], parallel[i])
 		}
 	}
@@ -122,5 +108,29 @@ func TestResilienceScheduleDescriptions(t *testing.T) {
 	}
 	if faultAt <= 0 || resilienceHorizon < 10*time.Second {
 		t.Fatal("fault timing constants are out of shape")
+	}
+}
+
+// TestDrivenExperimentsReadNoWallClock: the resilience, goodput and
+// telemetry experiments run real nodes on a node.Cluster, whose heap is
+// their only clock. A wall-clock read, sleep or timer in them would make a
+// column depend on the machine again.
+func TestDrivenExperimentsReadNoWallClock(t *testing.T) {
+	wallClock := map[string]bool{"Now": true, "Since": true, "Until": true, "AfterFunc": true, "Sleep": true,
+		"NewTimer": true, "NewTicker": true, "After": true, "Tick": true}
+	fset := token.NewFileSet()
+	for _, name := range []string{"resilience.go", "goodput.go", "telemetry.go"} {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(nd ast.Node) bool {
+			if sel, ok := nd.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && wallClock[sel.Sel.Name] {
+					t.Errorf("%s: time.%s in a virtual-time experiment; use the cluster's Now and Run", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }

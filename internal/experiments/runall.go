@@ -38,10 +38,8 @@ func RunAll(w io.Writer, cfg SweepConfig, seed int64, workers int) error {
 			}
 			return nil
 		},
-		// The chaos soak and the goodput sweep run live clusters; their
-		// section workers stay at 1 because the sections above already
-		// occupy the pool. The tracepath breakdown is offline but cheap,
-		// so it stays serial too.
+		// The sections below keep their own workers at 1 because the
+		// sections above already occupy the pool.
 		func(buf io.Writer) error { return RunResilience(buf, seed, 1) },
 		func(buf io.Writer) error { return RunGoodput(buf, seed, 1) },
 		func(buf io.Writer) error { return RunTracePath(buf, seed, 1) },

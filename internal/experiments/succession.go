@@ -40,12 +40,14 @@ func DefaultSuccessionConfig(seed int64, workers int) SuccessionConfig {
 		DeputyFailureProb: 0.3, SuspectEpochs: node.SuspectEpochs, Seed: seed, Workers: workers}
 }
 
-// A cell's heartbeat epoch, its link latency per unit of coordinate distance
-// (up to 1.4 ms on the 100×100 plane), the advertisement refresh in epochs,
-// and the epochs the survivors get to reattach before the publish.
+// A cluster link's latency per unit of coordinate distance (up to 1.4 ms on
+// the 100×100 plane).
+const clusterLink = 10 * time.Microsecond
+
+// A cell's heartbeat epoch, the advertisement refresh in epochs, and the
+// epochs the survivors get to reattach before the publish.
 const (
 	successionEpoch   = 100 * time.Millisecond
-	successionLink    = 10 * time.Microsecond
 	successionRefresh = 5
 	successionSettle  = 40
 )
@@ -170,7 +172,7 @@ func successionCell(k int, cfg SuccessionConfig, seed int64) (out successionOutc
 		if building {
 			return 0
 		}
-		return time.Duration(coords.Dist(pos[from], pos[to]) * float64(successionLink))
+		return time.Duration(coords.Dist(pos[from], pos[to]) * float64(clusterLink))
 	})
 	nodes := make([]*node.Node, cfg.NumPeers)
 	byAddr := make(map[string]*node.Node, cfg.NumPeers)

@@ -3,41 +3,37 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
-	"groupcast/internal/coords"
 	"groupcast/internal/node"
-	"groupcast/internal/peer"
 	"groupcast/internal/telemetry"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
-// This file is the fleet-telemetry chaos study: a live cluster runs the
-// gossiped health-digest plane until every node knows every member and
-// every future survivor holds a fresh view of the root, then the group's
-// rendezvous root is crash-stopped and the experiment measures
-// fault-detection latency — how many of a survivor's own telemetry epochs
-// pass between the last sign of life it accepted from the victim and its
-// stale SLO alert firing.
+// This file is the fleet-telemetry chaos study: a cluster of real nodes in
+// virtual time runs the gossiped health-digest plane until every node knows
+// every member and every future survivor holds a fresh view of the root,
+// then the group's rendezvous root is crash-stopped and the experiment
+// measures fault-detection latency — how many of a survivor's own telemetry
+// epochs pass between the last sign of life it accepted from the victim and
+// its stale SLO alert firing.
 //
-// Counting from the last accepted digest (not from the wall-clock crash
-// moment) is what makes the number an invariant: the victim's final digest
-// keeps echoing through gossip for a while after the crash, and a survivor
-// cannot — by definition — start suspecting before the last echo reaches
-// it. From that point the detector is deterministic: the staleness window
-// is 2 epochs and the sweep runs once per epoch, so the alert fires on the
-// first sweep past the window, at most 3 of the survivor's own epochs
-// later, at any -workers count and under any load. The wall-clock columns
-// (converge-ms, detect-ms) are measurements and vary run to run.
+// Counting from the last accepted digest (not from the crash) is what makes
+// the number an invariant: the victim's final digest keeps echoing through
+// gossip for a while after the crash, and a survivor cannot — by definition
+// — start suspecting before the last echo reaches it. From that point the
+// detector is deterministic: the staleness window is 2 epochs and the sweep
+// runs once per epoch, so the alert fires on the first sweep past the
+// window, at most 3 of the survivor's own epochs later. converge-ms and
+// detect-ms are the cluster's time from the joins to convergence and from
+// the crash to the last survivor's alert.
 
 // telemetryDetectBudget is the acceptance bound on detection latency, in
 // survivor telemetry epochs.
 const telemetryDetectBudget = 3
 
 // telemetryHorizon bounds each cell's convergence and detection phases.
-const telemetryHorizon = 15 * time.Second
+const telemetryHorizon = 5 * time.Second
 
 // telemetryCell is one (cluster size, gossip fan-in) configuration.
 type telemetryCell struct {
@@ -54,7 +50,7 @@ type telemetryRow struct {
 	ConvergeTime time.Duration
 	Detected     bool          // every survivor fired the stale alert
 	DetectEpochs uint64        // max over survivors: last-sign-of-life → alert, in their own epochs
-	DetectTime   time.Duration // wall clock, crash to last survivor's alert
+	DetectTime   time.Duration // crash to last survivor's alert
 }
 
 // RunTelemetry runs the fault-detection study and writes the table.
@@ -82,9 +78,8 @@ func RunTelemetry(w io.Writer, seed int64, workers int) error {
 	fmt.Fprintf(w, "#  fan-in; once every node knows the fleet the rendezvous root is killed\n")
 	fmt.Fprintf(w, "#  and each survivor's stale SLO alert is timed in its own telemetry\n")
 	fmt.Fprintf(w, "#  epochs, from the victim's last accepted digest to the alert.\n")
-	fmt.Fprintf(w, "#  converged, detected and detect-epochs <= %d are invariants —\n", telemetryDetectBudget)
-	fmt.Fprintln(w, "#  deterministic at any -workers; converge-ms and detect-ms are")
-	fmt.Fprintln(w, "#  wall-clock measurements)")
+	fmt.Fprintf(w, "#  converged, detected and detect-epochs <= %d are invariants; real nodes\n", telemetryDetectBudget)
+	fmt.Fprintln(w, "#  in virtual time)")
 	fmt.Fprintf(w, "%-6s %-7s %-10s %-12s %-9s %-14s %s\n",
 		"size", "gossip", "converged", "converge-ms", "detected", "detect-epochs", "detect-ms")
 	for _, r := range rows {
@@ -95,36 +90,17 @@ func RunTelemetry(w io.Writer, seed int64, workers int) error {
 	return nil
 }
 
-// runTelemetryCell boots one live cluster, waits for every node's fleet view
-// to hold all members fresh, crash-stops the root, and times detection.
-func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
-	row := telemetryRow{Size: c.size, Gossip: c.gossip}
-	mem := transport.NewMemNetwork()
-	rng := rand.New(rand.NewSource(c.seed))
-	sampler := peer.MustTable1Sampler()
-
-	nodes := make([]*node.Node, 0, c.size)
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
-	for i := 0; i < c.size; i++ {
-		cfg := node.DefaultConfig(float64(sampler.Sample(rng)),
-			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
+// runTelemetryCell boots one cluster, waits for every node's fleet view to
+// hold all members fresh, crash-stops the root, and times detection.
+func runTelemetryCell(cell telemetryCell) (telemetryRow, error) {
+	row := telemetryRow{Size: cell.size, Gossip: cell.gossip}
+	c, _, nodes, err := bootCluster(cell.seed, cell.size, func(cfg *node.Config) {
 		cfg.HeartbeatInterval = 40 * time.Millisecond
 		cfg.OverloadSampleInterval = 20 * time.Millisecond
-		cfg.TelemetryGossip = c.gossip
-		nd := node.New(mem.NextEndpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for j := len(nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, nodes[j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
-			return row, fmt.Errorf("telemetry %d/%d: bootstrap node %d: %w", c.size, c.gossip, i, err)
-		}
-		nodes = append(nodes, nd)
+		cfg.TelemetryGossip = cell.gossip
+	})
+	if err != nil {
+		return row, fmt.Errorf("telemetry %d/%d: %w", cell.size, cell.gossip, err)
 	}
 
 	const gid = "fleet"
@@ -135,14 +111,14 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 	if err := rdv.Advertise(gid); err != nil {
 		return row, err
 	}
-	time.Sleep(200 * time.Millisecond)
+	c.Run(200 * time.Millisecond)
 	for _, nd := range nodes[1:] {
 		joined := false
 		for attempt := 0; attempt < 6 && !joined; attempt++ {
 			joined = nd.Join(gid, time.Second) == nil
 		}
 		if !joined {
-			return row, fmt.Errorf("telemetry %d/%d: member never joined", c.size, c.gossip)
+			return row, fmt.Errorf("telemetry %d/%d: member never joined", cell.size, cell.gossip)
 		}
 	}
 
@@ -154,30 +130,13 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 	// out of the 2-epoch staleness window — that is the fan-in trade-off this
 	// experiment's gossip column exists to show, not a convergence failure.
 	victim := rdv.Addr()
-	start := time.Now()
-	deadline := start.Add(telemetryHorizon)
-	for !row.Converged && time.Now().Before(deadline) {
-		row.Converged = true
-		for _, nd := range nodes {
-			known, rootFresh := 0, nd == rdv
-			for _, nh := range nd.FleetView() {
-				if nh.Epoch > 0 {
-					known++
-				}
-				if nh.Addr == victim && !nh.Stale {
-					rootFresh = true
-				}
-			}
-			if known < c.size || !rootFresh {
-				row.Converged = false
-				break
-			}
-		}
-		if !row.Converged {
-			time.Sleep(20 * time.Millisecond)
+	start := c.Now()
+	for end := start.Add(telemetryHorizon); c.Now().Before(end); c.Run(20 * time.Millisecond) {
+		if row.Converged = fleetConverged(nodes, victim); row.Converged {
+			break
 		}
 	}
-	row.ConvergeTime = time.Since(start)
+	row.ConvergeTime = c.Now().Sub(start)
 	if !row.Converged {
 		return row, nil
 	}
@@ -186,17 +145,14 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 	// counted in the survivor's OWN telemetry epochs from the victim's last
 	// accepted digest (the fleet entry's SeenEpoch — which the victim's final
 	// in-flight and gossip-echoed digests may still advance shortly after
-	// the crash) to the epoch of the sweep that raised the alert. That window
-	// is pure detector latency and load-independent.
+	// the crash) to the epoch of the sweep that raised the alert.
 	_ = rdv.Close()
-	crash := time.Now()
-
-	pending := make(map[string]bool, c.size-1)
+	crash := c.Now()
+	pending := make(map[string]bool, cell.size-1)
 	for _, nd := range nodes[1:] {
 		pending[nd.Addr()] = true
 	}
-	deadline = crash.Add(telemetryHorizon)
-	for len(pending) > 0 && time.Now().Before(deadline) {
+	for end := crash.Add(telemetryHorizon); len(pending) > 0 && c.Now().Before(end); c.Run(10 * time.Millisecond) {
 		for _, nd := range nodes[1:] {
 			if !pending[nd.Addr()] {
 				continue
@@ -208,17 +164,34 @@ func runTelemetryCell(c telemetryCell) (telemetryRow, error) {
 				if lat := detectionEpochs(nd, victim, a); lat > 0 {
 					delete(pending, nd.Addr())
 					row.DetectEpochs = max(row.DetectEpochs, lat)
-					row.DetectTime = time.Since(crash)
+					row.DetectTime = c.Now().Sub(crash)
 				}
 				break
 			}
 		}
-		if len(pending) > 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
 	}
 	row.Detected = len(pending) == 0
 	return row, nil
+}
+
+// fleetConverged reports whether every node's fleet view knows every node
+// and, but for the victim's own, holds a fresh view of the victim.
+func fleetConverged(nodes []*node.Node, victim string) bool {
+	for _, nd := range nodes {
+		known, rootFresh := 0, nd.Addr() == victim
+		for _, nh := range nd.FleetView() {
+			if nh.Epoch > 0 {
+				known++
+			}
+			if nh.Addr == victim && !nh.Stale {
+				rootFresh = true
+			}
+		}
+		if known < len(nodes) || !rootFresh {
+			return false
+		}
+	}
+	return true
 }
 
 // detectionEpochs is one survivor's detection latency in its own telemetry

@@ -37,9 +37,9 @@ func TestTelemetryDetectionInvariants(t *testing.T) {
 	assertTelemetryInvariants(t, row)
 }
 
-// TestTelemetryWorkerInvariance pins the -workers contract: the detection
-// invariants hold whether cells run serially or concurrently. (converge-ms
-// and detect-ms are wall-clock measurements and exempt by design.)
+// TestTelemetryWorkerInvariance pins the -workers contract: the rows, every
+// column, are identical whether cells run serially or concurrently, and the
+// detection invariants hold in each.
 func TestTelemetryWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster chaos study")
@@ -48,7 +48,7 @@ func TestTelemetryWorkerInvariance(t *testing.T) {
 		{size: 6, gossip: 1, seed: cellSeed(1, 97, 200, 0)},
 		{size: 6, gossip: 2, seed: cellSeed(1, 97, 200, 1)},
 	}
-	for _, workers := range []int{1, 2} {
+	run := func(workers int) []telemetryRow {
 		rows, err := mapOrdered(workers, len(cells), func(i int) (telemetryRow, error) {
 			return runTelemetryCell(cells[i])
 		})
@@ -57,6 +57,13 @@ func TestTelemetryWorkerInvariance(t *testing.T) {
 		}
 		for _, r := range rows {
 			assertTelemetryInvariants(t, r)
+		}
+		return rows
+	}
+	serial, parallel := run(1), run(2)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("rows diverged across worker counts:\n workers=1: %+v\n workers=2: %+v", serial[i], parallel[i])
 		}
 	}
 }

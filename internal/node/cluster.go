@@ -19,8 +19,8 @@ import (
 // latency that pushes into the destination's inbox and drains it. On a
 // driven node post runs its body as one event and await steps the heap
 // until the flow is done. Nothing here reads the wall clock, so one seed
-// gives one run; a transport.ChaosNetwork over the endpoints may crash and
-// partition them, but its delays run on wall-clock timers.
+// gives one run. A transport.ChaosNetwork over the endpoints takes the
+// heap for its clock: its fault schedule and link delays are entries too.
 type Cluster struct {
 	eng     *sim.Engine
 	now     time.Time
@@ -76,19 +76,20 @@ func (c *Cluster) Run(d time.Duration) {
 	}
 }
 
-// entry is one heap entry: msg for dst, or with a nonzero tok a wake of
-// dst's node that runs only while tok is dst.wake. Entries are reused, so a
-// delivery does not put a message on the heap.
+// entry is one heap entry: msg for dst, with a nonzero tok a wake of dst's
+// node that runs only while tok is dst.wake, or with fn a chaos step.
+// Entries are reused, so a delivery does not put a message on the heap.
 type entry struct {
 	c    *Cluster
 	at   time.Time
 	dst  *clusterEndpoint
 	msg  wire.Message
 	tok  uint64
+	fn   func()
 	fire sim.Handler // run, bound once
 }
 
-func (c *Cluster) schedule(at time.Time, dst *clusterEndpoint, msg *wire.Message, tok uint64) {
+func (c *Cluster) schedule(at time.Time, dst *clusterEndpoint, msg *wire.Message, tok uint64, fn func()) {
 	var en *entry
 	if k := len(c.free); k > 0 {
 		en, c.free = c.free[k-1], c.free[:k-1]
@@ -99,7 +100,7 @@ func (c *Cluster) schedule(at time.Time, dst *clusterEndpoint, msg *wire.Message
 	if at.Before(c.now) {
 		at = c.now
 	}
-	en.at, en.dst, en.tok = at, dst, tok
+	en.at, en.dst, en.tok, en.fn = at, dst, tok, fn
 	if msg != nil {
 		en.msg = *msg
 	}
@@ -109,14 +110,16 @@ func (c *Cluster) schedule(at time.Time, dst *clusterEndpoint, msg *wire.Message
 }
 
 func (en *entry) run(*sim.Engine, sim.Time) {
-	c, dst, tok := en.c, en.dst, en.tok
+	c, dst, tok, fn := en.c, en.dst, en.tok, en.fn
 	if en.at.After(c.now) {
 		c.now = en.at
 	}
-	pushed := tok == 0 && dst.inbox.Push(en.msg)
-	en.msg, en.dst = wire.Message{}, nil
+	pushed := fn == nil && tok == 0 && dst.inbox.Push(en.msg)
+	en.msg, en.dst, en.fn = wire.Message{}, nil, nil
 	c.free = append(c.free, en) // free before the event, which may schedule
 	switch {
+	case fn != nil:
+		fn()
 	case pushed:
 		dst.drain()
 	case tok != 0 && tok == dst.wake:
@@ -154,8 +157,15 @@ func (e *clusterEndpoint) Send(addr string, msg wire.Message) error {
 	if e.c.latency != nil {
 		lat = e.c.latency(e.addr, addr)
 	}
-	e.c.schedule(e.c.now.Add(lat), dst, &msg, 0)
+	e.c.schedule(e.c.now.Add(lat), dst, &msg, 0, nil)
 	return nil
+}
+
+// AfterFunc runs f once d of the cluster's time has passed, as an entry of
+// its own. It makes the heap the clock of a transport.ChaosNetwork that
+// wraps the endpoint.
+func (e *clusterEndpoint) AfterFunc(d time.Duration, f func()) {
+	e.c.schedule(e.c.now.Add(d), nil, nil, 0, f)
 }
 
 // Close detaches the endpoint: sends to it then fail as to an unknown peer.
@@ -192,7 +202,7 @@ func (e *clusterEndpoint) event(ev event) {
 	if armed := n.armed; !armed.IsZero() && (e.wakeAt.IsZero() || armed.Before(e.wakeAt)) {
 		e.c.wakes++
 		e.wake, e.wakeAt = e.c.wakes, armed
-		e.c.schedule(armed, e, nil, e.wake)
+		e.c.schedule(armed, e, nil, e.wake, nil)
 	}
 }
 

@@ -220,3 +220,44 @@ func TestClusterSameSeedSameTrace(t *testing.T) {
 	}
 	t.Logf("%d trace bytes, %d lines", len(a), bytes.Count(a, []byte("\n")))
 }
+
+// TestClusterChaosOnHeap: a chaos layer over a cluster's endpoints takes the
+// heap for its clock. A message under LinkRule{Delay: 20ms} arrives at
+// exactly link latency + 20 ms of the cluster's time, and a scheduled crash
+// applies at its offset, with no timer goroutine touching the heap.
+func TestClusterChaosOnHeap(t *testing.T) {
+	c := NewCluster(func(string, string) time.Duration { return linkLatency })
+	chaos := transport.NewChaosNetwork(1)
+	a, err := c.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := chaos.Wrap(a)
+	chaos.Wrap(b)
+	chaos.SetLinkRule("a", "b", transport.LinkRule{Delay: 20 * time.Millisecond})
+	if err := ca.Send("b", wire.Message{Type: wire.TPayload, MsgID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(linkLatency + 20*time.Millisecond - time.Nanosecond)
+	if d := b.InboxQueue().Depth(); d != 0 {
+		t.Fatalf("%d messages arrived before latency + delay", d)
+	}
+	c.Run(time.Nanosecond)
+	if d := b.InboxQueue().Depth(); d != 1 {
+		t.Fatalf("%d messages arrived at latency + delay, want 1", d)
+	}
+
+	chaos.PlaySchedule([]transport.FaultEvent{transport.CrashAt(5*time.Millisecond, "b")})
+	c.Run(5*time.Millisecond - time.Nanosecond)
+	if err := ca.Send("b", wire.Message{Type: wire.TPayload, MsgID: 2}); err != nil {
+		t.Fatalf("send before the scheduled crash: %v", err)
+	}
+	c.Run(time.Nanosecond)
+	if err := ca.Send("b", wire.Message{Type: wire.TPayload, MsgID: 3}); err == nil {
+		t.Fatal("send after the scheduled crash succeeded")
+	}
+}

@@ -198,7 +198,7 @@ func TestHandlerContractRepublish(t *testing.T) {
 				for _, nd := range nodes {
 					_ = nd.Tree("in")
 					_ = nd.Neighbors()
-					_ = nd.Reliability("out")
+					_ = nd.reliability("out")
 					_ = nd.TreeDetails()
 					_ = nd.OverlayView()
 					_ = nd.ClusterView()

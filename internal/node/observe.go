@@ -140,15 +140,19 @@ func (n *Node) initObservability() {
 		return float64(n.pendingRequests())
 	})
 	reg.Gauge("reliable_pending_gaps", func() float64 {
-		gaps, _, _ := n.reliableOccupancy()
+		gaps, _, _, _ := n.reliableOccupancy()
 		return float64(gaps)
 	})
+	reg.Gauge("reliable_pending_ordered", func() float64 {
+		_, ordered, _, _ := n.reliableOccupancy()
+		return float64(ordered)
+	})
 	reg.Gauge("reliable_window_entries", func() float64 {
-		_, entries, _ := n.reliableOccupancy()
+		_, _, entries, _ := n.reliableOccupancy()
 		return float64(entries)
 	})
 	reg.Gauge("reliable_cached_payloads", func() float64 {
-		_, _, cached := n.reliableOccupancy()
+		_, _, _, cached := n.reliableOccupancy()
 		return float64(cached)
 	})
 	reg.Gauge("reliable_oldest_gap_age_ms", func() float64 {
@@ -157,11 +161,13 @@ func (n *Node) initObservability() {
 }
 
 // reliableOccupancy sums the reliable data plane's bounded state across all
-// groups: pending gaps, window entries, and cached payloads.
-func (n *Node) reliableOccupancy() (gaps, entries, cached int) {
+// groups: pending gaps, payloads held back for ordered release, window
+// entries, and cached payloads.
+func (n *Node) reliableOccupancy() (gaps, ordered, entries, cached int) {
 	for _, gs := range n.groups {
 		for _, w := range gs.recv {
 			gaps += w.PendingGaps()
+			ordered += w.PendingOrdered()
 			entries += w.Tracked()
 			cached += w.Cached()
 		}
@@ -169,7 +175,7 @@ func (n *Node) reliableOccupancy() (gaps, entries, cached int) {
 			cached += gs.pub.Cached()
 		}
 	}
-	return gaps, entries, cached
+	return gaps, ordered, entries, cached
 }
 
 // oldestGapAge is the age of the longest-outstanding sequence gap across

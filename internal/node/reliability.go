@@ -337,53 +337,3 @@ func (n *Node) digestGroups() {
 		}
 	}
 }
-
-// ReliabilityView snapshots one group's data-plane state for tests,
-// experiments, and operational introspection. Every count is bounded by
-// construction (windows slide, caches are rings, the dedup filter is
-// TTL/size-capped), which the bounded-memory soak asserts through this view.
-type ReliabilityView struct {
-	Exists bool
-	Mode   wire.DeliveryMode
-	// Sources counts the per-source receive windows currently tracked.
-	Sources int
-	// WindowEntries sums the windows' received-set sizes; PendingGaps sums
-	// the sequences under NACK recovery; PendingOrdered sums the payloads
-	// held back for in-order release.
-	WindowEntries  int
-	PendingGaps    int
-	PendingOrdered int
-	// CachedPayloads sums the relay retransmission caches.
-	CachedPayloads int
-	// SendBufferSeq is this node's own publish high-water mark for the
-	// group; SendBufferCached is how many of its payloads remain buffered.
-	SendBufferSeq    uint64
-	SendBufferCached int
-	// SeenAds is the node-wide advertisement/search dedup filter size.
-	SeenAds int
-}
-
-// Reliability snapshots the reliable data-plane state for a group.
-func (n *Node) Reliability(groupID string) (rv ReliabilityView) {
-	n.post(func() {
-		rv.SeenAds = n.seenAds.Len()
-		gs := n.groups[groupID]
-		if gs == nil {
-			return
-		}
-		rv.Exists = true
-		rv.Mode = gs.mode
-		rv.Sources = len(gs.recv)
-		for _, w := range gs.recv {
-			rv.WindowEntries += w.Tracked()
-			rv.PendingGaps += w.PendingGaps()
-			rv.PendingOrdered += w.PendingOrdered()
-			rv.CachedPayloads += w.Cached()
-		}
-		if gs.pub != nil {
-			rv.SendBufferSeq = gs.pub.High()
-			rv.SendBufferCached = gs.pub.Cached()
-		}
-	})
-	return rv
-}

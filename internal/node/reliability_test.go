@@ -75,7 +75,7 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 	// Members learn the mode from beacons/acks before payloads flow.
 	waitFor(t, 3*time.Second, func() bool {
 		for _, nd := range nodes[1:] {
-			if nd.Reliability("g").Mode != wire.ReliableOrdered {
+			if nd.reliability("g").Mode != wire.ReliableOrdered {
 				return false
 			}
 		}
@@ -212,7 +212,7 @@ func TestReliableSoakBoundedState(t *testing.T) {
 	}
 
 	for i, nd := range nodes {
-		rv := nd.Reliability("soak")
+		rv := nd.reliability("soak")
 		if !rv.Exists {
 			t.Fatalf("node %d: no group state", i)
 		}
@@ -231,7 +231,7 @@ func TestReliableSoakBoundedState(t *testing.T) {
 			t.Fatalf("node %d: seen-ads filter grew to %d (cap 1024)", i, rv.SeenAds)
 		}
 	}
-	if got := rdv.Reliability("soak").SendBufferSeq; got != total {
+	if got := rdv.reliability("soak").SendBufferSeq; got != total {
 		t.Fatalf("publisher high-water = %d, want %d", got, total)
 	}
 }
@@ -351,4 +351,53 @@ func TestPayloadHandlerEdgeCases(t *testing.T) {
 			t.Fatalf("delivery %d = %q, want %q (order broken)", i, got[i], want)
 		}
 	}
+}
+
+// reliabilityView snapshots one group's data-plane state. Every count is bounded by
+// construction (windows slide, caches are rings, the dedup filter is
+// TTL/size-capped), which the bounded-memory soak asserts through this view.
+type reliabilityView struct {
+	Exists bool
+	Mode   wire.DeliveryMode
+	// Sources counts the per-source receive windows currently tracked.
+	Sources int
+	// WindowEntries sums the windows' received-set sizes; PendingGaps sums
+	// the sequences under NACK recovery; PendingOrdered sums the payloads
+	// held back for in-order release.
+	WindowEntries  int
+	PendingGaps    int
+	PendingOrdered int
+	// CachedPayloads sums the relay retransmission caches.
+	CachedPayloads int
+	// SendBufferSeq is this node's own publish high-water mark for the
+	// group; SendBufferCached is how many of its payloads remain buffered.
+	SendBufferSeq    uint64
+	SendBufferCached int
+	// SeenAds is the node-wide advertisement/search dedup filter size.
+	SeenAds int
+}
+
+// reliability snapshots the reliable data-plane state for a group.
+func (n *Node) reliability(groupID string) (rv reliabilityView) {
+	n.post(func() {
+		rv.SeenAds = n.seenAds.Len()
+		gs := n.groups[groupID]
+		if gs == nil {
+			return
+		}
+		rv.Exists = true
+		rv.Mode = gs.mode
+		rv.Sources = len(gs.recv)
+		for _, w := range gs.recv {
+			rv.WindowEntries += w.Tracked()
+			rv.PendingGaps += w.PendingGaps()
+			rv.PendingOrdered += w.PendingOrdered()
+			rv.CachedPayloads += w.Cached()
+		}
+		if gs.pub != nil {
+			rv.SendBufferSeq = gs.pub.High()
+			rv.SendBufferCached = gs.pub.Cached()
+		}
+	})
+	return rv
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,8 @@ import (
 // from a scripted fault schedule. It is the runtime's one loss model: every
 // link owns an independent random stream derived purely from (seed, from,
 // to), so one link's traffic volume never perturbs another link's fault
-// decisions.
+// decisions. Its delays and schedule run on the clock of the endpoints it
+// wraps (see after), so over a virtual-time cluster a run is one seed's.
 
 // LinkRule is the fault policy of one directed link (or the default policy
 // of every link). The zero value injects nothing.
@@ -139,6 +139,7 @@ type ChaosNetwork struct {
 	crashed     map[string]bool
 	slowPeers   map[string]*slowPipe // destination addr → serialized pipe
 	endpoints   map[string]*ChaosEndpoint
+	clock       afterFuncer // nil: the wall clock
 
 	ruleDrops      atomic.Uint64
 	partitionDrops atomic.Uint64
@@ -147,9 +148,12 @@ type ChaosNetwork struct {
 	reordered      atomic.Uint64
 	slowed         atomic.Uint64
 	delivered      atomic.Uint64
+}
 
-	timers   []*time.Timer
-	timersMu sync.Mutex
+// afterFuncer is a transport on a virtual clock (a node.Cluster endpoint):
+// AfterFunc runs f once d of that clock has passed.
+type afterFuncer interface {
+	AfterFunc(d time.Duration, f func())
 }
 
 // NewChaosNetwork returns a fault-free chaos layer; every random decision
@@ -170,7 +174,8 @@ func NewChaosNetwork(seed int64) *ChaosNetwork {
 // service time: deliveries to it are serialized, each occupying the pipe for
 // perMessage. Messages queue behind each other (nextFree pushes out), which
 // is exactly how a peer with a wedged reader looks from the outside — alive,
-// reachable, but consuming far slower than producers send.
+// reachable, but consuming far slower than producers send. The pipe keeps
+// time on the wall clock, not through after: only transport tests use it.
 type slowPipe struct {
 	perMessage time.Duration
 
@@ -226,8 +231,26 @@ func (n *ChaosNetwork) Wrap(inner Transport) *ChaosEndpoint {
 	ep := &ChaosEndpoint{net: n, inner: inner, addr: inner.Addr()}
 	n.mu.Lock()
 	n.endpoints[ep.addr] = ep
+	if clock, ok := inner.(afterFuncer); ok {
+		n.clock = clock
+	}
 	n.mu.Unlock()
 	return ep
+}
+
+// after runs f once d has passed: on the virtual clock of the wrapped
+// endpoints when they have one, else on the wall clock. It is the one place
+// the chaos layer picks a clock; the fault schedule and every link delay go
+// through it.
+func (n *ChaosNetwork) after(d time.Duration, f func()) {
+	n.mu.Lock()
+	clock := n.clock
+	n.mu.Unlock()
+	if clock != nil {
+		clock.AfterFunc(d, f)
+		return
+	}
+	time.AfterFunc(d, f)
 }
 
 // SetDefaultRule installs the fault policy applied to links without a
@@ -285,24 +308,11 @@ func (n *ChaosNetwork) Stats() ChaosStats {
 	}
 }
 
-// PlaySchedule arms the scripted fault schedule (offsets are measured from
-// now) and returns a stop function that cancels the events still pending.
-func (n *ChaosNetwork) PlaySchedule(events []FaultEvent) (stop func()) {
-	sorted := append([]FaultEvent(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	n.timersMu.Lock()
-	defer n.timersMu.Unlock()
-	for _, ev := range sorted {
-		ev := ev
-		n.timers = append(n.timers, time.AfterFunc(ev.At, func() { ev.apply(n) }))
-	}
-	return func() {
-		n.timersMu.Lock()
-		defer n.timersMu.Unlock()
-		for _, t := range n.timers {
-			t.Stop()
-		}
-		n.timers = nil
+// PlaySchedule arms the scripted fault schedule; offsets are measured from
+// now on the network's clock.
+func (n *ChaosNetwork) PlaySchedule(events []FaultEvent) {
+	for _, ev := range events {
+		n.after(ev.At, func() { ev.apply(n) })
 	}
 }
 
@@ -491,7 +501,7 @@ func (e *ChaosEndpoint) Send(addr string, msg wire.Message) error {
 	delayed := msg
 	for i := 0; i < copies; i++ {
 		e.net.delivered.Add(1)
-		time.AfterFunc(v.delay, func() { _ = e.inner.Send(addr, delayed) })
+		e.net.after(v.delay, func() { _ = e.inner.Send(addr, delayed) })
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"testing"
 	"time"
 
@@ -231,8 +234,7 @@ func TestChaosScheduleAndDescribe(t *testing.T) {
 		HealAt(80 * time.Millisecond),
 		PartitionAt(0, b.Addr()),
 	}
-	stop := cn.PlaySchedule(events)
-	defer stop()
+	cn.PlaySchedule(events)
 	time.Sleep(20 * time.Millisecond)
 	_ = a.Send(b.Addr(), wire.Message{MsgID: 1})
 	if got := drain(b, 30*time.Millisecond); len(got) != 0 {
@@ -250,16 +252,34 @@ func TestChaosScheduleAndDescribe(t *testing.T) {
 	}
 }
 
-func TestChaosScheduleStopCancelsPending(t *testing.T) {
-	cn, a, b := chaosPair(1)
-	stop := cn.PlaySchedule([]FaultEvent{CrashAt(60*time.Millisecond, b.Addr())})
-	stop()
-	time.Sleep(100 * time.Millisecond)
-	if err := a.Send(b.Addr(), wire.Message{MsgID: 5}); err != nil {
+// TestChaosPicksClockInOnePlace: the chaos layer's fault schedule and link
+// delays reach a clock only through after, which takes the wrapped
+// endpoints' virtual clock when they have one. The slow-peer pipe, which
+// only transport tests use, is the one other reader of the wall clock.
+func TestChaosPicksClockInOnePlace(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "chaos.go", nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drain(b, 100*time.Millisecond); len(got) != 1 {
-		t.Fatalf("cancelled crash still fired; got %v", got)
+	allowed := map[string]string{"after": "AfterFunc", "occupy": "Now"}
+	wallClock := map[string]bool{"Now": true, "Since": true, "Until": true, "AfterFunc": true, "Sleep": true,
+		"NewTimer": true, "NewTicker": true, "After": true, "Tick": true}
+	for _, decl := range f.Decls {
+		fname := ""
+		if fn, ok := decl.(*ast.FuncDecl); ok {
+			fname = fn.Name.Name
+		}
+		ast.Inspect(decl, func(nd ast.Node) bool {
+			sel, ok := nd.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && wallClock[sel.Sel.Name] && allowed[fname] != sel.Sel.Name {
+				t.Errorf("%s: %s uses the wall clock (time.%s); go through after", fset.Position(sel.Pos()), fname, sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }
 
