@@ -14,9 +14,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // goldenSections are the deterministic sections of -exp all, each rendered
-// at a fixed seed and at the smallest size that still exercises it. The live
-// sections (resilience, goodput, overload, telemetry) are wall-clock runs
-// and stay out.
+// at a fixed seed and at the smallest size that still exercises it
+// (resilience, goodput and telemetry at their own sizes, 6 to 18 nodes).
+// The one live section, overload, is a wall-clock run and stays out.
 var goldenSections = []struct {
 	name   string
 	render func(io.Writer) error
@@ -63,6 +63,9 @@ var goldenSections = []struct {
 	{"ablation-churn", func(w io.Writer) error { return AblationChurn(w, 1) }},
 	{"tracepath", func(w io.Writer) error { return RunTracePathConfig(w, smallTracePathConfig(1)) }},
 	{"succession", func(w io.Writer) error { return RunSuccessionConfig(w, smallSuccessionConfig(1)) }},
+	{"resilience", func(w io.Writer) error { return RunResilience(w, 1, 1) }},
+	{"goodput", func(w io.Writer) error { return RunGoodput(w, 1, 1) }},
+	{"telemetry", func(w io.Writer) error { return RunTelemetry(w, 1, 1) }},
 	{"discovery", func(w io.Writer) error {
 		rows, err := DiscoveryStudy([]int{128}, []float64{1.2}, []float64{0, 0.25}, 8, 32, 1, 1)
 		return writeRows(w, rows, err)
