@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"groupcast/internal/wire"
@@ -41,8 +41,11 @@ type fleetEntry struct {
 // make digest application commutative and idempotent, so any gossip order
 // yields the same view.
 type Fleet struct {
-	self     string
-	nodes    map[string]*fleetEntry
+	self  string
+	nodes map[string]*fleetEntry
+	// others lists the addresses of nodes other than self, sorted; Observe
+	// and evictOldest keep it in step with nodes. gossipAt indexes it.
+	others   []string
 	gossipAt int
 	// forgiveAfter is the restart-forgiveness window: a digest whose epoch
 	// regresses is normally a stale relay and is dropped, but when the held
@@ -98,6 +101,10 @@ func (f *Fleet) Observe(d wire.HealthDigest, now time.Time, epoch uint64) (advan
 		evicted = f.evictOldest()
 	}
 	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now, seenEpoch: epoch}
+	if d.Addr != f.self {
+		i, _ := slices.BinarySearch(f.others, d.Addr)
+		f.others = slices.Insert(f.others, i, d.Addr)
+	}
 	return true, evicted
 }
 
@@ -113,6 +120,9 @@ func (f *Fleet) evictOldest() string {
 		}
 	}
 	delete(f.nodes, oldest)
+	if i, ok := slices.BinarySearch(f.others, oldest); ok {
+		f.others = slices.Delete(f.others, i, i+1)
+	}
 	return oldest
 }
 
@@ -121,13 +131,24 @@ func (f *Fleet) evictOldest() string {
 // epochNow (0 disables stale marking).
 func (f *Fleet) Snapshot(epochNow, staleEpochs uint64) []NodeHealth {
 	out := make([]NodeHealth, 0, len(f.nodes))
-	for addr, e := range f.nodes {
+	row := func(addr string) {
+		e := f.nodes[addr]
 		out = append(out, NodeHealth{
 			HealthDigest: e.d, LastSeen: e.lastSeen, SeenEpoch: e.seenEpoch, Self: addr == f.self,
 			Stale: staleEpochs > 0 && epochNow > e.seenEpoch && epochNow-e.seenEpoch > staleEpochs,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	_, hasSelf := f.nodes[f.self]
+	for _, addr := range f.others {
+		if hasSelf && f.self < addr {
+			row(f.self)
+			hasSelf = false
+		}
+		row(addr)
+	}
+	if hasSelf {
+		row(f.self)
+	}
 	return out
 }
 
@@ -145,19 +166,10 @@ func (f *Fleet) Get(addr string) (wire.HealthDigest, bool) {
 // by address) so every entry keeps propagating even when k is much smaller
 // than the fleet. The caller prepends the node's own fresh digest itself.
 func (f *Fleet) GossipPick(k int) []wire.HealthDigest {
-	if k <= 0 {
+	addrs := f.others
+	if k <= 0 || len(addrs) == 0 {
 		return nil
 	}
-	addrs := make([]string, 0, len(f.nodes))
-	for addr := range f.nodes {
-		if addr != f.self {
-			addrs = append(addrs, addr)
-		}
-	}
-	if len(addrs) == 0 {
-		return nil
-	}
-	sort.Strings(addrs)
 	if k > len(addrs) {
 		k = len(addrs)
 	}

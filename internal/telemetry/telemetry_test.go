@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bufio"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +137,80 @@ func TestFleetGossipPickRoundRobin(t *testing.T) {
 	}
 	if len(seen) != 3 || seen["n1:1"] != 2 || seen["n2:1"] != 2 || seen["n3:1"] != 2 {
 		t.Fatalf("6 picks over 3 peers = %v, want each exactly twice", seen)
+	}
+}
+
+// TestFleetGossipPickMatchesSortEachCall: GossipPick and Snapshot walk the
+// sorted address list Observe and eviction maintain. Over random observe,
+// evict and forgive sequences their output matches the old algorithm, which
+// built and sorted the address list on every call and is kept here as the
+// reference.
+func TestFleetGossipPickMatchesSortEachCall(t *testing.T) {
+	refPick := func(f *Fleet, at *int, k int) []wire.HealthDigest {
+		var addrs []string
+		for addr := range f.nodes {
+			if addr != f.self {
+				addrs = append(addrs, addr)
+			}
+		}
+		if k <= 0 || len(addrs) == 0 {
+			return nil
+		}
+		sort.Strings(addrs)
+		k = min(k, len(addrs))
+		out := make([]wire.HealthDigest, 0, k)
+		for i := 0; i < k; i++ {
+			out = append(out, f.nodes[addrs[(*at+i)%len(addrs)]].d)
+		}
+		*at = (*at + k) % len(addrs)
+		return out
+	}
+	refSnapshot := func(f *Fleet) []string {
+		var addrs []string
+		for addr := range f.nodes {
+			addrs = append(addrs, addr)
+		}
+		sort.Strings(addrs)
+		return addrs
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := NewFleet("n0500:1")
+		refAt := 0
+		now := time.Unix(1700000000, 0)
+		pool := fleetMaxNodes + 80
+		for step := 0; step < fleetMaxNodes+1200; step++ {
+			now = now.Add(time.Duration(1+rng.Intn(1000)) * time.Millisecond)
+			switch {
+			case step < fleetMaxNodes-40:
+				// Fill most of the view in order, so the random phase evicts.
+				f.Observe(wire.HealthDigest{Addr: fmt.Sprintf("n%04d:1", step), Epoch: 1}, now, 0)
+				if step%50 != 0 {
+					continue
+				}
+			case rng.Intn(50) == 0:
+				f.SetForgiveAfter(time.Duration(rng.Intn(3)) * time.Second)
+			default:
+				addr := fmt.Sprintf("n%04d:1", rng.Intn(pool))
+				f.Observe(wire.HealthDigest{Addr: addr, Epoch: uint64(1 + rng.Intn(6))}, now, uint64(step))
+			}
+			k := rng.Intn(5)
+			if got, want := f.GossipPick(k), refPick(f, &refAt, k); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d step %d: GossipPick(%d) = %v, want %v", seed, step, k, got, want)
+			}
+			if step%97 == 0 {
+				var got []string
+				for _, nh := range f.Snapshot(uint64(step), 3) {
+					got = append(got, nh.Addr)
+				}
+				if want := refSnapshot(f); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: Snapshot order %v, want %v", seed, step, got, want)
+				}
+			}
+		}
+		if f.Len() != fleetMaxNodes {
+			t.Fatalf("seed %d: the view holds %d nodes; the sequence never evicted", seed, f.Len())
+		}
 	}
 }
 
