@@ -453,3 +453,69 @@ func TestBeaconSameSeedSameBackups(t *testing.T) {
 		}
 	}
 }
+
+// joinTally is a transport that counts the joins a node sends, per address.
+type joinTally struct {
+	transport.Transport
+	joins map[string]int
+}
+
+func (j *joinTally) Send(addr string, msg wire.Message) error {
+	if msg.Type == wire.TJoin {
+		j.joins[addr]++
+	}
+	return j.Transport.Send(addr, msg)
+}
+
+// TestUnreachableBackupTriedOnce: a join whose send fails at once ends that
+// backup, and the repair moves on to the next. A member partitioned from
+// its backups sends each of them one join per repair run, where retrying
+// in the same instant sent retryAttempts.
+func TestUnreachableBackupTriedOnce(t *testing.T) {
+	c := newDriven(t, 0, 1, nil)
+	parent, err := c.Endpoint("parent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backups := []string{"backup-a", "backup-b"}
+	for _, addr := range backups {
+		if _, err := c.Endpoint(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ep, err := c.Endpoint("member")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(10, nil, 1)
+	cfg.HeartbeatInterval = 0 // one repair run, and no maintenance epoch to start another
+	cfg.DisableDHT = true
+	tally := &joinTally{Transport: c.chaos.Wrap(ep), joins: map[string]int{}}
+	n := New(tally, cfg)
+	gs := newGroupState(wire.BestEffort)
+	gs.member = true
+	gs.parent = parent.Addr()
+	for _, addr := range backups {
+		gs.backups = append(gs.backups, wire.PeerInfo{Addr: addr})
+	}
+	n.groups["g"] = gs
+	c.Start(n)
+
+	// The parent leaves the group, and its leave is on the wire before the
+	// member is cut off from everyone.
+	if err := parent.Send(n.Addr(), wire.Message{
+		Type: wire.TLeave, From: wire.PeerInfo{Addr: parent.Addr()}, GroupID: "g",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.chaos.Partition(n.Addr())
+	c.Run(10 * time.Second)
+	for _, addr := range backups {
+		if got := tally.joins[addr]; got != 1 {
+			t.Errorf("the repair sent %d joins to unreachable backup %s, want 1", got, addr)
+		}
+	}
+	if n.Tree("g").Attached {
+		t.Fatal("a partitioned member reattached")
+	}
+}

@@ -405,10 +405,12 @@ func pathContains(path []string, addr string) bool {
 
 // joinVia sets parent, sends the join upstream, and waits for the immediate
 // parent's acknowledgement so the tree edge exists before the caller
-// publishes. The join is retried (fresh correlation ID each attempt, the
-// budget split evenly across attempts) so a single lost join or ack doesn't
-// fail the attachment. On final failure the tentative parent edge is rolled
-// back so the epoch loop sees the group as detached.
+// publishes. A join that timed out is retried (fresh correlation ID each
+// attempt, the budget split evenly across attempts) so a single lost join or
+// ack doesn't fail the attachment; a join whose send failed at once is not,
+// since a retry in the same instant would fail the same way. On final
+// failure the tentative parent edge is rolled back so the epoch loop sees
+// the group as detached.
 func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.DeliveryMode, timeout time.Duration, asMember bool, done func(error)) {
 	gs := n.groups[groupID]
 	if gs == nil {
@@ -436,6 +438,11 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 	if attemptWait < 10*time.Millisecond {
 		attemptWait = 10 * time.Millisecond
 	}
+	giveUp := func() {
+		rollback()
+		done(fmt.Errorf("%w: %q (parent %s did not acknowledge)",
+			ErrJoinFailed, groupID, parentAddr))
+	}
 	n.retry(false, func(_ int, fail func()) {
 		var traceID uint64
 		if n.tracer != nil {
@@ -452,6 +459,7 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 			OriginAt:   n.now,
 			RelayedAt:  n.now,
 		}
+		sending := true
 		n.ask([]string{parentAddr}, join, attemptWait,
 			func(ack wire.Message) bool {
 				// An ack whose root path runs through us means we picked a
@@ -469,12 +477,15 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 				gs.lastBeacon = n.now // grace until the first beacon arrives
 				done(nil)
 				return true
-			}, fail)
-	}, func() {
-		rollback()
-		done(fmt.Errorf("%w: %q (parent %s did not acknowledge)",
-			ErrJoinFailed, groupID, parentAddr))
-	})
+			}, func() {
+				if sending { // ask failed before it returned: the send did
+					giveUp()
+					return
+				}
+				fail()
+			})
+		sending = false
+	}, giveUp)
 }
 
 // handleJoin makes the sender a tree child and, if this node is not yet on
