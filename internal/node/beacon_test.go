@@ -1,29 +1,24 @@
 package node
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"groupcast/internal/coords"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
 // TestBeaconRefreshesRootPath checks that rendezvous beacons flow down the
 // tree, keep members fresh, and carry accurate root paths.
 func TestBeaconRefreshesRootPath(t *testing.T) {
-	net := transport.NewMemNetwork()
+	cl := newDriven(t, 0, 1, nil)
 	mk := func(seed int64) *Node {
 		cfg := DefaultConfig(10, coords.Point{float64(seed), 0}, seed)
 		cfg.HeartbeatInterval = 50 * time.Millisecond
-		nd := New(net.NextEndpoint(), cfg)
-		nd.Start()
-		return nd
+		return cl.node(t, cfg)
 	}
 	a, b, c := mk(1), mk(2), mk(3)
-	defer a.Close()
-	defer b.Close()
-	defer c.Close()
 	_ = a.Bootstrap(nil, time.Second)
 	if err := b.Bootstrap([]string{a.Addr()}, time.Second); err != nil {
 		t.Fatal(err)
@@ -37,7 +32,7 @@ func TestBeaconRefreshesRootPath(t *testing.T) {
 	if err := a.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	cl.Run(100 * time.Millisecond)
 	if err := b.Join("g", time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +40,11 @@ func TestBeaconRefreshesRootPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within a few epochs the beacon must reach c with a correct root path.
-	waitFor(t, 3*time.Second, func() (ok bool) {
+	cl.waitFor(t, 3*time.Second, func() (ok bool) {
 		c.post(func() {
 			gs := c.groups["g"]
 			// Root path starts at the rendezvous.
-			ok = gs != nil && gs.parent != "" && time.Since(gs.lastBeacon) <= time.Second &&
+			ok = gs != nil && gs.parent != "" && c.now.Sub(gs.lastBeacon) <= time.Second &&
 				len(gs.rootPath) >= 1 && gs.rootPath[0] == a.Addr()
 		})
 		return ok
@@ -60,19 +55,14 @@ func TestBeaconRefreshesRootPath(t *testing.T) {
 // verifies the beacon-staleness machinery tears it down and reattaches both
 // to the real tree.
 func TestBeaconCycleDetection(t *testing.T) {
-	net := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	mk := func(seed int64) *Node {
 		cfg := DefaultConfig(10, coords.Point{float64(seed), 0}, seed)
 		cfg.HeartbeatInterval = 50 * time.Millisecond
 		cfg.BeaconGraceEpochs = 4
-		nd := New(net.NextEndpoint(), cfg)
-		nd.Start()
-		return nd
+		return c.node(t, cfg)
 	}
 	rdv, x, y := mk(1), mk(2), mk(3)
-	defer rdv.Close()
-	defer x.Close()
-	defer y.Close()
 	_ = rdv.Bootstrap(nil, time.Second)
 	if err := x.Bootstrap([]string{rdv.Addr()}, time.Second); err != nil {
 		t.Fatal(err)
@@ -86,7 +76,7 @@ func TestBeaconCycleDetection(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.Run(100 * time.Millisecond)
 
 	// Force a severed x ↔ y cycle by hand.
 	forceState := func(nd *Node, parent string, child wire.PeerInfo) {
@@ -99,7 +89,7 @@ func TestBeaconCycleDetection(t *testing.T) {
 			gs.member = true
 			gs.parent = parent
 			gs.children[child.Addr] = child
-			gs.lastBeacon = time.Now().Add(-time.Hour) // already stale
+			gs.lastBeacon = nd.now.Add(-time.Hour) // already stale
 		})
 	}
 	forceState(x, y.Addr(), y.Info())
@@ -107,13 +97,13 @@ func TestBeaconCycleDetection(t *testing.T) {
 
 	// The stale-beacon detach plus epoch rejoin must give both nodes real
 	// paths to the rendezvous.
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		ok := true
 		for _, nd := range []*Node{x, y} {
 			var fresh, cycle bool
 			nd.post(func() {
 				gs := nd.groups["g"]
-				fresh = gs != nil && gs.parent != "" && time.Since(gs.lastBeacon) < time.Second
+				fresh = gs != nil && gs.parent != "" && nd.now.Sub(gs.lastBeacon) < time.Second
 				cycle = gs != nil && (gs.parent == x.Addr() || gs.parent == y.Addr()) &&
 					gs.parent != "" && nd.Addr() != gs.parent &&
 					((nd == x && gs.parent == y.Addr()) || (nd == y && gs.parent == x.Addr()))
@@ -126,27 +116,15 @@ func TestBeaconCycleDetection(t *testing.T) {
 	}, static("cycle never repaired"))
 
 	// Payloads from the rendezvous now reach both.
-	got := make(chan string, 4)
+	seen := map[string]bool{}
 	for _, nd := range []*Node{x, y} {
 		addr := nd.Addr()
-		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			select {
-			case got <- addr:
-			default:
-			}
-		})
+		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { seen[addr] = true })
 	}
 	if err := rdv.Publish("g", []byte("post-repair")); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	deadline := time.After(3 * time.Second)
-	for len(seen) < 2 {
-		select {
-		case addr := <-got:
-			seen[addr] = true
-		case <-deadline:
-			t.Fatalf("post-repair payload reached %d of 2", len(seen))
-		}
-	}
+	c.waitFor(t, 3*time.Second, func() bool { return len(seen) == 2 }, func() string {
+		return fmt.Sprintf("post-repair payload reached %d of 2", len(seen))
+	})
 }

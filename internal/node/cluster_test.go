@@ -3,7 +3,12 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,10 +19,9 @@ import (
 	"groupcast/internal/wire"
 )
 
-// driven is a cluster of nodes in virtual time behind one chaos layer, built
-// the way newChaosCluster builds a live one: Table 1 capacities, coordinates
-// on a 100×100 plane, 100 ms heartbeats, and each node bootstrapping
-// through the five it follows. Every link takes linkLatency.
+// driven is a cluster of nodes in virtual time behind one chaos layer:
+// the harness of every node test that does not test the live loop. Every
+// link takes linkLatency unless a test sets the cluster's latency.
 type driven struct {
 	*Cluster
 	chaos *transport.ChaosNetwork
@@ -27,6 +31,32 @@ type driven struct {
 
 const linkLatency = time.Millisecond
 
+// harnessConfig is node i's config in both multi-node harnesses: a Table 1
+// capacity, a coordinate on a 100×100 plane, 100 ms heartbeats and a
+// beacon grace of 4 epochs, then tweak.
+func harnessConfig(rng *rand.Rand, i int, tweak func(*Config)) Config {
+	cfg := DefaultConfig(float64(peer.MustTable1Sampler().Sample(rng)),
+		coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
+	cfg.HeartbeatInterval = 100 * time.Millisecond
+	cfg.BeaconGraceEpochs = 4
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return cfg
+}
+
+// newest lists the addresses of the last k nodes, newest first: the
+// bootstrap contacts of the next node in both harnesses.
+func newest(nodes []*Node, k int) []string {
+	var out []string
+	for j := len(nodes) - 1; j >= 0 && len(out) < k; j-- {
+		out = append(out, nodes[j].Addr())
+	}
+	return out
+}
+
+// newDriven builds n nodes with harnessConfig, each bootstrapping through
+// the five before it.
 func newDriven(t testing.TB, n int, seed int64, tweak func(*Config)) *driven {
 	t.Helper()
 	c := &driven{
@@ -34,26 +64,14 @@ func newDriven(t testing.TB, n int, seed int64, tweak func(*Config)) *driven {
 		chaos:   transport.NewChaosNetwork(seed),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	sampler := peer.MustTable1Sampler()
 	for i := 0; i < n; i++ {
-		cfg := DefaultConfig(float64(sampler.Sample(c.rng)),
-			coords.Point{c.rng.Float64() * 100, c.rng.Float64() * 100}, int64(i+1))
-		cfg.HeartbeatInterval = 100 * time.Millisecond
-		cfg.BeaconGraceEpochs = 4
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		var contacts []string
-		for j := len(c.nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, c.nodes[j].Addr())
-		}
-		c.add(t, cfg, contacts)
+		c.add(t, harnessConfig(c.rng, i, tweak), newest(c.nodes, 5))
 	}
 	return c
 }
 
-// add starts one more node and bootstraps it through contacts.
-func (c *driven) add(t testing.TB, cfg Config, contacts []string) *Node {
+// node starts one more node, not yet bootstrapped.
+func (c *driven) node(t testing.TB, cfg Config) *Node {
 	t.Helper()
 	ep, err := c.Endpoint(fmt.Sprintf("v%03d", len(c.nodes)))
 	if err != nil {
@@ -61,10 +79,17 @@ func (c *driven) add(t testing.TB, cfg Config, contacts []string) *Node {
 	}
 	nd := New(c.chaos.Wrap(ep), cfg)
 	c.Start(nd)
+	c.nodes = append(c.nodes, nd)
+	return nd
+}
+
+// add starts one more node and bootstraps it through contacts.
+func (c *driven) add(t testing.TB, cfg Config, contacts []string) *Node {
+	t.Helper()
+	nd := c.node(t, cfg)
 	if err := nd.Bootstrap(contacts, testTimeout); err != nil {
 		t.Fatalf("bootstrap %s: %v", nd.Addr(), err)
 	}
-	c.nodes = append(c.nodes, nd)
 	return nd
 }
 
@@ -81,8 +106,8 @@ func (c *driven) waitFor(t *testing.T, d time.Duration, cond func() bool, what f
 	}
 }
 
-// joinEventually is joinEventually in virtual time: Join, retried 50 ms
-// apart until it succeeds or within has passed.
+// joinEventually retries Join 50 ms apart until it succeeds or within has
+// passed: the group's advertisement or DHT record may still be spreading.
 func (c *driven) joinEventually(t *testing.T, nd *Node, gid string, within time.Duration) {
 	t.Helper()
 	var last error
@@ -92,6 +117,109 @@ func (c *driven) joinEventually(t *testing.T, nd *Node, gid string, within time.
 		}
 	}
 	t.Fatalf("join %q never succeeded: %v", gid, last)
+}
+
+// wallClock lists the node test code that stays on the wall clock, each
+// with its reason: the tests themselves and the helpers they use.
+// TestNodeTestsRunOnTheDriver keeps every other node test on newDriven.
+var wallClock = map[string]string{
+	// The live loop: run, the handler goroutine, post and await.
+	"TestHandlerContractSerial":    "no two calls of the handler goroutine overlap",
+	"TestHandlerContractRepublish": "a Publish from the handler goroutine does not deadlock the loop",
+	"TestHandlerContractLeave":     "a Leave from the handler goroutine does not stop the loop",
+	"TestJoinFromHandler":          "a Join from the handler goroutine waits on a loop the handler is not",
+	"TestSlowConsumerKeepsTree":    "a blocked handler goroutine holds back no loop duty",
+	"TestSnapshotsRaceSafe":        "snapshots read from other goroutines race a live loop",
+	// Goroutine and leak counts, and races against a live loop.
+	"TestIdleNodeGoroutines":     "counts the goroutines of a started node",
+	"TestRepairCostsNoGoroutine": "counts the goroutines of a live repair",
+	"TestDhtChurnSoak":           "counts goroutines leaked by live churn",
+	"TestDhtRepublishStopRace":   "races republishes against Leave and Close on a live loop",
+	// TCP.
+	"TestNodeOverTCP":                     "runs over loopback TCP",
+	"TestNodeClusterBinaryWire":           "runs over loopback TCP",
+	"TestBlackHoledNeighbourKeepsOverlay": "dials a black-holed TCP listener",
+	"TestOverloadSoakTCP":                 "saturates a stalled TCP peer",
+	"TestControlSurvivesSaturatedLink":    "saturates a TCP link",
+	"publishAndAwait":                     "paces publishes over TCP",
+	// Inbox saturation: the driver drains every push at once.
+	"TestControlPlaneSurvivesPayloadFlood": "floods a live inbox past its capacity",
+	"stallingSink.Record":                  "stalls a live loop per payload",
+	// The publish ns/op gate.
+	"TestTelemetryPublishOverhead": "times Publish on a live loop",
+	"runPublishBench":              "times Publish on a live loop",
+	"benchPublishCluster":          "builds the live pair the publish gate times",
+	// The wall-clock helpers.
+	"waitFor":           "polls a condition on the wall clock",
+	"waitGoroutines":    "polls the goroutine count",
+	"settledGoroutines": "samples the goroutine count",
+	"newLive":           "the live harness",
+}
+
+// TestNodeTestsRunOnTheDriver keeps node tests in virtual time: a function
+// in this package's tests that sleeps, builds a MemNetwork or calls a
+// wallClock helper (the wall-clock waitFor among them) must be listed in
+// wallClock, and every function listed there must still need to be.
+func TestNodeTestsRunOnTheDriver(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	uses := map[string]bool{}
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			var why []string
+			sels := map[*ast.Ident]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					sels[n.Sel] = true
+					if pkg, ok := n.X.(*ast.Ident); ok {
+						if q := pkg.Name + "." + n.Sel.Name; q == "time.Sleep" || q == "transport.NewMemNetwork" {
+							why = append(why, fmt.Sprintf("%s at %s", q, fset.Position(n.Pos())))
+						}
+					}
+				case *ast.Ident:
+					if _, listed := wallClock[n.Name]; listed && !sels[n] {
+						why = append(why, fmt.Sprintf("%s at %s", n.Name, fset.Position(n.Pos())))
+					}
+				}
+				return true
+			})
+			if len(why) == 0 {
+				continue
+			}
+			uses[name] = true
+			if _, listed := wallClock[name]; !listed {
+				t.Errorf("%s runs on the wall clock (%s): move it onto newDriven, or list it in wallClock with its reason",
+					name, strings.Join(why, ", "))
+			}
+		}
+	}
+	for name := range wallClock {
+		if !uses[name] {
+			t.Errorf("%s is listed in wallClock but no longer touches the wall clock", name)
+		}
+	}
 }
 
 // TestClusterRunsNodesInVirtualTime: nodes on a cluster bootstrap, join and
@@ -260,4 +388,20 @@ func TestClusterChaosOnHeap(t *testing.T) {
 	if err := ca.Send("b", wire.Message{Type: wire.TPayload, MsgID: 3}); err == nil {
 		t.Fatal("send after the scheduled crash succeeded")
 	}
+}
+
+// stubEndpoint is an endpoint alone on a cluster of its own, for a node
+// that is never started or is stepped by hand.
+func stubEndpoint() transport.Transport {
+	ep, _ := NewCluster(nil).Endpoint("stub")
+	return ep
+}
+
+// nodeAddrs lists the nodes' addresses, in order.
+func nodeAddrs(nodes []*Node) []string {
+	out := make([]string, 0, len(nodes))
+	for _, nd := range nodes {
+		out = append(out, nd.Addr())
+	}
+	return out
 }

@@ -1,7 +1,7 @@
 package node
 
 import (
-	"math/rand"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,70 +13,11 @@ import (
 	"groupcast/internal/wire"
 )
 
-// dhtCluster spins up live nodes on one in-memory fabric with a per-node
-// config hook, and can grow after construction — the DHT tests need to add
-// fresh joiners once the original population has already converged (or
-// churned).
-type dhtCluster struct {
-	mem   *transport.MemNetwork
-	rng   *rand.Rand
-	seq   int64
-	nodes []*Node
-}
-
-func newDhtCluster(t *testing.T, n int, seed int64, tweak func(i int, cfg *Config)) *dhtCluster {
-	t.Helper()
-	c := &dhtCluster{mem: transport.NewMemNetwork(), rng: rand.New(rand.NewSource(seed))}
-	for i := 0; i < n; i++ {
-		var contacts []string
-		for j := len(c.nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, c.nodes[j].Addr())
-		}
-		c.add(t, contacts, func(cfg *Config) {
-			if tweak != nil {
-				tweak(i, cfg)
-			}
-		})
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			_ = nd.Close()
-		}
-	})
-	return c
-}
-
-func (c *dhtCluster) add(t *testing.T, contacts []string, tweak func(cfg *Config)) *Node {
-	t.Helper()
-	c.seq++
-	cfg := DefaultConfig(50, coords.Point{c.rng.Float64() * 100, c.rng.Float64() * 100}, c.seq)
-	cfg.HeartbeatInterval = 100 * time.Millisecond
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	nd := New(c.mem.NextEndpoint(), cfg)
-	nd.Start()
-	if err := nd.Bootstrap(contacts, testTimeout); err != nil {
-		t.Fatalf("bootstrap: %v", err)
-	}
-	c.nodes = append(c.nodes, nd)
-	return nd
-}
-
-// joinEventually retries Join until the DHT record has replicated far enough
-// to resolve (the owner republishes every dhtRepublishEpochs heartbeats, so
-// the first attempts may race the record's spread).
-func joinEventually(t *testing.T, nd *Node, gid string, within time.Duration) {
-	t.Helper()
-	var last error
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if last = nd.Join(gid, time.Second); last == nil {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("join %q never succeeded: %v", gid, last)
+// dhtNode is the config tweak of the DHT tests: capacity 50 at every node
+// and the default beacon grace.
+func dhtNode(cfg *Config) {
+	cfg.Capacity = 50
+	cfg.BeaconGraceEpochs = 0 // the default
 }
 
 // joinViaDHT joins gid and fails the test unless the structured path served
@@ -128,14 +69,14 @@ func joinViaDHT(t *testing.T, wait func(*testing.T, time.Duration, func() bool, 
 // charter record the DHT holds, without the ripple fallback.
 func TestDhtJoinResolvesWithoutRipple(t *testing.T) {
 	const gid = "dht-only"
-	c := newDhtCluster(t, 8, 11, nil)
+	c := newDriven(t, 8, 11, dhtNode)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.BestEffort); err != nil {
 		t.Fatal(err)
 	}
 	// Deliberately no Advertise: the charter record in the DHT is the only
 	// breadcrumb.
-	joinViaDHT(t, waitFor, c.nodes[len(c.nodes)-1], gid, 1, 10*time.Second)
+	joinViaDHT(t, c.waitFor, c.nodes[len(c.nodes)-1], gid, 1, 10*time.Second)
 	if rdv.Stats().DhtStores == 0 {
 		t.Error("rendezvous never counted a charter store")
 	}
@@ -147,17 +88,16 @@ func TestDhtJoinResolvesWithoutRipple(t *testing.T) {
 // flood still finds the group.
 func TestDhtFallbackToRipple(t *testing.T) {
 	const gid = "legacy"
-	c := newDhtCluster(t, 6, 13, func(i int, cfg *Config) {
-		if i == 0 {
-			cfg.DisableDHT = true
-		}
+	c := newDriven(t, 6, 13, func(cfg *Config) {
+		dhtNode(cfg)
+		cfg.DisableDHT = cfg.Seed == 1 // the rendezvous
 	})
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.BestEffort); err != nil {
 		t.Fatal(err)
 	}
 	joiner := c.nodes[len(c.nodes)-1]
-	joinEventually(t, joiner, gid, 15*time.Second)
+	c.joinEventually(t, joiner, gid, 15*time.Second)
 
 	st := joiner.Stats()
 	if st.DhtLookups == 0 {
@@ -176,15 +116,14 @@ func TestDhtFallbackToRipple(t *testing.T) {
 // of the length it had on the wall clock.
 func TestDhtSuccessionRepublish(t *testing.T) {
 	const gid = "succession"
-	dhtNode := func(cfg *Config) {
-		cfg.Capacity = 50
-		cfg.BeaconGraceEpochs = 0 // the default
+	noRefresh := func(cfg *Config) {
+		dhtNode(cfg)
 		// Keep advertisement floods out of the picture: the promotion's one
 		// flood happens before the fresh node exists, and with refresh
 		// effectively off it can never leak the group to it afterwards.
 		cfg.AdvertiseRefreshEpochs = 1 << 20
 	}
-	c := newDriven(t, 7, 31, dhtNode)
+	c := newDriven(t, 7, 31, noRefresh)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -221,7 +160,7 @@ func TestDhtSuccessionRepublish(t *testing.T) {
 	}
 	cfg := DefaultConfig(50, coords.Point{c.rng.Float64() * 100, c.rng.Float64() * 100}, int64(len(c.nodes)+1))
 	cfg.HeartbeatInterval = 100 * time.Millisecond
-	dhtNode(&cfg)
+	noRefresh(&cfg)
 	fresh := c.add(t, cfg, seeds)
 	joinViaDHT(t, c.waitFor, fresh, gid, 2, 15*time.Second)
 
@@ -243,13 +182,18 @@ func TestDhtChurnSoak(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	const gid = "churny"
-	c := newDhtCluster(t, 10, 41, nil)
+	c := newLive(t, 10, 41, dhtNode)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.BestEffort); err != nil {
 		t.Fatal(err)
 	}
+	join := func(nd *Node) {
+		t.Helper()
+		waitFor(t, 10*time.Second, func() bool { return nd.Join(gid, time.Second) == nil },
+			func() string { return fmt.Sprintf("%s never joined %q", nd.Addr(), gid) })
+	}
 	for _, nd := range c.nodes[1:] {
-		joinEventually(t, nd, gid, 10*time.Second)
+		join(nd)
 	}
 
 	// One member flaps throughout the churn: its joins race the deaths and
@@ -283,8 +227,8 @@ func TestDhtChurnSoak(t *testing.T) {
 				seeds = append(seeds, nd.Addr())
 			}
 		}
-		fresh := c.add(t, seeds, nil)
-		joinEventually(t, fresh, gid, 10*time.Second)
+		fresh := c.add(t, harnessConfig(c.rng, len(c.nodes), dhtNode), seeds)
+		join(fresh)
 		alive = append(alive, fresh)
 	}
 	close(stopFlap)
@@ -295,7 +239,7 @@ func TestDhtChurnSoak(t *testing.T) {
 	for _, nd := range alive[:3] {
 		seeds = append(seeds, nd.Addr())
 	}
-	joinViaDHT(t, waitFor, c.add(t, seeds, nil), gid, 1, 15*time.Second)
+	joinViaDHT(t, waitFor, c.add(t, harnessConfig(c.rng, len(c.nodes), dhtNode), seeds), gid, 1, 15*time.Second)
 
 	for _, nd := range c.nodes {
 		_ = nd.Close()
@@ -310,7 +254,7 @@ func TestDhtChurnSoak(t *testing.T) {
 func TestDhtRepublishStopRace(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {
-		c := newDhtCluster(t, 3, int64(1000+round), nil)
+		c := newLive(t, 3, int64(1000+round), dhtNode)
 		rdv := c.nodes[0]
 		const gid = "stop-race"
 		if err := rdv.CreateGroupMode(gid, wire.BestEffort); err != nil {
@@ -348,48 +292,50 @@ func TestDhtRepublishStopRace(t *testing.T) {
 // one at a time would never fill that barrier and would burn a
 // dhtQueryTimeout per contact instead.
 func TestDhtLookupWaveQueriesOverlap(t *testing.T) {
-	mem := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	cfg := DefaultConfig(50, coords.Point{0, 0}, 1)
 	cfg.HeartbeatInterval = 0 // no background traffic: only the lookup sends
-	nd := New(mem.NextEndpoint(), cfg)
-	nd.Start()
-	defer nd.Close()
+	nd := c.node(t, cfg)
 
 	const contacts = dht.DefaultAlpha
-	var arrived sync.WaitGroup
-	arrived.Add(contacts)
-	var addrs []string
+	var eps []transport.Transport
 	for i := 0; i < contacts; i++ {
-		ep := mem.NextEndpoint()
-		defer ep.Close()
-		addrs = append(addrs, ep.Addr())
-		go func() {
-			for msg := range ep.Recv() {
-				if msg.Type != wire.TDhtFindNode {
-					continue
-				}
-				arrived.Done()
-				arrived.Wait()
-				_ = ep.Send(msg.From.Addr, wire.Message{
-					Type: wire.TDhtFindNodeResp, From: wire.PeerInfo{Addr: ep.Addr()}, ReqID: msg.ReqID,
-				})
-			}
-		}()
-	}
-
-	results := make(chan dht.Result, 1)
-	nd.post(func() {
-		for _, addr := range addrs {
-			nd.dhtObserve(wire.PeerInfo{Addr: addr})
+		ep, err := c.Endpoint(fmt.Sprintf("contact-%d", i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		nd.dhtLookup(dht.KeyID("overlap"), "", func(r dht.Result) { results <- r })
-	})
-	var res dht.Result
-	select {
-	case res = <-results:
-	case <-time.After(testTimeout):
-		t.Fatal("lookup never finished")
+		eps = append(eps, ep)
 	}
+	var res *dht.Result
+	nd.post(func() {
+		for _, ep := range eps {
+			nd.dhtObserve(wire.PeerInfo{Addr: ep.Addr()})
+		}
+		nd.dhtLookup(dht.KeyID("overlap"), "", func(r dht.Result) { res = &r })
+	})
+	// The barrier: no contact replies until every one holds its query.
+	c.Run(linkLatency)
+	var queries []wire.Message
+	for _, ep := range eps {
+		for {
+			msg, ok := ep.InboxQueue().Pop()
+			if !ok {
+				t.Fatalf("%s holds no query: the wave's queries were not in flight together", ep.Addr())
+			}
+			if msg.Type == wire.TDhtFindNode {
+				queries = append(queries, msg)
+				break
+			}
+		}
+	}
+	for i, ep := range eps {
+		if err := ep.Send(queries[i].From.Addr, wire.Message{
+			Type: wire.TDhtFindNodeResp, From: wire.PeerInfo{Addr: ep.Addr()}, ReqID: queries[i].ReqID,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitFor(t, testTimeout, func() bool { return res != nil }, static("lookup never finished"))
 	if res.Queries != contacts || res.Hops != 1 {
 		t.Fatalf("lookup ran %d queries in %d waves, want %d in 1", res.Queries, res.Hops, contacts)
 	}

@@ -2,63 +2,20 @@ package node
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"groupcast/internal/coords"
-	"groupcast/internal/peer"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
-
-// chaosCluster spins up n live nodes behind a shared chaos layer over one
-// in-memory fabric.
-type chaosCluster struct {
-	chaos *transport.ChaosNetwork
-	nodes []*Node
-}
-
-func newChaosCluster(t *testing.T, n int, seed int64, tweak func(*Config)) *chaosCluster {
-	t.Helper()
-	mem := transport.NewMemNetwork()
-	c := &chaosCluster{chaos: transport.NewChaosNetwork(seed)}
-	rng := rand.New(rand.NewSource(seed))
-	sampler := peer.MustTable1Sampler()
-	for i := 0; i < n; i++ {
-		cfg := DefaultConfig(float64(sampler.Sample(rng)),
-			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
-		cfg.HeartbeatInterval = 100 * time.Millisecond
-		cfg.BeaconGraceEpochs = 4
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		nd := New(c.chaos.Wrap(mem.NextEndpoint()), cfg)
-		nd.Start()
-		var contacts []string
-		for j := len(c.nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, c.nodes[j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, testTimeout); err != nil {
-			t.Fatalf("bootstrap node %d: %v", i, err)
-		}
-		c.nodes = append(c.nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			_ = nd.Close()
-		}
-	})
-	return c
-}
 
 // TestBackupsPropagateDownTree verifies the dynamic-replication extension's
 // live port: beacons and join acks hand every member backup access points
 // outside its own subtree.
 func TestBackupsPropagateDownTree(t *testing.T) {
-	c := newChaosCluster(t, 8, 21, nil)
+	c := newDriven(t, 8, 21, nil)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -66,7 +23,7 @@ func TestBackupsPropagateDownTree(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	c.Run(150 * time.Millisecond)
 	for i, nd := range c.nodes[1:] {
 		if err := nd.Join("g", testTimeout); err != nil {
 			t.Fatalf("join node %d: %v", i+1, err)
@@ -74,7 +31,7 @@ func TestBackupsPropagateDownTree(t *testing.T) {
 	}
 	// With ≥2 members under the rendezvous, every member has at least one
 	// sibling or grandparent to fall back to once beacons have flowed.
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		for _, nd := range c.nodes[1:] {
 			tv := nd.Tree("g")
 			if !tv.Attached || len(tv.Backups) == 0 {
@@ -96,7 +53,7 @@ func TestBackupsPropagateDownTree(t *testing.T) {
 // requires every orphan to reattach — with at least one repair going through
 // a precomputed backup access point rather than a ripple search.
 func TestBackupFailoverOnParentCrash(t *testing.T) {
-	c := newChaosCluster(t, 12, 5, nil)
+	c := newDriven(t, 12, 5, nil)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -104,7 +61,7 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	c.Run(150 * time.Millisecond)
 	var members []*Node
 	for _, nd := range c.nodes[1:] {
 		if err := nd.Join("g", testTimeout); err != nil {
@@ -137,7 +94,7 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 		}
 		return out
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(lacking()) == 0 }, func() string {
+	c.waitFor(t, 5*time.Second, func() bool { return len(lacking()) == 0 }, func() string {
 		return fmt.Sprintf("backups never reached the victim's children %v", lacking())
 	})
 	c.chaos.Crash(victim.Addr())
@@ -148,7 +105,7 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 			survivors = append(survivors, m)
 		}
 	}
-	waitFor(t, 15*time.Second, func() bool {
+	c.waitFor(t, 15*time.Second, func() bool {
 		for _, m := range survivors {
 			tv := m.Tree("g")
 			if !tv.Attached || tv.Parent == victim.Addr() {
@@ -169,21 +126,14 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 	// The repaired tree must still deliver: publish until every survivor
 	// hears at least one payload (the chaos layer injects no loss here, but
 	// repairs may still be settling).
-	var mu sync.Mutex
 	got := make(map[string]int)
 	for _, m := range survivors {
 		addr := m.Addr()
-		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			mu.Lock()
-			got[addr]++
-			mu.Unlock()
-		})
+		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { got[addr]++ })
 	}
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		_ = rdv.Publish("g", []byte("x"))
-		time.Sleep(50 * time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
+		c.Run(50 * time.Millisecond)
 		for _, m := range survivors {
 			if got[m.Addr()] == 0 {
 				return false
@@ -196,7 +146,7 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 // TestSearchOnlyRepairStillRecovers pins the fallback path: with backup
 // failover disabled, a parent crash is repaired by ripple search alone.
 func TestSearchOnlyRepairStillRecovers(t *testing.T) {
-	c := newChaosCluster(t, 10, 9, func(cfg *Config) {
+	c := newDriven(t, 10, 9, func(cfg *Config) {
 		cfg.DisableBackupFailover = true
 	})
 	rdv := c.nodes[0]
@@ -206,7 +156,7 @@ func TestSearchOnlyRepairStillRecovers(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	c.Run(150 * time.Millisecond)
 	var members []*Node
 	for _, nd := range c.nodes[1:] {
 		if err := nd.Join("g", testTimeout); err != nil {
@@ -222,7 +172,7 @@ func TestSearchOnlyRepairStillRecovers(t *testing.T) {
 		}
 	}
 	c.chaos.Crash(victim.Addr())
-	waitFor(t, 15*time.Second, func() bool {
+	c.waitFor(t, 15*time.Second, func() bool {
 		var viaBackup uint64
 		for _, m := range members {
 			if m == victim {
@@ -298,7 +248,7 @@ func TestRepairCostsNoGoroutine(t *testing.T) {
 // TestJoinRetriesThroughLoss pins joinVia's internal retry: the first join
 // message is eaten by the network, the retry attaches the member anyway.
 func TestJoinRetriesThroughLoss(t *testing.T) {
-	c := newChaosCluster(t, 2, 3, nil)
+	c := newDriven(t, 2, 3, nil)
 	a, b := c.nodes[0], c.nodes[1]
 	if err := a.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -306,7 +256,7 @@ func TestJoinRetriesThroughLoss(t *testing.T) {
 	if err := a.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() (saw bool) {
+	c.waitFor(t, 2*time.Second, func() (saw bool) {
 		b.post(func() { _, saw = b.adSeen["g"] })
 		return saw
 	}, static("advertisement never arrived"))
@@ -325,23 +275,18 @@ func TestJoinRetriesThroughLoss(t *testing.T) {
 // TestBootstrapRetriesThroughLoss pins the bootstrap probe retry: the first
 // probe to the only contact is eaten, the retry still finds the overlay.
 func TestBootstrapRetriesThroughLoss(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	chaos := transport.NewChaosNetwork(4)
-	mk := func(seed int64) *Node {
+	c := newDriven(t, 0, 4, nil)
+	cfg := func(seed int64) Config {
 		cfg := DefaultConfig(50, coords.Point{float64(seed), 0}, seed)
 		cfg.HeartbeatInterval = 100 * time.Millisecond
-		nd := New(chaos.Wrap(mem.NextEndpoint()), cfg)
-		nd.Start()
-		return nd
+		return cfg
 	}
-	a := mk(1)
-	defer a.Close()
+	a := c.node(t, cfg(1))
 	if err := a.Bootstrap(nil, testTimeout); err != nil {
 		t.Fatal(err)
 	}
-	b := mk(2)
-	defer b.Close()
-	chaos.SetLinkRule(b.Addr(), a.Addr(), transport.LinkRule{DropFirst: 1})
+	b := c.node(t, cfg(2))
+	c.chaos.SetLinkRule(b.Addr(), a.Addr(), transport.LinkRule{DropFirst: 1})
 	if err := b.Bootstrap([]string{a.Addr()}, testTimeout); err != nil {
 		t.Fatalf("bootstrap through a lossy link: %v", err)
 	}
@@ -357,14 +302,14 @@ func TestBootstrapRetriesThroughLoss(t *testing.T) {
 // neighbour turns suspect (extra mid-epoch probe, excluded from probe
 // responses) and then dead once the full grace elapses.
 func TestSuspectThenDead(t *testing.T) {
-	c := newChaosCluster(t, 2, 6, nil)
+	c := newDriven(t, 2, 6, nil)
 	a, b := c.nodes[0], c.nodes[1]
-	waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 && b.NumNeighbors() == 1 },
+	c.waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 && b.NumNeighbors() == 1 },
 		static("nodes never became neighbours"))
 	c.chaos.Crash(b.Addr())
-	waitFor(t, 5*time.Second, func() bool { return a.Stats().Suspected >= 1 },
+	c.waitFor(t, 5*time.Second, func() bool { return a.Stats().Suspected >= 1 },
 		static("silent neighbour never turned suspect"))
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		return a.Stats().NeighborsDeclaredDead >= 1 && a.NumNeighbors() == 0
 	}, static("suspect neighbour never escalated to dead"))
 }
@@ -375,19 +320,19 @@ func TestSuspectRecovers(t *testing.T) {
 	// A wide dead grace (11 intervals) separates the two thresholds so the
 	// test exercises suspicion without racing the dead timer: the silence
 	// is long enough to raise a suspect, nowhere near long enough to kill.
-	c := newChaosCluster(t, 2, 8, func(cfg *Config) {
+	c := newDriven(t, 2, 8, func(cfg *Config) {
 		cfg.MissedHeartbeatsToFail = 10
 	})
 	a, b := c.nodes[0], c.nodes[1]
-	waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 },
+	c.waitFor(t, 2*time.Second, func() bool { return a.NumNeighbors() == 1 },
 		static("nodes never became neighbours"))
 	c.chaos.Partition(b.Addr())
-	waitFor(t, 3*time.Second, func() bool { return a.Stats().Suspected >= 1 },
+	c.waitFor(t, 3*time.Second, func() bool { return a.Stats().Suspected >= 1 },
 		static("missed heartbeat never raised a suspicion"))
 	c.chaos.Heal()
 	// The healed neighbour answers the next probe or heartbeat and stays a
 	// neighbour; nothing is declared dead.
-	time.Sleep(500 * time.Millisecond)
+	c.Run(500 * time.Millisecond)
 	if a.NumNeighbors() != 1 || a.Stats().NeighborsDeclaredDead != 0 {
 		t.Fatalf("recovered neighbour was dropped (neighbours = %d, dead = %d)",
 			a.NumNeighbors(), a.Stats().NeighborsDeclaredDead)
@@ -407,7 +352,7 @@ func TestBeaconSameSeedSameBackups(t *testing.T) {
 		}
 	}
 	build := func() []string {
-		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		log := &sendLog{Transport: stubEndpoint()}
 		cfg := DefaultConfig(10, nil, 7)
 		cfg.Deputies = 2
 		n := New(log, cfg)

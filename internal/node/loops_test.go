@@ -152,9 +152,7 @@ func TestHandlerContractSerial(t *testing.T) {
 // each Publish returns nil without deadlocking b's loop, and c receives the
 // re-published stream in order.
 func TestHandlerContractRepublish(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint(), mem.NextEndpoint()}
-	nodes := lineCluster(t, eps, nil)
+	nodes := lineCluster(t, 3, newLive(t, 0, 1, nil).add, nil)
 	a, b, c := nodes[0], nodes[1], nodes[2]
 	for _, g := range []struct {
 		rdv, member *Node
@@ -243,9 +241,7 @@ func TestHandlerContractRepublish(t *testing.T) {
 // inside its handler on the k-th payload; Leave returns nil, c's loop keeps
 // running, c forgets the group and its tree parent drops it as a child.
 func TestHandlerContractLeave(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint(), mem.NextEndpoint()}
-	nodes := lineCluster(t, eps, nil)
+	nodes := lineCluster(t, 3, newLive(t, 0, 1, nil).add, nil)
 	a, c := nodes[0], nodes[2]
 	if err := a.CreateGroupMode("g", wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -311,8 +307,7 @@ func TestHandlerContractLeave(t *testing.T) {
 // inside its handler for "first"; the Join returns nil within its timeout,
 // as the handler does not run on the loop the Join waits for.
 func TestJoinFromHandler(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	nodes := lineCluster(t, []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint()}, nil)
+	nodes := lineCluster(t, 2, newLive(t, 0, 1, nil).add, nil)
 	a, b := nodes[0], nodes[1]
 	for _, gid := range []string{"first", "second"} {
 		if err := a.CreateGroup(gid); err != nil {
@@ -355,9 +350,7 @@ func TestJoinFromHandler(t *testing.T) {
 // the handler returns, the leaf delivers 1..100, each once and in order.
 func TestSlowConsumerKeepsTree(t *testing.T) {
 	const hb = 50 * time.Millisecond
-	mem := transport.NewMemNetwork()
-	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint(), mem.NextEndpoint()}
-	nodes := lineCluster(t, eps, func(_ int, cfg *Config) { cfg.HeartbeatInterval = hb })
+	nodes := lineCluster(t, 3, newLive(t, 0, 1, nil).add, func(cfg *Config) { cfg.HeartbeatInterval = hb })
 	root, leaf := nodes[0], nodes[2]
 	if err := root.CreateGroupMode("g", wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -649,7 +642,7 @@ func TestNodeReadsClockOncePerEvent(t *testing.T) {
 // which neighbours changed from run to run.
 func TestRefreshSameSeedSameFrames(t *testing.T) {
 	build := func() map[string][]string {
-		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		log := &sendLog{Transport: stubEndpoint()}
 		n := New(log, DefaultConfig(10, nil, 7))
 		defer n.Close()
 		stepAt(n, time.Now(), event{flow: func() {
@@ -693,7 +686,7 @@ func TestRefreshSameSeedSameFrames(t *testing.T) {
 // payloads. In map order the release order changed from run to run.
 func TestNackSweepSameSeedSameOrder(t *testing.T) {
 	build := func() []string {
-		n := New(&sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}, DefaultConfig(10, nil, 7))
+		n := New(&sendLog{Transport: stubEndpoint()}, DefaultConfig(10, nil, 7))
 		defer n.Close()
 		past := time.Now().Add(-time.Minute)
 		var order []string
@@ -740,7 +733,7 @@ func TestNackSweepSameSeedSameOrder(t *testing.T) {
 func TestDhtRescueSameSeedSameFrames(t *testing.T) {
 	const hb = time.Minute
 	build := func() map[string][]string {
-		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		log := &sendLog{Transport: stubEndpoint()}
 		cfg := DefaultConfig(10, nil, 7)
 		cfg.HeartbeatInterval = hb
 		n := New(log, cfg)
@@ -785,7 +778,7 @@ func TestDhtRescueSameSeedSameFrames(t *testing.T) {
 // (MissedHeartbeatsToFail+1)·hb = 3 hb.
 func TestEpochDutiesStepped(t *testing.T) {
 	const hb = time.Minute
-	log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+	log := &sendLog{Transport: stubEndpoint()}
 	cfg := DefaultConfig(10, nil, 1)
 	cfg.HeartbeatInterval = hb
 	cfg.DisableDHT = true

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,33 +10,22 @@ import (
 	"groupcast/internal/wire"
 )
 
-// lossyEndpoints returns a constructor of endpoints on one in-memory fabric
-// whose every link drops the given share of messages, seeded per link.
-func lossyEndpoints(seed int64, drop float64) func() transport.Transport {
-	mem := transport.NewMemNetwork()
-	chaos := transport.NewChaosNetwork(seed)
-	chaos.SetDefaultRule(transport.LinkRule{Drop: drop})
-	return func() transport.Transport { return chaos.Wrap(mem.NextEndpoint()) }
+// newLossy is a driven cluster, with no nodes yet, whose every link drops
+// the given share of messages, seeded per link.
+func newLossy(t *testing.T, seed int64, drop float64) *driven {
+	c := newDriven(t, 0, seed, nil)
+	c.chaos.SetDefaultRule(transport.LinkRule{Drop: drop})
+	return c
 }
 
-// TestClusterToleratesMessageLoss runs a live cluster over a fabric dropping
-// 5% of all messages. Bootstrap, heartbeats, joins and publishes must still
-// mostly work (the protocol retries joins; payloads are fire-and-forget so
-// some loss is expected).
-func TestClusterToleratesMessageLoss(t *testing.T) {
-	endpoint := lossyEndpoints(99, 0.05)
-
-	var nodes []*Node
-	for i := 0; i < 20; i++ {
-		cfg := DefaultConfig(float64(10*(1+i%3)), coords.Point{float64(i), 0}, int64(i+1))
-		cfg.HeartbeatInterval = 500 * time.Millisecond
-		nd := New(endpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for j := 0; j < len(nodes) && j < 6; j++ {
-			contacts = append(contacts, nodes[len(nodes)-1-j].Addr())
-		}
-		// Loss can defeat a bootstrap round; retry a few times.
+// bootstrapUnderLoss starts n nodes with config cfg(i), each bootstrapping
+// through the six before it, retried a few times because loss can defeat
+// a bootstrap round.
+func bootstrapUnderLoss(t *testing.T, c *driven, n int, cfg func(i int) Config) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		contacts := newest(c.nodes, 6)
+		nd := c.node(t, cfg(i))
 		var err error
 		for attempt := 0; attempt < 5; attempt++ {
 			if err = nd.Bootstrap(contacts, 500*time.Millisecond); err == nil && (len(contacts) == 0 || nd.NumNeighbors() > 0) {
@@ -47,15 +35,22 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 		if len(contacts) > 0 && nd.NumNeighbors() == 0 {
 			t.Fatalf("node %d could not bootstrap under loss: %v", i, err)
 		}
-		nodes = append(nodes, nd)
 	}
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
+}
 
-	rdv := nodes[0]
+// TestClusterToleratesMessageLoss runs a live cluster over a fabric dropping
+// 5% of all messages. Bootstrap, heartbeats, joins and publishes must still
+// mostly work (the protocol retries joins; payloads are fire-and-forget so
+// some loss is expected).
+func TestClusterToleratesMessageLoss(t *testing.T) {
+	c := newLossy(t, 99, 0.05)
+	bootstrapUnderLoss(t, c, 20, func(i int) Config {
+		cfg := DefaultConfig(float64(10*(1+i%3)), coords.Point{float64(i), 0}, int64(i+1))
+		cfg.HeartbeatInterval = 500 * time.Millisecond
+		return cfg
+	})
+
+	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("lossy"); err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +59,12 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 		if err := rdv.Advertise("lossy"); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(50 * time.Millisecond)
+		c.Run(50 * time.Millisecond)
 	}
 
 	joined := 0
 	var members []*Node
-	for _, nd := range nodes[1:] {
+	for _, nd := range c.nodes[1:] {
 		ok := false
 		for attempt := 0; attempt < 6 && !ok; attempt++ {
 			ok = nd.Join("lossy", time.Second) == nil
@@ -83,14 +78,9 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 		t.Fatalf("only %d/19 joined under 5%% loss", joined)
 	}
 
-	var mu sync.Mutex
 	count := 0
 	for _, m := range members {
-		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
+		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { count++ })
 	}
 	// Publish several payloads; require that a clear majority of
 	// member-deliveries happen despite the loss.
@@ -100,16 +90,9 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Single-core CI machines under instrumentation are slow; accept a
-	// third of the ideal deliveries within a generous window.
+	// Accept a third of the ideal deliveries.
 	want := rounds * len(members) / 3
-	waitFor(t, 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return count >= want
-	}, func() string {
-		mu.Lock()
-		defer mu.Unlock()
+	c.waitFor(t, 10*time.Second, func() bool { return count >= want }, func() string {
 		return fmt.Sprintf("only %d deliveries, want >= %d", count, want)
 	})
 }
@@ -120,36 +103,14 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 // payload to the application, because the NACK/digest recovery machinery —
 // not luck — is what closes the gaps.
 func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
-	endpoint := lossyEndpoints(99, 0.05)
-
-	var nodes []*Node
-	for i := 0; i < 12; i++ {
+	c := newLossy(t, 99, 0.05)
+	bootstrapUnderLoss(t, c, 12, func(i int) Config {
 		cfg := DefaultConfig(float64(10*(1+i%3)), coords.Point{float64(i), 0}, int64(i+1))
 		cfg.HeartbeatInterval = 200 * time.Millisecond
-		nd := New(endpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for j := 0; j < len(nodes) && j < 6; j++ {
-			contacts = append(contacts, nodes[len(nodes)-1-j].Addr())
-		}
-		var err error
-		for attempt := 0; attempt < 5; attempt++ {
-			if err = nd.Bootstrap(contacts, 500*time.Millisecond); err == nil && (len(contacts) == 0 || nd.NumNeighbors() > 0) {
-				break
-			}
-		}
-		if len(contacts) > 0 && nd.NumNeighbors() == 0 {
-			t.Fatalf("node %d could not bootstrap under loss: %v", i, err)
-		}
-		nodes = append(nodes, nd)
-	}
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
+		return cfg
+	})
 
-	rdv := nodes[0]
+	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode("lossy-rel", wire.Reliable); err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +118,11 @@ func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
 		if err := rdv.Advertise("lossy-rel"); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(50 * time.Millisecond)
+		c.Run(50 * time.Millisecond)
 	}
 
 	var members []*Node
-	for _, nd := range nodes[1:] {
+	for _, nd := range c.nodes[1:] {
 		ok := false
 		for attempt := 0; attempt < 6 && !ok; attempt++ {
 			ok = nd.Join("lossy-rel", time.Second) == nil
@@ -174,15 +135,10 @@ func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
 		t.Fatalf("only %d/11 joined under 5%% loss", len(members))
 	}
 
-	var mu sync.Mutex
 	perMember := make(map[string]int)
 	for _, m := range members {
 		addr := m.Addr()
-		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			mu.Lock()
-			perMember[addr]++
-			mu.Unlock()
-		})
+		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { perMember[addr]++ })
 	}
 	const rounds = 10
 	for i := 0; i < rounds; i++ {
@@ -193,9 +149,7 @@ func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
 	// 100%: every member delivers every round. The loss schedule is the
 	// same as the best-effort test's; the recovery machinery makes up the
 	// difference.
-	waitFor(t, 20*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
+	c.waitFor(t, 20*time.Second, func() bool {
 		for _, m := range members {
 			if perMember[m.Addr()] < rounds {
 				return false
@@ -203,8 +157,6 @@ func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
 		}
 		return true
 	}, func() string {
-		mu.Lock()
-		defer mu.Unlock()
 		return fmt.Sprintf("incomplete reliable delivery: %v (want %d each)", perMember, rounds)
 	})
 }

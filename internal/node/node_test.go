@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"groupcast/internal/coords"
-	"groupcast/internal/peer"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -40,15 +39,11 @@ func static(msg string) func() string { return func() string { return msg } }
 // fails with a dump of every stack if that does not happen within d.
 func waitGoroutines(t *testing.T, max int, d time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for runtime.NumGoroutine() > max {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines: %d, want <= %d\n%s",
-				runtime.NumGoroutine(), max, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor(t, d, func() bool { return runtime.NumGoroutine() <= max }, func() string {
+		buf := make([]byte, 1<<20)
+		return fmt.Sprintf("goroutines: %d, want <= %d\n%s",
+			runtime.NumGoroutine(), max, buf[:runtime.Stack(buf, true)])
+	})
 }
 
 // settledGoroutines returns the goroutine count once goroutines of earlier
@@ -66,11 +61,45 @@ func settledGoroutines() int {
 	return baseline
 }
 
-// cluster spins up n live nodes on one in-memory fabric, bootstrapping each
-// through a random sample of earlier nodes.
-type cluster struct {
-	net   *transport.MemNetwork
+// live is the one wall-clock harness, for the tests that need running
+// loops: goroutine and leak counts, and races against a live loop. Its
+// nodes are configured and bootstrapped as newDriven's are, on a
+// MemNetwork behind one chaos layer.
+type live struct {
+	mem   *transport.MemNetwork
+	chaos *transport.ChaosNetwork
+	rng   *rand.Rand
 	nodes []*Node
+}
+
+func newLive(t *testing.T, n int, seed int64, tweak func(*Config)) *live {
+	t.Helper()
+	c := &live{
+		mem:   transport.NewMemNetwork(),
+		chaos: transport.NewChaosNetwork(seed),
+		rng:   rand.New(rand.NewSource(seed)),
+	}
+	for i := 0; i < n; i++ {
+		c.add(t, harnessConfig(c.rng, i, tweak), newest(c.nodes, 5))
+	}
+	t.Cleanup(func() {
+		for _, nd := range c.nodes {
+			_ = nd.Close()
+		}
+	})
+	return c
+}
+
+// add starts one more live node and bootstraps it through contacts.
+func (c *live) add(t testing.TB, cfg Config, contacts []string) *Node {
+	t.Helper()
+	nd := New(c.chaos.Wrap(c.mem.NextEndpoint()), cfg)
+	nd.Start()
+	if err := nd.Bootstrap(contacts, testTimeout); err != nil {
+		t.Fatalf("bootstrap %s: %v", nd.Addr(), err)
+	}
+	c.nodes = append(c.nodes, nd)
+	return nd
 }
 
 // treeSettled reports whether every member's path to the rendezvous stands
@@ -103,54 +132,17 @@ func treeSettled(nodes []*Node, gid string, members []*Node) bool {
 	return true
 }
 
-func newCluster(t *testing.T, n int, seed int64) *cluster {
-	t.Helper()
-	c := &cluster{net: transport.NewMemNetwork()}
-	rng := rand.New(rand.NewSource(seed))
-	sampler := peer.MustTable1Sampler()
-	for i := 0; i < n; i++ {
-		ep := c.net.NextEndpoint()
-		coord := coords.Point{rng.Float64() * 200, rng.Float64() * 200}
-		cfg := DefaultConfig(float64(sampler.Sample(rng)), coord, int64(i+1))
-		cfg.HeartbeatInterval = 100 * time.Millisecond
-		nd := New(ep, cfg)
-		nd.Start()
-		contacts := c.sampleAddrs(rng, 6)
-		if err := nd.Bootstrap(contacts, testTimeout); err != nil {
-			t.Fatalf("bootstrap node %d: %v", i, err)
-		}
-		c.nodes = append(c.nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			_ = nd.Close()
-		}
-	})
-	return c
-}
-
-func (c *cluster) sampleAddrs(rng *rand.Rand, k int) []string {
-	if len(c.nodes) == 0 {
-		return nil
-	}
-	perm := rng.Perm(len(c.nodes))
-	if k > len(perm) {
-		k = len(perm)
-	}
-	out := make([]string, 0, k)
-	for _, idx := range perm[:k] {
-		out = append(out, c.nodes[idx].Addr())
-	}
-	return out
-}
-
 func TestLifecycleErrors(t *testing.T) {
-	net := transport.NewMemNetwork()
-	nd := New(net.NextEndpoint(), DefaultConfig(10, nil, 1))
+	c := newDriven(t, 0, 1, nil)
+	ep, err := c.Endpoint("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := New(ep, DefaultConfig(10, nil, 1))
 	if err := nd.Bootstrap(nil, time.Second); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("pre-start bootstrap err = %v", err)
 	}
-	nd.Start()
+	c.Start(nd)
 	nd.Start() // idempotent
 	if err := nd.Bootstrap(nil, time.Second); err != nil {
 		t.Fatalf("empty bootstrap: %v", err)
@@ -173,20 +165,16 @@ func TestLifecycleErrors(t *testing.T) {
 }
 
 func TestTwoNodeGroup(t *testing.T) {
-	net := transport.NewMemNetwork()
-	a := New(net.NextEndpoint(), DefaultConfig(100, coords.Point{0, 0}, 1))
-	b := New(net.NextEndpoint(), DefaultConfig(10, coords.Point{10, 10}, 2))
-	a.Start()
-	b.Start()
-	defer a.Close()
-	defer b.Close()
+	c := newDriven(t, 0, 1, nil)
+	a := c.node(t, DefaultConfig(100, coords.Point{0, 0}, 1))
+	b := c.node(t, DefaultConfig(10, coords.Point{10, 10}, 2))
 	if err := a.Bootstrap(nil, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Bootstrap([]string{a.Addr()}, testTimeout); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool {
+	c.waitFor(t, testTimeout, func() bool {
 		return a.NumNeighbors() >= 1 && b.NumNeighbors() >= 1
 	}, static("nodes did not connect"))
 
@@ -202,46 +190,31 @@ func TestTwoNodeGroup(t *testing.T) {
 	if err := b.Advertise("chat"); err == nil {
 		t.Fatal("non-rendezvous advertised")
 	}
-	waitFor(t, testTimeout, func() bool {
+	c.waitFor(t, testTimeout, func() bool {
 		return b.Join("chat", 200*time.Millisecond) == nil
 	}, static("b could not join"))
 
-	var mu sync.Mutex
 	var got []string
 	b.SetPayloadHandler(func(gid string, from wire.PeerInfo, data []byte) {
-		mu.Lock()
-		defer mu.Unlock()
 		got = append(got, fmt.Sprintf("%s:%s", gid, data))
 	})
 	if err := a.Publish("chat", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	}, static("payload not delivered"))
-	mu.Lock()
+	c.waitFor(t, testTimeout, func() bool { return len(got) == 1 }, static("payload not delivered"))
 	if got[0] != "chat:hello" {
 		t.Fatalf("got %v", got)
 	}
-	mu.Unlock()
 
 	// b publishes back: group communication is many-to-many.
 	var aGot []string
 	a.SetPayloadHandler(func(gid string, from wire.PeerInfo, data []byte) {
-		mu.Lock()
-		defer mu.Unlock()
 		aGot = append(aGot, string(data))
 	})
 	if err := b.Publish("chat", []byte("hi back")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(aGot) == 1
-	}, static("reverse payload not delivered"))
+	c.waitFor(t, testTimeout, func() bool { return len(aGot) == 1 }, static("reverse payload not delivered"))
 	if gs := b.Groups(); len(gs) != 1 || gs[0] != "chat" {
 		t.Fatalf("b groups = %v", gs)
 	}
@@ -249,7 +222,7 @@ func TestTwoNodeGroup(t *testing.T) {
 
 func TestClusterGroupCommunication(t *testing.T) {
 	const n = 40
-	c := newCluster(t, n, 1)
+	c := newDriven(t, n, 1, nil)
 	// Every node must be connected.
 	for i, nd := range c.nodes {
 		if nd.NumNeighbors() == 0 {
@@ -263,7 +236,7 @@ func TestClusterGroupCommunication(t *testing.T) {
 	if err := rdv.Advertise("conf"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let the announcement flood settle
+	c.Run(100 * time.Millisecond) // let the announcement flood settle
 
 	// Half the nodes join (search fallback covers those the ad missed).
 	members := []*Node{rdv}
@@ -279,44 +252,33 @@ func TestClusterGroupCommunication(t *testing.T) {
 	}
 	// A best-effort publish reaches only the tree as it stands, and a Join
 	// returns before the relays above the joiner finish attaching.
-	waitFor(t, testTimeout, func() bool { return treeSettled(c.nodes, "conf", members) },
+	c.waitFor(t, testTimeout, func() bool { return treeSettled(c.nodes, "conf", members) },
 		static("tree never settled"))
 
-	var mu sync.Mutex
 	delivered := make(map[string]int)
 	for _, m := range members {
 		addr := m.Addr()
 		m.SetPayloadHandler(func(gid string, from wire.PeerInfo, data []byte) {
-			mu.Lock()
-			defer mu.Unlock()
 			delivered[addr]++
 		})
 	}
 	if err := rdv.Publish("conf", []byte("welcome")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(delivered) >= len(members)-1
-	}, func() string {
-		mu.Lock()
-		defer mu.Unlock()
+	c.waitFor(t, testTimeout, func() bool { return len(delivered) >= len(members)-1 }, func() string {
 		return fmt.Sprintf("payload reached %d of %d members", len(delivered), len(members)-1)
 	})
 
 	// No duplicates: spanning tree dissemination delivers exactly once.
-	mu.Lock()
 	for addr, count := range delivered {
 		if count != 1 {
 			t.Errorf("member %s received %d copies", addr, count)
 		}
 	}
-	mu.Unlock()
 }
 
 func TestMemberPublishReachesAll(t *testing.T) {
-	c := newCluster(t, 20, 2)
+	c := newDriven(t, 20, 2, nil)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -324,7 +286,7 @@ func TestMemberPublishReachesAll(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	// No settling sleep: a Join that the advertisement has not reached yet
+	// No settling run: a Join that the advertisement has not reached yet
 	// resolves the group through the DHT or the ripple search.
 	var members []*Node
 	for i := 1; i < 10; i++ {
@@ -335,37 +297,26 @@ func TestMemberPublishReachesAll(t *testing.T) {
 	if len(members) < 5 {
 		t.Fatalf("only %d members", len(members))
 	}
-	var mu sync.Mutex
 	count := 0
 	listeners := append([]*Node{rdv}, members[1:]...)
 	for _, m := range listeners {
-		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
+		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { count++ })
 	}
 	// The publish is best-effort and sent once, so it only reaches everyone
 	// if the tree is complete when it leaves: wait for the cause, not a while.
-	waitFor(t, testTimeout, func() bool { return treeSettled(c.nodes, "g", members) },
+	c.waitFor(t, testTimeout, func() bool { return treeSettled(c.nodes, "g", members) },
 		static("a member's path to the rendezvous never settled"))
 	if err := members[0].Publish("g", []byte("from member")); err != nil {
 		t.Fatal(err)
 	}
 	want := len(members) // rdv + members except the publisher
-	waitFor(t, testTimeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return count >= want
-	}, func() string {
-		mu.Lock()
-		defer mu.Unlock()
+	c.waitFor(t, testTimeout, func() bool { return count >= want }, func() string {
 		return fmt.Sprintf("member publish delivered %d of %d", count, want)
 	})
 }
 
 func TestLeaveGroup(t *testing.T) {
-	c := newCluster(t, 12, 3)
+	c := newDriven(t, 12, 3, nil)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -373,7 +324,7 @@ func TestLeaveGroup(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	c.Run(50 * time.Millisecond)
 	m := c.nodes[5]
 	if err := m.Join("g", time.Second); err != nil {
 		t.Skip("join failed on this topology")
@@ -391,7 +342,7 @@ func TestLeaveGroup(t *testing.T) {
 }
 
 func TestCrashDetectionAndTreeRepair(t *testing.T) {
-	c := newCluster(t, 25, 4)
+	c := newDriven(t, 25, 4, nil)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -399,7 +350,7 @@ func TestCrashDetectionAndTreeRepair(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.Run(100 * time.Millisecond)
 	var members []*Node
 	for i := 1; i < 25; i++ {
 		if err := c.nodes[i].Join("g", time.Second); err == nil {
@@ -413,9 +364,9 @@ func TestCrashDetectionAndTreeRepair(t *testing.T) {
 	victim := members[0]
 	_ = victim.tr.Close()
 
-	// Heartbeats (50ms interval, 2 missed) must evict the victim within a
+	// Heartbeats (100ms interval, 2 missed) must evict the victim within a
 	// few epochs everywhere.
-	waitFor(t, 5*time.Second, func() bool {
+	c.waitFor(t, 5*time.Second, func() bool {
 		for _, nd := range c.nodes {
 			if nd == victim {
 				continue
@@ -433,32 +384,20 @@ func TestCrashDetectionAndTreeRepair(t *testing.T) {
 	// healing is asynchronous, so keep publishing fresh payloads and require
 	// most survivors to hear at least one — a single early publish can
 	// legitimately be lost while subtrees are still reattaching.
-	var mu sync.Mutex
 	heard := map[string]bool{}
 	for _, m := range members[1:] {
 		addr := m.Addr()
-		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-			mu.Lock()
-			heard[addr] = true
-			mu.Unlock()
-		})
+		m.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { heard[addr] = true })
 	}
 	want := (len(members) - 1) * 7 / 10 // at least 70% of survivors
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for deadline := c.Now().Add(10 * time.Second); len(heard) < want; {
+		if c.Now().After(deadline) {
+			t.Fatalf("post-crash payloads delivered to %d, want >= %d", len(heard), want)
+		}
 		if err := rdv.Publish("g", []byte("after crash")); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(300 * time.Millisecond)
-		mu.Lock()
-		got := len(heard)
-		mu.Unlock()
-		if got >= want {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("post-crash payloads delivered to %d, want >= %d", got, want)
-		}
+		c.Run(300 * time.Millisecond)
 	}
 }
 
@@ -476,24 +415,19 @@ func TestBootstrapSameSeedSameNeighbors(t *testing.T) {
 		return cfg
 	}
 	pick := func() string {
-		net := transport.NewMemNetwork()
+		c := newDriven(t, 0, 1, nil)
 		var contacts []string
 		for i := 0; i < candidates; i++ {
-			nd := New(net.NextEndpoint(), cfg(i))
-			nd.Start()
-			defer nd.Close()
-			contacts = append(contacts, nd.Addr())
+			contacts = append(contacts, c.node(t, cfg(i)).Addr())
 		}
-		b := New(net.NextEndpoint(), cfg(candidates))
-		b.Start()
-		defer b.Close()
+		b := c.node(t, cfg(candidates))
 		if b.quota() >= candidates {
 			t.Fatalf("quota %d leaves nothing to choose among %d candidates", b.quota(), candidates)
 		}
 		if err := b.Bootstrap(contacts, testTimeout); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, testTimeout, func() bool { return b.NumNeighbors() == b.quota() },
+		c.waitFor(t, testTimeout, func() bool { return b.NumNeighbors() == b.quota() },
 			static("not every chosen candidate accepted"))
 		var addrs []string
 		for _, nb := range b.Neighbors() {
@@ -511,7 +445,7 @@ func TestBootstrapSameSeedSameNeighbors(t *testing.T) {
 }
 
 func TestJoinUnknownGroupFails(t *testing.T) {
-	c := newCluster(t, 5, 5)
+	c := newDriven(t, 5, 5, nil)
 	err := c.nodes[1].Join("nonexistent", 200*time.Millisecond)
 	if !errors.Is(err, ErrJoinFailed) {
 		t.Fatalf("err = %v, want ErrJoinFailed", err)
@@ -579,8 +513,7 @@ func TestNodeOverTCP(t *testing.T) {
 }
 
 func TestNewAppliesDefaults(t *testing.T) {
-	net := transport.NewMemNetwork()
-	nd := New(net.NextEndpoint(), Config{
+	nd := New(stubEndpoint(), Config{
 		Capacity:          -1,
 		QuotaBase:         0,
 		AdvertiseFraction: 5,

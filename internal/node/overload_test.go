@@ -2,7 +2,7 @@ package node
 
 import (
 	"errors"
-	"sync/atomic"
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,8 +33,7 @@ func quietOverloadConfig(capacity float64, coord coords.Point, seed int64) Confi
 // consecutive high-pressure samples, exit needs ExitSamples consecutive
 // low-pressure ones, and any sample inside the band resets the streak.
 func TestOverloadHysteresis(t *testing.T) {
-	net := transport.NewMemNetwork()
-	n := New(net.NextEndpoint(), quietOverloadConfig(10, nil, 1))
+	n := New(stubEndpoint(), quietOverloadConfig(10, nil, 1))
 	// Defaults: enter >= 0.75 after 3 samples, exit <= 0.25 after 5.
 
 	n.overloadTick(0.9)
@@ -83,10 +82,7 @@ func TestOverloadHysteresis(t *testing.T) {
 // refused with ErrBackpressure and counted, reliable publishes are always
 // admitted, and recovery restores best-effort admission.
 func TestOverloadAdmissionControl(t *testing.T) {
-	net := transport.NewMemNetwork()
-	n := New(net.NextEndpoint(), quietOverloadConfig(10, nil, 1))
-	n.Start()
-	defer n.Close()
+	n := newDriven(t, 0, 1, nil).node(t, quietOverloadConfig(10, nil, 1))
 	if err := n.CreateGroupMode("be", wire.BestEffort); err != nil {
 		t.Fatal(err)
 	}
@@ -116,58 +112,67 @@ func TestOverloadAdmissionControl(t *testing.T) {
 // payloads locally but sheds the downstream fan-out, while reliable payloads
 // are always relayed.
 func TestOverloadRelayShed(t *testing.T) {
-	net := transport.NewMemNetwork()
-	relay := New(net.NextEndpoint(), quietOverloadConfig(10, nil, 1))
-	child := net.NextEndpoint()
-	defer child.Close()
+	c := newDriven(t, 0, 1, nil)
+	relay := c.node(t, quietOverloadConfig(10, nil, 1))
+	child, err := c.Endpoint("child")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcEP, err := c.Endpoint("src")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	var delivered atomic.Uint64
-	relay.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-		delivered.Add(1)
-	})
+	delivered := 0
+	relay.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered++ })
 	// Hand-build the tree position: a member with one downstream child, so
 	// the forwarding decision is isolated from topology formation.
 	install := func(gid string, mode wire.DeliveryMode) {
-		gs := newGroupState(mode)
-		gs.member = true
-		gs.children[child.Addr()] = wire.PeerInfo{Addr: child.Addr()}
-		relay.groups[gid] = gs
+		relay.post(func() {
+			gs := newGroupState(mode)
+			gs.member = true
+			gs.children[child.Addr()] = wire.PeerInfo{Addr: child.Addr()}
+			relay.groups[gid] = gs
+		})
 	}
 	install("be", wire.BestEffort)
 	install("rel", wire.Reliable)
+	// relayed sends msg from src to the relay, and runs the cluster until
+	// what the relay forwards has reached the child.
+	relayed := func(msg wire.Message) {
+		t.Helper()
+		if err := srcEP.Send(relay.Addr(), msg); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(2 * linkLatency)
+	}
 
 	forceDegraded(relay, true)
-	src := wire.PeerInfo{Addr: "src"}
-	stepAt(relay, time.Now(), event{msg: &wire.Message{
+	src := wire.PeerInfo{Addr: srcEP.Addr()}
+	relayed(wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 1,
 		Mode: wire.BestEffort, Data: []byte("x"),
-	}})
-	// The delivery reaches the handler on its own goroutine.
-	waitFor(t, testTimeout, func() bool { return delivered.Load() > 0 },
-		static("no local delivery (shedding must not touch local delivery)"))
-	if got := delivered.Load(); got != 1 {
-		t.Fatalf("local deliveries = %d, want 1", got)
+	})
+	if delivered != 1 {
+		t.Fatalf("local deliveries = %d, want 1 (shedding must not touch local delivery)", delivered)
 	}
 	if got := relay.Stats().RelaySheds; got != 1 {
 		t.Fatalf("relay sheds = %d, want 1", got)
 	}
-	select {
-	case msg := <-child.Recv():
+	if msg, ok := child.InboxQueue().Pop(); ok {
 		t.Fatalf("degraded relay forwarded best-effort payload %v downstream", msg.Type)
-	case <-time.After(50 * time.Millisecond):
 	}
 
-	stepAt(relay, time.Now(), event{msg: &wire.Message{
+	relayed(wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "rel", Seq: 1,
 		Mode: wire.Reliable, Data: []byte("x"),
-	}})
-	select {
-	case msg := <-child.Recv():
-		if msg.Type != wire.TPayload || msg.Mode != wire.Reliable {
-			t.Fatalf("forwarded %v/%v, want reliable payload", msg.Type, msg.Mode)
-		}
-	case <-time.After(testTimeout):
+	})
+	msg, ok := child.InboxQueue().Pop()
+	if !ok {
 		t.Fatal("degraded relay shed a reliable payload")
+	}
+	if msg.Type != wire.TPayload || msg.Mode != wire.Reliable {
+		t.Fatalf("forwarded %v/%v, want reliable payload", msg.Type, msg.Mode)
 	}
 	if got := relay.Stats().RelaySheds; got != 1 {
 		t.Fatalf("relay sheds = %d after reliable forward, want still 1", got)
@@ -175,29 +180,26 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	// Recovery restores best-effort fan-out.
 	forceDegraded(relay, false)
-	stepAt(relay, time.Now(), event{msg: &wire.Message{
+	relayed(wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 2,
 		Mode: wire.BestEffort, Data: []byte("y"),
-	}})
-	select {
-	case <-child.Recv():
-	case <-time.After(testTimeout):
+	})
+	if _, ok := child.InboxQueue().Pop(); !ok {
 		t.Fatal("recovered relay still shedding best-effort payloads")
 	}
-	_ = relay.Close()
 }
 
 // TestPendingReqSweep is the leak bound on the loop's call table: requests
 // that fail — a probe of a dead contact timing out, a Join of an unknown
 // group, a DHT query to a dead contact — leave no entry behind.
 func TestPendingReqSweep(t *testing.T) {
-	net := transport.NewMemNetwork()
-	n := New(net.NextEndpoint(), DefaultConfig(10, nil, 1))
-	n.Start()
-	defer n.Close()
+	c := newDriven(t, 0, 1, nil)
+	n := c.node(t, DefaultConfig(10, nil, 1))
 	// Reachable but never read: every request to it times out.
-	dead := net.NextEndpoint()
-	defer dead.Close()
+	dead, err := c.Endpoint("dead")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if err := n.Bootstrap([]string{dead.Addr()}, 60*time.Millisecond); err == nil {
 		t.Fatal("bootstrap through a dead contact succeeded")
@@ -205,9 +207,9 @@ func TestPendingReqSweep(t *testing.T) {
 	if err := n.Join("nowhere", 50*time.Millisecond); !errors.Is(err, ErrJoinFailed) {
 		t.Fatalf("join of an unknown group err = %v, want ErrJoinFailed", err)
 	}
-	c := dht.Contact{ID: dht.NodeID(dead.Addr()), Info: wire.PeerInfo{Addr: dead.Addr()}}
-	err := n.await(func(done func(error)) {
-		n.dhtQuery(c, n.dht.id, "", func(r dht.Reply) { done(r.Err) })
+	contact := dht.Contact{ID: dht.NodeID(dead.Addr()), Info: wire.PeerInfo{Addr: dead.Addr()}}
+	err = n.await(func(done func(error)) {
+		n.dhtQuery(contact, n.dht.id, "", func(r dht.Reply) { done(r.Err) })
 	})
 	if err == nil {
 		t.Fatal("DHT query to a dead contact succeeded")
@@ -219,18 +221,18 @@ func TestPendingReqSweep(t *testing.T) {
 
 // TestPendingReqSweepLoop is the loop half of the same bound: the loop
 // routes every reply, so a duplicate reply, a late one, and one for an ID
-// never issued must be dropped without blocking the loop or re-creating an
-// entry — and calls due at the same instant time out in ReqID order.
+// never issued must be dropped without re-creating an entry — and calls
+// due at the same instant time out in ReqID order.
 func TestPendingReqSweepLoop(t *testing.T) {
-	net := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	cfg := DefaultConfig(10, nil, 1)
 	cfg.HeartbeatInterval = 0
 	cfg.DisableDHT = true
-	n := New(net.NextEndpoint(), cfg)
-	n.Start()
-	defer n.Close()
-	peer := net.NextEndpoint()
-	defer peer.Close()
+	n := c.node(t, cfg)
+	peer, err := c.Endpoint("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
 	reply := func(id uint64) {
 		t.Helper()
 		msg := wire.Message{Type: wire.TProbeResp, From: wire.PeerInfo{Addr: peer.Addr()}, ReqID: id}
@@ -239,31 +241,17 @@ func TestPendingReqSweepLoop(t *testing.T) {
 		}
 	}
 	// probe asks peer once and returns the request's ID; every reply the
-	// call accepts is counted on replies.
-	replies := make(chan uint64, 16)
+	// call accepts is recorded in replies.
+	var replies []uint64
 	probe := func() uint64 {
-		t.Helper()
 		var id uint64
 		n.post(func() {
 			n.ask([]string{peer.Addr()}, wire.Message{Type: wire.TProbe}, time.Hour,
-				func(m wire.Message) bool { replies <- m.ReqID; return true },
+				func(m wire.Message) bool { replies = append(replies, m.ReqID); return true },
 				func() { t.Error("probe timed out") })
 			id = n.reqSeq
 		})
 		return id
-	}
-	// The marker reply is sent last on the same class; once it is routed,
-	// every reply before it has been through the loop too.
-	await := func(want uint64) {
-		t.Helper()
-		select {
-		case got := <-replies:
-			if got != want {
-				t.Fatalf("routed reply %d, want %d", got, want)
-			}
-		case <-time.After(testTimeout):
-			t.Fatal("loop stalled: marker reply never routed")
-		}
 	}
 
 	first := probe()
@@ -273,12 +261,9 @@ func TestPendingReqSweepLoop(t *testing.T) {
 	reply(first) // late
 	reply(marker + 1000)
 	reply(marker)
-	await(first)
-	await(marker)
-	select {
-	case id := <-replies:
-		t.Fatalf("reply %d routed after its call finished", id)
-	default:
+	c.Run(linkLatency)
+	if want := fmt.Sprint([]uint64{first, marker}); fmt.Sprint(replies) != want {
+		t.Fatalf("routed replies %v, want %s", replies, want)
 	}
 	if got := n.MetricsSnapshot().Gauges["pending_requests"]; got != 0 {
 		t.Fatalf("pending = %v after late replies, want 0", got)
@@ -287,24 +272,18 @@ func TestPendingReqSweepLoop(t *testing.T) {
 	// Calls due at the same instant fire in ReqID order, whatever the map
 	// iteration order of the table.
 	const same = 16
-	fired := make(chan uint64, same)
+	var order []uint64
 	n.post(func() {
-		at := time.Now().Add(20 * time.Millisecond)
+		at := n.now.Add(20 * time.Millisecond)
 		for i := 0; i < same; i++ {
 			id := n.reqSeq + 1
-			n.after(time.Hour, func() { fired <- id })
+			n.after(time.Hour, func() { order = append(order, id) })
 			n.calls[id].deadline = at
 		}
 	})
-	var order []uint64
-	for len(order) < same {
-		select {
-		case id := <-fired:
-			order = append(order, id)
-		case <-time.After(testTimeout):
-			t.Fatalf("%d of %d same-deadline calls fired", len(order), same)
-		}
-	}
+	c.waitFor(t, testTimeout, func() bool { return len(order) == same }, func() string {
+		return fmt.Sprintf("%d of %d same-deadline calls fired", len(order), same)
+	})
 	for i := 1; i < same; i++ {
 		if order[i] <= order[i-1] {
 			t.Fatalf("same-deadline calls fired out of ReqID order: %v", order)

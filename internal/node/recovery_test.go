@@ -4,41 +4,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
 	"groupcast/internal/coords"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
 // payloadLog records delivered payloads from one source, in arrival order.
 type payloadLog struct {
-	mu   sync.Mutex
 	from string
 	got  []string
 }
 
 func (l *payloadLog) handler(_ string, from wire.PeerInfo, data []byte) {
-	if from.Addr != l.from {
-		return
+	if from.Addr == l.from {
+		l.got = append(l.got, string(data))
 	}
-	l.mu.Lock()
-	l.got = append(l.got, string(data))
-	l.mu.Unlock()
-}
-
-func (l *payloadLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.got)
-}
-
-func (l *payloadLog) snapshot() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.got...)
 }
 
 // assertFIFO fails unless got is exactly msg-<lo>..msg-<hi> in order — no
@@ -72,20 +55,20 @@ func recoveryConfig(seq int64, statePath string) Config {
 // tree may still be re-forming after a restart) but never re-publishing a
 // payload that was accepted — a retry after acceptance would consume a new
 // sequence number and break the FIFO assertion downstream.
-func publishRange(t *testing.T, nd *Node, gid string, lo, hi int) {
+func publishRange(t *testing.T, c *driven, nd *Node, gid string, lo, hi int) {
 	t.Helper()
 	for i := lo; i <= hi; i++ {
 		payload := []byte(fmt.Sprintf("msg-%d", i))
 		var err error
-		deadline := time.Now().Add(testTimeout)
+		deadline := c.Now().Add(testTimeout)
 		for {
 			if err = nd.Publish(gid, payload); err == nil {
 				break
 			}
-			if time.Now().After(deadline) {
+			if c.Now().After(deadline) {
 				t.Fatalf("publish msg-%d never accepted: %v", i, err)
 			}
-			time.Sleep(20 * time.Millisecond)
+			c.Run(20 * time.Millisecond)
 		}
 	}
 }
@@ -99,32 +82,24 @@ func publishRange(t *testing.T, nd *Node, gid string, lo, hi int) {
 // sequence 1 and the ordered windows would reject the whole second half.
 func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	const gid = "restart-fifo"
-	mem := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	statePath := filepath.Join(t.TempDir(), "rdv.gcrs")
 
-	rdvEP := mem.NextEndpoint()
-	rdvAddr := rdvEP.Addr()
-	rdv := New(rdvEP, recoveryConfig(1, statePath))
-	rdv.Start()
+	rdv := c.node(t, recoveryConfig(1, statePath))
+	rdvAddr := rdv.Addr()
 
 	var subs []*Node
 	var logs []*payloadLog
 	for i := 0; i < 2; i++ {
-		nd := New(mem.NextEndpoint(), recoveryConfig(int64(2+i), ""))
+		nd := c.node(t, recoveryConfig(int64(2+i), ""))
 		l := &payloadLog{from: rdvAddr}
 		nd.SetPayloadHandler(l.handler)
-		nd.Start()
 		if err := nd.Bootstrap([]string{rdvAddr}, testTimeout); err != nil {
 			t.Fatalf("bootstrap sub%d: %v", i, err)
 		}
 		subs = append(subs, nd)
 		logs = append(logs, l)
 	}
-	defer func() {
-		for _, nd := range subs {
-			_ = nd.Close()
-		}
-	}()
 
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -132,14 +107,13 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	if err := rdv.Advertise(gid); err != nil {
 		t.Fatal(err)
 	}
-	for i, nd := range subs {
-		joinEventually(t, nd, gid, testTimeout)
-		_ = i
+	for _, nd := range subs {
+		c.joinEventually(t, nd, gid, testTimeout)
 	}
 
-	publishRange(t, rdv, gid, 1, 15)
-	waitFor(t, testTimeout, func() bool {
-		return logs[0].len() >= 15 && logs[1].len() >= 15
+	publishRange(t, c, rdv, gid, 1, 15)
+	c.waitFor(t, testTimeout, func() bool {
+		return len(logs[0].got) >= 15 && len(logs[1].got) >= 15
 	}, static("first half not delivered to both subscribers"))
 
 	// Crash the rendezvous. Close persists the final state (PubHigh = 15);
@@ -148,7 +122,7 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	if err := rdv.Close(); err != nil {
 		t.Fatalf("close rdv: %v", err)
 	}
-	waitFor(t, testTimeout, func() bool {
+	c.waitFor(t, testTimeout, func() bool {
 		for _, nd := range subs {
 			if tv := nd.Tree(gid); tv.Parent == rdvAddr {
 				return false
@@ -158,12 +132,11 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	}, static("subscribers never noticed the rendezvous crash"))
 
 	// Restart with the same identity and state file.
-	rdvEP2, err := mem.Endpoint(rdvAddr)
+	rdvEP2, err := c.Endpoint(rdvAddr)
 	if err != nil {
 		t.Fatalf("reclaim endpoint: %v", err)
 	}
-	rdv2 := New(rdvEP2, recoveryConfig(1, statePath))
-	defer rdv2.Close()
+	rdv2 := New(c.chaos.Wrap(rdvEP2), recoveryConfig(1, statePath))
 	rv := rdv2.RecoveryView()
 	if !rv.Restored || rdv2.Stats().StateRestores != 1 {
 		t.Fatalf("restart did not restore state: %+v", rv)
@@ -171,7 +144,7 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	if len(rv.RestoredGroups) != 1 || rv.RestoredGroups[0] != gid {
 		t.Fatalf("restored groups = %v, want [%s]", rv.RestoredGroups, gid)
 	}
-	rdv2.Start()
+	c.Start(rdv2)
 	if err := rdv2.Bootstrap([]string{subs[0].Addr(), subs[1].Addr()}, testTimeout); err != nil {
 		t.Fatalf("re-bootstrap: %v", err)
 	}
@@ -182,7 +155,7 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 	// Wait for the tree to re-form under the restarted root: it has at least
 	// one direct child and every subscriber is attached (possibly through
 	// the other subscriber via its backup access point).
-	waitFor(t, 2*testTimeout, func() bool {
+	c.waitFor(t, 2*testTimeout, func() bool {
 		if len(rdv2.Tree(gid).Children) == 0 {
 			return false
 		}
@@ -194,13 +167,13 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 		return true
 	}, static("tree never re-formed under the restarted rendezvous"))
 
-	publishRange(t, rdv2, gid, 16, 30)
-	waitFor(t, 2*testTimeout, func() bool {
-		return logs[0].len() >= 30 && logs[1].len() >= 30
+	publishRange(t, c, rdv2, gid, 16, 30)
+	c.waitFor(t, 2*testTimeout, func() bool {
+		return len(logs[0].got) >= 30 && len(logs[1].got) >= 30
 	}, static("second half not delivered to both subscribers"))
 
 	for i, l := range logs {
-		assertFIFO(t, fmt.Sprintf("sub%d", i), l.snapshot(), 1, 30)
+		assertFIFO(t, fmt.Sprintf("sub%d", i), l.got, 1, 30)
 	}
 }
 
@@ -211,12 +184,10 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 // NACK a full resync, and re-deliver old traffic to the application).
 func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 	const gid = "restart-member"
-	mem := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	statePath := filepath.Join(t.TempDir(), "sub.gcrs")
 
-	rdv := New(mem.NextEndpoint(), recoveryConfig(1, ""))
-	rdv.Start()
-	defer rdv.Close()
+	rdv := c.node(t, recoveryConfig(1, ""))
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
 	}
@@ -224,50 +195,47 @@ func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	subEP := mem.NextEndpoint()
-	subAddr := subEP.Addr()
-	sub := New(subEP, recoveryConfig(2, statePath))
+	sub := c.node(t, recoveryConfig(2, statePath))
+	subAddr := sub.Addr()
 	l := &payloadLog{from: rdv.Addr()}
 	sub.SetPayloadHandler(l.handler)
-	sub.Start()
 	if err := sub.Bootstrap([]string{rdv.Addr()}, testTimeout); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
-	joinEventually(t, sub, gid, testTimeout)
+	c.joinEventually(t, sub, gid, testTimeout)
 
-	publishRange(t, rdv, gid, 1, 15)
-	waitFor(t, testTimeout, func() bool { return l.len() >= 15 }, static("first half not delivered"))
-	assertFIFO(t, "sub before restart", l.snapshot(), 1, 15)
+	publishRange(t, c, rdv, gid, 1, 15)
+	c.waitFor(t, testTimeout, func() bool { return len(l.got) >= 15 }, static("first half not delivered"))
+	assertFIFO(t, "sub before restart", l.got, 1, 15)
 
 	if err := sub.Close(); err != nil {
 		t.Fatalf("close sub: %v", err)
 	}
 
-	subEP2, err := mem.Endpoint(subAddr)
+	subEP2, err := c.Endpoint(subAddr)
 	if err != nil {
 		t.Fatalf("reclaim endpoint: %v", err)
 	}
-	sub2 := New(subEP2, recoveryConfig(2, statePath))
-	defer sub2.Close()
+	sub2 := New(c.chaos.Wrap(subEP2), recoveryConfig(2, statePath))
 	if !sub2.RecoveryView().Restored {
 		t.Fatal("restart did not restore state")
 	}
 	l2 := &payloadLog{from: rdv.Addr()}
 	sub2.SetPayloadHandler(l2.handler)
-	sub2.Start()
+	c.Start(sub2)
 	if err := sub2.Bootstrap([]string{rdv.Addr()}, testTimeout); err != nil {
 		t.Fatalf("re-bootstrap: %v", err)
 	}
 	if err := sub2.RecoverGroups(testTimeout); err != nil {
 		t.Fatalf("RecoverGroups: %v", err)
 	}
-	waitFor(t, 2*testTimeout, func() bool { return sub2.Tree(gid).Attached }, static("restarted member never re-attached"))
+	c.waitFor(t, 2*testTimeout, func() bool { return sub2.Tree(gid).Attached }, static("restarted member never re-attached"))
 
-	publishRange(t, rdv, gid, 16, 30)
-	waitFor(t, 2*testTimeout, func() bool { return l2.len() >= 15 }, static("second half not delivered after restart"))
+	publishRange(t, c, rdv, gid, 16, 30)
+	c.waitFor(t, 2*testTimeout, func() bool { return len(l2.got) >= 15 }, static("second half not delivered after restart"))
 	// Give any wrongly resynced replay a moment to surface before asserting.
-	time.Sleep(200 * time.Millisecond)
-	assertFIFO(t, "sub after restart", l2.snapshot(), 16, 30)
+	c.Run(200 * time.Millisecond)
+	assertFIFO(t, "sub after restart", l2.got, 16, 30)
 }
 
 // TestStateFileLifecycle pins the save cadence and the cold-path guards:
@@ -275,17 +243,24 @@ func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 // never writes or restores, and a state file for a different identity is
 // ignored rather than applied.
 func TestStateFileLifecycle(t *testing.T) {
-	mem := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	dir := t.TempDir()
 	statePath := filepath.Join(dir, "node.gcrs")
 
-	nd := New(mem.NextEndpoint(), recoveryConfig(1, statePath))
+	nd := c.node(t, recoveryConfig(1, statePath))
 	addr := nd.Addr()
-	nd.Start()
 	if err := nd.CreateGroupMode("g", wire.Reliable); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool { return nd.Stats().StateSaves >= 2 }, static("periodic saves never ran"))
+	// A save writes the file on a goroutine of its own. Each step waits for
+	// the write in flight before it moves the clock, so no save epoch finds
+	// the last one still running.
+	c.waitFor(t, testTimeout, func() bool {
+		for nd.saving.Load() {
+			runtime.Gosched()
+		}
+		return nd.Stats().StateSaves >= 2
+	}, static("periodic saves never ran"))
 	if err := nd.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -300,14 +275,14 @@ func TestStateFileLifecycle(t *testing.T) {
 	if err := os.WriteFile(foreignPath, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	other := New(mem.NextEndpoint(), recoveryConfig(9, foreignPath))
+	other := New(stubEndpoint(), recoveryConfig(9, foreignPath))
 	if other.RecoveryView().Restored {
 		t.Fatal("foreign state file was restored")
 	}
 	_ = other.Close()
 
 	// Same identity: restored, with the group and epoch carried over.
-	ep, err := mem.Endpoint(addr)
+	ep, err := c.Endpoint(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +297,8 @@ func TestStateFileLifecycle(t *testing.T) {
 	}
 
 	// No StatePath: the whole plane is inert.
-	inert := New(mem.NextEndpoint(), recoveryConfig(3, ""))
-	inert.Start()
-	time.Sleep(150 * time.Millisecond)
+	inert := c.node(t, recoveryConfig(3, ""))
+	c.Run(150 * time.Millisecond)
 	if s := inert.Stats(); s.StateSaves != 0 || s.StateRestores != 0 {
 		t.Fatalf("stateless node touched the recovery plane: %+v", s)
 	}

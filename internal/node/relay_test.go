@@ -48,7 +48,7 @@ func TestRelayEventAllocatesNothing(t *testing.T) {
 	for _, mode := range []wire.DeliveryMode{wire.BestEffort, wire.ReliableOrdered} {
 		for _, member := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/member=%v", mode, member), func(t *testing.T) {
-				n := relayNode(dropSender{transport.NewMemNetwork().NextEndpoint()}, mode, member, []string{"kid-a", "kid-b"})
+				n := relayNode(dropSender{stubEndpoint()}, mode, member, []string{"kid-a", "kid-b"})
 				defer n.Close()
 				now := time.Now()
 				msg := wire.Message{
@@ -86,7 +86,7 @@ func TestRelaySendsInAddressOrder(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		joined := append([]string(nil), kids...)
 		rng.Shuffle(len(joined), func(i, j int) { joined[i], joined[j] = joined[j], joined[i] })
-		log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+		log := &sendLog{Transport: stubEndpoint()}
 		n := relayNode(log, wire.BestEffort, true, joined)
 		now := time.Now()
 		for seq, hop := range []string{"parent", "kid-c"} {

@@ -3,7 +3,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,34 +12,20 @@ import (
 	"groupcast/internal/wire"
 )
 
-// lineCluster builds a bootstrap chain a—b—c—… over the given endpoints:
+// lineCluster builds a bootstrap chain a—b—c—… of n nodes through add:
 // each node's only contact is its predecessor, so the overlay (and any
-// group tree rooted at the first node) is a line. Returns started nodes.
-func lineCluster(t *testing.T, eps []transport.Transport, mutate func(i int, cfg *Config)) []*Node {
+// group tree rooted at the first node) is a line.
+func lineCluster(t *testing.T, n int, add func(testing.TB, Config, []string) *Node, mutate func(*Config)) []*Node {
 	t.Helper()
-	nodes := make([]*Node, 0, len(eps))
-	for i, ep := range eps {
+	var nodes []*Node
+	for i := 0; i < n; i++ {
 		cfg := DefaultConfig(10, coords.Point{float64(i), 0}, int64(i+1))
 		cfg.HeartbeatInterval = 100 * time.Millisecond
 		if mutate != nil {
-			mutate(i, &cfg)
+			mutate(&cfg)
 		}
-		nd := New(ep, cfg)
-		nd.Start()
-		var contacts []string
-		if i > 0 {
-			contacts = []string{nodes[i-1].Addr()}
-		}
-		if err := nd.Bootstrap(contacts, 3*time.Second); err != nil {
-			t.Fatalf("bootstrap node %d: %v", i, err)
-		}
-		nodes = append(nodes, nd)
+		nodes = append(nodes, add(t, cfg, newest(nodes, 1)))
 	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	})
 	return nodes
 }
 
@@ -50,13 +35,8 @@ func lineCluster(t *testing.T, eps []transport.Transport, mutate func(i int, cfg
 // acceptance property (NACK retransmission plus digest anti-entropy close
 // every gap; the ordered release holds payloads back until they fit).
 func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	chaos := transport.NewChaosNetwork(7)
-	eps := make([]transport.Transport, 6)
-	for i := range eps {
-		eps[i] = chaos.Wrap(mem.NextEndpoint())
-	}
-	nodes := lineCluster(t, eps, nil)
+	c := newDriven(t, 0, 7, nil)
+	nodes := lineCluster(t, 6, c.add, nil)
 
 	rdv := nodes[0]
 	if err := rdv.CreateGroupMode("g", wire.ReliableOrdered); err != nil {
@@ -65,7 +45,7 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 	if err := rdv.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.Run(100 * time.Millisecond)
 	for _, nd := range nodes[1:] {
 		if err := nd.Join("g", 3*time.Second); err != nil {
 			t.Fatalf("join %s: %v", nd.Addr(), err)
@@ -73,7 +53,7 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 	}
 
 	// Members learn the mode from beacons/acks before payloads flow.
-	waitFor(t, 3*time.Second, func() bool {
+	c.waitFor(t, 3*time.Second, func() bool {
 		for _, nd := range nodes[1:] {
 			if nd.reliability("g").Mode != wire.ReliableOrdered {
 				return false
@@ -83,7 +63,6 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 	}, static("delivery mode did not propagate to all members"))
 
 	type recorder struct {
-		mu   sync.Mutex
 		seqs map[string][]int // source addr -> payload indices in arrival order
 	}
 	recs := make([]*recorder, len(nodes))
@@ -95,15 +74,13 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 			if _, err := fmt.Sscanf(string(data), "p%d", &idx); err != nil {
 				return
 			}
-			rec.mu.Lock()
 			rec.seqs[from.Addr] = append(rec.seqs[from.Addr], idx)
-			rec.mu.Unlock()
 		})
 	}
 
 	// 10% loss on every link from here on: joins are done, only the data
 	// plane (payloads, NACKs, retransmissions, digests) fights the loss.
-	chaos.SetDefaultRule(transport.LinkRule{Drop: 0.10})
+	c.chaos.SetDefaultRule(transport.LinkRule{Drop: 0.10})
 
 	const perSource = 30
 	pubs := []*Node{rdv, nodes[3]} // rendezvous and a mid-line member
@@ -113,12 +90,10 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 				t.Fatalf("publish %d from %s: %v", i, p.Addr(), err)
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
+		c.Run(5 * time.Millisecond)
 	}
 
 	complete := func(rec *recorder, self string) bool {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		for _, p := range pubs {
 			if p.Addr() == self {
 				continue // publishers don't hear their own stream
@@ -131,13 +106,12 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 	}
 	for i, nd := range nodes {
 		i, nd := i, nd
-		waitFor(t, 20*time.Second, func() bool { return complete(recs[i], nd.Addr()) },
+		c.waitFor(t, 20*time.Second, func() bool { return complete(recs[i], nd.Addr()) },
 			func() string { return fmt.Sprintf("node %d did not recover all payloads", i) })
 	}
 
 	// FIFO: each member saw each foreign source's indices exactly 0..N-1.
 	for i, nd := range nodes {
-		recs[i].mu.Lock()
 		for src, got := range recs[i].seqs {
 			if src == nd.Addr() {
 				continue
@@ -149,7 +123,6 @@ func TestReliableOrderedFIFOUnderLoss(t *testing.T) {
 				}
 			}
 		}
-		recs[i].mu.Unlock()
 	}
 }
 
@@ -161,13 +134,12 @@ func TestReliableSoakBoundedState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-publish soak")
 	}
-	mem := transport.NewMemNetwork()
-	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint(), mem.NextEndpoint()}
 	const (
 		window = reliable.DefaultWindowSpan
 		cache  = reliable.DefaultCachePayloads
 	)
-	nodes := lineCluster(t, eps, nil)
+	c := newDriven(t, 0, 1, nil)
+	nodes := lineCluster(t, 3, c.add, nil)
 	rdv, tail := nodes[0], nodes[2]
 	if err := rdv.CreateGroupMode("soak", wire.Reliable); err != nil {
 		t.Fatal(err)
@@ -175,19 +147,14 @@ func TestReliableSoakBoundedState(t *testing.T) {
 	if err := rdv.Advertise("soak"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.Run(100 * time.Millisecond)
 	for _, nd := range nodes[1:] {
 		if err := nd.Join("soak", 3*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var mu sync.Mutex
 	delivered := 0
-	tail.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-		mu.Lock()
-		delivered++
-		mu.Unlock()
-	})
+	tail.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered++ })
 
 	const total = 10000
 	const batch = 200
@@ -200,13 +167,7 @@ func TestReliableSoakBoundedState(t *testing.T) {
 		// Pace by the tail's progress so the inboxes never overflow and the
 		// windows genuinely slide (10k sequences through a 1024-seq window).
 		want := base + batch
-		waitFor(t, 10*time.Second, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return delivered >= want
-		}, func() string {
-			mu.Lock()
-			defer mu.Unlock()
+		c.waitFor(t, 10*time.Second, func() bool { return delivered >= want }, func() string {
 			return fmt.Sprintf("tail delivered %d of %d", delivered, want)
 		})
 	}
@@ -241,13 +202,8 @@ func TestReliableSoakBoundedState(t *testing.T) {
 // dropping the payload: every tree link is unreachable, so the node must
 // report ErrPublishFailed and count the failed sends.
 func TestPublishIntoPartitionReturnsError(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	chaos := transport.NewChaosNetwork(11)
-	eps := make([]transport.Transport, 3)
-	for i := range eps {
-		eps[i] = chaos.Wrap(mem.NextEndpoint())
-	}
-	nodes := lineCluster(t, eps, nil)
+	c := newDriven(t, 0, 11, nil)
+	nodes := lineCluster(t, 3, c.add, nil)
 	rdv, pub := nodes[0], nodes[2]
 	if err := rdv.CreateGroup("part"); err != nil {
 		t.Fatal(err)
@@ -255,7 +211,7 @@ func TestPublishIntoPartitionReturnsError(t *testing.T) {
 	if err := rdv.Advertise("part"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.Run(100 * time.Millisecond)
 	for _, nd := range nodes[1:] {
 		if err := nd.Join("part", 3*time.Second); err != nil {
 			t.Fatal(err)
@@ -266,7 +222,7 @@ func TestPublishIntoPartitionReturnsError(t *testing.T) {
 	}
 
 	// Fully isolate the publisher: its island contains only itself.
-	chaos.Partition(pub.Addr())
+	c.chaos.Partition(pub.Addr())
 	before := pub.Stats().SendErrors
 	err := pub.Publish("part", []byte("into the void"))
 	if !errors.Is(err, ErrPublishFailed) {
@@ -277,18 +233,11 @@ func TestPublishIntoPartitionReturnsError(t *testing.T) {
 	}
 
 	// Healing restores the data plane (the tree may need a repair epoch).
-	chaos.Heal()
-	var mu sync.Mutex
+	c.chaos.Heal()
 	heard := false
-	rdv.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-		mu.Lock()
-		heard = true
-		mu.Unlock()
-	})
-	waitFor(t, 10*time.Second, func() bool {
+	rdv.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { heard = true })
+	c.waitFor(t, 10*time.Second, func() bool {
 		_ = pub.Publish("part", []byte("after"))
-		mu.Lock()
-		defer mu.Unlock()
 		return heard
 	}, static("post-heal publish never reached the rendezvous"))
 }
@@ -297,9 +246,8 @@ func TestPublishIntoPartitionReturnsError(t *testing.T) {
 // arriving with no handler installed must be absorbed without crashing, and
 // a handler installed mid-stream must receive everything published after it.
 func TestPayloadHandlerEdgeCases(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	eps := []transport.Transport{mem.NextEndpoint(), mem.NextEndpoint()}
-	nodes := lineCluster(t, eps, nil)
+	c := newDriven(t, 0, 1, nil)
+	nodes := lineCluster(t, 2, c.add, nil)
 	rdv, member := nodes[0], nodes[1]
 	if err := rdv.CreateGroupMode("h", wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -307,7 +255,7 @@ func TestPayloadHandlerEdgeCases(t *testing.T) {
 	if err := rdv.Advertise("h"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	c.Run(50 * time.Millisecond)
 	if err := member.Join("h", 3*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -319,19 +267,16 @@ func TestPayloadHandlerEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 3*time.Second, func() bool {
+	c.waitFor(t, 3*time.Second, func() bool {
 		return member.Stats().Received["payload"] >= 5
 	}, static("payloads did not reach the handler-less member"))
 
 	// Install the handler mid-stream: everything published from here on is
 	// delivered (the pre-handler payloads were consumed by the window and
 	// are not replayed).
-	var mu sync.Mutex
 	var got []string
 	member.SetPayloadHandler(func(_ string, _ wire.PeerInfo, data []byte) {
-		mu.Lock()
 		got = append(got, string(data))
-		mu.Unlock()
 	})
 	const late = 7
 	for i := 0; i < late; i++ {
@@ -339,13 +284,7 @@ func TestPayloadHandlerEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 3*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) >= late
-	}, static("mid-stream handler missed payloads"))
-	mu.Lock()
-	defer mu.Unlock()
+	c.waitFor(t, 3*time.Second, func() bool { return len(got) >= late }, static("mid-stream handler missed payloads"))
 	for i := 0; i < late; i++ {
 		if want := fmt.Sprintf("late%d", i); got[i] != want {
 			t.Fatalf("delivery %d = %q, want %q (order broken)", i, got[i], want)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"groupcast/internal/coords"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
@@ -28,7 +27,7 @@ func rulePeers() []wire.PeerInfo {
 
 // ruleNode is an unstarted node over a sendLog, driven by stepAt.
 func ruleNode(capacity float64, seed int64) (*Node, *sendLog) {
-	log := &sendLog{Transport: transport.NewMemNetwork().NextEndpoint()}
+	log := &sendLog{Transport: stubEndpoint()}
 	return New(log, DefaultConfig(capacity, coords.Point{2, 3, 0}, seed)), log
 }
 

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,65 +18,47 @@ func TestSoakChurnAndLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	endpoint := lossyEndpoints(7, 0.02)
+	c := newLossy(t, 7, 0.02)
 	rng := rand.New(rand.NewSource(8))
 	sampler := peer.MustTable1Sampler()
 
-	newNode := func(i int) *Node {
+	config := func(i int) Config {
 		cfg := DefaultConfig(float64(sampler.Sample(rng)),
 			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
 		cfg.HeartbeatInterval = 400 * time.Millisecond
 		cfg.AdvertiseRefreshEpochs = 3
-		return New(endpoint(), cfg)
+		return cfg
 	}
 
-	var nodes []*Node
 	for i := 0; i < 24; i++ {
-		nd := newNode(i)
-		nd.Start()
-		var contacts []string
-		for j := 0; j < len(nodes) && j < 6; j++ {
-			contacts = append(contacts, nodes[len(nodes)-1-j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
+		contacts := newest(c.nodes, 6)
+		if err := c.node(t, config(i)).Bootstrap(contacts, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, nd)
 	}
-	closeAll := func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}
-	defer closeAll()
 
-	rdv := nodes[0]
+	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("soak"); err != nil {
 		t.Fatal(err)
 	}
 	if err := rdv.Advertise("soak"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond)
+	c.Run(200 * time.Millisecond)
 
-	var mu sync.Mutex
 	delivered := map[string]int{}
 	join := func(nd *Node) bool {
 		for attempt := 0; attempt < 4; attempt++ {
 			if nd.Join("soak", time.Second) == nil {
 				addr := nd.Addr()
-				nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-					mu.Lock()
-					delivered[addr]++
-					mu.Unlock()
-				})
+				nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered[addr]++ })
 				return true
 			}
 		}
 		return false
 	}
 	members := []*Node{}
-	for _, nd := range nodes[1:] {
+	for _, nd := range c.nodes[1:] {
 		if join(nd) {
 			members = append(members, nd)
 		}
@@ -89,7 +70,7 @@ func TestSoakChurnAndLoss(t *testing.T) {
 	// The storm: 6 rounds of crash one member + graceful-leave one + add a
 	// fresh node that joins, with publishes in between.
 	published := 0
-	nextID := len(nodes)
+	nextID := len(c.nodes)
 	for round := 0; round < 6; round++ {
 		// Crash the oldest surviving non-rendezvous member abruptly.
 		victim := members[0]
@@ -105,15 +86,13 @@ func TestSoakChurnAndLoss(t *testing.T) {
 		}
 
 		// A fresh node joins the overlay and the group.
-		fresh := newNode(nextID)
+		fresh := c.node(t, config(nextID))
 		nextID++
-		fresh.Start()
 		contacts := []string{rdv.Addr(), members[len(members)-1].Addr()}
 		if err := fresh.Bootstrap(contacts, 2*time.Second); err == nil {
-			nodes = append(nodes, fresh)
 			// The refresh advertisement may take a couple of epochs to
 			// reach it; join retries internally handle that.
-			time.Sleep(250 * time.Millisecond)
+			c.Run(250 * time.Millisecond)
 			if join(fresh) {
 				members = append(members, fresh)
 			}
@@ -122,54 +101,40 @@ func TestSoakChurnAndLoss(t *testing.T) {
 		}
 
 		// Let heartbeats detect the crash, then publish.
-		time.Sleep(1500 * time.Millisecond)
+		c.Run(1500 * time.Millisecond)
 		if err := rdv.Publish("soak", []byte(fmt.Sprintf("round %d", round))); err != nil {
 			t.Fatal(err)
 		}
 		published++
 	}
 
-	// Final publish after the storm settles (generous: single-core CI under
-	// load detects crashes slowly).
-	time.Sleep(3 * time.Second)
-	mu.Lock()
+	// Final publish after the storm settles.
+	c.Run(3 * time.Second)
 	before := map[string]int{}
 	for k, v := range delivered {
 		before[k] = v
 	}
-	mu.Unlock()
 	if err := rdv.Publish("soak", []byte("final")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	lastPublish := time.Now()
-	for {
-		// Healing is asynchronous: keep publishing while waiting so members
-		// that reattach late still hear something.
-		if time.Since(lastPublish) > time.Second {
-			if err := rdv.Publish("soak", []byte("final-again")); err != nil {
-				t.Fatal(err)
-			}
-			lastPublish = time.Now()
-		}
-		mu.Lock()
+	reached := func() int {
 		got := 0
 		for _, m := range members {
 			if delivered[m.Addr()] > before[m.Addr()] {
 				got++
 			}
 		}
-		mu.Unlock()
-		if got >= len(members)/2 {
-			break
-		}
-		if time.Now().After(deadline) {
+		return got
+	}
+	deadline := c.Now().Add(15 * time.Second)
+	lastPublish := c.Now()
+	for reached() < len(members)/2 {
+		if c.Now().After(deadline) {
 			// Diagnostic dump: each unreached member's tree state.
 			byAddr := map[string]*Node{}
-			for _, nd := range nodes {
+			for _, nd := range c.nodes {
 				byAddr[nd.Addr()] = nd
 			}
-			mu.Lock()
 			for _, m := range members {
 				if delivered[m.Addr()] > before[m.Addr()] {
 					continue
@@ -199,9 +164,16 @@ func TestSoakChurnAndLoss(t *testing.T) {
 				}
 				t.Logf("unreached %s: parent=%q kids=%d chain=%v", m.Addr(), parent, kids, chain)
 			}
-			mu.Unlock()
-			t.Fatalf("final publish reached %d of %d members", got, len(members))
+			t.Fatalf("final publish reached %d of %d members", reached(), len(members))
 		}
-		time.Sleep(20 * time.Millisecond)
+		// Healing is asynchronous: keep publishing while waiting so members
+		// that reattach late still hear something.
+		if c.Now().Sub(lastPublish) > time.Second {
+			if err := rdv.Publish("soak", []byte("final-again")); err != nil {
+				t.Fatal(err)
+			}
+			lastPublish = c.Now()
+		}
+		c.Run(20 * time.Millisecond)
 	}
 }

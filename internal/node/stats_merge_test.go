@@ -145,7 +145,7 @@ func TestStatsViewsCoverEveryField(t *testing.T) {
 	}
 
 	// Stats() and the registry read the live tally field by field.
-	nd := New(transport.NewMemNetwork().NextEndpoint(), DefaultConfig(10, coords.Point{0, 0}, 1))
+	nd := New(stubEndpoint(), DefaultConfig(10, coords.Point{0, 0}, 1))
 	defer nd.Close()
 	nd.stats.Stats = a
 	got := nd.Stats()
@@ -216,28 +216,14 @@ func TestObservabilityDocListsEveryCounter(t *testing.T) {
 // -race (CI does) this proves the introspection endpoint can be scraped
 // at any moment without torn reads.
 func TestSnapshotsRaceSafe(t *testing.T) {
-	net := transport.NewMemNetwork()
-	var nodes []*Node
+	c := newLive(t, 0, 1, nil)
 	for i := 0; i < 3; i++ {
 		cfg := DefaultConfig(10, coords.Point{float64(i), 0}, int64(i+1))
 		cfg.HeartbeatInterval = 50 * time.Millisecond
 		cfg.Tracer = trace.New(128, nil)
-		nd := New(net.NextEndpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for _, prev := range nodes {
-			contacts = append(contacts, prev.Addr())
-		}
-		if err := nd.Bootstrap(contacts, time.Second); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
+		c.add(t, cfg, nodeAddrs(c.nodes))
 	}
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
+	nodes := c.nodes
 	rdv := nodes[0]
 	if err := rdv.CreateGroupMode("race", wire.Reliable); err != nil {
 		t.Fatal(err)
@@ -257,11 +243,11 @@ func TestSnapshotsRaceSafe(t *testing.T) {
 		}
 	}
 
+	// The publisher runs until every scraper is done.
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	published := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(published)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -272,6 +258,7 @@ func TestSnapshotsRaceSafe(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
+	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -292,7 +279,7 @@ func TestSnapshotsRaceSafe(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
 	wg.Wait()
+	close(stop)
+	<-published
 }

@@ -5,18 +5,13 @@ import (
 	"time"
 
 	"groupcast/internal/coords"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
 func TestStatsAccounting(t *testing.T) {
-	net := transport.NewMemNetwork()
-	a := New(net.NextEndpoint(), DefaultConfig(100, coords.Point{0, 0}, 1))
-	b := New(net.NextEndpoint(), DefaultConfig(10, coords.Point{10, 10}, 2))
-	a.Start()
-	b.Start()
-	defer a.Close()
-	defer b.Close()
+	c := newDriven(t, 0, 1, nil)
+	a := c.node(t, DefaultConfig(100, coords.Point{0, 0}, 1))
+	b := c.node(t, DefaultConfig(10, coords.Point{10, 10}, 2))
 	_ = a.Bootstrap(nil, time.Second)
 	if err := b.Bootstrap([]string{a.Addr()}, time.Second); err != nil {
 		t.Fatal(err)
@@ -27,25 +22,16 @@ func TestStatsAccounting(t *testing.T) {
 	if err := a.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool {
+	c.waitFor(t, testTimeout, func() bool {
 		return b.Join("g", 200*time.Millisecond) == nil
 	}, static("join failed"))
 
-	delivered := make(chan struct{}, 1)
-	b.SetPayloadHandler(func(string, wire.PeerInfo, []byte) {
-		select {
-		case delivered <- struct{}{}:
-		default:
-		}
-	})
+	delivered := false
+	b.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered = true })
 	if err := a.Publish("g", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-delivered:
-	case <-time.After(testTimeout):
-		t.Fatal("payload not delivered")
-	}
+	c.waitFor(t, testTimeout, func() bool { return delivered }, static("payload not delivered"))
 
 	as := a.Stats()
 	bs := b.Stats()
@@ -67,10 +53,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestStatsSnapshotIsolated(t *testing.T) {
-	net := transport.NewMemNetwork()
-	a := New(net.NextEndpoint(), DefaultConfig(10, nil, 1))
-	a.Start()
-	defer a.Close()
+	a := newDriven(t, 0, 1, nil).node(t, DefaultConfig(10, nil, 1))
 	s := a.Stats()
 	s.Sent["probe"] = 999
 	if a.Stats().Sent["probe"] == 999 {

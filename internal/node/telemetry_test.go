@@ -8,47 +8,34 @@ import (
 	"groupcast/internal/coords"
 	"groupcast/internal/telemetry"
 	"groupcast/internal/trace"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
-// buildTelemetryCluster boots n nodes on an in-memory fabric with fast
-// heartbeats and a group tree rooted at node 0, so digests ride both the
-// heartbeat and beacon planes.
-func buildTelemetryCluster(t *testing.T, count int) []*Node {
+// buildTelemetryCluster boots n driven nodes with fast heartbeats and a
+// group tree rooted at node 0, so digests ride both the heartbeat and
+// beacon planes.
+func buildTelemetryCluster(t *testing.T, count int) *driven {
 	t.Helper()
-	net := transport.NewMemNetwork()
-	var nodes []*Node
+	c := newDriven(t, 0, 1, nil)
 	for i := 0; i < count; i++ {
 		cfg := DefaultConfig(10, coords.Point{float64(i), 0}, int64(i+1))
 		cfg.HeartbeatInterval = 40 * time.Millisecond
 		cfg.OverloadSampleInterval = 20 * time.Millisecond
 		cfg.Tracer = trace.New(256, nil)
-		nd := New(net.NextEndpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for _, prev := range nodes {
-			contacts = append(contacts, prev.Addr())
-		}
-		if err := nd.Bootstrap(contacts, time.Second); err != nil {
+		contacts := nodeAddrs(c.nodes)
+		if err := c.node(t, cfg).Bootstrap(contacts, time.Second); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, nd)
 	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	})
-	rdv := nodes[0]
+	rdv := c.nodes[0]
 	if err := rdv.CreateGroupMode("tg", wire.Reliable); err != nil {
 		t.Fatal(err)
 	}
 	if err := rdv.Advertise("tg"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	for _, m := range nodes[1:] {
+	c.Run(100 * time.Millisecond)
+	for _, m := range c.nodes[1:] {
 		var err error
 		for attempt := 0; attempt < 6; attempt++ {
 			if err = m.Join("tg", time.Second); err == nil {
@@ -59,41 +46,34 @@ func buildTelemetryCluster(t *testing.T, count int) []*Node {
 			t.Fatal(err)
 		}
 	}
-	return nodes
+	return c
 }
 
 // TestTelemetryFleetConverges proves the gossiped fleet view: every node
 // ends up holding a fresh, epoch-advancing digest for every other node
 // purely from heartbeat/beacon piggybacks, and the digest counters move.
 func TestTelemetryFleetConverges(t *testing.T) {
-	nodes := buildTelemetryCluster(t, 4)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		converged := true
+	c := buildTelemetryCluster(t, 4)
+	nodes := c.nodes
+	c.waitFor(t, 5*time.Second, func() bool {
 		for _, nd := range nodes {
-			view := nd.FleetView()
 			fresh := 0
-			for _, nh := range view {
+			for _, nh := range nd.FleetView() {
 				if nh.Epoch > 0 && !nh.Stale {
 					fresh++
 				}
 			}
 			if fresh < len(nodes) {
-				converged = false
-				break
+				return false
 			}
 		}
-		if converged {
-			break
+		return true
+	}, func() string {
+		for _, nd := range nodes {
+			t.Logf("%s view: %+v", nd.Addr(), nd.FleetView())
 		}
-		if time.Now().After(deadline) {
-			for _, nd := range nodes {
-				t.Logf("%s view: %+v", nd.Addr(), nd.FleetView())
-			}
-			t.Fatal("fleet views did not converge to all-fresh in 5s")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return "fleet views did not converge to all-fresh in 5s"
+	})
 	for _, nd := range nodes {
 		st := nd.Stats()
 		if st.TelemetryDigestsSent == 0 || st.TelemetryDigestsReceived == 0 {
@@ -114,12 +94,12 @@ func TestTelemetryFleetConverges(t *testing.T) {
 // one process: kill one member and the survivors' fleet views mark it stale
 // and fire the stale SLO alert within the staleness window.
 func TestTelemetryCrashDetection(t *testing.T) {
-	nodes := buildTelemetryCluster(t, 3)
+	c := buildTelemetryCluster(t, 3)
+	nodes := c.nodes
 	victim := nodes[2].Addr()
 
 	// Wait until both survivors know the victim fresh.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	c.waitFor(t, 5*time.Second, func() bool {
 		known := 0
 		for _, nd := range nodes[:2] {
 			for _, nh := range nd.FleetView() {
@@ -128,19 +108,12 @@ func TestTelemetryCrashDetection(t *testing.T) {
 				}
 			}
 		}
-		if known == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("survivors never learned the victim's digest")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return known == 2
+	}, static("survivors never learned the victim's digest"))
 
 	_ = nodes[2].Close()
 
-	deadline = time.Now().Add(5 * time.Second)
-	for {
+	c.waitFor(t, 5*time.Second, func() bool {
 		alerted := 0
 		for _, nd := range nodes[:2] {
 			for _, a := range nd.SLOActive() {
@@ -149,17 +122,13 @@ func TestTelemetryCrashDetection(t *testing.T) {
 				}
 			}
 		}
-		if alerted == 2 {
-			break
+		return alerted == 2
+	}, func() string {
+		for _, nd := range nodes[:2] {
+			t.Logf("%s alerts: %+v view: %+v", nd.Addr(), nd.SLOActive(), nd.FleetView())
 		}
-		if time.Now().After(deadline) {
-			for _, nd := range nodes[:2] {
-				t.Logf("%s alerts: %+v view: %+v", nd.Addr(), nd.SLOActive(), nd.FleetView())
-			}
-			t.Fatal("stale alert for the crashed node never fired on both survivors")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return "stale alert for the crashed node never fired on both survivors"
+	})
 	// The alert must also be in the trace ring as a structured event.
 	found := false
 	for _, ev := range nodes[0].TraceEvents(0) {
@@ -180,12 +149,9 @@ func TestTelemetryCrashDetection(t *testing.T) {
 // wire, and the heartbeat encoding is byte-identical to a pre-telemetry
 // node's.
 func TestTelemetryDisabled(t *testing.T) {
-	net := transport.NewMemNetwork()
 	cfg := DefaultConfig(10, coords.Point{0, 0}, 1)
 	cfg.DisableTelemetry = true
-	nd := New(net.NextEndpoint(), cfg)
-	nd.Start()
-	defer nd.Close()
+	nd := newDriven(t, 0, 1, nil).node(t, cfg)
 	if nd.FleetView() != nil || nd.TelemetryHistory() != nil || nd.SLOActive() != nil {
 		t.Fatal("disabled telemetry still returns state")
 	}
@@ -204,7 +170,7 @@ func TestTelemetryDisabled(t *testing.T) {
 // alert must go with it, and the SLO must hold no more nodes than the view.
 func TestFleetEvictionForgetsSLO(t *testing.T) {
 	const fleetBound = 1024
-	n := New(transport.NewMemNetwork().NextEndpoint(), DefaultConfig(10, nil, 1))
+	n := New(stubEndpoint(), DefaultConfig(10, nil, 1))
 	defer n.Close()
 	t0 := time.Unix(1700000000, 0)
 	for i := 0; i <= fleetBound; i++ {

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,30 +19,17 @@ import (
 // collected.
 func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 	const groupID = "traced"
-	chaos := transport.NewChaosNetwork(7)
-	net := transport.NewMemNetwork()
-
-	var nodes []*Node
+	c := newDriven(t, 0, 7, nil)
 	for i := 0; i < 6; i++ {
 		cfg := DefaultConfig(float64(10*(1+i%3)), coords.Point{float64(i), 0}, int64(i+1))
 		cfg.HeartbeatInterval = 200 * time.Millisecond
 		cfg.Tracer = trace.New(4096, nil)
-		nd := New(chaos.Wrap(net.NextEndpoint()), cfg)
-		nd.Start()
-		var contacts []string
-		for _, prev := range nodes {
-			contacts = append(contacts, prev.Addr())
-		}
-		if err := nd.Bootstrap(contacts, time.Second); err != nil {
+		contacts := nodeAddrs(c.nodes)
+		if err := c.node(t, cfg).Bootstrap(contacts, time.Second); err != nil {
 			t.Fatalf("node %d bootstrap: %v", i, err)
 		}
-		nodes = append(nodes, nd)
 	}
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
+	nodes := c.nodes
 
 	rdv := nodes[0]
 	if err := rdv.CreateGroupMode(groupID, wire.Reliable); err != nil {
@@ -53,7 +39,7 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 		if err := rdv.Advertise(groupID); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(50 * time.Millisecond)
+		c.Run(50 * time.Millisecond)
 	}
 	members := nodes[1:]
 	for i, m := range members {
@@ -68,15 +54,12 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 		}
 	}
 
-	var mu sync.Mutex
 	delivered := make(map[string]map[string]bool) // member addr -> payload -> seen
 	for _, m := range members {
 		addr := m.Addr()
 		delivered[addr] = make(map[string]bool)
 		m.SetPayloadHandler(func(_ string, _ wire.PeerInfo, data []byte) {
-			mu.Lock()
 			delivered[addr][string(data)] = true
-			mu.Unlock()
 		})
 	}
 
@@ -97,23 +80,21 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 	if victim == "" {
 		t.Fatal("rendezvous has no child links")
 	}
-	chaos.SetLinkRule(rdv.Addr(), victim, transport.LinkRule{Drop: 1})
+	c.chaos.SetLinkRule(rdv.Addr(), victim, transport.LinkRule{Drop: 1})
 	if err := rdv.Publish(groupID, []byte("payload-one")); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the doomed copy to actually cross (and die on) the chaos
 	// link before healing it, so the drop is deterministic.
-	waitFor(t, 5*time.Second, func() bool { return chaos.Stats().RuleDrops > 0 },
+	c.waitFor(t, 5*time.Second, func() bool { return c.chaos.Stats().RuleDrops > 0 },
 		static("chaos link never dropped the first payload"))
-	chaos.SetLinkRule(rdv.Addr(), victim, transport.LinkRule{})
+	c.chaos.SetLinkRule(rdv.Addr(), victim, transport.LinkRule{})
 	// The second publish reveals the sequence gap at the victim, whose NACK
 	// machinery then recovers payload one.
 	if err := rdv.Publish(groupID, []byte("payload-two")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 20*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
+	c.waitFor(t, 20*time.Second, func() bool {
 		for _, m := range members {
 			if !delivered[m.Addr()]["payload-one"] || !delivered[m.Addr()]["payload-two"] {
 				return false

@@ -8,11 +8,13 @@ import (
 	"groupcast/internal/wire"
 )
 
-// MemNetwork is an in-process message fabric: endpoints register by name and
-// exchange wire messages with configurable latency. It lets tests run
-// hundreds of live nodes in one process deterministically enough while
-// exercising real concurrency. The fabric itself loses nothing but inbox
-// overflow; wrap its endpoints in a ChaosNetwork to inject loss.
+// MemNetwork is an in-process message fabric for live nodes: endpoints
+// register by name and exchange wire messages with configurable latency on
+// the wall clock. It carries the examples, the in-memory benchmark
+// workloads, the overload experiment and the tests of the live loop;
+// deterministic runs of real nodes use node.Cluster instead. The fabric
+// itself loses nothing but inbox overflow; wrap its endpoints in a
+// ChaosNetwork to inject loss.
 type MemNetwork struct {
 	mu        sync.Mutex
 	endpoints map[string]*MemEndpoint
