@@ -478,7 +478,8 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 				done(nil)
 				return true
 			}, func() {
-				if sending { // ask failed before it returned: the send did
+				if sending {
+					// ask gave up before it returned: the send failed.
 					giveUp()
 					return
 				}

@@ -137,6 +137,7 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 		t.Fatalf("reclaim endpoint: %v", err)
 	}
 	rdv2 := New(c.chaos.Wrap(rdvEP2), recoveryConfig(1, statePath))
+	defer rdv2.Close() // waits out its state writes before the temp dir goes
 	rv := rdv2.RecoveryView()
 	if !rv.Restored || rdv2.Stats().StateRestores != 1 {
 		t.Fatalf("restart did not restore state: %+v", rv)
@@ -217,6 +218,7 @@ func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 		t.Fatalf("reclaim endpoint: %v", err)
 	}
 	sub2 := New(c.chaos.Wrap(subEP2), recoveryConfig(2, statePath))
+	defer sub2.Close() // waits out its state writes before the temp dir goes
 	if !sub2.RecoveryView().Restored {
 		t.Fatal("restart did not restore state")
 	}
