@@ -190,11 +190,11 @@ func (e *clusterEndpoint) drain() {
 }
 
 // event runs ev on the node now and puts its next deadline on the heap,
-// unless a wake is pending for it or earlier. A closed node, like a stopped
-// loop, takes only posted bodies.
+// unless a wake is pending for it or earlier. A closed node or endpoint,
+// like a stopped loop, takes only posted bodies.
 func (e *clusterEndpoint) event(ev event) {
 	n := e.node
-	if n.closed && ev.flow == nil {
+	if (n.closed || e.closed) && ev.flow == nil {
 		return
 	}
 	n.step(e.c.now, ev)

@@ -135,20 +135,9 @@ func (n *Node) begin() {
 		n.every(time.Duration(k)*hb, n.refreshAdvertisements)
 	}
 	if n.cfg.StatePath != "" {
-		// The capture is loop work; the write gets its own goroutine, one at
-		// a time, so a slow disk never holds the loop.
-		n.every(stateSaveEpochs*hb, func() {
-			if !n.saving.CompareAndSwap(false, true) {
-				return
-			}
-			st := n.captureState()
-			n.done.Add(1)
-			go func() {
-				defer n.done.Done()
-				defer n.saving.Store(false)
-				n.writeState(st)
-			}()
-		})
+		// The write is loop work too, one fsync'd rename per save, so a
+		// save lands in the epoch that took it, in virtual time as well.
+		n.every(stateSaveEpochs*hb, n.saveState)
 	}
 	n.dhtDuties()
 }

@@ -279,12 +279,10 @@ type Node struct {
 	telemetry *telemetryState
 
 	// recovered is the state reloaded from StatePath (nil on a fresh start);
-	// saving single-flights state writes; epochNow counts heartbeat epochs
-	// from the persisted value up, and it and lastSaveAt (set by the writer)
-	// feed the state file, the final Close snapshot and /debug/recovery. See
-	// recovery.go.
+	// epochNow counts heartbeat epochs from the persisted value up, and it
+	// and lastSaveAt (set by each save) feed the state file, the final Close
+	// snapshot and /debug/recovery. See recovery.go.
 	recovered  *recovery.State
-	saving     atomic.Bool
 	epochNow   atomic.Int64
 	lastSaveAt atomic.Int64
 

@@ -186,18 +186,14 @@ func (n *Node) captureState() *recovery.State {
 	return st
 }
 
-// saveState persists the recovery state file, at Close (with no loop left)
-// once any periodic write is done.
+// saveState persists the recovery state file: the loop's save duty, and
+// Close once the loop has stopped. A failed save is dropped — the previous
+// file stays intact thanks to the atomic rename, and the next save retries.
 func (n *Node) saveState() {
-	if n.cfg.StatePath != "" {
-		n.writeState(n.captureState())
+	if n.cfg.StatePath == "" {
+		return
 	}
-}
-
-// writeState writes one captured state. A failed save is dropped — the
-// previous file stays intact thanks to the atomic rename, and the next
-// epoch retries.
-func (n *Node) writeState(st *recovery.State) {
+	st := n.captureState()
 	if err := recovery.Save(n.cfg.StatePath, st); err == nil {
 		atomic.AddUint64(&n.stats.StateSaves, 1)
 		n.lastSaveAt.Store(st.SavedAt.UnixNano())
