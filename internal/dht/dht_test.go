@@ -417,3 +417,62 @@ func TestLookupDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTableClosestMatchesSort checks Closest's bucket walk against the old
+// Closest, a sort of the whole table, over random tables and targets: the
+// table's own ID, a tabled contact's, and random keys.
+func TestTableClosestMatchesSort(t *testing.T) {
+	sortAll := func(tab *Table, target ID, n int) []Contact {
+		var all []Contact
+		for i := range tab.buckets {
+			all = append(all, tab.buckets[i]...)
+		}
+		sort.Slice(all, func(i, j int) bool { return Closer(target, all[i].ID, all[j].ID) })
+		if len(all) > n {
+			all = all[:n]
+		}
+		return all
+	}
+	rng := rand.New(rand.NewSource(5))
+	randID := func() (id ID) {
+		rng.Read(id[:])
+		return id
+	}
+	// near is a random ID in a random bucket of self's, so near buckets
+	// fill too.
+	near := func(self ID) ID {
+		id, p := randID(), rng.Intn(IDBits)
+		copy(id[:p/8], self[:p/8])
+		mask := byte(0xff) << (8 - p%8) // self's bits above p in its byte
+		id[p/8] = self[p/8]&mask | id[p/8]&^mask
+		id[p/8] ^= 0x80 >> (p % 8) // bit p differs
+		return id
+	}
+	for trial := 0; trial < 100; trial++ {
+		tab := NewTable(randID(), 1+rng.Intn(DefaultK))
+		used := map[ID]bool{tab.Self(): true} // IDs are distinct, as hashes are
+		for i, size := 0, rng.Intn(400); i < size; i++ {
+			id := randID()
+			if i%2 == 0 {
+				id = near(tab.Self())
+			}
+			if used[id] {
+				continue
+			}
+			used[id] = true
+			tab.Observe(Contact{ID: id, Info: wire.PeerInfo{Addr: fmt.Sprintf("c%d", i)}})
+		}
+		targets := []ID{tab.Self(), randID(), randID()}
+		if cs := tab.Contacts(); len(cs) > 0 {
+			targets = append(targets, cs[rng.Intn(len(cs))].ID)
+		}
+		for _, target := range targets {
+			for _, n := range []int{1, DefaultK, 3 * DefaultK, tab.Len() + 1} {
+				got, want := tab.Closest(target, n), sortAll(tab, target, n)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("trial %d, n=%d: Closest\n%v\nwant\n%v", trial, n, got, want)
+				}
+			}
+		}
+	}
+}

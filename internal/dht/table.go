@@ -108,18 +108,37 @@ func (t *Table) remove(id ID, addr string) {
 
 // Closest returns up to n contacts XOR-nearest to target, nearest first.
 // Ties cannot occur: distinct IDs sit at distinct distances from any target.
+// It walks buckets outward from the target's and stops at n. With j the
+// target's bucket, a contact of bucket j shares the target's prefix past bit
+// j, so it is nearest; every contact of a bucket above j is at a distance
+// whose top bit is j; and each bucket below j is farther than the one above
+// it. Only each group is sorted.
 func (t *Table) Closest(target ID, n int) []Contact {
-	all := make([]Contact, 0, t.size)
-	for i := range t.buckets {
-		all = append(all, t.buckets[i]...)
+	out := make([]Contact, 0, n)
+	take := func(from, to int) {
+		start := len(out)
+		for i := from; i < to; i++ {
+			out = append(out, t.buckets[i]...)
+		}
+		b := out[start:]
+		sort.Slice(b, func(x, y int) bool { return Closer(target, b[x].ID, b[y].ID) })
 	}
-	sort.Slice(all, func(i, j int) bool {
-		return Closer(target, all[i].ID, all[j].ID)
-	})
-	if len(all) > n {
-		all = all[:n]
+	j := BucketIndex(t.self, target)
+	if j >= 0 {
+		take(j, j+1)
+		if len(out) < n {
+			take(j+1, IDBits)
+		}
+	} else {
+		j = IDBits // the target is self: bucket i is at top bit i
 	}
-	return all
+	for i := j - 1; i >= 0 && len(out) < n; i-- {
+		take(i, i+1)
+	}
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
 }
 
 // Contacts returns every tabled contact, nearest bucket last, sorted by
