@@ -424,8 +424,8 @@ func RunChurn(w io.Writer, seed int64, workers int) error {
 		return err
 	}
 	fmt.Fprintln(w, "# Churn survival: Poisson crash-restart process, maintenance pacing x restart recovery")
-	fmt.Fprintf(w, "%-6s %-7s %-9s %-9s %-9s %-9s %-10s %-8s %-11s %-6s\n",
-		"rate", "pacing", "recovery", "restarts", "avail", "delivery", "rejoin-ms", "ttr-ep", "maint/ep", "viol")
+	fmt.Fprintf(w, "%-6s %-7s %-9s %-9s %-9s %-9s %-11s %-8s %-11s %-6s\n",
+		"rate", "pacing", "recovery", "restarts", "avail", "delivery", "rejoin-msgs", "ttr-ep", "maint/ep", "viol")
 	for _, r := range rows {
 		pacing := "fixed"
 		if r.Adaptive {
@@ -435,7 +435,7 @@ func RunChurn(w io.Writer, seed int64, workers int) error {
 		if r.Recovery {
 			rec = "on"
 		}
-		fmt.Fprintf(w, "%-6.2f %-7s %-9s %-9d %-9.4f %-9.4f %-10.1f %-8.2f %-11.1f %-6d\n",
+		fmt.Fprintf(w, "%-6.2f %-7s %-9s %-9d %-9.4f %-9.4f %-11.1f %-8.2f %-11.1f %-6d\n",
 			r.Rate, pacing, rec, r.Restarts, r.Avail, r.Delivery,
 			r.RejoinMsgs, r.RejoinTTR, r.MaintMsgs, r.Violations)
 	}
