@@ -15,7 +15,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 
 // goldenSections are the deterministic sections of -exp all, each rendered
 // at a fixed seed and at the smallest size that still exercises it
-// (resilience, goodput and telemetry at their own sizes, 6 to 18 nodes).
+// (resilience, goodput and telemetry at their own sizes, 6 to 18 nodes;
+// churn, an epoch model, at its full size, which takes under a second).
 // The one live section, overload, is a wall-clock run and stays out.
 var goldenSections = []struct {
 	name   string
@@ -66,6 +67,7 @@ var goldenSections = []struct {
 	{"resilience", func(w io.Writer) error { return RunResilience(w, 1, 1) }},
 	{"goodput", func(w io.Writer) error { return RunGoodput(w, 1, 1) }},
 	{"telemetry", func(w io.Writer) error { return RunTelemetry(w, 1, 1) }},
+	{"churn", func(w io.Writer) error { return RunChurn(w, 1, 1) }},
 	{"discovery", func(w io.Writer) error {
 		rows, err := DiscoveryStudy([]int{128}, []float64{1.2}, []float64{0, 0.25}, 8, 32, 1, 1)
 		return writeRows(w, rows, err)
