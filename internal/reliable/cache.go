@@ -12,6 +12,7 @@ import "time"
 // them afterwards (the wire layer treats payloads as immutable too).
 type PayloadCache struct {
 	slots []cacheSlot
+	held  int // full slots
 }
 
 // Item is one cached payload with the trace identity it travelled under, so
@@ -48,6 +49,9 @@ func (c *PayloadCache) PutItem(seq uint64, item Item) {
 	if s.full && s.seq >= seq {
 		return
 	}
+	if !s.full {
+		c.held++
+	}
 	*s = cacheSlot{seq: seq, item: item, full: true}
 }
 
@@ -61,12 +65,4 @@ func (c *PayloadCache) GetItem(seq uint64) (Item, bool) {
 }
 
 // Len counts the payloads currently held.
-func (c *PayloadCache) Len() int {
-	n := 0
-	for _, s := range c.slots {
-		if s.full {
-			n++
-		}
-	}
-	return n
-}
+func (c *PayloadCache) Len() int { return c.held }

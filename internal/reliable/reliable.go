@@ -9,10 +9,13 @@
 //   - a publisher stamps every payload with a per-(group, source) sequence
 //     number from a SendBuffer and retains recent payloads to answer NACKs;
 //   - every receiver tracks one SourceWindow per (group, source): a sliding
-//     window that deduplicates, detects sequence gaps, schedules NACKs with
-//     per-gap backoff, caches relayed payloads for downstream recovery, and
-//     (in ordered mode) buffers out-of-order arrivals until they can be
-//     handed to the application in publish order;
+//     window that deduplicates against a bit ring of the last span
+//     sequences, detects sequence gaps, schedules NACKs with per-gap
+//     backoff, caches relayed payloads for downstream recovery, and (in
+//     ordered mode) releases an arrival at the cursor at once and buffers
+//     only out-of-order arrivals until they can be handed to the
+//     application in publish order. A lossless in-order stream touches no
+//     map, and a sequence jump of any size costs O(span);
 //   - a low-rate digest heartbeat advertises per-source high-water marks
 //     along tree links so trailing losses and rejoining orphans converge
 //     (anti-entropy);

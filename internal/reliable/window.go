@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -100,10 +101,13 @@ type gap struct {
 // so this node can answer downstream NACKs, and — in ordered mode — holds
 // out-of-order arrivals back until they can be released in publish order.
 //
-// State is bounded by construction: the received set and the ordered
-// pending buffer never exceed span entries, the cache never exceeds its
-// capacity, and gaps are a subset of the window. The window is not
-// self-locking; the owning node serializes access.
+// The received set is a bit ring, one bit per sequence, so a lossless
+// stream touches no map: an arrival at the ordered cursor is released
+// directly, and the pending buffer holds only out-of-order arrivals. State
+// is bounded by construction: the ring holds span live bits, the pending
+// buffer and the gaps never exceed span entries, and the cache never
+// exceeds its capacity. A sequence jump of any size costs O(span). The
+// window is not self-locking; the owning node serializes access.
 type SourceWindow struct {
 	span     int
 	ordered  bool
@@ -119,13 +123,15 @@ type SourceWindow struct {
 	// digest, or NACK activity); idle windows are evicted by the node.
 	LastActive time.Time
 
-	high     uint64 // highest sequence observed or advertised
-	pruned   uint64 // all state at or below this sequence has been dropped
-	next     uint64 // ordered mode: lowest sequence not yet released
-	received map[uint64]bool
-	pending  map[uint64]Delivery // ordered mode only
-	gaps     map[uint64]*gap     // reliable modes only
-	cache    *PayloadCache       // reliable modes only
+	high    uint64   // highest sequence observed or advertised
+	pruned  uint64   // all state at or below this sequence has been dropped
+	next    uint64   // ordered mode: lowest sequence not yet released
+	ring    []uint64 // received set: bit s&mask for each received s in (pruned, high]
+	mask    uint64
+	held    int                 // bits set in ring
+	pending map[uint64]Delivery // ordered mode only: out-of-order arrivals
+	gaps    map[uint64]*gap     // reliable modes only
+	cache   *PayloadCache       // reliable modes only
 }
 
 // NewSourceWindow builds a window of the given span. In reliable mode gaps
@@ -135,12 +141,17 @@ func NewSourceWindow(span, cacheCap int, ordered, reliableMode bool) *SourceWind
 	if span < 2 {
 		span = 2
 	}
+	bits := 64 // the ring is a power of two of at least span bits
+	for bits < span {
+		bits <<= 1
+	}
 	w := &SourceWindow{
 		span:     span,
 		ordered:  ordered,
 		reliable: reliableMode,
 		next:     1,
-		received: make(map[uint64]bool),
+		ring:     make([]uint64, bits/64),
+		mask:     uint64(bits - 1),
 	}
 	if reliableMode {
 		w.gaps = make(map[uint64]*gap)
@@ -150,6 +161,20 @@ func NewSourceWindow(span, cacheCap int, ordered, reliableMode bool) *SourceWind
 		w.pending = make(map[uint64]Delivery)
 	}
 	return w
+}
+
+// bit locates seq's received bit: the ring word and the bit within it. The
+// bit is seq's own only for seq in (pruned, high]; a sequence above high
+// shares it with a live one.
+func (w *SourceWindow) bit(seq uint64) (*uint64, uint64) {
+	i := seq & w.mask
+	return &w.ring[i>>6], 1 << (i & 63)
+}
+
+// received reports whether seq, in (pruned, high], has arrived.
+func (w *SourceWindow) received(seq uint64) bool {
+	word, b := w.bit(seq)
+	return *word&b != 0
 }
 
 // Seed primes a freshly built window with a persisted high-water mark: every
@@ -176,14 +201,6 @@ func (w *SourceWindow) Configured(ordered, reliableMode bool) bool {
 	return w.ordered == ordered && w.reliable == reliableMode
 }
 
-// low returns the bottom of the window: sequences at or below it are gone.
-func (w *SourceWindow) low() uint64 {
-	if w.high > uint64(w.span) {
-		return w.high - uint64(w.span)
-	}
-	return 0
-}
-
 // ObserveItem processes one arrival. It reports whether the payload is
 // fresh, updates gap state, and appends any releasable payloads to
 // res.Deliver (the arrival itself in unordered modes; in ordered mode,
@@ -200,34 +217,45 @@ func (w *SourceWindow) ObserveItem(seq uint64, item Item, now time.Time, res *Ob
 		res.Deliver = append(res.Deliver, Delivery{0, item.Data, item.TraceID, item.OriginAt})
 		return
 	}
-	if seq <= w.pruned || seq <= w.low() || (w.ordered && seq < w.next) {
+	if seq <= w.pruned || seq <= seqFloor(w.high, w.span) || (w.ordered && seq < w.next) || seq == math.MaxUint64 {
 		// Below the window or already released past: a very late duplicate
-		// or the retransmission of an abandoned sequence.
+		// or the retransmission of an abandoned sequence. The top sequence
+		// is refused too, so no cursor ever wraps.
 		res.OutOfWindow++
 		return
 	}
-	if w.received[seq] {
+	if seq <= w.high && w.received(seq) {
 		return // duplicate within the window
 	}
 	res.Fresh = true
 	w.advance(seq, false, now, res)
-	w.received[seq] = true
-	if g, open := w.gaps[seq]; open {
-		delete(w.gaps, seq)
-		res.GapsRecovered++
-		if g.attempts > 0 {
-			res.RecoveredAfter = append(res.RecoveredAfter, now.Sub(g.since))
+	word, b := w.bit(seq)
+	*word |= b
+	w.held++
+	if len(w.gaps) > 0 {
+		if g, open := w.gaps[seq]; open {
+			delete(w.gaps, seq)
+			res.GapsRecovered++
+			if g.attempts > 0 {
+				res.RecoveredAfter = append(res.RecoveredAfter, now.Sub(g.since))
+			}
 		}
 	}
 	if w.cache != nil {
 		w.cache.PutItem(seq, item)
 	}
-	if w.ordered {
-		w.pending[seq] = Delivery{seq, item.Data, item.TraceID, item.OriginAt}
-		w.release(res)
-	} else {
-		res.Deliver = append(res.Deliver, Delivery{seq, item.Data, item.TraceID, item.OriginAt})
+	d := Delivery{seq, item.Data, item.TraceID, item.OriginAt}
+	if !w.ordered {
+		res.Deliver = append(res.Deliver, d)
+		return
 	}
+	if seq == w.next {
+		res.Deliver = append(res.Deliver, d) // at the cursor: never held
+		w.next++
+	} else {
+		w.pending[seq] = d
+	}
+	w.release(res) // the arrival or the slide may have unlocked pending payloads
 }
 
 // NoteAdvertised ingests a digest's high-water mark: sequences up to high
@@ -236,7 +264,7 @@ func (w *SourceWindow) ObserveItem(seq uint64, item Item, now time.Time, res *Ob
 // payload would ever reveal).
 func (w *SourceWindow) NoteAdvertised(high uint64, now time.Time, res *ObserveResult) {
 	w.LastActive = now
-	if high <= w.high {
+	if high <= w.high || high == math.MaxUint64 {
 		return
 	}
 	w.advance(high, true, now, res)
@@ -244,25 +272,21 @@ func (w *SourceWindow) NoteAdvertised(high uint64, now time.Time, res *ObserveRe
 
 // advance moves the top of the window to seq, opening gaps for skipped
 // sequences that fit the window (inclusive also marks seq itself missing —
-// the digest path) and sliding the bottom forward.
+// the digest path) and sliding the bottom forward. Nothing above the old
+// top was received or is a gap yet, so every skipped sequence opens one.
 func (w *SourceWindow) advance(seq uint64, inclusive bool, now time.Time, res *ObserveResult) {
 	if seq <= w.high {
 		return
 	}
 	if w.gaps != nil {
-		start := w.high + 1
-		if newLow := seqFloor(seq, w.span); start <= newLow {
-			start = newLow + 1
-		}
+		start := max(w.high, seqFloor(seq, w.span)) + 1
 		end := seq - 1
 		if inclusive {
 			end = seq
 		}
 		for s := start; s <= end; s++ {
-			if !w.received[s] && w.gaps[s] == nil {
-				w.gaps[s] = &gap{since: now}
-				res.GapsOpened++
-			}
+			w.gaps[s] = &gap{since: now}
+			res.GapsOpened++
 		}
 	}
 	w.high = seq
@@ -280,23 +304,27 @@ func seqFloor(seq uint64, span int) uint64 {
 // slide drops state below the window bottom. Gaps that fall off are
 // abandoned; in ordered mode, pending payloads below the bottom are force-
 // released in sequence order (delivery with holes beats deadlock), and the
-// release cursor jumps past the abandoned range.
+// release cursor jumps past the abandoned range. Only (pruned, pruned+span]
+// is walked: nothing above it ever held state, so a jump costs O(span).
 func (w *SourceWindow) slide(res *ObserveResult) {
-	newLow := w.low()
-	for s := w.pruned + 1; s <= newLow; s++ {
-		if w.gaps != nil {
+	newLow := seqFloor(w.high, w.span)
+	for s := w.pruned + 1; s <= min(newLow, w.pruned+uint64(w.span)); s++ {
+		if len(w.gaps) > 0 {
 			if _, open := w.gaps[s]; open {
 				delete(w.gaps, s)
 				res.GapsAbandoned++
 			}
 		}
-		if w.ordered {
+		if len(w.pending) > 0 {
 			if d, ok := w.pending[s]; ok {
 				res.Deliver = append(res.Deliver, d)
 				delete(w.pending, s)
 			}
 		}
-		delete(w.received, s)
+		if word, b := w.bit(s); *word&b != 0 {
+			*word &^= b
+			w.held--
+		}
 	}
 	w.pruned = newLow
 	if w.ordered && w.next <= newLow {
@@ -318,7 +346,7 @@ func (w *SourceWindow) release(res *ObserveResult) {
 			w.next++
 			continue
 		}
-		if w.received[w.next] {
+		if w.received(w.next) {
 			w.next++ // released earlier; cursor catching up
 			continue
 		}
@@ -393,8 +421,8 @@ func (w *SourceWindow) OldestGapAge(now time.Time) time.Duration {
 // High returns the highest sequence observed or advertised.
 func (w *SourceWindow) High() uint64 { return w.high }
 
-// Tracked counts the window's received-set entries.
-func (w *SourceWindow) Tracked() int { return len(w.received) }
+// Tracked counts the sequences the window holds as received.
+func (w *SourceWindow) Tracked() int { return w.held }
 
 // Cached counts the payloads held for retransmission.
 func (w *SourceWindow) Cached() int {
