@@ -107,7 +107,7 @@ func run() error {
 
 	var sink trace.Sink
 	if *traceFile != "" {
-		// FileSink (not a bare NDJSON writer) so node.Close flushes and
+		// A file sink (NDJSON over the file it owns) so node.Close flushes and
 		// fsyncs the file after the loops stop — a killed-at-the-right-moment
 		// process no longer truncates its last trace lines, and write errors
 		// surface in Stats.TraceWriteErrors instead of vanishing.

@@ -7,8 +7,12 @@
 //	groupcast-sim -exp fig1 ... -exp fig10
 //	groupcast-sim -exp fig11..fig17   (one sweep feeds all of them)
 //	groupcast-sim -exp sweep          (figures 11-17 in one run)
-//	groupcast-sim -exp all
+//	groupcast-sim -exp ablations      (the four ablation-* sections)
+//	groupcast-sim -exp all            (every section; -h lists them)
 //	groupcast-sim -exp sweep -sizes 1000,2000,4000 -groups 10 -frac 0.1
+//
+// The sections are one table in internal/experiments; -exp dot (Graphviz
+// of a small overlay and group tree) is the one name kept here.
 //
 // Large sweeps (the paper's 32000-peer points) take minutes; -sizes trims
 // them. -exact replaces the GNP coordinate estimates with true underlay
@@ -40,7 +44,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("groupcast-sim", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "all", "experiment: table1, fig1..fig17, sweep, ablation-{twolayer,backup,churn,fraction}, ablations, dot, timed, resilience, goodput, tracepath, succession, overload, discovery, telemetry, churn, all")
+		exp     = fs.String("exp", "all", "experiment: "+strings.Join(experiments.SectionNames(), ", ")+", dot")
 		seed    = fs.Int64("seed", 1, "random seed")
 		sizes   = fs.String("sizes", "1000,2000,4000,8000,16000,32000", "sweep overlay sizes")
 		groups  = fs.Int("groups", 10, "groups per overlay in the sweep")
@@ -53,111 +57,23 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	sweepCfg := experiments.DefaultSweepConfig()
-	sweepCfg.Seed = *seed
-	sweepCfg.GroupsPerOverlay = *groups
-	sweepCfg.SubscriberFraction = *frac
-	sweepCfg.UseCoordinates = !*exact
-	sweepCfg.Topologies = *topos
+	cfg := experiments.DefaultSweepConfig()
+	cfg.Seed = *seed
+	cfg.GroupsPerOverlay = *groups
+	cfg.SubscriberFraction = *frac
+	cfg.UseCoordinates = !*exact
+	cfg.Topologies = *topos
+	cfg.Workers = *workers
 	parsed, err := parseSizes(*sizes)
 	if err != nil {
 		return err
 	}
-	sweepCfg.Sizes = parsed
-	sweepCfg.Workers = *workers
+	cfg.Sizes = parsed
 
-	if *exp == "all" {
-		return experiments.RunAll(w, sweepCfg, *seed, *workers)
+	if *exp == "dot" {
+		return writeDOT(w, *seed)
 	}
-
-	needsSweep := func(name string) bool {
-		switch name {
-		case "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "sweep":
-			return true
-		}
-		return false
-	}
-
-	var rows []experiments.SweepRow
-	if needsSweep(*exp) {
-		fmt.Fprintf(w, "# running sweep: sizes=%v groups=%d frac=%.2f coordinates=%v\n",
-			sweepCfg.Sizes, sweepCfg.GroupsPerOverlay, sweepCfg.SubscriberFraction, sweepCfg.UseCoordinates)
-		rows, err = experiments.RunSweep(sweepCfg)
-		if err != nil {
-			return err
-		}
-	}
-
-	runOne := func(name string) error {
-		switch name {
-		case "table1":
-			experiments.Table1(w)
-		case "fig1", "fig2", "fig3", "fig4", "fig5", "fig6":
-			n, _ := strconv.Atoi(strings.TrimPrefix(name, "fig"))
-			return experiments.FigurePreference(w, n, *seed)
-		case "fig7":
-			return experiments.Figure7(w, *seed)
-		case "fig8":
-			return experiments.Figure8(w, *seed)
-		case "fig9":
-			return experiments.Figure9(w, *seed)
-		case "fig10":
-			return experiments.Figure10(w, *seed)
-		case "fig11":
-			experiments.Figure11(w, rows)
-		case "fig12":
-			experiments.Figure12(w, rows)
-		case "fig13":
-			experiments.Figure13(w, rows)
-		case "fig14":
-			experiments.Figure14(w, rows)
-		case "fig15":
-			experiments.Figure15(w, rows)
-		case "fig16":
-			experiments.Figure16(w, rows)
-		case "fig17":
-			experiments.Figure17(w, rows)
-		case "ablation-twolayer":
-			return experiments.AblationTwoLayer(w, *seed, *workers)
-		case "ablation-backup":
-			return experiments.AblationBackupFailover(w, *seed, *workers)
-		case "ablation-churn":
-			return experiments.AblationChurn(w, *seed)
-		case "ablation-fraction":
-			return experiments.AblationFraction(w, *seed, *workers)
-		case "dot":
-			return writeDOT(w, *seed)
-		case "timed":
-			return experiments.TimedBuildReport(w, 5000, *seed, *workers)
-		case "ablations":
-			return experiments.RunAblations(w, *seed, *workers)
-		case "resilience":
-			return experiments.RunResilience(w, *seed, *workers)
-		case "goodput":
-			return experiments.RunGoodput(w, *seed, *workers)
-		case "tracepath":
-			return experiments.RunTracePath(w, *seed, *workers)
-		case "succession":
-			return experiments.RunSuccession(w, *seed, *workers)
-		case "overload":
-			return experiments.RunOverload(w, *seed, *workers)
-		case "discovery":
-			return experiments.RunDiscovery(w, *seed, *workers)
-		case "telemetry":
-			return experiments.RunTelemetry(w, *seed, *workers)
-		case "churn":
-			return experiments.RunChurn(w, *seed, *workers)
-		case "sweep":
-			for _, fig := range experiments.SweepFigures() {
-				fig(w, rows)
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	return runOne(*exp)
+	return experiments.Render(w, *exp, cfg)
 }
 
 // writeDOT emits Graphviz documents of a small overlay and one group tree

@@ -75,31 +75,6 @@ func TestRunSmallSweepFigure(t *testing.T) {
 	}
 }
 
-// TestRunWorkersDeterminism is the end-to-end regression test for the
-// parallel pipeline: the same invocation at -workers 1 and -workers 8 must
-// print byte-identical tables.
-func TestRunWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is slow")
-	}
-	base := []string{"-exp", "sweep", "-sizes", "250", "-groups", "2",
-		"-topos", "2", "-seed", "5", "-exact"}
-	var serial, parallel bytes.Buffer
-	if err := run(append([]string{"-workers", "1"}, base...), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append([]string{"-workers", "8"}, base...), &parallel); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty output")
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("-workers 8 output differs from -workers 1:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-			serial.String(), parallel.String())
-	}
-}
-
 func TestRunRejectsBadInputs(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-exp", "nope", "-sizes", "200"}, &out); err == nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,35 +11,6 @@ import (
 	"groupcast/internal/protocol"
 	"groupcast/internal/sim"
 )
-
-// RunAblations runs every ablation study concurrently (bounded by workers;
-// 0 = one per CPU) and writes their reports to w in a fixed order. Each
-// ablation renders into a private buffer, so the interleaving of workers
-// never reaches the output.
-func RunAblations(w io.Writer, seed int64, workers int) error {
-	runs := []func(io.Writer) error{
-		func(buf io.Writer) error { return AblationTwoLayer(buf, seed, workers) },
-		func(buf io.Writer) error { return AblationBackupFailover(buf, seed, workers) },
-		func(buf io.Writer) error { return AblationFraction(buf, seed, workers) },
-		func(buf io.Writer) error { return AblationChurn(buf, seed) },
-	}
-	bufs, err := mapOrdered(workers, len(runs), func(i int) (*bytes.Buffer, error) {
-		var buf bytes.Buffer
-		if err := runs[i](&buf); err != nil {
-			return nil, err
-		}
-		return &buf, nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, buf := range bufs {
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // AblationTwoLayer compares the flat utility-aware overlay against the
 // supernode two-layer architecture the paper sketches in Section 6, on

@@ -231,6 +231,11 @@ func RunDiscovery(w io.Writer, seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	writeDiscovery(w, rows)
+	return nil
+}
+
+func writeDiscovery(w io.Writer, rows []DiscoveryRow) {
 	fmt.Fprintln(w, "# Group discovery: Kademlia DHT vs ripple search (Zipf join popularity x churn)")
 	fmt.Fprintf(w, "%-7s %-6s %-7s %-8s %-7s %-11s %-10s %-10s %-9s %-9s %-8s %-9s\n",
 		"n", "skew", "churn", "groups", "joins", "rip-msgs", "dht-msgs", "rip-hops", "dht-hops", "rip-hit", "dht-hit", "hold-load")
@@ -239,5 +244,4 @@ func RunDiscovery(w io.Writer, seed int64, workers int) error {
 			r.N, r.Skew, r.Churn, r.Groups, r.Joins, r.RippleMsgs, r.DhtMsgs,
 			r.RippleHops, r.DhtHops, r.RippleHit, r.DhtHit, r.HolderLoad)
 	}
-	return nil
 }

@@ -59,14 +59,16 @@ func TestDiscoveryStudyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunDiscoveryWriter checks RunDiscovery's columns on a small study;
+// the full-size table is locked byte for byte in results_full.txt
+// (TestPaperFiguresGolden -full).
 func TestRunDiscoveryWriter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	var buf bytes.Buffer
-	if err := RunDiscovery(&buf, 1, 0); err != nil {
+	rows, err := DiscoveryStudy([]int{128}, []float64{1.2}, []float64{0, 0.25}, 8, 32, 1, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	writeDiscovery(&buf, rows)
 	out := buf.String()
 	for _, col := range []string{"dht-msgs", "rip-msgs", "dht-hit", "churn", "hold-load"} {
 		if !strings.Contains(out, col) {

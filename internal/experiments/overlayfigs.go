@@ -44,26 +44,8 @@ func DegreeDistribution(g *overlay.Graph) DegreeDistributionResult {
 	}
 }
 
-// Figure7 builds a 5000-peer GroupCast overlay and writes its log-log degree
-// distribution.
-func Figure7(w io.Writer, seed int64) error {
-	return degreeFigure(w, seed, true,
-		"# Figure 7: log-log degree distribution, GroupCast overlay, 5000 peers")
-}
-
-// Figure8 builds the 5000-peer PLOD (α = 1.8) baseline and writes its degree
-// distribution.
-func Figure8(w io.Writer, seed int64) error {
-	return degreeFigure(w, seed, false,
-		"# Figure 8: log-log degree distribution, random power-law (PLOD α=1.8), 5000 peers")
-}
-
-func degreeFigure(w io.Writer, seed int64, groupCast bool, header string) error {
-	return degreeFigureAt(w, seed, 5000, groupCast, header)
-}
-
-// degreeFigureAt is the size-parameterized core of Figures 7/8 (tests run it
-// at reduced scale).
+// degreeFigureAt writes the log-log degree distribution of an n-peer
+// GroupCast overlay, or of the PLOD (α = 1.8) baseline: Figures 7 and 8.
 func degreeFigureAt(w io.Writer, seed int64, n int, groupCast bool, header string) error {
 	p, err := BuildPipeline(DefaultPipelineConfig(n, seed))
 	if err != nil {
@@ -116,24 +98,8 @@ func (p *Pipeline) NeighborDistances(g *overlay.Graph) NeighborDistanceResult {
 	return NeighborDistanceResult{PerPeer: per, Summary: s}
 }
 
-// Figure9 writes the mean-neighbour-distance distribution of a 1000-peer
-// GroupCast overlay; Figure10 the PLOD baseline.
-func Figure9(w io.Writer, seed int64) error {
-	return neighborFigure(w, seed, true,
-		"# Figure 9: average distance to overlay neighbours, GroupCast, 1000 peers")
-}
-
-// Figure10 is the PLOD counterpart of Figure9.
-func Figure10(w io.Writer, seed int64) error {
-	return neighborFigure(w, seed, false,
-		"# Figure 10: average distance to overlay neighbours, random power-law, 1000 peers")
-}
-
-func neighborFigure(w io.Writer, seed int64, groupCast bool, header string) error {
-	return neighborFigureAt(w, seed, 1000, groupCast, header)
-}
-
-// neighborFigureAt is the size-parameterized core of Figures 9/10.
+// neighborFigureAt writes the mean-neighbour-distance distribution of an
+// n-peer GroupCast overlay, or of the PLOD baseline: Figures 9 and 10.
 func neighborFigureAt(w io.Writer, seed int64, n int, groupCast bool, header string) error {
 	p, err := BuildPipeline(DefaultPipelineConfig(n, seed))
 	if err != nil {

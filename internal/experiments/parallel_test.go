@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 )
@@ -114,7 +113,7 @@ func renderSweep(t *testing.T, cfg SweepConfig) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	for _, fig := range SweepFigures() {
+	for _, fig := range sweepFigures {
 		fig(&buf, rows)
 	}
 	return buf.Bytes()
@@ -174,28 +173,25 @@ func TestParameterStudyParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAblationsMatchesSequential checks that the concurrent ablation
-// driver emits exactly the concatenation of the individual reports.
-func TestRunAblationsMatchesSequential(t *testing.T) {
+// TestRenderTogetherMatchesAlone checks the shared fan-out behind -exp all
+// and -exp ablations: sections rendered together, concurrently, print
+// exactly what each prints alone on one worker, concatenated.
+func TestRenderTogetherMatchesAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are slow")
 	}
-	var concat bytes.Buffer
-	for _, run := range []func(io.Writer) error{
-		func(w io.Writer) error { return AblationTwoLayer(w, 1, 1) },
-		func(w io.Writer) error { return AblationBackupFailover(w, 1, 1) },
-		func(w io.Writer) error { return AblationFraction(w, 1, 1) },
-		func(w io.Writer) error { return AblationChurn(w, 1) },
-	} {
-		if err := run(&concat); err != nil {
+	var alone bytes.Buffer
+	for _, name := range []string{"ablation-twolayer", "ablation-backup", "ablation-fraction", "ablation-churn"} {
+		if err := Render(&alone, name, SweepConfig{Seed: 1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var combined bytes.Buffer
-	if err := RunAblations(&combined, 1, 4); err != nil {
+	var together bytes.Buffer
+	if err := Render(&together, "ablations", SweepConfig{Seed: 1, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(concat.Bytes(), combined.Bytes()) {
-		t.Fatal("RunAblations output differs from sequential ablation reports")
+	if !bytes.Equal(alone.Bytes(), together.Bytes()) {
+		t.Fatalf("sections rendered together differ from each alone:\n--- alone ---\n%s\n--- together ---\n%s",
+			alone.String(), together.String())
 	}
 }

@@ -40,6 +40,15 @@ func DefaultSuccessionConfig(seed int64, workers int) SuccessionConfig {
 		DeputyFailureProb: 0.3, SuspectEpochs: node.SuspectEpochs, Seed: seed, Workers: workers}
 }
 
+// smallSuccessionConfig is the succession run the golden and the tests
+// lock: small, but still exercising every roster size, deputy failures,
+// and both tables.
+func smallSuccessionConfig(workers int) SuccessionConfig {
+	cfg := DefaultSuccessionConfig(11, workers)
+	cfg.NumPeers, cfg.Groups, cfg.SubscriberFraction = 200, 4, 0.2
+	return cfg
+}
+
 // A cluster link's latency per unit of coordinate distance (up to 1.4 ms on
 // the 100×100 plane).
 const clusterLink = 10 * time.Microsecond

@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-// smallSuccessionConfig keeps the test fast while still exercising every
-// roster size, deputy failures, and both tables.
-func smallSuccessionConfig(workers int) SuccessionConfig {
-	return SuccessionConfig{
-		NumPeers:           200,
-		Groups:             4,
-		SubscriberFraction: 0.2,
-		RosterSizes:        []int{0, 1, 2, 3},
-		DeputyFailureProb:  0.3,
-		SuspectEpochs:      3,
-		Seed:               11,
-		Workers:            workers,
-	}
-}
-
 // TestSuccessionDeterministicAcrossWorkers is the acceptance gate for the
 // succession experiment: a fixed seed must render byte-identical output
 // whether the cells run serially or fanned out over many workers.

@@ -41,6 +41,15 @@ func DefaultTracePathConfig(seed int64, workers int) TracePathConfig {
 	}
 }
 
+// smallTracePathConfig is the tracepath run the golden and the tests lock:
+// small, but still exercising both schemes, multi-group fan-out and the
+// histogram aggregation.
+func smallTracePathConfig(workers int) TracePathConfig {
+	cfg := DefaultTracePathConfig(7, workers)
+	cfg.NumPeers, cfg.Groups, cfg.SubscriberFraction = 200, 4, 0.2
+	return cfg
+}
+
 // Cost model for one relay hop, mirroring the event fields of the live
 // tracer (internal/trace): queue is the serialization delay a copy waits
 // behind its siblings at the forwarding node (the k-th outgoing copy of a

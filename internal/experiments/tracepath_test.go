@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-// smallTracePathConfig keeps the test fast while still exercising both
-// schemes, multi-group fan-out and the histogram aggregation.
-func smallTracePathConfig(workers int) TracePathConfig {
-	return TracePathConfig{
-		NumPeers:           200,
-		Groups:             4,
-		SubscriberFraction: 0.2,
-		Seed:               7,
-		Workers:            workers,
-	}
-}
-
 // TestTracePathDeterministicAcrossWorkers is the acceptance gate for the
 // tracepath experiment: a fixed seed must render byte-identical output —
 // histogram quantiles included — whether the cells run serially or fanned

@@ -170,66 +170,35 @@ func (r *Ring) Total() uint64 {
 }
 
 // NDJSON is a sink writing one JSON document per event, newline-delimited —
-// the daemon's trace file format. Writes are serialized; encoding errors are
-// counted, not returned (tracing must never fail the data path).
+// the daemon's trace file format. Writes are serialized; write failures are
+// counted, not returned (tracing must never fail the data path), and
+// surface through Errors for the node's Stats.
 type NDJSON struct {
 	mu     sync.Mutex
-	enc    *json.Encoder
-	errors uint64
-}
-
-// NewNDJSON returns a sink writing NDJSON to w.
-func NewNDJSON(w io.Writer) *NDJSON {
-	return &NDJSON{enc: json.NewEncoder(w)}
-}
-
-// Record writes one event as a JSON line.
-func (s *NDJSON) Record(ev Event) {
-	s.mu.Lock()
-	if err := s.enc.Encode(ev); err != nil {
-		s.errors++
-	}
-	s.mu.Unlock()
-}
-
-// Errors counts encode failures so far.
-func (s *NDJSON) Errors() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errors
-}
-
-// FileSink streams events as NDJSON to a file and — unlike a bare NDJSON
-// over an os.File — owns the descriptor: Close fsyncs and closes it, so a
-// clean node shutdown leaves a durable, complete trace file. Write and sync
-// failures are counted (never returned on the record path; tracing must not
-// fail the data plane) and surfaced through Errors for the node's Stats.
-type FileSink struct {
-	mu     sync.Mutex
-	f      *os.File
+	w      io.Writer
 	enc    *json.Encoder
 	errors uint64
 	closed bool
 }
 
+// NewNDJSON returns a sink writing NDJSON to w. The sink takes ownership:
+// Close syncs and closes w when w can.
+func NewNDJSON(w io.Writer) *NDJSON {
+	return &NDJSON{w: w, enc: json.NewEncoder(w)}
+}
+
 // OpenFileSink opens (appending, creating if needed) the NDJSON trace file.
-func OpenFileSink(path string) (*FileSink, error) {
+func OpenFileSink(path string) (*NDJSON, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return NewFileSink(f), nil
-}
-
-// NewFileSink wraps an already-open file. The sink takes ownership: Close
-// closes it.
-func NewFileSink(f *os.File) *FileSink {
-	return &FileSink{f: f, enc: json.NewEncoder(f)}
+	return NewNDJSON(f), nil
 }
 
 // Record writes one event as a JSON line. Records after Close are dropped
 // and counted as errors.
-func (s *FileSink) Record(ev Event) {
+func (s *NDJSON) Record(ev Event) {
 	s.mu.Lock()
 	if s.closed || s.enc.Encode(ev) != nil {
 		s.errors++
@@ -238,15 +207,16 @@ func (s *FileSink) Record(ev Event) {
 }
 
 // Errors counts failed or dropped writes so far.
-func (s *FileSink) Errors() uint64 {
+func (s *NDJSON) Errors() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.errors
 }
 
-// Close fsyncs and closes the file. Idempotent; a sync or close failure is
-// returned and counted.
-func (s *FileSink) Close() error {
+// Close syncs w if it has a Sync method (a file fsyncs, so a clean node
+// shutdown leaves a durable, complete trace file) and closes it if it is an
+// io.Closer. Idempotent; a sync or close failure is returned and counted.
+func (s *NDJSON) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -254,11 +224,13 @@ func (s *FileSink) Close() error {
 	}
 	s.closed = true
 	var err error
-	if serr := s.f.Sync(); serr != nil {
-		err = serr
+	if f, ok := s.w.(interface{ Sync() error }); ok {
+		err = f.Sync()
 	}
-	if cerr := s.f.Close(); cerr != nil && err == nil {
-		err = cerr
+	if c, ok := s.w.(io.Closer); ok {
+		if cerr := c.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		s.errors++
@@ -266,8 +238,7 @@ func (s *FileSink) Close() error {
 	return err
 }
 
-// errorCounter is implemented by sinks that count failed writes (NDJSON,
-// FileSink).
+// errorCounter is implemented by sinks that count failed writes (NDJSON).
 type errorCounter interface{ Errors() uint64 }
 
 // Tracer is what a node holds: a bounded ring (always, so the introspection
@@ -318,8 +289,8 @@ func (t *Tracer) SinkErrors() uint64 {
 	return 0
 }
 
-// Close flushes and closes the extra sink when it is closable (the file
-// sink fsyncs). Safe on a nil tracer, idempotent, and the ring stays
+// Close flushes and closes the extra sink when it is closable (an NDJSON
+// file fsyncs). Safe on a nil tracer, idempotent, and the ring stays
 // readable afterwards.
 func (t *Tracer) Close() error {
 	if t == nil || t.sink == nil {
