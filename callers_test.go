@@ -26,15 +26,13 @@ import (
 // also appears as a use somewhere.
 func TestExportedAPIHasCallers(t *testing.T) {
 	// The stitcher's fate is decided by the hop-span work (ROADMAP item
-	// 5), SlowPeerAt's by the overload experiment's move onto the virtual
-	// fabric (item 7); each gets a caller there or goes.
+	// 7); it gets a caller there or goes.
 	allow := map[string]string{
 		"telemetry.NewStitcher":               "offline trace stitcher: the one hop-span reader may serve it, or it goes",
 		"telemetry.Stitcher.Stitch":           "offline trace stitcher, as NewStitcher",
 		"telemetry.Stitcher.FetchHTTP":        "offline trace stitcher, as NewStitcher",
 		"telemetry.Stitcher.ReadNDJSON":       "offline trace stitcher, as NewStitcher",
 		"telemetry.Timeline.CausalViolations": "offline trace stitcher, as NewStitcher",
-		"transport.SlowPeerAt":                "the overload experiment's slow consumer is to become a SlowPeerAt service time",
 		"wire.DecodeMessage":                  "the decoder FuzzDecodeMessage and the golden wire vectors check",
 	}
 	type decl struct {

@@ -12,11 +12,10 @@ import (
 
 var (
 	updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden (with -full, results_full.txt too) from the current code")
-	fullSize     = flag.Bool("full", false, "also render every deterministic section at full size, seed 1, and compare with results_full.txt")
+	fullSize     = flag.Bool("full", false, "also render every section at full size, seed 1, and compare with results_full.txt")
 )
 
-// fullResults holds groupcast-sim -exp all -seed 1 without its live
-// section (overload).
+// fullResults holds groupcast-sim -exp all -seed 1.
 const fullResults = "../../results_full.txt"
 
 // TestPaperFiguresGolden locks the paper's figures: the small renders of the
@@ -28,9 +27,9 @@ const fullResults = "../../results_full.txt"
 //	go test ./internal/experiments -run TestPaperFiguresGolden -update
 //
 // and say in the change which numbers moved and why. With -full it also
-// renders every section but the live ones at full size (about 80 s on two
-// cores) and compares that with results_full.txt, which -full -update
-// rewrites. The golden files render concurrently, each into its own buffer.
+// renders every section at full size (about 80 s on two cores) and
+// compares that with results_full.txt, which -full -update rewrites. The
+// golden files render concurrently, each into its own buffer.
 func TestPaperFiguresGolden(t *testing.T) {
 	var files []string
 	byFile := map[string][]section{}
@@ -74,14 +73,8 @@ func TestPaperFiguresGolden(t *testing.T) {
 	if !*fullSize {
 		return
 	}
-	var locked []section
-	for _, s := range sections {
-		if !s.live {
-			locked = append(locked, s)
-		}
-	}
 	var full bytes.Buffer
-	if err := render(&full, locked, DefaultSweepConfig(), "\n"); err != nil {
+	if err := render(&full, sections, DefaultSweepConfig(), "\n"); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, fullResults, full.Bytes())

@@ -160,7 +160,7 @@ func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goo
 	c, chaos, nodes, err := bootCluster(seed, goodputNodes, func(cfg *node.Config) {
 		cfg.HeartbeatInterval = 150 * time.Millisecond
 		cfg.BeaconGraceEpochs = 4
-	})
+	}, nil)
 	if err != nil {
 		return row, fmt.Errorf("goodput %s/%s: %w", sc.name, mode, err)
 	}

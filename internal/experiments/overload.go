@@ -3,38 +3,36 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"sync/atomic"
 	"time"
 
-	"groupcast/internal/coords"
 	"groupcast/internal/node"
-	"groupcast/internal/peer"
-	"groupcast/internal/trace"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
-// This file is the flash-crowd overload experiment: a live cluster with a
-// deliberately tiny inbound queue takes a best-effort publish storm at
-// several multiples of that queue's capacity, under both inbox policies —
-// the class-prioritized queue (the overload-protection plane) and the
-// classless single FIFO (the ablation). Reported per cell: per-class
-// delivery derived from the transport's accepted/shed counters, the
-// overload controller's engagement (publish rejects, relay sheds,
-// episodes), unintended successions, and time-to-recover.
+// This file is the flash-crowd overload experiment: a virtual-time cluster
+// with a deliberately tiny inbound queue takes a best-effort publish storm
+// at several multiples of that queue's capacity, under both inbox policies
+// — the class-prioritized queue (the overload-protection plane) and the
+// classless single FIFO (the ablation). The members are slow consumers: a
+// payload costs each overloadService of the cluster's service time, so the
+// storm overruns their inboxes. Reported per cell: per-class delivery
+// derived from the transport's accepted/shed counters, the overload
+// controller's engagement (publish rejects, relay sheds, episodes),
+// unintended successions, and time-to-recover.
 //
-// The policy invariants are deterministic at any -workers count: under the
-// priority policy control-class delivery is 1.000 (control is never shed
-// while a best-effort slot remains) and no succession fires; under the
-// classless ablation the same storm sheds control messages. The remaining
-// columns (exact shed counts, be-delivery, ttr-ms) are wall-clock
-// observations and vary run to run.
+// The nodes run on a node.Cluster, so every column is deterministic at any
+// -workers count. The policy invariants: under the priority policy
+// control-class delivery is 1.000 (control is never shed while a
+// best-effort slot remains) and no succession fires; under the classless
+// ablation the same storm sheds control messages.
 
 // overloadInboxCap is the per-endpoint inbound queue capacity for every
 // cell — small enough that a storm of a few hundred payloads against slow
 // consumers overruns it by an order of magnitude.
 const overloadInboxCap = 32
+
+// overloadService is the virtual time a member spends on each payload.
+const overloadService = 3 * time.Millisecond
 
 // overloadHorizon bounds one cell's drain-and-recover phase.
 const overloadHorizon = 10 * time.Second
@@ -86,109 +84,91 @@ func RunOverload(w io.Writer, seed int64, workers int) error {
 
 	fmt.Fprintln(w, "# overload: flash-crowd publish storm vs inbox policy")
 	fmt.Fprintf(w, "# (inbox capacity %d per node; storm = load x capacity best-effort publishes\n", overloadInboxCap)
-	fmt.Fprintln(w, "#  against slow consumers. ctrl-delivery and successions are policy")
-	fmt.Fprintln(w, "#  invariants — deterministic at any -workers; shed counts, be-delivery and")
-	fmt.Fprintln(w, "#  ttr-ms are wall-clock measurements)")
+	fmt.Fprintf(w, "#  against members that spend %v of virtual time on each payload)\n", overloadService)
 	fmt.Fprintf(w, "%-13s %-5s %-6s %-10s %-11s %-10s %-9s %-9s %-8s %-11s %-9s %-12s %s\n",
 		"policy", "load", "storm", "ctrl-dlv", "ctrl-sheds", "rel-sheds",
 		"be-dlv", "be-sheds", "rejects", "relay-shed", "episodes", "successions", "ttr-ms")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-13s %-5dx %-6d %-10.3f %-11d %-10d %-9.3f %-9d %-8d %-11d %-9d %-12d %d\n",
-			r.Policy, r.Load, r.Storm, r.CtrlDelivery, r.CtrlSheds, r.RelSheds,
+		fmt.Fprintf(w, "%-13s %-5s %-6d %-10.3f %-11d %-10d %-9.3f %-9d %-8d %-11d %-9d %-12d %d\n",
+			r.Policy, fmt.Sprintf("%dx", r.Load), r.Storm, r.CtrlDelivery, r.CtrlSheds, r.RelSheds,
 			r.BEDelivery, r.BESheds, r.PublishRejects, r.RelaySheds, r.Episodes,
 			r.Successions, r.TTR.Milliseconds())
 	}
 	return nil
 }
 
-// runOverloadCell builds one live cluster on the cell's inbox policy, fires
-// the storm, and measures per-class outcomes from the queue counters.
-func runOverloadCell(c overloadCell) (overloadRow, error) {
-	row := overloadRow{Policy: "priority", Load: c.load}
-	if c.classless {
+// runOverloadCell boots one cluster on the cell's inbox policy, fires the
+// storm, and measures per-class outcomes from the queue counters.
+func runOverloadCell(cell overloadCell) (overloadRow, error) {
+	row := overloadRow{Policy: "priority", Load: cell.load}
+	if cell.classless {
 		row.Policy = "single-queue"
 	}
-	mem := transport.NewMemNetwork()
-	mem.SetInboxPolicy(overloadInboxCap, c.classless)
-	rng := rand.New(rand.NewSource(c.seed))
-	sampler := peer.MustTable1Sampler()
-
-	const clusterSize = 10
-	nodes := make([]*node.Node, 0, clusterSize)
-	defer func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	}()
-	for i := 0; i < clusterSize; i++ {
-		cfg := node.DefaultConfig(float64(sampler.Sample(rng)),
-			coords.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(i+1))
+	c, _, nodes, err := bootCluster(cell.seed, 10, func(cfg *node.Config) {
 		cfg.HeartbeatInterval = 40 * time.Millisecond
 		cfg.OverloadSampleInterval = 20 * time.Millisecond
-		if i > 0 {
-			cfg.Tracer = trace.New(64, slowSink{}) // the members are the slow consumers
-		}
-		nd := node.New(mem.NextEndpoint(), cfg)
-		nd.Start()
-		var contacts []string
-		for j := len(nodes) - 1; j >= 0 && len(contacts) < 5; j-- {
-			contacts = append(contacts, nodes[j].Addr())
-		}
-		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
-			return row, fmt.Errorf("overload %s/%dx: bootstrap node %d: %w", row.Policy, c.load, i, err)
-		}
-		nodes = append(nodes, nd)
+	}, func(c *node.Cluster) { c.SetInboxPolicy(overloadInboxCap, cell.classless) })
+	if err != nil {
+		return row, fmt.Errorf("overload %s/%dx: %w", row.Policy, cell.load, err)
 	}
 
 	const gid = "crowd"
 	rdv := nodes[0]
+	// The members are the slow consumers: each payload holds one for
+	// overloadService, as a synchronous log on a saturated disk would.
+	c.SetServiceTime(func(to string, typ wire.Type) time.Duration {
+		if to != rdv.Addr() && typ == wire.TPayload {
+			return overloadService
+		}
+		return 0
+	})
 	if err := rdv.CreateGroupMode(gid, wire.BestEffort); err != nil {
 		return row, err
 	}
 	if err := rdv.Advertise(gid); err != nil {
 		return row, err
 	}
-	time.Sleep(300 * time.Millisecond)
-	var delivered atomic.Uint64
+	c.Run(300 * time.Millisecond)
+	var delivered uint64
 	for _, nd := range nodes[1:] {
 		joined := false
 		for attempt := 0; attempt < 4 && !joined; attempt++ {
 			joined = nd.Join(gid, time.Second) == nil
 		}
 		if !joined {
-			return row, fmt.Errorf("overload %s/%dx: member never joined", row.Policy, c.load)
+			return row, fmt.Errorf("overload %s/%dx: member never joined", row.Policy, cell.load)
 		}
-		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered.Add(1) })
+		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered++ })
 	}
 	// Settle: joins acked, first beacons out, so the storm is the only
 	// stressor.
-	time.Sleep(300 * time.Millisecond)
+	c.Run(300 * time.Millisecond)
 
 	// The flash crowd: inbox-capacity-sized bursts paced faster than the
 	// consumers drain, so the members' queues stay saturated across several
 	// heartbeat rounds — the storm and the control plane genuinely contend
 	// for the same slots. Admission control may push back while a publisher
 	// degrades — those are rejects at the edge, accounted, not queue losses.
-	row.Storm = c.load * overloadInboxCap
+	row.Storm = cell.load * overloadInboxCap
 	for sent := 0; sent < row.Storm; {
 		for b := 0; b < overloadInboxCap && sent < row.Storm; b++ {
 			_ = rdv.Publish(gid, []byte("flash"))
 			sent++
 		}
-		time.Sleep(20 * time.Millisecond)
+		c.Run(20 * time.Millisecond)
 	}
-	stormEnd := time.Now()
+	stormEnd := c.Now()
 
 	// Drain and recover: done when deliveries stop advancing and every
 	// node's overload controller reads healthy again.
-	lastCount, lastAdvance := delivered.Load(), time.Now()
-	for time.Now().Before(stormEnd.Add(overloadHorizon)) {
-		time.Sleep(25 * time.Millisecond)
-		if n := delivered.Load(); n != lastCount {
-			lastCount, lastAdvance = n, time.Now()
+	lastCount, lastAdvance := delivered, c.Now()
+	for c.Now().Before(stormEnd.Add(overloadHorizon)) {
+		c.Run(25 * time.Millisecond)
+		if delivered != lastCount {
+			lastCount, lastAdvance = delivered, c.Now()
 			continue
 		}
-		if time.Since(lastAdvance) < 300*time.Millisecond {
+		if c.Now().Sub(lastAdvance) < 300*time.Millisecond {
 			continue
 		}
 		healthy := true
@@ -202,7 +182,7 @@ func runOverloadCell(c overloadCell) (overloadRow, error) {
 			break
 		}
 	}
-	row.TTR = time.Since(stormEnd)
+	row.TTR = c.Now().Sub(stormEnd)
 
 	// Per-class outcomes from the transport counters, merged cluster-wide.
 	var agg node.Stats
@@ -224,19 +204,6 @@ func runOverloadCell(c overloadCell) (overloadRow, error) {
 	row.CtrlDelivery = classDelivery(sumInboxAccepted(nodes, wire.ClassControl), row.CtrlSheds)
 	row.BEDelivery = classDelivery(sumInboxAccepted(nodes, wire.ClassBestEffort), row.BESheds)
 	return row, nil
-}
-
-// slowSink is the storm's slow consumer: a trace sink that stalls a
-// member's loop for every payload it takes in, as a synchronous log on a
-// saturated disk would. The storm then overruns the inbox and the policy
-// decides what sheds. (A slow PayloadHandler no longer does: it runs off
-// the loop.)
-type slowSink struct{}
-
-func (slowSink) Record(ev trace.Event) {
-	if ev.Kind == trace.KindRecv && ev.Msg == wire.TPayload.String() {
-		time.Sleep(3 * time.Millisecond)
-	}
 }
 
 // sumInboxAccepted totals one class's accepted count across the cluster's

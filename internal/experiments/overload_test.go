@@ -34,9 +34,6 @@ func assertOverloadInvariants(t *testing.T, prio, fifo overloadRow) {
 // successions under priority shedding, control losses under the classless
 // single queue.
 func TestOverloadPolicyInvariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live-cluster storm")
-	}
 	const load = 10
 	prio, err := runOverloadCell(overloadCell{load: load, seed: cellSeed(1, 83, 100, 0)})
 	if err != nil {
@@ -53,25 +50,30 @@ func TestOverloadPolicyInvariants(t *testing.T) {
 }
 
 // TestOverloadWorkerInvariance pins the -workers contract for the overload
-// experiment: the policy invariants hold whether cells run serially or
-// concurrently. (Exact shed counts and ttr-ms are wall-clock measurements
-// and exempt by design.)
+// experiment: the rows, every column, are identical whether the cells run
+// serially or concurrently, and the policy invariants hold.
 func TestOverloadWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live-cluster storm")
-	}
 	const load = 10
 	cells := []overloadCell{
 		{load: load, seed: cellSeed(1, 83, 200, 0)},
 		{load: load, classless: true, seed: cellSeed(1, 83, 200, 1)},
 	}
-	for _, workers := range []int{1, 2} {
+	run := func(workers int) []overloadRow {
 		rows, err := mapOrdered(workers, len(cells), func(i int) (overloadRow, error) {
 			return runOverloadCell(cells[i])
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertOverloadInvariants(t, rows[0], rows[1])
+		return rows
 	}
+	serial := run(1)
+	parallel := run(2)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("rows diverged across worker counts:\n workers=1: %+v\n workers=2: %+v",
+				serial[i], parallel[i])
+		}
+	}
+	assertOverloadInvariants(t, serial[0], serial[1])
 }

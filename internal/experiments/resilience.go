@@ -158,7 +158,7 @@ func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilien
 		cfg.BeaconGraceEpochs = 4
 		cfg.AdvertiseRefreshEpochs = 3
 		cfg.DisableBackupFailover = mode == "search"
-	})
+	}, nil)
 	if err != nil {
 		return row, fmt.Errorf("resilience %s/%s: %w", sc.name, mode, err)
 	}
@@ -286,8 +286,9 @@ func repairTally(nodes []*node.Node) (msgs, viaBackup, viaSearch uint64) {
 // on a 100×100 plane, links that take clusterLink per unit of distance, and
 // each node bootstrapping through the five before it, one per 1/size of a
 // heartbeat so their epochs spread over its phase. tune sets each node's
-// configuration.
-func bootCluster(seed int64, size int, tune func(*node.Config)) (*node.Cluster, *transport.ChaosNetwork, []*node.Node, error) {
+// configuration; setup, when not nil, sets up the cluster before the first
+// endpoint attaches.
+func bootCluster(seed int64, size int, tune func(*node.Config), setup func(*node.Cluster)) (*node.Cluster, *transport.ChaosNetwork, []*node.Node, error) {
 	rng := rand.New(rand.NewSource(seed))
 	sampler := peer.MustTable1Sampler()
 	chaos := transport.NewChaosNetwork(seed)
@@ -295,6 +296,9 @@ func bootCluster(seed int64, size int, tune func(*node.Config)) (*node.Cluster, 
 	c := node.NewCluster(func(from, to string) time.Duration {
 		return time.Duration(coords.Dist(pos[from], pos[to]) * float64(clusterLink))
 	})
+	if setup != nil {
+		setup(c)
+	}
 	nodes := make([]*node.Node, 0, size)
 	for i := 0; i < size; i++ {
 		addr := fmt.Sprintf("n%02d", i)

@@ -111,15 +111,15 @@ func TestResilienceScheduleDescriptions(t *testing.T) {
 	}
 }
 
-// TestDrivenExperimentsReadNoWallClock: the resilience, goodput and
-// telemetry experiments run real nodes on a node.Cluster, whose heap is
+// TestDrivenExperimentsReadNoWallClock: the resilience, goodput, telemetry
+// and overload experiments run real nodes on a node.Cluster, whose heap is
 // their only clock. A wall-clock read, sleep or timer in them would make a
 // column depend on the machine again.
 func TestDrivenExperimentsReadNoWallClock(t *testing.T) {
 	wallClock := map[string]bool{"Now": true, "Since": true, "Until": true, "AfterFunc": true, "Sleep": true,
 		"NewTimer": true, "NewTicker": true, "After": true, "Tick": true}
 	fset := token.NewFileSet()
-	for _, name := range []string{"resilience.go", "goodput.go", "telemetry.go"} {
+	for _, name := range []string{"resilience.go", "goodput.go", "telemetry.go", "overload.go"} {
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -22,8 +22,6 @@ type section struct {
 	full   func(w io.Writer, cfg SweepConfig, name string) error
 	golden string
 	small  func(w io.Writer) error
-	// live sections run on the wall clock: no golden and no full-size lock.
-	live bool
 }
 
 // runner is the shape of every section's full render but the sweep's.
@@ -107,7 +105,7 @@ var sections = []section{
 	scaled("succession", "succession", RunSuccession, func(w io.Writer) error {
 		return RunSuccessionConfig(w, smallSuccessionConfig(1))
 	}),
-	{names: []string{"overload"}, full: runner(RunOverload).full, live: true},
+	fast("overload", "overload", RunOverload),
 	scaled("discovery", "discovery", RunDiscovery, func(w io.Writer) error {
 		rows, err := DiscoveryStudy([]int{128}, []float64{1.2}, []float64{0, 0.25}, 8, 32, 1, 1)
 		return writeRows(w, rows, err)

@@ -98,7 +98,7 @@ func runTelemetryCell(cell telemetryCell) (telemetryRow, error) {
 		cfg.HeartbeatInterval = 40 * time.Millisecond
 		cfg.OverloadSampleInterval = 20 * time.Millisecond
 		cfg.TelemetryGossip = cell.gossip
-	})
+	}, nil)
 	if err != nil {
 		return row, fmt.Errorf("telemetry %d/%d: %w", cell.size, cell.gossip, err)
 	}

@@ -16,11 +16,15 @@ import (
 // only clock the nodes read. An event is what run makes of it — one step,
 // then endEvent, which here calls the PayloadHandler inline — and after it
 // the node's n.armed becomes a wake entry. A Send is an entry at now +
-// latency that pushes into the destination's inbox and drains it. On a
-// driven node post runs its body as one event and await steps the heap
-// until the flow is done. Nothing here reads the wall clock, so one seed
-// gives one run. A transport.ChaosNetwork over the endpoints takes the
-// heap for its clock: its fault schedule and link delays are entries too.
+// latency that pushes into the destination's inbox and drains it. A message
+// may cost its node a service time (SetServiceTime): the endpoint is then
+// busy, arrivals wait in its inbox, which fills, sheds and displaces by
+// class as a live one does, and the drain goes on at an entry at
+// busy-until. Timer wakes and posted bodies are not held back. On a driven
+// node post runs its body as one event and await steps the heap until the
+// flow is done. Nothing here reads the wall clock, so one seed gives one
+// run. A transport.ChaosNetwork over the endpoints takes the heap for its
+// clock: its fault schedule and link delays are entries too.
 type Cluster struct {
 	eng     *sim.Engine
 	now     time.Time
@@ -28,6 +32,10 @@ type Cluster struct {
 	eps     map[string]*clusterEndpoint
 	wakes   uint64   // the last wake entry's token
 	free    []*entry // fired entries, for reuse
+
+	inboxCap  int // the inbox policy of endpoints attached from now on
+	classless bool
+	service   func(to string, typ wire.Type) time.Duration
 }
 
 // clusterOrigin is every cluster's time zero, so a run's times do not
@@ -40,6 +48,22 @@ func NewCluster(latency func(from, to string) time.Duration) *Cluster {
 	return &Cluster{eng: sim.New(), now: clusterOrigin, latency: latency, eps: map[string]*clusterEndpoint{}}
 }
 
+// SetInboxPolicy sets the inbound queue of endpoints attached after the
+// call: its capacity (<= 0 means transport.DefaultInboxCapacity) and its
+// shed policy (classless is the single FIFO that sheds arrivals whatever
+// their class).
+func (c *Cluster) SetInboxPolicy(capacity int, classless bool) {
+	c.inboxCap, c.classless = capacity, classless
+}
+
+// SetServiceTime makes each message event cost its node service(to, typ)
+// of virtual time, during which the node takes no other message (nil, or
+// 0 for a message: none). It takes the type, not the message, so a popped
+// message stays on the stack.
+func (c *Cluster) SetServiceTime(service func(to string, typ wire.Type) time.Duration) {
+	c.service = service
+}
+
 // Now is the cluster's virtual time.
 func (c *Cluster) Now() time.Time { return c.now }
 
@@ -48,7 +72,7 @@ func (c *Cluster) Endpoint(addr string) (transport.Transport, error) {
 	if c.eps[addr] != nil {
 		return nil, fmt.Errorf("node: duplicate cluster endpoint %q", addr)
 	}
-	e := &clusterEndpoint{c: c, addr: addr, inbox: transport.NewPrioInbox(0, false)}
+	e := &clusterEndpoint{c: c, addr: addr, inbox: transport.NewPrioInbox(c.inboxCap, c.classless)}
 	c.eps[addr] = e
 	return e, nil
 }
@@ -130,7 +154,8 @@ func (en *entry) run(*sim.Engine, sim.Time) {
 
 // clusterEndpoint is a node's transport on a cluster and the driver's
 // handle on it. wake is the token of the node's live wake entry, set for
-// wakeAt (zero when none is pending).
+// wakeAt (zero when none is pending). busy is set while a message's service
+// time runs.
 type clusterEndpoint struct {
 	c      *Cluster
 	addr   string
@@ -138,12 +163,18 @@ type clusterEndpoint struct {
 	node   *Node
 	wake   uint64
 	wakeAt time.Time
+	busy   bool
 	closed bool
 }
+
+var _ transport.DropCounter = (*clusterEndpoint)(nil)
 
 func (e *clusterEndpoint) Addr() string                     { return e.addr }
 func (e *clusterEndpoint) InboxQueue() *transport.PrioInbox { return e.inbox }
 func (e *clusterEndpoint) Recv() <-chan wire.Message        { return e.inbox.Recv() }
+
+// DropStats reports the inbox's sheds, by class.
+func (e *clusterEndpoint) DropStats() transport.DropStats { return e.inbox.DropStats() }
 
 func (e *clusterEndpoint) Send(addr string, msg wire.Message) error {
 	dst := e.c.eps[addr]
@@ -178,15 +209,29 @@ func (e *clusterEndpoint) Close() error {
 	return nil
 }
 
-// drain runs one event per queued message; before Start they wait.
+// drain runs one event per queued message until the inbox is empty or a
+// message's service time makes the endpoint busy; then an entry at
+// busy-until drains on. Before Start messages wait.
 func (e *clusterEndpoint) drain() {
-	for e.node != nil {
+	for e.node != nil && !e.busy {
 		msg, ok := e.inbox.Pop()
 		if !ok {
 			return
 		}
+		if e.c.service != nil {
+			if d := e.c.service(e.addr, msg.Type); d > 0 {
+				e.busy = true
+				e.c.schedule(e.c.now.Add(d), nil, nil, 0, e.resume)
+			}
+		}
 		e.event(event{msg: &msg})
 	}
+}
+
+// resume ends a service time and drains on.
+func (e *clusterEndpoint) resume() {
+	e.busy = false
+	e.drain()
 }
 
 // event runs ev on the node now and puts its next deadline on the heap,

@@ -142,9 +142,6 @@ var wallClock = map[string]string{
 	"TestOverloadSoakTCP":                 "saturates a stalled TCP peer",
 	"TestControlSurvivesSaturatedLink":    "saturates a TCP link",
 	"publishAndAwait":                     "paces publishes over TCP",
-	// Inbox saturation: the driver drains every push at once.
-	"TestControlPlaneSurvivesPayloadFlood": "floods a live inbox past its capacity",
-	"stallingSink.Record":                  "stalls a live loop per payload",
 	// The publish ns/op gate.
 	"TestTelemetryPublishOverhead": "times Publish on a live loop",
 	"runPublishBench":              "times Publish on a live loop",
@@ -388,6 +385,48 @@ func TestClusterChaosOnHeap(t *testing.T) {
 	if err := ca.Send("b", wire.Message{Type: wire.TPayload, MsgID: 3}); err == nil {
 		t.Fatal("send after the scheduled crash succeeded")
 	}
+}
+
+// TestClusterServiceTime: a message's service time keeps its node busy, so
+// a burst waits in the inbox and drains one message per service time, at
+// exact busy-until instants; with none, every arrival runs at once.
+func TestClusterServiceTime(t *testing.T) {
+	c := newDriven(t, 2, 1, func(cfg *Config) { cfg.HeartbeatInterval = 0 })
+	a, b := c.nodes[0], c.nodes[1]
+	c.Run(time.Second)
+	burst := func() {
+		for i := 0; i < 3; i++ {
+			if err := a.tr.Send(b.Addr(), wire.Message{Type: wire.TPayload, GroupID: "none"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	depth := func(want int) {
+		t.Helper()
+		if got := b.InboxQueue().Depth(); got != want {
+			t.Fatalf("at %v: %d messages queued, want %d", c.Now().Sub(clusterOrigin), got, want)
+		}
+	}
+	burst()
+	c.Run(linkLatency)
+	depth(0)
+
+	const service = 10 * time.Millisecond
+	c.SetServiceTime(func(to string, typ wire.Type) time.Duration {
+		if to == b.Addr() && typ == wire.TPayload {
+			return service
+		}
+		return 0
+	})
+	burst()
+	c.Run(linkLatency)
+	depth(2)
+	c.Run(service - time.Nanosecond)
+	depth(2)
+	c.Run(time.Nanosecond)
+	depth(1)
+	c.Run(service)
+	depth(0)
 }
 
 // stubEndpoint is an endpoint alone on a cluster of its own, for a node

@@ -8,8 +8,6 @@ import (
 
 	"groupcast/internal/coords"
 	"groupcast/internal/dht"
-	"groupcast/internal/trace"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
@@ -302,37 +300,29 @@ func TestPendingReqSweepLoop(t *testing.T) {
 // classes and survive, so the overlay neither suspects peers nor starts a
 // succession.
 func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
-	net := transport.NewMemNetwork()
+	c := newDriven(t, 0, 1, nil)
 	const inboxCap = 16
-	net.SetInboxPolicy(inboxCap, false)
+	c.SetInboxPolicy(inboxCap, false)
 
-	a := New(net.NextEndpoint(), DefaultConfig(100, coords.Point{0, 0}, 1))
+	a := c.add(t, DefaultConfig(100, coords.Point{0, 0}, 1), nil)
 	bcfg := DefaultConfig(10, coords.Point{10, 10}, 2)
 	bcfg.HeartbeatInterval = 100 * time.Millisecond
-	// The slow consumer: b's loop stalls on every payload it takes in, so
-	// the flood overruns the 16-slot inbox by an order of magnitude. (A slow
-	// handler no longer does: it runs off the loop.)
-	bcfg.Tracer = trace.New(64, stallingSink(2*time.Millisecond))
-	b := New(net.NextEndpoint(), bcfg)
-	a.Start()
-	b.Start()
-	defer a.Close()
-	defer b.Close()
-	if err := a.Bootstrap(nil, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Bootstrap([]string{a.Addr()}, testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	b := c.add(t, bcfg, []string{a.Addr()})
+	// The slow consumer: b spends 2 ms on every payload it takes in, so the
+	// flood overruns the 16-slot inbox by an order of magnitude.
+	c.SetServiceTime(func(to string, typ wire.Type) time.Duration {
+		if to == b.Addr() && typ == wire.TPayload {
+			return 2 * time.Millisecond
+		}
+		return 0
+	})
 	if err := a.CreateGroupMode("flood", wire.BestEffort); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Advertise("flood"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, testTimeout, func() bool {
-		return b.Join("flood", 200*time.Millisecond) == nil
-	}, static("b could not join"))
+	c.joinEventually(t, b, "flood", testTimeout)
 
 	const flood = 10 * inboxCap
 	for i := 0; i < flood; i++ {
@@ -343,7 +333,7 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 	}
 
 	// The flood must shed — and shed only best-effort.
-	waitFor(t, testTimeout, func() bool {
+	c.waitFor(t, testTimeout, func() bool {
 		return b.Stats().Transport.BestEffortSheds > 0
 	}, static("flood at 10x inbox capacity shed nothing"))
 	ds := b.Stats().Transport
@@ -356,23 +346,12 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 
 	// Control-plane survival: heartbeats kept flowing through the flood, so
 	// the overlay link is intact and the group saw no succession.
-	waitFor(t, testTimeout, func() bool {
+	c.waitFor(t, testTimeout, func() bool {
 		return a.NumNeighbors() >= 1 && b.NumNeighbors() >= 1
 	}, static("overlay link lost during the flood"))
 	for _, td := range a.TreeDetails() {
 		if td.Group == "flood" && (td.Epoch != 1 || td.Promoted) {
 			t.Fatalf("flood triggered a succession: epoch=%d promoted=%v", td.Epoch, td.Promoted)
 		}
-	}
-}
-
-// stallingSink is a trace sink that stalls the recording loop for the given
-// time on every payload the node takes in, as a synchronous log on a
-// saturated disk would.
-type stallingSink time.Duration
-
-func (d stallingSink) Record(ev trace.Event) {
-	if ev.Kind == trace.KindRecv && ev.Msg == wire.TPayload.String() {
-		time.Sleep(time.Duration(d))
 	}
 }

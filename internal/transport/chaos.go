@@ -63,15 +63,13 @@ type ChaosStats struct {
 	Duplicates uint64
 	// Reordered counts messages held back by a reorder rule.
 	Reordered uint64
-	// Slowed counts messages delayed by a slow-peer pipe.
-	Slowed uint64
 	// Delivered counts messages handed to the wrapped transport.
 	Delivered uint64
 }
 
 // FaultEvent is one step of a scripted fault schedule: at offset At from
 // PlaySchedule, apply the fault. Build events with PartitionAt, HealAt,
-// CrashAt, LinkRuleAt and SlowPeerAt.
+// CrashAt and LinkRuleAt.
 type FaultEvent struct {
 	At    time.Duration
 	apply func(n *ChaosNetwork)
@@ -112,12 +110,6 @@ func LinkRuleAt(at time.Duration, from, to string, rule LinkRule) FaultEvent {
 	}
 }
 
-// SlowPeerAt installs (or, with perMessage == 0, removes) a slow-peer pipe
-// in front of the destination at the given offset.
-func SlowPeerAt(at time.Duration, addr string, perMessage time.Duration) FaultEvent {
-	return FaultEvent{At: at, apply: func(n *ChaosNetwork) { n.SlowPeer(addr, perMessage) }}
-}
-
 type linkKey struct{ from, to string }
 
 type linkState struct {
@@ -137,7 +129,6 @@ type ChaosNetwork struct {
 	island      map[string]int // addr → island ID; absent = mainland (0)
 	islandSeq   int
 	crashed     map[string]bool
-	slowPeers   map[string]*slowPipe // destination addr → serialized pipe
 	endpoints   map[string]*ChaosEndpoint
 	clock       afterFuncer // nil: the wall clock
 
@@ -146,7 +137,6 @@ type ChaosNetwork struct {
 	crashDrops     atomic.Uint64
 	duplicates     atomic.Uint64
 	reordered      atomic.Uint64
-	slowed         atomic.Uint64
 	delivered      atomic.Uint64
 }
 
@@ -165,64 +155,8 @@ func NewChaosNetwork(seed int64) *ChaosNetwork {
 		links:     make(map[linkKey]*linkState),
 		island:    make(map[string]int),
 		crashed:   make(map[string]bool),
-		slowPeers: make(map[string]*slowPipe),
 		endpoints: make(map[string]*ChaosEndpoint),
 	}
-}
-
-// slowPipe models a destination whose link drains at a fixed per-message
-// service time: deliveries to it are serialized, each occupying the pipe for
-// perMessage. Messages queue behind each other (nextFree pushes out), which
-// is exactly how a peer with a wedged reader looks from the outside — alive,
-// reachable, but consuming far slower than producers send. The pipe keeps
-// time on the wall clock, not through after: only transport tests use it.
-type slowPipe struct {
-	perMessage time.Duration
-
-	mu       sync.Mutex
-	nextFree time.Time
-}
-
-// occupy reserves the pipe for one message and returns the extra delivery
-// delay: how long the message waits for the pipe plus its own service time.
-func (p *slowPipe) occupy() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := time.Now()
-	start := p.nextFree
-	if start.Before(now) {
-		start = now
-	}
-	p.nextFree = start.Add(p.perMessage)
-	return p.nextFree.Sub(now)
-}
-
-// SlowPeer installs a serialized slow pipe in front of the destination:
-// every delivery to addr takes perMessage of exclusive pipe time, so a
-// burst queues and arrives strung out — the canonical slow-consumer fault
-// the circuit breaker and bounded send queues exist for. perMessage <= 0
-// removes the pipe.
-func (n *ChaosNetwork) SlowPeer(addr string, perMessage time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if perMessage <= 0 {
-		delete(n.slowPeers, addr)
-		return
-	}
-	n.slowPeers[addr] = &slowPipe{perMessage: perMessage}
-}
-
-// slowDelay returns the extra delay a delivery to addr incurs from a slow
-// pipe (0 without one).
-func (n *ChaosNetwork) slowDelay(to string) time.Duration {
-	n.mu.Lock()
-	sp := n.slowPeers[to]
-	n.mu.Unlock()
-	if sp == nil {
-		return 0
-	}
-	n.slowed.Add(1)
-	return sp.occupy()
 }
 
 // Wrap attaches an endpoint to the chaos layer. All of the endpoint's
@@ -303,7 +237,6 @@ func (n *ChaosNetwork) Stats() ChaosStats {
 		CrashDrops:     n.crashDrops.Load(),
 		Duplicates:     n.duplicates.Load(),
 		Reordered:      n.reordered.Load(),
-		Slowed:         n.slowed.Load(),
 		Delivered:      n.delivered.Load(),
 	}
 }
@@ -477,9 +410,6 @@ func (e *ChaosEndpoint) Send(addr string, msg wire.Message) error {
 		}
 		return nil
 	}
-	// A slow-peer pipe adds queueing delay on top of whatever the link rule
-	// decided (a slow consumer is slow regardless of loss or jitter).
-	v.delay += e.net.slowDelay(addr)
 	copies := 1
 	if v.dupe {
 		copies = 2

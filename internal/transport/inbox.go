@@ -274,9 +274,9 @@ func (in *PrioInbox) Sheds() uint64 {
 	return total
 }
 
-// dropStats folds the inbox's shed counters into one DropStats value (the
-// other fields stay zero for the caller to fill).
-func (in *PrioInbox) dropStats() DropStats {
+// DropStats folds the inbox's shed counters into one DropStats value (the
+// other fields stay zero for the endpoint to fill).
+func (in *PrioInbox) DropStats() DropStats {
 	shed := in.ShedByClass()
 	return DropStats{
 		InboxSheds:      shed[wire.ClassControl] + shed[wire.ClassReliableData] + shed[wire.ClassBestEffort],

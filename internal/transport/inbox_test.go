@@ -203,28 +203,30 @@ func TestPrioInboxCloseSemantics(t *testing.T) {
 // whether the endpoint is a MemEndpoint, a TCPTransport, or either wrapped
 // in the chaos layer (which previously hid the wrapped endpoint's sheds).
 func TestShedAccountingParity(t *testing.T) {
+	// A TCP inbox is flooded at a small capacity, a MemNetwork's at the
+	// default one; either flood is eight times the capacity.
 	const capacity = 8
-	const flood = 64
 
 	type shedPair struct {
-		send func(msg wire.Message) error
-		dst  DropCounter
+		send     func(msg wire.Message) error
+		dst      DropCounter
+		capacity int
 	}
 	pairs := map[string]func(t *testing.T) shedPair{
 		"mem": func(t *testing.T) shedPair {
 			n := NewMemNetwork()
-			n.SetInboxPolicy(capacity, false)
 			a, b := n.NextEndpoint(), n.NextEndpoint()
 			t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b}
+			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b,
+				capacity: DefaultInboxCapacity}
 		},
 		"mem+chaos": func(t *testing.T) shedPair {
 			n := NewMemNetwork()
-			n.SetInboxPolicy(capacity, false)
 			cn := NewChaosNetwork(7)
 			a, b := cn.Wrap(n.NextEndpoint()), cn.Wrap(n.NextEndpoint())
 			t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b}
+			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b,
+				capacity: DefaultInboxCapacity}
 		},
 		"tcp": func(t *testing.T) shedPair {
 			cfg := DefaultTCPConfig()
@@ -238,7 +240,8 @@ func TestShedAccountingParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b}
+			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b,
+				capacity: capacity}
 		},
 		"tcp+chaos": func(t *testing.T) shedPair {
 			cfg := DefaultTCPConfig()
@@ -254,13 +257,15 @@ func TestShedAccountingParity(t *testing.T) {
 			cn := NewChaosNetwork(7)
 			a, b := cn.Wrap(at), cn.Wrap(bt)
 			t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b}
+			return shedPair{send: func(m wire.Message) error { return a.Send(b.Addr(), m) }, dst: b,
+				capacity: capacity}
 		},
 	}
 
 	for name, build := range pairs {
 		t.Run(name, func(t *testing.T) {
 			p := build(t)
+			flood := 8 * p.capacity
 			for i := 0; i < flood; i++ {
 				if err := p.send(bestEffortPayload(uint64(i))); err != nil {
 					t.Fatal(err)
@@ -271,7 +276,7 @@ func TestShedAccountingParity(t *testing.T) {
 			for {
 				ds := p.dst.DropStats()
 				accepted := uint64(flood) - ds.InboxSheds
-				if ds.InboxSheds > 0 && accepted <= uint64(capacity)+1 {
+				if ds.InboxSheds > 0 && accepted <= uint64(p.capacity)+1 {
 					if ds.BestEffortSheds != ds.InboxSheds {
 						t.Fatalf("per-class split broken: best-effort=%d total=%d",
 							ds.BestEffortSheds, ds.InboxSheds)

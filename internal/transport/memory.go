@@ -11,8 +11,9 @@ import (
 // MemNetwork is an in-process message fabric for live nodes: endpoints
 // register by name and exchange wire messages with configurable latency on
 // the wall clock. It carries the examples, the in-memory benchmark
-// workloads, the overload experiment and the tests of the live loop;
-// deterministic runs of real nodes use node.Cluster instead. The fabric
+// workloads and the tests of the live loop; deterministic runs of real
+// nodes, the overload experiment's among them, use node.Cluster instead.
+// Every endpoint gets a DefaultInboxCapacity prioritized inbox. The fabric
 // itself loses nothing but inbox overflow; wrap its endpoints in a
 // ChaosNetwork to inject loss.
 type MemNetwork struct {
@@ -20,26 +21,11 @@ type MemNetwork struct {
 	endpoints map[string]*MemEndpoint
 	latency   func(from, to string) time.Duration
 	seq       int
-
-	inboxCapacity  int
-	classlessInbox bool
 }
 
 // NewMemNetwork returns an empty fabric with zero latency.
 func NewMemNetwork() *MemNetwork {
 	return &MemNetwork{endpoints: make(map[string]*MemEndpoint)}
-}
-
-// SetInboxPolicy configures the inbound queue of endpoints created after
-// the call: capacity (<= 0 means DefaultInboxCapacity) and the shed policy
-// (classless reproduces the legacy single-FIFO queue that sheds arrivals
-// regardless of class). It stays settable as the classless arm of
-// `groupcast-sim -exp overload`.
-func (n *MemNetwork) SetInboxPolicy(capacity int, classless bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.inboxCapacity = capacity
-	n.classlessInbox = classless
 }
 
 // SetLatency installs a latency model (nil means instant delivery). It is
@@ -64,7 +50,7 @@ func (n *MemNetwork) Endpoint(name string) (*MemEndpoint, error) {
 		// A deep prioritized inbox so slow receivers don't wedge the whole
 		// fabric; the node layer drains promptly, and under overload control
 		// messages displace best-effort traffic instead of being shed.
-		inbox: NewPrioInbox(n.inboxCapacity, n.classlessInbox),
+		inbox: NewPrioInbox(0, false),
 	}
 	n.endpoints[name] = ep
 	return ep, nil
@@ -165,7 +151,7 @@ func (e *MemEndpoint) InboxQueue() *PrioInbox { return e.inbox }
 
 // DropStats reports the endpoint's loss counters: inbound messages shed on
 // a full inbox, broken down by class.
-func (e *MemEndpoint) DropStats() DropStats { return e.inbox.dropStats() }
+func (e *MemEndpoint) DropStats() DropStats { return e.inbox.DropStats() }
 
 // Close detaches the endpoint from the fabric.
 func (e *MemEndpoint) Close() error {

@@ -118,57 +118,3 @@ func TestSlowPeerDoesNotBlockFanOut(t *testing.T) {
 		t.Fatalf("stalled link lost frames without accounting: %+v", ds)
 	}
 }
-
-// TestChaosSlowPeerSerializesDeliveries: the SlowPeer rule turns a burst
-// into a serialized trickle (each message occupies the pipe for the service
-// time), and removing the rule restores instant delivery.
-func TestChaosSlowPeerSerializesDeliveries(t *testing.T) {
-	n := NewMemNetwork()
-	cn := NewChaosNetwork(11)
-	a := cn.Wrap(n.NextEndpoint())
-	b := cn.Wrap(n.NextEndpoint())
-	defer a.Close()
-	defer b.Close()
-
-	const perMsg = 30 * time.Millisecond
-	cn.SlowPeer(b.Addr(), perMsg)
-
-	const burst = 5
-	start := time.Now()
-	for i := 0; i < burst; i++ {
-		if err := a.Send(b.Addr(), wire.Message{Type: wire.TPayload, MsgID: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < burst; i++ {
-		select {
-		case <-b.Recv():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("message %d never arrived through the slow pipe", i)
-		}
-	}
-	elapsed := time.Since(start)
-	// Five serialized messages at 30ms each cannot finish before ~150ms;
-	// allow generous scheduling slop below that.
-	if elapsed < 100*time.Millisecond {
-		t.Fatalf("burst of %d drained in %v; slow pipe did not serialize", burst, elapsed)
-	}
-	if got := cn.Stats().Slowed; got != burst {
-		t.Fatalf("Slowed = %d, want %d", got, burst)
-	}
-
-	// Removal restores the instant link.
-	cn.SlowPeer(b.Addr(), 0)
-	start = time.Now()
-	if err := a.Send(b.Addr(), wire.Message{Type: wire.TPayload, MsgID: 99}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Recv():
-	case <-time.After(time.Second):
-		t.Fatal("message never arrived after slow pipe removal")
-	}
-	if since := time.Since(start); since > 500*time.Millisecond {
-		t.Fatalf("post-removal delivery took %v", since)
-	}
-}

@@ -270,7 +270,7 @@ func (t *TCPTransport) InboxQueue() *PrioInbox { return t.inbox }
 // class), outbound messages lost to dial/write failures, frames dropped on
 // full per-link send queues, and sends rejected by open breakers.
 func (t *TCPTransport) DropStats() DropStats {
-	out := t.inbox.dropStats()
+	out := t.inbox.DropStats()
 	out.FabricDrops = t.fabricDrops.Load()
 	out.SendQueueDrops = t.sendQueueDrops.Load()
 	out.BreakerRejects = t.breakerRejects.Load()
