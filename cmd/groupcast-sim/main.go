@@ -7,7 +7,7 @@
 //	groupcast-sim -exp fig1 ... -exp fig10
 //	groupcast-sim -exp fig11..fig17   (one sweep feeds all of them)
 //	groupcast-sim -exp sweep          (figures 11-17 in one run)
-//	groupcast-sim -exp ablations      (the four ablation-* sections)
+//	groupcast-sim -exp ablations      (the three ablation-* sections)
 //	groupcast-sim -exp all            (every section; -h lists them)
 //	groupcast-sim -exp sweep -sizes 1000,2000,4000 -groups 10 -frac 0.1
 //

@@ -1,9 +1,12 @@
-// Churn: exercise the overlay and spanning trees under peer churn. Peers
-// join with exponential inter-arrival times (the paper's Expo(1s) model) and
-// depart with exponential lifetimes (30% crashes); epoch-based maintenance
-// repairs the overlay and tree repair re-subscribes orphaned members. The
-// example reports connectivity, degree health, and group reachability over
-// simulated time.
+// Churn: run real GroupCast nodes under peer churn, in virtual time on a
+// node.Cluster. Peers arrive with exponential inter-arrival times (the
+// paper's Expo(1s) model) and depart after exponential lifetimes: 30% crash
+// (the endpoint closes under the node) and the rest leave gracefully
+// (Node.Close). Every 4th arrival joins one group, whose rendezvous — the
+// first peer, which never departs — publishes once a second; the nodes'
+// own tree repair (backup access points, then the search) keeps the
+// members attached. The example reports alive nodes, members, and members
+// that got the last publish over simulated time.
 //
 // Run with:
 //
@@ -13,13 +16,16 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"math/rand"
+	"slices"
+	"time"
 
-	"groupcast/internal/overlay"
+	"groupcast/internal/coords"
+	"groupcast/internal/node"
 	"groupcast/internal/peer"
-	"groupcast/internal/protocol"
 	"groupcast/internal/sim"
+	"groupcast/internal/transport"
+	"groupcast/internal/wire"
 )
 
 func main() {
@@ -28,155 +34,151 @@ func main() {
 	}
 }
 
+// peerNode is one arrived peer: its node and the endpoint a crash closes.
+type peerNode struct {
+	nd *node.Node
+	ep transport.Transport
+}
+
 func run() error {
 	const (
 		population   = 500
 		seed         = 11
 		meanLifetime = 120_000 // ms
-		epochLen     = 5_000   // ms
 		horizon      = 180_000 // ms of simulated time
+		memberEvery  = 4
+		gid          = "churn"
 	)
 	rng := rand.New(rand.NewSource(seed))
-
-	caps := peer.MustTable1Sampler().SampleN(population, rng)
-	xs := make([]float64, population)
-	ys := make([]float64, population)
-	for i := range xs {
-		xs[i] = rng.Float64() * 300
-		ys[i] = rng.Float64() * 300
+	sampler := peer.MustTable1Sampler()
+	pos := map[string]coords.Point{}
+	c := node.NewCluster(func(from, to string) time.Duration {
+		return time.Duration(coords.Dist(pos[from], pos[to]) * float64(10*time.Microsecond))
+	})
+	start := c.Now()
+	// advance brings the cluster to the engine's time now. A blocking call
+	// (Bootstrap, Join) steps the cluster ahead on its own; it then waits.
+	advance := func(now sim.Time) {
+		if d := start.Add(time.Duration(float64(now) * float64(time.Millisecond))).Sub(c.Now()); d > 0 {
+			c.Run(d)
+		}
 	}
-	uni := &overlay.Universe{
-		Caps: caps,
-		Dist: func(i, j int) float64 {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			return math.Sqrt(dx*dx + dy*dy)
-		},
-	}
-	builder, err := overlay.NewBuilder(uni, overlay.DefaultBootstrapConfig(), rng, nil)
-	if err != nil {
-		return err
-	}
-	g := builder.Graph()
 
 	engine := sim.New()
 	arrivals := peer.NewArrivalProcess(1000, rng) // Expo(1s), as in Section 4.1
 	churn := peer.NewChurnProcess(meanLifetime, 0.3, rng)
 
-	// Group state, re-created on demand once enough peers are up.
 	var (
-		tree            *protocol.Tree
-		adv             *protocol.Advertisement
-		joins           int
-		crashes, leaves int
+		rdv                    *node.Node
+		alive                  []peerNode // in arrival order
+		joins, leaves, crashes int
+		published              string
+		last                   = map[string]string{} // member address -> last payload heard
 	)
 
-	scheduleDeparture := func(i int, at sim.Time) {
-		ev := churn.NextDeparture(at)
-		if ev.At > horizon {
-			return // survives the experiment
-		}
-		_, err := engine.At(ev.At, func(_ *sim.Engine, now sim.Time) {
-			if !g.Alive(i) {
-				return
-			}
-			if ev.Graceful {
-				builder.Leave(i)
-				leaves++
-			} else {
-				builder.Fail(i)
-				crashes++
-			}
-			if tree != nil && tree.Contains(i) && i != tree.Rendezvous {
-				protocol.RemoveFailed(g, adv, tree, i, protocol.DefaultRepairConfig(), nil)
-			}
-			_ = now
-		})
-		if err != nil {
-			log.Printf("schedule departure: %v", err)
+	depart := func(addr string, graceful bool) {
+		i := slices.IndexFunc(alive, func(p peerNode) bool { return p.nd.Addr() == addr })
+		p := alive[i]
+		alive = slices.Delete(alive, i, i+1)
+		if graceful {
+			leaves++
+			_ = p.nd.Close()
+		} else {
+			crashes++
+			_ = p.ep.Close()
 		}
 	}
 
 	if _, err := arrivals.ScheduleJoins(engine, population, func(i int) {
-		if err := builder.Join(i); err != nil {
-			log.Printf("join %d: %v", i, err)
-			return
-		}
-		joins++
-		scheduleDeparture(i, engine.Now())
-	}); err != nil {
-		return err
-	}
-
-	// Maintenance epochs and periodic reporting.
-	var epochFn sim.Handler
-	epochFn = func(e *sim.Engine, now sim.Time) {
-		builder.RunEpoch(overlay.DefaultMaintenanceConfig(), rng)
-		if now+epochLen <= horizon {
-			if _, err := e.After(epochLen, epochFn); err != nil {
-				log.Printf("schedule epoch: %v", err)
-			}
-		}
-	}
-	if _, err := engine.At(epochLen, epochFn); err != nil {
-		return err
-	}
-
-	// Form the group once the overlay has grown (~90 s in).
-	if _, err := engine.At(90_000, func(_ *sim.Engine, now sim.Time) {
-		alive := g.AlivePeers()
-		if len(alive) < 40 {
-			return
-		}
-		rendezvous := alive[0]
-		subs := make([]int, 0, len(alive)/4)
-		for _, idx := range rng.Perm(len(alive))[:len(alive)/4] {
-			subs = append(subs, alive[idx])
-		}
-		var results []protocol.SubscribeResult
-		var err error
-		tree, adv, results, err = protocol.BuildGroup(g, rendezvous, subs,
-			builder.ResourceLevel, protocol.DefaultAdvertiseConfig(),
-			protocol.DefaultSubscribeConfig(), rng, nil)
+		advance(engine.Now())
+		addr := fmt.Sprintf("n%03d", i)
+		pos[addr] = coords.Point{rng.Float64() * 300, rng.Float64() * 300}
+		ep, err := c.Endpoint(addr)
 		if err != nil {
-			log.Printf("build group: %v", err)
+			log.Printf("endpoint %s: %v", addr, err)
 			return
 		}
-		ok := 0
-		for _, r := range results {
-			if r.OK {
-				ok++
-			}
+		nd := node.New(ep, node.DefaultConfig(float64(sampler.Sample(rng)), pos[addr], int64(i+1)))
+		c.Start(nd)
+		var contacts []string
+		for j := len(alive) - 1; j >= 0 && len(contacts) < 5; j-- {
+			contacts = append(contacts, alive[j].nd.Addr())
 		}
-		fmt.Printf("t=%6.0fs  group formed: %d/%d subscriptions ok, tree size %d\n",
-			float64(now)/1000, ok, len(subs), tree.Size())
-	}); err != nil {
-		return err
-	}
-
-	report := func(now sim.Time) {
-		var treeInfo string
-		if tree != nil {
-			reach := 0
-			if tree.Contains(tree.Rendezvous) {
-				if res, err := protocol.Publish(g, tree, tree.Rendezvous, nil); err == nil {
-					reach = len(res.Delays)
+		if err := nd.Bootstrap(contacts, 2*time.Second); err != nil {
+			log.Printf("bootstrap %s: %v", addr, err)
+			_ = nd.Close()
+			return
+		}
+		alive = append(alive, peerNode{nd, ep})
+		joins++
+		switch {
+		case i == 0:
+			rdv = nd
+			if err := nd.CreateGroup(gid); err != nil {
+				log.Printf("create group: %v", err)
+			} else if err := nd.Advertise(gid); err != nil {
+				log.Printf("advertise: %v", err)
+			}
+			return // the rendezvous stays for the whole run
+		case i%memberEvery == 0:
+			for attempt := 0; attempt < 3; attempt++ {
+				if nd.Join(gid, time.Second) == nil {
+					nd.SetPayloadHandler(func(_ string, _ wire.PeerInfo, data []byte) { last[addr] = string(data) })
+					break
 				}
 			}
-			treeInfo = fmt.Sprintf("  members=%d reachable=%d valid=%v",
-				tree.NumMembers(), reach+1, tree.Validate() == nil)
 		}
-		fmt.Printf("t=%6.0fs  alive=%3d connected=%v joins=%d leaves=%d crashes=%d%s\n",
-			float64(now)/1000, g.NumAlive(), overlay.IsConnected(g), joins, leaves, crashes, treeInfo)
+		ev := churn.NextDeparture(engine.Now())
+		if ev.At > horizon {
+			return // survives the run
+		}
+		if _, err := engine.At(ev.At, func(_ *sim.Engine, now sim.Time) {
+			advance(now)
+			depart(addr, ev.Graceful)
+		}); err != nil {
+			log.Printf("schedule departure: %v", err)
+		}
+	}); err != nil {
+		return err
 	}
-	for t := sim.Time(30_000); t <= horizon; t += 30_000 {
-		t := t
-		if _, err := engine.At(t, func(_ *sim.Engine, now sim.Time) { report(now) }); err != nil {
-			return err
+
+	// Once a second the rendezvous publishes; every 15 s, just before that
+	// publish, a report counts who heard the one a second earlier.
+	report := func(now sim.Time) {
+		members, got := 0, 0
+		for _, p := range alive {
+			if p.nd != rdv && p.nd.Tree(gid).Member {
+				members++
+				if published != "" && last[p.nd.Addr()] == published {
+					got++
+				}
+			}
 		}
+		fmt.Printf("t=%4.0fs  alive=%3d  members=%3d  got-last=%3d  joins=%d leaves=%d crashes=%d\n",
+			float64(now)/1000, len(alive), members, got, joins, leaves, crashes)
+	}
+	var tick sim.Handler
+	tick = func(e *sim.Engine, now sim.Time) {
+		advance(now)
+		if int(now)%15_000 == 0 {
+			report(now)
+		}
+		if rdv != nil {
+			published = fmt.Sprintf("t=%.0fs", float64(now)/1000)
+			_ = rdv.Publish(gid, []byte(published))
+		}
+		if now+1000 <= horizon {
+			if _, err := e.After(1000, tick); err != nil {
+				log.Printf("schedule tick: %v", err)
+			}
+		}
+	}
+	if _, err := engine.At(1000, tick); err != nil {
+		return err
 	}
 
 	engine.RunUntil(horizon)
-	fmt.Printf("simulation done: %d events processed over %.0f simulated seconds\n",
-		engine.Processed(), float64(engine.Now())/1000)
+	fmt.Printf("done: %d joins, %d leaves, %d crashes over %.0f simulated seconds\n",
+		joins, leaves, crashes, float64(horizon)/1000)
 	return nil
 }

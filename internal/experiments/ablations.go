@@ -76,81 +76,6 @@ func AblationTwoLayer(w io.Writer, seed int64, workers int) error {
 	return nil
 }
 
-// AblationBackupFailover compares tree repair with precomputed backup access
-// points (the replication extension [35]) against the searching repair, over
-// a burst of interior-node failures. The two repair modes run concurrently
-// (bounded by workers), each on its own overlay copy — repair mutates the
-// graph — rendering into per-mode buffers emitted in fixed order.
-func AblationBackupFailover(w io.Writer, seed int64, workers int) error {
-	const n = 2000
-	const failures = 20
-	p, err := BuildPipeline(DefaultPipelineConfig(n, seed))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Ablation: tree repair via backup access points vs ripple search, 2000 peers, 20 failures")
-	fmt.Fprintf(w, "%-10s %-12s %-12s %-12s %-12s\n",
-		"mode", "reattached", "dropped", "search msgs", "join msgs")
-
-	modes := []string{"search", "backup"}
-	lines, err := mapOrdered(workers, len(modes), func(mi int) (string, error) {
-		mode := modes[mi]
-		g, levels, _, err := p.GroupCastOverlay(seed)
-		if err != nil {
-			return "", err
-		}
-		rng := rand.New(rand.NewSource(seed + 9))
-		subs := rng.Perm(n)[:n/10]
-		tree, adv, _, err := protocol.BuildGroup(g, 0, subs, levels,
-			protocol.DefaultAdvertiseConfig(), protocol.DefaultSubscribeConfig(), rng, nil)
-		if err != nil {
-			return "", err
-		}
-		var backups map[int]protocol.BackupSet
-		if mode == "backup" {
-			backups = protocol.ComputeBackups(g, tree, 4)
-		}
-		var reattached, dropped, searchMsgs, joinMsgs int
-		failed := 0
-		for _, e := range tree.Edges() {
-			if failed >= failures {
-				break
-			}
-			node := e[0]
-			if node == 0 || !tree.Contains(node) || !g.Alive(node) || len(tree.Children[node]) == 0 {
-				continue
-			}
-			g.RemovePeer(node)
-			if mode == "backup" {
-				res := protocol.RemoveFailedWithBackups(g, adv, tree, node, backups,
-					protocol.DefaultRepairConfig(), nil)
-				reattached += res.Reattached
-				dropped += len(res.Dropped)
-				searchMsgs += res.SearchMessages
-				joinMsgs += res.JoinMessages
-			} else {
-				res := protocol.RemoveFailed(g, adv, tree, node, protocol.DefaultRepairConfig(), nil)
-				reattached += res.Reattached
-				dropped += len(res.Dropped)
-				searchMsgs += res.SearchMessages
-				joinMsgs += res.JoinMessages
-			}
-			failed++
-		}
-		return fmt.Sprintf("%-10s %-12d %-12d %-12d %-12d\n",
-			mode, reattached, dropped, searchMsgs, joinMsgs), nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AblationChurn drives the overlay through an event-driven churn storm with
 // the adaptive epoch controller and reports connectivity and repair effort
 // over simulated time.

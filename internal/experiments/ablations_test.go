@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -18,38 +17,6 @@ func TestAblationTwoLayerWriter(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "flat") || !strings.Contains(out, "two-layer") {
 		t.Fatalf("output incomplete:\n%s", out)
-	}
-}
-
-func TestAblationBackupFailoverWriter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	var b bytes.Buffer
-	if err := AblationBackupFailover(&b, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "search") || !strings.Contains(out, "backup") {
-		t.Fatalf("output incomplete:\n%s", out)
-	}
-	// Backups must eliminate most of the search traffic (subtrees orphaned
-	// by the same burst fall back to the search, so require a strict
-	// reduction, not zero).
-	searches := map[string]int{}
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) >= 5 && (fields[0] == "search" || fields[0] == "backup") {
-			var v int
-			if _, err := fmt.Sscanf(fields[3], "%d", &v); err != nil {
-				t.Fatalf("line %q malformed", line)
-			}
-			searches[fields[0]] = v
-		}
-	}
-	if searches["backup"] >= searches["search"] {
-		t.Fatalf("backup repair searches %d not below searching repair %d",
-			searches["backup"], searches["search"])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -181,8 +182,11 @@ func TestRenderTogetherMatchesAlone(t *testing.T) {
 		t.Skip("ablations are slow")
 	}
 	var alone bytes.Buffer
-	for _, name := range []string{"ablation-twolayer", "ablation-backup", "ablation-fraction", "ablation-churn"} {
-		if err := Render(&alone, name, SweepConfig{Seed: 1, Workers: 1}); err != nil {
+	for _, s := range sections {
+		if !strings.HasPrefix(s.names[0], "ablation-") {
+			continue
+		}
+		if err := Render(&alone, s.names[0], SweepConfig{Seed: 1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

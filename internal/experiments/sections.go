@@ -88,7 +88,6 @@ var sections = []section{
 		},
 	},
 	fast("ablation-twolayer", "ablation-twolayer", AblationTwoLayer),
-	fast("ablation-backup", "ablation-backup", AblationBackupFailover),
 	scaled("ablation-fraction", "ablation-fraction", AblationFraction, func(w io.Writer) error {
 		rows, err := SSAParameterStudy(300, []float64{0.2, 0.4, 1.0}, []int{5, 7}, 3, 1, 1)
 		return writeRows(w, rows, err)

@@ -8,13 +8,14 @@ import (
 	"groupcast/internal/wire"
 )
 
-// This file is the live-runtime port of the simulation's backup access
-// points (protocol.ComputeBackups / RemoveFailedWithBackups): every tree
-// node hands each child a few peers guaranteed outside the child's subtree
-// — the child's grandparent, its siblings, the rendezvous, and the node's
-// own inherited backups — on beacons and join acks. A member whose parent
-// dies reattaches through one of them directly (one join message) before
-// falling back to the TTL-scoped ripple search.
+// This file is tree repair's backup access points, the dynamic-replication
+// extension the paper cites for reliability ([35]): every tree node hands
+// each child a few peers guaranteed outside the child's subtree — the
+// child's grandparent, its siblings, the rendezvous, and the node's own
+// inherited backups — on beacons and join acks. A member whose parent dies
+// reattaches through one of them directly (one join message) before falling
+// back to the TTL-scoped ripple search. It is the system's only tree
+// repair; -exp resilience measures it against search-only repair.
 
 // backupJoinTimeout bounds one backup access point's join handshake during
 // failover; a backup that died in the same burst must not absorb the whole

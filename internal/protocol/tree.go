@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"groupcast/internal/metrics"
 	"groupcast/internal/overlay"
@@ -60,18 +59,6 @@ func (t *Tree) attach(child, parent int) error {
 	t.Parent[child] = parent
 	t.Children[parent] = append(t.Children[parent], child)
 	return nil
-}
-
-// Edges returns every (child, parent) tree edge, sorted by child so callers
-// that iterate edges (e.g. failure injection in experiments) are
-// deterministic for a fixed seed.
-func (t *Tree) Edges() [][2]int {
-	out := make([][2]int, 0, len(t.Parent))
-	for c, p := range t.Parent {
-		out = append(out, [2]int{c, p})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
-	return out
 }
 
 // Validate checks the structural invariants: acyclic, all parents present,

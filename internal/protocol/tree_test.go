@@ -34,8 +34,8 @@ func TestTreeBasics(t *testing.T) {
 	if tr.Parent[2] != 1 || tr.Parent[1] != 0 {
 		t.Fatalf("parents = %v", tr.Parent)
 	}
-	if got := tr.Edges(); len(got) != 2 {
-		t.Fatalf("edges = %v", got)
+	if len(tr.Parent) != 2 {
+		t.Fatalf("edges = %v", tr.Parent)
 	}
 }
 

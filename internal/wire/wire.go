@@ -337,8 +337,8 @@ type Message struct {
 	// acks: tree nodes outside the recipient's subtree (its grandparent,
 	// siblings, the rendezvous, and inherited ancestors' backups) that the
 	// recipient can fail over to directly when its parent dies, without
-	// paying a ripple search. This is the live-runtime port of the
-	// dynamic-replication extension (protocol.ComputeBackups).
+	// paying a ripple search: the dynamic-replication extension the paper
+	// cites for reliability ([35]).
 	Backups []PeerInfo
 
 	// Target is the 20-byte DHT identifier a TDhtFindNode lookup steps
