@@ -12,8 +12,10 @@ import (
 
 // TracePathConfig parameterizes the per-hop latency-breakdown experiment
 // (-exp tracepath): it publishes one payload per group over SSA- and
-// NSSA-built trees and decomposes every relay hop into the three cost
-// components the live node's tracer records (queue, handle, wire).
+// NSSA-built trees and decomposes every relay hop into three modelled cost
+// components: queue, handle and wire. The live node's tracer records queue
+// and handle only; its queue time folds in the wire, which a node cannot
+// separate.
 type TracePathConfig struct {
 	// NumPeers is the overlay population.
 	NumPeers int

@@ -280,20 +280,18 @@ func kindRank(k trace.Kind) int {
 		return 0
 	case trace.KindSend:
 		return 1
-	case trace.KindRelay:
-		return 2
 	case trace.KindRecv:
-		return 3
+		return 2
 	case trace.KindDeliver:
-		return 4
+		return 3
 	case trace.KindNack:
-		return 5
+		return 4
 	case trace.KindNackFwd:
-		return 6
+		return 5
 	case trace.KindRetransmit:
-		return 7
+		return 6
 	default:
-		return 8
+		return 7
 	}
 }
 

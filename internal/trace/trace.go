@@ -44,9 +44,6 @@ const (
 	// KindRetransmit is a payload re-sent from a retransmission buffer in
 	// answer to a NACK.
 	KindRetransmit Kind = "retransmit"
-	// KindRelay is used by the offline simulator for one modeled relay hop
-	// (queue + handle + wire in one event).
-	KindRelay Kind = "relay"
 	// KindAlert is a structured SLO alert from the telemetry plane
 	// (internal/telemetry): a rule crossed its threshold (or recovered).
 	// Msg names the rule, Peer the subject node, Value/Threshold the
@@ -61,7 +58,7 @@ const (
 // compact and arithmetic-friendly.
 type Event struct {
 	// Time is when the event was recorded (the handler start for recv
-	// events). The offline simulator uses a synthetic clock.
+	// events).
 	Time time.Time `json:"t"`
 	// Node is the address of the node that recorded the event.
 	Node string `json:"node"`
@@ -87,16 +84,12 @@ type Event struct {
 	// message. Live, it is measured from the previous hop's hand-off to the
 	// transport, so it folds in wire time the node cannot separate; the
 	// in-memory fabric has (near-)zero wire latency, so there it reads as
-	// pure queueing. The offline simulator models it as serialization delay
-	// at the upstream relay.
+	// pure queueing.
 	QueueUS int64 `json:"queue_us,omitempty"`
 	// HandleUS is the handler's execution time for this message.
 	HandleUS int64 `json:"handle_us,omitempty"`
 	// SendUS is the time spent handing the forwarded copies to the transport.
 	SendUS int64 `json:"send_us,omitempty"`
-	// WireUS is modeled link propagation (offline simulator only; live nodes
-	// cannot separate it from QueueUS).
-	WireUS int64 `json:"wire_us,omitempty"`
 	// AgeUS is the time since the payload's origin timestamp — the
 	// cumulative publish→here latency.
 	AgeUS int64 `json:"age_us,omitempty"`
@@ -114,7 +107,7 @@ type Sink interface {
 
 // Ring is a bounded, concurrency-safe event buffer: the newest `capacity`
 // events survive, older ones are overwritten. It is the in-memory sink used
-// by tests, the simulator, and the node's own introspection endpoint.
+// by tests and the node's own introspection endpoint.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Event

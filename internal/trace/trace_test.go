@@ -161,7 +161,7 @@ func TestNDJSONOmitsZeroFields(t *testing.T) {
 	var buf bytes.Buffer
 	NewNDJSON(&buf).Record(Event{Node: "n", Kind: KindRecv})
 	line := buf.String()
-	for _, field := range []string{"trace", "seq", "src", "peer", "hop", "n", "queue_us", "handle_us", "send_us", "wire_us", "age_us"} {
+	for _, field := range []string{"trace", "seq", "src", "peer", "hop", "n", "queue_us", "handle_us", "send_us", "age_us"} {
 		if bytes.Contains(buf.Bytes(), []byte(fmt.Sprintf("%q:", field))) {
 			t.Errorf("zero field %s serialized in %s", field, line)
 		}
