@@ -93,9 +93,9 @@ var sections = []section{
 		return writeRows(w, rows, err)
 	}),
 	fast("ablation-churn", "ablation-churn", func(w io.Writer, seed int64, _ int) error { return AblationChurn(w, seed) }),
-	{names: []string{"timed"}, full: runner(func(w io.Writer, seed int64, workers int) error {
+	scaled("timed", "timed", func(w io.Writer, seed int64, workers int) error {
 		return TimedBuildReport(w, 5000, seed, workers)
-	}).full},
+	}, func(w io.Writer) error { return TimedBuildReport(w, 300, 1, 1) }),
 	fast("resilience", "resilience", RunResilience),
 	fast("goodput", "goodput", RunGoodput),
 	scaled("tracepath", "tracepath", RunTracePath, func(w io.Writer) error {
