@@ -25,15 +25,8 @@ import (
 // would need an allowlist entry; none does today, because each such name
 // also appears as a use somewhere.
 func TestExportedAPIHasCallers(t *testing.T) {
-	// The stitcher's fate is decided by the hop-span work (ROADMAP item
-	// 7); it gets a caller there or goes.
 	allow := map[string]string{
-		"telemetry.NewStitcher":               "offline trace stitcher: the one hop-span reader may serve it, or it goes",
-		"telemetry.Stitcher.Stitch":           "offline trace stitcher, as NewStitcher",
-		"telemetry.Stitcher.FetchHTTP":        "offline trace stitcher, as NewStitcher",
-		"telemetry.Stitcher.ReadNDJSON":       "offline trace stitcher, as NewStitcher",
-		"telemetry.Timeline.CausalViolations": "offline trace stitcher, as NewStitcher",
-		"wire.DecodeMessage":                  "the decoder FuzzDecodeMessage and the golden wire vectors check",
+		"wire.DecodeMessage": "the decoder FuzzDecodeMessage and the golden wire vectors check",
 	}
 	type decl struct {
 		name     string // pkg.Name or pkg.Type.Method

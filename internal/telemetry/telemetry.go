@@ -1,7 +1,7 @@
 // Package telemetry is the fleet-level half of the observability plane. The
 // PR 4 layer (internal/trace, internal/metrics, internal/introspect) answers
-// "what is THIS node doing RIGHT NOW"; this package answers the three
-// questions a fleet operator actually asks:
+// "what is THIS node doing RIGHT NOW"; this package answers the two
+// questions a fleet operator asks of the cluster as a whole:
 //
 //   - "What was this node doing a minute ago?" — History, a bounded
 //     time-series ring sampling the metrics registry each beacon epoch
@@ -14,13 +14,13 @@
 //     rules (delivery ratio, p99 latency, overload pressure) that emit
 //     structured alerts through enter/exit hysteresis like the PR 7 overload
 //     controller. Served by /debug/cluster and rendered by groupcast-top.
-//   - "What did THIS publish look like across ALL processes?" — Stitcher, a
-//     collector that pulls /debug/trace (or NDJSON files) from every
-//     process, estimates per-peer clock offsets from matched send/recv
-//     event pairs (the heartbeat-RTT/2 symmetric-path assumption), and
-//     merges one TraceID into a single causally ordered timeline.
 //
-// The package depends only on wire, trace, and metrics — the node wires it
+// What one publish looked like across processes needs no collector: every
+// node's trace events carry the publish's trace ID, group, source and
+// sequence, so filtering each node's /debug/trace (or -trace-file NDJSON) on
+// them follows it hop by hop.
+//
+// The package depends only on wire and metrics — the node wires it
 // into its epoch loop (internal/node/telemetry.go) and the introspection
 // endpoint serves its snapshots.
 package telemetry

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"groupcast/internal/metrics"
-	"groupcast/internal/trace"
 	"groupcast/internal/wire"
 )
 
@@ -360,151 +358,6 @@ groupcast_lat_ms_count{node="a\"b\\c"} 7
 `
 	if got := b.String(); got != want {
 		t.Fatalf("exposition drifted:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// stitchFixture builds a synthetic 3-process trace with known clock skews:
-// B's clock runs +50ms, C's -30ms, link one-way delay 5ms each way. The
-// payload travels A→B→C, C misses seq 1 and NACKs B, B retransmits.
-func stitchFixture() *Stitcher {
-	const (
-		offA = 0
-		offB = 50 * time.Millisecond
-		offC = -30 * time.Millisecond
-		d    = 5 * time.Millisecond
-	)
-	t0 := time.Unix(1700000000, 0) // true time base
-	at := func(true0 time.Duration, off time.Duration) time.Time {
-		return t0.Add(true0 + off)
-	}
-	pay := func(kind trace.Kind, node string, ts time.Time, peer string, hop int) trace.Event {
-		return trace.Event{Time: ts, Node: node, Kind: kind, Msg: "payload",
-			Group: "g", TraceID: 7, Seq: 1, Source: "A", Peer: peer, Hop: hop}
-	}
-	nack := func(kind trace.Kind, node string, ts time.Time, peer string) trace.Event {
-		return trace.Event{Time: ts, Node: node, Kind: kind, Msg: "nack",
-			Group: "g", TraceID: 7, Seq: 1, Source: "A", Peer: peer}
-	}
-	hb := func(kind trace.Kind, node string, ts time.Time, peer string, seq uint64) trace.Event {
-		return trace.Event{Time: ts, Node: node, Kind: kind, Msg: "heartbeat",
-			Seq: seq, Peer: peer}
-	}
-	s := NewStitcher()
-	s.AddNode("A", []trace.Event{
-		pay(trace.KindPublish, "A", at(0, offA), "", 0),
-		pay(trace.KindSend, "A", at(1*time.Millisecond, offA), "B", 0),
-		// Reverse-direction sample so the A↔B offset is the symmetric
-		// two-way estimate, not the one-way upper bound.
-		hb(trace.KindRecv, "A", at(20*time.Millisecond+d, offA), "B", 100),
-	})
-	s.AddNode("B", []trace.Event{
-		pay(trace.KindRecv, "B", at(1*time.Millisecond+d, offB), "A", 1),
-		pay(trace.KindDeliver, "B", at(7*time.Millisecond, offB), "", 1),
-		pay(trace.KindSend, "B", at(8*time.Millisecond, offB), "C", 1),
-		hb(trace.KindSend, "B", at(20*time.Millisecond, offB), "A", 100),
-		// The first copy to C is lost in this fixture (C has no recv for
-		// it); C's NACK arrives and B retransmits.
-		nack(trace.KindRecv, "B", at(40*time.Millisecond+d, offB), "C"),
-		pay(trace.KindRetransmit, "B", at(47*time.Millisecond, offB), "C", 1),
-	})
-	s.AddNode("C", []trace.Event{
-		nack(trace.KindNack, "C", at(40*time.Millisecond, offC), "B"),
-		pay(trace.KindRecv, "C", at(47*time.Millisecond+d, offC), "B", 2),
-		pay(trace.KindDeliver, "C", at(55*time.Millisecond, offC), "", 2),
-	})
-	return s
-}
-
-// TestStitchOffsets pins the offset estimator: with symmetric delays and
-// both directions sampled, the relative skews are recovered exactly.
-func TestStitchOffsets(t *testing.T) {
-	s := stitchFixture()
-	offs := s.Offsets("A")
-	want := map[string]time.Duration{
-		"A": 0,
-		"B": 50 * time.Millisecond,
-		"C": -30 * time.Millisecond,
-	}
-	for node, w := range want {
-		got, ok := offs[node]
-		if !ok {
-			t.Fatalf("no offset for %s (got %v)", node, offs)
-		}
-		if diff := got - w; diff < -time.Millisecond || diff > time.Millisecond {
-			t.Errorf("offset[%s] = %v, want %v ±1ms", node, got, w)
-		}
-	}
-}
-
-// TestStitchTimelineCausal pins the merged timeline: with 80ms of raw skew
-// between B and C the unadjusted ordering is garbage, but the stitched
-// timeline is causally ordered across all three processes, NACK recovery
-// included.
-func TestStitchTimelineCausal(t *testing.T) {
-	s := stitchFixture()
-	tl := s.Stitch("A", StitchFilter{TraceID: 7})
-	if len(tl.Nodes) != 3 {
-		t.Fatalf("timeline spans %v, want all of A B C", tl.Nodes)
-	}
-	if v := tl.CausalViolations(); v != 0 {
-		t.Fatalf("stitched timeline has %d causal violations, want 0", v)
-	}
-	// The payload's life must read in order across process boundaries.
-	wantOrder := []struct {
-		node string
-		kind trace.Kind
-	}{
-		{"A", trace.KindPublish},
-		{"A", trace.KindSend},
-		{"B", trace.KindRecv},
-		{"B", trace.KindDeliver},
-		{"B", trace.KindSend},
-		{"C", trace.KindNack},
-		{"B", trace.KindRecv},
-		{"B", trace.KindRetransmit},
-		{"C", trace.KindRecv},
-		{"C", trace.KindDeliver},
-	}
-	if len(tl.Events) != len(wantOrder) {
-		t.Fatalf("timeline has %d events, want %d: %+v", len(tl.Events), len(wantOrder), tl.Events)
-	}
-	for i, w := range wantOrder {
-		if tl.Events[i].Node != w.node || tl.Events[i].Kind != w.kind {
-			t.Fatalf("event %d = %s/%s, want %s/%s", i,
-				tl.Events[i].Node, tl.Events[i].Kind, w.node, w.kind)
-		}
-	}
-	// Sanity: the RAW timestamps were not causally ordered — on local
-	// clocks B retransmitted (B clock +50ms) "after" C already received the
-	// copy (C clock -30ms) — so the adjustment, not luck, produced the
-	// ordering above.
-	retrans, recvC := tl.Events[7], tl.Events[8]
-	if retrans.Kind != trace.KindRetransmit || recvC.Kind != trace.KindRecv {
-		t.Fatalf("fixture drifted: events[7..8] = %s, %s", retrans.Kind, recvC.Kind)
-	}
-	if !retrans.Time.After(recvC.Time) {
-		t.Fatal("fixture lost its skew: raw retransmit time should read after the raw recv time")
-	}
-}
-
-// TestStitchReadNDJSON pins the offline path: a -trace-file NDJSON stream
-// round-trips into the collector.
-func TestStitchReadNDJSON(t *testing.T) {
-	src := `{"t":"2026-01-02T03:04:05.000000006Z","node":"A","kind":"send","msg":"payload","group":"g","trace":9,"seq":2,"src":"A","peer":"B"}
-
-{"t":"2026-01-02T03:04:05.010000006Z","node":"A","kind":"deliver","group":"g","trace":9,"seq":2,"src":"A"}
-`
-	s := NewStitcher()
-	if err := s.ReadNDJSON("A", bufio.NewScanner(strings.NewReader(src))); err != nil {
-		t.Fatal(err)
-	}
-	tl := s.Stitch("A", StitchFilter{TraceID: 9})
-	if len(tl.Events) != 2 || tl.Events[0].Kind != trace.KindSend {
-		t.Fatalf("timeline = %+v, want the 2 NDJSON events", tl.Events)
-	}
-	bad := `{"t":not-json}`
-	if err := s.ReadNDJSON("B", bufio.NewScanner(strings.NewReader(bad))); err == nil {
-		t.Fatal("malformed NDJSON line did not error")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package trace is the message-tracing half of the observability layer: it
-// defines the structured events the live runtime (internal/node) and the
-// offline experiments record as a message travels the overlay, a bounded
-// ring buffer to hold them, and pluggable sinks (in-memory for tests and
-// simulations, NDJSON for the daemon). Every event carries enough identity
+// defines the structured events the live runtime (internal/node) records as
+// a message travels the overlay, a bounded ring buffer to hold them, and
+// pluggable sinks (in-memory for tests, NDJSON for the daemon). Nothing else
+// records these events. Every event carries enough identity
 // (trace ID, group, source, sequence) that one publish can be reconstructed
 // hop by hop across the tree — including its NACK recovery paths — purely
 // from the events the nodes collected.
