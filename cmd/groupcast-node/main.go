@@ -87,9 +87,6 @@ func run() error {
 	cfg := node.DefaultConfig(*capacity, coords.Point{0, 0, 0}, effectiveSeed)
 	cfg.EnableVivaldi = *vivaldi
 	cfg.Deputies = *deputies
-	if *deputies <= 0 {
-		cfg.Deputies = -1 // the config treats 0 as "use the default"
-	}
 	switch *discovery {
 	case "dht":
 	case "ripple":
@@ -167,16 +164,10 @@ func run() error {
 		status("created and advertised group %q (%s)", groupID, deliveryMode)
 	case *join != "":
 		groupID = *join
-		// The advertisement may still be in flight; retry briefly.
-		var jerr error
-		for attempt := 0; attempt < 10; attempt++ {
-			if jerr = n.Join(groupID, time.Second); jerr == nil {
-				break
-			}
-			time.Sleep(300 * time.Millisecond)
-		}
-		if jerr != nil {
-			return fmt.Errorf("join %q: %w", groupID, jerr)
+		// The advertisement may still be in flight: Join retries on its own
+		// until its deadline.
+		if err := n.Join(groupID, 3*time.Second); err != nil {
+			return fmt.Errorf("join %q: %w", groupID, err)
 		}
 		status("joined group %q", groupID)
 	default:

@@ -76,7 +76,6 @@ func run() error {
 	if err := host.Advertise("lobby"); err != nil {
 		return err
 	}
-	time.Sleep(500 * time.Millisecond) // advertisement flood settles
 
 	var mu sync.Mutex
 	received := make(map[string][]string)

@@ -121,11 +121,8 @@ func run() error {
 			}
 			return // the rendezvous stays for the whole run
 		case i%memberEvery == 0:
-			for attempt := 0; attempt < 3; attempt++ {
-				if nd.Join(gid, time.Second) == nil {
-					nd.SetPayloadHandler(func(_ string, _ wire.PeerInfo, data []byte) { last[addr] = string(data) })
-					break
-				}
+			if nd.Join(gid, 3*time.Second) == nil {
+				nd.SetPayloadHandler(func(_ string, _ wire.PeerInfo, data []byte) { last[addr] = string(data) })
 			}
 		}
 		ev := churn.NextDeparture(engine.Now())

@@ -173,19 +173,13 @@ func runLiveTraced() error {
 	if err := rdv.Advertise("traced"); err != nil {
 		return err
 	}
-	time.Sleep(300 * time.Millisecond) // let the advertisement flood settle
 	members := 1
 	for _, nd := range nodes[1:] {
-		var err error
-		for attempt := 0; attempt < 4; attempt++ {
-			if err = nd.Join("traced", 2*time.Second); err == nil {
-				members++
-				break
-			}
-		}
-		if err != nil {
+		if err := nd.Join("traced", 6*time.Second); err != nil {
 			fmt.Printf("  %s could not join: %v\n", nd.Addr(), err)
+			continue
 		}
+		members++
 	}
 	fmt.Printf("\nlive cluster: %d traced nodes, %d members of group %q\n",
 		n, members, "traced")

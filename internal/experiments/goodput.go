@@ -191,11 +191,7 @@ func runGoodputCell(sc goodputScenario, mode wire.DeliveryMode, seed int64) (goo
 	install(rdv)
 	members := []*node.Node{rdv}
 	for _, nd := range nodes[1:] {
-		joined := false
-		for attempt := 0; attempt < 4 && !joined; attempt++ {
-			joined = nd.Join(gid, time.Second) == nil
-		}
-		if !joined {
+		if nd.Join(gid, 3*time.Second) != nil {
 			return row, fmt.Errorf("goodput %s/%s: node %s never joined", sc.name, mode, nd.Addr())
 		}
 		install(nd)

@@ -131,11 +131,7 @@ func runOverloadCell(cell overloadCell) (overloadRow, error) {
 	c.Run(300 * time.Millisecond)
 	var delivered uint64
 	for _, nd := range nodes[1:] {
-		joined := false
-		for attempt := 0; attempt < 4 && !joined; attempt++ {
-			joined = nd.Join(gid, time.Second) == nil
-		}
-		if !joined {
+		if nd.Join(gid, 3*time.Second) != nil {
 			return row, fmt.Errorf("overload %s/%dx: member never joined", row.Policy, cell.load)
 		}
 		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered++ })

@@ -202,11 +202,7 @@ func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilien
 	var members []*node.Node
 	for i := 1; i < len(nodes); i += sc.stride {
 		nd := nodes[i]
-		joined := false
-		for attempt := 0; attempt < 4 && !joined; attempt++ {
-			joined = nd.Join(gid, time.Second) == nil
-		}
-		if !joined {
+		if nd.Join(gid, 3*time.Second) != nil {
 			continue
 		}
 		addr := nd.Addr()

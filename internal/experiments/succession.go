@@ -197,10 +197,7 @@ func successionCell(k int, cfg SuccessionConfig, seed int64) (out successionOutc
 		// telemetry measure them.
 		ncfg.DisableTelemetry = true
 		ncfg.DisableDHT = true
-		ncfg.Deputies = k
-		if k == 0 {
-			ncfg.Deputies = -1 // succession off
-		}
+		ncfg.Deputies = k // 0: succession off
 		// The split must end before the overlay's death grace does, or no
 		// link is left for the two roots to meet over after the heal.
 		ncfg.MissedHeartbeatsToFail = 2 * node.SuspectEpochs
@@ -241,11 +238,7 @@ func successionCell(k int, cfg SuccessionConfig, seed int64) (out successionOutc
 		if subs--; subs < 0 {
 			break
 		}
-		joined := false
-		for attempt := 0; attempt < 4 && !joined; attempt++ {
-			joined = nodes[i].Join(gid, 2*time.Second) == nil
-		}
-		if addr := nodes[i].Addr(); joined {
+		if addr := nodes[i].Addr(); nodes[i].Join(gid, 6*time.Second) == nil {
 			nodes[i].SetPayloadHandler(func(string, wire.PeerInfo, []byte) { got[addr] = true })
 			members = append(members, nodes[i])
 		}

@@ -113,11 +113,7 @@ func runTelemetryCell(cell telemetryCell) (telemetryRow, error) {
 	}
 	c.Run(200 * time.Millisecond)
 	for _, nd := range nodes[1:] {
-		joined := false
-		for attempt := 0; attempt < 6 && !joined; attempt++ {
-			joined = nd.Join(gid, time.Second) == nil
-		}
-		if !joined {
+		if nd.Join(gid, 3*time.Second) != nil {
 			return row, fmt.Errorf("telemetry %d/%d: member never joined", cell.size, cell.gossip)
 		}
 	}

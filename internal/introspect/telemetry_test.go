@@ -48,15 +48,8 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if err := rdv.Advertise("tel"); err != nil {
 		t.Fatal(err)
 	}
-	var jerr error
-	for attempt := 0; attempt < 10; attempt++ {
-		if jerr = peer.Join("tel", time.Second); jerr == nil {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if jerr != nil {
-		t.Fatalf("join: %v", jerr)
+	if err := peer.Join("tel", 3*time.Second); err != nil {
+		t.Fatalf("join: %v", err)
 	}
 	if err := rdv.Publish("tel", []byte("x")); err != nil {
 		t.Fatal(err)
@@ -271,13 +264,7 @@ func TestDebugEndpointsHammer(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond)
 	for _, m := range nodes[1:] {
-		var err error
-		for attempt := 0; attempt < 6; attempt++ {
-			if err = m.Join("hammer", time.Second); err == nil {
-				break
-			}
-		}
-		if err != nil {
+		if err := m.Join("hammer", 3*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,14 +404,7 @@ func TestTraceFollowsNackRecoveryOverTCP(t *testing.T) {
 	}
 	time.Sleep(150 * time.Millisecond)
 	for _, m := range nodes[1:] {
-		var err error
-		for attempt := 0; attempt < 8; attempt++ {
-			if err = m.Join("recover", time.Second); err == nil {
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if err != nil {
+		if err := m.Join("recover", 3*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,12 +17,26 @@ import (
 // call is one entry of the table. onReply (nil for an after entry) handles
 // one reply and reports whether the call is finished; an unfinished call
 // takes more replies until its deadline. duty marks a periodic duty, which
-// the pending_requests gauge does not count.
+// the pending_requests gauge does not count. scope is the ReqID of the
+// deadline of the Join the call waits for (see join), 0 for any other flow:
+// a call registered while n.scope is set carries it, and its callbacks run
+// with it set, so the calls they register carry it too.
 type call struct {
 	deadline  time.Time
 	onReply   func(wire.Message) bool
 	onTimeout func()
 	duty      bool
+	scope     uint64
+}
+
+// dropScope removes every call that carries scope s, so nothing its Join
+// waits on runs after it ended.
+func (n *Node) dropScope(s uint64) {
+	for id, c := range n.calls {
+		if c.scope == s {
+			delete(n.calls, id)
+		}
+	}
 }
 
 // ask stamps msg with the next ReqID, sends it to every address in to, and
@@ -44,7 +58,7 @@ func (n *Node) ask(to []string, msg wire.Message, wait time.Duration, onReply fu
 // after runs f on the loop once d has passed and returns the entry's ReqID.
 func (n *Node) after(d time.Duration, f func()) uint64 {
 	n.reqSeq++
-	c := &call{deadline: n.now.Add(d), onTimeout: f}
+	c := &call{deadline: n.now.Add(d), onTimeout: f, scope: n.scope}
 	n.calls[n.reqSeq] = c
 	n.arm(c.deadline)
 	return n.reqSeq
@@ -79,7 +93,10 @@ func (n *Node) answer(msg wire.Message) {
 	if c == nil || c.onReply == nil {
 		return
 	}
-	if c.onReply(msg) {
+	n.scope = c.scope
+	finished := c.onReply(msg)
+	n.scope = 0
+	if finished {
 		delete(n.calls, msg.ReqID)
 	}
 }
@@ -87,7 +104,8 @@ func (n *Node) answer(msg wire.Message) {
 // fireDue is a timer wake: it arms the timer for the earliest deadline still
 // ahead and times out every call whose deadline has passed, in (deadline,
 // ReqID) order, so the firing order follows from the inputs and not from map
-// iteration. Calls registered while firing wait for the next wake.
+// iteration. Calls registered while firing wait for the next wake; a call
+// an earlier one's callback dropped (dropScope) does not fire.
 func (n *Node) fireDue() {
 	var due []uint64
 	n.armed = time.Time{} // the timer fired
@@ -103,9 +121,12 @@ func (n *Node) fireDue() {
 		return a.Before(b) || a.Equal(b) && due[i] < due[j]
 	})
 	for _, id := range due {
-		c := n.calls[id]
-		delete(n.calls, id)
-		c.onTimeout()
+		if c := n.calls[id]; c != nil {
+			delete(n.calls, id)
+			n.scope = c.scope
+			c.onTimeout()
+			n.scope = 0
+		}
 	}
 }
 

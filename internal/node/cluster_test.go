@@ -106,19 +106,6 @@ func (c *driven) waitFor(t *testing.T, d time.Duration, cond func() bool, what f
 	}
 }
 
-// joinEventually retries Join 50 ms apart until it succeeds or within has
-// passed: the group's advertisement or DHT record may still be spreading.
-func (c *driven) joinEventually(t *testing.T, nd *Node, gid string, within time.Duration) {
-	t.Helper()
-	var last error
-	for deadline := c.Now().Add(within); c.Now().Before(deadline); c.Run(50 * time.Millisecond) {
-		if last = nd.Join(gid, time.Second); last == nil {
-			return
-		}
-	}
-	t.Fatalf("join %q never succeeded: %v", gid, last)
-}
-
 // wallClock lists the node test code that stays on the wall clock, each
 // with its reason: the tests themselves and the helpers they use.
 // TestNodeTestsRunOnTheDriver keeps every other node test on newDriven.

@@ -97,7 +97,9 @@ func TestDhtFallbackToRipple(t *testing.T) {
 		t.Fatal(err)
 	}
 	joiner := c.nodes[len(c.nodes)-1]
-	c.joinEventually(t, joiner, gid, 15*time.Second)
+	if err := joiner.Join(gid, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	st := joiner.Stats()
 	if st.DhtLookups == 0 {
@@ -129,7 +131,9 @@ func TestDhtSuccessionRepublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nd := range c.nodes[1:] {
-		c.joinEventually(t, nd, gid, 10*time.Second)
+		if err := nd.Join(gid, 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	survivors := c.nodes[1:]
 	c.waitFor(t, 10*time.Second, func() bool {
@@ -189,8 +193,9 @@ func TestDhtChurnSoak(t *testing.T) {
 	}
 	join := func(nd *Node) {
 		t.Helper()
-		waitFor(t, 10*time.Second, func() bool { return nd.Join(gid, time.Second) == nil },
-			func() string { return fmt.Sprintf("%s never joined %q", nd.Addr(), gid) })
+		if err := nd.Join(gid, 10*time.Second); err != nil {
+			t.Fatalf("%s never joined %q: %v", nd.Addr(), gid, err)
+		}
 	}
 	for _, nd := range c.nodes[1:] {
 		join(nd)

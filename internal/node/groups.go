@@ -183,16 +183,56 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 }
 
 // Join subscribes this node to a group: along the reverse advertisement
-// path when the announcement was received, otherwise through a TTL-scoped
-// ripple search for an access point. It blocks up to timeout for the search.
-func (n *Node) Join(groupID string, timeout time.Duration) error {
+// path when the announcement was received, otherwise through the DHT or a
+// TTL-scoped ripple search for an access point. within is a deadline: Join
+// retries on its own, in passes of a third of within with a backoff
+// between, and returns nil once the node is attached or ErrJoinFailed by
+// the deadline. A failed Join leaves no membership behind: a node that was
+// not a member before the call is not one after it.
+func (n *Node) Join(groupID string, within time.Duration) error {
 	return n.await(func(done func(error)) {
 		if err := n.runnable(); err != nil {
 			done(err)
 			return
 		}
-		n.joinInternal(groupID, timeout, true, done)
+		n.join(groupID, within, done)
 	})
+}
+
+// join is Join's body on the loop: a deadline at within, then up to
+// retryAttempts joinInternal passes of a third of within each. The
+// deadline's ReqID is the scope of every call the join registers, so its
+// end drops what is still pending, at the deadline the pass in flight.
+func (n *Node) join(groupID string, within time.Duration, done func(error)) {
+	wasMember := n.groups[groupID] != nil && n.groups[groupID].member
+	var s uint64
+	end := func(err error) {
+		n.dropScope(s)
+		// A failed join takes back the membership its passes asserted; a
+		// node with no children to relay for drops the group, telling a
+		// parent that may already hold it as a child.
+		if gs := n.groups[groupID]; err != nil && !wasMember && gs != nil && !gs.rendezvous {
+			if gs.member = false; len(gs.children) == 0 {
+				_ = n.leave(groupID)
+			}
+		}
+		done(err)
+	}
+	s = n.after(within, func() {
+		end(fmt.Errorf("%w: %q (not attached within %v)", ErrJoinFailed, groupID, within))
+	})
+	n.scope, n.calls[s].scope = s, s
+	var last error
+	n.retry(true, func(_ int, fail func()) {
+		n.joinInternal(groupID, perAttempt(within), true, func(err error) {
+			if last = err; err != nil {
+				fail()
+			} else {
+				end(nil)
+			}
+		})
+	}, func() { end(last) })
+	n.scope = 0
 }
 
 // joinInternal attaches this node to the group tree and reports through
@@ -434,10 +474,6 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 			gs.parentInfo = wire.PeerInfo{}
 		}
 	}
-	attemptWait := timeout / retryAttempts
-	if attemptWait < 10*time.Millisecond {
-		attemptWait = 10 * time.Millisecond
-	}
 	giveUp := func() {
 		rollback()
 		done(fmt.Errorf("%w: %q (parent %s did not acknowledge)",
@@ -460,7 +496,7 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 			RelayedAt:  n.now,
 		}
 		sending := true
-		n.ask([]string{parentAddr}, join, attemptWait,
+		n.ask([]string{parentAddr}, join, perAttempt(timeout),
 			func(ack wire.Message) bool {
 				// An ack whose root path runs through us means we picked a
 				// parent inside our own subtree: accepting it would close a

@@ -164,9 +164,9 @@ func TestHandlerContractRepublish(t *testing.T) {
 		if err := g.rdv.Advertise(g.gid); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, testTimeout, func() bool {
-			return g.member.Join(g.gid, 200*time.Millisecond) == nil
-		}, static("could not join "+g.gid))
+		if err := g.member.Join(g.gid, testTimeout); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const count = 50
@@ -250,9 +250,9 @@ func TestHandlerContractLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range nodes[1:] {
-		waitFor(t, testTimeout, func() bool {
-			return m.Join("g", 200*time.Millisecond) == nil
-		}, static("could not join g"))
+		if err := m.Join("g", testTimeout); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var parent *Node
 	for _, nd := range nodes {
@@ -317,9 +317,9 @@ func TestJoinFromHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, testTimeout, func() bool {
-		return b.Join("first", 200*time.Millisecond) == nil
-	}, static("could not join first"))
+	if err := b.Join("first", testTimeout); err != nil {
+		t.Fatal(err)
+	}
 
 	joined := make(chan error, 1)
 	var once sync.Once
@@ -359,9 +359,9 @@ func TestSlowConsumerKeepsTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range nodes[1:] {
-		waitFor(t, testTimeout, func() bool {
-			return m.Join("g", 200*time.Millisecond) == nil
-		}, static("could not join g"))
+		if err := m.Join("g", testTimeout); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitFor(t, testTimeout, func() bool { return treeSettled(nodes, "g", nodes[1:]) },
 		static("the line's tree never settled"))

@@ -65,11 +65,7 @@ func TestClusterToleratesMessageLoss(t *testing.T) {
 	joined := 0
 	var members []*Node
 	for _, nd := range c.nodes[1:] {
-		ok := false
-		for attempt := 0; attempt < 6 && !ok; attempt++ {
-			ok = nd.Join("lossy", time.Second) == nil
-		}
-		if ok {
+		if nd.Join("lossy", 3*time.Second) == nil {
 			joined++
 			members = append(members, nd)
 		}
@@ -123,11 +119,7 @@ func TestReliableClusterRecoversAllUnderLoss(t *testing.T) {
 
 	var members []*Node
 	for _, nd := range c.nodes[1:] {
-		ok := false
-		for attempt := 0; attempt < 6 && !ok; attempt++ {
-			ok = nd.Join("lossy-rel", time.Second) == nil
-		}
-		if ok {
+		if nd.Join("lossy-rel", 3*time.Second) == nil {
 			members = append(members, nd)
 		}
 	}

@@ -90,7 +90,7 @@ type Config struct {
 	// Deputies is how many highest-utility children a rendezvous replicates
 	// its group charter to — the succession roster size. When the root dies,
 	// deputy #i promotes itself after SuspectEpochs+i silent beacon epochs.
-	// 0 uses the default of 3; negative disables succession entirely (a dead
+	// DefaultConfig sets 3; 0 disables succession entirely (a dead
 	// rendezvous then kills its groups, the pre-succession behaviour).
 	Deputies int
 	// DisableBackupFailover forces search-only tree repair: a member whose
@@ -146,6 +146,7 @@ func DefaultConfig(capacity float64, coord coords.Point, seed int64) Config {
 		HeartbeatInterval:      2 * time.Second,
 		MissedHeartbeatsToFail: 2,
 		AdvertiseFraction:      0.4,
+		Deputies:               3,
 		Seed:                   seed,
 		// Periodic refresh keeps reverse paths fresh for late joiners and is
 		// what lets conflicting roots discover each other after a partition
@@ -287,11 +288,13 @@ type Node struct {
 	lastSaveAt atomic.Int64
 
 	// Loop-owned (loops.go, calls.go): the call table, its ReqID counter,
-	// the timer and the deadline it is armed for, the per-group repair
-	// single-flight, the payloads the current event released, and the
-	// hand-off to the handler goroutine (nil while no handler is set).
+	// the Join scope new calls take, the timer and the deadline it is armed
+	// for, the per-group repair single-flight, the payloads the current
+	// event released, and the hand-off to the handler goroutine (nil while
+	// no handler is set).
 	calls     map[uint64]*call
 	reqSeq    uint64
+	scope     uint64
 	timer     *time.Timer
 	armed     time.Time
 	rejoining map[string]bool
@@ -355,9 +358,6 @@ func New(tr transport.Transport, cfg Config) *Node {
 	}
 	if cfg.BeaconGraceEpochs < 1 {
 		cfg.BeaconGraceEpochs = 6
-	}
-	if cfg.Deputies == 0 {
-		cfg.Deputies = 3
 	}
 	if cfg.OverloadSampleInterval <= 0 {
 		cfg.OverloadSampleInterval = DefaultOverloadSampleInterval
@@ -618,10 +618,6 @@ func (n *Node) Bootstrap(contacts []string, timeout time.Duration) error {
 // The per-attempt wait divides the caller's timeout so the phase stays
 // inside roughly one timeout regardless of how many contacts are dead.
 func (n *Node) bootstrap(contacts []string, timeout time.Duration, done func(error)) {
-	attemptWait := timeout / retryAttempts
-	if attemptWait < 10*time.Millisecond {
-		attemptWait = 10 * time.Millisecond
-	}
 	freq := make(map[string]int)
 	infos := make(map[string]wire.PeerInfo)
 	left := len(contacts)
@@ -640,7 +636,7 @@ func (n *Node) bootstrap(contacts []string, timeout time.Duration, done func(err
 		if addr == n.self.Addr {
 			probed(nil)
 		} else {
-			n.probe(addr, attemptWait, probed)
+			n.probe(addr, perAttempt(timeout), probed)
 		}
 	}
 }

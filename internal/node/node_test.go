@@ -190,9 +190,9 @@ func TestTwoNodeGroup(t *testing.T) {
 	if err := b.Advertise("chat"); err == nil {
 		t.Fatal("non-rendezvous advertised")
 	}
-	c.waitFor(t, testTimeout, func() bool {
-		return b.Join("chat", 200*time.Millisecond) == nil
-	}, static("b could not join"))
+	if err := b.Join("chat", testTimeout); err != nil {
+		t.Fatalf("b could not join: %v", err)
+	}
 
 	var got []string
 	b.SetPayloadHandler(func(gid string, from wire.PeerInfo, data []byte) {
@@ -452,6 +452,105 @@ func TestJoinUnknownGroupFails(t *testing.T) {
 	}
 }
 
+// cutOffJoiner floods group "g" over 12 driven nodes with 10 s heartbeats
+// (no epoch runs during a join) and the DHT off, then cuts off a node that
+// holds the advertisement: every link out of it drops all it sends, so its
+// joins time out on the advertisement path and in the ripple search alike.
+// heal restores its links.
+func cutOffJoiner(t *testing.T) (c *driven, joiner *Node, heal func()) {
+	c = newDriven(t, 12, 3, func(cfg *Config) {
+		cfg.HeartbeatInterval = 10 * time.Second
+		cfg.DisableDHT = true
+	})
+	if err := c.nodes[0].CreateGroup("g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes[0].Advertise("g"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(100 * time.Millisecond)
+	for _, nd := range c.nodes[1:] {
+		var saw bool
+		if nd.post(func() { _, saw = nd.adSeen["g"] }); saw {
+			joiner = nd
+			break
+		}
+	}
+	if joiner == nil {
+		t.Fatal("the advertisement reached no node")
+	}
+	links := func(rule transport.LinkRule) {
+		for _, other := range c.nodes {
+			c.chaos.SetLinkRule(joiner.Addr(), other.Addr(), rule)
+		}
+	}
+	links(transport.LinkRule{Drop: 1})
+	return c, joiner, func() { links(transport.LinkRule{}) }
+}
+
+// TestJoinKeepsItsDeadline: with every route timing out, Join gives up by
+// its deadline, not once the advertisement path and the ripple search have
+// each taken the whole of it.
+func TestJoinKeepsItsDeadline(t *testing.T) {
+	c, joiner, _ := cutOffJoiner(t)
+	start := c.Now()
+	if err := joiner.Join("g", time.Second); !errors.Is(err, ErrJoinFailed) {
+		t.Fatalf("err = %v, want ErrJoinFailed", err)
+	}
+	if took := c.Now().Sub(start); took > time.Second {
+		t.Fatalf("Join(g, 1s) returned after %v of virtual time", took)
+	}
+}
+
+// TestFailedJoinLeavesNoMember: a failed Join leaves the node a non-member,
+// so once its links heal the epoch loop does not join the group behind the
+// caller's back as a repair.
+func TestFailedJoinLeavesNoMember(t *testing.T) {
+	c, joiner, heal := cutOffJoiner(t)
+	if err := joiner.Join("g", time.Second); !errors.Is(err, ErrJoinFailed) {
+		t.Fatalf("err = %v, want ErrJoinFailed", err)
+	}
+	if tv := joiner.Tree("g"); tv.Member {
+		t.Fatalf("member after a failed Join: %+v", tv)
+	}
+	heal()
+	c.Run(25 * time.Second)
+	st := joiner.Stats()
+	if tv := joiner.Tree("g"); tv.Member || tv.Attached || st.RepairsViaSearch+st.RepairsViaBackup > 0 {
+		t.Fatalf("the group came back with no Join: %+v, %d repairs via search, %d via backup",
+			tv, st.RepairsViaSearch, st.RepairsViaBackup)
+	}
+}
+
+// TestJoinWhileAdvertisementInFlight: a Join issued as the rendezvous
+// starts its flood, five hops out on a line with the DHT off, misses with
+// its first ripple search; the one call still succeeds, through the
+// advertisement that arrived meanwhile.
+func TestJoinWhileAdvertisementInFlight(t *testing.T) {
+	c := newDriven(t, 0, 9, nil)
+	var nodes []*Node
+	for i := 0; i < 6; i++ {
+		nodes = append(nodes, c.node(t, harnessConfig(c.rng, i, func(cfg *Config) { cfg.DisableDHT = true })))
+		if i > 0 { // wired by hand: Bootstrap would link contacts' neighbours too
+			a, b := nodes[i-1], nodes[i]
+			a.post(func() { a.addNeighbor(b.self) })
+			b.post(func() { b.addNeighbor(a.self) })
+		}
+	}
+	if err := nodes[0].CreateGroup("g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].Advertise("g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[5].Join("g", testTimeout); err != nil {
+		t.Fatalf("one Join while the advertisement was in flight: %v", err)
+	}
+	if tv := nodes[5].Tree("g"); !tv.Member || !tv.Attached {
+		t.Fatalf("joined but %+v", tv)
+	}
+}
+
 func TestNodeOverTCP(t *testing.T) {
 	var nodes []*Node
 	for i := 0; i < 5; i++ {
@@ -521,7 +620,7 @@ func TestNewAppliesDefaults(t *testing.T) {
 	defer nd.Close()
 	if nd.cfg.Capacity != 1 || nd.cfg.QuotaBase != 4 ||
 		nd.cfg.AdvertiseFraction != 0.4 || nd.cfg.MissedHeartbeatsToFail != 2 ||
-		nd.cfg.BeaconGraceEpochs != 6 || nd.cfg.Deputies != 3 ||
+		nd.cfg.BeaconGraceEpochs != 6 || nd.cfg.Deputies != 0 ||
 		nd.cfg.OverloadSampleInterval != 100*time.Millisecond || nd.cfg.TelemetryGossip != 1 {
 		t.Fatalf("defaults not applied: %+v", nd.cfg)
 	}

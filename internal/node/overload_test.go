@@ -322,7 +322,9 @@ func TestControlPlaneSurvivesPayloadFlood(t *testing.T) {
 	if err := a.Advertise("flood"); err != nil {
 		t.Fatal(err)
 	}
-	c.joinEventually(t, b, "flood", testTimeout)
+	if err := b.Join("flood", 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	const flood = 10 * inboxCap
 	for i := 0; i < flood; i++ {

@@ -46,7 +46,7 @@ func assertFIFO(t *testing.T, who string, got []string, lo, hi int) {
 func recoveryConfig(seq int64, statePath string) Config {
 	cfg := DefaultConfig(50, coords.Point{float64(seq), 0}, seq)
 	cfg.HeartbeatInterval = 50 * time.Millisecond
-	cfg.Deputies = -1
+	cfg.Deputies = 0
 	cfg.StatePath = statePath
 	return cfg
 }
@@ -108,7 +108,9 @@ func TestRestartRendezvousResumesFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nd := range subs {
-		c.joinEventually(t, nd, gid, testTimeout)
+		if err := nd.Join(gid, 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	publishRange(t, c, rdv, gid, 1, 15)
@@ -203,7 +205,9 @@ func TestRestartMemberResumesWindowWithoutResync(t *testing.T) {
 	if err := sub.Bootstrap([]string{rdv.Addr()}, testTimeout); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
-	c.joinEventually(t, sub, gid, testTimeout)
+	if err := sub.Join(gid, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	publishRange(t, c, rdv, gid, 1, 15)
 	c.waitFor(t, testTimeout, func() bool { return len(l.got) >= 15 }, static("first half not delivered"))

@@ -8,14 +8,21 @@ import (
 )
 
 const (
-	// retryAttempts bounds the attempts of the retried operations —
-	// bootstrap probes, tree joins, and the ripple search — before giving up.
+	// retryAttempts bounds the attempts of the retried operations before
+	// giving up: a bootstrap probe, a join message to one parent (joinVia),
+	// a Join's passes and a repair's search-based joins.
 	retryAttempts = 3
 	// retryBaseDelay is the backoff before the second attempt; it doubles
 	// per attempt with jitter, capped at retryMaxDelay.
 	retryBaseDelay = 50 * time.Millisecond
 	retryMaxDelay  = time.Second
 )
+
+// perAttempt splits a budget evenly across retryAttempts attempts, with a
+// 10 ms floor so an attempt always leaves a reply time to arrive.
+func perAttempt(budget time.Duration) time.Duration {
+	return max(budget/retryAttempts, 10*time.Millisecond)
+}
 
 // backoffDelay returns the pause before retry attempt (1-based: attempt 1
 // is the first retry): exponential growth from retryBaseDelay capped at

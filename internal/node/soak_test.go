@@ -48,14 +48,12 @@ func TestSoakChurnAndLoss(t *testing.T) {
 
 	delivered := map[string]int{}
 	join := func(nd *Node) bool {
-		for attempt := 0; attempt < 4; attempt++ {
-			if nd.Join("soak", time.Second) == nil {
-				addr := nd.Addr()
-				nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered[addr]++ })
-				return true
-			}
+		if nd.Join("soak", 3*time.Second) != nil {
+			return false
 		}
-		return false
+		addr := nd.Addr()
+		nd.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered[addr]++ })
+		return true
 	}
 	members := []*Node{}
 	for _, nd := range c.nodes[1:] {

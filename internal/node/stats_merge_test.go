@@ -232,13 +232,7 @@ func TestSnapshotsRaceSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range nodes[1:] {
-		var err error
-		for attempt := 0; attempt < 6; attempt++ {
-			if err = m.Join("race", time.Second); err == nil {
-				break
-			}
-		}
-		if err != nil {
+		if err := m.Join("race", 3*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

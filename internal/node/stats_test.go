@@ -22,9 +22,9 @@ func TestStatsAccounting(t *testing.T) {
 	if err := a.Advertise("g"); err != nil {
 		t.Fatal(err)
 	}
-	c.waitFor(t, testTimeout, func() bool {
-		return b.Join("g", 200*time.Millisecond) == nil
-	}, static("join failed"))
+	if err := b.Join("g", testTimeout); err != nil {
+		t.Fatal(err)
+	}
 
 	delivered := false
 	b.SetPayloadHandler(func(string, wire.PeerInfo, []byte) { delivered = true })

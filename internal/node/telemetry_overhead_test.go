@@ -124,14 +124,8 @@ func benchPublishCluster(tb testing.TB, disableTelemetry bool) (*Node, func()) {
 		tb.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
-	var jerr error
-	for attempt := 0; attempt < 6; attempt++ {
-		if jerr = nodes[1].Join("bench", time.Second); jerr == nil {
-			break
-		}
-	}
-	if jerr != nil {
-		tb.Fatal(jerr)
+	if err := nodes[1].Join("bench", 3*time.Second); err != nil {
+		tb.Fatal(err)
 	}
 	nodes[1].SetPayloadHandler(func(string, wire.PeerInfo, []byte) {})
 	return rdv, func() {

@@ -36,13 +36,7 @@ func buildTelemetryCluster(t *testing.T, count int) *driven {
 	}
 	c.Run(100 * time.Millisecond)
 	for _, m := range c.nodes[1:] {
-		var err error
-		for attempt := 0; attempt < 6; attempt++ {
-			if err = m.Join("tg", time.Second); err == nil {
-				break
-			}
-		}
-		if err != nil {
+		if err := m.Join("tg", 3*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

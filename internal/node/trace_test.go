@@ -43,13 +43,7 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 	}
 	members := nodes[1:]
 	for i, m := range members {
-		var err error
-		for attempt := 0; attempt < 6; attempt++ {
-			if err = m.Join(groupID, time.Second); err == nil {
-				break
-			}
-		}
-		if err != nil {
+		if err := m.Join(groupID, 3*time.Second); err != nil {
 			t.Fatalf("node %d join: %v", i+1, err)
 		}
 	}
