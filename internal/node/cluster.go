@@ -213,11 +213,8 @@ func (e *clusterEndpoint) Close() error {
 // message's service time makes the endpoint busy; then an entry at
 // busy-until drains on. Before Start messages wait.
 func (e *clusterEndpoint) drain() {
-	for e.node != nil && !e.busy {
-		msg, ok := e.inbox.Pop()
-		if !ok {
-			return
-		}
+	var msg wire.Message // every event's message, as on the live loop
+	for e.node != nil && !e.busy && e.inbox.Pop(&msg) {
 		if e.c.service != nil {
 			if d := e.c.service(e.addr, msg.Type); d > 0 {
 				e.busy = true

@@ -323,8 +323,8 @@ func TestDhtLookupWaveQueriesOverlap(t *testing.T) {
 	var queries []wire.Message
 	for _, ep := range eps {
 		for {
-			msg, ok := ep.InboxQueue().Pop()
-			if !ok {
+			var msg wire.Message
+			if !ep.InboxQueue().Pop(&msg) {
 				t.Fatalf("%s holds no query: the wave's queries were not in flight together", ep.Addr())
 			}
 			if msg.Type == wire.TDhtFindNode {

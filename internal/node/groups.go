@@ -714,7 +714,7 @@ func (n *Node) Publish(groupID string, data []byte) (err error) {
 // (dedup, gap detection, ordering), forwards fresh payloads over the
 // remaining tree edges, and releases what the window lets go to the handler
 // when this node is a member.
-func (n *Node) handlePayload(msg wire.Message) {
+func (n *Node) handlePayload(msg *wire.Message) {
 	hop := msg.Relay.Addr
 	if hop == "" {
 		hop = msg.From.Addr
@@ -760,11 +760,12 @@ func (n *Node) handlePayload(msg wire.Message) {
 		atomic.AddUint64(&n.stats.RelaySheds, 1)
 		return
 	}
-	fwd := msg
-	fwd.Relay = n.self
-	fwd.Hops = msg.Hops + 1
-	fwd.RelayedAt = n.now
-	n.fanOut(targets, &fwd)
+	// The forward is the arrival restamped in place: the event owns msg, and
+	// the arrival's fields go back for the recv trace.
+	relay, hops, relayedAt := msg.Relay, msg.Hops, msg.RelayedAt
+	msg.Relay, msg.Hops, msg.RelayedAt = n.self, hops+1, n.now
+	n.fanOut(targets, msg)
+	msg.Relay, msg.Hops, msg.RelayedAt = relay, hops, relayedAt
 }
 
 // fanOut sends payload msg over every target link and returns how many sends

@@ -22,23 +22,20 @@ func (n *Node) run() {
 	defer n.done.Done()
 	defer close(n.exited)
 	defer n.timer.Stop()
+	now := time.Now // the loop's one clock, read once per event
 	at := func(ev event) {
-		n.step(time.Now(), ev)
+		n.step(now(), ev)
 		n.endEvent()
 	}
 	at(event{flow: n.begin})
+	var msg wire.Message // every inbound event's message (see receive)
 	for {
 		select {
 		case <-n.inbox.Doorbell():
 			// Each message is its own event, but only those queued at the
 			// wake are taken before the next select, and a due timer or a
 			// waiting API call goes between two of them.
-			for k := n.inbox.Depth(); k > 0; k-- {
-				msg, ok := n.inbox.Pop()
-				if !ok {
-					break
-				}
-				at(event{msg: &msg})
+			for k := n.inbox.Depth(); k > 0 && n.receive(now(), &msg); k-- {
 				select {
 				case <-n.timer.C:
 					at(event{})
@@ -74,13 +71,26 @@ func (n *Node) stamp(now time.Time) {
 	}
 }
 
+// receive pops the next queued message into *msg and runs it as one event
+// at now, reporting false when the inbox is empty. The loop pops every
+// message into the same variable, so the event owns *msg only until it
+// returns: whatever keeps any part of it past the event copies that part.
+func (n *Node) receive(now time.Time, msg *wire.Message) bool {
+	if !n.inbox.Pop(msg) {
+		return false
+	}
+	n.step(now, event{msg: msg})
+	n.endEvent()
+	return true
+}
+
 // step runs one loop event at time now. Tests call it with synthetic times
 // on a node they never started.
 func (n *Node) step(now time.Time, ev event) {
 	n.stamp(now)
 	switch {
 	case ev.msg != nil:
-		n.handle(*ev.msg)
+		n.handle(ev.msg)
 	case ev.flow != nil:
 		ev.flow()
 	default:
@@ -253,7 +263,7 @@ var tracedTypes = map[wire.Type]bool{
 	wire.TDigest:    true,
 }
 
-func (n *Node) handle(msg wire.Message) {
+func (n *Node) handle(msg *wire.Message) {
 	tickType(&n.stats.received, msg.Type)
 	if msg.Type == wire.TPayload {
 		// Per-hop relay latency: the sending event's stamp to this one's
@@ -271,28 +281,28 @@ func (n *Node) handle(msg wire.Message) {
 	}
 }
 
-func (n *Node) dispatch(msg wire.Message) {
+func (n *Node) dispatch(msg *wire.Message) {
 	switch msg.Type {
 	case wire.TProbe:
-		n.handleProbe(msg)
+		n.handleProbe(*msg)
 	case wire.TProbeResp, wire.TSearchHit:
-		n.answer(msg)
+		n.answer(*msg)
 	case wire.TJoinAck:
-		n.handleJoinAck(msg)
-		n.answer(msg)
+		n.handleJoinAck(*msg)
+		n.answer(*msg)
 	case wire.TConnect:
 		n.addNeighbor(msg.From)
 	case wire.TBackConnect:
-		n.handleBackConnect(msg)
+		n.handleBackConnect(*msg)
 	case wire.TBackAccept:
 		// Every accept links, a late one too; the waiting bootstrap (if
 		// still there) then learns it has a neighbour.
 		n.addNeighbor(msg.From)
-		n.answer(msg)
+		n.answer(*msg)
 	case wire.THeartbeat:
 		n.touchNeighbor(msg.From)
 		n.dhtObserve(msg.From)
-		n.observeHealth(msg)
+		n.observeHealth(*msg)
 		// The ack gossips health back so digests spread both ways on every
 		// heartbeat exchange.
 		health := n.telemetryHealth()
@@ -303,46 +313,46 @@ func (n *Node) dispatch(msg wire.Message) {
 	case wire.THeartbeatAck:
 		n.touchNeighbor(msg.From)
 		n.dhtObserve(msg.From)
-		n.observeHealth(msg)
+		n.observeHealth(*msg)
 		if !msg.SentAt.IsZero() {
 			rttMs := float64(n.now.Sub(msg.SentAt)) / float64(time.Millisecond)
 			n.metrics.heartbeatRTT.ObserveDurationMs(rttMs)
 			n.observeRTT(msg.From, rttMs)
 		}
 	case wire.TAdvertise:
-		n.handleAdvertise(msg)
+		n.handleAdvertise(*msg)
 	case wire.TJoin:
-		n.handleJoin(msg)
+		n.handleJoin(*msg)
 	case wire.TSearch:
-		n.handleSearch(msg)
+		n.handleSearch(*msg)
 	case wire.TPayload:
 		n.handlePayload(msg)
 	case wire.TBeacon:
-		n.observeHealth(msg)
-		n.handleBeacon(msg)
+		n.observeHealth(*msg)
+		n.handleBeacon(*msg)
 	case wire.TTelemetry:
 		// Standalone digest exchange (tools and tests; the node itself
 		// piggybacks on heartbeats and beacons instead).
-		n.observeHealth(msg)
+		n.observeHealth(*msg)
 	case wire.TNack:
-		n.handleNack(msg)
+		n.handleNack(*msg)
 	case wire.TDigest:
-		n.handleDigest(msg)
+		n.handleDigest(*msg)
 	case wire.TLeave:
-		n.handleLeave(msg)
+		n.handleLeave(*msg)
 	case wire.THandoff:
-		n.handleHandoff(msg)
+		n.handleHandoff(*msg)
 	case wire.TDhtFindNode:
-		n.handleDhtFindNode(msg)
+		n.handleDhtFindNode(*msg)
 	case wire.TDhtFindValue:
-		n.handleDhtFindValue(msg)
+		n.handleDhtFindValue(*msg)
 	case wire.TDhtStore:
-		n.handleDhtStore(msg)
+		n.handleDhtStore(*msg)
 	case wire.TDhtFindNodeResp, wire.TDhtFindValueResp, wire.TDhtStoreAck:
 		// Every DHT reply is liveness evidence for the routing table; the
 		// waiting lookup (if still there) gets the message itself.
 		n.dhtObserve(msg.From)
-		n.answer(msg)
+		n.answer(*msg)
 	}
 }
 

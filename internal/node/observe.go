@@ -213,7 +213,7 @@ func (n *Node) TraceEvents(limit int) []trace.Event {
 
 // traceRecv records the ingestion of one traced message type at the event's
 // stamp, folding in the handling time. No-op without a tracer.
-func (n *Node) traceRecv(msg wire.Message, handleDur time.Duration) {
+func (n *Node) traceRecv(msg *wire.Message, handleDur time.Duration) {
 	ev := trace.Event{
 		Time:     n.now,
 		Node:     n.self.Addr,

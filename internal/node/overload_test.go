@@ -157,7 +157,8 @@ func TestOverloadRelayShed(t *testing.T) {
 	if got := relay.Stats().RelaySheds; got != 1 {
 		t.Fatalf("relay sheds = %d, want 1", got)
 	}
-	if msg, ok := child.InboxQueue().Pop(); ok {
+	var msg wire.Message
+	if child.InboxQueue().Pop(&msg) {
 		t.Fatalf("degraded relay forwarded best-effort payload %v downstream", msg.Type)
 	}
 
@@ -165,8 +166,7 @@ func TestOverloadRelayShed(t *testing.T) {
 		Type: wire.TPayload, From: src, GroupID: "rel", Seq: 1,
 		Mode: wire.Reliable, Data: []byte("x"),
 	})
-	msg, ok := child.InboxQueue().Pop()
-	if !ok {
+	if !child.InboxQueue().Pop(&msg) {
 		t.Fatal("degraded relay shed a reliable payload")
 	}
 	if msg.Type != wire.TPayload || msg.Mode != wire.Reliable {
@@ -182,7 +182,7 @@ func TestOverloadRelayShed(t *testing.T) {
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 2,
 		Mode: wire.BestEffort, Data: []byte("y"),
 	})
-	if _, ok := child.InboxQueue().Pop(); !ok {
+	if !child.InboxQueue().Pop(&msg) {
 		t.Fatal("recovered relay still shedding best-effort payloads")
 	}
 }

@@ -3,9 +3,11 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"groupcast/internal/trace"
 	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
@@ -74,6 +76,94 @@ func TestRelayEventAllocatesNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRelayPopAllocatesNothing: the same warm relay event, taken as the loop
+// takes it — pushed into the node's inbox and popped by receive into the
+// one message every event reuses — allocates nothing either.
+func TestRelayPopAllocatesNothing(t *testing.T) {
+	for _, mode := range []wire.DeliveryMode{wire.BestEffort, wire.ReliableOrdered} {
+		for _, member := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/member=%v", mode, member), func(t *testing.T) {
+				n := relayNode(dropSender{stubEndpoint()}, mode, member, []string{"kid-a", "kid-b"})
+				defer n.Close()
+				now := time.Now()
+				arrival := wire.Message{
+					Type: wire.TPayload, From: wire.PeerInfo{Addr: "src"},
+					Relay: wire.PeerInfo{Addr: "parent"}, GroupID: "g", Mode: mode,
+					Data: make([]byte, 64),
+				}
+				var msg wire.Message
+				relay := func() {
+					now = now.Add(10 * time.Microsecond)
+					arrival.Seq++
+					arrival.OriginAt, arrival.RelayedAt = now.Add(-time.Millisecond), now.Add(-5*time.Microsecond)
+					if !n.inbox.Push(arrival) || !n.receive(now, &msg) || n.inbox.Depth() != 0 {
+						t.Fatal("the pushed payload was not popped and run")
+					}
+				}
+				for i := 0; i < 2000; i++ {
+					relay()
+				}
+				if a := testing.AllocsPerRun(1000, relay); a != 0 {
+					t.Errorf("a popped and relayed payload allocates %.2f times, want 0", a)
+				}
+				if got, want := n.Stats().Sent[wire.TPayload.String()], uint64(2*(2000+1001)); got != want {
+					t.Fatalf("sent %d messages, want %d (two children per payload)", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRelayStampsForwardsInPlace: a relay stamps the arrival itself for its
+// fan-out and restores it after. Each forward carries this relay, one more
+// hop and the event's stamp; the recv trace reports the arrival's hop and
+// relay peer; and the message the event ran on ends as it arrived.
+func TestRelayStampsForwardsInPlace(t *testing.T) {
+	log := &sendLog{Transport: stubEndpoint()}
+	n := relayNode(log, wire.BestEffort, true, []string{"kid-a", "kid-b"})
+	n.tracer = trace.New(64, nil)
+	defer n.Close()
+	now := time.Now().Add(time.Second)
+	arrival := wire.Message{
+		Type: wire.TPayload, From: wire.PeerInfo{Addr: "src"},
+		Relay: wire.PeerInfo{Addr: "parent"}, GroupID: "g", Mode: wire.BestEffort,
+		Seq: 1, Hops: 2, TraceID: 9, Data: []byte("x"),
+		OriginAt: now.Add(-time.Millisecond), RelayedAt: now.Add(-100 * time.Microsecond),
+	}
+	msg := arrival
+	stepAt(n, now, event{msg: &msg})
+	var kids []string
+	for _, s := range log.sent {
+		if s.msg.Type != wire.TPayload {
+			continue
+		}
+		kids = append(kids, s.to)
+		if s.msg.Relay.Addr != n.Addr() || s.msg.Hops != 3 || !s.msg.RelayedAt.Equal(now) {
+			t.Errorf("forward to %s: relay %q, hops %d, relayed at %v; want %q, 3, %v",
+				s.to, s.msg.Relay.Addr, s.msg.Hops, s.msg.RelayedAt, n.Addr(), now)
+		}
+	}
+	if fmt.Sprint(kids) != "[kid-a kid-b]" {
+		t.Fatalf("forwarded to %v, want [kid-a kid-b]", kids)
+	}
+	var recvs int
+	for _, ev := range n.TraceEvents(0) {
+		if ev.Kind != trace.KindRecv {
+			continue
+		}
+		recvs++
+		if ev.Hop != 2 || ev.Peer != "parent" {
+			t.Errorf("recv trace: hop %d from %q, want the arrival's 2 from \"parent\"", ev.Hop, ev.Peer)
+		}
+	}
+	if recvs != 1 {
+		t.Errorf("%d recv trace events, want 1", recvs)
+	}
+	if !reflect.DeepEqual(msg, arrival) {
+		t.Errorf("after the event the message is %+v, want the arrival %+v", msg, arrival)
 	}
 }
 

@@ -77,8 +77,12 @@ func NewPrioInbox(capacity int, classless bool) *PrioInbox {
 // Rejections (inbox full with nothing lower-priority to displace, or inbox
 // closed) are counted by the message's class; closed-inbox pushes are not
 // sheds and count nowhere.
-func (in *PrioInbox) Push(msg wire.Message) bool {
-	cls := wire.Classify(&msg)
+func (in *PrioInbox) Push(msg wire.Message) bool { return in.push(&msg) }
+
+// push is Push for the package's own senders: *msg is copied once, into its
+// ring slot, and the caller keeps msg.
+func (in *PrioInbox) push(msg *wire.Message) bool {
+	cls := wire.Classify(msg)
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()
@@ -99,7 +103,7 @@ func (in *PrioInbox) Push(msg wire.Message) bool {
 			if q.size == 0 {
 				continue
 			}
-			q.pop()
+			q.drop()
 			in.size--
 			in.enqueueLocked(cls, msg)
 			in.mu.Unlock()
@@ -113,14 +117,14 @@ func (in *PrioInbox) Push(msg wire.Message) bool {
 	return false
 }
 
-// enqueueLocked appends msg to its class queue (the single shared queue in
+// enqueueLocked appends *msg to its class queue (the single shared queue in
 // classless mode) and ticks the accept counter.
-func (in *PrioInbox) enqueueLocked(cls wire.Class, msg wire.Message) {
+func (in *PrioInbox) enqueueLocked(cls wire.Class, msg *wire.Message) {
 	idx := int(cls)
 	if in.classless {
 		idx = 0
 	}
-	in.queues[idx].push(&msg)
+	in.queues[idx].push(msg)
 	in.size++
 	in.accepted[cls].Add(1)
 }
@@ -138,18 +142,21 @@ func (in *PrioInbox) ring() {
 // message pushed after the token was taken rings again.
 func (in *PrioInbox) Doorbell() <-chan struct{} { return in.wake }
 
-// Pop dequeues the oldest message of the highest-priority non-empty class,
-// reporting false when nothing is queued. It is the inbox's one dequeue.
-func (in *PrioInbox) Pop() (wire.Message, bool) {
+// Pop moves the oldest message of the highest-priority non-empty class into
+// *dst, overwriting every field, and reports false (leaving *dst as it was)
+// when nothing is queued. It is the inbox's one dequeue; a consumer pops
+// into one message it reuses.
+func (in *PrioInbox) Pop(dst *wire.Message) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for c := range in.queues {
 		if q := &in.queues[c]; q.size > 0 {
 			in.size--
-			return q.pop(), true
+			q.pop(dst)
+			return true
 		}
 	}
-	return wire.Message{}, false
+	return false
 }
 
 // Ring sizing: a class ring starts at ringMinSlots and doubles when full.
@@ -184,10 +191,15 @@ func (r *ring) push(msg *wire.Message) {
 	r.size++
 }
 
-// pop takes the oldest message, zeroing its slot so the ring drops the
+// pop moves the oldest message into *dst; the ring must not be empty.
+func (r *ring) pop(dst *wire.Message) {
+	*dst = r.buf[r.head]
+	r.drop()
+}
+
+// drop discards the oldest message, zeroing its slot so the ring drops the
 // reference; the ring must not be empty.
-func (r *ring) pop() wire.Message {
-	msg := r.buf[r.head]
+func (r *ring) drop() {
 	r.buf[r.head] = wire.Message{}
 	if r.head++; r.head == len(r.buf) {
 		r.head = 0
@@ -198,7 +210,6 @@ func (r *ring) pop() wire.Message {
 			r.buf = nil
 		}
 	}
-	return msg
 }
 
 // Recv is the prioritized inbound stream as a channel, closed after Close:
@@ -218,9 +229,9 @@ func (in *PrioInbox) Recv() <-chan wire.Message {
 // pump feeds the Recv channel from Pop. It owns closing out.
 func (in *PrioInbox) pump() {
 	defer close(in.out)
+	var msg wire.Message
 	for {
-		msg, ok := in.Pop()
-		if !ok {
+		if !in.Pop(&msg) {
 			select {
 			case <-in.wake:
 				continue

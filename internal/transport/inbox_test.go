@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -301,13 +302,13 @@ func TestShedAccountingParity(t *testing.T) {
 func TestPrioInboxSteadyStateAllocatesNothing(t *testing.T) {
 	in := NewPrioInbox(64, false)
 	defer in.Close()
-	msg := bestEffortPayload(1)
+	msg, got := bestEffortPayload(1), wire.Message{}
 	cycle := func() {
 		for i := 0; i < 8; i++ {
 			in.Push(msg)
 		}
 		for i := 0; i < 8; i++ {
-			in.Pop()
+			in.Pop(&got)
 		}
 	}
 	cycle()
@@ -316,12 +317,44 @@ func TestPrioInboxSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPopOverwritesEveryField: Pop moves the whole message into dst, so a
+// consumer that pops into one reused variable keeps nothing of the message
+// before: a payload popped over a beacon carries none of the beacon's
+// fields, and an empty Pop leaves dst as it was.
+func TestPopOverwritesEveryField(t *testing.T) {
+	in := NewPrioInbox(8, false)
+	defer in.Close()
+	roster := []wire.PeerInfo{{Addr: "d1", Capacity: 5}, {Addr: "d2"}}
+	beacon := wire.Message{
+		Type: wire.TBeacon, From: wire.PeerInfo{Addr: "root"}, GroupID: "g", Epoch: 2,
+		Path: []string{"root"}, Deputies: roster,
+		Health:  []wire.HealthDigest{{Addr: "root", Epoch: 9, Pressure: 0.5}},
+		Charter: wire.Charter{GroupID: "g", Epoch: 2, Deputies: roster},
+	}
+	payload := wire.Message{
+		Type: wire.TPayload, From: wire.PeerInfo{Addr: "src"}, GroupID: "g",
+		Mode: wire.BestEffort, Seq: 3, Data: []byte("x"),
+	}
+	in.Push(payload)
+	in.Push(beacon)
+	var msg wire.Message
+	if !in.Pop(&msg) || !reflect.DeepEqual(msg, beacon) {
+		t.Fatalf("first pop = %+v, want the beacon", msg)
+	}
+	if !in.Pop(&msg) || !reflect.DeepEqual(msg, payload) {
+		t.Fatalf("payload popped over the beacon = %+v, want %+v", msg, payload)
+	}
+	if in.Pop(&msg) || !reflect.DeepEqual(msg, payload) {
+		t.Fatalf("empty pop reported a message or changed dst to %+v", msg)
+	}
+}
+
 // popIDs pops everything queued and lists the MsgIDs in pop order.
 func popIDs(in *PrioInbox) []uint64 {
 	var ids []uint64
+	var msg wire.Message
 	for {
-		msg, ok := in.Pop()
-		if !ok {
+		if !in.Pop(&msg) {
 			return ids
 		}
 		ids = append(ids, msg.MsgID)
@@ -342,8 +375,9 @@ func TestPrioInboxRingWrapAndGrowKeepFIFO(t *testing.T) {
 		}
 	}
 	push(10)
+	var popped wire.Message
 	for i := 0; i < 6; i++ {
-		in.Pop()
+		in.Pop(&popped)
 	}
 	push(ringMinSlots - 4) // fills the ring past its end: wrapped and full
 	r := &in.queues[wire.ClassBestEffort]
@@ -380,8 +414,9 @@ func TestPrioInboxDisplacesOldestOfWrappedRing(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		in.Push(bestEffortPayload(i))
 	}
+	var popped wire.Message
 	for i := 0; i < 6; i++ {
-		in.Pop()
+		in.Pop(&popped)
 	}
 	for i := uint64(10); i < 22; i++ {
 		in.Push(bestEffortPayload(i))
@@ -426,7 +461,8 @@ func TestPrioInboxClasslessKeepsArrivalOrder(t *testing.T) {
 			// Keep one queued, so the ring never empties and its head
 			// travels round instead of resetting.
 			for in.Depth() > 1 {
-				msg, _ := in.Pop()
+				var msg wire.Message
+				in.Pop(&msg)
 				got = append(got, msg.MsgID)
 			}
 		}
@@ -487,7 +523,7 @@ func TestPrioInboxCloseDropsReferences(t *testing.T) {
 			t.Fatalf("class %d still holds %d messages in %d slots after Close", c, r.size, len(r.buf))
 		}
 	}
-	if _, ok := in.Pop(); ok {
+	if in.Pop(new(wire.Message)) {
 		t.Fatal("Pop returned a message after Close")
 	}
 }

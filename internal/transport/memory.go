@@ -70,8 +70,9 @@ func (n *MemNetwork) NextEndpoint() *MemEndpoint {
 	return ep
 }
 
-// deliver routes one message, applying latency.
-func (n *MemNetwork) deliver(from, to string, msg wire.Message) error {
+// deliver routes one message, applying latency. *msg is copied into the
+// receiver's inbox, or once more to wait out a delay.
+func (n *MemNetwork) deliver(from, to string, msg *wire.Message) error {
 	n.mu.Lock()
 	dst, ok := n.endpoints[to]
 	var delay time.Duration
@@ -83,13 +84,13 @@ func (n *MemNetwork) deliver(from, to string, msg wire.Message) error {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
 	if delay <= 0 {
-		dst.inbox.Push(msg)
+		dst.inbox.push(msg)
 		return nil
 	}
 	// Only the delayed copy lives on the heap; a closure over msg itself
 	// would move every message there, delayed or not.
-	delayed := msg
-	time.AfterFunc(delay, func() { dst.inbox.Push(delayed) })
+	delayed := *msg
+	time.AfterFunc(delay, func() { dst.inbox.push(&delayed) })
 	return nil
 }
 
@@ -114,7 +115,10 @@ var (
 func (e *MemEndpoint) Addr() string { return e.addr }
 
 // Send routes a message through the fabric.
-func (e *MemEndpoint) Send(addr string, msg wire.Message) error {
+func (e *MemEndpoint) Send(addr string, msg wire.Message) error { return e.send(addr, &msg) }
+
+// send is Send without the copy into a parameter.
+func (e *MemEndpoint) send(addr string, msg *wire.Message) error {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -129,7 +133,7 @@ func (e *MemEndpoint) Send(addr string, msg wire.Message) error {
 // mem-backed tests exercise the same node fan-out path as TCP.
 func (e *MemEndpoint) SendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
 	for _, addr := range addrs {
-		err := e.Send(addr, msg)
+		err := e.send(addr, &msg)
 		if each != nil {
 			each(addr, err)
 		}

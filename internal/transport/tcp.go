@@ -363,8 +363,8 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	dec := wire.NewFrameReader(bufio.NewReaderSize(conn, readBufSize))
+	var msg wire.Message // ReadMessage overwrites every field
 	for {
-		var msg wire.Message
 		if err := dec.ReadMessage(&msg); err != nil {
 			// Any framing or decode error poisons the stream (by far most
 			// commonly a clean peer close); drop the connection.
@@ -373,7 +373,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		// Close closes this conn and waits for this loop before it closes
 		// the inbox, so the push needs no lock. The prioritized inbox sheds
 		// (with per-class accounting) when full rather than stalling the peer.
-		t.inbox.Push(msg)
+		t.inbox.push(&msg)
 	}
 }
 

@@ -80,7 +80,8 @@ func TestReadLoopBatchesReads(t *testing.T) {
 
 // TestTCPHopAllocations: once warm, a frame sent with SendMany crosses the
 // link — pooled encode, the link's writer, the peer's buffered readLoop and
-// decoder, the inbox — allocating only the decoded Data copy.
+// decoder, the inbox — allocating only the payload's frame body, which the
+// decoded Data aliases.
 func TestTCPHopAllocations(t *testing.T) {
 	a, b := tcpPairConfig(t, TCPConfig{})
 	msg := wire.Message{Type: wire.TPayload, GroupID: "g", Mode: wire.BestEffort, Seq: 1,
@@ -99,6 +100,6 @@ func TestTCPHopAllocations(t *testing.T) {
 	got := testing.AllocsPerRun(1, hops) / frames
 	t.Logf("%.3f allocations per frame", got)
 	if got > 1.1 {
-		t.Errorf("a warm TCP hop allocates %.3f times per frame, want at most 1.1 (the Data copy)", got)
+		t.Errorf("a warm TCP hop allocates %.3f times per frame, want at most 1.1 (the payload's frame body)", got)
 	}
 }

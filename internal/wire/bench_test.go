@@ -153,9 +153,9 @@ func BenchmarkRelayHopBinary(b *testing.B) {
 
 // relayAllocBudget is the committed allocation budget for one binary relay
 // hop (decode + re-encode + fan-out). The measured value is 1 alloc/op (the
-// decoded message's Data copy; coordinates and strings come from the
-// reader's intern table); the budget leaves modest headroom, not an order of
-// magnitude.
+// payload's frame body, which the decoded Data aliases; coordinates and
+// strings come from the reader's intern table); the budget leaves modest
+// headroom, not an order of magnitude.
 const relayAllocBudget = 2
 
 // TestRelayAllocBudget fails when the relay hot path regresses above its

@@ -468,11 +468,13 @@ func sameCoord(v []float64, b []byte) bool {
 }
 
 // bcursor reads primitive values out of one frame body, tracking a sticky
-// error so call sites stay linear.
+// error so call sites stay linear. own marks a body the decoded message
+// owns: its byte slices alias the body instead of copying out of it.
 type bcursor struct {
 	data   []byte
 	off    int
 	intern *internTable
+	own    bool
 	err    error
 }
 
@@ -538,9 +540,10 @@ func (c *bcursor) str() string {
 	return c.intern.get(c.take(int(n)))
 }
 
-// byteSlice copies the length-prefixed bytes out of the frame: payload data
-// outlives the frame buffer (it flows into receive windows and relay
-// caches), so it must own its backing array.
+// byteSlice returns the length-prefixed bytes. Payload data outlives the
+// frame (it flows into receive windows and relay caches), so out of a
+// reused frame buffer they are copied; out of an owned body they alias it,
+// capped so an append cannot write into the rest of the body.
 func (c *bcursor) byteSlice() []byte {
 	n := c.uvarint()
 	if c.err != nil || n > uint64(len(c.data)-c.off) {
@@ -550,8 +553,12 @@ func (c *bcursor) byteSlice() []byte {
 	if n == 0 {
 		return nil
 	}
+	b := c.take(int(n))
+	if c.own {
+		return b[:n:n]
+	}
 	out := make([]byte, n)
-	copy(out, c.take(int(n)))
+	copy(out, b)
 	return out
 }
 
@@ -671,9 +678,9 @@ func (c *bcursor) charter(ch *Charter) {
 
 // decodeBody parses one binary body into msg (which is fully overwritten).
 // The body must be consumed exactly; trailing bytes are an error.
-func decodeBody(body []byte, typ byte, msg *Message, intern *internTable) error {
+func decodeBody(body []byte, typ byte, msg *Message, intern *internTable, own bool) error {
 	*msg = Message{Type: Type(typ)}
-	c := bcursor{data: body, intern: intern}
+	c := bcursor{data: body, intern: intern, own: own}
 	bits := c.uvarint()
 	if c.err != nil {
 		return c.err

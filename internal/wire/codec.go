@@ -77,20 +77,29 @@ func (fr *FrameReader) ReadMessage(msg *Message) error {
 	if size > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	body, err := fr.readBody(int(size))
+	// A payload's body goes into a fresh buffer that the message owns, so its
+	// Data aliases the body instead of copying out of it: the one allocation
+	// per payload frame either way, minus the copy.
+	own := Type(typ) == TPayload
+	body, err := fr.readBody(int(size), own)
 	if err != nil {
 		return err
 	}
-	return decodeBody(body, typ, msg, &fr.intern)
+	return decodeBody(body, typ, msg, &fr.intern, own)
 }
 
-// readBody reads a size-validated frame body, reusing the previous frame's
-// backing array when it fits.
-func (fr *FrameReader) readBody(size int) ([]byte, error) {
-	if cap(fr.frame) < size {
-		fr.frame = make([]byte, size)
+// readBody reads a size-validated frame body: into a fresh buffer when
+// fresh, otherwise into the previous frame's backing array when it fits.
+func (fr *FrameReader) readBody(size int, fresh bool) ([]byte, error) {
+	var body []byte
+	if fresh {
+		body = make([]byte, size)
+	} else {
+		if cap(fr.frame) < size {
+			fr.frame = make([]byte, size)
+		}
+		body = fr.frame[:size]
 	}
-	body := fr.frame[:size]
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}

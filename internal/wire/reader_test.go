@@ -68,9 +68,9 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // TestWarmReaderAllocatesOnlyData: once a reader has seen a sender, each
-// further payload frame from it allocates once, for the Data copy. The
-// sender's and relay's addresses and coordinates come from the reader's
-// intern table.
+// further payload frame from it allocates once, for the frame body that the
+// message owns and its Data aliases. The sender's and relay's addresses and
+// coordinates come from the reader's intern table.
 func TestWarmReaderAllocatesOnlyData(t *testing.T) {
 	frame, err := EncodeMessage(benchMessages()["payload"])
 	if err != nil {
@@ -88,7 +88,29 @@ func TestWarmReaderAllocatesOnlyData(t *testing.T) {
 	}
 	decode()
 	if got := testing.AllocsPerRun(1, decode) / frames; got != 1 {
-		t.Errorf("warm payload decode allocates %.3f times per frame, want 1 (the Data copy)", got)
+		t.Errorf("warm payload decode allocates %.3f times per frame, want 1 (the payload's frame body)", got)
+	}
+}
+
+// TestDecodedBytesOutliveTheFrame: a payload's Data aliases a frame body of
+// its own, capped at its length so an append cannot reach the bytes after
+// it, and a DHT query's Target is copied out of the reused frame buffer;
+// both keep their bytes while the reader decodes the frames after them.
+func TestDecodedBytesOutliveTheFrame(t *testing.T) {
+	msgs := []Message{
+		{Type: TPayload, GroupID: "g", Seq: 1, Data: []byte("first"), TraceID: 7},
+		{Type: TDhtFindNode, ReqID: 2, Target: bytes.Repeat([]byte{0x5a}, 20)},
+		{Type: TPayload, GroupID: "g", Seq: 2, Data: []byte("second")},
+		{Type: TDhtFindNode, ReqID: 3, Target: bytes.Repeat([]byte{0xa5}, 20)},
+	}
+	got := readAll(t, bytes.NewReader(encodeStream(t, msgs)))
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("decoded %+v, want %+v", got, msgs)
+	}
+	for _, i := range []int{0, 2} {
+		if d := got[i].Data; cap(d) != len(d) {
+			t.Errorf("payload %d: Data has cap %d beyond its %d bytes", i, cap(d), len(d))
+		}
 	}
 }
 
