@@ -192,8 +192,7 @@ func runLiveTraced() error {
 			delivered <- string(data)
 		})
 	}
-	time.Sleep(500 * time.Millisecond) // let re-parenting settle into the tree
-
+	// No settling pause: each Join above returned on a path to the root.
 	if err := rdv.Publish("traced", []byte("traced hello")); err != nil {
 		return err
 	}

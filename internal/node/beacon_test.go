@@ -128,3 +128,32 @@ func TestBeaconCycleDetection(t *testing.T) {
 		return fmt.Sprintf("post-repair payload reached %d of 2", len(seen))
 	})
 }
+
+// TestStaleDetachLeavesOneGroup: a stale beacon detaches one group, and the
+// leave it sends the parent names that group. The parent keeps the child
+// as a neighbour and as its child in the other group, where an unscoped
+// leave read as an overlay departure dropped it from both.
+func TestStaleDetachLeavesOneGroup(t *testing.T) {
+	c := newDriven(t, 2, 1, nil)
+	parent, child := c.nodes[0], c.nodes[1]
+	for _, g := range []string{"g1", "g2"} {
+		if err := parent.CreateGroup(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := child.Join(g, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	child.post(func() {
+		child.groups["g1"].lastBeacon = child.now.Add(-time.Hour)
+		child.epoch(false)
+	})
+	c.Run(10 * time.Millisecond) // the leave lands
+	if parent.NumNeighbors() != 1 {
+		t.Fatalf("parent has %d neighbours after the child's stale detach in g1, want 1", parent.NumNeighbors())
+	}
+	if tv := parent.Tree("g2"); len(tv.Children) != 1 || tv.Children[0] != child.Addr() {
+		t.Fatalf("parent's g2 children after the child's stale detach in g1: %v, want [%s]",
+			tv.Children, child.Addr())
+	}
+}

@@ -29,6 +29,7 @@ func newGroupState(mode wire.DeliveryMode) *groupState {
 		mode:     mode,
 		children: make(map[string]wire.PeerInfo),
 		recv:     make(map[string]*reliable.SourceWindow),
+		held:     make(map[string]heldJoin),
 	}
 }
 
@@ -187,8 +188,11 @@ func (n *Node) forwardAdvertisement(msg wire.Message, upstream string) {
 // TTL-scoped ripple search for an access point. within is a deadline: Join
 // retries on its own, in passes of a third of within with a backoff
 // between, and returns nil once the node is attached or ErrJoinFailed by
-// the deadline. A failed Join leaves no membership behind: a node that was
-// not a member before the call is not one after it.
+// the deadline. A nil means a path to the root exists: the parent's ack
+// carried it, and every ack's path begins at the rendezvous, since a node
+// off the tree holds a join until its own attachment lands. A failed Join
+// leaves no membership behind: a node that was not a member before the
+// call is not one after it.
 func (n *Node) Join(groupID string, within time.Duration) error {
 	return n.await(func(done func(error)) {
 		if err := n.runnable(); err != nil {
@@ -240,23 +244,17 @@ func (n *Node) join(groupID string, within time.Duration, done func(error)) {
 // dangling forwarder's uplink, leaving membership untouched.
 func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool, done func(error)) {
 	gs := n.groups[groupID]
-	if gs != nil && (gs.rendezvous || gs.parent != "") {
+	if gs != nil && confirmed(gs) {
 		// Already on the tree (member or forwarder): (re)assert membership.
-		// An orphaned node — on the tree record-wise but with no parent —
-		// falls through and reattaches instead.
+		// An orphan, or a node whose attachment is still in flight, falls
+		// through and attaches instead.
 		if asMember {
 			gs.member = true
 		}
 		done(nil)
 		return
 	}
-	ad, sawAd := n.adSeen[groupID]
-
-	switch {
-	case sawAd && ad.upstream == "":
-		// We are the rendezvous (handled above) or the ad record is local.
-		done(nil)
-	case sawAd:
+	if ad, sawAd := n.adSeen[groupID]; sawAd && ad.upstream != "" {
 		n.joinVia(groupID, ad.upstream, ad.rendezvous, ad.mode, timeout, asMember, func(err error) {
 			if err == nil {
 				done(nil)
@@ -269,9 +267,9 @@ func (n *Node) joinInternal(groupID string, timeout time.Duration, asMember bool
 			// with the rendezvous among its own neighbours.
 			n.joinDiscover(groupID, timeout, asMember, done)
 		})
-	default:
-		n.joinDiscover(groupID, timeout, asMember, done)
+		return
 	}
+	n.joinDiscover(groupID, timeout, asMember, done)
 }
 
 // joinDiscover is the join past the advertisement path. Structured
@@ -350,18 +348,22 @@ func (n *Node) beaconGrace() time.Duration {
 	return time.Duration(n.cfg.BeaconGraceEpochs) * n.cfg.HeartbeatInterval
 }
 
+// confirmed reports whether gs holds a tree position with a path from the
+// rendezvous: the rendezvous itself, or a parent whose ack (or beacon) gave
+// that path. A parent without one is an attachment still in flight.
+func confirmed(gs *groupState) bool {
+	return gs.rendezvous || gs.parent != "" && gs.rootPath != nil
+}
+
 // onTree reports whether the node currently considers itself attached to
-// the group tree with a live path to the rendezvous (fresh beacon, or within
-// the post-join grace window).
+// the group tree with a live path to the rendezvous (confirmed, and a fresh
+// beacon or within the post-join grace window).
 func (n *Node) onTree(gs *groupState) bool {
-	if gs == nil {
+	if gs == nil || !confirmed(gs) {
 		return false
 	}
 	if gs.rendezvous {
 		return true
-	}
-	if gs.parent == "" {
-		return false
 	}
 	grace := n.beaconGrace()
 	if grace <= 0 {
@@ -443,14 +445,14 @@ func pathContains(path []string, addr string) bool {
 	return false
 }
 
-// joinVia sets parent, sends the join upstream, and waits for the immediate
-// parent's acknowledgement so the tree edge exists before the caller
-// publishes. A join that timed out is retried (fresh correlation ID each
-// attempt, the budget split evenly across attempts) so a single lost join or
-// ack doesn't fail the attachment; a join whose send failed at once is not,
-// since a retry in the same instant would fail the same way. On final
-// failure the tentative parent edge is rolled back so the epoch loop sees
-// the group as detached.
+// joinVia is the one place a node takes a parent: it sets the tentative
+// parent, starts the beacon grace and waits for the parent's ack, whose path
+// from the rendezvous confirms the attachment and answers the joins held
+// meanwhile. A join that timed out is retried (fresh correlation ID, the
+// budget split evenly across attempts); one whose send failed at once is
+// not, since a retry in the same instant would fail the same way. On final
+// failure the tentative edge is rolled back so the epoch loop sees the group
+// as detached; an ack for an edge dropped meanwhile is a failure too.
 func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.DeliveryMode, timeout time.Duration, asMember bool, done func(error)) {
 	gs := n.groups[groupID]
 	if gs == nil {
@@ -463,6 +465,8 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 	gs.parent = parentAddr
 	gs.parentInfo = wire.PeerInfo{Addr: parentAddr}
 	gs.rdvInfo = rdv
+	gs.rootPath = nil     // unconfirmed until the ack
+	gs.lastBeacon = n.now // grace until the ack and the first beacon
 	mode = gs.mode
 
 	// rollback drops the tentative edge (unless a competing join already
@@ -474,12 +478,14 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 			gs.parentInfo = wire.PeerInfo{}
 		}
 	}
+	fail := func(why string) {
+		done(fmt.Errorf("%w: %q (%s)", ErrJoinFailed, groupID, why))
+	}
 	giveUp := func() {
 		rollback()
-		done(fmt.Errorf("%w: %q (parent %s did not acknowledge)",
-			ErrJoinFailed, groupID, parentAddr))
+		fail("parent " + parentAddr + " did not acknowledge")
 	}
-	n.retry(false, func(_ int, fail func()) {
+	n.retry(false, func(_ int, again func()) {
 		var traceID uint64
 		if n.tracer != nil {
 			traceID = n.nextMsgID()
@@ -498,20 +504,31 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 		sending := true
 		n.ask([]string{parentAddr}, join, perAttempt(timeout),
 			func(ack wire.Message) bool {
-				// An ack whose root path runs through us means we picked a
-				// parent inside our own subtree: accepting it would close a
-				// cycle. Roll back and tell the parent to drop the edge.
-				if pathContains(ack.Path, n.self.Addr) {
+				switch {
+				case n.groups[groupID] != gs || gs.parent != parentAddr:
+					// A leave, a dead-parent sweep, a stale detach or a
+					// competing join dropped the edge while the join was out.
+					fail("edge to " + parentAddr + " dropped before its ack")
+				case pathContains(ack.Path, n.self.Addr):
+					// An ack whose root path runs through us means we picked a
+					// parent inside our own subtree: accepting it would close a
+					// cycle. Roll back and tell the parent to drop the edge.
 					rollback()
 					_ = n.send(parentAddr, wire.Message{
 						Type: wire.TLeave, From: n.self, GroupID: groupID,
 					})
-					done(fmt.Errorf("%w: %q (access point %s is inside our subtree)",
-						ErrJoinFailed, groupID, parentAddr))
-					return true
+					fail("access point " + parentAddr + " is inside our subtree")
+				default:
+					gs.rootPath = append([]string{}, ack.Path...)
+					gs.parentInfo = ack.From
+					gs.mode = ack.Mode // the parent's view is closer to the rendezvous
+					if len(ack.Backups) > 0 {
+						gs.backups = append([]wire.PeerInfo(nil), ack.Backups...)
+					}
+					gs.lastBeacon = n.now // grace until the first beacon arrives
+					n.settleHeld(groupID, gs)
+					done(nil)
 				}
-				gs.lastBeacon = n.now // grace until the first beacon arrives
-				done(nil)
 				return true
 			}, func() {
 				if sending {
@@ -519,21 +536,23 @@ func (n *Node) joinVia(groupID, parentAddr string, rdv wire.PeerInfo, mode wire.
 					giveUp()
 					return
 				}
-				fail()
+				again()
 			})
 		sending = false
 	}, giveUp)
 }
 
-// handleJoin makes the sender a tree child and, if this node is not yet on
-// the tree, continues the join along its own reverse advertisement path
-// (becoming a forwarder).
+// handleJoin makes the sender a tree child and holds its join until this
+// node can ack it with a path from the rendezvous: at once when confirmed,
+// else once an attachment lands — one in flight, or one it starts here
+// through joinInternal, which is not a repair.
 func (n *Node) handleJoin(msg wire.Message) {
-	gs := n.groups[msg.GroupID]
+	gid := msg.GroupID
+	gs := n.groups[gid]
 	if gs == nil {
 		gs = newGroupState(msg.Mode)
 		gs.rdvInfo = msg.Rendezvous
-		n.groups[msg.GroupID] = gs
+		n.groups[gid] = gs
 	}
 	if _, had := gs.children[msg.From.Addr]; !had && gs.rendezvous && gs.promoted {
 		// A subtree orphaned by the old root's death found us: the heal is
@@ -541,44 +560,36 @@ func (n *Node) handleJoin(msg wire.Message) {
 		atomic.AddUint64(&n.stats.OrphansReabsorbed, 1)
 	}
 	gs.children[msg.From.Addr] = msg.From
-	onTree := gs.rendezvous || gs.parent != ""
-	var upstream string
-	if !onTree {
-		if ad, ok := n.adSeen[msg.GroupID]; ok && ad.upstream != "" {
-			upstream = ad.upstream
-			gs.parent = upstream
-			gs.parentInfo = wire.PeerInfo{Addr: upstream}
-		}
-	}
-	if msg.ReqID != 0 {
-		_ = n.send(msg.From.Addr, wire.Message{
-			Type:    wire.TJoinAck,
-			From:    n.self,
-			GroupID: msg.GroupID,
-			ReqID:   msg.ReqID,
-			Path:    ownPath(gs, n.self.Addr),
-			Mode:    gs.mode,
-			Backups: n.backupsForChild(gs, msg.From),
-			// Echo the join's trace ID so the ack belongs to the same trace.
-			TraceID:   msg.TraceID,
-			RelayedAt: n.now,
+	gs.held[msg.From.Addr] = heldJoin{msg.ReqID, msg.TraceID} // a retry replaces the ReqID
+	switch {
+	case confirmed(gs):
+		n.settleHeld(gid, gs)
+	case gs.parent == "" && !n.rejoining[gid]:
+		n.rejoining[gid] = true
+		n.joinInternal(gid, attachTimeout, false, func(error) {
+			delete(n.rejoining, gid)
+			n.settleHeld(gid, gs)
 		})
 	}
-	if upstream != "" {
-		// Forwarded joins request an ack too (fresh correlation ID that no
-		// call waits on) so this forwarder learns its root path.
-		_ = n.send(upstream, wire.Message{
-			Type:       wire.TJoin,
-			From:       n.self,
-			GroupID:    msg.GroupID,
-			Subscriber: msg.Subscriber,
-			Rendezvous: msg.Rendezvous,
-			Mode:       msg.Mode,
-			ReqID:      n.nextMsgID(),
-			TraceID:    msg.TraceID,
-			Hops:       msg.Hops + 1,
-			OriginAt:   msg.OriginAt,
-			RelayedAt:  n.now,
+}
+
+// settleHeld answers the joins gs holds, in address order: when gs is
+// confirmed, with acks carrying its path from the rendezvous and echoing
+// each join's trace ID; otherwise (its attachment failed) by dropping them
+// and their child edges.
+func (n *Node) settleHeld(gid string, gs *groupState) {
+	for _, addr := range sortedKeys(gs.held) {
+		h := gs.held[addr]
+		delete(gs.held, addr)
+		if !confirmed(gs) {
+			delete(gs.children, addr)
+			continue
+		}
+		_ = n.send(addr, wire.Message{
+			Type: wire.TJoinAck, From: n.self, GroupID: gid, ReqID: h.reqID,
+			Path: ownPath(gs, n.self.Addr), Mode: gs.mode,
+			Backups: n.backupsForChild(gs, gs.children[addr]),
+			TraceID: h.traceID, RelayedAt: n.now,
 		})
 	}
 }
@@ -589,22 +600,6 @@ func ownPath(gs *groupState, selfAddr string) []string {
 	out := make([]string, 0, len(gs.rootPath)+1)
 	out = append(out, gs.rootPath...)
 	return append(out, selfAddr)
-}
-
-// handleJoinAck refreshes the node's root path, parent identity, and backup
-// access points from its parent's ack (the waiting join, if any, gets the
-// ack separately through the call table).
-func (n *Node) handleJoinAck(msg wire.Message) {
-	gs := n.groups[msg.GroupID]
-	if gs == nil || gs.parent != msg.From.Addr {
-		return
-	}
-	gs.rootPath = append([]string(nil), msg.Path...)
-	gs.parentInfo = msg.From
-	gs.mode = msg.Mode // the parent's view is closer to the rendezvous
-	if len(msg.Backups) > 0 {
-		gs.backups = append([]wire.PeerInfo(nil), msg.Backups...)
-	}
 }
 
 // handleSearch answers when this node can serve as an access point and

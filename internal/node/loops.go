@@ -285,10 +285,7 @@ func (n *Node) dispatch(msg *wire.Message) {
 	switch msg.Type {
 	case wire.TProbe:
 		n.handleProbe(*msg)
-	case wire.TProbeResp, wire.TSearchHit:
-		n.answer(*msg)
-	case wire.TJoinAck:
-		n.handleJoinAck(*msg)
+	case wire.TProbeResp, wire.TSearchHit, wire.TJoinAck:
 		n.answer(*msg)
 	case wire.TConnect:
 		n.addNeighbor(msg.From)
@@ -498,7 +495,7 @@ func (n *Node) epoch(stalled bool) {
 		}
 		if gs.parent != "" && bGrace > 0 && n.now.Sub(gs.lastBeacon) > bGrace {
 			// Prune our edge at the stale parent so it stops forwarding to us.
-			_ = n.send(gs.parent, wire.Message{Type: wire.TLeave, From: n.self})
+			_ = n.send(gs.parent, wire.Message{Type: wire.TLeave, From: n.self, GroupID: gid})
 			clearLastHop(gs, gs.parent)
 			gs.parent = ""
 		}
@@ -571,6 +568,10 @@ func (n *Node) beaconGroups() {
 	n.countHealthSent(len(health), beacons)
 }
 
+// attachTimeout bounds one attachment pass that no Join's deadline bounds:
+// a repair's search-based join, or a forwarder's for the joins it holds.
+const attachTimeout = 2 * time.Second
+
 // reattachAsync repairs dangling forwarder uplinks without asserting
 // membership.
 func (n *Node) reattachAsync(groupIDs []string) { n.repairAsync(groupIDs, false) }
@@ -606,7 +607,7 @@ func (n *Node) repairAttachment(gid string, asMember bool, done func()) {
 				done()
 				return
 			}
-			n.joinInternal(gid, 2*time.Second, asMember, func(err error) {
+			n.joinInternal(gid, attachTimeout, asMember, func(err error) {
 				if err != nil {
 					fail()
 					return

@@ -195,12 +195,14 @@ type groupState struct {
 	recv    map[string]*reliable.SourceWindow
 	rdvInfo wire.PeerInfo
 	// lastBeacon is when the rendezvous beacon last reached this node (set
-	// on join ack as a grace start).
+	// when joinVia takes a parent, as a grace start).
 	lastBeacon time.Time
-	// rootPath lists this node's tree ancestors up to the rendezvous
-	// (self last is excluded; best-effort, refreshed by join acks). Used to
-	// refuse re-attachment inside the node's own subtree.
+	// rootPath lists this node's tree ancestors from the rendezvous (self
+	// excluded), set by its parent's join ack and refreshed by beacons. Under
+	// a parent, nil means the attachment is still in flight (see confirmed).
 	rootPath []string
+	// held are the joins not acked yet, by child (settleHeld answers them).
+	held map[string]heldJoin
 	// backups are this node's precomputed backup access points — tree
 	// nodes outside its own subtree, handed down by the parent on beacons
 	// and join acks. When the parent dies, failover tries them nearest
@@ -225,6 +227,8 @@ type groupState struct {
 	// succession (joins it accepts afterwards are orphan re-absorptions).
 	promoted bool
 }
+
+type heldJoin struct{ reqID, traceID uint64 } // what a held join's ack echoes
 
 type adState struct {
 	upstream   string
@@ -289,9 +293,9 @@ type Node struct {
 
 	// Loop-owned (loops.go, calls.go): the call table, its ReqID counter,
 	// the Join scope new calls take, the timer and the deadline it is armed
-	// for, the per-group repair single-flight, the payloads the current
-	// event released, and the hand-off to the handler goroutine (nil while
-	// no handler is set).
+	// for, the per-group attachment single-flight (repairs, held joins),
+	// the payloads the current event released, and the hand-off to the
+	// handler goroutine (nil while no handler is set).
 	calls     map[uint64]*call
 	reqSeq    uint64
 	scope     uint64
