@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -394,6 +395,58 @@ func TestCrashDetectionAndTreeRepair(t *testing.T) {
 		}
 		c.Run(300 * time.Millisecond)
 	}
+}
+
+// TestIsolatedNodeBootstrapsAgain: a member cut off for longer than the
+// overlay's death grace declares every neighbour dead, and every neighbour
+// declares it dead. After the heal it must join the overlay again through
+// the neighbours it lost, and its group through them: within a few epochs
+// it has a neighbour and a root path that begins at the rendezvous.
+func TestIsolatedNodeBootstrapsAgain(t *testing.T) {
+	c := newDriven(t, 10, 7, nil)
+	rdv := c.nodes[0]
+	if err := rdv.CreateGroup("g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rdv.Advertise("g"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(150 * time.Millisecond)
+	for _, nd := range c.nodes[1:] {
+		if err := nd.Join("g", testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A deputy would promote itself during the split; the victim is the
+	// last member outside the succession roster.
+	var victim *Node
+	c.waitFor(t, time.Second, func() bool { return len(rdv.Tree("g").Deputies) > 0 },
+		static("the root replicated no charter"))
+	for _, nd := range c.nodes[1:] {
+		if !slices.Contains(rdv.Tree("g").Deputies, nd.Addr()) {
+			victim = nd
+		}
+	}
+	c.chaos.Partition(victim.Addr())
+	// 100 ms heartbeats and 2 missed to fail: 1 s is over three graces.
+	c.waitFor(t, 5*time.Second, func() bool { return victim.NumNeighbors() == 0 },
+		static("the isolated member kept a neighbour"))
+	c.Run(time.Second)
+	c.chaos.Heal()
+	rootPath := func() []string {
+		for _, td := range victim.TreeDetails() {
+			if td.Group == "g" {
+				return td.RootPath
+			}
+		}
+		return nil
+	}
+	c.waitFor(t, time.Second, func() bool {
+		rp := rootPath()
+		return victim.NumNeighbors() > 0 && len(rp) > 0 && rp[0] == rdv.Addr()
+	}, func() string {
+		return fmt.Sprintf("after the heal: %d neighbours, root path %v", victim.NumNeighbors(), rootPath())
+	})
 }
 
 // TestBootstrapSameSeedSameNeighbors: neighbour selection draws from the
