@@ -513,3 +513,35 @@ func TestTraceFollowsNackRecoveryOverTCP(t *testing.T) {
 		t.Errorf("TraceID %d events lack the recovery retransmit: %v", pubID, oneKinds)
 	}
 }
+
+// TestPromOneFamilyPerName: a Prometheus scraper rejects a whole
+// exposition that types one metric name twice, so every `# TYPE` line of a
+// real node's /debug/metrics must name a different family.
+func TestPromOneFamilyPerName(t *testing.T) {
+	n := startTCPNode(t, 1)
+	srv, err := Start("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	kinds := make(map[string]string)
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		if prev, dup := kinds[f[2]]; dup {
+			t.Errorf("%s is typed twice: %s and %s", f[2], prev, f[3])
+		}
+		kinds[f[2]] = f[3]
+	}
+	if len(kinds) == 0 {
+		t.Fatalf("no # TYPE line in the exposition:\n%.400s", body)
+	}
+}

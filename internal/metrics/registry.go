@@ -101,11 +101,6 @@ func DefaultLatencyBuckets() []float64 {
 	return []float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 }
 
-// DefaultDepthBuckets are queue-occupancy upper bounds (messages).
-func DefaultDepthBuckets() []float64 {
-	return []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-}
-
 // FixedHistogram is an online histogram with fixed bucket upper bounds and
 // an implicit overflow bucket. Observations are lock-free (one atomic add
 // per bucket and a CAS loop for the sum), making it safe on hot paths.

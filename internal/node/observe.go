@@ -51,7 +51,6 @@ type nodeMetrics struct {
 	relayHop         *metrics.FixedHistogram
 	nackRTT          *metrics.FixedHistogram
 	heartbeatRTT     *metrics.FixedHistogram
-	queueDepth       *metrics.FixedHistogram
 	successionTTR    *metrics.FixedHistogram
 	overloadPressure *metrics.FixedHistogram
 	overloadEpisode  *metrics.FixedHistogram
@@ -70,7 +69,6 @@ func (n *Node) initObservability() {
 		relayHop:         reg.Histogram(MetricRelayHopLatency, metrics.DefaultLatencyBuckets()),
 		nackRTT:          reg.Histogram(MetricNackRTT, metrics.DefaultLatencyBuckets()),
 		heartbeatRTT:     reg.Histogram(MetricHeartbeatRTT, metrics.DefaultLatencyBuckets()),
-		queueDepth:       reg.Histogram(MetricRecvQueueDepth, metrics.DefaultDepthBuckets()),
 		successionTTR:    reg.Histogram(MetricSuccessionTTR, metrics.DefaultLatencyBuckets()),
 		overloadPressure: reg.Histogram(MetricOverloadPressure, overloadPressureBuckets()),
 		overloadEpisode:  reg.Histogram(MetricOverloadEpisode, metrics.DefaultLatencyBuckets()),
@@ -129,7 +127,6 @@ func (n *Node) initObservability() {
 			return float64(oq.OutboundQueueDepth())
 		})
 	}
-	reg.Gauge(MetricOverloadPressure, func() float64 { return n.overload.pressure })
 	reg.Gauge("overload_degraded", func() float64 {
 		if n.overload.degraded {
 			return 1
