@@ -18,12 +18,12 @@ import (
 
 // This file is the chaos-soak resilience experiment: clusters of real nodes
 // in virtual time run under scripted fault schedules (seeded loss,
-// crash-stops, partitions) and the tree-repair strategies are compared —
-// backup-access-point failover (the dynamic-replication extension) against
-// search-only repair. Reported per scenario and mode: surviving members
-// reattached, delivery ratio, time-to-recover, and the control messages
-// spent on repair. Every column is deterministic for a fixed seed at any
-// -workers count.
+// crash-stops, partitions) and the node's one tree repair — backup access
+// points first, then the join a Join makes — is measured. Reported per
+// scenario: surviving members reattached, delivery ratio, time-to-recover,
+// and the control messages spent on repair, split by the route each repair
+// took. Every column is deterministic for a fixed seed at any -workers
+// count.
 
 // resilienceScenario is one chaos-soak configuration.
 type resilienceScenario struct {
@@ -103,10 +103,9 @@ func crashAll(victims []string) []transport.FaultEvent {
 	return events
 }
 
-// resilienceRow is one (scenario, repair mode) measurement.
+// resilienceRow is one scenario's measurement.
 type resilienceRow struct {
 	Scenario   string
-	Mode       string // "backup" or "search"
 	Members    int
 	Survivors  int
 	Reattached int
@@ -119,71 +118,48 @@ type resilienceRow struct {
 	ViaSearch  uint64
 }
 
-// RunResilience runs every chaos-soak scenario under both repair modes
-// (cells fan out across workers goroutines; 0 = one per CPU) and writes the
-// comparison tables.
+// RunResilience runs every chaos-soak scenario (cells fan out across
+// workers goroutines; 0 = one per CPU) and writes one table per scenario.
 func RunResilience(w io.Writer, seed int64, workers int) error {
 	scenarios := resilienceScenarios()
-	modes := []string{"backup", "search"}
-	type cell struct {
-		scen resilienceScenario
-		mode string
-		seed int64
-	}
-	// Both modes of a scenario share its seed, so they boot the same
-	// cluster: capacities, positions and links. Their trees at the fault
-	// can still differ, as repairs in the join phase take mode-specific
-	// paths.
-	cells := make([]cell, 0, len(scenarios)*len(modes))
-	for si, sc := range scenarios {
-		for _, mode := range modes {
-			cells = append(cells, cell{sc, mode, cellSeed(seed, 71, int64(si), 0)})
-		}
-	}
-	rows, err := mapOrdered(workers, len(cells), func(i int) (resilienceRow, error) {
-		c := cells[i]
-		return runResilienceCell(c.scen, c.mode, c.seed)
+	rows, err := mapOrdered(workers, len(scenarios), func(si int) (resilienceRow, error) {
+		return runResilienceCell(scenarios[si], cellSeed(seed, 71, int64(si), 0))
 	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintln(w, "# resilience: chaos soak on real nodes in virtual time, backup-access-point failover")
-	fmt.Fprintln(w, "# vs search-only repair; roots = rendezvous among the publisher and the survivors")
+	fmt.Fprintln(w, "# resilience: chaos soak on real nodes in virtual time, tree repair through backup")
+	fmt.Fprintln(w, "# access points, then a join; roots = rendezvous among the publisher and the survivors")
 	fmt.Fprintln(w, "# (recovered needs one); repair-msgs, via-backup, via-search count from the fault")
-	ri := 0
-	for _, sc := range scenarios {
+	for si, sc := range scenarios {
+		r := rows[si]
 		fmt.Fprintf(w, "\n## scenario %s — %s\n", sc.name, sc.desc)
-		fmt.Fprintf(w, "%-8s %-8s %-10s %-11s %-6s %-9s %-10s %-7s %-12s %-11s %s\n",
-			"mode", "members", "survivors", "reattached", "roots", "delivery", "recovered",
+		fmt.Fprintf(w, "%-8s %-10s %-11s %-6s %-9s %-10s %-7s %-12s %-11s %s\n",
+			"members", "survivors", "reattached", "roots", "delivery", "recovered",
 			"ttr-ms", "repair-msgs", "via-backup", "via-search")
-		for range modes {
-			r := rows[ri]
-			ri++
-			ttr := "—"
-			if r.Recovered {
-				ttr = fmt.Sprint(r.TTR.Milliseconds())
-			}
-			fmt.Fprintf(w, "%-8s %-8d %-10d %-11d %-6d %-9.2f %-10s %-7s %-12d %-11d %d\n",
-				r.Mode, r.Members, r.Survivors, r.Reattached, r.Roots, r.Delivery, yesNo(r.Recovered),
-				ttr, r.RepairMsgs, r.ViaBackup, r.ViaSearch)
+		ttr := "—"
+		if r.Recovered {
+			ttr = fmt.Sprint(r.TTR.Milliseconds())
 		}
+		fmt.Fprintf(w, "%-8d %-10d %-11d %-6d %-9.2f %-10s %-7s %-12d %-11d %d\n",
+			r.Members, r.Survivors, r.Reattached, r.Roots, r.Delivery, yesNo(r.Recovered),
+			ttr, r.RepairMsgs, r.ViaBackup, r.ViaSearch)
 	}
 	return nil
 }
 
 // runResilienceCell boots one cluster, arms the scenario's fault schedule,
 // and measures the repair.
-func runResilienceCell(sc resilienceScenario, mode string, seed int64) (resilienceRow, error) {
-	row := resilienceRow{Scenario: sc.name, Mode: mode}
+func runResilienceCell(sc resilienceScenario, seed int64) (resilienceRow, error) {
+	row := resilienceRow{Scenario: sc.name}
 	c, chaos, nodes, err := bootCluster(seed, sc.nodes, func(cfg *node.Config) {
 		cfg.HeartbeatInterval = 150 * time.Millisecond
 		cfg.BeaconGraceEpochs = 4
 		cfg.AdvertiseRefreshEpochs = 3
-		cfg.DisableBackupFailover = mode == "search"
 	}, nil)
 	if err != nil {
-		return row, fmt.Errorf("resilience %s/%s: %w", sc.name, mode, err)
+		return row, fmt.Errorf("resilience %s: %w", sc.name, err)
 	}
 
 	const gid = "resilience"
@@ -299,7 +275,7 @@ func resilienceProgress(rdv *node.Node, survivors []*node.Node, gid string, got 
 
 // repairTally sums over nodes the control messages spent on tree repair
 // (joins, join acks, searches and search hits) and the repairs done through
-// a backup access point and through a search.
+// a backup access point and through the join fallback.
 func repairTally(nodes []*node.Node) (msgs, viaBackup, viaSearch uint64) {
 	for _, nd := range nodes {
 		st := nd.Stats()

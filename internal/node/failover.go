@@ -14,8 +14,9 @@ import (
 // child's grandparent, its siblings, the rendezvous, and the node's own
 // inherited backups — on beacons and join acks. A member whose parent dies
 // reattaches through one of them directly (one join message) before falling
-// back to the TTL-scoped ripple search. It is the system's only tree
-// repair; -exp resilience measures it against search-only repair.
+// back to the join a Join makes: the reverse advertisement path, the DHT or
+// the TTL-scoped ripple search. Every repair takes this one path, and -exp
+// resilience measures it.
 
 // backupJoinTimeout bounds one backup access point's join handshake during
 // failover; a backup that died in the same burst must not absorb the whole

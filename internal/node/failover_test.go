@@ -143,12 +143,12 @@ func TestBackupFailoverOnParentCrash(t *testing.T) {
 	}, static("repaired tree does not deliver to every survivor"))
 }
 
-// TestSearchOnlyRepairStillRecovers pins the fallback path: with backup
-// failover disabled, a parent crash is repaired by ripple search alone.
-func TestSearchOnlyRepairStillRecovers(t *testing.T) {
-	c := newDriven(t, 10, 9, func(cfg *Config) {
-		cfg.DisableBackupFailover = true
-	})
+// TestSearchRepairsWhenBackupsDead pins the fallback path: an orphan whose
+// backup access points all died with its parent reattaches through the join
+// a Join makes (reverse path, DHT or ripple search), counted as a repair via
+// search and none via a backup.
+func TestSearchRepairsWhenBackupsDead(t *testing.T) {
+	c := newDriven(t, 10, 9, nil)
 	rdv := c.nodes[0]
 	if err := rdv.CreateGroup("g"); err != nil {
 		t.Fatal(err)
@@ -164,31 +164,36 @@ func TestSearchOnlyRepairStillRecovers(t *testing.T) {
 		}
 		members = append(members, nd)
 	}
-	victim := members[0]
-	kids := -1
+	var orphan *Node
 	for _, m := range members {
-		if n := len(m.Tree("g").Children); n > kids {
-			victim, kids = m, n
+		if p := m.Tree("g").Parent; p != "" && p != rdv.Addr() {
+			orphan = m
+			break
 		}
 	}
-	c.chaos.Crash(victim.Addr())
+	if orphan == nil {
+		t.Fatal("no member sits below another member")
+	}
+	parent := orphan.Tree("g").Parent
+	// The orphan's backups are two endpoints that crash with its parent.
+	var dead []wire.PeerInfo
+	for _, addr := range []string{"dead-a", "dead-b"} {
+		if _, err := c.Endpoint(addr); err != nil {
+			t.Fatal(err)
+		}
+		c.chaos.Crash(addr)
+		dead = append(dead, wire.PeerInfo{Addr: addr})
+	}
+	orphan.groups["g"].backups = dead
+	c.chaos.Crash(parent)
 	c.waitFor(t, 15*time.Second, func() bool {
-		var viaBackup uint64
-		for _, m := range members {
-			if m == victim {
-				continue
-			}
-			tv := m.Tree("g")
-			if !tv.Attached || tv.Parent == victim.Addr() {
-				return false
-			}
-			viaBackup += m.Stats().RepairsViaBackup
-		}
-		if viaBackup != 0 {
-			t.Fatalf("backup failover ran despite being disabled (%d repairs)", viaBackup)
-		}
-		return true
-	}, static("search-only repair never recovered"))
+		tv := orphan.Tree("g")
+		return tv.Attached && tv.Parent != parent
+	}, static("the orphan never reattached off its crashed parent"))
+	if st := orphan.Stats(); st.RepairsViaBackup != 0 || st.RepairsViaSearch == 0 {
+		t.Fatalf("repairs via backup %d, via search %d; want 0 and at least 1",
+			st.RepairsViaBackup, st.RepairsViaSearch)
+	}
 }
 
 // TestRepairCostsNoGoroutine: a tree repair is a chain of calls in the
